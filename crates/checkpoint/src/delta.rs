@@ -12,23 +12,32 @@
 //!   falls back to the full page — the delta would cost more than it
 //!   saves.
 //!
-//! Two entry points serve the two halves of the pipeline. The fused
-//! pause window may only *count* (no allocation inside the window):
-//! [`scan_page`] walks both pages once and returns the facts —
-//! zero/changed/runs — from which [`wire_len_for`] prices the encoded
-//! record. The out-of-window drain may allocate: [`encode_page`]
-//! materialises the runs and [`apply_page`] replays them against a frame
-//! holding the old generation. `apply_page ∘ encode_page` is the
-//! identity on the new page for every threshold (the property the test
-//! suite pins), and it is idempotent — unchanged words are by definition
-//! equal in both generations, so re-applying a delta to an
-//! already-updated frame is a no-op.
+//! One pass does all the comparing. `page_kernel` loads the old and
+//! new page as `u64` words once and yields the facts (zero / changed
+//! words / runs, by OR-accumulate and popcount), a 512-bit changed-word
+//! mask, and — on the words it already holds — however many digests of
+//! the new page the caller seeded lanes for. Everything else is a thin
+//! caller of it. The fused pause window may only *count* (no allocation
+//! inside the window): [`scan_page`] is the kernel with no digests, and
+//! [`wire_len_for`] prices the encoded record from its facts. The
+//! out-of-window drain asks for both of its digests in the same pass and
+//! then its `encode` materialises the runs from the mask, touching only
+//! the changed words; [`encode_page`] is those two steps for callers
+//! without a kernel result in hand. [`apply_page`] replays a record
+//! against a frame holding the old generation. `apply_page ∘ encode_page`
+//! is the identity on the new page for every threshold (the property the
+//! test suite pins, against the byte-wise passes the kernel replaced), and
+//! it is idempotent — unchanged words are by definition equal in both
+//! generations, so re-applying a delta to an already-updated frame is a
+//! no-op.
 //!
-//! Nothing here touches digests: the integrity fold always covers the
-//! full plaintext the backup ends up holding, so image digests are
-//! bit-identical whether pages travelled encoded or raw.
+//! The digests the kernel returns are `integrity`'s, computed by its
+//! `Lanes` over the full plaintext the backup ends up holding, so image
+//! digests are bit-identical whether pages travelled encoded or raw.
 
 use crimes_vm::PAGE_SIZE;
+
+use crate::integrity::Lanes;
 
 /// 8-byte words per page — the unit of comparison and of run extents.
 pub const PAGE_WORDS: usize = PAGE_SIZE / 8;
@@ -75,39 +84,98 @@ pub struct PageScan {
     pub runs: u32,
 }
 
+/// 64-word groups per page: the length of a [`WordMask`].
+const MASK_WORDS: usize = PAGE_WORDS / 64;
+
+/// One bit per 8-byte word of a page, set where `new` differs from
+/// `old`; word `w` is bit `w % 64` of element `w / 64`.
+type WordMask = [u64; MASK_WORDS];
+
+/// Everything one pass over a staged page and the backup's copy of its
+/// frame yields: the journalled facts, the changed-word mask
+/// [`encode`](Self::encode) builds the delta from, and as many digests
+/// of the new page as the caller seeded lanes for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageKernel<const N: usize> {
+    pub(crate) scan: PageScan,
+    mask: WordMask,
+    /// `lanes[i]` finished over the new page.
+    pub(crate) digests: [u64; N],
+}
+
+/// The one old-vs-new pass: load both pages as `u64` words once and
+/// fold each quad of new words into every seeded digest while the same
+/// words are compared against the old generation. The digests equal
+/// [`chunk_digest`](crate::integrity::chunk_digest) under the lanes'
+/// seed — same lane assignment, same combine, same length fold. `None`
+/// unless both inputs are exactly one page. No allocation: the fused
+/// pause window calls this through [`scan_page`].
+#[inline]
+pub(crate) fn page_kernel<const N: usize>(
+    old: &[u8],
+    new: &[u8],
+    mut lanes: [Lanes; N],
+) -> Option<PageKernel<N>> {
+    if old.len() != PAGE_SIZE || new.len() != PAGE_SIZE {
+        return None;
+    }
+    // words → quads (one per digest lane set) → 16-quad groups (one per
+    // mask element): arrays all the way down, so nothing indexes.
+    let (old_groups, _) = old.as_chunks::<8>().0.as_chunks::<4>().0.as_chunks::<16>();
+    let (new_groups, _) = new.as_chunks::<8>().0.as_chunks::<4>().0.as_chunks::<16>();
+    let mut mask: WordMask = [0; MASK_WORDS];
+    let mut any_set = 0u64;
+    for ((bits, old_group), new_group) in mask.iter_mut().zip(old_groups).zip(new_groups) {
+        for (o, n) in old_group.iter().zip(new_group) {
+            let [o0, o1, o2, o3] = o.map(u64::from_le_bytes);
+            let n = n.map(u64::from_le_bytes);
+            for l in &mut lanes {
+                l.absorb(n);
+            }
+            let [n0, n1, n2, n3] = n;
+            any_set |= (n0 | n1) | (n2 | n3);
+            let quad = u64::from(o0 != n0)
+                | u64::from(o1 != n1) << 1
+                | u64::from(o2 != n2) << 2
+                | u64::from(o3 != n3) << 3;
+            // Shift the group's earlier quads down as each new one
+            // enters at the top: after 16 quads, quad 0 sits in bits 0–3.
+            *bits = (*bits >> 4) | (quad << 60);
+        }
+    }
+    let mut scan = PageScan {
+        zero: any_set == 0,
+        ..PageScan::default()
+    };
+    // A run starts at a set bit whose predecessor is clear; `carry` is
+    // the previous element's top bit, so a run crossing a 64-word
+    // boundary counts once.
+    let mut carry = 0u64;
+    for &bits in &mask {
+        scan.changed_words += bits.count_ones();
+        scan.runs += (bits & !((bits << 1) | carry)).count_ones();
+        carry = bits >> 63;
+    }
+    Some(PageKernel {
+        scan,
+        mask,
+        digests: lanes.map(|l| l.finish(PAGE_SIZE)),
+    })
+}
+
 /// Walk `old` and `new` once, counting changed words and extents and
 /// testing for an all-zero page. No allocation — safe to call from the
-/// fused pause window. Pages of unequal or non-word-multiple length
-/// yield a conservative "everything changed" answer rather than a
-/// panic.
+/// fused pause window. Anything but two whole pages yields a
+/// conservative "everything changed" answer rather than a panic.
 pub fn scan_page(old: &[u8], new: &[u8]) -> PageScan {
-    if old.len() != new.len() || !new.len().is_multiple_of(8) {
-        return PageScan {
+    match page_kernel(old, new, []) {
+        Some(kernel) => kernel.scan,
+        None => PageScan {
             zero: false,
             changed_words: u32::try_from(new.len().div_ceil(8)).unwrap_or(u32::MAX),
             runs: 1,
-        };
+        },
     }
-    let mut scan = PageScan {
-        zero: true,
-        ..PageScan::default()
-    };
-    let mut in_run = false;
-    for (o, n) in old.chunks_exact(8).zip(new.chunks_exact(8)) {
-        if n.iter().any(|&b| b != 0) {
-            scan.zero = false;
-        }
-        if o != n {
-            scan.changed_words = scan.changed_words.saturating_add(1);
-            if !in_run {
-                scan.runs = scan.runs.saturating_add(1);
-                in_run = true;
-            }
-        } else {
-            in_run = false;
-        }
-    }
-    scan
 }
 
 /// Wire bytes the encoded record would occupy, priced from the facts
@@ -131,39 +199,56 @@ pub fn wire_len_for(scan: &PageScan, threshold_words: usize) -> usize {
 
 /// Encode `new` against `old` (the backup's current copy of the frame).
 /// Returns [`PageEncoding::Full`] when encoding is off
-/// (`threshold_words == 0`), when the pages disagree on length, or when
-/// the churn exceeds the threshold.
+/// (`threshold_words == 0`), when either input is not one whole page,
+/// or when the churn exceeds the threshold.
 pub fn encode_page(old: &[u8], new: &[u8], threshold_words: usize) -> PageEncoding {
-    if threshold_words == 0 || old.len() != new.len() || !new.len().is_multiple_of(8) {
-        return PageEncoding::Full;
+    match page_kernel(old, new, []) {
+        Some(kernel) => kernel.encode(new, threshold_words),
+        None => PageEncoding::Full,
     }
-    let scan = scan_page(old, new);
-    if scan.zero {
-        return PageEncoding::Zero;
-    }
-    if scan.changed_words as usize > threshold_words {
-        return PageEncoding::Full;
-    }
-    let mut runs: Vec<DeltaRun> = Vec::with_capacity(scan.runs as usize);
-    for (word, (o, n)) in old.chunks_exact(8).zip(new.chunks_exact(8)).enumerate() {
-        if o == n {
-            continue;
+}
+
+impl<const N: usize> PageKernel<N> {
+    /// Materialise the record the pass already decided: walk the
+    /// changed-word mask by trailing zeros and copy only the changed
+    /// words of `new` (the page this kernel ran over) — no second
+    /// compare pass.
+    pub(crate) fn encode(&self, new: &[u8], threshold_words: usize) -> PageEncoding {
+        if threshold_words == 0 {
+            return PageEncoding::Full;
         }
-        let word_idx = u32::try_from(word).unwrap_or(u32::MAX);
-        match runs.last_mut() {
-            Some(run)
-                if u64::from(run.start_word) + (run.bytes.len() / 8) as u64
-                    == u64::from(word_idx) =>
-            {
-                run.bytes.extend_from_slice(n);
+        if self.scan.zero {
+            return PageEncoding::Zero;
+        }
+        if self.scan.changed_words as usize > threshold_words {
+            return PageEncoding::Full;
+        }
+        let mut runs: Vec<DeltaRun> = Vec::with_capacity(self.scan.runs as usize);
+        for (base, &bits) in (0u32..).step_by(64).zip(&self.mask) {
+            let mut left = bits;
+            while left != 0 {
+                let first = left.trailing_zeros();
+                let len = (left >> first).trailing_ones();
+                // Clear the extent; it may reach the element's top bit.
+                left &= u64::MAX.checked_shl(first + len).unwrap_or(0);
+                let start_word = base + first;
+                let start = start_word as usize * 8;
+                let bytes = new.get(start..start + len as usize * 8).unwrap_or(&[]);
+                match runs.last_mut() {
+                    // The previous element's last extent ran to its top
+                    // bit and this one starts at bit 0: one run, not two.
+                    Some(run) if run.start_word as usize * 8 + run.bytes.len() == start => {
+                        run.bytes.extend_from_slice(bytes);
+                    }
+                    _ => runs.push(DeltaRun {
+                        start_word,
+                        bytes: bytes.to_vec(),
+                    }),
+                }
             }
-            _ => runs.push(DeltaRun {
-                start_word: word_idx,
-                bytes: n.to_vec(),
-            }),
         }
+        PageEncoding::Delta { runs }
     }
-    PageEncoding::Delta { runs }
 }
 
 /// Wire bytes the materialised record occupies (agrees with
@@ -209,45 +294,157 @@ pub fn apply_page(dst: &mut [u8], enc: &PageEncoding, full: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::{chunk_digest, content_digest};
     use crimes_rng::ChaCha8Rng;
 
-    fn page_of(rng: &mut ChaCha8Rng, sparse: bool) -> Vec<u8> {
+    /// The byte-wise scan the kernel replaced, kept as the oracle: words
+    /// compared as slices, zero tested byte by byte.
+    fn reference_scan_page(old: &[u8], new: &[u8]) -> PageScan {
+        let mut scan = PageScan {
+            zero: true,
+            ..PageScan::default()
+        };
+        let mut in_run = false;
+        for (o, n) in old.chunks_exact(8).zip(new.chunks_exact(8)) {
+            if n.iter().any(|&b| b != 0) {
+                scan.zero = false;
+            }
+            if o != n {
+                scan.changed_words += 1;
+                if !in_run {
+                    scan.runs += 1;
+                    in_run = true;
+                }
+            } else {
+                in_run = false;
+            }
+        }
+        scan
+    }
+
+    /// The three-pass encoder the kernel replaced, kept as the oracle:
+    /// scan, then a second compare pass growing one run at a time.
+    fn reference_encode_page(old: &[u8], new: &[u8], threshold_words: usize) -> PageEncoding {
+        if threshold_words == 0 {
+            return PageEncoding::Full;
+        }
+        let scan = reference_scan_page(old, new);
+        if scan.zero {
+            return PageEncoding::Zero;
+        }
+        if scan.changed_words as usize > threshold_words {
+            return PageEncoding::Full;
+        }
+        let mut runs: Vec<DeltaRun> = Vec::new();
+        for (word, (o, n)) in old.chunks_exact(8).zip(new.chunks_exact(8)).enumerate() {
+            if o == n {
+                continue;
+            }
+            match runs.last_mut() {
+                Some(run) if run.start_word as usize + run.bytes.len() / 8 == word => {
+                    run.bytes.extend_from_slice(n);
+                }
+                _ => runs.push(DeltaRun {
+                    start_word: word as u32,
+                    bytes: n.to_vec(),
+                }),
+            }
+        }
+        PageEncoding::Delta { runs }
+    }
+
+    fn random_page(rng: &mut ChaCha8Rng) -> Vec<u8> {
         let mut page = vec![0u8; PAGE_SIZE];
-        if sparse {
-            // A handful of scattered word edits, like the web workload.
-            for _ in 0..rng.gen_range(0..12) {
-                let at = rng.gen_range(0..PAGE_SIZE as u64) as usize;
-                page[at] = rng.gen_range(0..256) as u8;
-            }
-        } else {
-            for b in page.iter_mut() {
-                *b = rng.gen_range(0..256) as u8;
-            }
+        rng.fill_bytes(&mut page);
+        page
+    }
+
+    /// A mostly-zero page with a handful of one-byte writes, like the
+    /// web workload's.
+    fn sparse_page(rng: &mut ChaCha8Rng) -> Vec<u8> {
+        let mut page = vec![0u8; PAGE_SIZE];
+        for _ in 0..rng.gen_range(0..12) {
+            let at = rng.gen_range(0..PAGE_SIZE as u64) as usize;
+            page[at] = rng.gen_range(1..256) as u8;
         }
         page
     }
 
-    #[test]
-    fn apply_after_encode_is_identity_on_random_page_pairs() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x00de17a);
-        for case in 0..200 {
-            let sparse = case % 2 == 0;
-            let old = page_of(&mut rng, sparse);
-            let mut new = old.clone();
-            // Mutate between zero and many words so every encoding arm
-            // (zero, delta, full) is exercised across thresholds.
-            match case % 5 {
-                0 => new.fill(0),
-                1 => new = page_of(&mut rng, false),
-                _ => {
-                    for _ in 0..rng.gen_range(0..600) {
-                        let at = rng.gen_range(0..PAGE_SIZE as u64) as usize;
-                        new[at] ^= rng.gen_range(1..256) as u8;
-                    }
+    /// Flip one byte in each word of `words`.
+    fn flip_words(page: &mut [u8], words: std::ops::RangeInclusive<usize>, rng: &mut ChaCha8Rng) {
+        for w in words {
+            page[w * 8 + rng.gen_range(0..8) as usize] ^= rng.gen_range(1..256) as u8;
+        }
+    }
+
+    /// One `(old, new)` pair per case, cycling through every shape the
+    /// kernel's mask, carry and zero logic has to get right.
+    fn page_pair(case: usize, rng: &mut ChaCha8Rng) -> (Vec<u8>, Vec<u8>) {
+        let old = if (case / 12).is_multiple_of(2) {
+            sparse_page(rng)
+        } else {
+            random_page(rng)
+        };
+        let mut new = old.clone();
+        match case % 12 {
+            0 => new.fill(0),
+            1 => new = random_page(rng),
+            // Sparse one-byte edits, few and many.
+            2 => flip_words(&mut new, 0..=0, rng),
+            3 | 4 => {
+                for _ in 0..rng.gen_range(1..600) {
+                    let at = rng.gen_range(0..PAGE_SIZE as u64) as usize;
+                    new[at] ^= rng.gen_range(1..256) as u8;
                 }
             }
-            for threshold in [0usize, 1, 16, 128, PAGE_WORDS] {
+            // Mask-element boundaries: a run ending at word 63, one
+            // starting at word 64, one straddling both, and back-to-back
+            // extents that must stay one run across every boundary.
+            5 => flip_words(&mut new, 60..=63, rng),
+            6 => flip_words(&mut new, 64..=66, rng),
+            7 => {
+                let boundary = 64 * rng.gen_range(1..8) as usize;
+                let before = rng.gen_range(1..40) as usize;
+                let after = rng.gen_range(0..40) as usize;
+                flip_words(&mut new, boundary - before..=boundary + after, rng);
+            }
+            8 => flip_words(&mut new, 0..=PAGE_WORDS - 1, rng),
+            // The last word, alone and closing a run.
+            9 => flip_words(&mut new, PAGE_WORDS - 1..=PAGE_WORDS - 1, rng),
+            10 => flip_words(&mut new, PAGE_WORDS - 3..=PAGE_WORDS - 1, rng),
+            // 11: old == new.
+            _ => {}
+        }
+        (old, new)
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_passes_and_round_trips() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x00de17a);
+        for case in 0..600 {
+            let (old, new) = page_pair(case, &mut rng);
+            let mfn = rng.next_u64() >> 20;
+            let kernel = page_kernel(&old, &new, [Lanes::content(), Lanes::seeded(mfn)])
+                .expect("whole pages");
+            assert_eq!(kernel.scan, reference_scan_page(&old, &new), "case {case}");
+            assert_eq!(scan_page(&old, &new), kernel.scan, "case {case}");
+            assert_eq!(
+                kernel.digests,
+                [content_digest(&new), chunk_digest(mfn, &new)],
+                "case {case}: fused digests"
+            );
+            for threshold in [0usize, 1, 16, 64, 128, PAGE_WORDS] {
                 let enc = encode_page(&old, &new, threshold);
+                assert_eq!(
+                    enc,
+                    reference_encode_page(&old, &new, threshold),
+                    "case {case}, threshold {threshold}"
+                );
+                assert_eq!(
+                    enc,
+                    kernel.encode(&new, threshold),
+                    "case {case}, threshold {threshold}: the drain's entry point"
+                );
                 let mut dst = old.clone();
                 apply_page(&mut dst, &enc, &new);
                 assert_eq!(dst, new, "case {case}, threshold {threshold}");
@@ -257,7 +454,7 @@ mod tests {
                 assert_eq!(dst, new, "case {case} re-apply");
                 assert_eq!(
                     wire_len(&enc),
-                    wire_len_for(&scan_page(&old, &new), threshold),
+                    wire_len_for(&kernel.scan, threshold),
                     "priced and materialised wire lengths agree"
                 );
             }
@@ -318,6 +515,12 @@ mod tests {
         let scan = scan_page(&[0u8; 16], &[0u8; 24]);
         assert!(!scan.zero);
         assert_eq!(scan.changed_words, 3);
+        // Equal lengths that are not one page get the same treatment.
+        assert_eq!(scan_page(&[0u8; 16], &[0u8; 16]).changed_words, 2);
+        assert!(matches!(
+            encode_page(&[0u8; 16], &[1u8; 16], 8),
+            PageEncoding::Full
+        ));
         assert!(matches!(
             encode_page(&[0u8; 16], &[0u8; 24], 8),
             PageEncoding::Full

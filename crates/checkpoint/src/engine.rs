@@ -169,8 +169,9 @@ pub struct CheckpointConfig {
     /// (`staging`): `0` disables deferral; `≥ 1` lets
     /// [`Checkpointer::run_epoch_staged`] snapshot dirty pages inside the
     /// pause window and [`Checkpointer::drain_staged`] cipher and stream
-    /// them to the backup *after* resume. Each buffer is a full-image
-    /// frame copy, so more than a couple is rarely worth the memory.
+    /// them to the backup *after* resume. Each buffer reserves a full
+    /// image's worth of address space (the worst-case dirty set) but is
+    /// packed, so only the largest dirty set staged is ever resident.
     pub staging_buffers: usize,
     /// Deadline for one staged epoch's drain, in milliseconds, measured
     /// on the deterministic retry-backoff model (accumulated

@@ -53,11 +53,50 @@ pub fn content_digest(page: &[u8]) -> u64 {
     chunk_digest(CONTENT_DOMAIN, page)
 }
 
-/// One absorb step: `l ← (l ^ w) · prime`, a bijection on `u64` for
-/// fixed `w` and injective in `w` for fixed `l`.
-#[inline]
-fn absorb(lane: u64, w: &[u8; 8]) -> u64 {
-    (lane ^ u64::from_le_bytes(*w)).wrapping_mul(FNV_PRIME)
+/// The digest's four interleaved FNV lanes — the one implementation of
+/// its seed, absorb step and final combine. [`chunk_digest`] drives it
+/// over a byte slice; the drain's page kernel (`delta::page_kernel`)
+/// drives two of them over words it has already loaded for the compare,
+/// so both produce the same value for the same bytes by construction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes([u64; 4]);
+
+impl Lanes {
+    /// Lanes seeded for a chunk tagged `tag` (chunk index + domain).
+    pub(crate) fn seeded(tag: u64) -> Self {
+        let seed = FNV_OFFSET ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        Lanes([
+            seed,
+            seed.rotate_left(16),
+            seed.rotate_left(32),
+            seed.rotate_left(48),
+        ])
+    }
+
+    /// Lanes seeded for [`content_digest`]'s fixed domain tag.
+    pub(crate) fn content() -> Self {
+        Lanes::seeded(CONTENT_DOMAIN)
+    }
+
+    /// Absorb up to four consecutive words, word `i` into lane `i`.
+    /// Each step `l ← (l ^ w) · prime` is a bijection on `u64` for fixed
+    /// `w` and injective in `w` for fixed `l`.
+    #[inline]
+    pub(crate) fn absorb(&mut self, words: impl IntoIterator<Item = u64>) {
+        for (lane, w) in self.0.iter_mut().zip(words) {
+            *lane = (*lane ^ w).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Combine the lanes and fold in the chunk's byte length.
+    pub(crate) fn finish(self, len: usize) -> u64 {
+        let [l0, l1, l2, l3] = self.0;
+        let mut h = l0;
+        h = h.wrapping_mul(FNV_PRIME) ^ l1;
+        h = h.wrapping_mul(FNV_PRIME) ^ l2;
+        h = h.wrapping_mul(FNV_PRIME) ^ l3;
+        (h ^ len as u64).wrapping_mul(FNV_PRIME)
+    }
 }
 
 /// Word-wise FNV-1a over `bytes`, seeded with `tag` (chunk index +
@@ -76,51 +115,20 @@ fn absorb(lane: u64, w: &[u8; 8]) -> u64 {
 /// bijection in each lane for the others fixed — so two chunks differing
 /// in any single byte still always produce different digests.
 pub fn chunk_digest(tag: u64, bytes: &[u8]) -> u64 {
-    let seed = FNV_OFFSET ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let (mut l0, mut l1, mut l2, mut l3) = (
-        seed,
-        seed.rotate_left(16),
-        seed.rotate_left(32),
-        seed.rotate_left(48),
-    );
+    let mut lanes = Lanes::seeded(tag);
     let (words, tail) = bytes.as_chunks::<8>();
     let (quads, rest) = words.as_chunks::<4>();
-    for [a, b, c, d] in quads {
-        l0 = absorb(l0, a);
-        l1 = absorb(l1, b);
-        l2 = absorb(l2, c);
-        l3 = absorb(l3, d);
+    for quad in quads {
+        lanes.absorb(quad.map(u64::from_le_bytes));
     }
-    match rest {
-        [a] => l0 = absorb(l0, a),
-        [a, b] => {
-            l0 = absorb(l0, a);
-            l1 = absorb(l1, b);
-        }
-        [a, b, c] => {
-            l0 = absorb(l0, a);
-            l1 = absorb(l1, b);
-            l2 = absorb(l2, c);
-        }
-        _ => {}
+    let mut last = [0u8; 8];
+    for (dst, src) in last.iter_mut().zip(tail) {
+        *dst = *src;
     }
-    if !tail.is_empty() {
-        let mut word = [0u8; 8];
-        for (dst, src) in word.iter_mut().zip(tail) {
-            *dst = *src;
-        }
-        match rest.len() {
-            0 => l0 = absorb(l0, &word),
-            1 => l1 = absorb(l1, &word),
-            2 => l2 = absorb(l2, &word),
-            _ => l3 = absorb(l3, &word),
-        }
-    }
-    let mut h = l0;
-    h = h.wrapping_mul(FNV_PRIME) ^ l1;
-    h = h.wrapping_mul(FNV_PRIME) ^ l2;
-    h = h.wrapping_mul(FNV_PRIME) ^ l3;
-    (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
+    // The zero-padded ragged tail, if any, is the word after `rest`.
+    let ragged = (!tail.is_empty()).then_some(last);
+    lanes.absorb(rest.iter().copied().chain(ragged).map(u64::from_le_bytes));
+    lanes.finish(bytes.len())
 }
 
 /// The digest pass of a fused pause-window walk: digests each visited
@@ -277,6 +285,57 @@ impl ImageDigest {
 mod tests {
     use super::*;
     use crimes_rng::prop;
+
+    /// The straight-line digest [`Lanes`] was factored out of, kept as
+    /// the oracle: the values key the dedup table, the image checksum
+    /// and the journal CRCs, so they must never move.
+    fn reference_chunk_digest(tag: u64, bytes: &[u8]) -> u64 {
+        let step = |lane: u64, w: &[u8; 8]| (lane ^ u64::from_le_bytes(*w)).wrapping_mul(FNV_PRIME);
+        let seed = FNV_OFFSET ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut l = [
+            seed,
+            seed.rotate_left(16),
+            seed.rotate_left(32),
+            seed.rotate_left(48),
+        ];
+        let (words, tail) = bytes.as_chunks::<8>();
+        for (i, w) in words.iter().enumerate() {
+            l[i % 4] = step(l[i % 4], w);
+        }
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            l[words.len() % 4] = step(l[words.len() % 4], &word);
+        }
+        let mut h = l[0];
+        for lane in &l[1..] {
+            h = h.wrapping_mul(FNV_PRIME) ^ lane;
+        }
+        (h ^ bytes.len() as u64).wrapping_mul(FNV_PRIME)
+    }
+
+    /// `chunk_digest(1, &[0xa5; 24])` as computed before the refactor.
+    const PINNED_DIGEST: u64 = 0x54ee_0c4f_f5a6_0f97;
+
+    #[test]
+    fn chunk_digest_matches_the_reference_at_every_tail_shape() {
+        let mut rng = crimes_rng::ChaCha8Rng::seed_from_u64(0xd16e57);
+        let mut bytes = vec![0u8; PAGE_SIZE];
+        rng.fill_bytes(&mut bytes);
+        // Every (words mod 4, ragged tail) combination twice over, then
+        // the sizes the engine digests: sectors and pages.
+        for len in (0..=70).chain([SECTOR_SIZE, PAGE_SIZE - 1, PAGE_SIZE]) {
+            for tag in [0, 7, SECTOR_DOMAIN | 3, CONTENT_DOMAIN, rng.next_u64()] {
+                assert_eq!(
+                    chunk_digest(tag, &bytes[..len]),
+                    reference_chunk_digest(tag, &bytes[..len]),
+                    "len {len}, tag {tag:#x}"
+                );
+            }
+        }
+        // One pinned value, so the reference cannot drift along with it.
+        assert_eq!(chunk_digest(1, &[0xa5u8; 24]), PINNED_DIGEST);
+    }
 
     #[test]
     fn incremental_matches_full_recompute() {

@@ -191,10 +191,8 @@ impl WorkerSlot {
 /// deterministically after the scope joins.
 #[derive(Debug)]
 pub struct ShardSink<'a> {
-    /// This shard's contiguous byte region of the backup image.
+    /// This shard's contiguous byte region of the destination buffer.
     region: &'a mut [u8],
-    /// Byte offset of `region` within the whole image.
-    region_base: usize,
     /// Current page's offset within `region`.
     cur: usize,
     /// Source tag stamped on pushed findings (the visitor's position in
@@ -281,21 +279,29 @@ impl<'a> ShardSink<'a> {
         }
     }
 
-    /// Advance the cursor to `mfn`'s frame and, when an undo log is
-    /// supplied, stash the page's pre-copy bytes in it (staging walks
-    /// skip the log — the backup is untouched, so there is nothing to
-    /// restore). Pool-internal: runs before the visitors see the page.
-    fn begin_page(&mut self, mfn: Mfn, undo: Option<(&mut Vec<u8>, &mut Vec<Mfn>)>) {
-        self.cur = (mfn.0 as usize * PAGE_SIZE).saturating_sub(self.region_base);
-        if let Some((undo, undo_tags)) = undo {
-            let old = self
-                .region
-                .get(self.cur..self.cur + PAGE_SIZE)
-                .unwrap_or(&[]);
-            undo.extend_from_slice(old);
-            undo_tags.push(mfn);
-        }
+    /// Stash the current page's pre-copy bytes in the undo log.
+    /// Pool-internal: runs on the backup walk before the visitors see the
+    /// page (staging walks skip it — the backup is untouched, so there is
+    /// nothing to restore).
+    fn save_undo(&self, mfn: Mfn, undo: &mut Vec<u8>, undo_tags: &mut Vec<Mfn>) {
+        let old = self
+            .region
+            .get(self.cur..self.cur + PAGE_SIZE)
+            .unwrap_or(&[]);
+        undo.extend_from_slice(old);
+        undo_tags.push(mfn);
     }
+}
+
+/// Where a walk's destination pages live in its `frames` buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// The backup image: the page for machine frame `m` is at byte
+    /// `m * PAGE_SIZE`, and its pre-copy bytes go to the undo log.
+    Image,
+    /// A staging slot: page `i` of the MFN-sorted list is at byte
+    /// `i * PAGE_SIZE`. Nothing is overwritten that matters, so no undo.
+    Packed,
 }
 
 /// The preallocated scoped worker pool executing fused pause-window walks.
@@ -356,7 +362,7 @@ impl PauseWindowPool {
         mapped: &[MappedPage],
         visitors: &[&dyn FusedPageVisitor],
     ) -> Result<CopyStats, CheckpointError> {
-        match self.run_frames(mem, backup.frames_mut(), mapped, visitors, true) {
+        match self.run_frames(mem, backup.frames_mut(), mapped, visitors, Layout::Image) {
             Ok(stats) => Ok(stats),
             Err(err) => {
                 restore_undo(&mut self.slots, backup);
@@ -365,18 +371,24 @@ impl PauseWindowPool {
         }
     }
 
-    /// Execute one fused walk into an arbitrary full-image `frames`
-    /// buffer — the deferred pipeline's staged snapshot — instead of the
-    /// backup. The buffer is addressed by MFN offset exactly like the
-    /// backup image, so the shard carve is unchanged. No undo log is
-    /// recorded: the backup is untouched, and a failed or rejected
-    /// staging walk is discarded wholesale (the next attempt fully
-    /// overwrites the slot).
+    /// Execute one fused walk into a **packed** buffer — the deferred
+    /// pipeline's staging slot — instead of the backup: page `i` of the
+    /// MFN-sorted page list lands at byte `i * PAGE_SIZE`, so a walk over
+    /// `n` pages touches exactly the first `n` pages of `frames` however
+    /// the guest's dirty set is scattered. Each worker still gets a
+    /// contiguous run of the sorted list, hence a contiguous region of
+    /// the buffer. No undo log is recorded: the backup is untouched, and
+    /// a failed or rejected staging walk is discarded wholesale (the next
+    /// attempt overwrites the same prefix).
     ///
     /// # Errors
     ///
-    /// The first failing shard's error, in shard order; the staged buffer
-    /// may then hold a partial snapshot, which the caller discards.
+    /// [`CheckpointError::ShardGeometry`], before `frames` is touched,
+    /// for a duplicate MFN, an MFN past the guest image, or a page list
+    /// longer than the buffer.
+    /// Otherwise the first failing shard's error, in shard order; the
+    /// staged buffer may then hold a partial snapshot, which the caller
+    /// discards.
     // lint: pause-window
     pub fn run_staging(
         &mut self,
@@ -385,14 +397,14 @@ impl PauseWindowPool {
         mapped: &[MappedPage],
         visitors: &[&dyn FusedPageVisitor],
     ) -> Result<CopyStats, CheckpointError> {
-        self.run_frames(mem, frames, mapped, visitors, false)
+        self.run_frames(mem, frames, mapped, visitors, Layout::Packed)
     }
 
     /// The shared walk core: shard `mapped` over `frames` and run the
-    /// visitor stack. `record_undo` stashes pre-copy bytes per page so
-    /// the caller can restore `frames` (the backup path); the staging
-    /// path skips it. On error the undo log is *not* replayed here —
-    /// [`run`](Self::run) restores the backup, staging callers discard.
+    /// visitor stack. `layout` says where a page lives in `frames` and
+    /// whether its pre-copy bytes are stashed for a restore. On error the
+    /// undo log is *not* replayed here — [`run`](Self::run) restores the
+    /// backup, staging callers discard.
     // lint: pause-window
     fn run_frames(
         &mut self,
@@ -400,7 +412,7 @@ impl PauseWindowPool {
         frames: &mut [u8],
         mapped: &[MappedPage],
         visitors: &[&dyn FusedPageVisitor],
-        record_undo: bool,
+        layout: Layout,
     ) -> Result<CopyStats, CheckpointError> {
         let PauseWindowPool {
             workers,
@@ -433,11 +445,11 @@ impl PauseWindowPool {
 
         // Fail-closed shard geometry, checked before any worker spawns.
         // The peel below relies on strictly increasing MFNs (a duplicate
-        // would make shard regions overlap and break the undo log's
-        // bit-exact restore) and on every frame offset landing inside the
-        // backup image without overflowing. A guest-influenced page list
-        // violating either is refused with a typed error while the backup
-        // is still untouched — no undo needed.
+        // would make image regions overlap and break the undo log's
+        // bit-exact restore, or stage one frame twice) and on every page
+        // offset landing inside `frames` without overflowing. A
+        // guest-influenced page list violating either is refused with a
+        // typed error while `frames` is still untouched — no undo needed.
         for pair in sorted.windows(2) {
             if let [a, b] = pair {
                 if a.1 == b.1 {
@@ -448,6 +460,17 @@ impl PauseWindowPool {
                 }
             }
         }
+        // The image layout bounds every MFN by the image below; a packed
+        // slot's offsets say nothing about where its source frames live,
+        // so bound the largest MFN by the guest it is read from.
+        if let (Layout::Packed, Some(&(_, last))) = (layout, sorted.last()) {
+            if !usize::try_from(last.0).is_ok_and(|m| m < mem.num_pages()) {
+                return Err(CheckpointError::ShardGeometry {
+                    mfn: last.0,
+                    detail: "MFN beyond the guest image",
+                });
+            }
+        }
         let mut ranges: [(usize, usize); MAX_WORKERS] = [(0, 0); MAX_WORKERS];
         {
             let mut next = 0usize;
@@ -455,17 +478,21 @@ impl PauseWindowPool {
             for (i, range) in ranges.iter_mut().enumerate().take(used) {
                 let take = base + usize::from(i < rem);
                 let pages = sorted.get(next..next + take).unwrap_or(&[]);
-                next += take;
                 let (Some(&(_, first)), Some(&(_, last))) = (pages.first(), pages.last()) else {
                     continue;
                 };
-                let lo = usize::try_from(first.0)
-                    .ok()
-                    .and_then(|p| p.checked_mul(PAGE_SIZE));
-                let hi = usize::try_from(last.0)
-                    .ok()
-                    .and_then(|p| p.checked_add(1))
-                    .and_then(|p| p.checked_mul(PAGE_SIZE));
+                // The shard's first page slot and the slot past its last:
+                // machine frames in the image, list positions when packed.
+                let (lo, hi) = match layout {
+                    Layout::Image => (
+                        usize::try_from(first.0).ok(),
+                        usize::try_from(last.0).ok().and_then(|p| p.checked_add(1)),
+                    ),
+                    Layout::Packed => (Some(next), Some(next + take)),
+                };
+                next += take;
+                let lo = lo.and_then(|p| p.checked_mul(PAGE_SIZE));
+                let hi = hi.and_then(|p| p.checked_mul(PAGE_SIZE));
                 let (Some(lo), Some(hi)) = (lo, hi) else {
                     return Err(CheckpointError::ShardGeometry {
                         mfn: last.0,
@@ -475,10 +502,13 @@ impl PauseWindowPool {
                 if hi > frames.len() {
                     return Err(CheckpointError::ShardGeometry {
                         mfn: last.0,
-                        detail: "MFN beyond the backup image",
+                        detail: match layout {
+                            Layout::Image => "MFN beyond the backup image",
+                            Layout::Packed => "page list longer than the staging slot",
+                        },
                     });
                 }
-                debug_assert!(lo >= prev_hi, "sorted unique MFNs shard monotonically");
+                debug_assert!(lo >= prev_hi, "sorted unique pages shard monotonically");
                 prev_hi = hi;
                 *range = (lo, hi);
             }
@@ -495,7 +525,7 @@ impl PauseWindowPool {
                 if hi > lo {
                     let region = frames.get_mut(lo..hi).unwrap_or(&mut []);
                     let fork = forks.first().copied().flatten();
-                    run_shard(slot, region, lo, sorted, mem, visitors, fork, record_undo);
+                    run_shard(slot, region, lo, sorted, mem, visitors, fork, layout);
                 }
             }
         } else {
@@ -524,7 +554,7 @@ impl PauseWindowPool {
                     consumed = hi;
                     let fork = forks.get(i).copied().flatten();
                     scope.spawn(move || {
-                        run_shard(slot, region, lo, pages, mem, visitors, fork, record_undo)
+                        run_shard(slot, region, lo, pages, mem, visitors, fork, layout)
                     });
                 }
             });
@@ -728,7 +758,7 @@ fn run_shard(
     mem: &GuestMemory,
     visitors: &[&dyn FusedPageVisitor],
     fork: Option<(FaultPlan, u64)>,
-    record_undo: bool,
+    layout: Layout,
 ) {
     let _plan = fork.map(|(plan, seed)| crimes_faults::install(plan, seed));
     let WorkerSlot {
@@ -744,7 +774,6 @@ fn run_shard(
     } = slot;
     let mut sink = ShardSink {
         region,
-        region_base,
         cur: 0,
         source: 0,
         batched: 0,
@@ -769,7 +798,17 @@ fn run_shard(
                     pages_written: done,
                 });
             }
-            sink.begin_page(mfn, record_undo.then(|| (&mut *undo, &mut *undo_tags)));
+            // The geometry checks put every offset below in range; the
+            // saturating forms keep the window panic-free regardless.
+            match layout {
+                Layout::Image => {
+                    sink.cur = (mfn.0 as usize)
+                        .saturating_mul(PAGE_SIZE)
+                        .saturating_sub(region_base);
+                    sink.save_undo(mfn, undo, undo_tags);
+                }
+                Layout::Packed => sink.cur = done.saturating_mul(PAGE_SIZE),
+            }
             let ctx = PageCtx {
                 pfn,
                 mfn,
@@ -888,35 +927,87 @@ mod tests {
     }
 
     #[test]
-    fn staged_snapshot_matches_memcpy_and_defers_digests() {
-        use crate::copy::MemcpyCopier;
+    fn staging_walk_packs_pages_in_mfn_order_for_any_worker_count() {
         use crate::integrity::StagedSnapshot;
         let (vm, mapped) = vm_with_dirt(512, 40, 11);
-        // Reference: the plain memcpy visitor into one buffer.
-        let mut reference_buf = vec![0u8; 512 * crimes_vm::PAGE_SIZE];
-        let mut pool = PauseWindowPool::new(2, 512, 2);
-        let memcpy = MemcpyCopier;
-        let reference: [&dyn FusedPageVisitor; 1] = [&memcpy];
-        let ref_stats = pool
-            .run_staging(vm.memory(), &mut reference_buf, &mapped, &reference)
-            .expect("no faults armed");
+        // Reference: page `i` of the MFN-sorted list at byte
+        // `i * PAGE_SIZE`, and nothing anywhere else.
+        let mut by_mfn = mapped.clone();
+        by_mfn.sort_unstable_by_key(|&(_, mfn)| mfn);
+        assert_ne!(by_mfn, mapped, "the guest's PFN order is not MFN order");
+        let mut reference = vec![0u8; 512 * PAGE_SIZE];
+        for (dst, &(_, mfn)) in reference.chunks_exact_mut(PAGE_SIZE).zip(&by_mfn) {
+            dst.copy_from_slice(vm.memory().frame(mfn));
+        }
 
-        // The snapshot visitor must produce the same bytes and copy
-        // statistics — and park *no* digests: on the deferred path the
-        // digest belongs to the drain, not the pause window.
-        let mut staged_buf = vec![0u8; 512 * crimes_vm::PAGE_SIZE];
         let snapshot: [&dyn FusedPageVisitor; 1] = [&StagedSnapshot];
-        let stats = pool
-            .run_staging(vm.memory(), &mut staged_buf, &mapped, &snapshot)
-            .expect("no faults armed");
-        assert_eq!(staged_buf, reference_buf, "staged bytes differ");
-        assert_eq!(
-            pool.page_digests().count(),
-            0,
-            "the staged walk must not digest inside the window"
+        for workers in [1, 2, 4] {
+            let mut pool = PauseWindowPool::new(workers, 512, 2);
+            let mut staged = vec![0u8; 512 * PAGE_SIZE];
+            let stats = pool
+                .run_staging(vm.memory(), &mut staged, &mapped, &snapshot)
+                .expect("no faults armed");
+            // Equality with the reference also says every byte at or past
+            // `n * PAGE_SIZE` of the fresh slot is still zero.
+            assert!(staged == reference, "{workers} workers: staged bytes differ");
+            assert_eq!(
+                pool.page_digests().count(),
+                0,
+                "the staged walk must not digest inside the window"
+            );
+            assert_eq!(stats.pages, mapped.len());
+            assert_eq!(stats.bytes, mapped.len() * PAGE_SIZE);
+        }
+    }
+
+    #[test]
+    fn staging_walk_refuses_bad_geometry_before_touching_the_slot() {
+        use crate::integrity::StagedSnapshot;
+        let (vm, mapped) = vm_with_dirt(512, 20, 9);
+        let snapshot: [&dyn FusedPageVisitor; 1] = [&StagedSnapshot];
+        let mut pool = PauseWindowPool::new(4, 512, 2);
+
+        let mut duplicated = mapped.clone();
+        duplicated.extend(mapped.first().copied());
+        let mut slot = vec![0x77u8; 512 * PAGE_SIZE];
+        let err = pool
+            .run_staging(vm.memory(), &mut slot, &duplicated, &snapshot)
+            .expect_err("duplicate MFN must be refused");
+        assert!(
+            matches!(err, CheckpointError::ShardGeometry { detail, .. }
+                if detail.contains("duplicate")),
+            "got {err:?}"
         );
-        assert_eq!(stats.pages, ref_stats.pages);
-        assert_eq!(stats.bytes, ref_stats.bytes);
+        assert!(slot.iter().all(|&b| b == 0x77), "refused walk wrote the slot");
+
+        // One page short of the list: MFNs are irrelevant to a packed
+        // slot, only the count is.
+        let mut short = vec![0x77u8; (mapped.len() - 1) * PAGE_SIZE];
+        let err = pool
+            .run_staging(vm.memory(), &mut short, &mapped, &snapshot)
+            .expect_err("a page list longer than the slot must be refused");
+        assert!(
+            matches!(err, CheckpointError::ShardGeometry { detail, .. }
+                if detail.contains("longer than the staging slot")),
+            "got {err:?}"
+        );
+        assert!(short.iter().all(|&b| b == 0x77), "refused walk wrote the slot");
+        // A slot offset says nothing about the source frame, so the MFN
+        // itself is bounded by the guest it would be read from.
+        let mut beyond = mapped.clone();
+        beyond.push((Pfn(511), Mfn(512)));
+        let err = pool
+            .run_staging(vm.memory(), &mut slot, &beyond, &snapshot)
+            .expect_err("an MFN past the guest image must be refused");
+        assert!(
+            matches!(err, CheckpointError::ShardGeometry { mfn: 512, .. }),
+            "got {err:?}"
+        );
+        assert!(slot.iter().all(|&b| b == 0x77), "refused walk wrote the slot");
+        // An exact fit is fine, wherever the frames live in the guest.
+        let mut exact = vec![0u8; mapped.len() * PAGE_SIZE];
+        pool.run_staging(vm.memory(), &mut exact, &mapped, &snapshot)
+            .expect("the list fits the slot exactly");
     }
 
     #[test]

@@ -14,25 +14,34 @@
 //!
 //! * In-window ([`StagingArea::claim`] + `pool::run_staging` +
 //!   [`StagingArea::stage_sector`]): dirty pages are `memcpy`d into a
-//!   preallocated full-image staging buffer — **no cipher, no socket, no
-//!   digest, no undo log** (the backup is untouched, so a rejected epoch
-//!   just drops the slot).
+//!   preallocated staging slot — **no cipher, no socket, no digest, no
+//!   undo log** (the backup is untouched, so a rejected epoch just drops
+//!   the slot). The slot is **densely packed**: page `i` of the
+//!   MFN-sorted dirty list sits at byte `i * PAGE_SIZE`, wherever its
+//!   frame lives in the guest image.
 //! * Out-of-window ([`StagingArea::drain_slot`], driven by the engine's
-//!   retry loop): each staged page is digested, encrypted, pushed through
-//!   the modelled socket, and decrypted into the backup frame — the same
-//!   byte-for-byte pipeline as the in-window socket copier, now overlapped
-//!   with guest execution. Digesting here instead of in the window is
-//!   sound because the slot is engine-private, single-writer, and
-//!   immutable from seal to drain, and nothing commits (so no output
-//!   releases) until the drain acknowledges — the digest still covers
-//!   exactly the bytes the backup receives, before they become
-//!   authoritative. Success is the backup's acknowledgement; the engine
-//!   then folds digests, commits, and mints [`DrainStats`] so the
-//!   framework can release the epoch's impounded outputs.
+//!   retry loop): the drain reads the slot front to back. Each staged
+//!   page goes through **one** pass (`delta::page_kernel`) that compares
+//!   it with the backup's copy of its frame and digests it twice on the
+//!   same loaded words; then the dedup probe, the record built from the
+//!   kernel's changed-word mask, the cipher over exactly the bytes that
+//!   ship, the modelled socket, and the apply into the backup frame.
+//!   Digesting here instead of in the window is sound because the slot
+//!   is engine-private, single-writer, and immutable from seal to drain,
+//!   and nothing commits (so no output releases) until the drain
+//!   acknowledges — the digest still covers exactly the bytes the
+//!   backup receives, before they become authoritative. Success is the
+//!   backup's acknowledgement; the engine then folds digests, commits,
+//!   and mints [`DrainStats`] so the framework can release the epoch's
+//!   impounded outputs.
 //!
-//! Slots are preallocated at [`StagingArea::new`] time (full-image frame
-//! buffers, entry/digest/sector capacity) so the in-window half never
-//! allocates; drain-side scratch may allocate freely — it runs after
+//! Slots are preallocated at [`StagingArea::new`] time for the worst
+//! case — every page of the guest dirty — so the in-window half never
+//! allocates. Packing keeps that cheap: only the prefix an epoch
+//! actually stages is ever written, so a slot's resident memory is the
+//! largest dirty set seen, not the union of every frame ever dirtied,
+//! and the drain's reads are sequential however scattered the guest's
+//! writes were. Drain-side scratch may allocate freely — it runs after
 //! resume.
 
 use crimes_faults::FaultPoint;
@@ -40,9 +49,9 @@ use crimes_vm::{PAGE_SIZE, SECTOR_SIZE};
 
 use crate::backup::BackupVm;
 use crate::copy::{decrypt_in_place, encrypt_in_place, CopyStats, WRITEV_BATCH};
-use crate::delta::{encode_page, scan_page, wire_len, PageEncoding};
+use crate::delta::{page_kernel, wire_len, PageEncoding};
 use crate::error::CheckpointError;
-use crate::integrity::{chunk_digest, content_digest};
+use crate::integrity::Lanes;
 use crate::mapping::{HypercallModel, MappedPage};
 
 /// Content-aware drain knobs, plumbed from `CheckpointConfig`. Both
@@ -105,10 +114,10 @@ impl DrainTicket {
     }
 }
 
-/// One preallocated staging slot: a full-image frame buffer (MFN-offset
-/// addressed exactly like the backup image, so the pool's shard carve
-/// works unchanged) plus this epoch's page list, drain-computed digests,
-/// and snapshotted dirty sectors.
+/// One preallocated staging slot: a worst-case-sized frame buffer the
+/// walk packs densely (entry `i`'s page at byte `i * PAGE_SIZE`), this
+/// epoch's page list in that same MFN order, drain-computed digests, and
+/// snapshotted dirty sectors.
 #[derive(Debug)]
 struct StagingSlot {
     frames: Vec<u8>,
@@ -200,7 +209,7 @@ impl StagingArea {
         Some(slot)
     }
 
-    /// The slot's full-image staging frames, for `pool::run_staging`.
+    /// The slot's packed staging frames, for `pool::run_staging`.
     // lint: pause-window
     pub fn frames_mut(&mut self, slot: usize) -> &mut [u8] {
         self.slots
@@ -222,13 +231,17 @@ impl StagingArea {
     }
 
     /// Seal a staged slot after a passing verdict: record the page list
-    /// (walk metadata — safe to copy after resume), stamp the epoch's
-    /// guest time, mint the next generation, and return the drain ticket.
-    /// Per-page digests are computed later, by the drain itself.
+    /// (walk metadata — safe to copy after resume) in the MFN order the
+    /// walk packed the pages in, stamp the epoch's guest time, mint the
+    /// next generation, and return the drain ticket. Per-page digests are
+    /// computed later, by the drain itself.
     pub fn seal(&mut self, slot: usize, mapped: &[MappedPage], guest_time_ns: u64) -> DrainTicket {
         self.generation += 1;
         if let Some(s) = self.slots.get_mut(slot) {
             s.entries.extend_from_slice(mapped);
+            // The walk refused duplicate MFNs, so this is the one order
+            // `run_staging` sorted into: entry `i` owns page `i`.
+            s.entries.sort_unstable_by_key(|&(_, mfn)| mfn);
             s.guest_time_ns = guest_time_ns;
         }
         DrainTicket {
@@ -308,14 +321,15 @@ impl StagingArea {
         self.slots.get(slot).map(|s| s.guest_time_ns).unwrap_or(0)
     }
 
-    /// One drain attempt: digest each staged page, encrypt it, push it
-    /// through the modelled socket, and decrypt it into the backup frame
-    /// — the same per-page cipher and `writev` batching as the in-window
-    /// socket copier, running *after* resume, overlapped with guest
-    /// execution. The digest is taken from the staged plaintext right
-    /// before encryption (the bytes are already in cache for the cipher),
-    /// so the pause window pays for none of it; see the module header for
-    /// why that is sound. This is deliberately **not** pause-window code:
+    /// One drain attempt: run each staged page through the page kernel
+    /// (facts, changed-word mask and both digests in one pass), encrypt
+    /// the record it ships as, push it through the modelled socket, and
+    /// apply it to the backup frame — the same cipher and `writev`
+    /// batching as the in-window socket copier, running *after* resume,
+    /// overlapped with guest execution. The digests are taken from the
+    /// staged plaintext, so the pause window pays for none of it; see the
+    /// module header for why that is sound. This is deliberately **not**
+    /// pause-window code:
     /// no cipher, socket, or digest call is reachable from the window's
     /// roots on the deferred path.
     ///
@@ -377,36 +391,40 @@ impl StagingArea {
         // same loop iteration, before the cursor may advance past it.
         s.digests.truncate(s.drained);
         s.facts.truncate(s.drained);
-        for &(pfn, mfn) in s.entries.iter().skip(s.drained) {
+        // Entry `i`'s page is the slot's `i`-th: a sequential read. The
+        // staging walk refuses a page list longer than the slot, so a
+        // short slot here means the seal did not come from that walk.
+        if s.frames.len() / PAGE_SIZE < s.entries.len() {
+            return Err(CheckpointError::DrainFault { pages_drained: 0 });
+        }
+        let staged = s.entries.iter().zip(s.frames.chunks_exact(PAGE_SIZE));
+        for (&(pfn, mfn), src) in staged.skip(s.drained) {
             if fail_after == Some(stats.pages) || stop_after == Some(stats.pages) {
                 s.drained = s.drained.saturating_add(stats.pages);
                 return Err(CheckpointError::DrainFault {
                     pages_drained: stats.pages,
                 });
             }
-            let base = mfn.0 as usize * PAGE_SIZE;
-            let Some(src) = s.frames.get(base..base + PAGE_SIZE) else {
+            // Content facts against the backup's current generation —
+            // computed unconditionally (they are knob-independent
+            // evidence), then the knobs decide only what the wire ships.
+            let old = backup.frame(mfn);
+            let Some(kernel) = page_kernel(old, src, [Lanes::content(), Lanes::seeded(mfn.0)])
+            else {
                 s.drained = s.drained.saturating_add(stats.pages);
                 return Err(CheckpointError::DrainFault {
                     pages_drained: stats.pages,
                 });
             };
-            // Content facts against the backup's current generation —
-            // computed unconditionally (they are knob-independent
-            // evidence), then the knobs decide only what the wire ships.
-            let digest = content_digest(src);
-            let (scan, dup, enc) = {
-                let old = backup.frame(mfn);
-                let scan = scan_page(old, src);
-                let dup = backup.probe_duplicate(digest, src);
-                let enc = if opts.delta_threshold > 0 && !(opts.dedup && dup) {
-                    encode_page(old, src, opts.delta_threshold)
-                } else {
-                    PageEncoding::Full
-                };
-                (scan, dup, enc)
-            };
+            let scan = kernel.scan;
+            let [digest, page_digest] = kernel.digests;
+            let dup = backup.probe_duplicate(digest, src);
             let dedup_hit = opts.dedup && dup;
+            let enc = if dedup_hit {
+                PageEncoding::Full
+            } else {
+                kernel.encode(src, opts.delta_threshold)
+            };
             let wire = if dedup_hit {
                 // `(digest, refs)` reference — the bytes stay home.
                 DEDUP_WIRE_LEN
@@ -415,9 +433,10 @@ impl StagingArea {
             } else {
                 PAGE_SIZE
             };
-            // Digest the plaintext the backup is about to receive, then
-            // cipher exactly the bytes that cross the modelled wire.
-            s.digests.push((mfn.0 as usize, chunk_digest(mfn.0, src)));
+            // Record the digest of the plaintext the backup is about to
+            // receive, then cipher exactly the bytes that cross the
+            // modelled wire.
+            s.digests.push((mfn.0 as usize, page_digest));
             s.facts.push(RecordFacts {
                 zero: scan.zero,
                 dup,
@@ -462,6 +481,8 @@ impl StagingArea {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integrity::{chunk_digest, content_digest, StagedSnapshot};
+    use crate::pool::PauseWindowPool;
     use crimes_vm::Vm;
 
     fn vm_with_writes() -> (Vm, Vec<MappedPage>) {
@@ -482,15 +503,13 @@ mod tests {
         (vm, mapped)
     }
 
-    /// Stage `mapped` into slot 0 by direct memcpy (what the pool's
-    /// staging walk does) and seal it.
+    /// Stage `mapped` into a free slot with the pool's staging walk (so
+    /// the tests drain the layout production packs) and seal it.
     fn stage(area: &mut StagingArea, vm: &Vm, mapped: &[MappedPage]) -> DrainTicket {
         let slot = area.claim().expect("a free slot");
-        for &(_pfn, mfn) in mapped {
-            let base = mfn.0 as usize * PAGE_SIZE;
-            area.frames_mut(slot)[base..base + PAGE_SIZE]
-                .copy_from_slice(vm.memory().frame(mfn));
-        }
+        PauseWindowPool::new(2, vm.memory().num_pages(), 2)
+            .run_staging(vm.memory(), area.frames_mut(slot), mapped, &[&StagedSnapshot])
+            .expect("no faults armed");
         area.seal(slot, mapped, 42)
     }
 
@@ -523,6 +542,45 @@ mod tests {
         }
         area.release(ticket.slot());
         assert_eq!(area.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_fresh_slot_is_touched_only_in_its_packed_prefix() {
+        let (vm, mapped) = vm_with_writes();
+        let mut area = StagingArea::new(1024, 8, 1);
+        let ticket = stage(&mut area, &vm, &mapped);
+        let staged = mapped.len() * PAGE_SIZE;
+        let frames = area.frames_mut(ticket.slot());
+        assert_eq!(frames.len(), 1024 * PAGE_SIZE, "capacity stays the worst case");
+        assert!(
+            frames[staged..].iter().all(|&b| b == 0),
+            "bytes past the staged pages were written"
+        );
+        // The prefix holds the dirty pages in MFN order.
+        let mut by_mfn = mapped.clone();
+        by_mfn.sort_unstable_by_key(|&(_, mfn)| mfn);
+        for (page, &(_, mfn)) in frames[..staged].chunks_exact(PAGE_SIZE).zip(&by_mfn) {
+            assert!(page == vm.memory().frame(mfn), "slot page for {mfn:?}");
+        }
+    }
+
+    #[test]
+    fn sealing_more_pages_than_the_slot_holds_fails_the_drain_closed() {
+        let (vm, mapped) = vm_with_writes();
+        let mut backup = BackupVm::new(&vm);
+        let before = backup.frames().to_vec();
+        let mut area = StagingArea::new(mapped.len() - 1, 8, 1);
+        let slot = area.claim().expect("a free slot");
+        // No walk would stage this list (it refuses the geometry), so
+        // the seal is the only place the mismatch can enter.
+        let ticket = area.seal(slot, &mapped, 42);
+        let mut syscalls = HypercallModel::new(2);
+        assert!(matches!(
+            area.drain_slot(ticket.slot(), &mut backup, 1, &mut syscalls, DrainOpts::default()),
+            Err(CheckpointError::DrainFault { pages_drained: 0 })
+        ));
+        assert_eq!(area.drained(ticket.slot()), 0);
+        assert_eq!(backup.frames(), before.as_slice(), "nothing reached the backup");
     }
 
     #[test]

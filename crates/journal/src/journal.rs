@@ -203,14 +203,39 @@ pub struct RecoveredState {
 
 /// The append-only evidence journal. In this reproduction the backing
 /// store is an in-memory byte vector standing in for an fsynced
-/// append-only file; the byte format is what recovery is tested
-/// against, byte-for-byte.
+/// append-only file (and grows like one, see `reserve`); the byte format
+/// is what recovery is tested against, byte-for-byte.
 #[derive(Debug, Clone, Default)]
 pub struct EvidenceJournal {
     bytes: Vec<u8>,
     /// Byte offset *after* each complete record — the crash harness
     /// kills at exactly these boundaries (and between them).
     bounds: Vec<usize>,
+}
+
+/// Journal size past which the backing vector leaves `Vec`'s doubling
+/// for the reserved extent.
+const EXTENT_AT: usize = 1 << 20;
+
+/// Capacity of the reserved extent. Larger than any size an allocator
+/// serves from its shared heap, so it gets a mapping of its own:
+/// capacity never written is not resident, and growth past it remaps
+/// instead of copying.
+const EXTENT: usize = 64 << 20;
+
+/// Make room for `additional` more journal bytes. An append-only file
+/// grows without rewriting what is already durable; a doubling vector
+/// copies the whole log at every step and holds it twice while it does,
+/// so the monitor's peak footprint would jump by the journal's size at a
+/// moment set only by how many epochs the host got through. Small
+/// journals (tests, short-lived fleet tenants) keep `Vec`'s growth; the
+/// first growth past [`EXTENT_AT`] is one hop to the [`EXTENT`], copying
+/// less than twice that much.
+fn reserve(bytes: &mut Vec<u8>, additional: usize) {
+    let need = bytes.len().saturating_add(additional);
+    if need > bytes.capacity() && (EXTENT_AT..=EXTENT).contains(&need) {
+        bytes.reserve_exact(EXTENT.saturating_sub(bytes.len()));
+    }
 }
 
 fn push_u16(buf: &mut Vec<u8>, v: u16) {
@@ -512,6 +537,7 @@ impl EvidenceJournal {
             return;
         };
         let crc = chunk_digest(index, &body);
+        reserve(&mut self.bytes, body.len().saturating_add(12));
         push_u32(&mut self.bytes, len);
         self.bytes.extend_from_slice(&body);
         push_u64(&mut self.bytes, crc);
@@ -545,6 +571,13 @@ impl EvidenceJournal {
     /// [`RecoveredState::truncated_at`]) — corrupt or torn evidence is
     /// never guessed at.
     pub fn replay(bytes: &[u8]) -> RecoveredState {
+        Self::replay_with(bytes, |_| {})
+    }
+
+    /// The one replay loop: verify, decode and apply each record in
+    /// turn, handing `on_boundary` the byte offset after every record
+    /// applied.
+    fn replay_with(bytes: &[u8], mut on_boundary: impl FnMut(usize)) -> RecoveredState {
         let mut state = RecoveredState::default();
         let mut off = 0usize;
         let mut index = 0u64;
@@ -556,6 +589,7 @@ impl EvidenceJournal {
             };
             Self::apply(&mut state, record);
             state.records_replayed = state.records_replayed.saturating_add(1);
+            on_boundary(next_off);
             off = next_off;
             index = index.saturating_add(1);
         }
@@ -587,23 +621,13 @@ impl EvidenceJournal {
     /// happened), and return both so the monitor can keep appending
     /// where the crashed one stopped.
     pub fn recover_from(bytes: &[u8]) -> (EvidenceJournal, RecoveredState) {
-        let state = Self::replay(bytes);
+        let mut bounds = Vec::new();
+        let state = Self::replay_with(bytes, |next| bounds.push(next));
         let keep = state.truncated_at.unwrap_or(bytes.len());
-        let mut journal = EvidenceJournal {
+        let journal = EvidenceJournal {
             bytes: bytes.get(..keep).unwrap_or_default().to_vec(),
-            bounds: Vec::with_capacity(state.records_replayed),
+            bounds,
         };
-        let mut off = 0usize;
-        let mut index = 0u64;
-        while off < journal.bytes.len() {
-            // Cannot fail: replay just verified this exact prefix.
-            let Some((_, next)) = Self::parse_record_at(&journal.bytes, off, index) else {
-                break;
-            };
-            journal.bounds.push(next);
-            off = next;
-            index = index.saturating_add(1);
-        }
         (journal, state)
     }
 
@@ -837,6 +861,15 @@ mod tests {
                 at_boundary,
                 "cut at byte {cut}: truncation flagged iff mid-record"
             );
+            // Recovery is the same pass: same state, the verified prefix
+            // as its bytes, and exactly that prefix's boundaries.
+            let (recovered, recovered_state) = EvidenceJournal::recover_from(&j.bytes()[..cut]);
+            assert_eq!(recovered_state, state, "cut at byte {cut}");
+            assert_eq!(recovered.record_bounds(), &j.record_bounds()[..whole]);
+            assert_eq!(
+                recovered.bytes(),
+                &j.bytes()[..whole.checked_sub(1).map_or(0, |i| j.record_bounds()[i])]
+            );
         }
         assert_eq!(full.records_replayed, j.record_count());
     }
@@ -961,6 +994,37 @@ mod tests {
         assert_eq!(replayed.truncated_at, None);
         assert_eq!(replayed.records_replayed, recovered.record_count());
         assert_eq!(replayed.committed_epochs, 2);
+    }
+
+    #[test]
+    fn a_long_journal_hops_once_to_the_reserved_extent() {
+        let mut j = journal_of(&sample_records());
+        assert!(j.bytes.capacity() < EXTENT_AT);
+        let packet = Record::OutputHeld {
+            output: Output::Net(NetPacket::new(7, vec![0xa5; 4096])),
+            submitted_ns: 20,
+        };
+        // The first growth past the threshold is the hop; doubling from
+        // below it cannot carry the log past twice the threshold.
+        while j.bytes.len() < 2 * EXTENT_AT {
+            j.append(&packet);
+        }
+        assert!(j.bytes.capacity() >= EXTENT);
+        // From there the log stays put.
+        let home = (j.bytes.as_ptr(), j.bytes.capacity());
+        while j.bytes.len() < 3 * EXTENT_AT {
+            j.append(&packet);
+        }
+        assert_eq!((j.bytes.as_ptr(), j.bytes.capacity()), home);
+        // A recovered journal is adopted at its exact length and hops on
+        // its first append; the bytes are the same either way.
+        let (mut recovered, state) = EvidenceJournal::recover_from(j.bytes());
+        assert_eq!(state.truncated_at, None);
+        j.append(&packet);
+        recovered.append(&packet);
+        assert!(recovered.bytes.capacity() >= EXTENT);
+        assert_eq!(recovered.bytes(), j.bytes());
+        assert_eq!(recovered.record_bounds(), j.record_bounds());
     }
 
     #[test]

@@ -110,6 +110,16 @@ echo "    scheduled-vs-serial speedup: ${FLEET_SPEEDUP} (floor ${FLEET_FLOOR}, $
 awk -v s="${FLEET_SPEEDUP}" -v f="${FLEET_FLOOR}" 'BEGIN { exit !(s >= f) }'
 rm -f "${FLEET_JSON}"
 
+echo "==> repo benchmark smoke (every workload, untraced and traced, all checks)"
+# bench/ is a package of its own, outside the workspace, so nothing above
+# compiles it. The smoke pass runs all five workloads at 1/50 length and
+# exits non-zero unless every run's checks hold: the output ledger,
+# backup == guest, verify_backup, journal replay count, a recovered
+# monitor committing one more epoch, every fleet attack detected.
+CARGO_TARGET_DIR="$PWD/target/bench" \
+    cargo build --release --offline --quiet --manifest-path bench/Cargo.toml
+target/bench/release/crimes-e2e-bench --smoke > /dev/null
+
 echo "==> telemetry overhead bench smoke (recording vs pause window, 5% budget)"
 # The bin itself asserts overhead_pct <= 5.0 and exits nonzero past the
 # budget; the JSON goes to a scratch path so the committed

@@ -1,27 +1,32 @@
-//! Fleet-scale baseline: staggered shared-pool epoch rounds
+//! Fleet-scale baseline: staggered, concurrent-window epoch rounds
 //! ([`FleetScheduler`]) against the serial per-tenant round
 //! ([`Fleet::run_epoch_round`]) at 10 / 100 / 500 tenants. Emits
 //! `BENCH_fleet.json`; `scripts/bench_fleet.sh` is the wrapper that pins
 //! the output location.
 //!
-//! Three measurements per scale:
+//! Measurements per scale (the serial and the scheduled rounds each run
+//! untimed for [`WARM_UP`] first):
 //!
 //! * **serial** — `Fleet::run_epoch_round`, every tenant on its own
 //!   private pause-window pool, drains inline. Wall-clock per round
 //!   set, tenant-epochs/sec, dirty pages/sec.
-//! * **scheduled** — `FleetScheduler::run_round` over one shared
-//!   [`SharedPausePool`] (leased, staggered, drains overlapped on
-//!   worker threads). Same workload, same metrics, plus the
-//!   fleet-level worker clamp lineage. On a single-CPU host the
-//!   overlap threads timeshare one core, so this section shows parity
-//!   there and speedup only with real parallelism — the
+//! * **scheduled** — `FleetScheduler::run_round` over one
+//!   [`SharedPausePool`] of leased walkers (staggered, up to
+//!   `min(max_concurrent_pauses, host CPUs)` tenants inside their pause
+//!   windows at once, each on its own pause lane). Same workload, same
+//!   metrics, plus the fleet-level worker clamp lineage. On a
+//!   single-CPU host a round runs inline with no lanes, so this section
+//!   shows parity there and speedup only with real parallelism — the
 //!   `speedup_scheduled_vs_serial` field is honest wall-clock either
 //!   way.
+//! * **mean in-window pause** — for the serial and the scheduled rounds
+//!   alike, the tenants' own in-window phase histograms summed
+//!   (`Histogram::sum`, exact) over the tenant-epochs recorded: whether
+//!   running windows concurrently inflates the pause a guest sees.
 //! * **pause under contention** — per-boundary wall-clock of
-//!   [`Crimes::run_epoch_leased`] (suspend + fused walk + verdict, the
-//!   window the guest actually waits out) sampled while the shared
-//!   pool's leases cycle through every tenant; p50/p99/max. Drain
-//!   halves run after the timed window, exactly as deployed.
+//!   [`Crimes::run_epoch_leased`] (guest work + suspend + fused walk +
+//!   verdict) in a serial loop over leased walkers; p50/p99/max. Drain
+//!   halves run after the timed window.
 //!
 //! Env:
 //! * `CRIMES_BENCH_ROUNDS` rounds per scale per variant (default 4)
@@ -31,7 +36,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crimes::modules::BlacklistScanModule;
 use crimes::{
@@ -41,14 +46,24 @@ use crimes_checkpoint::{CheckpointConfig, SharedPausePool};
 use crimes_vm::Vm;
 
 const DEFAULT_SCALES: [u64; 3] = [10, 100, 500];
-/// Leases the shared pool grants concurrently (the wave width).
+/// Leases the shared pool grants concurrently (pause lanes, capped by
+/// the host's CPUs).
 const CONCURRENT_PAUSES: usize = 4;
-/// Workers requested for the shared pool (clamped once at fleet level).
+/// Worker budget requested for the shared pool (clamped once at fleet
+/// level, then split across the lease slots).
 const POOL_WORKERS: usize = 4;
 /// Guest size: small on purpose (just past the kernel's fixed page
 /// floor) — the scale axis is the tenant count.
 const TENANT_PAGES: usize = 320;
 const TENANT_DISK_SECTORS: usize = 64;
+/// Untimed rounds each side runs before its timed ones, criterion-style.
+/// A host that has sat idle is slow to put a second CPU to use (a halted
+/// vCPU is passed over for wake-ups until the guest kernel's balancer has
+/// run: 1.1 - 1.2 s here), and a short timed window would read that, not
+/// the scheduler.
+const WARM_UP: Duration = Duration::from_secs(2);
+/// The `work` round index of every warm-up round.
+const WARM_UP_ROUND: u64 = u64::MAX;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -125,6 +140,8 @@ struct ScaleResult {
     scheduled_tenants_per_sec: f64,
     scheduled_pages_per_sec: f64,
     speedup: f64,
+    serial_mean_pause_ms: f64,
+    scheduled_mean_pause_ms: f64,
     p50_pause_ms: f64,
     p99_pause_ms: f64,
     max_pause_ms: f64,
@@ -139,6 +156,31 @@ fn dirty_pages_total(fleet: &Fleet) -> u64 {
         .unwrap_or(0)
 }
 
+/// Mean in-window pause per tenant-epoch, from the tenants' own phase
+/// histograms: every phase but the post-resume drain, summed exactly,
+/// over the boundaries recorded.
+fn mean_in_window_pause_ms(fleet: &Fleet) -> f64 {
+    let Some(telemetry) = fleet.aggregate_telemetry() else {
+        return 0.0;
+    };
+    let (mut ns, mut epochs) = (0u64, 0u64);
+    for (label, histogram) in telemetry.phases() {
+        if label != "drain" {
+            ns += histogram.sum();
+            epochs = epochs.max(histogram.count());
+        }
+    }
+    ns as f64 / epochs.max(1) as f64 / 1e6
+}
+
+/// Run `round` untimed for [`WARM_UP`].
+fn warm_up(mut round: impl FnMut()) {
+    let until = Instant::now() + WARM_UP;
+    while Instant::now() < until {
+        round();
+    }
+}
+
 fn percentile_ms(sorted_ns: &[u128], pct: u128) -> f64 {
     if sorted_ns.is_empty() {
         return 0.0;
@@ -150,6 +192,12 @@ fn percentile_ms(sorted_ns: &[u128], pct: u128) -> f64 {
 fn run_scale(tenants: u64, rounds: u64) -> ScaleResult {
     // Serial reference: private pools, inline drains.
     let (mut serial, pids) = build_fleet(tenants, false);
+    warm_up(|| {
+        serial
+            .run_epoch_round(|n, vm, ms| work(&pids, WARM_UP_ROUND, n, vm, ms))
+            .expect("serial warm-up round");
+    });
+    let warm_pages = dirty_pages_total(&serial);
     let t0 = Instant::now();
     for round in 0..rounds {
         let summary = serial
@@ -158,10 +206,11 @@ fn run_scale(tenants: u64, rounds: u64) -> ScaleResult {
         assert_eq!(summary.committed.len() as u64, tenants, "clean rounds commit everywhere");
     }
     let serial_s = t0.elapsed().as_secs_f64();
-    let serial_pages = dirty_pages_total(&serial);
+    let serial_pages = dirty_pages_total(&serial) - warm_pages;
+    let serial_mean_pause_ms = mean_in_window_pause_ms(&serial);
     drop(serial);
 
-    // Scheduled: one shared pool, staggered waves, overlapped drains.
+    // Scheduled: leased walkers, staggered order, concurrent windows.
     let (mut fleet, pids) = build_fleet(tenants, true);
     let mut sched = FleetScheduler::for_fleet(
         &fleet,
@@ -171,6 +220,13 @@ fn run_scale(tenants: u64, rounds: u64) -> ScaleResult {
             overlap_drains: true,
         },
     );
+    warm_up(|| {
+        sched
+            .run_round(&mut fleet, |n, vm, ms| work(&pids, WARM_UP_ROUND, n, vm, ms))
+            .expect("scheduled warm-up round");
+    });
+    let warm_pages = dirty_pages_total(&fleet);
+    let warm_leases = sched.stats().total_leases;
     let t0 = Instant::now();
     for round in 0..rounds {
         let summary = sched
@@ -179,12 +235,13 @@ fn run_scale(tenants: u64, rounds: u64) -> ScaleResult {
         assert_eq!(summary.committed.len() as u64, tenants, "clean rounds commit everywhere");
     }
     let scheduled_s = t0.elapsed().as_secs_f64();
-    let scheduled_pages = dirty_pages_total(&fleet);
+    let scheduled_pages = dirty_pages_total(&fleet) - warm_pages;
+    let scheduled_mean_pause_ms = mean_in_window_pause_ms(&fleet);
     let stats = sched.stats();
 
-    // Pause under contention: each boundary's in-window half timed
-    // individually while the shared pool's leases cycle through the
-    // whole fleet; the drain half runs after the timed window.
+    // Pause under contention: each boundary's leased half timed
+    // individually in a serial loop over the pool's walkers; the drain
+    // half runs after the timed window.
     let mut pool = SharedPausePool::new(
         stats.workers,
         TENANT_PAGES,
@@ -196,14 +253,11 @@ fn run_scale(tenants: u64, rounds: u64) -> ScaleResult {
     for round in 0..rounds {
         for name in &names {
             let crimes = fleet.get_mut(name).expect("tenant");
-            let lease = pool.lease().expect("lease");
+            let mut lease = pool.lease().expect("lease");
             let t0 = Instant::now();
-            let progress = {
-                let leased = pool.leased(&lease).expect("fresh lease");
-                crimes
-                    .run_epoch_leased(leased, |vm, ms| work(&pids, round, name, vm, ms))
-                    .expect("leased boundary")
-            };
+            let progress = crimes
+                .run_epoch_leased(lease.pool(), |vm, ms| work(&pids, round, name, vm, ms))
+                .expect("leased boundary");
             samples.push(t0.elapsed().as_nanos());
             pool.release(lease);
             if let BoundaryProgress::NeedsDrain(pending) = progress {
@@ -223,11 +277,13 @@ fn run_scale(tenants: u64, rounds: u64) -> ScaleResult {
         scheduled_tenants_per_sec: epochs / scheduled_s,
         scheduled_pages_per_sec: scheduled_pages as f64 / scheduled_s,
         speedup: serial_s / scheduled_s,
+        serial_mean_pause_ms,
+        scheduled_mean_pause_ms,
         p50_pause_ms: percentile_ms(&samples, 50),
         p99_pause_ms: percentile_ms(&samples, 99),
         max_pause_ms: percentile_ms(&samples, 100),
         peak_leases: stats.peak_leases,
-        total_leases: stats.total_leases,
+        total_leases: stats.total_leases - warm_leases,
     }
 }
 
@@ -263,7 +319,8 @@ fn main() {
         println!(
             "  {:>4} tenants: serial {:.3}s ({:.0} tenant-epochs/s, {:.0} pages/s) | \
              scheduled {:.3}s ({:.0} tenant-epochs/s, {:.0} pages/s) | speedup {:.2}x | \
-             pause p50 {:.3} ms p99 {:.3} ms max {:.3} ms | leases peak {} total {}",
+             mean in-window pause serial {:.3} ms scheduled {:.3} ms | \
+             leased p50 {:.3} ms p99 {:.3} ms max {:.3} ms | leases peak {} total {}",
             r.tenants,
             r.serial_s,
             r.serial_tenants_per_sec,
@@ -272,6 +329,8 @@ fn main() {
             r.scheduled_tenants_per_sec,
             r.scheduled_pages_per_sec,
             r.speedup,
+            r.serial_mean_pause_ms,
+            r.scheduled_mean_pause_ms,
             r.p50_pause_ms,
             r.p99_pause_ms,
             r.max_pause_ms,
@@ -289,11 +348,11 @@ fn main() {
     );
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     json.push_str(
-        "  \"host_cpus_note\": \"the fleet scheduler clamps the shared pool's workers to \
-         max(host_cpus, 2) once, fleet-wide, instead of letting every tenant clamp privately \
-         and oversubscribe the host N-fold; scheduled numbers below ran the granted count, \
-         and on a single-CPU host drain-overlap threads timeshare one core, so speedup there \
-         reads as parity rather than gain\",\n",
+        "  \"host_cpus_note\": \"the fleet scheduler clamps the shared pool's worker budget to \
+         the host's CPUs once, fleet-wide, instead of letting every tenant clamp privately and \
+         oversubscribe the host N-fold, and splits the granted count across the lease slots; a \
+         round runs min(max_concurrent_pauses, host_cpus) pause lanes, so on a single-CPU host it \
+         runs inline and speedup there reads as parity rather than gain\",\n",
     );
     let _ = writeln!(json, "  \"rounds_per_scale\": {rounds},");
     json.push_str("  \"scheduler\": {\n");
@@ -303,9 +362,11 @@ fn main() {
     let _ = writeln!(json, "    \"fleet_worker_clamp_engaged\": {clamped}");
     json.push_str("  },\n");
     json.push_str(
-        "  \"pause_metric\": \"run_epoch_leased wall-clock (suspend + fused walk + verdict) \
-         per tenant boundary while shared-pool leases cycle the fleet; drain halves run after \
-         the timed window\",\n",
+        "  \"pause_metric\": \"p50/p99/max: run_epoch_leased wall-clock (guest work + suspend + \
+         fused walk + verdict) per tenant boundary in a serial loop over leased walkers, drain \
+         halves after the timed window; *_mean_in_window_pause_ms: the tenants' own in-window \
+         phase histograms (exact sums) per tenant-epoch of the serial and of the scheduled \
+         rounds\",\n",
     );
     json.push_str("  \"scales\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -314,7 +375,9 @@ fn main() {
             "    {{\"tenants\": {}, \"serial_s\": {:.4}, \"scheduled_s\": {:.4}, \
              \"tenants_per_sec\": {:.1}, \"pages_per_sec\": {:.1}, \
              \"serial_tenants_per_sec\": {:.1}, \"serial_pages_per_sec\": {:.1}, \
-             \"speedup_scheduled_vs_serial\": {:.3}, \"p50_pause_ms\": {:.4}, \
+             \"speedup_scheduled_vs_serial\": {:.3}, \
+             \"serial_mean_in_window_pause_ms\": {:.4}, \
+             \"scheduled_mean_in_window_pause_ms\": {:.4}, \"p50_pause_ms\": {:.4}, \
              \"p99_pause_ms\": {:.4}, \"max_pause_ms\": {:.4}, \
              \"peak_leases\": {}, \"total_leases\": {}}}",
             r.tenants,
@@ -325,6 +388,8 @@ fn main() {
             r.serial_tenants_per_sec,
             r.serial_pages_per_sec,
             r.speedup,
+            r.serial_mean_pause_ms,
+            r.scheduled_mean_pause_ms,
             r.p50_pause_ms,
             r.p99_pause_ms,
             r.max_pause_ms,

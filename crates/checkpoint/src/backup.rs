@@ -70,6 +70,11 @@ impl BackupVm {
         }
     }
 
+    /// Does the content index describe the frames as they are now?
+    fn content_coherent(&self) -> bool {
+        !self.content_stale && self.frame_digests.len() == self.num_pages
+    }
+
     /// (Re)build the content-addressed index from the frame image. Cheap
     /// when already fresh; `O(pages)` digesting after any raw-write path
     /// touched frames. The deferred drain calls this once per session
@@ -77,7 +82,7 @@ impl BackupVm {
     /// [`store_frame_encoded`](Self::store_frame_encoded) the index then
     /// stays fresh across epochs.
     pub fn ensure_content_index(&mut self) {
-        if !self.content_stale && self.frame_digests.len() == self.num_pages {
+        if self.content_coherent() {
             return;
         }
         self.frame_digests.clear();
@@ -114,12 +119,17 @@ impl BackupVm {
         })
     }
 
-    /// Every `(digest, live references)` pair in the content index,
-    /// rebuilding it first if a raw-write path staled it. Ascending by
-    /// digest (BTreeMap order), so fleet-level folds are deterministic.
-    pub fn content_index(&mut self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.ensure_content_index();
-        self.content.iter().map(|(d, e)| (*d, e.refs))
+    /// Every `(digest, live references)` pair in the content index, or
+    /// nothing while a raw-write path has it staled: reading never pays
+    /// for the `O(pages)` rebuild, so only backups whose drain keeps the
+    /// index coherent report. Ascending by digest (BTreeMap order), so
+    /// fleet-level folds are deterministic.
+    pub fn content_index(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.content_coherent()
+            .then(|| self.content.iter())
+            .into_iter()
+            .flatten()
+            .map(|(d, e)| (*d, e.refs))
     }
 
     /// How many frames currently claim `digest`'s bytes (0 when absent or
@@ -150,7 +160,7 @@ impl BackupVm {
     ) {
         let idx = mfn.0 as usize;
         let base = self.offset(mfn);
-        if self.content_stale || self.frame_digests.len() != self.num_pages {
+        if !self.content_coherent() {
             // No coherent index to maintain; plain apply.
             apply_page(&mut self.frames[base..base + PAGE_SIZE], enc, full);
             return;

@@ -490,13 +490,6 @@ impl Checkpointer {
         &self.backup
     }
 
-    /// The backup's `(digest, refs)` content index, rebuilt on demand.
-    /// Fleet-level dedup accounting reads this to tally pages whose
-    /// content recurs across tenants (counter-only: no bytes move).
-    pub fn backup_content_index(&mut self) -> Vec<(u64, u32)> {
-        self.backup.content_index().collect()
-    }
-
     #[cfg(test)]
     pub(crate) fn backup_mut_for_tests(&mut self) -> &mut BackupVm {
         &mut self.backup

@@ -90,8 +90,8 @@ pub enum CheckpointError {
     },
     /// Every lease slot of a shared pause-window pool is already granted
     /// to another tenant's boundary. The epoch is refused before the
-    /// guest is suspended (fail closed) — the scheduler retries the
-    /// tenant in a later wave once a lease frees up.
+    /// guest is suspended (fail closed) — the scheduler admits the
+    /// tenant once a lease comes back.
     PoolSaturated {
         /// Concurrent leases the pool is configured to grant.
         capacity: usize,

@@ -612,69 +612,83 @@ impl PauseWindowPool {
     }
 }
 
-/// A [`PauseWindowPool`] shared by a whole fleet, metered by leases.
+/// The fleet's pause-window walkers: `capacity` preallocated
+/// [`PauseWindowPool`]s on a free list, handed out as leases.
 ///
-/// Workers are a *host* resource: a fleet of N tenants must not spawn N
-/// private pools (N× the undo buffers — each roughly a full guest image)
-/// nor oversubscribe the host CPUs N×. The shared pool is sized once, at
-/// fleet level, and handed to at most `capacity` concurrently-paused
-/// tenants at a time: a scheduler [`lease`](Self::lease)s a slot before
-/// entering a tenant's boundary, runs the tenant's walk through
-/// [`leased`](Self::leased), and [`release`](Self::release)s the slot
-/// when the tenant resumes. Saturation is refused with a typed error
-/// *before* any guest is suspended, so contention shows up as scheduling
-/// back-pressure, never as an unbounded pause.
+/// Workers and walk scratch are *host* resources: a fleet of N tenants
+/// must not build N private pools (N× the undo buffers — each roughly a
+/// full guest image) nor oversubscribe the host CPUs N×. The shared pool
+/// is sized once, at fleet level: one worker budget, split evenly across
+/// the `capacity` lease slots (`max(1, workers / capacity)` each), and
+/// `capacity` walkers each sized for the largest tenant. A scheduler
+/// [`lease`](Self::lease)s a walker before entering a tenant's boundary,
+/// runs the tenant's walk on [`PoolLease::pool`], and
+/// [`release`](Self::release)s it when the tenant's boundary is done.
+/// Saturation is refused with a typed error *before* any guest is
+/// suspended, so contention shows up as scheduling back-pressure, never
+/// as an unbounded pause.
 ///
-/// Leases are plain accounting tokens — walks themselves are serialized
-/// by the `&mut` access [`leased`](Self::leased) requires, which is what
-/// makes the shared pool's results bit-identical to per-tenant pools
-/// (the walk is a pure function of the dirty set and worker count; see
-/// the module docs).
+/// A lease **is** its walker, moved out of the free list: up to
+/// `capacity` tenants can be inside their pause windows at the same
+/// time, on different threads, without sharing any walk state, and a
+/// stale lease cannot be expressed. Results are bit-identical to a
+/// private per-tenant pool because a walk is a pure function of the
+/// dirty set, whatever the worker count (see the module docs).
+///
+/// Memory is `capacity ×` the largest tenant's walk scratch — bounded by
+/// the concurrency knob, not by the tenant count — and the scratch is
+/// reserved capacity, so pages no walk has written are not resident.
 #[derive(Debug)]
 pub struct SharedPausePool {
-    pool: PauseWindowPool,
+    /// Walkers not currently leased (at most `capacity`).
+    free: Vec<PauseWindowPool>,
     capacity: usize,
-    /// Outstanding lease ids (at most `capacity` long).
-    active: Vec<u64>,
-    next_lease: u64,
+    /// The fleet-wide worker budget the walkers split.
+    workers: usize,
     total_leases: u64,
     peak_active: usize,
 }
 
-/// An accounting token for one tenant's occupancy of a
-/// [`SharedPausePool`]. Not cloneable: the token is consumed by
-/// [`SharedPausePool::release`], so a lease cannot be double-freed.
+/// One tenant's occupancy of a [`SharedPausePool`]: the leased walker
+/// itself. Not cloneable, and consumed by [`SharedPausePool::release`].
+/// Dropping a lease instead of releasing it shrinks the pool for good
+/// (the slot keeps counting as leased), which fails closed.
 #[derive(Debug)]
 pub struct PoolLease {
-    id: u64,
+    pool: PauseWindowPool,
 }
 
 impl PoolLease {
-    /// The lease's unique id (diagnostics only).
-    pub fn id(&self) -> u64 {
-        self.id
+    /// The leased walker, for this tenant's pause window.
+    pub fn pool(&mut self) -> &mut PauseWindowPool {
+        &mut self.pool
     }
 }
 
 impl SharedPausePool {
-    /// Build the shared pool: `workers` threads (clamped like
-    /// [`PauseWindowPool::new`]), buffers sized for `num_pages` — the
-    /// *largest* tenant's page count, so every tenant's worst-case dirty
-    /// set fits — and at most `capacity` concurrent leases (minimum 1).
+    /// Build the shared pool: a budget of `workers` threads (clamped like
+    /// [`PauseWindowPool::new`]) split across `capacity` walkers (minimum
+    /// 1), each with buffers sized for `num_pages` — the *largest*
+    /// tenant's page count, so every tenant's worst-case dirty set fits.
     pub fn new(workers: usize, num_pages: usize, hypercall_steps: u32, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        let workers = workers.clamp(1, MAX_WORKERS);
+        let per_lease = (workers / capacity).max(1);
         SharedPausePool {
-            pool: PauseWindowPool::new(workers, num_pages, hypercall_steps),
-            capacity: capacity.max(1),
-            active: Vec::with_capacity(capacity.max(1)),
-            next_lease: 0,
+            free: (0..capacity)
+                .map(|_| PauseWindowPool::new(per_lease, num_pages, hypercall_steps))
+                .collect(),
+            capacity,
+            workers,
             total_leases: 0,
             peak_active: 0,
         }
     }
 
-    /// The configured worker count (after clamping).
+    /// The fleet-wide worker budget (after clamping). Each lease walks
+    /// with `max(1, workers / capacity)` of them.
     pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.workers
     }
 
     /// Concurrent leases the pool grants before refusing.
@@ -684,7 +698,7 @@ impl SharedPausePool {
 
     /// Leases currently outstanding.
     pub fn active_leases(&self) -> usize {
-        self.active.len()
+        self.capacity.saturating_sub(self.free.len())
     }
 
     /// Leases granted over the pool's lifetime.
@@ -697,7 +711,7 @@ impl SharedPausePool {
         self.peak_active
     }
 
-    /// Grant a lease slot to one tenant's epoch boundary.
+    /// Lease a walker for one tenant's epoch boundary.
     ///
     /// # Errors
     ///
@@ -705,34 +719,20 @@ impl SharedPausePool {
     /// already outstanding — refused before anything is paused, so the
     /// caller reschedules the tenant instead of stretching its window.
     pub fn lease(&mut self) -> Result<PoolLease, CheckpointError> {
-        if self.active.len() >= self.capacity {
-            return Err(CheckpointError::PoolSaturated {
-                capacity: self.capacity,
-            });
-        }
-        let id = self.next_lease;
-        self.next_lease = self.next_lease.wrapping_add(1);
-        self.active.push(id);
-        self.total_leases += 1;
-        self.peak_active = self.peak_active.max(self.active.len());
-        Ok(PoolLease { id })
+        let pool = self.free.pop().ok_or(CheckpointError::PoolSaturated {
+            capacity: self.capacity,
+        })?;
+        self.total_leases = self.total_leases.saturating_add(1);
+        self.peak_active = self.peak_active.max(self.active_leases());
+        Ok(PoolLease { pool })
     }
 
-    /// Access the underlying pool for a walk under `lease`. Returns
-    /// `None` for a stale lease (already released) — fail closed rather
-    /// than walking on unaccounted occupancy.
-    pub fn leased(&mut self, lease: &PoolLease) -> Option<&mut PauseWindowPool> {
-        if self.active.contains(&lease.id) {
-            Some(&mut self.pool)
-        } else {
-            None
-        }
-    }
-
-    /// Return a lease slot. Consumes the token; releasing a stale lease
-    /// is a no-op.
+    /// Put a leased walker back on the free list. A lease from some
+    /// other pool cannot grow this one past its capacity; it is dropped.
     pub fn release(&mut self, lease: PoolLease) {
-        self.active.retain(|&id| id != lease.id);
+        if self.free.len() < self.capacity {
+            self.free.push(lease.pool);
+        }
     }
 }
 
@@ -1184,52 +1184,102 @@ mod tests {
         let b = shared.lease().expect("slot free");
         assert_eq!(shared.active_leases(), 2);
         assert_eq!(shared.peak_active(), 2);
+        // Saturation refuses before a third walker exists to hand out.
         let err = shared.lease().expect_err("pool is saturated");
         assert!(matches!(err, CheckpointError::PoolSaturated { capacity: 2 }));
-        assert!(shared.leased(&a).is_some(), "live lease reaches the pool");
         shared.release(a);
         assert_eq!(shared.active_leases(), 1);
         let c = shared.lease().expect("slot freed");
         shared.release(b);
         shared.release(c);
-        assert_eq!(shared.active_leases(), 0);
+        assert_eq!(
+            shared.active_leases(),
+            0,
+            "every walker is back on the free list"
+        );
+        assert_eq!(shared.free.len(), 2);
         assert_eq!(shared.total_leases(), 3);
         assert_eq!(shared.peak_active(), 2, "high-water mark survives release");
     }
 
     #[test]
-    fn stale_leases_cannot_reach_the_shared_pool() {
-        let mut shared = SharedPausePool::new(1, 64, 2, 1);
-        let a = shared.lease().expect("slot free");
-        let stale = PoolLease { id: a.id() };
-        shared.release(a);
-        assert!(shared.leased(&stale).is_none(), "released lease is stale");
-        // Releasing a stale token is a no-op, not a panic or a double-free.
-        shared.release(stale);
-        assert_eq!(shared.active_leases(), 0);
+    fn worker_budget_is_split_across_lease_slots() {
+        for (workers, capacity, per_lease) in
+            [(4, 2, 2), (2, 2, 1), (3, 2, 1), (1, 4, 1), (3, 1, 3)]
+        {
+            let mut shared = SharedPausePool::new(workers, 64, 2, capacity);
+            assert_eq!(shared.workers(), workers, "the budget is reported whole");
+            let mut lease = shared.lease().expect("slot free");
+            assert_eq!(lease.pool().workers(), per_lease);
+            shared.release(lease);
+        }
     }
 
     #[test]
-    fn shared_pool_walk_matches_a_private_pool_bit_for_bit() {
-        let (vm, mapped) = vm_with_dirt(512, 24, 13);
+    fn a_foreign_lease_cannot_grow_the_pool_past_its_capacity() {
+        let mut shared = SharedPausePool::new(1, 64, 2, 1);
+        let mut other = SharedPausePool::new(1, 64, 2, 1);
+        let foreign = other.lease().expect("slot free");
+        shared.release(foreign);
+        assert_eq!(shared.free.len(), 1);
+        assert_eq!(shared.active_leases(), 0);
+        // The pool it was taken from stays one walker short: fail closed.
+        assert!(other.lease().is_err());
+    }
+
+    #[test]
+    fn two_leases_walked_at_once_each_match_a_private_pool_bit_for_bit() {
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
+        let guests = [vm_with_dirt(512, 24, 13), vm_with_dirt(512, 31, 14)];
 
-        let mut private_backup = BackupVm::new(&vm);
-        let mut private = PauseWindowPool::new(3, 512, 2);
-        private
-            .run(vm.memory(), &mut private_backup, &mapped, &visitors)
-            .expect("no faults armed");
+        let private: Vec<(Vec<u8>, Vec<PageFinding>)> = guests
+            .iter()
+            .map(|(vm, mapped)| {
+                let mut backup = BackupVm::new(vm);
+                let mut pool = PauseWindowPool::new(3, 512, 2);
+                pool.run(vm.memory(), &mut backup, mapped, &visitors)
+                    .expect("no faults armed");
+                (backup.frames().to_vec(), pool.findings().to_vec())
+            })
+            .collect();
 
-        let mut shared_backup = BackupVm::new(&vm);
-        let mut shared = SharedPausePool::new(3, 512, 2, 4);
-        let lease = shared.lease().expect("slot free");
-        let pool = shared.leased(&lease).expect("live lease");
-        pool.run(vm.memory(), &mut shared_backup, &mapped, &visitors)
-            .expect("no faults armed");
-        assert_eq!(pool.findings(), private.findings());
-        shared.release(lease);
-
-        assert_eq!(private_backup.frames(), shared_backup.frames());
-        assert_eq!(private_backup.disk(), shared_backup.disk());
+        let mut shared = SharedPausePool::new(3, 512, 2, 2);
+        let leases = [
+            shared.lease().expect("slot free"),
+            shared.lease().expect("slot free"),
+        ];
+        // Both windows open before either walk starts.
+        let barrier = std::sync::Barrier::new(2);
+        let walked: Vec<(PoolLease, Vec<u8>, Vec<PageFinding>)> = std::thread::scope(|s| {
+            let handles: Vec<_> = leases
+                .into_iter()
+                .zip(&guests)
+                .map(|(mut lease, (vm, mapped))| {
+                    let (barrier, visitors) = (&barrier, &visitors);
+                    s.spawn(move || {
+                        let mut backup = BackupVm::new(vm);
+                        barrier.wait();
+                        lease
+                            .pool()
+                            .run(vm.memory(), &mut backup, mapped, visitors)
+                            .expect("no faults armed");
+                        let findings = lease.pool().findings().to_vec();
+                        (lease, backup.frames().to_vec(), findings)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("walk thread"))
+                .collect()
+        });
+        for ((lease, frames, findings), (want_frames, want_findings)) in
+            walked.into_iter().zip(private)
+        {
+            assert_eq!(frames, want_frames);
+            assert_eq!(findings, want_findings);
+            shared.release(lease);
+        }
+        assert_eq!(shared.active_leases(), 0);
     }
 }

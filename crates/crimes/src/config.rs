@@ -252,8 +252,8 @@ impl CrimesConfigBuilder {
     /// Mark the tenant as served by an externally owned pause-window pool
     /// (the fleet scheduler's shared pool). Suppresses the eager
     /// per-tenant pool allocation — whose undo buffers rival the guest
-    /// image in size — so a thousand-tenant fleet pays for one pool, not
-    /// a thousand. Plain [`Crimes::epoch_boundary`](crate::Crimes)
+    /// image in size — so a thousand-tenant fleet pays for the
+    /// scheduler's few leased walkers, not a thousand pools. Plain [`Crimes::epoch_boundary`](crate::Crimes)
     /// entry points still self-provision a pool lazily, so the tenant
     /// keeps working standalone.
     pub fn external_pool(&mut self, external: bool) -> &mut Self {

@@ -170,8 +170,8 @@ impl Fleet {
     }
 
     /// Scheduler access to the tenant map: the fleet scheduler borrows
-    /// several tenants' frameworks at once (one draining while another
-    /// walks), which the public per-name accessors cannot express.
+    /// several tenants' frameworks at once (one on each pause lane),
+    /// which the public per-name accessors cannot express.
     pub(crate) fn vms_mut(&mut self) -> &mut BTreeMap<String, Crimes> {
         &mut self.vms
     }

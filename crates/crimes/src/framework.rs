@@ -648,13 +648,6 @@ impl Crimes {
         &self.checkpointer
     }
 
-    /// The tenant backup's `(digest, refs)` content index, rebuilt on
-    /// demand — the fleet scheduler's cross-tenant dedup accounting
-    /// folds these per round (counter-only; no tenant bytes move).
-    pub(crate) fn backup_content_index(&mut self) -> Vec<(u64, u32)> {
-        self.checkpointer.backup_content_index()
-    }
-
     /// Output-buffer statistics.
     pub fn buffer_stats(&self) -> BufferStats {
         self.buffer.stats()
@@ -759,7 +752,7 @@ impl Crimes {
     /// Enter quarantine: suspend the guest, impound the held outputs
     /// (neither released nor discarded — they are evidence), and make
     /// every subsequent operation fail with the returned error.
-    fn quarantine(&mut self, reason: &'static str) -> CrimesError {
+    pub(crate) fn quarantine(&mut self, reason: &'static str) -> CrimesError {
         self.vm.vcpus_mut().pause_all();
         self.robustness.quarantines += 1;
         let epoch = self.checkpointer.backup().epoch();
@@ -820,13 +813,7 @@ impl Crimes {
     where
         W: FnOnce(&mut Vm, u64) -> Result<(), VmError>,
     {
-        self.ensure_active()?;
-        if self.pending.is_some() {
-            return Err(CrimesError::InvalidState(
-                "an incident is pending; investigate and roll back first",
-            ));
-        }
-        work(&mut self.vm, self.config.epoch_interval_ms)?;
+        self.begin_epoch(work)?;
         self.epoch_boundary()
     }
 
@@ -856,16 +843,10 @@ impl Crimes {
     }
 
     /// Run one full epoch with the sharded walk on a **leased external
-    /// pool** — the fleet scheduler's per-tenant entry point. `work`
-    /// drives the guest for the configured interval; the boundary's pause
-    /// half then runs on `pool` instead of the engine's private pool
-    /// (bit-identical results; see
-    /// [`run_epoch_fused_with`](Checkpointer::run_epoch_fused_with)).
-    /// Returns [`BoundaryProgress`] instead of an outcome: when the
-    /// deferred pipeline leaves a drain ticket, the caller finishes the
-    /// boundary later with [`finish_boundary`](Self::finish_boundary) —
-    /// possibly overlapped with other tenants' walks, since the drain
-    /// needs no pool.
+    /// pool**: [`begin_epoch`](Self::begin_epoch) and
+    /// [`pause_half_leased`](Self::pause_half_leased) back to back. The
+    /// fleet scheduler calls the two steps itself, so the guest's work
+    /// can run on one thread and its pause window on another.
     ///
     /// # Errors
     ///
@@ -878,6 +859,21 @@ impl Crimes {
     where
         W: FnOnce(&mut Vm, u64) -> Result<(), VmError>,
     {
+        self.begin_epoch(work)?;
+        self.pause_half_leased(pool)
+    }
+
+    /// The first step of a leased epoch: `work` drives the guest for the
+    /// configured interval. Nothing is suspended yet.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an incident is pending, the VM is quarantined, or `work`
+    /// fails.
+    pub fn begin_epoch<W>(&mut self, work: W) -> Result<(), CrimesError>
+    where
+        W: FnOnce(&mut Vm, u64) -> Result<(), VmError>,
+    {
         self.ensure_active()?;
         if self.pending.is_some() {
             return Err(CrimesError::InvalidState(
@@ -885,6 +881,25 @@ impl Crimes {
             ));
         }
         work(&mut self.vm, self.config.epoch_interval_ms)?;
+        Ok(())
+    }
+
+    /// The second step of a leased epoch: the boundary's pause half on
+    /// `pool` — a fleet scheduler's leased walker — instead of the
+    /// engine's private pool (bit-identical results; see
+    /// [`run_epoch_fused_with`](Checkpointer::run_epoch_fused_with)).
+    /// Returns [`BoundaryProgress`] instead of an outcome: when the
+    /// deferred pipeline leaves a drain ticket, the caller finishes the
+    /// boundary with [`finish_boundary`](Self::finish_boundary), which
+    /// needs no pool.
+    ///
+    /// # Errors
+    ///
+    /// As [`epoch_boundary`](Self::epoch_boundary).
+    pub fn pause_half_leased(
+        &mut self,
+        pool: &mut PauseWindowPool,
+    ) -> Result<BoundaryProgress, CrimesError> {
         self.boundary_pause_half(Some(pool))
     }
 

@@ -1,32 +1,47 @@
-//! Fleet-scale epoch scheduling over one shared pause-window pool.
+//! Fleet-scale epoch scheduling: concurrent pause windows over a leased
+//! pool of walkers.
 //!
 //! The paper's deployment target is a cloud running "many thousands of
-//! VMs" (§2), but every per-tenant [`PauseWindowPool`] carries undo
-//! buffers rivalling the guest image in size, and every tenant clamping
-//! its own worker count to the host's CPUs oversubscribes the machine
-//! N×. [`FleetScheduler`] fixes both at the fleet layer:
+//! VMs" (§2). Two things stand between one protected tenant and that:
+//! every per-tenant [`PauseWindowPool`] carries undo buffers rivalling
+//! the guest image in size, and most of a small tenant's pause is the
+//! modelled suspend/resume chain, which no faster walk can shorten — only
+//! running different tenants' windows at the same time can.
+//! [`FleetScheduler`] does both at the fleet layer:
 //!
-//! * **One pool, leased.** A single [`SharedPausePool`] serves every
-//!   tenant's fused walk. At most
-//!   [`FleetSchedulerConfig::max_concurrent_pauses`] tenants hold a
-//!   lease at a time; the rest wait for a later wave. Saturation is
-//!   refused *before* a guest is suspended (fail closed).
-//! * **One clamp.** The pool's worker count is clamped to the host CPU
-//!   budget once, instead of per tenant.
+//! * **A lease is a walker.** One [`SharedPausePool`] owns
+//!   [`FleetSchedulerConfig::max_concurrent_pauses`] preallocated
+//!   walkers. A tenant takes one *before* its guest runs the epoch's work
+//!   and returns it when its boundary is finished; with all of them out
+//!   the next tenant waits. Saturation is refused before a guest is
+//!   suspended (fail closed).
+//! * **Pause lanes.** A round spawns
+//!   `min(max_concurrent_pauses, host CPUs)` lane threads. The calling
+//!   thread walks the tenants in stagger order — skip checks, lease, the
+//!   caller's `work` closure — and hands each tenant with its lease to a
+//!   free lane, which runs the tenant's whole boundary: the pause half on
+//!   the leased walker, the drain if one is due, the failover check. Up
+//!   to that many tenants are inside their pause windows at once. On one
+//!   CPU two lanes would only time-share the core and stretch every
+//!   guest's real pause, so there a round runs inline with no threads.
+//! * **One worker budget.** [`FleetSchedulerConfig::pool_workers`] is
+//!   clamped to the host once and split across the lease slots, so
+//!   concurrent windows never oversubscribe the host.
 //! * **Staggered offsets.** Tenants are ordered by a deterministic hash
-//!   of their name, so epoch boundaries spread across waves instead of
-//!   thundering onto the pool in alphabetical order.
-//! * **Overlapped drains.** A tenant's post-resume drain work (cipher +
-//!   stream to the backup) needs no pool, so the previous wave's drains
-//!   run on worker threads while the next wave's in-window walks run on
-//!   the pool.
+//!   of their name, so epoch boundaries spread across the round instead
+//!   of arriving in alphabetical order.
 //!
-//! Per-tenant state is disjoint and every boundary half runs the same
-//! code the serial round runs, so a scheduled round is bit-identical to
-//! [`Fleet::run_epoch_round`] per tenant — for any pool size, worker
-//! count, and tenant count. Overlap is disabled automatically while a
-//! fault plan is armed: fault plans are thread-local and would not
-//! propagate to drain threads.
+//! Per-tenant state is disjoint and every tenant runs the same boundary
+//! sequence the serial round runs, on whichever thread, so a scheduled
+//! round is bit-identical to [`Fleet::run_epoch_round`] per tenant — for
+//! any lease capacity, worker count, and tenant count. While a fault plan
+//! is armed the round runs inline: fault plans are thread-local and would
+//! not follow a tenant onto a lane.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 use crimes_checkpoint::{PoolLease, SharedPausePool, MAX_WORKERS};
 use crimes_telemetry::{Counter, Telemetry};
@@ -35,7 +50,7 @@ use crimes_vm::{Vm, VmError};
 use crate::config::CrimesConfigBuilder;
 use crate::error::CrimesError;
 use crate::fleet::{Fleet, FleetEpochSummary};
-use crate::framework::{BoundaryProgress, Crimes, EpochOutcome, PendingBoundary};
+use crate::framework::{BoundaryProgress, Crimes, EpochOutcome};
 
 #[cfg(doc)]
 use crimes_checkpoint::PauseWindowPool;
@@ -43,20 +58,25 @@ use crimes_checkpoint::PauseWindowPool;
 /// Tuning for a [`FleetScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetSchedulerConfig {
-    /// Tenants allowed to hold a pool lease (i.e. be inside their pause
-    /// window) at the same time. Also the wave width of a round.
-    /// Clamped to at least 1.
+    /// Tenants allowed inside their pause windows at the same time: the
+    /// number of walkers the shared pool preallocates (its memory is this
+    /// many times the largest tenant's walk scratch) and, capped by the
+    /// host's CPUs, the number of pause lanes a round runs. Clamped to at
+    /// least 1.
     pub max_concurrent_pauses: usize,
-    /// Worker threads requested for the shared pool's fused walks.
-    /// Clamped once, fleet-wide, to
+    /// The fleet's worker-thread budget for pause-window walks. Clamped
+    /// once, fleet-wide, to
     /// [`CrimesConfigBuilder::host_pause_worker_cap`] and
     /// [`MAX_WORKERS`] — replacing N per-tenant clamps that would
-    /// oversubscribe the host N×.
+    /// oversubscribe the host N× — then split across the lease slots:
+    /// each window walks with `max(1, budget / max_concurrent_pauses)`
+    /// workers.
     pub pool_workers: usize,
-    /// Run the previous wave's post-resume drains on worker threads
-    /// while the next wave walks the pool. Disabled automatically while
-    /// a fault plan is armed (fault plans are thread-local). Turning it
-    /// off never changes results — only wall-clock.
+    /// Run tenants' boundaries (pause window and drain) on pause lanes,
+    /// concurrently with each other and with the next tenant's guest
+    /// work. When off, or while a fault plan is armed (fault plans are
+    /// thread-local), every boundary runs inline on the calling thread.
+    /// Never changes results — only wall-clock.
     pub overlap_drains: bool,
 }
 
@@ -75,7 +95,7 @@ impl Default for FleetSchedulerConfig {
 pub struct SchedulerStats {
     /// Fleet-wide rounds driven.
     pub rounds: u64,
-    /// Worker threads the shared pool actually runs.
+    /// The worker budget the shared pool splits across its lease slots.
     pub workers: usize,
     /// Worker threads the configuration asked for (differs from
     /// `workers` when the fleet-level host clamp engaged).
@@ -85,37 +105,27 @@ pub struct SchedulerStats {
     /// Most leases ever outstanding at once (≤ `capacity` by
     /// construction).
     pub peak_leases: usize,
-    /// Leases granted lifetime (one per tenant boundary that suspended
-    /// a guest under this scheduler).
+    /// Leases granted lifetime (one per tenant whose guest ran an epoch
+    /// under this scheduler).
     pub total_leases: u64,
     /// Pages a fleet-shared content store would have stored once instead
-    /// of per-tenant: for every page digest held by `k ≥ 2` tenant
+    /// of per-tenant, among the tenants that keep a content index (the
+    /// dedup drain's): for every page digest held by `k ≥ 2` of their
     /// backups, `k − 1` redundant copies, counted the first round the
     /// digest recurs. Counter-only — no tenant bytes actually move.
     pub cross_tenant_dup_pages: u64,
 }
 
-/// What became of one tenant during a scheduled round, before the
-/// summary buckets are assembled.
-#[derive(Debug)]
-enum Disposition {
-    Committed,
-    NewIncident,
-    Extended,
-    Degraded,
-    Quarantined,
-    SkippedPending,
-    SkippedQuarantined,
-    Errored(CrimesError),
-}
-
 /// Drives staggered epoch rounds for a whole [`Fleet`] over one shared
-/// pause-window pool. See the [module docs](self) for the scheduling
-/// model.
+/// pool of leased walkers. See the [module docs](self) for the
+/// scheduling model.
 #[derive(Debug)]
 pub struct FleetScheduler {
     pool: SharedPausePool,
     config: FleetSchedulerConfig,
+    /// Pause lanes a threaded round runs: `max_concurrent_pauses` capped
+    /// by the host's CPUs, settled once here.
+    lanes: usize,
     /// Scheduler-level counters (rounds, leases, the fleet clamp);
     /// merged over the tenants' own telemetry in each round snapshot.
     telemetry: Telemetry,
@@ -125,7 +135,7 @@ pub struct FleetScheduler {
     /// Digests already tallied as cross-tenant duplicates — each digest
     /// is counted the first round it recurs, so the lifetime counter
     /// never double-counts a page that stays resident across rounds.
-    content_counted: std::collections::BTreeSet<u64>,
+    content_counted: BTreeSet<u64>,
     cross_tenant_dup_pages: u64,
 }
 
@@ -152,13 +162,184 @@ fn failover_if_due(crimes: &mut Crimes) -> bool {
     false
 }
 
+/// One tenant's boundary after its guest has run, the same sequence the
+/// serial round runs: the pause half on the leased walker, the drain if
+/// the boundary left a ticket, then the failover check. Called from a
+/// pause lane and from the inline path alike.
+///
+/// A panic below here (a detection module's, say) is this tenant's
+/// failure, not the round's, and it fails closed. The audit runs after
+/// the boundary took the dirty set and copied into the backup, so what
+/// the panic leaves behind — unaudited pages in the backup, their undo
+/// log in a walker about to serve another tenant, the epoch's outputs
+/// still held — cannot be made good by a later boundary: the tenant is
+/// quarantined (suspended, outputs impounded), later rounds skip it, and
+/// this round reports it errored.
+fn run_boundary(
+    crimes: &mut Crimes,
+    lease: &mut PoolLease,
+) -> (Result<EpochOutcome, CrimesError>, bool) {
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = match crimes.pause_half_leased(lease.pool()) {
+            Ok(BoundaryProgress::Done(outcome)) => Ok(outcome),
+            Ok(BoundaryProgress::NeedsDrain(pending)) => crimes.finish_boundary(pending),
+            Err(e) => Err(e),
+        };
+        let failover = failover_if_due(crimes);
+        (outcome, failover)
+    }));
+    ran.unwrap_or_else(|_| {
+        crimes.quarantine(BOUNDARY_PANICKED);
+        (Err(CrimesError::InvalidState(BOUNDARY_PANICKED)), false)
+    })
+}
+
+/// Why [`run_boundary`] quarantined a tenant, and what it reports.
+const BOUNDARY_PANICKED: &str = "tenant boundary panicked";
+
+/// File one tenant's result in the round summary, as the serial round
+/// does.
+fn record(
+    summary: &mut FleetEpochSummary,
+    name: &str,
+    outcome: Result<EpochOutcome, CrimesError>,
+    failover: bool,
+) {
+    let name = name.to_owned();
+    if failover {
+        summary.failovers.push(name.clone());
+    }
+    match outcome {
+        Ok(EpochOutcome::Committed { .. }) => summary.committed.push(name),
+        Ok(EpochOutcome::AttackDetected { .. }) => summary.new_incidents.push(name),
+        Ok(EpochOutcome::Extended { .. }) => summary.extended.push(name),
+        Ok(EpochOutcome::Degraded { .. }) => summary.degraded.push(name),
+        // Quarantine is terminal per-VM, not fleet-fatal.
+        Err(CrimesError::Quarantined { .. }) => summary.quarantined.push(name),
+        Err(e) => summary.errored.push((name, e)),
+    }
+}
+
+/// A tenant whose guest has run, on its way to a pause lane.
+struct Job<'a> {
+    name: &'a str,
+    crimes: &'a mut Crimes,
+    lease: PoolLease,
+}
+
+/// What a lane sends back: the lease, and the tenant's result.
+struct Finished<'a> {
+    name: &'a str,
+    lease: PoolLease,
+    outcome: Result<EpochOutcome, CrimesError>,
+    failover: bool,
+}
+
+/// A pause lane: take the next tenant off the shared job queue, run its
+/// boundary, send the lease and the result back; until the queue closes.
+fn lane<'a>(jobs: &Mutex<Receiver<Job<'a>>>, done: &Sender<Finished<'a>>) {
+    loop {
+        // The guard lives for this statement only: lanes queue for the
+        // next job, never for each other's boundaries.
+        let next = match jobs.lock() {
+            Ok(jobs) => jobs.recv().ok(),
+            Err(_) => None,
+        };
+        let Some(mut job) = next else { break };
+        let (outcome, failover) = run_boundary(job.crimes, &mut job.lease);
+        let finished = Finished {
+            name: job.name,
+            lease: job.lease,
+            outcome,
+            failover,
+        };
+        if done.send(finished).is_err() {
+            break;
+        }
+    }
+}
+
+/// The calling thread's side of a round's pause lanes.
+struct Lanes<'a> {
+    /// The lanes' shared job queue.
+    jobs: Sender<Job<'a>>,
+    done: Receiver<Finished<'a>>,
+    /// Lane threads running; 0 when the round runs inline.
+    width: usize,
+    /// Tenants handed to a lane and not yet settled.
+    in_flight: Vec<&'a str>,
+    /// Tenants that went down with the lanes (see `settle_one`).
+    lost: Vec<String>,
+}
+
+impl<'a> Lanes<'a> {
+    /// Run `job`'s boundary on a lane, waiting for one to come free when
+    /// all are busy; inline when the round has no lanes.
+    fn dispatch(
+        &mut self,
+        job: Job<'a>,
+        pool: &mut SharedPausePool,
+        summary: &mut FleetEpochSummary,
+    ) {
+        if self.width > 0 && self.in_flight.len() >= self.width {
+            self.settle_one(pool, summary);
+        }
+        if self.width > 0 {
+            self.in_flight.push(job.name);
+            // The receiver outlives every lane: this cannot fail.
+            let _ = self.jobs.send(job);
+            return;
+        }
+        let Job {
+            name,
+            crimes,
+            mut lease,
+        } = job;
+        let (outcome, failover) = run_boundary(crimes, &mut lease);
+        pool.release(lease);
+        record(summary, name, outcome, failover);
+    }
+
+    /// Wait for one lane to finish and settle its tenant: lease back to
+    /// the pool, result into the summary. `false` when no tenant is in a
+    /// lane.
+    fn settle_one(&mut self, pool: &mut SharedPausePool, summary: &mut FleetEpochSummary) -> bool {
+        if self.in_flight.is_empty() {
+            return false;
+        }
+        match self.done.recv() {
+            Ok(done) => {
+                self.in_flight.retain(|name| *name != done.name);
+                pool.release(done.lease);
+                record(summary, done.name, done.outcome, done.failover);
+            }
+            // Every lane is gone (none can unwind past `run_boundary`, so
+            // this is not expected), and the tenants inside with them, in
+            // an unknown state: they report errored, the round quarantines
+            // them once it has them back, and the rest of it runs inline.
+            Err(_) => {
+                self.width = 0;
+                for name in self.in_flight.drain(..) {
+                    let died = CrimesError::InvalidState(LANE_DIED);
+                    record(summary, name, Err(died), false);
+                    self.lost.push(name.to_owned());
+                }
+            }
+        }
+        true
+    }
+}
+
+/// Why a tenant lost with its pause lane is quarantined.
+const LANE_DIED: &str = "pause lane died mid-boundary";
+
 impl FleetScheduler {
     /// Build a scheduler whose shared pool fits every current tenant of
-    /// `fleet`: the pool's capacity hint is the largest tenant image,
+    /// `fleet`: each walker's capacity hint is the largest tenant image,
     /// and its hypercall model the steepest tenant model. Tenants added
     /// later are served too as long as they are no larger.
     ///
-    /// The worker count is clamped here, once, to the host CPU budget —
+    /// The worker budget is clamped here, once, to the host CPU budget —
     /// recorded in [`SchedulerStats::requested_workers`] vs
     /// [`SchedulerStats::workers`] and counted in
     /// [`Counter::FleetWorkerClamps`].
@@ -179,19 +360,21 @@ impl FleetScheduler {
         if granted < requested {
             telemetry.add(Counter::FleetWorkerClamps, 1);
         }
+        let capacity = config.max_concurrent_pauses.max(1);
+        // Lanes are capped by the host's real CPU count, not by the worker
+        // cap above (whose floor of 2 keeps the fused walk testable on one
+        // core): a lane past it would only time-share a core and stretch
+        // every guest's pause.
+        let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         FleetScheduler {
-            pool: SharedPausePool::new(
-                granted,
-                num_pages,
-                hypercall_steps,
-                config.max_concurrent_pauses.max(1),
-            ),
+            pool: SharedPausePool::new(granted, num_pages, hypercall_steps, capacity),
             config,
+            lanes: capacity.min(host_cpus),
             telemetry,
             rounds: 0,
             requested_workers: requested,
             last_snapshot: None,
-            content_counted: std::collections::BTreeSet::new(),
+            content_counted: BTreeSet::new(),
             cross_tenant_dup_pages: 0,
         }
     }
@@ -223,14 +406,18 @@ impl FleetScheduler {
     }
 
     /// Drive one staggered epoch round across every healthy tenant of
-    /// `fleet`, leasing the shared pool wave by wave. `work` runs each
-    /// tenant's guest for its configured interval, exactly as in
-    /// [`Fleet::run_epoch_round`] — and the per-tenant results are
-    /// bit-identical to that serial round's, for any pool capacity and
-    /// worker count.
+    /// `fleet`. `work` runs each tenant's guest for its configured
+    /// interval, exactly as in [`Fleet::run_epoch_round`], always on the
+    /// calling thread and only once the tenant holds a lease; the
+    /// tenant's boundary then runs on a pause lane (or inline, see
+    /// [`FleetSchedulerConfig::overlap_drains`]). The per-tenant results
+    /// are bit-identical to the serial round's, for any lease capacity
+    /// and worker count.
     ///
     /// Per-tenant failures never abort the round; they land in the
-    /// summary's `quarantined` / `errored` buckets. All summary buckets
+    /// summary's `quarantined` / `errored` buckets. A tenant whose
+    /// boundary panics is reported `errored` and quarantined: its epoch
+    /// was never audited, so later rounds skip it. All summary buckets
     /// come back sorted by tenant name, matching the serial round's
     /// iteration order.
     ///
@@ -248,189 +435,119 @@ impl FleetScheduler {
     {
         self.rounds = self.rounds.saturating_add(1);
         self.telemetry.add(Counter::FleetRounds, 1);
-        // Fault plans live in thread-local storage: a drain running on a
-        // worker thread would silently escape an armed plan, so fault
-        // soaks fall back to the inline (serial-ordered) drain path.
-        let overlap = self.config.overlap_drains && !crimes_faults::is_active();
-        let wave_size = self.pool.capacity().max(1);
+        // Fault plans live in thread-local storage: a boundary running
+        // on a lane would silently escape an armed plan, so fault soaks
+        // run every boundary inline.
+        let threaded = self.config.overlap_drains && !crimes_faults::is_active();
+        let capacity = self.pool.capacity();
+        // One lane would only move the serial sequence to another thread:
+        // such a round runs here instead, with no threads at all.
+        let width = if threaded && self.lanes > 1 {
+            self.lanes
+        } else {
+            0
+        };
+        let pool = &mut self.pool;
+        let telemetry = &mut self.telemetry;
 
-        let mut records: Vec<(String, Disposition)> = Vec::new();
-        let mut failovers: Vec<String> = Vec::new();
-        {
-            // Stagger order: tenants sort by (hash-derived wave slot,
-            // name), then consecutive runs of `wave_size` form the
-            // round's waves. The hash decorrelates a tenant's wave from
-            // its position in the alphabet, so co-named tenants don't
-            // all land their boundaries on the same lease slots.
-            let mut entries: Vec<(&String, &mut Crimes)> = fleet.vms_mut().iter_mut().collect();
-            let waves_total = entries.len().div_ceil(wave_size).max(1) as u64;
-            entries.sort_by(|a, b| {
-                let slot_a = stagger_hash(a.0) % waves_total;
-                let slot_b = stagger_hash(b.0) % waves_total;
-                (slot_a, a.0).cmp(&(slot_b, b.0))
-            });
-
-            // Drains pending from the previous wave: the whole entry
-            // reference moves here so the drain thread can reborrow the
-            // tenant while the main thread walks the next wave.
-            let mut pending: Vec<(&mut (&String, &mut Crimes), PendingBoundary)> = Vec::new();
-            for wave in entries.chunks_mut(wave_size) {
-                let prev = std::mem::take(&mut pending);
-                let drained = std::thread::scope(|s| {
-                    let handles: Vec<_> = prev
-                        .into_iter()
-                        .map(|(entry, pb)| {
-                            let name = entry.0.clone();
-                            let handle = s.spawn(move || {
-                                let crimes = &mut *entry.1;
-                                let outcome = crimes.finish_boundary(pb);
-                                let failover = failover_if_due(crimes);
-                                (outcome, failover)
-                            });
-                            (name, handle)
-                        })
-                        .collect();
-
-                    // The pool waves while the previous wave drains: the
-                    // in-window halves below are the only pool users, so
-                    // the `&mut` walks stay serialized while the drain
-                    // threads (which need no pool) run beside them.
-                    let mut held: Vec<PoolLease> = Vec::new();
-                    for entry in wave {
-                        let name = entry.0.clone();
-                        let crimes = &mut *entry.1;
-                        if crimes.is_quarantined() {
-                            crimes.note_fleet_skip();
-                            records.push((name, Disposition::SkippedQuarantined));
-                            continue;
-                        }
-                        if crimes.has_pending_incident() {
-                            records.push((name, Disposition::SkippedPending));
-                            continue;
-                        }
-                        let lease = match self.pool.lease() {
-                            Ok(lease) => lease,
-                            Err(e) => {
-                                // Unreachable while waves fit the
-                                // capacity, but fail closed: the guest
-                                // was never suspended.
-                                records.push((name, Disposition::Errored(e.into())));
-                                continue;
-                            }
-                        };
-                        self.telemetry.add(Counter::SharedPoolLeases, 1);
-                        let progress = match self.pool.leased(&lease) {
-                            Some(pool) => {
-                                crimes.run_epoch_leased(pool, |vm, ms| work(&name, vm, ms))
-                            }
-                            None => Err(CrimesError::InvalidState(
-                                "shared pool lease went stale mid-wave",
-                            )),
-                        };
-                        // Leases stay held to the end of the wave so the
-                        // pool's peak-lease accounting reflects the wave
-                        // width the round actually scheduled.
-                        held.push(lease);
-                        match progress {
-                            Ok(BoundaryProgress::Done(outcome)) => {
-                                let failover = failover_if_due(crimes);
-                                if failover {
-                                    failovers.push(name.clone());
-                                }
-                                records.push((name, Disposition::from(outcome)));
-                            }
-                            Ok(BoundaryProgress::NeedsDrain(pb)) => {
-                                if overlap {
-                                    pending.push((entry, pb));
-                                } else {
-                                    let disposition = match crimes.finish_boundary(pb) {
-                                        Ok(outcome) => Disposition::from(outcome),
-                                        Err(CrimesError::Quarantined { .. }) => {
-                                            Disposition::Quarantined
-                                        }
-                                        Err(e) => Disposition::Errored(e),
-                                    };
-                                    if failover_if_due(crimes) {
-                                        failovers.push(name.clone());
-                                    }
-                                    records.push((name, disposition));
-                                }
-                            }
-                            Err(CrimesError::Quarantined { .. }) => {
-                                let failover = failover_if_due(crimes);
-                                if failover {
-                                    failovers.push(name.clone());
-                                }
-                                records.push((name, Disposition::Quarantined));
-                            }
-                            Err(e) => {
-                                let failover = failover_if_due(crimes);
-                                if failover {
-                                    failovers.push(name.clone());
-                                }
-                                records.push((name, Disposition::Errored(e)));
-                            }
-                        }
-                    }
-                    for lease in held {
-                        self.pool.release(lease);
-                    }
-
-                    handles
-                        .into_iter()
-                        .map(|(name, handle)| match handle.join() {
-                            Ok((outcome, failover)) => (name, outcome, failover),
-                            Err(_) => (
-                                name,
-                                Err(CrimesError::InvalidState("drain thread panicked")),
-                                false,
-                            ),
-                        })
-                        .collect::<Vec<_>>()
-                });
-                for (name, outcome, failover) in drained {
-                    if failover {
-                        failovers.push(name.clone());
-                    }
-                    records.push((name, Disposition::from_result(outcome)));
-                }
-            }
-            // The last wave's drains have nothing left to overlap with.
-            for (entry, pb) in pending {
-                let name = entry.0.clone();
-                let crimes = &mut *entry.1;
-                let outcome = crimes.finish_boundary(pb);
-                if failover_if_due(crimes) {
-                    failovers.push(name.clone());
-                }
-                records.push((name, Disposition::from_result(outcome)));
-            }
-        }
+        // Stagger order: tenants sort by (hash-derived slot, name). The
+        // hash decorrelates a tenant's place in the round from its
+        // position in the alphabet, so co-named tenants don't all land
+        // their boundaries back to back.
+        let mut entries: Vec<(&String, &mut Crimes)> = fleet.vms_mut().iter_mut().collect();
+        let slots = entries.len().div_ceil(capacity).max(1) as u64;
+        entries.sort_by(|a, b| {
+            let slot_a = stagger_hash(a.0) % slots;
+            let slot_b = stagger_hash(b.0) % slots;
+            (slot_a, a.0).cmp(&(slot_b, b.0))
+        });
 
         let mut summary = FleetEpochSummary::default();
-        let mut committed_delta = 0u64;
-        let mut incidents_delta = 0u64;
-        for (name, disposition) in records {
-            match disposition {
-                Disposition::Committed => {
-                    committed_delta = committed_delta.saturating_add(1);
-                    summary.committed.push(name);
+        // The queue holds borrows of the tenants: it goes before the
+        // round reads the fleet again.
+        let (jobs_tx, jobs) = channel();
+        let jobs = Mutex::new(jobs);
+        let (done_tx, done) = channel();
+        let mut lanes = Lanes {
+            jobs: jobs_tx,
+            done,
+            width,
+            in_flight: Vec::new(),
+            lost: Vec::new(),
+        };
+        let lost = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..width)
+                .map(|_| {
+                    let done_tx = done_tx.clone();
+                    let jobs = &jobs;
+                    s.spawn(move || lane(jobs, &done_tx))
+                })
+                .collect();
+            // Only lanes hold senders now: `recv` fails instead of
+            // hanging should they all be gone.
+            drop(done_tx);
+
+            for (name, crimes) in entries {
+                if crimes.is_quarantined() {
+                    crimes.note_fleet_skip();
+                    summary.skipped_quarantined.push(name.clone());
+                    continue;
                 }
-                Disposition::NewIncident => {
-                    incidents_delta = incidents_delta.saturating_add(1);
-                    summary.new_incidents.push(name);
+                if crimes.has_pending_incident() {
+                    summary.skipped_pending.push(name.clone());
+                    continue;
                 }
-                Disposition::Extended => summary.extended.push(name),
-                Disposition::Degraded => summary.degraded.push(name),
-                Disposition::Quarantined => summary.quarantined.push(name),
-                Disposition::SkippedPending => summary.skipped_pending.push(name),
-                Disposition::SkippedQuarantined => summary.skipped_quarantined.push(name),
-                Disposition::Errored(e) => summary.errored.push((name, e)),
+                // Admission precedes the guest's work: with every lease
+                // out, wait for a lane to bring one back.
+                let lease = loop {
+                    match pool.lease() {
+                        Ok(lease) => break Some(lease),
+                        Err(e) => {
+                            if !lanes.settle_one(pool, &mut summary) {
+                                // No window in flight will return one.
+                                // Fail closed: the guest never ran.
+                                record(&mut summary, name, Err(e.into()), false);
+                                break None;
+                            }
+                        }
+                    }
+                };
+                let Some(lease) = lease else { continue };
+                telemetry.add(Counter::SharedPoolLeases, 1);
+                if let Err(e) = crimes.begin_epoch(|vm, ms| work(name, vm, ms)) {
+                    pool.release(lease);
+                    let failover = failover_if_due(crimes);
+                    record(&mut summary, name, Err(e), failover);
+                    continue;
+                }
+                let job = Job {
+                    name,
+                    crimes,
+                    lease,
+                };
+                lanes.dispatch(job, pool, &mut summary);
+            }
+            while lanes.settle_one(pool, &mut summary) {}
+
+            // Closing the job queue ends the lanes. Joined by hand: a
+            // lane cannot unwind past `run_boundary`, and if one did, its
+            // tenant is already accounted for above.
+            let Lanes { jobs, lost, .. } = lanes;
+            drop(jobs);
+            for handle in handles {
+                let _ = handle.join();
+            }
+            lost
+        });
+        drop(jobs);
+        for name in lost {
+            if let Some(crimes) = fleet.get_mut(&name) {
+                crimes.quarantine(LANE_DIED);
             }
         }
-        summary.failovers = failovers;
-        // Wave order is a scheduling artefact; the summary reads like
-        // the serial round's (BTreeMap iteration = sorted by name).
+
+        // Completion order is a scheduling artefact; the summary reads
+        // like the serial round's (BTreeMap iteration = sorted by name).
         summary.committed.sort_unstable();
         summary.new_incidents.sort_unstable();
         summary.skipped_pending.sort_unstable();
@@ -442,8 +559,12 @@ impl FleetScheduler {
         summary.errored.sort_by(|a, b| a.0.cmp(&b.0));
 
         let stats = fleet.stats_mut();
-        stats.committed_epochs = stats.committed_epochs.saturating_add(committed_delta);
-        stats.incidents_detected = stats.incidents_detected.saturating_add(incidents_delta);
+        stats.committed_epochs = stats
+            .committed_epochs
+            .saturating_add(summary.committed.len() as u64);
+        stats.incidents_detected = stats
+            .incidents_detected
+            .saturating_add(summary.new_incidents.len() as u64);
         self.tally_cross_tenant_dups(fleet);
         self.last_snapshot = fleet.aggregate_telemetry().map(|mut t| {
             t.merge(&self.telemetry);
@@ -452,19 +573,23 @@ impl FleetScheduler {
         Ok(summary)
     }
 
-    /// Fold every tenant backup's content index into the fleet-shared
-    /// dedup accounting. Counter-only by design: a page digest held by
-    /// `k ≥ 2` tenants counts `k − 1` redundant stored copies (what one
-    /// shared content store would save), tallied the first round the
-    /// digest recurs and surfaced as [`Counter::DedupHits`] on the
-    /// scheduler's telemetry. Tenant stores, drain wires, and journals
-    /// are untouched — cross-tenant sharing must never let one tenant
-    /// observe another's content timing, so only the count escapes.
+    /// Fold the tenants' content indexes into the fleet-shared dedup
+    /// accounting. Only an index that is already coherent is read —
+    /// tenants running the dedup drain keep theirs coherent record by
+    /// record — and none is ever rebuilt here: the round's tail must not
+    /// digest frames the epoch did not dirty, so in-window tenants, which
+    /// keep no content store, do not contribute. Counter-only by design:
+    /// a page digest held by `k ≥ 2` tenants counts `k − 1` redundant
+    /// stored copies (what one shared content store would save), tallied
+    /// the first round the digest recurs and surfaced as
+    /// [`Counter::DedupHits`] on the scheduler's telemetry. Tenant
+    /// stores, drain wires, and journals are untouched — cross-tenant
+    /// sharing must never let one tenant observe another's content
+    /// timing, so only the count escapes.
     fn tally_cross_tenant_dups(&mut self, fleet: &mut Fleet) {
-        let mut tenants_holding: std::collections::BTreeMap<u64, u64> =
-            std::collections::BTreeMap::new();
-        for (_, crimes) in fleet.vms_mut().iter_mut() {
-            for (digest, refs) in crimes.backup_content_index() {
+        let mut tenants_holding: BTreeMap<u64, u64> = BTreeMap::new();
+        for crimes in fleet.vms_mut().values() {
+            for (digest, refs) in crimes.checkpointer().backup().content_index() {
                 if refs > 0 {
                     let held = tenants_holding.entry(digest).or_insert(0);
                     *held = held.saturating_add(1);
@@ -478,27 +603,6 @@ impl FleetScheduler {
                     self.cross_tenant_dup_pages.saturating_add(redundant);
                 self.telemetry.add(Counter::DedupHits, redundant);
             }
-        }
-    }
-}
-
-impl Disposition {
-    fn from_result(outcome: Result<EpochOutcome, CrimesError>) -> Self {
-        match outcome {
-            Ok(outcome) => Disposition::from(outcome),
-            Err(CrimesError::Quarantined { .. }) => Disposition::Quarantined,
-            Err(e) => Disposition::Errored(e),
-        }
-    }
-}
-
-impl From<EpochOutcome> for Disposition {
-    fn from(outcome: EpochOutcome) -> Self {
-        match outcome {
-            EpochOutcome::Committed { .. } => Disposition::Committed,
-            EpochOutcome::AttackDetected { .. } => Disposition::NewIncident,
-            EpochOutcome::Extended { .. } => Disposition::Extended,
-            EpochOutcome::Degraded { .. } => Disposition::Degraded,
         }
     }
 }
@@ -560,7 +664,7 @@ mod tests {
         let stats = sched.stats();
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.capacity, 2);
-        assert!(stats.peak_leases <= 2, "waves never exceed the lease cap");
+        assert!(stats.peak_leases <= 2, "never more leases out than the cap");
         assert_eq!(stats.total_leases, 5, "one lease per tenant boundary");
     }
 
@@ -635,6 +739,186 @@ mod tests {
         assert_eq!(snap.counter(Counter::EpochsCommitted), 3);
         assert_eq!(snap.counter(Counter::FleetRounds), 1);
         assert_eq!(snap.counter(Counter::SharedPoolLeases), 3);
+    }
+
+    /// A detection module with a bug: its first audit panics, later
+    /// ones find nothing.
+    #[derive(Debug)]
+    struct PanicsOnceModule {
+        panicked: bool,
+    }
+
+    impl crate::detector::ScanModule for PanicsOnceModule {
+        fn name(&self) -> &str {
+            "panics-once"
+        }
+
+        fn scan(
+            &mut self,
+            _ctx: &crate::detector::ScanContext<'_>,
+        ) -> Result<Vec<crate::detector::ScanFinding>, crimes_vmi::VmiError> {
+            if !std::mem::replace(&mut self.panicked, true) {
+                panic!("detection module bug (expected by this test)");
+            }
+            Ok(Vec::new())
+        }
+    }
+
+    #[test]
+    fn a_module_that_panics_in_its_audit_errors_one_tenant_and_fails_closed() {
+        use crimes_outbuf::{NetPacket, Output};
+        // Capacity 2 is the lane path where the host has the CPUs;
+        // capacity 1 is always the inline path.
+        for pauses in [2, 1] {
+            let mut fleet = fleet_of(5);
+            let victim = fleet.get_mut("tenant-2").expect("tenant");
+            victim.register_module(Box::new(PanicsOnceModule { panicked: false }));
+            let held = victim
+                .submit_output(Output::Net(NetPacket::new(1, b"unaudited".to_vec())))
+                .expect("within limits");
+            assert!(held.is_none(), "held for the boundary's verdict");
+            let mut sched = scheduler_for(&fleet, pauses);
+
+            // The panic is that tenant's failure; the round completes.
+            let summary = sched
+                .run_round(&mut fleet, |_, _, _| Ok(()))
+                .expect("round");
+            assert_eq!(
+                summary.errored,
+                vec![(
+                    "tenant-2".to_owned(),
+                    CrimesError::InvalidState(BOUNDARY_PANICKED)
+                )]
+            );
+            assert_eq!(summary.committed.len(), 4, "everyone else commits");
+            assert_eq!(sched.pool.active_leases(), 0, "its lease came back too");
+            assert_eq!(fleet.quarantined_vms(), vec!["tenant-2"]);
+
+            // The module would pass now, but the panicked epoch's pages
+            // were never audited: no later boundary may commit over them
+            // or release what the epoch held.
+            for _ in 0..2 {
+                let summary = sched
+                    .run_round(&mut fleet, |_, _, _| Ok(()))
+                    .expect("round");
+                assert_eq!(summary.skipped_quarantined, vec!["tenant-2".to_owned()]);
+                assert_eq!(summary.committed.len(), 4);
+                assert!(summary.errored.is_empty());
+            }
+            let victim = fleet.get("tenant-2").expect("tenant");
+            assert_eq!(victim.committed_epochs(), 0);
+            assert_eq!(victim.buffer_stats().released, 0);
+            assert_eq!(victim.output_buffer().held_outputs().count(), 1);
+            assert_eq!(sched.stats().total_leases, 5 + 4 + 4, "never admitted again");
+        }
+    }
+
+    /// Three tenants on the dedup drain, each with a service process.
+    fn dedup_fleet() -> (Fleet, Vec<(u32, crimes_vm::Gva)>) {
+        let mut fleet = Fleet::new();
+        let mut arenas = Vec::new();
+        for i in 0..3u64 {
+            let mut b = CrimesConfig::builder();
+            b.epoch_interval_ms(20)
+                .external_pool(true)
+                .pause_workers(2)
+                .staging_buffers(2)
+                .dedup(true);
+            let crimes = fleet
+                .add_vm(
+                    &format!("tenant-{i}"),
+                    guest(300 + i),
+                    b.build().expect("valid"),
+                )
+                .expect("add");
+            let vm = crimes.vm_mut();
+            let pid = vm.spawn_process("svc", 0, 4).expect("spawn");
+            let base = vm.processes().get(pid).expect("spawned").mapping.virt_base;
+            arenas.push((pid, base));
+        }
+        (fleet, arenas)
+    }
+
+    /// What the tally should see, straight from the backup frames: for
+    /// every page content held by `k >= 2` tenants, `k - 1` copies.
+    fn redundant_copies(fleet: &Fleet) -> u64 {
+        let mut holders: BTreeMap<u64, u64> = BTreeMap::new();
+        for name in fleet.names() {
+            let backup = fleet.get(name).expect("tenant").checkpointer().backup();
+            let digests: BTreeSet<u64> = backup
+                .frames()
+                .chunks_exact(crimes_vm::PAGE_SIZE)
+                .map(crimes_checkpoint::content_digest)
+                .collect();
+            for d in digests {
+                *holders.entry(d).or_insert(0) += 1;
+            }
+        }
+        holders.values().filter(|&&k| k >= 2).map(|k| k - 1).sum()
+    }
+
+    #[test]
+    fn cross_tenant_dups_count_first_recurrence_among_dedup_tenants() {
+        let (mut fleet, arenas) = dedup_fleet();
+        let mut sched = scheduler_for(&fleet, 2);
+        // `writers` copy `template` over arena page `page` this round.
+        let mut round = |fleet: &mut Fleet, writers: &[usize], page: u64, template: u8| {
+            let summary = sched
+                .run_round(fleet, |name, vm, _| {
+                    let i: usize = name.trim_start_matches("tenant-").parse().expect("index");
+                    if writers.contains(&i) {
+                        let (pid, base) = arenas[i];
+                        let gva = base.add(page * crimes_vm::PAGE_SIZE as u64);
+                        vm.write_user(pid, gva, &[template; crimes_vm::PAGE_SIZE], 0x40_0000)?;
+                    }
+                    Ok(())
+                })
+                .expect("round");
+            assert_eq!(summary.committed.len(), 3);
+            sched.stats().cross_tenant_dup_pages
+        };
+
+        // Everyone holds template A: one digest, three holders, two
+        // redundant copies, on top of whatever the fresh guests share.
+        let after_a = round(&mut fleet, &[0, 1, 2], 0, 0xa1);
+        assert_eq!(after_a, redundant_copies(&fleet));
+        assert!(after_a >= 2);
+        // Nothing new recurs: pages that stay resident are not recounted.
+        assert_eq!(round(&mut fleet, &[], 0, 0), after_a);
+        // Template B lands on two tenants: exactly one more copy.
+        assert_eq!(round(&mut fleet, &[0, 1], 1, 0xb2), after_a + 1);
+        // A digest is counted the round it first recurs, and only then.
+        assert_eq!(round(&mut fleet, &[2], 1, 0xb2), after_a + 1);
+        assert_eq!(
+            sched.telemetry().counter(Counter::DedupHits),
+            after_a + 1,
+            "the counter mirrors the stat"
+        );
+    }
+
+    #[test]
+    fn the_tally_never_rebuilds_an_in_window_tenants_content_index() {
+        // In-window tenants keep no content store: the walk stales their
+        // index every epoch, and the round's tail must not rehash their
+        // memory to rebuild it, however much they share (all-zero pages
+        // at the least).
+        let mut fleet = fleet_of(3);
+        let mut sched = scheduler_for(&fleet, 2);
+        for _ in 0..2 {
+            sched
+                .run_round(&mut fleet, |_, _, _| Ok(()))
+                .expect("round");
+        }
+        assert!(redundant_copies(&fleet) > 0, "there was something to find");
+        for name in fleet.names() {
+            let backup = fleet.get(name).expect("tenant").checkpointer().backup();
+            assert_eq!(
+                backup.content_index().count(),
+                0,
+                "{name}: index left stale"
+            );
+        }
+        assert_eq!(sched.stats().cross_tenant_dup_pages, 0);
     }
 
     #[test]

@@ -621,11 +621,26 @@ impl EvidenceJournal {
     /// happened), and return both so the monitor can keep appending
     /// where the crashed one stopped.
     pub fn recover_from(bytes: &[u8]) -> (EvidenceJournal, RecoveredState) {
+        // The adopted log lives where a live journal of its size would: a
+        // long one goes straight into a reserved extent of its own, a
+        // short one into an exact allocation. Were a long log copied into
+        // the allocator's shared heap, what the copy costs would turn on
+        // whether that heap had this many resident pages to recycle — the
+        // process's allocation history, not the journal — and recovery
+        // time would step by the log's page faults from one run to the
+        // next.
+        let mut adopted = Vec::new();
+        reserve(&mut adopted, bytes.len());
+        adopted.reserve_exact(bytes.len());
         let mut bounds = Vec::new();
-        let state = Self::replay_with(bytes, |next| bounds.push(next));
-        let keep = state.truncated_at.unwrap_or(bytes.len());
+        // Each record is copied as it verifies, while it is still in
+        // cache; a torn tail is never copied at all.
+        let state = Self::replay_with(bytes, |next| {
+            adopted.extend_from_slice(bytes.get(adopted.len()..next).unwrap_or_default());
+            bounds.push(next);
+        });
         let journal = EvidenceJournal {
-            bytes: bytes.get(..keep).unwrap_or_default().to_vec(),
+            bytes: adopted,
             bounds,
         };
         (journal, state)
@@ -1016,13 +1031,15 @@ mod tests {
             j.append(&packet);
         }
         assert_eq!((j.bytes.as_ptr(), j.bytes.capacity()), home);
-        // A recovered journal is adopted at its exact length and hops on
-        // its first append; the bytes are the same either way.
+        // A recovered journal of that size is adopted straight into an
+        // extent of its own and appends in place.
         let (mut recovered, state) = EvidenceJournal::recover_from(j.bytes());
         assert_eq!(state.truncated_at, None);
+        assert!(recovered.bytes.capacity() >= EXTENT);
+        let adopted_at = recovered.bytes.as_ptr();
         j.append(&packet);
         recovered.append(&packet);
-        assert!(recovered.bytes.capacity() >= EXTENT);
+        assert_eq!(recovered.bytes.as_ptr(), adopted_at);
         assert_eq!(recovered.bytes(), j.bytes());
         assert_eq!(recovered.record_bounds(), j.record_bounds());
     }

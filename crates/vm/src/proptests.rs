@@ -146,3 +146,66 @@ fn system_map_round_trips() {
         assert_eq!(parsed, m);
     });
 }
+
+/// The compact map behaves like the `BTreeMap<String, Gva>` it replaced:
+/// inserts with duplicates (one at a time and through the bulk `parse`
+/// path, where a later line wins), lookups that hit and miss, name-order
+/// iteration, and the text round trip.
+#[test]
+fn system_map_matches_a_btreemap_reference() {
+    use crate::addr::Gva;
+    use std::collections::BTreeMap;
+
+    check(
+        "system_map_matches_a_btreemap_reference",
+        Config::default(),
+        |g: &mut Gen| {
+            // A small alphabet and short names force duplicates and
+            // prefix pairs ("a" / "ab").
+            let name = |g: &mut Gen| g.ascii_string(1..4, b"ab_");
+            let ops: Vec<(String, u64)> = (0..g.int(0usize..60))
+                .map(|_| (name(g), g.any_u64()))
+                .collect();
+
+            let mut reference: BTreeMap<String, Gva> = BTreeMap::new();
+            let mut m = SystemMap::new();
+            let mut text = String::new();
+            for (n, addr) in &ops {
+                reference.insert(n.clone(), Gva(*addr));
+                m.insert(n, Gva(*addr));
+                text.push_str(&format!("{addr:x} D {n}\n"));
+                assert_eq!(m.len(), reference.len());
+            }
+            assert_eq!(m.is_empty(), reference.is_empty());
+
+            let got: Vec<(&str, Gva)> = m.iter().collect();
+            let want: Vec<(&str, Gva)> = reference.iter().map(|(n, a)| (n.as_str(), *a)).collect();
+            assert_eq!(got, want, "iteration is in name order");
+
+            for _ in 0..20 {
+                let probe = name(g);
+                assert_eq!(m.lookup(&probe), reference.get(&probe).copied());
+            }
+            assert_eq!(m.lookup(""), None);
+            assert_eq!(m.lookup("abab"), None);
+
+            // The bulk path sees the same ops as lines, duplicates and
+            // all, and a different arena layout must not matter to `Eq`.
+            let bulk = SystemMap::parse(&text).expect("well-formed lines");
+            assert_eq!(bulk, m);
+            assert_eq!(SystemMap::parse(&m.to_text()).expect("own text"), m);
+            assert_eq!(m.clone(), m);
+
+            // A malformed line is named by its number wherever it falls.
+            let lines: Vec<&str> = text.lines().collect();
+            let at = g.int(0usize..lines.len() + 1);
+            let mut broken: Vec<&str> = lines.clone();
+            broken.insert(at, "not-hex D sym");
+            let err = SystemMap::parse(&broken.join("\n")).expect_err("bad address");
+            assert!(
+                err.starts_with(&format!("line {}: bad address", at + 1)),
+                "{err}"
+            );
+        },
+    );
+}

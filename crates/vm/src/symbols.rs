@@ -12,7 +12,6 @@
 //! `crimes-vmi` parses this text during its *initialization* phase, so the
 //! Table 3 init-cost measurement exercises a real parse.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::Gva;
@@ -47,10 +46,47 @@ pub mod names {
     pub const CANARY_TABLE: &str = "crimes_canary_table";
 }
 
+/// One symbol: its name as a slice of the map's name arena, and its
+/// address.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    off: u32,
+    len: u32,
+    addr: Gva,
+}
+
 /// An in-memory `System.map`: symbol name → kernel virtual address.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// Stored compactly — every name lives in one `String` arena and the
+/// entries are a name-sorted `Vec` that lookups binary-search — because a
+/// fleet holds two of these per tenant (the guest's and the introspection
+/// session's parsed copy) at ~20 000 symbols each. Bulk construction
+/// ([`for_layout`](Self::for_layout), [`parse`](Self::parse)) appends
+/// unsorted and sorts once; [`insert`](Self::insert) keeps the order one
+/// symbol at a time.
+#[derive(Debug, Clone, Default)]
 pub struct SystemMap {
-    symbols: BTreeMap<String, Gva>,
+    names: String,
+    /// Sorted by name, names unique.
+    entries: Vec<Entry>,
+}
+
+/// Equal when the same names map to the same addresses; how the arena
+/// happens to be laid out (insertion order, replaced duplicates) is not
+/// part of the value.
+impl PartialEq for SystemMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for SystemMap {}
+
+/// The name `e` points at in the arena `names`.
+fn name_of<'a>(names: &'a str, e: &Entry) -> &'a str {
+    names
+        .get(e.off as usize..e.off as usize + e.len as usize)
+        .unwrap_or_default()
 }
 
 impl SystemMap {
@@ -63,51 +99,104 @@ impl SystemMap {
     /// task slab slot 0, where the kernel writer places the swapper task.
     pub fn for_layout(layout: &KernelLayout) -> Self {
         let mut m = SystemMap::new();
-        m.insert(names::LINUX_BANNER, layout.banner.to_kernel_gva());
-        m.insert(names::SYS_CALL_TABLE, layout.syscall_table.to_kernel_gva());
-        m.insert(names::INIT_TASK, layout.task_slot(0).to_kernel_gva());
-        m.insert(names::MODULES, layout.modules_head.to_kernel_gva());
-        m.insert(names::PID_HASH, layout.pid_hash.to_kernel_gva());
-        m.insert(names::TASK_SLAB, layout.task_area.to_kernel_gva());
-        m.insert(names::MODULE_SLAB, layout.module_area.to_kernel_gva());
-        m.insert(names::SOCKET_TABLE, layout.socket_table.to_kernel_gva());
-        m.insert(names::FILE_TABLE, layout.file_table.to_kernel_gva());
-        m.insert(names::CANARY_TABLE, layout.canary_table.to_kernel_gva());
+        m.push(names::LINUX_BANNER, layout.banner.to_kernel_gva());
+        m.push(names::SYS_CALL_TABLE, layout.syscall_table.to_kernel_gva());
+        m.push(names::INIT_TASK, layout.task_slot(0).to_kernel_gva());
+        m.push(names::MODULES, layout.modules_head.to_kernel_gva());
+        m.push(names::PID_HASH, layout.pid_hash.to_kernel_gva());
+        m.push(names::TASK_SLAB, layout.task_area.to_kernel_gva());
+        m.push(names::MODULE_SLAB, layout.module_area.to_kernel_gva());
+        m.push(names::SOCKET_TABLE, layout.socket_table.to_kernel_gva());
+        m.push(names::FILE_TABLE, layout.file_table.to_kernel_gva());
+        m.push(names::CANARY_TABLE, layout.canary_table.to_kernel_gva());
         // Pad with filler symbols so parsing cost resembles a real
         // System.map (tens of thousands of lines) instead of nine.
+        let mut name = String::new();
         for i in 0..20_000u64 {
-            m.insert(
-                &format!("__ksym_filler_{i:05}"),
-                Gva(0xffff_8800_4000_0000 + i * 16),
-            );
+            name.clear();
+            fmt::Write::write_fmt(&mut name, format_args!("__ksym_filler_{i:05}"))
+                .expect("string write cannot fail");
+            m.push(&name, Gva(0xffff_8800_4000_0000 + i * 16));
         }
+        m.sort_pushed();
         m
+    }
+
+    /// Append `name` to the arena and return its entry, not yet placed.
+    fn arena_entry(&mut self, name: &str, addr: Gva) -> Entry {
+        let off = u32::try_from(self.names.len()).expect("System.map names stay under 4 GiB");
+        let len = u32::try_from(name.len()).expect("System.map names stay under 4 GiB");
+        self.names.push_str(name);
+        Entry { off, len, addr }
+    }
+
+    /// Bulk path: append without keeping the order. The map is not usable
+    /// again until [`sort_pushed`](Self::sort_pushed) has run.
+    fn push(&mut self, name: &str, addr: Gva) {
+        let entry = self.arena_entry(name, addr);
+        self.entries.push(entry);
+    }
+
+    /// Restore the invariant after a run of [`push`](Self::push)es: sort by
+    /// name (stable, so equal names stay in push order) and keep the last
+    /// of each, as repeated [`insert`](Self::insert)s would.
+    fn sort_pushed(&mut self) {
+        let SystemMap { names, entries } = self;
+        entries.sort_by(|a, b| name_of(names, a).cmp(name_of(names, b)));
+        // `dedup_by` drops `later` when the closure says it repeats
+        // `kept`; carry the later address over first so the last wins.
+        entries.dedup_by(|later, kept| {
+            let same = name_of(names, later) == name_of(names, kept);
+            if same {
+                kept.addr = later.addr;
+            }
+            same
+        });
+        // Built once and then held per tenant: give back the growth slack.
+        names.shrink_to_fit();
+        entries.shrink_to_fit();
+    }
+
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|e| name_of(&self.names, e).cmp(name))
     }
 
     /// Insert or replace a symbol.
     pub fn insert(&mut self, name: &str, addr: Gva) {
-        self.symbols.insert(name.to_owned(), addr);
+        match self.position(name) {
+            Ok(i) => {
+                if let Some(e) = self.entries.get_mut(i) {
+                    e.addr = addr;
+                }
+            }
+            Err(i) => {
+                let entry = self.arena_entry(name, addr);
+                self.entries.insert(i, entry);
+            }
+        }
     }
 
     /// Look up a symbol.
     pub fn lookup(&self, name: &str) -> Option<Gva> {
-        self.symbols.get(name).copied()
+        let i = self.position(name).ok()?;
+        self.entries.get(i).map(|e| e.addr)
     }
 
     /// Number of symbols.
     pub fn len(&self) -> usize {
-        self.symbols.len()
+        self.entries.len()
     }
 
     /// `true` if the map holds no symbols.
     pub fn is_empty(&self) -> bool {
-        self.symbols.is_empty()
+        self.entries.is_empty()
     }
 
     /// Render the classic `System.map` text (`addr TYPE name` per line,
     /// sorted by address like the real file).
     pub fn to_text(&self) -> String {
-        let mut entries: Vec<(&String, &Gva)> = self.symbols.iter().collect();
+        let mut entries: Vec<(&str, Gva)> = self.iter().collect();
         entries.sort_by_key(|(_, gva)| gva.0);
         let mut out = String::with_capacity(entries.len() * 40);
         for (name, gva) in entries {
@@ -143,14 +232,17 @@ impl SystemMap {
                 .ok_or_else(|| format!("line {}: missing symbol name", lineno + 1))?;
             let addr = u64::from_str_radix(addr, 16)
                 .map_err(|e| format!("line {}: bad address: {e}", lineno + 1))?;
-            m.insert(name, Gva(addr));
+            m.push(name, Gva(addr));
         }
+        m.sort_pushed();
         Ok(m)
     }
 
     /// Iterate over `(name, gva)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Gva)> {
-        self.symbols.iter().map(|(n, g)| (n.as_str(), *g))
+        self.entries
+            .iter()
+            .map(|e| (name_of(&self.names, e), e.addr))
     }
 }
 

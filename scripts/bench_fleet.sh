@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Fleet-scale baseline bench: staggered shared-pool epoch rounds
+# Fleet-scale baseline bench: staggered, concurrent-window epoch rounds
 # (FleetScheduler) vs the serial per-tenant round (see DESIGN.md "Fleet
 # scheduler"). Scales the tenant count (default 10/100/500) over one
-# shared pause-window pool and writes BENCH_fleet.json at the repo root
-# — tenant-epochs/sec, dirty pages/sec, p99 in-window pause under lease
-# contention, the scheduled-vs-serial speedup per scale, and the
-# fleet-level worker-clamp lineage.
+# pool of leased walkers and writes BENCH_fleet.json at the repo root —
+# tenant-epochs/sec, dirty pages/sec, the mean in-window pause per
+# tenant-epoch of the serial and of the scheduled rounds, the leased
+# boundary's p50/p99/max, the scheduled-vs-serial speedup per scale, and
+# the fleet-level worker-clamp lineage.
 #
 # Usage: scripts/bench_fleet.sh
 # Env:   CRIMES_BENCH_ROUNDS  rounds per scale per variant (default 4)

@@ -75,18 +75,21 @@ echo "    encoded drain saved ${BYTES_SAVED:-0} wire bytes/epoch"
 awk -v b="${BYTES_SAVED:-0}" 'BEGIN { exit !(b > 0) }'
 rm -f "${SMOKE_JSON}"
 
-echo "==> fleet bench smoke (20-tenant staggered round over one shared pool)"
+echo "==> fleet bench smoke (20-tenant staggered round over leased walkers)"
 # A short scheduled-vs-serial run at one scale pins the fleet JSON
-# schema and the throughput contract. On a multi-CPU host the staggered
-# round with overlapped drains must beat the serial round outright; on a
-# single-CPU host the overlap threads timeshare one core, so the gate
-# relaxes to near-parity (the scheduler must never cost real
-# throughput). Scratch output path — the committed BENCH_fleet.json
-# keeps its full 10/100/500 sweep.
+# schema and the throughput contract. On a multi-CPU host the round runs
+# tenants' pause windows concurrently on pause lanes, so it must beat the
+# serial round by a margin only concurrency gives (two lanes read
+# 1.6 - 2.0x here): a return to serialized windows fails this gate. On a
+# single-CPU host a round runs inline with no lanes, so the gate relaxes
+# to near-parity (the scheduler must never cost real throughput).
+# Scratch output path — the committed BENCH_fleet.json keeps its full
+# 10/100/500 sweep.
 FLEET_JSON="$(mktemp)"
 CRIMES_BENCH_SCALES=20 CRIMES_BENCH_ROUNDS=3 CRIMES_BENCH_OUT="${FLEET_JSON}" \
     scripts/bench_fleet.sh > /dev/null
 for key in tenants_per_sec pages_per_sec p99_pause_ms speedup_scheduled_vs_serial \
+           serial_mean_in_window_pause_ms scheduled_mean_in_window_pause_ms \
            host_cpus_note peak_leases granted_pool_workers fleet_worker_clamp_engaged; do
     grep -q "\"${key}\"" "${FLEET_JSON}"
 done
@@ -102,7 +105,7 @@ HOST_CPUS="$(grep -o '"host_cpus": [0-9]*' "${FLEET_JSON}" \
     | head -n1 | grep -o '[0-9]*$')"
 HOST_CPUS="${HOST_CPUS:-1}"
 if [ "${HOST_CPUS}" -ge 2 ]; then
-    FLEET_FLOOR="1.0"
+    FLEET_FLOOR="1.3"
 else
     FLEET_FLOOR="0.75"
 fi

@@ -306,3 +306,117 @@ fn attacked_and_degraded_round_matches_serial() {
     let degraded = prints_s.get("tenant-2").expect("staged tenant print");
     assert_eq!(degraded.degraded_counter, 1);
 }
+
+/// Quarantine `name` the way production does: VMI reads that keep
+/// failing exhaust the extension budget. Drives the tenant directly, so
+/// the fault plan never meets the scheduler.
+fn quarantine(fleet: &mut Fleet, name: &str) {
+    let _scope = crimes_faults::install(
+        crimes_faults::FaultPlan::disabled()
+            .with_rate(crimes_faults::FaultPoint::VmiRead, crimes_faults::SCALE),
+        41,
+    );
+    let crimes = fleet.get_mut(name).expect("named tenant exists");
+    for _ in 0..16 {
+        if crimes.is_quarantined() {
+            return;
+        }
+        // Extended, then quarantined: both are expected on the way.
+        let _ = crimes.run_epoch(|_, _| Ok(()));
+    }
+    panic!("{name} never quarantined");
+}
+
+/// More tenants than lanes, and every way a tenant can leave a round:
+/// committed, attacked, errored in its guest work, skipped with an
+/// incident pending, skipped in quarantine. On the lane path and on the
+/// inline path, for every capacity, the scheduled rounds equal the
+/// serial ones in summaries and in raw journal bytes, and the leases add
+/// up: never more out than the capacity, one per guest that ran.
+#[test]
+fn lanes_match_serial_whatever_becomes_of_each_tenant() {
+    const TENANTS: u64 = 9;
+    // tenant-0 walks serially (i % 3 == 0), so it can be driven into
+    // quarantine without a pool.
+    let prepare = |fleet: &mut Fleet| quarantine(fleet, "tenant-0");
+    let work = |round: u64, ran: &mut u64, name: &str, vm: &mut Vm, ms: u64| {
+        *ran += 1;
+        match (round, name) {
+            // Round 0 attacks tenant-1, which then sits out round 1
+            // with its incident pending; round 1 attacks tenant-7.
+            (0, "tenant-1") | (1, "tenant-7") => {
+                attacks::inject_malware_launch(vm, "mirai")?;
+            }
+            // tenant-4's guest work fails outright (no such process).
+            (_, "tenant-4") => vm.dirty_arena_page(u32::MAX, 0, 0, 0)?,
+            _ => {}
+        }
+        work(round, name, vm, ms)
+    };
+
+    let mut serial = build_fleet(TENANTS, false);
+    prepare(&mut serial);
+    let mut serial_ran = 0u64;
+    let serial_summaries: Vec<_> = (0..2)
+        .map(|round| {
+            serial
+                .run_epoch_round(|n, vm, ms| work(round, &mut serial_ran, n, vm, ms))
+                .expect("serial round")
+        })
+        .collect();
+    let want = fingerprints(&serial);
+
+    // The scenario covers what it claims to cover.
+    assert_eq!(
+        serial_summaries[0].new_incidents,
+        vec!["tenant-1".to_owned()]
+    );
+    assert_eq!(
+        serial_summaries[1].skipped_pending,
+        vec!["tenant-1".to_owned()]
+    );
+    assert_eq!(
+        serial_summaries[1].new_incidents,
+        vec!["tenant-7".to_owned()]
+    );
+    for summary in &serial_summaries {
+        assert_eq!(summary.skipped_quarantined, vec!["tenant-0".to_owned()]);
+        assert_eq!(summary.errored.len(), 1);
+        assert_eq!(summary.errored[0].0, "tenant-4");
+    }
+    assert_eq!(serial_summaries[0].committed.len(), 6);
+    assert_eq!(serial_ran, 8 + 7);
+
+    for pauses in 1usize..=4 {
+        for overlap_drains in [true, false] {
+            let mut fleet = build_fleet(TENANTS, true);
+            prepare(&mut fleet);
+            let mut sched = FleetScheduler::for_fleet(
+                &fleet,
+                FleetSchedulerConfig {
+                    max_concurrent_pauses: pauses,
+                    pool_workers: 2,
+                    overlap_drains,
+                },
+            );
+            let mut ran = 0u64;
+            let summaries: Vec<_> = (0..2)
+                .map(|round| {
+                    sched
+                        .run_round(&mut fleet, |n, vm, ms| work(round, &mut ran, n, vm, ms))
+                        .expect("scheduled round")
+                })
+                .collect();
+            let case = format!("capacity={pauses}, lanes={overlap_drains}");
+            assert_eq!(serial_summaries, summaries, "summaries diverged ({case})");
+            assert_eq!(want, fingerprints(&fleet), "fingerprints diverged ({case})");
+            let stats = sched.stats();
+            assert!(stats.peak_leases <= pauses, "{case}: {stats:?}");
+            assert_eq!(
+                stats.total_leases, ran,
+                "one lease per guest that ran ({case})"
+            );
+            assert_eq!(ran, serial_ran, "{case}");
+        }
+    }
+}

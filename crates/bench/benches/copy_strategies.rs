@@ -1,14 +1,14 @@
-//! Timing bench (in-tree harness): page-copy pipelines — Remus's socket+cipher path vs
-//! CRIMES's memcpy (Optimization 1), per copied-byte throughput — plus the fused
-//! pause-window walk (copy + digest in one pass, sharded) against the same work
-//! done as two separate serial walks, at a fixed worker count.
+//! Timing bench (in-tree harness): the page copier's two wires — Remus's socket+cipher
+//! path vs CRIMES's memcpy (Optimization 1), per copied-byte throughput, each as a
+//! one-worker walk — plus the fused walk (copy + digest in one pass, sharded) against
+//! the same work done as two separate passes, at a fixed worker count.
 
 use crimes_bench::{criterion_group, criterion_main};
 use crimes_bench::harness::{BenchmarkId, Criterion, Throughput};
 
 use crimes_checkpoint::{
-    BackupVm, FusedDigest, FusedPageVisitor, ImageDigest, MappedPage, MemcpyCopier,
-    PauseWindowPool, SocketCopier,
+    BackupVm, CopyStrategy, FusedDigest, FusedPageVisitor, ImageDigest, MappedPage, PageCopier,
+    PauseWindowPool,
 };
 use crimes_vm::{Pfn, Vm, PAGE_SIZE};
 
@@ -41,29 +41,30 @@ fn bench(c: &mut Criterion) {
     for pages in [256usize, 2048] {
         let (vm, mut backup, mapped) = setup(pages);
         group.throughput(Throughput::Bytes((mapped.len() * PAGE_SIZE) as u64));
-        group.bench_with_input(BenchmarkId::new("memcpy", pages), &pages, |b, _| {
-            b.iter(|| MemcpyCopier.copy_epoch(&vm, &mut backup, &mapped))
-        });
-        let mut socket = SocketCopier::new(0xfeed);
-        group.bench_with_input(BenchmarkId::new("socket_ssh", pages), &pages, |b, _| {
-            b.iter(|| socket.copy_epoch(&vm, &mut backup, &mapped))
-        });
+        let memcpy = PageCopier::memcpy();
+        let socket = PageCopier::new(CopyStrategy::Socket, 0xfeed, 0);
+        let mut one = PauseWindowPool::new(1, vm.memory().num_pages(), 2);
+        for (name, copier) in [("memcpy", &memcpy), ("socket_ssh", &socket)] {
+            group.bench_with_input(BenchmarkId::new(name, pages), &pages, |b, _| {
+                b.iter(|| one.run(vm.memory(), &mut backup, &mapped, &[copier]))
+            });
+        }
 
-        // Copy + digest as two separate serial walks (the pre-fusion
-        // pipeline shape) vs one fused sharded pass over the same pages.
+        // Copy + digest as two separate passes vs one fused sharded pass
+        // over the same pages.
         let mut digest = ImageDigest::of(backup.frames(), backup.disk());
         group.bench_with_input(BenchmarkId::new("unfused_copy_digest", pages), &pages, |b, _| {
             b.iter(|| {
-                MemcpyCopier
-                    .copy_epoch(&vm, &mut backup, &mapped)
-                    .expect("no faults armed");
+                for &(_, mfn) in &mapped {
+                    backup.store_frame(mfn, vm.memory().frame(mfn));
+                }
                 for &(_, mfn) in &mapped {
                     digest.update_page(mfn.0 as usize, backup.frame(mfn));
                 }
             })
         });
         let mut pool = PauseWindowPool::new(FUSED_WORKERS, vm.memory().num_pages(), 2);
-        let visitors: [&dyn FusedPageVisitor; 2] = [&MemcpyCopier, &FusedDigest];
+        let visitors: [&dyn FusedPageVisitor; 2] = [&memcpy, &FusedDigest];
         group.bench_with_input(BenchmarkId::new("fused_copy_digest", pages), &pages, |b, _| {
             b.iter(|| {
                 pool.run(vm.memory(), &mut backup, &mapped, &visitors)

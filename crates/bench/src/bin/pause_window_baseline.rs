@@ -1,5 +1,5 @@
-//! Pause-window baseline: the serial three-walk pipeline (audit scan,
-//! page copy, digest update) against the fused sharded walk, on the
+//! Pause-window baseline: the epoch boundary at several worker counts and
+//! sinks, and its one-pass walk against a three-pass reference, on the
 //! fig7-style web workload (8192-page guest, medium intensity, 20 ms
 //! slices). Emits `BENCH_pause_window.json`; `scripts/bench_baseline.sh`
 //! is the wrapper that pins the output location.
@@ -7,31 +7,32 @@
 //! Two sections:
 //!
 //! * **pipeline** — wall-clock of the whole epoch boundary
-//!   (`run_epoch` vs `run_epoch_fused` vs `run_epoch_staged`) as
-//!   measured on this host. This includes the modelled Xen
-//!   suspend/resume hypercall phases (~2.3 ms of fixed cost per epoch
-//!   that no walk layout can shrink) and, on a single-CPU host, scoped
-//!   worker threads timeshare one core — so this section shows parity,
-//!   not speedup. The `deferred` variant times only the pause
-//!   (stage + audit); its drain (cipher + copy-out + commit) runs after
-//!   resume, outside the timed window, which is the point — and it runs
-//!   one walk worker because on a one-CPU host extra workers only add
-//!   timesharing overhead. The drain gets its own timer, so every
-//!   variant also reports `total_boundary_ms` (pause + drain). The
-//!   `encoded` variant is the deferred pipeline with the content-aware
-//!   drain on (`delta_threshold: 64`, `dedup: true`); a separate
-//!   `delta_curve` section sweeps the threshold with dedup off.
-//! * **walk** — the part this PR changes: the serial three passes over
-//!   the dirty set (scan, copy, digest) against the fused single pass.
-//!   The N-worker figure is the **critical path**: each of the N shards
-//!   is timed solo on one core and the modelled parallel walk is
-//!   `stage + max(shard)`, the same substitution methodology the repo
-//!   uses for hypercall costs (there is no hypervisor here, and this
-//!   host has one CPU — see DESIGN.md "Parallel pause window").
+//!   (`Checkpointer::run_epoch_on`) as measured on this host, per worker
+//!   count (`fused-1` is the one-worker row: the walk runs inline, no
+//!   thread). This includes the modelled Xen suspend/resume hypercall
+//!   phases (~2.3 ms of fixed cost per epoch that no walk layout can
+//!   shrink) and, on a single-CPU host, scoped worker threads timeshare
+//!   one core — so this section shows parity, not speedup. The
+//!   `deferred` variant is the same boundary with a staging sink: it
+//!   times only the pause (stage + audit); its drain (cipher + copy-out +
+//!   commit) runs after resume, outside the timed window, which is the
+//!   point — and it runs one walk worker because on a one-CPU host extra
+//!   workers only add timesharing overhead. The drain gets its own timer,
+//!   so every variant also reports `total_boundary_ms` (pause + drain).
+//!   The `encoded` variant is the deferred pipeline with the
+//!   content-aware drain on (`delta_threshold: 64`, `dedup: true`); a
+//!   separate `delta_curve` section sweeps the threshold with dedup off.
+//! * **walk** — three separate passes over the dirty set (scan, copy,
+//!   digest), built here from public pieces, against the boundary's fused
+//!   single pass. The N-worker figure is the **critical path**: each of
+//!   the N shards is timed solo on one core and the modelled parallel
+//!   walk is `stage + max(shard)`, the same substitution methodology the
+//!   repo uses for hypercall costs (there is no hypervisor here — see
+//!   DESIGN.md "Parallel pause window").
 //!
-//! The headline `speedup_fused4_vs_serial` compares the serial
-//! three-pass walk with the fused 4-worker critical-path walk; the
-//! `speedup_metric` field in the JSON says exactly that.
+//! The headline `speedup_fused4_vs_three_pass` compares the three-pass walk
+//! with the fused 4-worker critical-path walk; the `speedup_metric` field
+//! in the JSON says exactly that.
 //!
 //! Env:
 //! * `CRIMES_BENCH_EPOCHS`   measured epochs per variant (default 30)
@@ -42,7 +43,7 @@ use std::time::Instant;
 
 use crimes_checkpoint::{
     AuditVerdict, CheckpointConfig, Checkpointer, FusedAudit, FusedDigest, FusedPageVisitor,
-    ImageDigest, MemcpyCopier, PageCtx, PageFinding, PauseWindowPool, ShardSink,
+    ImageDigest, PageCopier, PageCtx, PageFinding, PauseWindowPool, ShardSink,
 };
 use crimes_vm::{DirtyBitmap, Vm};
 use crimes_vmi::{CanaryScanner, PreparedCanaries, VmiSession};
@@ -106,10 +107,10 @@ impl FusedAudit for BenchAudit {
 
 struct Variant {
     name: &'static str,
-    /// `None` = the legacy serial pipeline; `Some(n)` = fused walk, n workers.
-    fused_workers: Option<usize>,
+    /// Walk workers (`pause_workers`).
+    workers: usize,
     /// Deferred backup pipeline: the window only stages (scan + copy into
-    /// preallocated staging + digest); cipher/copy-out drain after resume.
+    /// preallocated staging); cipher/copy-out/digest drain after resume.
     deferred: bool,
     /// Delta/zero-page encoding threshold for the deferred drain
     /// (changed words per page); 0 = raw full pages.
@@ -151,7 +152,7 @@ fn fig7_vm() -> (Vm, WebServerWorkload) {
 /// Section 1: wall-clock of the full epoch boundary on this host.
 fn run_pipeline_variant(variant: &Variant, epochs: u64) -> Measurement {
     let (mut vm, mut workload) = fig7_vm();
-    let workers = variant.fused_workers.unwrap_or(1);
+    let workers = variant.workers;
     let mut cp = Checkpointer::new(
         &vm,
         CheckpointConfig {
@@ -163,8 +164,6 @@ fn run_pipeline_variant(variant: &Variant, epochs: u64) -> Measurement {
         },
     );
     let secret = vm.canary_secret();
-    let scanner = CanaryScanner::new(secret);
-    let mut session = VmiSession::init(&vm).expect("vmi init");
     let mut audit = BenchAudit {
         scanner: CanaryScanner::new(secret),
         session: VmiSession::init(&vm).expect("vmi init"),
@@ -179,36 +178,14 @@ fn run_pipeline_variant(variant: &Variant, epochs: u64) -> Measurement {
     for epoch in 0..WARMUP_EPOCHS + epochs {
         workload.run_ms(&mut vm, 20).expect("workload slice");
         let t0 = Instant::now();
-        let (report, pending) = match variant.fused_workers {
-            None => {
-                let report = cp
-                    .run_epoch(&mut vm, &mut |paused_vm, dirty| {
-                        // The serial audit walk: dirty-scoped canary scan.
-                        session
-                            .refresh_address_spaces(paused_vm.memory())
-                            .expect("refresh");
-                        let report = scanner
-                            .scan_dirty(&session, paused_vm.memory(), dirty)
-                            .expect("scan");
-                        assert!(report.is_clean(), "clean workload must not trip canaries");
-                        AuditVerdict::Pass
-                    })
-                    .expect("epoch");
-                (report, None)
-            }
-            Some(_) if variant.deferred => {
-                let staged = cp.run_epoch_staged(&mut vm, &mut audit).expect("epoch");
-                (staged.report, staged.pending)
-            }
-            Some(_) => (cp.run_epoch_fused(&mut vm, &mut audit).expect("epoch"), None),
-        };
+        let report = cp.run_epoch_on(&mut vm, &mut audit, None).expect("epoch");
         let elapsed = t0.elapsed();
         // The drain is copy-out the guest no longer waits for: it runs
         // after resume, so it is deliberately outside the timed pause
         // window — but it is still boundary work, so it gets its own
         // timer and the pair reports as `total_boundary_ms`.
         let record = epoch >= WARMUP_EPOCHS;
-        if let Some(ticket) = pending {
+        if let Some(ticket) = report.pending {
             let td = Instant::now();
             let stats = cp.drain_staged(&vm, ticket).expect("drain");
             if record {
@@ -256,7 +233,7 @@ struct FusedWalk {
 }
 
 struct WalkNumbers {
-    serial_ms: f64,
+    three_pass_ms: f64,
     scan_ms: f64,
     copy_ms: f64,
     digest_ms: f64,
@@ -265,10 +242,10 @@ struct WalkNumbers {
 }
 
 /// Section 2: just the walks. Every variant processes the *same* dirty
-/// set each epoch; the serial baseline is the three passes the fused
-/// walk replaces (dirty-scoped scan, page copy, per-page digest).
-/// Variant order per epoch is fused-measured, fused-modeled, serial —
-/// the baseline walks last, with the warmest caches.
+/// set each epoch; the baseline is three separate passes (dirty-scoped
+/// scan, page copy, per-page digest) over what the fused walk does in
+/// one. Variant order per epoch is fused-measured, fused-modeled,
+/// three-pass — the baseline walks last, with the warmest caches.
 fn run_walks(epochs: u64) -> WalkNumbers {
     let (mut vm, mut workload) = fig7_vm();
     let secret = vm.canary_secret();
@@ -284,8 +261,9 @@ fn run_walks(epochs: u64) -> WalkNumbers {
         .collect();
     // Single-worker pool reused for every solo shard timing.
     let mut solo = PauseWindowPool::new(1, num_pages, steps);
+    let copier = PageCopier::memcpy();
 
-    let mut serial_ns = 0u128;
+    let mut three_pass_ns = 0u128;
     let mut scan_ns = 0u128;
     let mut copy_ns = 0u128;
     let mut digest_ns = 0u128;
@@ -316,7 +294,7 @@ fn run_walks(epochs: u64) -> WalkNumbers {
                 .prepare_dirty(&mut session, vm.memory(), &dirty)
                 .expect("stage");
             let canaries = BenchCanaries(prepared);
-            let visitors: [&dyn FusedPageVisitor; 3] = [&MemcpyCopier, &FusedDigest, &canaries];
+            let visitors: [&dyn FusedPageVisitor; 3] = [&copier, &FusedDigest, &canaries];
             pool.run(vm.memory(), &mut backup, &mapped, &visitors)
                 .expect("walk");
             if record {
@@ -336,7 +314,7 @@ fn run_walks(epochs: u64) -> WalkNumbers {
                 .prepare_dirty(&mut session, vm.memory(), &dirty)
                 .expect("stage");
             let canaries = BenchCanaries(prepared);
-            let visitors: [&dyn FusedPageVisitor; 3] = [&MemcpyCopier, &FusedDigest, &canaries];
+            let visitors: [&dyn FusedPageVisitor; 3] = [&copier, &FusedDigest, &canaries];
             let stage_ns = t0.elapsed().as_nanos();
 
             let used = workers.min(mapped.len()).max(1);
@@ -357,7 +335,7 @@ fn run_walks(epochs: u64) -> WalkNumbers {
             }
         }
 
-        // Serial: the three passes the fused walk replaces.
+        // Three passes over the same set, one job each.
         let t0 = Instant::now();
         session
             .refresh_address_spaces(vm.memory())
@@ -367,9 +345,9 @@ fn run_walks(epochs: u64) -> WalkNumbers {
             .expect("scan");
         assert!(report.is_clean(), "clean workload must not trip canaries");
         let t1 = Instant::now();
-        MemcpyCopier
-            .copy_epoch(&vm, &mut backup, &mapped)
-            .expect("copy");
+        for &(_, mfn) in &mapped {
+            backup.store_frame(mfn, vm.memory().frame(mfn));
+        }
         let t2 = Instant::now();
         for &(_, mfn) in &mapped {
             digest.update_page(mfn.0 as usize, backup.frame(mfn));
@@ -379,12 +357,12 @@ fn run_walks(epochs: u64) -> WalkNumbers {
             scan_ns += (t1 - t0).as_nanos();
             copy_ns += (t2 - t1).as_nanos();
             digest_ns += (t3 - t2).as_nanos();
-            serial_ns += (t3 - t0).as_nanos();
+            three_pass_ns += (t3 - t0).as_nanos();
         }
     }
 
     WalkNumbers {
-        serial_ms: ms(serial_ns, epochs),
+        three_pass_ms: ms(three_pass_ns, epochs),
         scan_ms: ms(scan_ns, epochs),
         copy_ms: ms(copy_ns, epochs),
         digest_ms: ms(digest_ns, epochs),
@@ -406,26 +384,25 @@ fn main() {
     let out = std::env::var("CRIMES_BENCH_OUT")
         .unwrap_or_else(|_| "BENCH_pause_window.json".to_owned());
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let raw = |name, fused_workers, deferred| Variant {
+    let raw = |name, workers, deferred| Variant {
         name,
-        fused_workers,
+        workers,
         deferred,
         delta_threshold: 0,
         dedup: false,
     };
     let variants = [
-        raw("serial", None, false),
-        raw("fused-1", Some(1), false),
-        raw("fused-2", Some(2), false),
-        raw("fused-4", Some(4), false),
-        raw("deferred", Some(1), true),
+        raw("fused-1", 1, false),
+        raw("fused-2", 2, false),
+        raw("fused-4", 4, false),
+        raw("deferred", 1, true),
         // The content-aware drain: deferred staging plus delta/zero-page
         // encoding and content-addressed dedup. Identical backup image,
         // digests, and journal bytes to `deferred` — only the modelled
         // wire (and therefore the cipher + copy-out drain) shrinks.
         Variant {
             name: "encoded",
-            fused_workers: Some(1),
+            workers: 1,
             deferred: true,
             delta_threshold: 64,
             dedup: true,
@@ -461,7 +438,7 @@ fn main() {
         let m = run_pipeline_variant(
             &Variant {
                 name,
-                fused_workers: Some(1),
+                workers: 1,
                 deferred: true,
                 delta_threshold: threshold,
                 dedup: false,
@@ -478,8 +455,8 @@ fn main() {
     println!("walk (scan+copy+digest only, same dirty set per variant):");
     let walk = run_walks(epochs);
     println!(
-        "  serial three-pass {:.3} ms/epoch (scan {:.3} + copy {:.3} + digest {:.3}), {:.0} dirty pages/epoch",
-        walk.serial_ms, walk.scan_ms, walk.copy_ms, walk.digest_ms, walk.dirty_pages_per_epoch
+        "  three-pass {:.3} ms/epoch (scan {:.3} + copy {:.3} + digest {:.3}), {:.0} dirty pages/epoch",
+        walk.three_pass_ms, walk.scan_ms, walk.copy_ms, walk.digest_ms, walk.dirty_pages_per_epoch
     );
     for f in &walk.fused {
         println!(
@@ -493,8 +470,8 @@ fn main() {
         .iter()
         .find(|f| f.workers == 4)
         .expect("fused-4 walk");
-    let speedup = walk.serial_ms / fused4.modeled_ms;
-    println!("fused-4 walk speedup over serial three-pass (critical-path model): {speedup:.2}x");
+    let speedup = walk.three_pass_ms / fused4.modeled_ms;
+    println!("fused-4 walk speedup over the three-pass walk (critical-path model): {speedup:.2}x");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -559,12 +536,12 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"serial_three_pass_ms\": {:.4},",
-        walk.serial_ms
+        "    \"three_pass_ms\": {:.4},",
+        walk.three_pass_ms
     );
     let _ = writeln!(
         json,
-        "    \"serial_breakdown\": {{\"scan_ms\": {:.4}, \"copy_ms\": {:.4}, \"digest_ms\": {:.4}}},",
+        "    \"three_pass_breakdown\": {{\"scan_ms\": {:.4}, \"copy_ms\": {:.4}, \"digest_ms\": {:.4}}},",
         walk.scan_ms, walk.copy_ms, walk.digest_ms
     );
     let _ = writeln!(
@@ -583,10 +560,10 @@ fn main() {
     }
     json.push_str("    ]\n  },\n");
     json.push_str(
-        "  \"speedup_metric\": \"serial three-pass walk vs fused 4-worker critical-path walk \
+        "  \"speedup_metric\": \"three-pass walk vs fused 4-worker critical-path walk \
          (see walk.parallel_model)\",\n",
     );
-    let _ = writeln!(json, "  \"speedup_fused4_vs_serial\": {speedup:.3},");
+    let _ = writeln!(json, "  \"speedup_fused4_vs_three_pass\": {speedup:.3},");
     let deferred = results
         .iter()
         .find(|m| m.name == "deferred")

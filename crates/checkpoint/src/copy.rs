@@ -1,4 +1,4 @@
-//! Page-copy strategies (§4.1, Optimization 1: "memcpy, not write").
+//! The page copier (§4.1, Optimization 1: "memcpy, not write").
 //!
 //! Remus ships dirty pages to the backup through an ssh-wrapped socket:
 //! the checkpointer serialises each page, `writev`s it into the stream, the
@@ -7,24 +7,32 @@
 //! *local* backup needs none of that and replaces the whole pipeline with a
 //! `memcpy` into the (pre-mapped) backup frames.
 //!
-//! Both paths are fully implemented here over real page data:
+//! Both are values of one page visitor, [`PageCopier`], which rides the
+//! sharded pause-window walk (see `pool`):
 //!
-//! * [`SocketCopier`] — serialise → encrypt (ChaCha-flavoured xorshift
-//!   keystream, standing in for ssh's cipher) → in-process byte channel
-//!   (the "socket") → decrypt → deserialise into the backup, with a
-//!   simulated syscall per `writev` batch,
-//! * [`MemcpyCopier`] — direct frame-to-frame copy.
+//! * **wire** ([`CopyStrategy`]): `Memcpy` is a frame-to-frame copy;
+//!   `Socket` is serialise → encrypt (ChaCha-flavoured xorshift keystream,
+//!   standing in for ssh's cipher) → the worker's scratch stream (the
+//!   "socket") → decrypt → apply to the backup frame, with a simulated
+//!   syscall per `writev` batch on each side;
+//! * **encoding** (a delta threshold in changed words, `0` = raw): with a
+//!   threshold set the page is first compared word-wise against the
+//!   frame's old generation — the walk's undo snapshot runs before the
+//!   visitors, so the destination still holds exactly the bytes a remote
+//!   backup would diff against — and the statistics count the compact
+//!   record's wire cost; the socket wire also ciphers and ships only that
+//!   record.
+//!
+//! Whatever the values, the destination frame ends byte-for-byte equal to
+//! the source: encoding changes what the wire ships, never what the backup
+//! holds. Fault points live at the shard level, in the pool.
 
-use crimes_faults::FaultPoint;
-use crimes_vm::{Mfn, Vm, PAGE_SIZE};
+use crimes_vm::PAGE_SIZE;
 
-use crate::backup::BackupVm;
-use crate::delta::{scan_page, wire_len_for};
-use crate::error::CheckpointError;
-use crate::mapping::{HypercallModel, MappedPage};
+use crate::delta::{page_kernel, scan_page, wire_len_for};
 use crate::pool::{FusedPageVisitor, PageCtx, ShardSink};
 
-/// Which copy pipeline to use.
+/// Which wire dirty pages travel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CopyStrategy {
     /// Remus-style socket + cipher pipeline.
@@ -34,13 +42,13 @@ pub enum CopyStrategy {
     Memcpy,
 }
 
-/// Per-page header on the socket stream: `pfn`, `mfn`, length.
-const HEADER_LEN: usize = 8 + 8 + 4;
-
 /// Pages per `writev` batch (Remus groups writes; each batch costs one
 /// simulated syscall on each side). The deferred drain path batches its
 /// out-of-window stream the same way.
 pub(crate) const WRITEV_BATCH: usize = 64;
+
+/// Per-run wire header inside a delta record: `start_word` + word count.
+const RUN_HEADER: usize = 8;
 
 /// Statistics from one copy phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,364 +61,140 @@ pub struct CopyStats {
     pub syscalls: u64,
 }
 
-/// The Remus socket/ssh pipeline.
-#[derive(Debug, Clone)]
-pub struct SocketCopier {
-    key: u64,
-    stream: Vec<u8>,
-    syscall_model: HypercallModel,
-}
-
-impl SocketCopier {
-    /// Create the pipeline with a cipher `key` (any value; both ends share
-    /// it like an ssh session key).
-    pub fn new(key: u64) -> Self {
-        SocketCopier {
-            key,
-            stream: Vec::new(),
-            syscall_model: HypercallModel::default(),
-        }
-    }
-
-    /// Push this epoch's dirty pages through the full pipeline into
-    /// `backup`.
-    ///
-    /// # Errors
-    ///
-    /// Under fault injection this can fail before touching the backup
-    /// ([`CheckpointError::CopyFault`], the socket breaking mid-`writev`)
-    /// or after a partial restore-side write
-    /// ([`CheckpointError::BackupWriteFault`]). Both are transient: the
-    /// guest stays paused, so a retry re-copies the same dirty set and
-    /// overwrites any partial state.
-    // lint: pause-window
-    pub fn copy_epoch(
-        &mut self,
-        vm: &Vm,
-        backup: &mut BackupVm,
-        mapped: &[MappedPage],
-    ) -> Result<CopyStats, CheckpointError> {
-        if crimes_faults::should_inject(FaultPoint::PageCopy) {
-            return Err(CheckpointError::CopyFault { strategy: "socket" });
-        }
-        // A backup-write fault kills the restore side after some pages
-        // landed — pick how many from the fault plan's seeded stream.
-        let fail_after = crimes_faults::should_inject(FaultPoint::BackupWrite)
-            .then(|| crimes_faults::draw_below(mapped.len() as u64) as usize);
-        let mut stats = CopyStats::default();
-        // --- sender side: serialise + encrypt into the socket stream ----
-        self.stream.clear();
-        self.stream.reserve(mapped.len() * (HEADER_LEN + PAGE_SIZE));
-        for batch in mapped.chunks(WRITEV_BATCH) {
-            for &(pfn, mfn) in batch {
-                let page = vm.memory().frame(mfn);
-                self.stream.extend_from_slice(&pfn.0.to_le_bytes());
-                self.stream.extend_from_slice(&mfn.0.to_le_bytes());
-                self.stream
-                    .extend_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-                let start = self.stream.len();
-                self.stream.extend_from_slice(page);
-                // `start` was the stream length a moment ago, so the split
-                // point is always in range.
-                let (_, fresh) = self.stream.split_at_mut(start);
-                encrypt_in_place(fresh, self.key, pfn.0);
-            }
-            // One writev per batch.
-            self.syscall_model.call();
-            stats.syscalls += 1;
-        }
-
-        // --- receiver side ("Restore" process): read + decrypt + store --
-        //
-        // The cursor is fully bounds-checked: a truncated or misframed
-        // stream surfaces as a transient `CopyFault` (the guest is still
-        // paused, so a retry rebuilds the stream) instead of a panic.
-        let framing = || CheckpointError::CopyFault { strategy: "socket" };
-        let mut off = 0usize;
-        while off < self.stream.len() {
-            let (pfn, mfn, len) = read_header(&self.stream, off).ok_or_else(framing)?;
-            off += HEADER_LEN;
-            if fail_after == Some(stats.pages) {
-                return Err(CheckpointError::BackupWriteFault {
-                    pages_written: stats.pages,
-                });
-            }
-            let payload = self.stream.get(off..off + len).ok_or_else(framing)?;
-            let dst = backup.frame_mut(Mfn(mfn));
-            if dst.len() != len {
-                return Err(framing());
-            }
-            dst.copy_from_slice(payload);
-            decrypt_in_place(dst, self.key, pfn);
-            off += len;
-            stats.pages += 1;
-            stats.bytes += len;
-        }
-        // One read syscall per batch on the restore side.
-        for _ in 0..mapped.len().div_ceil(WRITEV_BATCH) {
-            self.syscall_model.call();
-            stats.syscalls += 1;
-        }
-        Ok(stats)
-    }
-}
-
-/// One decoded `(pfn, mfn, len)` page header at `off` in the socket
-/// stream, or `None` when the stream is truncated or misframed.
-fn read_header(stream: &[u8], off: usize) -> Option<(u64, u64, usize)> {
-    let rec = stream.get(off..off + HEADER_LEN)?;
-    let (pfn, rest) = rec.split_first_chunk::<8>()?;
-    let (mfn, rest) = rest.split_first_chunk::<8>()?;
-    let (len, _) = rest.split_first_chunk::<4>()?;
-    Some((
-        u64::from_le_bytes(*pfn),
-        u64::from_le_bytes(*mfn),
-        u32::from_le_bytes(*len) as usize,
-    ))
-}
-
-/// The CRIMES direct-copy path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemcpyCopier;
-
-impl MemcpyCopier {
-    /// Copy this epoch's dirty pages frame-to-frame.
-    ///
-    /// # Errors
-    ///
-    /// Under fault injection this fails either up front
-    /// ([`CheckpointError::CopyFault`]) or after a partial write
-    /// ([`CheckpointError::BackupWriteFault`]); see
-    /// [`SocketCopier::copy_epoch`] for the retry contract.
-    // lint: pause-window
-    pub fn copy_epoch(
-        &self,
-        vm: &Vm,
-        backup: &mut BackupVm,
-        mapped: &[MappedPage],
-    ) -> Result<CopyStats, CheckpointError> {
-        if crimes_faults::should_inject(FaultPoint::PageCopy) {
-            return Err(CheckpointError::CopyFault { strategy: "memcpy" });
-        }
-        let fail_after = crimes_faults::should_inject(FaultPoint::BackupWrite)
-            .then(|| crimes_faults::draw_below(mapped.len() as u64) as usize);
-        let mut stats = CopyStats::default();
-        for &(_pfn, mfn) in mapped {
-            if fail_after == Some(stats.pages) {
-                return Err(CheckpointError::BackupWriteFault {
-                    pages_written: stats.pages,
-                });
-            }
-            backup.store_frame(mfn, vm.memory().frame(mfn));
-            stats.pages += 1;
-            stats.bytes += PAGE_SIZE;
-        }
-        Ok(stats)
-    }
-}
-
-impl FusedPageVisitor for MemcpyCopier {
-    /// The fused memcpy pass: one frame-to-frame copy into the worker's
-    /// shard of the backup image. Fault points live at the shard level
-    /// (in the pool), exactly as [`MemcpyCopier::copy_epoch`] holds them
-    /// at the epoch level.
-    fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
-        sink.dst().copy_from_slice(ctx.src);
-        sink.count_page(PAGE_SIZE);
-    }
-}
-
-/// The Remus socket/ssh pipeline, fused: serialise + encrypt each page
-/// into the worker's scratch stream, then decrypt into the backup frame —
-/// byte-for-byte the same backup image and per-page cipher work as
-/// [`SocketCopier::copy_epoch`], with `writev`/read syscalls modelled per
-/// [`WRITEV_BATCH`]-page batch on each worker's own cost model.
+/// The copy pass of the pause-window walk: one visitor, parameterised by
+/// wire and encoding (see the module header). `Copy` and immutable, so
+/// every worker shares it by reference; all output goes through the
+/// worker's [`ShardSink`], and the only scratch it uses is the sink's
+/// preallocated stream, so the window stays heap-free.
 #[derive(Debug, Clone, Copy)]
-pub struct FusedSocketCopier {
-    key: u64,
-}
-
-impl FusedSocketCopier {
-    /// Create the fused pipeline sharing `key` with the restore side.
-    pub fn new(key: u64) -> Self {
-        FusedSocketCopier { key }
-    }
-}
-
-impl FusedPageVisitor for FusedSocketCopier {
-    fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
-        let (stream, dst) = sink.stream_and_dst();
-        // Sender side: header (plaintext) + encrypted page into scratch.
-        stream.clear();
-        stream.extend_from_slice(&ctx.pfn.0.to_le_bytes());
-        stream.extend_from_slice(&ctx.mfn.0.to_le_bytes());
-        stream.extend_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-        let start = stream.len();
-        stream.extend_from_slice(ctx.src);
-        // `start` was the stream length a moment ago, so the split point
-        // is always in range.
-        let (_, fresh) = stream.split_at_mut(start);
-        encrypt_in_place(fresh, self.key, ctx.pfn.0);
-        // Receiver side: copy the ciphertext into the backup frame and
-        // decrypt in place.
-        if dst.len() == fresh.len() {
-            dst.copy_from_slice(fresh);
-        }
-        decrypt_in_place(dst, self.key, ctx.pfn.0);
-        sink.count_page(PAGE_SIZE);
-        sink.batch_page(WRITEV_BATCH);
-    }
-
-    fn finish_shard(&self, sink: &mut ShardSink<'_>) {
-        sink.finish_batches(WRITEV_BATCH);
-    }
-}
-
-/// The fused memcpy pass with delta accounting: the backup frame still
-/// becomes a byte-for-byte copy of the source (dedup and delta never
-/// change what the backup holds, only what the wire ships), but the
-/// page is first scanned word-wise against the backup's **old**
-/// generation — the undo snapshot runs before the visitors, so `dst`
-/// holds exactly the bytes a remote backup would diff against — and the
-/// stats count the encoded record's wire cost instead of a raw page.
-/// The scan allocates nothing, keeping the pause window pure.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaMemcpyCopier {
-    threshold_words: usize,
-}
-
-impl DeltaMemcpyCopier {
-    /// Create the delta-accounting memcpy pass. Pages whose churn
-    /// exceeds `threshold_words` changed words price as full pages;
-    /// `0` disables encoding (every page prices raw-equivalent).
-    pub fn new(threshold_words: usize) -> Self {
-        DeltaMemcpyCopier { threshold_words }
-    }
-}
-
-impl FusedPageVisitor for DeltaMemcpyCopier {
-    fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
-        let wire = {
-            let dst = sink.dst();
-            let scan = scan_page(dst, ctx.src);
-            dst.copy_from_slice(ctx.src);
-            wire_len_for(&scan, self.threshold_words)
-        };
-        sink.count_page(wire);
-    }
-}
-
-/// The Remus socket pipeline, fused and delta-encoded: each dirty page
-/// is scanned against the backup frame's old generation, the compact
-/// record (zero marker / changed-word runs / full-page fallback) is
-/// serialised and encrypted into the worker's scratch stream, and the
-/// receiver side decrypts the record and **applies it to the old
-/// frame** — so the cipher and the wire pay for the changed words, not
-/// the page, while the backup still ends bit-identical to the source.
-/// No allocation beyond the scratch capacity the raw copier already
-/// uses, so the pause window stays pure.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaSocketCopier {
+pub struct PageCopier {
+    wire: CopyStrategy,
     key: u64,
     threshold_words: usize,
 }
 
-impl DeltaSocketCopier {
-    /// Create the encoded pipeline sharing `key` with the restore side;
-    /// churn past `threshold_words` falls back to a full-page record.
-    pub fn new(key: u64, threshold_words: usize) -> Self {
-        DeltaSocketCopier {
+impl PageCopier {
+    /// A copier for `wire`. `key` is the socket wire's cipher key (both
+    /// ends share it like an ssh session key; the memcpy wire ignores
+    /// it). Pages whose churn exceeds `threshold_words` changed words
+    /// travel (and price) as full pages; `0` disables encoding.
+    pub fn new(wire: CopyStrategy, key: u64, threshold_words: usize) -> Self {
+        PageCopier {
+            wire,
             key,
             threshold_words,
         }
     }
-}
 
-/// Per-run wire header inside a delta record: `start_word` + word count.
-const RUN_HEADER: usize = 8;
+    /// The bare frame-to-frame copy: what a local backup costs per page,
+    /// and all the deferred pipeline's staging snapshot does inside the
+    /// window.
+    pub fn memcpy() -> Self {
+        PageCopier::new(CopyStrategy::Memcpy, 0, 0)
+    }
 
-impl FusedPageVisitor for DeltaSocketCopier {
-    fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
+    /// The socket wire for one page: header (plaintext) plus the
+    /// encrypted record into the worker's scratch stream, then the
+    /// receiver side decrypts the record and applies it to the frame's
+    /// old generation — so with a threshold set the cipher and the wire
+    /// pay for the changed words, not the page.
+    fn socket(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
         let (stream, dst) = sink.stream_and_dst();
-        let scan = scan_page(dst, ctx.src);
-        let wire = wire_len_for(&scan, self.threshold_words);
-        let threshold = self.threshold_words;
-        let full = threshold == 0 || (!scan.zero && scan.changed_words as usize > threshold);
-        // Sender side: header (plaintext) + encrypted encoded payload.
+        let kernel = if self.threshold_words > 0 {
+            page_kernel(dst, ctx.src, [])
+        } else {
+            None
+        };
+        let wire = kernel.map_or(PAGE_SIZE, |k| wire_len_for(&k.scan, self.threshold_words));
+        // `None` ships the whole page: the raw wire, or churn past the
+        // threshold.
+        let delta =
+            kernel.filter(|k| k.scan.zero || k.scan.changed_words as usize <= self.threshold_words);
+        let payload = match &delta {
+            None => PAGE_SIZE,
+            Some(k) if k.scan.zero => 0,
+            Some(k) => k.scan.runs as usize * RUN_HEADER + k.scan.changed_words as usize * 8,
+        };
+        // Sender side.
         stream.clear();
         stream.extend_from_slice(&ctx.pfn.0.to_le_bytes());
         stream.extend_from_slice(&ctx.mfn.0.to_le_bytes());
-        let start = stream.len() + 4;
-        if full {
-            stream.extend_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-            stream.extend_from_slice(ctx.src);
-        } else if scan.zero {
-            stream.extend_from_slice(&0u32.to_le_bytes());
-        } else {
-            let payload = scan.runs as usize * RUN_HEADER + scan.changed_words as usize * 8;
-            stream.extend_from_slice(&(payload as u32).to_le_bytes());
-            // Stream each run as [start_word u32][words u32][words...],
-            // discovering runs in the same single pass the scan made.
-            let mut run_at = stream.len();
-            let mut in_run = false;
-            for (word, (o, n)) in dst.chunks_exact(8).zip(ctx.src.chunks_exact(8)).enumerate() {
-                if o == n {
-                    in_run = false;
-                    continue;
-                }
-                if !in_run {
-                    in_run = true;
-                    run_at = stream.len();
-                    stream.extend_from_slice(&(word as u32).to_le_bytes());
-                    stream.extend_from_slice(&0u32.to_le_bytes());
-                }
-                stream.extend_from_slice(n);
-                let words = ((stream.len() - run_at - RUN_HEADER) / 8) as u32;
-                if let Some(count) = stream.get_mut(run_at + 4..run_at + 8) {
-                    count.copy_from_slice(&words.to_le_bytes());
-                }
-            }
+        stream.extend_from_slice(&(payload as u32).to_le_bytes());
+        let start = stream.len();
+        match &delta {
+            None => stream.extend_from_slice(ctx.src),
+            Some(k) if k.scan.zero => {}
+            // Each run as [start_word u32][words u32][words...].
+            Some(k) => k.for_each_run(|word, words| {
+                stream.extend_from_slice(&(word as u32).to_le_bytes());
+                stream.extend_from_slice(&(words as u32).to_le_bytes());
+                stream.extend_from_slice(ctx.src.get(word * 8..(word + words) * 8).unwrap_or(&[]));
+            }),
         }
-        // `start` was just past the stream length a moment ago, so the
-        // split point is always in range.
+        // `start` was the stream length a moment ago, so the split point
+        // is always in range.
         let (_, fresh) = stream.split_at_mut(start);
         encrypt_in_place(fresh, self.key, ctx.pfn.0);
-        // Receiver side: decrypt the record in scratch, then apply it to
-        // the frame's old generation.
+        // Receiver side.
         decrypt_in_place(fresh, self.key, ctx.pfn.0);
-        if full {
-            if dst.len() == fresh.len() {
-                dst.copy_from_slice(fresh);
-            }
-        } else if scan.zero {
-            dst.fill(0);
-        } else {
-            let mut off = 0usize;
-            while let Some(head) = fresh.get(off..off + RUN_HEADER) {
-                let Some((start_b, rest)) = head.split_first_chunk::<4>() else {
-                    break;
-                };
-                let Some((words_b, _)) = rest.split_first_chunk::<4>() else {
-                    break;
-                };
-                let word_start = u32::from_le_bytes(*start_b) as usize;
-                let words = u32::from_le_bytes(*words_b) as usize;
-                off += RUN_HEADER;
-                let Some(body) = fresh.get(off..off + words * 8) else {
-                    break;
-                };
-                if let Some(window) = dst.get_mut(word_start * 8..word_start * 8 + words * 8) {
-                    window.copy_from_slice(body);
+        match &delta {
+            None => {
+                if dst.len() == fresh.len() {
+                    dst.copy_from_slice(fresh);
                 }
-                off += words * 8;
             }
+            Some(k) if k.scan.zero => dst.fill(0),
+            Some(_) => apply_runs(dst, fresh),
         }
         sink.count_page(wire);
         sink.batch_page(WRITEV_BATCH);
     }
+}
+
+/// Replay a decrypted run list onto the frame's old generation. A
+/// truncated or out-of-range run is skipped rather than panicking; the
+/// digest fold downstream would flag the divergence.
+fn apply_runs(dst: &mut [u8], record: &[u8]) {
+    let mut rest = record;
+    while let Some((word, tail)) = rest.split_first_chunk::<4>() {
+        let Some((words, tail)) = tail.split_first_chunk::<4>() else {
+            break;
+        };
+        let at = u32::from_le_bytes(*word) as usize * 8;
+        let len = u32::from_le_bytes(*words) as usize * 8;
+        let Some((body, tail)) = tail.split_at_checked(len) else {
+            break;
+        };
+        if let Some(window) = dst.get_mut(at..at + len) {
+            window.copy_from_slice(body);
+        }
+        rest = tail;
+    }
+}
+
+impl FusedPageVisitor for PageCopier {
+    // lint: pause-window
+    fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
+        match (self.wire, self.threshold_words) {
+            // The per-page cost of a local backup: no scan, no cipher.
+            (CopyStrategy::Memcpy, 0) => {
+                sink.dst().copy_from_slice(ctx.src);
+                sink.count_page(PAGE_SIZE);
+            }
+            (CopyStrategy::Memcpy, threshold) => {
+                let dst = sink.dst();
+                let scan = scan_page(dst, ctx.src);
+                dst.copy_from_slice(ctx.src);
+                sink.count_page(wire_len_for(&scan, threshold));
+            }
+            (CopyStrategy::Socket, _) => self.socket(ctx, sink),
+        }
+    }
 
     fn finish_shard(&self, sink: &mut ShardSink<'_>) {
-        sink.finish_batches(WRITEV_BATCH);
+        if self.wire == CopyStrategy::Socket {
+            sink.finish_batches(WRITEV_BATCH);
+        }
     }
 }
 
@@ -452,26 +236,45 @@ pub(crate) fn decrypt_in_place(data: &mut [u8], key: u64, nonce: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crimes_vm::{Pfn, Vm};
+    use crate::backup::BackupVm;
+    use crate::mapping::MappedPage;
+    use crate::pool::PauseWindowPool;
+    use crimes_vm::{Gpa, Pfn, Vm};
 
-    fn vm_with_writes() -> (Vm, Vec<Pfn>) {
+    /// A guest with an old generation in `BackupVm` and 16 pages dirtied
+    /// one byte each since — the fig7-style churn deltas exist to exploit.
+    fn vm_with_writes() -> (Vm, BackupVm, Vec<MappedPage>) {
         let mut b = Vm::builder();
         b.pages(2048).seed(21);
         let mut vm = b.build();
         let pid = vm.spawn_process("app", 0, 32).unwrap();
+        let old_gen = BackupVm::new(&vm);
         vm.memory_mut().take_dirty();
         for i in 0..16 {
             vm.dirty_arena_page(pid, i, i * 7, i as u8).unwrap();
         }
-        let dirty: Vec<Pfn> = vm.memory().dirty().iter().collect();
-        (vm, dirty)
+        let mapped = mapped_of(&vm);
+        (vm, old_gen, mapped)
     }
 
-    fn mapped_of(vm: &Vm, dirty: &[Pfn]) -> Vec<MappedPage> {
-        dirty
+    fn mapped_of(vm: &Vm) -> Vec<MappedPage> {
+        vm.memory()
+            .dirty()
             .iter()
-            .map(|&p| (p, vm.memory().pfn_to_mfn(p)))
+            .map(|p| (p, vm.memory().pfn_to_mfn(p)))
             .collect()
+    }
+
+    fn walk(
+        copier: PageCopier,
+        workers: usize,
+        vm: &Vm,
+        backup: &mut BackupVm,
+        mapped: &[MappedPage],
+    ) -> CopyStats {
+        PauseWindowPool::new(workers, vm.memory().num_pages(), 2)
+            .run(vm.memory(), backup, mapped, &[&copier])
+            .expect("no faults armed")
     }
 
     #[test]
@@ -493,208 +296,119 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// Every (wire, encoding) pair must leave the backup equal to the
+    /// guest; encoding only changes what the wire is charged.
     #[test]
-    fn memcpy_copier_syncs_backup() {
-        let (vm, dirty) = vm_with_writes();
-        let mut backup = BackupVm::new(&vm);
-        // Scribble over the backup's copies so the sync is observable.
-        for &p in &dirty {
-            let mfn = vm.memory().pfn_to_mfn(p);
-            backup.frame_mut(mfn)[0] ^= 0xff;
+    fn every_wire_and_encoding_syncs_the_backup_and_prices_its_record() {
+        let (vm, old_gen, mapped) = vm_with_writes();
+        let guest = vm.memory().dump_frames();
+        let run = |wire, threshold| {
+            let mut backup = old_gen.clone();
+            let stats = walk(
+                PageCopier::new(wire, 9, threshold),
+                2,
+                &vm,
+                &mut backup,
+                &mapped,
+            );
+            assert_eq!(backup.frames(), guest.as_slice(), "{wire:?}/{threshold}");
+            assert_eq!(stats.pages, mapped.len());
+            stats
+        };
+        let raw_memcpy = run(CopyStrategy::Memcpy, 0);
+        let raw_socket = run(CopyStrategy::Socket, 0);
+        let enc_memcpy = run(CopyStrategy::Memcpy, 64);
+        let enc_socket = run(CopyStrategy::Socket, 64);
+        assert_eq!(raw_memcpy.bytes, mapped.len() * PAGE_SIZE);
+        assert_eq!(raw_socket.bytes, raw_memcpy.bytes);
+        assert_eq!(raw_memcpy.syscalls, 0, "a local copy makes no syscall");
+        assert_eq!(enc_memcpy.syscalls, 0);
+        assert!(raw_socket.syscalls >= 2, "writev + restore read modelled");
+        assert_eq!(enc_socket.syscalls, raw_socket.syscalls);
+        assert!(
+            enc_socket.bytes < raw_socket.bytes,
+            "one-byte churn must delta: {} vs {}",
+            enc_socket.bytes,
+            raw_socket.bytes
+        );
+        assert_eq!(
+            enc_memcpy.bytes, enc_socket.bytes,
+            "both price the same records"
+        );
+    }
+
+    /// The socket wire's delta records against the scan's own facts, on
+    /// every record shape: a zeroed page, an unchanged page, a run that
+    /// crosses a 64-word mask element, scattered single words, and churn
+    /// past the threshold (full-page fallback).
+    #[test]
+    fn socket_delta_records_rebuild_every_page_shape() {
+        let mut b = Vm::builder();
+        b.pages(2048).seed(5);
+        let mut vm = b.build();
+        let pid = vm.spawn_process("app", 0, 8).unwrap();
+        for i in 0..5 {
+            vm.dirty_arena_page(pid, i, 0, 0xa5).unwrap();
         }
-        let stats = MemcpyCopier
-            .copy_epoch(&vm, &mut backup, &mapped_of(&vm, &dirty))
-            .expect("no faults armed");
-        assert_eq!(stats.pages, dirty.len());
+        let old_gen = BackupVm::new(&vm);
+        let pages: Vec<Pfn> = vm.memory_mut().take_dirty().iter().collect();
+        let [zeroed, same, crossing, scattered, churned] = pages[..5] else {
+            panic!("five arena pages were dirtied");
+        };
+        let base = |pfn: Pfn| pfn.0 * PAGE_SIZE as u64;
+        vm.memory_mut().write(Gpa(base(zeroed)), &[0u8; PAGE_SIZE]);
+        vm.memory_mut().mark_dirty(same);
+        vm.memory_mut()
+            .write(Gpa(base(crossing) + 60 * 8), &[0x11u8; 7 * 8]);
+        for word in [3u64, 100, 101, 300, 511] {
+            vm.memory_mut()
+                .write(Gpa(base(scattered) + word * 8 + 1), &[0x22]);
+        }
+        for word in (0..512u64).step_by(2) {
+            vm.memory_mut()
+                .write(Gpa(base(churned) + word * 8), &[0x33]);
+        }
+        let mapped = mapped_of(&vm);
+        assert_eq!(mapped.len(), 5);
+        let want: usize = mapped
+            .iter()
+            .map(|&(_, mfn)| {
+                wire_len_for(&scan_page(old_gen.frame(mfn), vm.memory().frame(mfn)), 64)
+            })
+            .sum();
+
+        let mut backup = old_gen.clone();
+        let stats = walk(
+            PageCopier::new(CopyStrategy::Socket, 7, 64),
+            1,
+            &vm,
+            &mut backup,
+            &mapped,
+        );
         assert_eq!(backup.frames(), vm.memory().dump_frames().as_slice());
+        assert_eq!(stats.bytes, want);
+        assert!(stats.bytes > PAGE_SIZE, "the churned page ships whole");
+        assert!(
+            stats.bytes < 2 * PAGE_SIZE,
+            "the other four ship as small records"
+        );
     }
 
     #[test]
-    fn socket_copier_syncs_backup() {
-        let (vm, dirty) = vm_with_writes();
-        let mut backup = BackupVm::new(&vm);
-        for &p in &dirty {
-            let mfn = vm.memory().pfn_to_mfn(p);
-            backup.frame_mut(mfn)[100] ^= 0x55;
-        }
-        let mut copier = SocketCopier::new(0xdead_beef);
-        let stats = copier
-            .copy_epoch(&vm, &mut backup, &mapped_of(&vm, &dirty))
-            .expect("no faults armed");
-        assert_eq!(stats.pages, dirty.len());
-        assert_eq!(stats.bytes, dirty.len() * PAGE_SIZE);
-        assert!(stats.syscalls >= 2, "writev + restore read");
-        assert_eq!(backup.frames(), vm.memory().dump_frames().as_slice());
-    }
-
-    #[test]
-    fn strategies_produce_identical_backups() {
-        let (vm, dirty) = vm_with_writes();
-        let mapped = mapped_of(&vm, &dirty);
-        let mut b1 = BackupVm::new(&vm);
-        let mut b2 = BackupVm::new(&vm);
-        for &(_p, mfn) in &mapped {
-            b1.frame_mut(mfn).fill(0);
-            b2.frame_mut(mfn).fill(0);
-        }
-        MemcpyCopier
-            .copy_epoch(&vm, &mut b1, &mapped)
-            .expect("no faults armed");
-        SocketCopier::new(1)
-            .copy_epoch(&vm, &mut b2, &mapped)
-            .expect("no faults armed");
-        assert_eq!(b1.frames(), b2.frames());
-    }
-
-    #[test]
-    fn empty_epoch_copies_nothing() {
-        let (vm, _dirty) = vm_with_writes();
-        let mut backup = BackupVm::new(&vm);
-        let stats = MemcpyCopier
-            .copy_epoch(&vm, &mut backup, &[])
-            .expect("no faults armed");
-        assert_eq!(stats, CopyStats::default());
-        let mut sc = SocketCopier::new(1);
-        let stats = sc.copy_epoch(&vm, &mut backup, &[]).expect("no faults armed");
-        assert_eq!(stats.pages, 0);
-        assert_eq!(stats.syscalls, 0);
-    }
-
-    #[test]
-    fn batching_counts_syscalls_by_chunks() {
-        let (vm, _) = vm_with_writes();
-        let mut backup = BackupVm::new(&vm);
+    fn socket_wire_counts_syscalls_per_writev_batch() {
+        let (vm, old_gen, _) = vm_with_writes();
         let mapped: Vec<MappedPage> = (0..WRITEV_BATCH as u64 + 1)
             .map(|i| (Pfn(i), vm.memory().pfn_to_mfn(Pfn(i))))
             .collect();
-        let mut sc = SocketCopier::new(1);
-        let stats = sc
-            .copy_epoch(&vm, &mut backup, &mapped)
-            .expect("no faults armed");
+        let mut backup = old_gen.clone();
+        let stats = walk(
+            PageCopier::new(CopyStrategy::Socket, 1, 0),
+            1,
+            &vm,
+            &mut backup,
+            &mapped,
+        );
         // 2 writev batches + 2 restore reads.
         assert_eq!(stats.syscalls, 4);
-    }
-
-    #[test]
-    fn fused_visitors_match_serial_strategies() {
-        use crate::pool::PauseWindowPool;
-        let (vm, dirty) = vm_with_writes();
-        let mapped = mapped_of(&vm, &dirty);
-        let mut serial = BackupVm::new(&vm);
-        let mut fused = BackupVm::new(&vm);
-        for &(_p, mfn) in &mapped {
-            serial.frame_mut(mfn).fill(0);
-            fused.frame_mut(mfn).fill(0);
-        }
-        SocketCopier::new(9)
-            .copy_epoch(&vm, &mut serial, &mapped)
-            .expect("no faults armed");
-        let mut pool = PauseWindowPool::new(4, vm.memory().num_pages(), 2);
-        let fused_socket = FusedSocketCopier::new(9);
-        let visitors: [&dyn FusedPageVisitor; 1] = [&fused_socket];
-        let stats = pool
-            .run(vm.memory(), &mut fused, &mapped, &visitors)
-            .expect("no faults armed");
-        assert_eq!(serial.frames(), fused.frames(), "socket paths agree");
-        assert_eq!(stats.pages, mapped.len());
-        assert!(stats.syscalls >= 2, "writev + restore read modelled");
-
-        let mut fused_mc = BackupVm::new(&vm);
-        for &(_p, mfn) in &mapped {
-            fused_mc.frame_mut(mfn).fill(0);
-        }
-        let visitors: [&dyn FusedPageVisitor; 1] = [&MemcpyCopier];
-        pool.run(vm.memory(), &mut fused_mc, &mapped, &visitors)
-            .expect("no faults armed");
-        assert_eq!(serial.frames(), fused_mc.frames(), "memcpy path agrees");
-    }
-
-    /// The delta visitors must leave the backup bit-identical to the raw
-    /// visitors while pricing the wire by changed words, not pages.
-    #[test]
-    fn delta_visitors_match_raw_backups_and_shrink_the_wire() {
-        use crate::pool::PauseWindowPool;
-        // Build the old generation first, then dirty one byte per page —
-        // the fig7-style churn deltas exist to exploit.
-        let mut b = Vm::builder();
-        b.pages(2048).seed(21);
-        let mut vm = b.build();
-        let pid = vm.spawn_process("app", 0, 32).unwrap();
-        let old_gen = BackupVm::new(&vm);
-        vm.memory_mut().take_dirty();
-        for i in 0..16 {
-            vm.dirty_arena_page(pid, i, i * 7, i as u8).unwrap();
-        }
-        let dirty: Vec<Pfn> = vm.memory().dirty().iter().collect();
-        let mapped = mapped_of(&vm, &dirty);
-        let mut pool = PauseWindowPool::new(2, vm.memory().num_pages(), 2);
-
-        let mut raw = old_gen.clone();
-        let raw_socket = FusedSocketCopier::new(9);
-        let visitors: [&dyn FusedPageVisitor; 1] = [&raw_socket];
-        let raw_stats = pool
-            .run(vm.memory(), &mut raw, &mapped, &visitors)
-            .expect("no faults armed");
-
-        let mut enc = old_gen.clone();
-        let delta_socket = DeltaSocketCopier::new(9, 64);
-        let visitors: [&dyn FusedPageVisitor; 1] = [&delta_socket];
-        let enc_stats = pool
-            .run(vm.memory(), &mut enc, &mapped, &visitors)
-            .expect("no faults armed");
-        assert_eq!(raw.frames(), enc.frames(), "socket paths agree on the backup");
-        assert_eq!(enc_stats.pages, raw_stats.pages);
-        assert!(
-            enc_stats.bytes < raw_stats.bytes,
-            "one-byte churn must delta: {} vs {}",
-            enc_stats.bytes,
-            raw_stats.bytes
-        );
-
-        let mut enc_mc = old_gen.clone();
-        let delta_memcpy = DeltaMemcpyCopier::new(64);
-        let visitors: [&dyn FusedPageVisitor; 1] = [&delta_memcpy];
-        let mc_stats = pool
-            .run(vm.memory(), &mut enc_mc, &mapped, &visitors)
-            .expect("no faults armed");
-        assert_eq!(raw.frames(), enc_mc.frames(), "memcpy path agrees");
-        assert_eq!(mc_stats.bytes, enc_stats.bytes, "both price the same records");
-
-        // Threshold 0 turns encoding off: full-page pricing, raw-equal.
-        let mut off = old_gen.clone();
-        let disabled = DeltaMemcpyCopier::new(0);
-        let visitors: [&dyn FusedPageVisitor; 1] = [&disabled];
-        let off_stats = pool
-            .run(vm.memory(), &mut off, &mapped, &visitors)
-            .expect("no faults armed");
-        assert_eq!(off_stats.bytes, mapped.len() * (PAGE_SIZE + 8));
-        assert_eq!(raw.frames(), off.frames());
-    }
-
-    #[test]
-    fn injected_faults_surface_as_errors() {
-        let (vm, dirty) = vm_with_writes();
-        let mapped = mapped_of(&vm, &dirty);
-        let mut backup = BackupVm::new(&vm);
-
-        let plan = crimes_faults::FaultPlan::disabled()
-            .with_rate(crimes_faults::FaultPoint::PageCopy, crimes_faults::SCALE);
-        let _scope = crimes_faults::install(plan, 7);
-        assert_eq!(
-            MemcpyCopier.copy_epoch(&vm, &mut backup, &mapped),
-            Err(CheckpointError::CopyFault { strategy: "memcpy" })
-        );
-        drop(_scope);
-
-        let plan = crimes_faults::FaultPlan::disabled()
-            .with_rate(crimes_faults::FaultPoint::BackupWrite, crimes_faults::SCALE);
-        let _scope = crimes_faults::install(plan, 7);
-        let err = SocketCopier::new(1)
-            .copy_epoch(&vm, &mut backup, &mapped)
-            .expect_err("backup-write fault armed at full rate");
-        assert!(matches!(
-            err,
-            CheckpointError::BackupWriteFault { pages_written } if pages_written < mapped.len()
-        ));
     }
 }

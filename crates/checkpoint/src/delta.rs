@@ -17,11 +17,12 @@
 //! words / runs, by OR-accumulate and popcount), a 512-bit changed-word
 //! mask, and — on the words it already holds — however many digests of
 //! the new page the caller seeded lanes for. Everything else is a thin
-//! caller of it. The fused pause window may only *count* (no allocation
-//! inside the window): [`scan_page`] is the kernel with no digests, and
-//! [`wire_len_for`] prices the encoded record from its facts. The
+//! caller of it. The fused pause window may not allocate: [`scan_page`]
+//! is the kernel with no digests, [`wire_len_for`] prices the encoded
+//! record from its facts, and the window's socket wire streams its delta
+//! records straight from the mask's run walk (`for_each_run`). The
 //! out-of-window drain asks for both of its digests in the same pass and
-//! then its `encode` materialises the runs from the mask, touching only
+//! then its `encode` materialises the same runs, touching only
 //! the changed words; [`encode_page`] is those two steps for callers
 //! without a kernel result in hand. [`apply_page`] replays a record
 //! against a frame holding the old generation. `apply_page ∘ encode_page`
@@ -209,10 +210,42 @@ pub fn encode_page(old: &[u8], new: &[u8], threshold_words: usize) -> PageEncodi
 }
 
 impl<const N: usize> PageKernel<N> {
-    /// Materialise the record the pass already decided: walk the
-    /// changed-word mask by trailing zeros and copy only the changed
-    /// words of `new` (the page this kernel ran over) — no second
-    /// compare pass.
+    /// Walk the changed-word mask as ascending `(start_word, words)`
+    /// extents, by trailing zeros; an extent that crosses a 64-word mask
+    /// element is reported once. No allocation and no second compare
+    /// pass: the fused pause window streams its delta records from this,
+    /// and [`encode`](Self::encode) materialises the same extents.
+    pub(crate) fn for_each_run(&self, mut f: impl FnMut(usize, usize)) {
+        // The extent still growing: `(start_word, words)`.
+        let mut open: Option<(usize, usize)> = None;
+        for (base, &bits) in (0usize..).step_by(64).zip(&self.mask) {
+            let mut left = bits;
+            while left != 0 {
+                let first = left.trailing_zeros();
+                let len = (left >> first).trailing_ones();
+                // Clear the extent; it may reach the element's top bit.
+                left &= u64::MAX.checked_shl(first + len).unwrap_or(0);
+                let start = base + first as usize;
+                match &mut open {
+                    // The previous element's last extent ran to its top
+                    // bit and this one starts at bit 0: one run, not two.
+                    Some((s, l)) if *s + *l == start => *l += len as usize,
+                    _ => {
+                        if let Some((s, l)) = open.replace((start, len as usize)) {
+                            f(s, l);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some((s, l)) = open {
+            f(s, l);
+        }
+    }
+
+    /// Materialise the record the pass already decided, copying only the
+    /// changed words of `new` (the page this kernel ran over). Allocates,
+    /// so it is for the out-of-window drain only.
     pub(crate) fn encode(&self, new: &[u8], threshold_words: usize) -> PageEncoding {
         if threshold_words == 0 {
             return PageEncoding::Full;
@@ -224,29 +257,12 @@ impl<const N: usize> PageKernel<N> {
             return PageEncoding::Full;
         }
         let mut runs: Vec<DeltaRun> = Vec::with_capacity(self.scan.runs as usize);
-        for (base, &bits) in (0u32..).step_by(64).zip(&self.mask) {
-            let mut left = bits;
-            while left != 0 {
-                let first = left.trailing_zeros();
-                let len = (left >> first).trailing_ones();
-                // Clear the extent; it may reach the element's top bit.
-                left &= u64::MAX.checked_shl(first + len).unwrap_or(0);
-                let start_word = base + first;
-                let start = start_word as usize * 8;
-                let bytes = new.get(start..start + len as usize * 8).unwrap_or(&[]);
-                match runs.last_mut() {
-                    // The previous element's last extent ran to its top
-                    // bit and this one starts at bit 0: one run, not two.
-                    Some(run) if run.start_word as usize * 8 + run.bytes.len() == start => {
-                        run.bytes.extend_from_slice(bytes);
-                    }
-                    _ => runs.push(DeltaRun {
-                        start_word,
-                        bytes: bytes.to_vec(),
-                    }),
-                }
-            }
-        }
+        self.for_each_run(|start, words| {
+            runs.push(DeltaRun {
+                start_word: start as u32,
+                bytes: new.get(start * 8..(start + words) * 8).unwrap_or(&[]).to_vec(),
+            });
+        });
         PageEncoding::Delta { runs }
     }
 }

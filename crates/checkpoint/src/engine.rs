@@ -1,12 +1,32 @@
 //! The checkpoint engine: Remus's epoch pipeline with CRIMES' audit hook
 //! and the three optimisations, instrumented phase by phase.
 //!
-//! Each call to [`Checkpointer::run_epoch`] executes the pause window the
-//! paper times (§4.1):
+//! There is **one** epoch boundary. Every pause window the paper times
+//! (§4.1) runs it, whatever the configuration:
 //!
 //! ```text
-//! suspend → vmi (security audit) → bitscan → map → copy → resume
+//! suspend → stage → bitscan → map → walk(visitors, workers, sink) → verdict
+//!    ├─ Pass ────────── sectors → resume → commit            (sink = backup image)
+//!    │                                   → seal → ticket ─┄─ drain → commit   (sink = staging slot)
+//!    ├─ Inconclusive ── reject sink → re-mark dirty → resume
+//!    └─ Fail ────────── reject sink                    (guest stays suspended)
 //! ```
+//!
+//! * The **walk** visits each dirty page once with the copy visitor, the
+//!   digest and the audit's page-scoped scan, sharded over
+//!   `pause_workers` workers (one worker runs its shard inline). The
+//!   audit is split around it: `stage` resolves what the scan needs,
+//!   `verdict` decides from the walk's findings and the global scans.
+//! * The **sink** is the backup image under the pool's undo log, or —
+//!   with `staging_buffers > 0` — a claimed staging slot whose cipher,
+//!   socket and digest work runs after resume
+//!   ([`Checkpointer::drain_staged`]). Because the copy precedes the
+//!   verdict, rejecting an epoch rolls the walk back (image) or frees the
+//!   slot (staging); either way the backup is bit-exactly the last
+//!   commit's.
+//! * The paper's optimisation levels are values the boundary reads:
+//!   [`OptLevel::bitmap_scan`], [`OptLevel::mapping_strategy`],
+//!   [`OptLevel::copy_strategy`].
 //!
 //! A passing audit commits the checkpoint (the backup becomes the newest
 //! clean snapshot) and resumes the VM. A failing audit leaves the VM
@@ -29,15 +49,12 @@ use crimes_vm::{DirtyBitmap, MetaSnapshot, Pfn, Vm};
 
 use crate::backup::BackupVm;
 use crate::bitmap::BitmapScan;
-use crate::copy::{
-    CopyStats, CopyStrategy, DeltaMemcpyCopier, DeltaSocketCopier, FusedSocketCopier,
-    MemcpyCopier, SocketCopier,
-};
+use crate::copy::{CopyStats, CopyStrategy, PageCopier};
 use crate::error::CheckpointError;
 use crate::history::{CheckpointHistory, CheckpointRecord};
-use crate::integrity::{image_digest, FusedDigest, ImageDigest, StagedSnapshot};
+use crate::integrity::{image_digest, FusedDigest, ImageDigest};
 use crate::mapping::{HypercallModel, Mapper, MappingStrategy};
-use crate::pool::{FusedAudit, FusedPageVisitor, NoopVisitor, PauseWindowPool};
+use crate::pool::{FusedAudit, FusedPageVisitor, NoopVisitor, PageFinding, PauseWindowPool};
 use crate::probe::{BreakdownStats, PhaseTimings};
 use crate::staging::{DrainOpts, DrainTicket, StagingArea};
 
@@ -159,19 +176,18 @@ pub struct CheckpointConfig {
     pub copy_retries: u32,
     /// Linear backoff between copy retries, in microseconds per attempt.
     pub retry_backoff_us: u64,
-    /// Worker threads for the fused pause-window walk (scan + copy +
-    /// digest in a single sharded pass; see `pool`). `1` keeps the serial
-    /// pipeline; higher values only take effect through
-    /// [`Checkpointer::run_epoch_fused`]. Clamped to
-    /// [`crate::pool::MAX_WORKERS`].
+    /// Workers for the boundary's page walk (scan + copy + digest in a
+    /// single sharded pass; see `pool`). `1` walks the whole dirty set
+    /// inline on the calling thread — the same walk, one shard, no
+    /// thread. Clamped to [`crate::pool::MAX_WORKERS`].
     pub pause_workers: usize,
-    /// Preallocated staging buffers for the deferred backup pipeline
-    /// (`staging`): `0` disables deferral; `≥ 1` lets
-    /// [`Checkpointer::run_epoch_staged`] snapshot dirty pages inside the
-    /// pause window and [`Checkpointer::drain_staged`] cipher and stream
-    /// them to the backup *after* resume. Each buffer reserves a full
-    /// image's worth of address space (the worst-case dirty set) but is
-    /// packed, so only the largest dirty set staged is ever resident.
+    /// Preallocated staging buffers, which select the walk's sink: `0`
+    /// copies into the backup image inside the window; `≥ 1` snapshots
+    /// dirty pages into a staging buffer instead, and
+    /// [`Checkpointer::drain_staged`] ciphers and streams them to the
+    /// backup *after* resume. Each buffer reserves a full image's worth
+    /// of address space (the worst-case dirty set) but is packed, so only
+    /// the largest dirty set staged is ever resident.
     pub staging_buffers: usize,
     /// Deadline for one staged epoch's drain, in milliseconds, measured
     /// on the deterministic retry-backoff model (accumulated
@@ -179,15 +195,15 @@ pub struct CheckpointConfig {
     /// fault soaks replay bit-exactly). Exceeding it surfaces
     /// [`CheckpointError::DrainTimeout`] and the drain fails closed.
     pub drain_timeout_ms: u64,
-    /// The tenant's fused walks run on an externally-owned
+    /// The tenant's walks run on an externally-owned
     /// [`SharedPausePool`](crate::pool::SharedPausePool) (a fleet
-    /// scheduler's), so the engine skips its eager per-tenant pool
-    /// allocation — at fleet scale each private pool's undo buffers cost
-    /// roughly a full guest image. Walks arrive through
-    /// [`Checkpointer::run_epoch_fused_with`] /
-    /// [`Checkpointer::run_epoch_staged_with`]; if the plain entry points
-    /// are used anyway the engine still self-provisions a pool lazily,
-    /// so a fleet-configured tenant driven standalone keeps working.
+    /// scheduler's), lent through [`Checkpointer::run_epoch_on`], so the
+    /// engine builds no private pool — at fleet scale each one's undo
+    /// buffers cost roughly a full guest image. Without this flag the
+    /// private pool is built in the constructor, so nothing allocates
+    /// inside a window. A boundary run with no lent pool anyway
+    /// self-provisions one before it suspends the guest, so a
+    /// fleet-configured tenant driven standalone keeps working.
     pub external_pool: bool,
     /// Delta/zero-page encoding threshold, in changed 8-byte words per
     /// page: dirty pages are compared word-wise against the backup's
@@ -235,27 +251,24 @@ pub struct EpochReport {
     pub epoch: u64,
     /// Audit outcome.
     pub verdict: AuditVerdict,
-    /// Per-phase wall-clock timings.
+    /// Per-phase wall-clock timings. `copy` is the page walk (every
+    /// attempt) plus the dirty-sector propagation; `vmi` is the audit's
+    /// two halves around it.
     pub timings: PhaseTimings,
     /// Dirty pages found this epoch.
     pub dirty_pages: usize,
-    /// Copy-phase statistics (zero when the audit failed).
+    /// Copy-phase statistics of the walk that was kept: zero when the
+    /// verdict rejected the epoch and the walk was rolled back. With a
+    /// staging sink these count pages *staged*, not yet durable.
     pub copy: CopyStats,
-    /// Copy attempts this epoch (1 when the first try succeeded; 0 when
-    /// the audit failed or was inconclusive and no copy ran).
+    /// Walk attempts spent this epoch (1 when the first try succeeded),
+    /// whatever the verdict: the copy runs before it.
     pub copy_attempts: u32,
-}
-
-/// A staged epoch: the pause-window half of the deferred pipeline.
-#[derive(Debug)]
-pub struct StagedEpoch {
-    /// The pause-window report. `copy` counts pages *staged* (memcpy'd
-    /// into the staging buffer) — they are not durable on the backup
-    /// until [`Checkpointer::drain_staged`] acknowledges the ticket.
-    pub report: EpochReport,
-    /// The drain ticket for a passing verdict; `None` when the verdict
-    /// rejected the epoch (the staged snapshot was discarded and nothing
-    /// will commit).
+    /// The drain ticket of a passing epoch whose sink was a staging slot
+    /// (`staging_buffers > 0`): nothing has committed, and the epoch's
+    /// outputs must stay impounded, until
+    /// [`Checkpointer::drain_staged`] acknowledges it. `None` for an
+    /// in-window commit and for a rejected epoch.
     pub pending: Option<DrainTicket>,
 }
 
@@ -330,24 +343,69 @@ pub struct RollbackReport {
     pub corrupt_chunks: usize,
 }
 
+/// A bare verdict closure as a [`FusedAudit`]: it stages nothing and
+/// lends the walk no visitor.
+struct VerdictOnly<'a>(&'a mut dyn FnMut(&Vm, &DirtyBitmap) -> AuditVerdict);
+
+impl FusedAudit for VerdictOnly<'_> {
+    fn stage(&mut self, _vm: &Vm, _dirty: &DirtyBitmap) {}
+
+    fn visitor(&self) -> Option<&dyn FusedPageVisitor> {
+        None
+    }
+
+    fn verdict(&mut self, vm: &Vm, dirty: &DirtyBitmap, _findings: &[PageFinding]) -> AuditVerdict {
+        (self.0)(vm, dirty)
+    }
+}
+
+/// Put an uncommitted epoch's pages back in the dirty log, so a later
+/// epoch still audits and commits them.
+fn remark_dirty(vm: &mut Vm, dirty: &DirtyBitmap) {
+    for pfn in dirty.iter() {
+        vm.memory_mut().mark_dirty(pfn);
+    }
+}
+
+/// The commit tail of an in-window Pass and of an acknowledged drain
+/// alike: the backup's image is authoritative and `integrity` already
+/// describes it, so count the epoch and record it in the history.
+fn commit(
+    backup: &mut BackupVm,
+    integrity: &ImageDigest,
+    history: &mut CheckpointHistory,
+    vm: &Vm,
+    guest_time_ns: u64,
+    dirty_pages: usize,
+) {
+    backup.commit_epoch();
+    let retain = history.retains_images();
+    history.push(CheckpointRecord {
+        epoch: backup.epoch(),
+        guest_time_ns,
+        dirty_pages,
+        checksum: integrity.combined(),
+        frames: retain.then(|| Arc::new(backup.frames().to_vec())),
+        disk: retain.then(|| Arc::new(backup.disk().to_vec())),
+        meta: retain.then(|| vm.meta_snapshot()),
+    });
+}
+
 /// The CRIMES checkpoint engine for one VM.
 #[derive(Debug)]
 pub struct Checkpointer {
     config: CheckpointConfig,
     backup: BackupVm,
     mapper: Mapper,
-    socket: SocketCopier,
-    memcpy: MemcpyCopier,
-    fused_socket: FusedSocketCopier,
-    delta_memcpy: DeltaMemcpyCopier,
-    delta_socket: DeltaSocketCopier,
-    /// Preallocated worker pool for the fused pause window; built eagerly
-    /// when `pause_workers > 1`, lazily on the first
-    /// [`run_epoch_fused`](Self::run_epoch_fused) otherwise.
+    /// The walk's copy visitor, fixed at build time from the
+    /// configuration: the level's wire and the delta threshold for the
+    /// in-window sink, the bare memcpy snapshot for the staging sink.
+    copier: PageCopier,
+    /// Preallocated worker pool for the walk; `None` for an
+    /// `external_pool` tenant until a boundary runs with no lent pool.
     pool: Option<PauseWindowPool>,
-    /// Preallocated staging slots for the deferred pipeline; built
-    /// eagerly when `staging_buffers > 0`, lazily on the first
-    /// [`run_epoch_staged`](Self::run_epoch_staged) otherwise.
+    /// Preallocated staging slots — the walk's sink when
+    /// `staging_buffers > 0`.
     staging: Option<StagingArea>,
     history: CheckpointHistory,
     integrity: ImageDigest,
@@ -361,11 +419,10 @@ pub struct Checkpointer {
     /// The fleet reads this to decide when to reroute the tenant's drain
     /// to a standby backup.
     drain_session_failures: u32,
-    /// Per-worker copy statistics cached from the last fused walk. Kept
-    /// on the engine (not read live from the pool) so walks run on an
-    /// external [`SharedPausePool`](crate::pool::SharedPausePool) report
-    /// through [`worker_stats`](Self::worker_stats) exactly like walks on
-    /// the private pool.
+    /// Per-worker copy statistics cached from the last walk. Kept on the
+    /// engine (not read live from the pool) so walks run on a lent pool
+    /// report through [`worker_stats`](Self::worker_stats) exactly like
+    /// walks on the private one.
     last_walk: Vec<(usize, CopyStats)>,
 }
 
@@ -374,49 +431,7 @@ impl Checkpointer {
     /// `vm` (and, for pre-mapped levels, the one-time global map load).
     pub fn new(vm: &Vm, config: CheckpointConfig) -> Self {
         let t0 = Instant::now();
-        let backup = BackupVm::new(vm);
-        let mapper = Mapper::new(
-            vm,
-            config.opt.mapping_strategy(),
-            HypercallModel::new(config.hypercall_steps),
-        );
-        let integrity = ImageDigest::of(backup.frames(), backup.disk());
-        let pool = (!config.external_pool
-            && (config.pause_workers > 1 || config.staging_buffers > 0))
-            .then(|| {
-                PauseWindowPool::new(
-                    config.pause_workers,
-                    vm.memory().num_pages(),
-                    config.hypercall_steps,
-                )
-            });
-        let staging = (config.staging_buffers > 0).then(|| {
-            StagingArea::new(
-                vm.memory().num_pages(),
-                backup.disk().len() / crimes_vm::SECTOR_SIZE,
-                config.staging_buffers,
-            )
-        });
-        let init_time = t0.elapsed();
-        Checkpointer {
-            config,
-            backup,
-            mapper,
-            socket: SocketCopier::new(COPY_KEY),
-            memcpy: MemcpyCopier,
-            fused_socket: FusedSocketCopier::new(COPY_KEY),
-            delta_memcpy: DeltaMemcpyCopier::new(config.delta_threshold),
-            delta_socket: DeltaSocketCopier::new(COPY_KEY, config.delta_threshold),
-            pool,
-            staging,
-            history: CheckpointHistory::new(config.history_depth, config.retain_history_images),
-            integrity,
-            stats: BreakdownStats::new(),
-            init_time,
-            sched: HypercallModel::new(config.hypercall_steps),
-            drain_session_failures: 0,
-            last_walk: Vec::new(),
-        }
+        Self::build(vm, config, BackupVm::new(vm), 0, t0)
     }
 
     /// Re-attach the engine to a VM and a **surviving** backup image after
@@ -428,47 +443,56 @@ impl Checkpointer {
     /// sequence the journal recorded instead of restarting at 1. History
     /// starts empty: retained images died with the monitor process.
     pub fn attach(vm: &Vm, config: CheckpointConfig, backup: BackupVm, resume_generation: u64) -> Self {
-        let t0 = Instant::now();
+        Self::build(vm, config, backup, resume_generation, Instant::now())
+    }
+
+    /// The one constructor body: everything a boundary will need is
+    /// allocated here, so nothing allocates inside a window.
+    fn build(
+        vm: &Vm,
+        config: CheckpointConfig,
+        backup: BackupVm,
+        resume_generation: u64,
+        t0: Instant,
+    ) -> Self {
         let mapper = Mapper::new(
             vm,
             config.opt.mapping_strategy(),
             HypercallModel::new(config.hypercall_steps),
         );
         let integrity = ImageDigest::of(backup.frames(), backup.disk());
-        let pool = (!config.external_pool
-            && (config.pause_workers > 1 || config.staging_buffers > 0))
-            .then(|| {
-                PauseWindowPool::new(
-                    config.pause_workers,
-                    vm.memory().num_pages(),
-                    config.hypercall_steps,
-                )
-            });
+        let num_pages = vm.memory().num_pages();
+        let pool = (!config.external_pool)
+            .then(|| PauseWindowPool::new(config.pause_workers, num_pages, config.hypercall_steps));
         let staging = (config.staging_buffers > 0).then(|| {
             let mut area = StagingArea::new(
-                vm.memory().num_pages(),
+                num_pages,
                 backup.disk().len() / crimes_vm::SECTOR_SIZE,
                 config.staging_buffers,
             );
             area.resume_generation(resume_generation);
             area
         });
-        let init_time = t0.elapsed();
+        let copier = if staging.is_some() {
+            // The window only snapshots; cipher, socket and encoding are
+            // the drain's.
+            PageCopier::memcpy()
+        } else if config.remote_backup {
+            PageCopier::new(CopyStrategy::Socket, COPY_KEY, config.delta_threshold)
+        } else {
+            PageCopier::new(config.opt.copy_strategy(), COPY_KEY, config.delta_threshold)
+        };
         Checkpointer {
             config,
             backup,
             mapper,
-            socket: SocketCopier::new(COPY_KEY),
-            memcpy: MemcpyCopier,
-            fused_socket: FusedSocketCopier::new(COPY_KEY),
-            delta_memcpy: DeltaMemcpyCopier::new(config.delta_threshold),
-            delta_socket: DeltaSocketCopier::new(COPY_KEY, config.delta_threshold),
+            copier,
             pool,
             staging,
             history: CheckpointHistory::new(config.history_depth, config.retain_history_images),
             integrity,
             stats: BreakdownStats::new(),
-            init_time,
+            init_time: t0.elapsed(),
             sched: HypercallModel::new(config.hypercall_steps),
             drain_session_failures: 0,
             last_walk: Vec::new(),
@@ -505,11 +529,9 @@ impl Checkpointer {
         &self.stats
     }
 
-    /// Per-worker copy statistics from the last fused walk (one entry per
-    /// worker slot; empty when the serial path is in use). Values are
-    /// per-walk — callers accumulate across epochs. Walks on an external
-    /// shared pool report here too: the engine caches the slot stats at
-    /// walk time rather than reading the (possibly foreign) pool live.
+    /// Per-worker copy statistics from the last walk (one entry per
+    /// worker slot of the pool it ran on, private or lent). Values are
+    /// per-walk — callers accumulate across epochs.
     pub fn worker_stats(&self) -> impl Iterator<Item = (usize, CopyStats)> + '_ {
         self.last_walk.iter().copied()
     }
@@ -520,277 +542,113 @@ impl Checkpointer {
         self.mapper.hypercalls_issued()
     }
 
-    /// Execute one pause window: suspend, audit, and (on a passing audit)
-    /// checkpoint and resume. On a failing audit the VM is left suspended
-    /// and the backup untouched. On an inconclusive audit the epoch's
-    /// dirty pages are re-marked and the VM resumes without committing —
-    /// speculation extends into the next epoch.
-    ///
-    /// `audit` receives the VM (paused) and the epoch's dirty bitmap.
+    /// Execute one pause window with a bare verdict closure as the audit:
+    /// [`run_epoch_on`](Self::run_epoch_on) on the engine's own pool, with
+    /// nothing staged and no page-scoped scan riding the walk. `audit`
+    /// receives the paused VM and the epoch's dirty bitmap.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Exhausted`] when every copy attempt (first try +
-    /// [`CheckpointConfig::copy_retries`]) failed. The VM is left
-    /// suspended and nothing was committed; the backup may hold a partial
-    /// copy, so only [`Checkpointer::rollback`]'s checksum-verified
-    /// restore is trustworthy afterwards.
+    /// As [`run_epoch_on`](Self::run_epoch_on).
     pub fn run_epoch(
         &mut self,
         vm: &mut Vm,
         audit: &mut dyn FnMut(&Vm, &DirtyBitmap) -> AuditVerdict,
     ) -> Result<EpochReport, CheckpointError> {
-        let mut timings = PhaseTimings::default();
-        let epoch = self.backup.epoch();
-
-        // Injected silent corruption: rot one bit of the backup image
-        // without updating the stored digests, exactly as a DRAM or disk
-        // fault would. Nothing notices until rollback verifies.
-        if crimes_faults::should_inject(FaultPoint::PageCorrupt) {
-            let at = crimes_faults::draw_below(self.backup.size_bytes() as u64) as usize;
-            let bit = 1u8 << crimes_faults::draw_below(8);
-            let mfn = crimes_vm::Mfn((at / crimes_vm::PAGE_SIZE) as u64);
-            if let Some(byte) = self.backup.frame_mut(mfn).get_mut(at % crimes_vm::PAGE_SIZE) {
-                *byte ^= bit;
-            }
-        }
-
-        // --- suspend: pause vCPUs, save their state, grab the dirty log --
-        let t = Instant::now();
-        for _ in 0..self.config.suspend_hypercalls + 2 * vm.vcpus().len() as u32 {
-            self.sched.call();
-        }
-        vm.vcpus_mut().pause_all();
-        self.backup.save_vcpus(vm.vcpus());
-        let dirty = vm.memory_mut().take_dirty();
-        timings.suspend = t.elapsed();
-
-        // --- vmi: the security audit ------------------------------------
-        let t = Instant::now();
-        let verdict = audit(vm, &dirty);
-        timings.vmi = t.elapsed();
-
-        if verdict == AuditVerdict::Fail {
-            // VM stays suspended; backup remains the last clean snapshot.
-            let report = EpochReport {
-                epoch,
-                verdict,
-                timings,
-                dirty_pages: dirty.count(),
-                copy: CopyStats::default(),
-                copy_attempts: 0,
-            };
-            self.stats.record(&report.timings);
-            return Ok(report);
-        }
-
-        if verdict == AuditVerdict::Inconclusive {
-            // Fail closed without failing the guest: nothing commits, the
-            // epoch's writes stay in next epoch's dirty set, and the VM
-            // resumes so speculation (and output buffering) extends.
-            let t = Instant::now();
-            for pfn in dirty.iter() {
-                vm.memory_mut().mark_dirty(pfn);
-            }
-            for _ in 0..self.config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
-                self.sched.call();
-            }
-            vm.vcpus_mut().resume_all();
-            timings.resume = t.elapsed();
-            let report = EpochReport {
-                epoch,
-                verdict,
-                timings,
-                dirty_pages: dirty.count(),
-                copy: CopyStats::default(),
-                copy_attempts: 0,
-            };
-            self.stats.record(&report.timings);
-            return Ok(report);
-        }
-
-        // --- bitscan ------------------------------------------------------
-        let t = Instant::now();
-        let dirty_pfns: Vec<Pfn> = self.config.opt.bitmap_scan().scan(&dirty);
-        timings.bitscan = t.elapsed();
-
-        // --- map ------------------------------------------------------------
-        let t = Instant::now();
-        let mapped = self.mapper.map_epoch(vm, &dirty_pfns);
-        timings.map = t.elapsed();
-
-        // --- copy (bounded retry: the guest is paused, so re-copying the
-        // same dirty set over a partial write is always safe) -------------
-        let t = Instant::now();
-        let strategy = if self.config.remote_backup {
-            CopyStrategy::Socket
-        } else {
-            self.config.opt.copy_strategy()
-        };
-        let mut copy_attempts = 0u32;
-        let copy = loop {
-            copy_attempts += 1;
-            let attempt = match strategy {
-                CopyStrategy::Socket => self.socket.copy_epoch(vm, &mut self.backup, &mapped),
-                CopyStrategy::Memcpy => self.memcpy.copy_epoch(vm, &mut self.backup, &mapped),
-            };
-            match attempt {
-                Ok(stats) => break stats,
-                Err(_) if copy_attempts <= self.config.copy_retries => {
-                    std::thread::sleep(Duration::from_micros(
-                        self.config.retry_backoff_us * u64::from(copy_attempts),
-                    ));
-                }
-                Err(_) => {
-                    // Give up: unmap, leave the VM suspended (fail closed)
-                    // and the checkpoint uncommitted. Re-mark the dirty set
-                    // so a later epoch can still commit these pages.
-                    self.mapper.unmap_epoch(&mapped);
-                    for pfn in dirty.iter() {
-                        vm.memory_mut().mark_dirty(pfn);
-                    }
-                    return Err(CheckpointError::Exhausted {
-                        attempts: copy_attempts,
-                    });
-                }
-            }
-        };
-        // Disk-snapshot extension (§3.1): propagate the epoch's dirty
-        // sectors alongside the dirty pages.
-        let dirty_sectors = vm.disk_mut().take_dirty();
-        for sector in dirty_sectors.iter() {
-            let data = vm.disk().read_sector(sector.0).to_vec();
-            self.backup.apply_sector(sector.0, &data);
-        }
-        timings.copy = t.elapsed();
-
-        // --- resume (includes the per-epoch unmap on Remus-style paths) --
-        let t = Instant::now();
-        self.mapper.unmap_epoch(&mapped);
-        for _ in 0..self.config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
-            self.sched.call();
-        }
-        vm.vcpus_mut().resume_all();
-        timings.resume = t.elapsed();
-
-        // The copied pages/sectors are now authoritative — fold them into
-        // the incremental image digest (O(dirty), not O(memory)). This runs
-        // *after* resume on purpose: the backup is immutable until the next
-        // epoch's copy, so integrity hashing overlaps guest execution
-        // instead of widening the pause window.
-        let (integrity, backup) = (&mut self.integrity, &self.backup);
-        for &(_pfn, mfn) in &mapped {
-            integrity.update_page(mfn.0 as usize, backup.frame(mfn));
-        }
-        for sector in dirty_sectors.iter() {
-            integrity.update_sector(sector.0 as usize, backup.sector(sector.0));
-        }
-
-        self.backup.commit_epoch();
-        let retain = self.history.retains_images();
-        self.history.push(CheckpointRecord {
-            epoch: self.backup.epoch(),
-            guest_time_ns: vm.now_ns(),
-            dirty_pages: dirty_pfns.len(),
-            checksum: self.integrity.combined(),
-            frames: retain.then(|| Arc::new(self.backup.frames().to_vec())),
-            disk: retain.then(|| Arc::new(self.backup.disk().to_vec())),
-            meta: retain.then(|| vm.meta_snapshot()),
-        });
-
-        let report = EpochReport {
-            epoch,
-            verdict,
-            timings,
-            dirty_pages: dirty_pfns.len(),
-            copy,
-            copy_attempts,
-        };
-        self.stats.record(&report.timings);
-        Ok(report)
+        self.run_epoch_on(vm, &mut VerdictOnly(audit), None)
     }
 
-    /// Execute one pause window through the **parallel fused** pipeline:
-    /// the audit's page-scoped scan, the dirty-page copy, and the per-page
-    /// digest run as a single sharded walk on the preallocated worker pool
-    /// (see `pool`) instead of three serial passes.
+    /// Execute one pause window (see the module header for the phases).
+    /// The walk runs on `pool` when one is lent — a fleet scheduler's
+    /// leased walker, sized for at least this VM's page count
+    /// ([`PauseWindowPool::new`]) — and on the engine's own otherwise; the
+    /// results are bit-identical either way and for any worker count
+    /// (shard geometry is a pure function of the dirty set and the worker
+    /// count, and the merge order is canonical).
     ///
-    /// The phase order differs from [`run_epoch`](Self::run_epoch) in one
-    /// way: the audit is split around the walk. `audit.stage` runs before
-    /// it (resolving everything the page-scoped scan needs),
-    /// `audit.verdict` after it, fed the walk's findings. Because the copy
-    /// therefore precedes the verdict, a `Fail` or `Inconclusive` verdict
-    /// rolls the walk back from the undo log — the backup ends bit-exactly
-    /// where the serial path (which never copies on those verdicts) leaves
-    /// it. On those verdicts `copy` reports zero but `copy_attempts`
-    /// records the walk attempts actually spent.
+    /// On a passing verdict the VM has resumed and the epoch has either
+    /// committed or, with a staging sink, left its drain ticket in
+    /// [`EpochReport::pending`]. On a failing verdict the VM is left
+    /// suspended; on an inconclusive one the dirty pages are re-marked and
+    /// the VM resumes. Both leave the backup exactly as the last commit
+    /// left it, registers included.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Exhausted`] when every walk attempt failed. The
-    /// undo log restores the backup after each failed attempt, so unlike
-    /// the serial path the image is clean (not partially copied) on
-    /// exhaustion; the VM stays suspended and the dirty set is re-marked.
-    pub fn run_epoch_fused(
+    /// [`CheckpointError::StagingBacklog`] when every staging buffer is
+    /// still awaiting its drain (refused before anything is copied), or
+    /// [`CheckpointError::Exhausted`] when every walk attempt (first try +
+    /// [`CheckpointConfig::copy_retries`]) failed — which, the walk coming
+    /// before the verdict, can pre-empt a detection. Both fail closed: the
+    /// VM stays suspended, the dirty set is re-marked, nothing committed,
+    /// and the backup is clean (a failed walk undoes its own writes; a
+    /// staging slot is simply freed).
+    pub fn run_epoch_on(
         &mut self,
         vm: &mut Vm,
         audit: &mut dyn FusedAudit,
+        pool: Option<&mut PauseWindowPool>,
     ) -> Result<EpochReport, CheckpointError> {
-        if self.pool.is_none() {
-            self.pool = Some(PauseWindowPool::new(
+        if let Some(pool) = pool {
+            return self.boundary(vm, audit, pool);
+        }
+        // Take-and-restore: the boundary borrows the engine's fields and
+        // the pool simultaneously, which one `&mut self` cannot express.
+        let mut own = self.pool.take().unwrap_or_else(|| {
+            PauseWindowPool::new(
                 self.config.pause_workers,
                 self.backup.num_pages(),
                 self.config.hypercall_steps,
-            ));
-        }
-        // Take-and-restore: the walk borrows the engine's fields and the
-        // pool simultaneously, which one `&mut self` cannot express.
-        let Some(mut pool) = self.pool.take() else {
-            // Unreachable (built above), but fail closed rather than panic.
-            return Err(CheckpointError::Exhausted { attempts: 0 });
-        };
-        let result = self.run_epoch_fused_with(vm, audit, &mut pool);
-        self.pool = Some(pool);
+            )
+        });
+        let result = self.boundary(vm, audit, &mut own);
+        self.pool = Some(own);
         result
     }
 
-    /// [`run_epoch_fused`](Self::run_epoch_fused) running its sharded
-    /// walk on an **externally-owned** pool — the fleet scheduler's
-    /// shared-pool entry point. The pool must be sized for at least this
-    /// VM's page count ([`PauseWindowPool::new`]); the walk's results are
-    /// bit-identical to a private pool's for any worker count (the PR 4
-    /// determinism discipline — shard geometry is a pure function of the
-    /// dirty set and worker count, and the merge order is canonical).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_epoch_fused`](Self::run_epoch_fused).
-    pub fn run_epoch_fused_with(
+    /// The one epoch boundary. Nothing else in the engine suspends or
+    /// resumes a guest.
+    fn boundary(
         &mut self,
         vm: &mut Vm,
         audit: &mut dyn FusedAudit,
         pool: &mut PauseWindowPool,
     ) -> Result<EpochReport, CheckpointError> {
+        let Checkpointer {
+            config,
+            backup,
+            mapper,
+            copier,
+            staging,
+            history,
+            integrity,
+            stats,
+            sched,
+            last_walk,
+            ..
+        } = self;
+        let config = *config;
         let mut timings = PhaseTimings::default();
-        let epoch = self.backup.epoch();
+        let epoch = backup.epoch();
 
-        // Injected silent corruption, exactly as in the serial path.
+        // Injected silent corruption: rot one bit of the backup image
+        // without updating the stored digests, exactly as a DRAM or disk
+        // fault would. Nothing notices until rollback verifies.
         if crimes_faults::should_inject(FaultPoint::PageCorrupt) {
-            let at = crimes_faults::draw_below(self.backup.size_bytes() as u64) as usize;
+            let at = crimes_faults::draw_below(backup.size_bytes() as u64) as usize;
             let bit = 1u8 << crimes_faults::draw_below(8);
             let mfn = crimes_vm::Mfn((at / crimes_vm::PAGE_SIZE) as u64);
-            if let Some(byte) = self.backup.frame_mut(mfn).get_mut(at % crimes_vm::PAGE_SIZE) {
+            if let Some(byte) = backup.frame_mut(mfn).get_mut(at % crimes_vm::PAGE_SIZE) {
                 *byte ^= bit;
             }
         }
 
-        // --- suspend ------------------------------------------------------
+        // --- suspend: pause vCPUs, grab the dirty log ---------------------
         let t = Instant::now();
-        for _ in 0..self.config.suspend_hypercalls + 2 * vm.vcpus().len() as u32 {
-            self.sched.call();
+        for _ in 0..config.suspend_hypercalls + 2 * vm.vcpus().len() as u32 {
+            sched.call();
         }
         vm.vcpus_mut().pause_all();
-        self.backup.save_vcpus(vm.vcpus());
         let dirty = vm.memory_mut().take_dirty();
         timings.suspend = t.elapsed();
 
@@ -801,177 +659,162 @@ impl Checkpointer {
 
         // --- bitscan ------------------------------------------------------
         let t = Instant::now();
-        let dirty_pfns: Vec<Pfn> = self.config.opt.bitmap_scan().scan(&dirty);
+        let dirty_pfns: Vec<Pfn> = config.opt.bitmap_scan().scan(&dirty);
         timings.bitscan = t.elapsed();
 
         // --- map ----------------------------------------------------------
         let t = Instant::now();
-        let mapped = self.mapper.map_epoch(vm, &dirty_pfns);
+        let mapped = mapper.map_epoch(vm, &dirty_pfns);
         timings.map = t.elapsed();
 
-        // --- fused walk: scan + copy + digest in one sharded pass ---------
-        // Split the engine's fields so the pool, the backup, and the copy
-        // visitors can be borrowed simultaneously.
-        let Checkpointer {
-            config,
-            backup,
-            mapper,
-            memcpy,
-            fused_socket,
-            delta_memcpy,
-            delta_socket,
-            history,
-            integrity,
-            stats,
-            sched,
-            last_walk,
-            ..
-        } = self;
-        let config = *config;
-        let strategy = if config.remote_backup {
-            CopyStrategy::Socket
-        } else {
-            config.opt.copy_strategy()
-        };
-        // With a delta threshold set, the encoding-aware visitors scan
-        // each page against the backup frame's old generation (the undo
-        // snapshot runs first, so `dst` still holds it) and count the
-        // compact record's wire cost; the backup bytes they produce are
-        // identical to the raw visitors'.
-        let copy_visitor: &dyn FusedPageVisitor = match (strategy, config.delta_threshold > 0) {
-            (CopyStrategy::Socket, false) => fused_socket,
-            (CopyStrategy::Memcpy, false) => memcpy,
-            (CopyStrategy::Socket, true) => delta_socket,
-            (CopyStrategy::Memcpy, true) => delta_memcpy,
-        };
-        let digest = FusedDigest;
-        let noop = NoopVisitor;
-        let scan: &dyn FusedPageVisitor = audit.visitor().unwrap_or(&noop);
-        // The scan rides last so copy/digest output is identical whether or
-        // not a scan is staged; its findings carry `source == 2`.
-        let visitors: [&dyn FusedPageVisitor; 3] = [copy_visitor, &digest, scan];
-
+        // --- walk: copy + digest + scan in one sharded pass ---------------
+        // The sink is a claimed staging slot when staging is configured
+        // (the walk only snapshots; the digest belongs to the drain) and
+        // the backup image under the pool's undo log otherwise. The scan
+        // rides last, at source slot 2 — the fixed position audit verdicts
+        // filter on — so copy and digest output is identical whether or
+        // not a scan is staged.
         let t = Instant::now();
+        let (digest, noop) = (FusedDigest, NoopVisitor);
+        let visitors: [&dyn FusedPageVisitor; 3] = [
+            &*copier,
+            if staging.is_some() { &noop } else { &digest },
+            audit.visitor().unwrap_or(&noop),
+        ];
+        let mut slot = None;
         let mut copy_attempts = 0u32;
-        let copy = loop {
+        let walked = loop {
+            let attempt = match staging.as_mut() {
+                Some(area) => {
+                    slot = slot.or_else(|| area.claim());
+                    let Some(slot) = slot else {
+                        // Every buffer still awaits its drain: refuse the
+                        // epoch before anything is copied.
+                        break Err(CheckpointError::StagingBacklog {
+                            in_flight: area.in_flight(),
+                        });
+                    };
+                    pool.run_staging(vm.memory(), area.frames_mut(slot), &mapped, &visitors)
+                }
+                None => pool.run(vm.memory(), backup, &mapped, &visitors),
+            };
             copy_attempts += 1;
-            match pool.run(vm.memory(), backup, &mapped, &visitors) {
-                Ok(copy_stats) => break copy_stats,
+            match attempt {
+                Ok(copy) => break Ok(copy),
+                // The guest is paused and a failed attempt left the sink
+                // as it found it, so walking the same set again is safe.
                 Err(_) if copy_attempts <= config.copy_retries => {
                     std::thread::sleep(Duration::from_micros(
                         config.retry_backoff_us * u64::from(copy_attempts),
                     ));
                 }
                 Err(_) => {
-                    // Give up, fail closed: each failed attempt already
-                    // undid its partial writes, so the backup is clean.
-                    mapper.unmap_epoch(&mapped);
-                    for pfn in dirty.iter() {
-                        vm.memory_mut().mark_dirty(pfn);
-                    }
-                    return Err(CheckpointError::Exhausted {
+                    break Err(CheckpointError::Exhausted {
                         attempts: copy_attempts,
-                    });
+                    })
                 }
             }
         };
         timings.copy = t.elapsed();
-        last_walk.clear();
-        last_walk.extend(pool.worker_stats());
 
         // --- vmi, second half: the verdict over the walk's findings -------
         let t = Instant::now();
-        let verdict = audit.verdict(vm, &dirty, pool.findings());
+        let outcome = walked.map(|copy| {
+            last_walk.clear();
+            last_walk.extend(pool.worker_stats());
+            (copy, audit.verdict(vm, &dirty, pool.findings()))
+        });
         timings.vmi += t.elapsed();
 
-        if verdict == AuditVerdict::Fail {
-            // Roll the walk back: the backup returns to the last clean
-            // snapshot and the VM stays suspended for analysis.
-            pool.rollback_walk(backup);
-            mapper.unmap_epoch(&mapped);
-            let report = EpochReport {
-                epoch,
-                verdict,
-                timings,
-                dirty_pages: dirty_pfns.len(),
-                copy: CopyStats::default(),
-                copy_attempts,
-            };
-            stats.record(&report.timings);
-            return Ok(report);
-        }
-
-        if verdict == AuditVerdict::Inconclusive {
-            // Fail closed without failing the guest: undo the copy, keep
-            // the dirty set, resume, and extend speculation.
-            pool.rollback_walk(backup);
-            mapper.unmap_epoch(&mapped);
-            let t = Instant::now();
-            for pfn in dirty.iter() {
-                vm.memory_mut().mark_dirty(pfn);
+        let t = Instant::now();
+        let dirty_sectors = match outcome {
+            // Pass, guest still paused: the epoch's dirty sectors ride
+            // along (the disk-snapshot extension, §3.1) — the guest may
+            // overwrite them the instant it resumes — and the registers
+            // are saved now that they are known to belong to a clean
+            // epoch.
+            Ok((_, AuditVerdict::Pass)) => {
+                let sectors = vm.disk_mut().take_dirty();
+                for sector in sectors.iter() {
+                    let bytes = vm.disk().read_sector(sector.0);
+                    match staging.as_mut().zip(slot) {
+                        Some((area, slot)) => area.stage_sector(slot, sector.0, bytes),
+                        None => backup.apply_sector(sector.0, bytes),
+                    }
+                }
+                backup.save_vcpus(vm.vcpus());
+                Some(sectors)
             }
+            // Anything else rejects the epoch: free the slot, or roll the
+            // walk back from the undo log, so the backup is bit-exactly
+            // the last commit's. Unless the guest stays down for analysis
+            // (Fail), its pages go back in the dirty log.
+            _ => {
+                match (staging.as_mut(), slot) {
+                    (Some(area), Some(slot)) => area.release(slot),
+                    // A backlog refusal claimed nothing.
+                    (Some(_), None) => {}
+                    (None, _) => pool.rollback_walk(backup),
+                }
+                if !matches!(outcome, Ok((_, AuditVerdict::Fail))) {
+                    remark_dirty(vm, &dirty);
+                }
+                None
+            }
+        };
+        timings.copy += t.elapsed();
+
+        // --- resume (includes the per-epoch unmap on Remus-style paths) ---
+        let t = Instant::now();
+        mapper.unmap_epoch(&mapped);
+        // A walk that never completed fails closed here: guest suspended,
+        // nothing committed.
+        let (copy, verdict) = outcome?;
+        if verdict != AuditVerdict::Fail {
             for _ in 0..config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
                 sched.call();
             }
             vm.vcpus_mut().resume_all();
-            timings.resume = t.elapsed();
-            let report = EpochReport {
-                epoch,
-                verdict,
-                timings,
-                dirty_pages: dirty_pfns.len(),
-                copy: CopyStats::default(),
-                copy_attempts,
-            };
-            stats.record(&report.timings);
-            return Ok(report);
         }
-
-        // --- commit: disk sectors ride along as in the serial path --------
-        let dirty_sectors = vm.disk_mut().take_dirty();
-        for sector in dirty_sectors.iter() {
-            let data = vm.disk().read_sector(sector.0).to_vec();
-            backup.apply_sector(sector.0, &data);
-        }
-
-        // --- resume -------------------------------------------------------
-        let t = Instant::now();
-        mapper.unmap_epoch(&mapped);
-        for _ in 0..config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
-            sched.call();
-        }
-        vm.vcpus_mut().resume_all();
         timings.resume = t.elapsed();
 
-        // Fold the walk's per-page digests into the image digest after
-        // resume (order independent under XOR, so the shard layout cannot
-        // change the checksum).
-        for (index, page_digest) in pool.page_digests() {
-            integrity.apply_page_digest(index, page_digest);
+        // --- after resume: commit, or seal for the drain ------------------
+        let mut pending = None;
+        if let Some(sectors) = dirty_sectors {
+            match staging.as_mut().zip(slot) {
+                // The page list is walk metadata, not guest state, so
+                // copying it after resume is safe and keeps the window to
+                // scan + memcpy. Digests are the drain's job.
+                Some((area, slot)) => pending = Some(area.seal(slot, &mapped, vm.now_ns())),
+                // The copied pages and sectors are authoritative: fold
+                // them into the incremental image digest (O(dirty), XOR —
+                // so the shard layout cannot change the checksum). The
+                // backup is immutable until the next epoch's walk, so
+                // this overlaps guest execution.
+                None => {
+                    for (index, page_digest) in pool.page_digests() {
+                        integrity.apply_page_digest(index, page_digest);
+                    }
+                    for sector in sectors.iter() {
+                        integrity.update_sector(sector.0 as usize, backup.sector(sector.0));
+                    }
+                    commit(backup, integrity, history, vm, vm.now_ns(), dirty_pfns.len());
+                }
+            }
         }
-        for sector in dirty_sectors.iter() {
-            integrity.update_sector(sector.0 as usize, backup.sector(sector.0));
-        }
-
-        backup.commit_epoch();
-        let retain = history.retains_images();
-        history.push(CheckpointRecord {
-            epoch: backup.epoch(),
-            guest_time_ns: vm.now_ns(),
-            dirty_pages: dirty_pfns.len(),
-            checksum: integrity.combined(),
-            frames: retain.then(|| Arc::new(backup.frames().to_vec())),
-            disk: retain.then(|| Arc::new(backup.disk().to_vec())),
-            meta: retain.then(|| vm.meta_snapshot()),
-        });
 
         let report = EpochReport {
             epoch,
             verdict,
             timings,
             dirty_pages: dirty_pfns.len(),
-            copy,
+            copy: if verdict == AuditVerdict::Pass {
+                copy
+            } else {
+                CopyStats::default()
+            },
             copy_attempts,
+            pending,
         };
         stats.record(&report.timings);
         Ok(report)
@@ -1018,273 +861,9 @@ impl Checkpointer {
         self.drain_session_failures = 0;
     }
 
-    /// Execute one pause window through the **deferred** pipeline: the
-    /// audit's page-scoped scan and a `memcpy` snapshot of the dirty
-    /// pages into a preallocated staging buffer, run as one sharded walk
-    /// — and that is *all* the window pays for. The Remus cipher/socket
-    /// copy-out *and* the per-page digest move past resume:
-    /// [`drain_staged`](Self::drain_staged) digests and streams the
-    /// sealed slot to the backup while the guest already runs the next
-    /// epoch.
-    ///
-    /// The backup is untouched inside the window, so a `Fail` or
-    /// `Inconclusive` verdict simply discards the staging slot — no undo
-    /// log, no rollback walk. Nothing commits here either: the epoch's
-    /// checkpoint becomes durable only when the drain ticket in the
-    /// returned [`StagedEpoch::pending`] is acknowledged, and the
-    /// framework must keep the epoch's outputs impounded until then.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::StagingBacklog`] when every staging buffer is
-    /// still awaiting its drain (refused before anything is copied), or
-    /// [`CheckpointError::Exhausted`] when every staging-walk attempt
-    /// failed. Both fail closed: the VM stays suspended, the dirty set is
-    /// re-marked, and the backup still holds the last acknowledged
-    /// checkpoint.
-    pub fn run_epoch_staged(
-        &mut self,
-        vm: &mut Vm,
-        audit: &mut dyn FusedAudit,
-    ) -> Result<StagedEpoch, CheckpointError> {
-        if self.pool.is_none() {
-            self.pool = Some(PauseWindowPool::new(
-                self.config.pause_workers,
-                self.backup.num_pages(),
-                self.config.hypercall_steps,
-            ));
-        }
-        // Take-and-restore, as in `run_epoch_fused`.
-        let Some(mut pool) = self.pool.take() else {
-            // Unreachable (built above), but fail closed rather than panic.
-            return Err(CheckpointError::Exhausted { attempts: 0 });
-        };
-        let result = self.run_epoch_staged_with(vm, audit, &mut pool);
-        self.pool = Some(pool);
-        result
-    }
-
-    /// [`run_epoch_staged`](Self::run_epoch_staged) running its staging
-    /// walk on an **externally-owned** pool — the fleet scheduler's
-    /// shared-pool entry point (see
-    /// [`run_epoch_fused_with`](Self::run_epoch_fused_with) for the
-    /// determinism argument). Staging buffers stay per-tenant: they hold
-    /// tenant state across boundaries, unlike the stateless-between-walks
-    /// worker pool.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_epoch_staged`](Self::run_epoch_staged).
-    pub fn run_epoch_staged_with(
-        &mut self,
-        vm: &mut Vm,
-        audit: &mut dyn FusedAudit,
-        pool: &mut PauseWindowPool,
-    ) -> Result<StagedEpoch, CheckpointError> {
-        let mut timings = PhaseTimings::default();
-        let epoch = self.backup.epoch();
-        if self.staging.is_none() {
-            self.staging = Some(StagingArea::new(
-                self.backup.num_pages(),
-                self.backup.disk().len() / crimes_vm::SECTOR_SIZE,
-                self.config.staging_buffers,
-            ));
-        }
-
-        // Injected silent corruption, exactly as in the other paths.
-        if crimes_faults::should_inject(FaultPoint::PageCorrupt) {
-            let at = crimes_faults::draw_below(self.backup.size_bytes() as u64) as usize;
-            let bit = 1u8 << crimes_faults::draw_below(8);
-            let mfn = crimes_vm::Mfn((at / crimes_vm::PAGE_SIZE) as u64);
-            if let Some(byte) = self.backup.frame_mut(mfn).get_mut(at % crimes_vm::PAGE_SIZE) {
-                *byte ^= bit;
-            }
-        }
-
-        // --- suspend ------------------------------------------------------
-        let t = Instant::now();
-        for _ in 0..self.config.suspend_hypercalls + 2 * vm.vcpus().len() as u32 {
-            self.sched.call();
-        }
-        vm.vcpus_mut().pause_all();
-        self.backup.save_vcpus(vm.vcpus());
-        let dirty = vm.memory_mut().take_dirty();
-        timings.suspend = t.elapsed();
-
-        // --- vmi, first half: stage the page-scoped scan ------------------
-        let t = Instant::now();
-        audit.stage(vm, &dirty);
-        timings.vmi = t.elapsed();
-
-        // --- bitscan ------------------------------------------------------
-        let t = Instant::now();
-        let dirty_pfns: Vec<Pfn> = self.config.opt.bitmap_scan().scan(&dirty);
-        timings.bitscan = t.elapsed();
-
-        // --- map ----------------------------------------------------------
-        let t = Instant::now();
-        let mapped = self.mapper.map_epoch(vm, &dirty_pfns);
-        timings.map = t.elapsed();
-
-        let Checkpointer {
-            config,
-            mapper,
-            staging,
-            stats,
-            sched,
-            last_walk,
-            ..
-        } = self;
-        let config = *config;
-        let Some(staging) = staging.as_mut() else {
-            // Unreachable (built above), but fail closed, not panic.
-            return Err(CheckpointError::Exhausted { attempts: 0 });
-        };
-        let Some(slot) = staging.claim() else {
-            // Every buffer is still in flight: refuse the epoch before
-            // anything is copied, keep the VM suspended, and re-mark the
-            // dirty set so a later epoch still commits these pages.
-            mapper.unmap_epoch(&mapped);
-            for pfn in dirty.iter() {
-                vm.memory_mut().mark_dirty(pfn);
-            }
-            return Err(CheckpointError::StagingBacklog {
-                in_flight: staging.in_flight(),
-            });
-        };
-
-        // --- staged walk: scan + snapshot in one sharded pass -------------
-        // The snapshot visitor copies into the staging frames, nothing
-        // more: no cipher, no socket, and no digest inside the window,
-        // whatever the backup's locality — that work now belongs to the
-        // drain. The noop pad keeps the scan at source slot 2, the fixed
-        // position audit verdicts filter on.
-        let snapshot = StagedSnapshot;
-        let noop = NoopVisitor;
-        let scan: &dyn FusedPageVisitor = audit.visitor().unwrap_or(&noop);
-        let visitors: [&dyn FusedPageVisitor; 3] = [&snapshot, &noop, scan];
-
-        let t = Instant::now();
-        let mut copy_attempts = 0u32;
-        let copy = loop {
-            copy_attempts += 1;
-            match pool.run_staging(vm.memory(), staging.frames_mut(slot), &mapped, &visitors) {
-                Ok(copy_stats) => break copy_stats,
-                Err(_) if copy_attempts <= config.copy_retries => {
-                    std::thread::sleep(Duration::from_micros(
-                        config.retry_backoff_us * u64::from(copy_attempts),
-                    ));
-                }
-                Err(_) => {
-                    // Give up, fail closed: the backup was never touched,
-                    // so discarding the slot is the whole cleanup.
-                    staging.release(slot);
-                    mapper.unmap_epoch(&mapped);
-                    for pfn in dirty.iter() {
-                        vm.memory_mut().mark_dirty(pfn);
-                    }
-                    return Err(CheckpointError::Exhausted {
-                        attempts: copy_attempts,
-                    });
-                }
-            }
-        };
-        timings.copy = t.elapsed();
-        last_walk.clear();
-        last_walk.extend(pool.worker_stats());
-
-        // --- vmi, second half: the verdict over the walk's findings -------
-        let t = Instant::now();
-        let verdict = audit.verdict(vm, &dirty, pool.findings());
-        timings.vmi += t.elapsed();
-
-        if verdict == AuditVerdict::Fail {
-            // The backup never saw the walk — dropping the staged
-            // snapshot *is* the rollback. VM stays suspended for analysis.
-            staging.release(slot);
-            mapper.unmap_epoch(&mapped);
-            let report = EpochReport {
-                epoch,
-                verdict,
-                timings,
-                dirty_pages: dirty_pfns.len(),
-                copy: CopyStats::default(),
-                copy_attempts,
-            };
-            stats.record(&report.timings);
-            return Ok(StagedEpoch {
-                report,
-                pending: None,
-            });
-        }
-
-        if verdict == AuditVerdict::Inconclusive {
-            // Fail closed without failing the guest: discard the staged
-            // snapshot, keep the dirty set, resume, extend speculation.
-            staging.release(slot);
-            mapper.unmap_epoch(&mapped);
-            let t = Instant::now();
-            for pfn in dirty.iter() {
-                vm.memory_mut().mark_dirty(pfn);
-            }
-            for _ in 0..config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
-                sched.call();
-            }
-            vm.vcpus_mut().resume_all();
-            timings.resume = t.elapsed();
-            let report = EpochReport {
-                epoch,
-                verdict,
-                timings,
-                dirty_pages: dirty_pfns.len(),
-                copy: CopyStats::default(),
-                copy_attempts,
-            };
-            stats.record(&report.timings);
-            return Ok(StagedEpoch {
-                report,
-                pending: None,
-            });
-        }
-
-        // --- snapshot dirty sectors while still paused (the guest may
-        // overwrite them the instant it resumes) ---------------------------
-        let dirty_sectors = vm.disk_mut().take_dirty();
-        for sector in dirty_sectors.iter() {
-            staging.stage_sector(slot, sector.0, vm.disk().read_sector(sector.0));
-        }
-
-        // --- resume -------------------------------------------------------
-        let t = Instant::now();
-        mapper.unmap_epoch(&mapped);
-        for _ in 0..config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
-            sched.call();
-        }
-        vm.vcpus_mut().resume_all();
-        timings.resume = t.elapsed();
-
-        // Seal off the window: the page list is walk metadata (not guest
-        // state), so copying it after resume is safe and keeps the window
-        // itself to scan + memcpy. Digests are the drain's job.
-        let ticket = staging.seal(slot, &mapped, vm.now_ns());
-
-        let report = EpochReport {
-            epoch,
-            verdict,
-            timings,
-            dirty_pages: dirty_pfns.len(),
-            copy,
-            copy_attempts,
-        };
-        stats.record(&report.timings);
-        Ok(StagedEpoch {
-            report,
-            pending: Some(ticket),
-        })
-    }
-
     /// Drain one sealed staging slot to the backup — the out-of-window
-    /// half of the deferred pipeline, overlapped with guest execution.
+    /// half of a boundary whose sink was a staging slot, overlapped with
+    /// guest execution.
     /// Digests and encrypts each staged page, streams it through the
     /// modelled socket, decrypts it into the backup, folds the drain's
     /// digests into the image checksum, applies the snapshotted sectors,
@@ -1380,22 +959,19 @@ impl Checkpointer {
         for (index, page_digest) in staging.digests(ticket.slot()) {
             integrity.apply_page_digest(index, page_digest);
         }
-        backup.commit_epoch();
+        commit(
+            backup,
+            integrity,
+            history,
+            vm,
+            staging.guest_time_ns(ticket.slot()),
+            staging.entry_count(ticket.slot()),
+        );
         // The second half of the handshake: the backup records the
         // generation as acked, so a post-crash session (or a standby
         // promotion) knows where the durable stream ends.
         backup.acknowledge_generation(ticket.generation());
         *drain_session_failures = 0;
-        let retain = history.retains_images();
-        history.push(CheckpointRecord {
-            epoch: backup.epoch(),
-            guest_time_ns: staging.guest_time_ns(ticket.slot()),
-            dirty_pages: staging.entry_count(ticket.slot()),
-            checksum: integrity.combined(),
-            frames: retain.then(|| Arc::new(backup.frames().to_vec())),
-            disk: retain.then(|| Arc::new(backup.disk().to_vec())),
-            meta: retain.then(|| vm.meta_snapshot()),
-        });
         // The ack covers the whole slot: pages resumed past plus pages
         // this session shipped. The content profile folds over the
         // slot's per-record facts, which span every completed record
@@ -1611,76 +1187,14 @@ mod tests {
     }
 
     #[test]
-    fn failing_audit_leaves_vm_suspended_and_backup_clean() {
-        let mut vm = vm();
-        let pid = vm.spawn_process("app", 0, 16).expect("spawn");
-        let mut cp = Checkpointer::new(&vm, CheckpointConfig::default());
-        let clean = cp.backup().frames().to_vec();
-        vm.dirty_arena_page(pid, 0, 0, 0xbad_u16 as u8).expect("dirty");
-        let report = cp
-            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Fail)
-            .expect("no faults armed");
-        assert_eq!(report.verdict, AuditVerdict::Fail);
-        assert!(vm.vcpus().all_paused(), "VM must stay paused on failure");
-        assert_eq!(cp.backup().epoch(), 0, "no commit on failure");
-        assert_eq!(cp.backup().frames(), clean.as_slice());
-        assert_eq!(report.copy.pages, 0);
-    }
-
-    #[test]
-    fn inconclusive_audit_extends_speculation() {
-        let mut vm = vm();
-        let pid = vm.spawn_process("app", 0, 16).expect("spawn");
-        let mut cp = Checkpointer::new(&vm, CheckpointConfig::default());
-        let clean = cp.backup().frames().to_vec();
-        for i in 0..4 {
-            vm.dirty_arena_page(pid, i, 0, 1).expect("dirty");
-        }
-        let report = cp
-            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Inconclusive)
-            .expect("no faults armed");
-        assert_eq!(report.verdict, AuditVerdict::Inconclusive);
-        assert!(!vm.vcpus().all_paused(), "VM resumes — the guest keeps running");
-        assert_eq!(cp.backup().epoch(), 0, "no commit while inconclusive");
-        assert_eq!(cp.backup().frames(), clean.as_slice(), "backup untouched");
-        assert!(report.dirty_pages >= 4);
-
-        // The deferred pages must still be dirty, so the next (conclusive)
-        // epoch audits and commits them.
-        let next = cp
-            .run_epoch(&mut vm, &mut pass_audit())
-            .expect("no faults armed");
-        assert_eq!(next.verdict, AuditVerdict::Pass);
-        assert!(next.dirty_pages >= report.dirty_pages);
-        assert_eq!(cp.backup().epoch(), 1);
-        assert_eq!(cp.backup().frames(), vm.memory().dump_frames().as_slice());
-    }
-
-    #[test]
-    fn copy_faults_are_retried_then_exhausted() {
+    fn copy_retries_rescue_epochs_from_transient_faults() {
         use crimes_faults::{FaultPlan, FaultPoint, SCALE};
 
         let mut vm = vm();
         let pid = vm.spawn_process("app", 0, 16).expect("spawn");
         let mut cp = Checkpointer::new(&vm, CheckpointConfig::default());
-
-        // Every attempt fails: the epoch must exhaust its retries, leave
-        // the VM suspended, and commit nothing.
-        vm.dirty_arena_page(pid, 0, 0, 1).expect("dirty");
-        {
-            let plan = FaultPlan::disabled().with_rate(FaultPoint::PageCopy, SCALE);
-            let _scope = crimes_faults::install(plan, 11);
-            let err = cp
-                .run_epoch(&mut vm, &mut pass_audit())
-                .expect_err("all copy attempts fault");
-            assert_eq!(err, CheckpointError::Exhausted { attempts: 4 });
-        }
-        assert!(vm.vcpus().all_paused(), "fail closed: VM stays suspended");
-        assert_eq!(cp.backup().epoch(), 0);
-        vm.vcpus_mut().resume_all();
-
         // Roughly half the attempts fail: retries absorb the faults and
-        // the epoch still commits.
+        // most epochs still commit.
         let mut committed = 0;
         {
             let plan = FaultPlan::disabled().with_rate(FaultPoint::PageCopy, SCALE / 2);
@@ -1906,24 +1420,6 @@ mod tests {
         assert!(cp.init_time() > Duration::ZERO);
     }
 
-    /// A [`FusedAudit`] with no page-scoped scan and a fixed verdict.
-    struct FixedFused(AuditVerdict);
-
-    impl FusedAudit for FixedFused {
-        fn stage(&mut self, _vm: &Vm, _dirty: &DirtyBitmap) {}
-        fn visitor(&self) -> Option<&dyn FusedPageVisitor> {
-            None
-        }
-        fn verdict(
-            &mut self,
-            _vm: &Vm,
-            _dirty: &DirtyBitmap,
-            _findings: &[crate::pool::PageFinding],
-        ) -> AuditVerdict {
-            self.0
-        }
-    }
-
     fn fused_config(workers: usize) -> CheckpointConfig {
         CheckpointConfig {
             pause_workers: workers,
@@ -1938,10 +1434,34 @@ mod tests {
         }
     }
 
+    /// The reference that is not the pipeline under test: after a commit
+    /// the backup must equal the guest's own memory and disk, pass its own
+    /// verification, and carry the checksum of exactly that image,
+    /// recomputed from scratch.
+    fn assert_committed_image(cp: &Checkpointer, vm: &Vm, what: &str) {
+        assert_eq!(
+            cp.backup().frames(),
+            vm.memory().dump_frames().as_slice(),
+            "{what}: backup frames are not the guest's"
+        );
+        assert_eq!(
+            cp.backup().disk(),
+            vm.disk().dump().as_slice(),
+            "{what}: backup disk is not the guest's"
+        );
+        assert!(cp.verify_backup().is_ok(), "{what}: backup fails verification");
+        assert_eq!(
+            cp.history().latest().expect("an epoch committed").checksum,
+            image_digest(cp.backup().frames(), cp.backup().disk()),
+            "{what}: history checksum is not the image's"
+        );
+    }
+
     #[test]
     fn fused_pass_matches_serial_backup_and_checksum() {
-        // Two identical VMs, one driven by the serial pipeline and one by
-        // the fused pool: committed state must be indistinguishable.
+        // Two identical VMs, one walked by one worker and one by four:
+        // committed state must be indistinguishable, and each must equal
+        // its guest.
         let mk = || {
             let mut b = Vm::builder();
             b.pages(2048).seed(77);
@@ -1961,7 +1481,7 @@ mod tests {
                 .run_epoch(&mut vm_a, &mut pass_audit())
                 .expect("no faults armed");
             let b = fused
-                .run_epoch_fused(&mut vm_b, &mut FixedFused(AuditVerdict::Pass))
+                .run_epoch(&mut vm_b, &mut |_, _| AuditVerdict::Pass)
                 .expect("no faults armed");
             assert_eq!(a.verdict, b.verdict);
             assert_eq!(a.dirty_pages, b.dirty_pages);
@@ -1977,6 +1497,8 @@ mod tests {
                 fused.integrity.combined(),
                 "fused checksum diverged at epoch {epoch}"
             );
+            assert_committed_image(&serial, &vm_a, "one worker");
+            assert_committed_image(&fused, &vm_b, "four workers");
         }
         assert!(!vm_b.vcpus().all_paused());
         assert_eq!(fused.backup().epoch(), 3);
@@ -1996,7 +1518,7 @@ mod tests {
         );
         dirty_some(&mut vm, pid, 1);
         let report = cp
-            .run_epoch_fused(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         assert!(report.copy.syscalls > 0, "remote copies model the socket");
         assert_eq!(cp.backup().frames(), vm.memory().dump_frames().as_slice());
@@ -2004,87 +1526,93 @@ mod tests {
     }
 
     #[test]
-    fn fused_fail_rolls_the_walk_back_and_stays_suspended() {
-        let mut vm = vm();
-        let pid = vm.spawn_process("app", 0, 64).expect("spawn");
-        let mut cp = Checkpointer::new(&vm, fused_config(4));
-        let clean = cp.backup().frames().to_vec();
-        dirty_some(&mut vm, pid, 2);
-        let report = cp
-            .run_epoch_fused(&mut vm, &mut FixedFused(AuditVerdict::Fail))
-            .expect("no faults armed");
-        assert_eq!(report.verdict, AuditVerdict::Fail);
-        assert!(vm.vcpus().all_paused(), "VM must stay paused on failure");
-        assert_eq!(cp.backup().epoch(), 0, "no commit on failure");
-        assert_eq!(
-            cp.backup().frames(),
-            clean.as_slice(),
-            "the fused walk must be undone on a failing verdict"
-        );
-        assert_eq!(report.copy.pages, 0);
-        assert!(cp.verify_backup().is_ok(), "digest state never advanced");
+    fn a_failing_verdict_rolls_the_walk_back_and_stays_suspended() {
+        for workers in [1, 4] {
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(&vm, fused_config(workers));
+            let clean = cp.backup().frames().to_vec();
+            dirty_some(&mut vm, pid, 2);
+            let report = cp
+                .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Fail)
+                .expect("no faults armed");
+            assert_eq!(report.verdict, AuditVerdict::Fail);
+            assert!(vm.vcpus().all_paused(), "VM must stay paused on failure");
+            assert_eq!(cp.backup().epoch(), 0, "no commit on failure");
+            assert_eq!(
+                cp.backup().frames(),
+                clean.as_slice(),
+                "the walk must be undone on a failing verdict"
+            );
+            assert_eq!(report.copy.pages, 0);
+            assert!(cp.verify_backup().is_ok(), "digest state never advanced");
+        }
     }
 
     #[test]
-    fn fused_inconclusive_extends_speculation() {
-        let mut vm = vm();
-        let pid = vm.spawn_process("app", 0, 64).expect("spawn");
-        let mut cp = Checkpointer::new(&vm, fused_config(4));
-        let clean = cp.backup().frames().to_vec();
-        dirty_some(&mut vm, pid, 3);
-        let report = cp
-            .run_epoch_fused(&mut vm, &mut FixedFused(AuditVerdict::Inconclusive))
-            .expect("no faults armed");
-        assert_eq!(report.verdict, AuditVerdict::Inconclusive);
-        assert!(!vm.vcpus().all_paused(), "VM resumes");
-        assert_eq!(cp.backup().epoch(), 0, "no commit while inconclusive");
-        assert_eq!(cp.backup().frames(), clean.as_slice(), "walk undone");
+    fn an_inconclusive_verdict_extends_speculation() {
+        for workers in [1, 4] {
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(&vm, fused_config(workers));
+            let clean = cp.backup().frames().to_vec();
+            dirty_some(&mut vm, pid, 3);
+            let report = cp
+                .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Inconclusive)
+                .expect("no faults armed");
+            assert_eq!(report.verdict, AuditVerdict::Inconclusive);
+            assert!(!vm.vcpus().all_paused(), "VM resumes");
+            assert_eq!(cp.backup().epoch(), 0, "no commit while inconclusive");
+            assert_eq!(cp.backup().frames(), clean.as_slice(), "walk undone");
 
-        // The deferred pages are still dirty: the next conclusive epoch
-        // audits and commits them.
-        let next = cp
-            .run_epoch_fused(&mut vm, &mut FixedFused(AuditVerdict::Pass))
-            .expect("no faults armed");
-        assert_eq!(next.verdict, AuditVerdict::Pass);
-        assert!(next.dirty_pages >= report.dirty_pages);
-        assert_eq!(cp.backup().epoch(), 1);
-        assert_eq!(cp.backup().frames(), vm.memory().dump_frames().as_slice());
-        assert!(cp.verify_backup().is_ok());
+            // The deferred pages are still dirty: the next conclusive epoch
+            // audits and commits them.
+            let next = cp
+                .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
+                .expect("no faults armed");
+            assert_eq!(next.verdict, AuditVerdict::Pass);
+            assert!(next.dirty_pages >= report.dirty_pages);
+            assert_eq!(cp.backup().epoch(), 1);
+            assert_eq!(cp.backup().frames(), vm.memory().dump_frames().as_slice());
+            assert!(cp.verify_backup().is_ok());
+        }
     }
 
     #[test]
-    fn fused_exhaustion_leaves_backup_clean() {
+    fn exhaustion_leaves_the_backup_clean() {
         use crimes_faults::{FaultPlan, FaultPoint, SCALE};
 
-        let mut vm = vm();
-        let pid = vm.spawn_process("app", 0, 64).expect("spawn");
-        let mut cp = Checkpointer::new(&vm, fused_config(4));
-        let clean = cp.backup().frames().to_vec();
-        dirty_some(&mut vm, pid, 4);
-        {
-            let plan = FaultPlan::disabled().with_rate(FaultPoint::PageCopy, SCALE);
-            let _scope = crimes_faults::install(plan, 21);
-            let err = cp
-                .run_epoch_fused(&mut vm, &mut FixedFused(AuditVerdict::Pass))
-                .expect_err("every walk attempt faults");
-            assert_eq!(err, CheckpointError::Exhausted { attempts: 4 });
-        }
-        assert!(vm.vcpus().all_paused(), "fail closed: VM stays suspended");
-        assert_eq!(cp.backup().epoch(), 0);
-        assert_eq!(
-            cp.backup().frames(),
-            clean.as_slice(),
-            "undo log leaves no partial copy behind"
-        );
-        vm.vcpus_mut().resume_all();
+        for workers in [1, 4] {
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(&vm, fused_config(workers));
+            let clean = cp.backup().frames().to_vec();
+            dirty_some(&mut vm, pid, 4);
+            {
+                let plan = FaultPlan::disabled().with_rate(FaultPoint::PageCopy, SCALE);
+                let _scope = crimes_faults::install(plan, 21);
+                let err = cp
+                    .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
+                    .expect_err("every walk attempt faults");
+                assert_eq!(err, CheckpointError::Exhausted { attempts: 4 });
+            }
+            assert!(vm.vcpus().all_paused(), "fail closed: VM stays suspended");
+            assert_eq!(cp.backup().epoch(), 0);
+            assert_eq!(
+                cp.backup().frames(),
+                clean.as_slice(),
+                "undo log leaves no partial copy behind"
+            );
+            vm.vcpus_mut().resume_all();
 
-        // The dirty set was re-marked, so a fault-free epoch still commits.
-        let report = cp
-            .run_epoch_fused(&mut vm, &mut FixedFused(AuditVerdict::Pass))
-            .expect("no faults armed");
-        assert_eq!(report.verdict, AuditVerdict::Pass);
-        assert_eq!(cp.backup().epoch(), 1);
-        assert_eq!(cp.backup().frames(), vm.memory().dump_frames().as_slice());
+            // The dirty set was re-marked, so a fault-free epoch still commits.
+            let report = cp
+                .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
+                .expect("no faults armed");
+            assert_eq!(report.verdict, AuditVerdict::Pass);
+            assert_eq!(cp.backup().epoch(), 1);
+            assert_eq!(cp.backup().frames(), vm.memory().dump_frames().as_slice());
+        }
     }
 
     fn staged_config(buffers: usize) -> CheckpointConfig {
@@ -2097,10 +1625,10 @@ mod tests {
 
     #[test]
     fn staged_pass_matches_serial_backup_and_checksum() {
-        // Two identical VMs, one serial and one deferred: after each
-        // staged epoch's drain acks, the committed state must be
-        // indistinguishable — the cipher detour through staging cannot
-        // change a single byte.
+        // Two identical VMs, one copied in the window and one deferred:
+        // after each staged epoch's drain acks, the committed state must
+        // be indistinguishable — the cipher detour through staging cannot
+        // change a single byte — and each must equal its guest.
         let mk = || {
             let mut b = Vm::builder();
             b.pages(2048).seed(77);
@@ -2120,13 +1648,13 @@ mod tests {
                 .run_epoch(&mut vm_a, &mut pass_audit())
                 .expect("no faults armed");
             let b = staged
-                .run_epoch_staged(&mut vm_b, &mut FixedFused(AuditVerdict::Pass))
+                .run_epoch(&mut vm_b, &mut |_, _| AuditVerdict::Pass)
                 .expect("no faults armed");
-            assert_eq!(a.verdict, b.report.verdict);
-            assert_eq!(a.dirty_pages, b.report.dirty_pages);
-            assert_eq!(a.copy.pages, b.report.copy.pages);
+            assert_eq!(a.verdict, b.verdict);
+            assert_eq!(a.dirty_pages, b.dirty_pages);
+            assert_eq!(a.copy.pages, b.copy.pages);
             assert_eq!(
-                b.report.copy.syscalls, 0,
+                b.copy.syscalls, 0,
                 "the pause window must not touch the socket"
             );
             assert!(
@@ -2161,6 +1689,8 @@ mod tests {
                 staged.integrity.combined(),
                 "staged checksum diverged at epoch {epoch}"
             );
+            assert_committed_image(&serial, &vm_a, "in-window");
+            assert_committed_image(&staged, &vm_b, "staged + drain");
         }
         assert_eq!(staged.backup().epoch(), 3);
         assert!(staged.verify_backup().is_ok());
@@ -2181,9 +1711,9 @@ mod tests {
         // whole rollback; the VM stays suspended for analysis.
         dirty_some(&mut vm, pid, 5);
         let failed = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Fail))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Fail)
             .expect("no faults armed");
-        assert_eq!(failed.report.verdict, AuditVerdict::Fail);
+        assert_eq!(failed.verdict, AuditVerdict::Fail);
         assert!(failed.pending.is_none());
         assert!(vm.vcpus().all_paused(), "VM must stay paused on failure");
         assert_eq!(cp.backup().epoch(), 0);
@@ -2194,9 +1724,9 @@ mod tests {
         // Inconclusive: slot discarded, dirty set kept, speculation extends.
         dirty_some(&mut vm, pid, 6);
         let inconclusive = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Inconclusive))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Inconclusive)
             .expect("no faults armed");
-        assert_eq!(inconclusive.report.verdict, AuditVerdict::Inconclusive);
+        assert_eq!(inconclusive.verdict, AuditVerdict::Inconclusive);
         assert!(inconclusive.pending.is_none());
         assert!(!vm.vcpus().all_paused(), "VM resumes");
         assert_eq!(cp.backup().epoch(), 0, "no commit while inconclusive");
@@ -2205,9 +1735,9 @@ mod tests {
         // The deferred pages are still dirty: the next conclusive epoch
         // stages, drains, and commits them.
         let next = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
-        assert!(next.report.dirty_pages >= inconclusive.report.dirty_pages);
+        assert!(next.dirty_pages >= inconclusive.dirty_pages);
         let ticket = next.pending.expect("passing verdict yields a ticket");
         cp.drain_staged(&vm, ticket).expect("no faults armed");
         assert_eq!(cp.backup().epoch(), 1);
@@ -2233,7 +1763,7 @@ mod tests {
         // One clean acknowledged generation to fall back to.
         dirty_some(&mut vm, pid, 7);
         let first = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         cp.drain_staged(&vm, first.pending.expect("ticket"))
             .expect("no faults armed");
@@ -2242,7 +1772,7 @@ mod tests {
         // Second epoch stages cleanly, but every drain attempt faults.
         dirty_some(&mut vm, pid, 8);
         let second = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = second.pending.expect("ticket");
         let err = {
@@ -2293,7 +1823,7 @@ mod tests {
         );
         dirty_some(&mut vm, pid, 9);
         let staged = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = staged.pending.expect("ticket");
         let err = {
@@ -2320,7 +1850,7 @@ mod tests {
 
         dirty_some(&mut vm, pid, 10);
         let first = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = first.pending.expect("ticket");
         assert_eq!(cp.drains_in_flight(), 1);
@@ -2329,7 +1859,7 @@ mod tests {
         // refused before anything is copied, and fails closed.
         dirty_some(&mut vm, pid, 11);
         let err = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect_err("no free staging buffer");
         assert_eq!(err, CheckpointError::StagingBacklog { in_flight: 1 });
         assert!(vm.vcpus().all_paused(), "fail closed: VM stays suspended");
@@ -2341,7 +1871,7 @@ mod tests {
         cp.drain_staged(&vm, ticket).expect("no faults armed");
         assert_eq!(cp.backup().epoch(), 1);
         let next = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("buffer free again");
         let ticket = next.pending.expect("ticket");
         assert_eq!(ticket.generation(), 2);
@@ -2360,7 +1890,7 @@ mod tests {
         let mut cp = Checkpointer::new(&vm, staged_config(1));
         dirty_some(&mut vm, pid, 3);
         let staged = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = staged.pending.expect("ticket");
 
@@ -2400,7 +1930,7 @@ mod tests {
         let clean = cp.backup().frames().to_vec();
         dirty_some(&mut vm, pid, 4);
         let staged = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = staged.pending.expect("ticket");
 
@@ -2433,6 +1963,171 @@ mod tests {
     }
 
     #[test]
+    fn rejected_epochs_leave_the_backup_registers_at_the_last_commit() {
+        for staged in [false, true] {
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(
+                &vm,
+                CheckpointConfig {
+                    staging_buffers: usize::from(staged),
+                    ..CheckpointConfig::default()
+                },
+            );
+            let step = |cp: &mut Checkpointer, vm: &mut Vm, rip: u64, verdict| {
+                dirty_some(vm, pid, rip as u8);
+                vm.vcpus_mut().get_mut(0).expect("vcpu 0").rip = rip;
+                let report = cp
+                    .run_epoch(vm, &mut |_, _| verdict)
+                    .expect("no faults armed");
+                if let Some(ticket) = report.pending {
+                    cp.drain_staged(vm, ticket).expect("no faults armed");
+                }
+                vm.vcpus_mut().resume_all();
+                cp.backup().vcpus().get(0).expect("vcpu 0").rip
+            };
+            assert_eq!(step(&mut cp, &mut vm, 0x1000, AuditVerdict::Pass), 0x1000);
+            assert_eq!(
+                step(&mut cp, &mut vm, 0x2000, AuditVerdict::Inconclusive),
+                0x1000,
+                "staged={staged}: an inconclusive epoch's registers reached the backup"
+            );
+            assert_eq!(
+                step(&mut cp, &mut vm, 0x3000, AuditVerdict::Fail),
+                0x1000,
+                "staged={staged}: a failed epoch's registers reached the backup"
+            );
+            assert_eq!(step(&mut cp, &mut vm, 0x4000, AuditVerdict::Pass), 0x4000);
+        }
+    }
+
+    /// `report.copy` of the two passing epochs of
+    /// [`every_configuration_commits_the_guest_image`], as the five fused
+    /// copy visitors this one replaced reported them for the same script
+    /// (recorded at the parent commit). They feed worker telemetry and the
+    /// bench's wire counters, so they must not move.
+    fn pinned_copy(socket: bool, threshold: usize, workers: usize, staged: bool) -> [CopyStats; 2] {
+        // 27 then 25 dirty pages. Raw, each is a page on the wire; encoded,
+        // the 100-word page ships whole (8 + 4096) and the rest as
+        // one-run records. Staging only snapshots, whatever the config.
+        let bytes = if !staged && threshold > 0 {
+            [4_680, 4_680]
+        } else {
+            [27 * 4096, 25 * 4096]
+        };
+        // One writev and one restore read per shard of < 64 pages.
+        let syscalls = match (staged || !socket, workers) {
+            (true, _) => 0,
+            (false, 1) => 2,
+            (false, _) => 6,
+        };
+        [(27, bytes[0]), (25, bytes[1])].map(|(pages, bytes)| CopyStats {
+            pages,
+            bytes,
+            syscalls,
+        })
+    }
+
+    #[test]
+    fn every_configuration_commits_the_guest_image() {
+        let script = [
+            AuditVerdict::Pass,
+            AuditVerdict::Inconclusive,
+            AuditVerdict::Pass,
+            AuditVerdict::Fail,
+        ];
+        for opt in OptLevel::ALL {
+            for remote_backup in [false, true] {
+                for delta_threshold in [0usize, 64] {
+                    for pause_workers in [1usize, 3] {
+                        for staged in [false, true] {
+                            let config = CheckpointConfig {
+                                opt,
+                                remote_backup,
+                                delta_threshold,
+                                pause_workers,
+                                staging_buffers: usize::from(staged),
+                                // The modelled suspend/resume cost is not
+                                // under test.
+                                suspend_hypercalls: 0,
+                                resume_hypercalls: 0,
+                                ..CheckpointConfig::default()
+                            };
+                            let what = format!(
+                                "{opt} remote={remote_backup} delta={delta_threshold} \
+                                 workers={pause_workers} staged={staged}"
+                            );
+                            let socket = remote_backup || opt == OptLevel::NoOpt;
+                            let pinned = pinned_copy(socket, delta_threshold, pause_workers, staged);
+                            drive_script(config, &script, &pinned, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One epoch of guest activity for the matrix: 24 one-byte page
+    /// writes (delta records), one page with 100 changed words (past the
+    /// threshold: a full page), and one disk sector.
+    fn matrix_activity(vm: &mut Vm, pid: u32, step: u8) {
+        dirty_some(vm, pid, step.wrapping_mul(31));
+        for word in 0..100 {
+            vm.dirty_arena_page(pid, 40, word * 8, step + 1).expect("dirty");
+        }
+        vm.write_disk(u64::from(step), &[step + 1; crimes_vm::SECTOR_SIZE])
+            .expect("disk write");
+    }
+
+    fn drive_script(
+        config: CheckpointConfig,
+        script: &[AuditVerdict],
+        pinned: &[CopyStats; 2],
+        what: &str,
+    ) {
+        // A small guest: every step re-digests the whole image.
+        let mut b = Vm::builder();
+        b.pages(512).seed(77);
+        let mut vm = b.build();
+        let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+        let mut cp = Checkpointer::new(&vm, config);
+        let mut pinned = pinned.iter();
+        for (step, &verdict) in script.iter().enumerate() {
+            matrix_activity(&mut vm, pid, step as u8);
+            let before = cp.backup().clone();
+            let report = cp
+                .run_epoch(&mut vm, &mut |_, _| verdict)
+                .expect("no faults armed");
+            assert_eq!(report.verdict, verdict, "{what}");
+            assert_eq!(report.copy_attempts, 1, "{what}: the walk runs before the verdict");
+            if verdict == AuditVerdict::Pass {
+                assert_eq!(Some(&report.copy), pinned.next(), "{what}: step {step} copy stats");
+                assert_eq!(report.pending.is_some(), config.staging_buffers > 0, "{what}");
+                if let Some(ticket) = report.pending {
+                    assert_eq!(cp.backup().frames(), before.frames(), "{what}: staged, not copied");
+                    let ack = cp.drain_staged(&vm, ticket).expect("no faults armed");
+                    assert_eq!(ack.pages, report.copy.pages, "{what}");
+                }
+                assert_eq!(cp.backup().epoch(), before.epoch() + 1, "{what}");
+                assert_committed_image(&cp, &vm, what);
+            } else {
+                assert_eq!(report.copy, CopyStats::default(), "{what}");
+                assert!(report.pending.is_none(), "{what}");
+                assert_eq!(cp.drains_in_flight(), 0, "{what}: slot freed");
+                assert_eq!(cp.backup().epoch(), before.epoch(), "{what}: nothing commits");
+                assert_eq!(cp.backup().frames(), before.frames(), "{what}: walk undone");
+                assert_eq!(cp.backup().disk(), before.disk(), "{what}: sectors untouched");
+                assert!(cp.verify_backup().is_ok(), "{what}: digest never advanced");
+                assert_eq!(
+                    vm.vcpus().all_paused(),
+                    verdict == AuditVerdict::Fail,
+                    "{what}: only a failed audit keeps the guest down"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn attach_adopts_a_surviving_backup_and_resumes_generations() {
         let mut vm = vm();
         let pid = vm.spawn_process("app", 0, 64).expect("spawn");
@@ -2440,7 +2135,7 @@ mod tests {
         for e in 0..2u8 {
             dirty_some(&mut vm, pid, e);
             let staged = cp
-                .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+                .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
                 .expect("no faults armed");
             cp.drain_staged(&vm, staged.pending.expect("ticket"))
                 .expect("no faults armed");
@@ -2456,7 +2151,7 @@ mod tests {
         assert_eq!(cp.backup().epoch(), 2);
         dirty_some(&mut vm, pid, 9);
         let staged = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = staged.pending.expect("ticket");
         assert_eq!(
@@ -2523,7 +2218,7 @@ mod tests {
         );
         dirty_some(&mut vm, pid, 3);
         let staged = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = staged.pending.expect("ticket");
         assert_eq!(ticket.generation(), 1, "jitter was derived for gen 1");
@@ -2556,7 +2251,7 @@ mod tests {
         );
         dirty_some(&mut vm, pid, 3);
         let staged = cp
-            .run_epoch_staged(&mut vm, &mut FixedFused(AuditVerdict::Pass))
+            .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed");
         let ticket = staged.pending.expect("ticket");
         assert_eq!(ticket.generation(), 1, "jitter was derived for gen 1");

@@ -131,39 +131,23 @@ pub fn chunk_digest(tag: u64, bytes: &[u8]) -> u64 {
     lanes.finish(bytes.len())
 }
 
-/// The digest pass of a fused pause-window walk: digests each visited
-/// page's source bytes during the walk (the copy visitor makes the backup
-/// frame identical to the source, so this is the same digest the serial
-/// post-resume pass computes) and parks the result in the worker's sink.
-/// The engine folds the per-page digests into the [`ImageDigest`] after
-/// resume via [`ImageDigest::apply_page_digest`] — the XOR combination is
-/// order independent, so the shard layout cannot change the checksum.
+/// The digest pass of the pause-window walk: digests each visited page's
+/// source bytes during the walk (the copy visitor makes the backup frame
+/// identical to the source, so this is the digest of the frame the backup
+/// ends up holding) and parks the result in the worker's sink. The engine
+/// folds the per-page digests into the [`ImageDigest`] after resume via
+/// [`ImageDigest::apply_page_digest`] — the XOR combination is order
+/// independent, so the shard layout cannot change the checksum. A walk
+/// into a staging slot leaves it out: the slot is engine-private and
+/// immutable from seal to drain, and nothing commits until the drain
+/// acknowledges, so `StagingArea::drain_slot` digests each staged page as
+/// it ciphers it — the same [`chunk_digest`] over the same bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FusedDigest;
 
 impl FusedPageVisitor for FusedDigest {
     fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
         sink.push_digest(ctx.mfn.0 as usize, chunk_digest(ctx.mfn.0, ctx.src));
-    }
-}
-
-/// The deferred pipeline's snapshot visitor: copy the source page into
-/// the staging frame — and nothing else. The digest is *also* deferred:
-/// the staging slot is engine-private and immutable from seal to drain,
-/// and the epoch only commits (and outputs only release) once the drain
-/// acknowledges, so `StagingArea::drain_slot` digests each staged page
-/// as it ciphers it — the bytes are in cache anyway — and the pause
-/// window pays for the memcpy alone. The digest value is
-/// [`chunk_digest`] over the same bytes [`FusedDigest`] would see, so
-/// the two pipelines' checksums stay bit-identical.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StagedSnapshot;
-
-impl FusedPageVisitor for StagedSnapshot {
-    // lint: pause-window
-    fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
-        sink.dst().copy_from_slice(ctx.src);
-        sink.count_page(PAGE_SIZE);
     }
 }
 

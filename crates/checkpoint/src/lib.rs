@@ -52,13 +52,13 @@ pub mod staging;
 
 pub use backup::BackupVm;
 pub use bitmap::{scan_bit_by_bit, scan_wordwise, BitmapScan};
-pub use copy::{CopyStats, CopyStrategy, FusedSocketCopier, MemcpyCopier, SocketCopier};
+pub use copy::{CopyStats, CopyStrategy, PageCopier};
 pub use delta::{
     apply_page, encode_page, scan_page, wire_len, wire_len_for, DeltaRun, PageEncoding, PageScan,
 };
 pub use engine::{
     AuditVerdict, CheckpointConfig, Checkpointer, DrainStats, EpochReport, OptLevel,
-    RollbackReport, StagedEpoch,
+    RollbackReport,
 };
 pub use error::CheckpointError;
 pub use history::{CheckpointHistory, CheckpointRecord};

@@ -1,5 +1,5 @@
-//! The parallel fused pause window: one sharded walk over the epoch's
-//! dirty pages instead of three serial ones.
+//! The fused pause-window walk: one sharded pass over the epoch's dirty
+//! pages instead of three serial ones.
 //!
 //! The pause window is the whole overhead story (§4, Fig. 4/7): the VM is
 //! stopped while the audit scans dirtied memory, Remus-style copy captures
@@ -22,14 +22,12 @@
 //! * scan findings carry `(visitor, key)` identifiers and are merged in
 //!   shard order then sorted — the canonical order equals a serial scan's;
 //! * each worker gets a *forked* fault-injection plan whose seed is a pure
-//!   mix of the installed seed and the worker index
-//!   ([`crimes_faults::fork_for_worker`]), so worker draws never perturb
-//!   the installer's schedule.
+//!   mix of the installed seed, the worker index and the scope's fork
+//!   count ([`crimes_faults::fork_for_worker`]), so worker draws never
+//!   perturb the installer's schedule and every walk draws a fresh one.
 //!
-//! `pause_workers = 1` does not even reach this module: the framework
-//! routes single-worker configurations through the unchanged serial
-//! `run_epoch` path, so the pre-existing behaviour (including fault draws)
-//! is reproduced bit-exactly.
+//! `pause_workers = 1` is the same walk with one shard, run inline on the
+//! calling thread (no scope, no spawn) under the same forked fault plan.
 //!
 //! # Why allocation is pre-staged
 //!
@@ -784,8 +782,8 @@ fn run_shard(
         syscalls,
     };
 
-    // Shard-level fault points mirror the serial copy pipeline's: a copy
-    // fault up front, or a backup-write fault part-way through the shard.
+    // Shard-level fault points: a copy fault up front, or a backup-write
+    // fault part-way through the shard.
     *outcome = (|| {
         if crimes_faults::should_inject(FaultPoint::PageCopy) {
             return Err(CheckpointError::CopyFault { strategy: "fused" });
@@ -928,7 +926,7 @@ mod tests {
 
     #[test]
     fn staging_walk_packs_pages_in_mfn_order_for_any_worker_count() {
-        use crate::integrity::StagedSnapshot;
+        use crate::copy::PageCopier;
         let (vm, mapped) = vm_with_dirt(512, 40, 11);
         // Reference: page `i` of the MFN-sorted list at byte
         // `i * PAGE_SIZE`, and nothing anywhere else.
@@ -940,7 +938,7 @@ mod tests {
             dst.copy_from_slice(vm.memory().frame(mfn));
         }
 
-        let snapshot: [&dyn FusedPageVisitor; 1] = [&StagedSnapshot];
+        let snapshot: [&dyn FusedPageVisitor; 1] = [&PageCopier::memcpy()];
         for workers in [1, 2, 4] {
             let mut pool = PauseWindowPool::new(workers, 512, 2);
             let mut staged = vec![0u8; 512 * PAGE_SIZE];
@@ -962,9 +960,9 @@ mod tests {
 
     #[test]
     fn staging_walk_refuses_bad_geometry_before_touching_the_slot() {
-        use crate::integrity::StagedSnapshot;
+        use crate::copy::PageCopier;
         let (vm, mapped) = vm_with_dirt(512, 20, 9);
-        let snapshot: [&dyn FusedPageVisitor; 1] = [&StagedSnapshot];
+        let snapshot: [&dyn FusedPageVisitor; 1] = [&PageCopier::memcpy()];
         let mut pool = PauseWindowPool::new(4, 512, 2);
 
         let mut duplicated = mapped.clone();

@@ -481,7 +481,8 @@ impl StagingArea {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integrity::{chunk_digest, content_digest, StagedSnapshot};
+    use crate::copy::PageCopier;
+    use crate::integrity::{chunk_digest, content_digest};
     use crate::pool::PauseWindowPool;
     use crimes_vm::Vm;
 
@@ -508,7 +509,7 @@ mod tests {
     fn stage(area: &mut StagingArea, vm: &Vm, mapped: &[MappedPage]) -> DrainTicket {
         let slot = area.claim().expect("a free slot");
         PauseWindowPool::new(2, vm.memory().num_pages(), 2)
-            .run_staging(vm.memory(), area.frames_mut(slot), mapped, &[&StagedSnapshot])
+            .run_staging(vm.memory(), area.frames_mut(slot), mapped, &[&PageCopier::memcpy()])
             .expect("no faults armed");
         area.seal(slot, mapped, 42)
     }

@@ -20,10 +20,12 @@ use crate::error::CrimesError;
 pub struct CrimesConfig {
     /// Speculative-execution epoch length in milliseconds.
     pub epoch_interval_ms: u64,
-    /// Wall-clock budget for the end-of-epoch audit, in milliseconds.
-    /// `None` means the whole epoch interval. When the audit overruns,
-    /// the epoch is *inconclusive*: nothing commits, outputs stay
-    /// buffered, and speculation extends into the next epoch.
+    /// Wall-clock budget for the end-of-epoch audit, in milliseconds,
+    /// measured from the audit's staging to its verdict — the page walk
+    /// (copy included) runs between the two and counts against it, for
+    /// every worker count. `None` means the whole epoch interval. When
+    /// the audit overruns, the epoch is *inconclusive*: nothing commits,
+    /// outputs stay buffered, and speculation extends into the next epoch.
     pub audit_deadline_ms: Option<u64>,
     /// Retries for transient VMI read faults during an audit before the
     /// epoch is declared inconclusive.
@@ -185,8 +187,9 @@ impl CrimesConfigBuilder {
 
     /// Worker threads for the pause window (validated at
     /// [`build`](Self::build): 1 ..= [`crimes_checkpoint::MAX_WORKERS`]).
-    /// `1` (the default) keeps the serial pipeline; higher values fuse the
-    /// scan/copy/digest passes into one sharded walk. [`build`](Self::build)
+    /// The boundary is one walk (scan, copy and digest fused) whatever the
+    /// count: `1` (the default) runs it inline on the calling thread,
+    /// higher values shard it across workers. [`build`](Self::build)
     /// additionally clamps the count to the host's available parallelism
     /// (never below 2): oversubscribed shard workers time-slice one core
     /// and *lengthen* the pause window they exist to shorten.
@@ -250,20 +253,21 @@ impl CrimesConfigBuilder {
     }
 
     /// Mark the tenant as served by an externally owned pause-window pool
-    /// (the fleet scheduler's shared pool). Suppresses the eager
-    /// per-tenant pool allocation — whose undo buffers rival the guest
-    /// image in size — so a thousand-tenant fleet pays for the
-    /// scheduler's few leased walkers, not a thousand pools. Plain [`Crimes::epoch_boundary`](crate::Crimes)
-    /// entry points still self-provision a pool lazily, so the tenant
-    /// keeps working standalone.
+    /// (the fleet scheduler's shared pool). Suppresses the per-tenant pool
+    /// built at protect time — whose undo buffers rival the guest image in
+    /// size — so a thousand-tenant fleet pays for the scheduler's few
+    /// leased walkers, not a thousand pools. A boundary run with no leased
+    /// pool ([`Crimes::epoch_boundary`](crate::Crimes)) self-provisions
+    /// one before suspending the guest, so the tenant keeps working
+    /// standalone.
     pub fn external_pool(&mut self, external: bool) -> &mut Self {
         self.config.checkpoint.external_pool = external;
         self
     }
 
     /// The largest pause-worker count worth running on this host:
-    /// `max(available_parallelism, 2)`. The floor of 2 keeps the fused
-    /// pipeline reachable (and its bit-identical-for-any-worker-count
+    /// `max(available_parallelism, 2)`. The floor of 2 keeps the sharded
+    /// walk reachable (and its bit-identical-for-any-worker-count
     /// guarantee testable) even on a single-core host, where the second
     /// worker costs little; beyond that, workers past the core count only
     /// time-slice and lengthen the pause window.
@@ -423,7 +427,7 @@ mod tests {
     #[test]
     fn pause_workers_clamp_to_host_parallelism_but_never_below_two() {
         let cap = CrimesConfigBuilder::host_pause_worker_cap();
-        assert!(cap >= 2, "the cap keeps the fused pipeline reachable");
+        assert!(cap >= 2, "the cap keeps the sharded walk reachable");
         // A request at the cap passes through untouched.
         let c = {
             let mut b = CrimesConfig::builder();

@@ -245,10 +245,15 @@ impl Detector {
         self.modules.is_empty()
     }
 
-    /// Run every module over the paused VM. The session's address-space
-    /// cache is refreshed once, up front (process churn during the epoch
-    /// would otherwise break user-address translation).
-    // lint: pause-window
+    /// Run every module's full [`scan`](ScanModule::scan) over the paused
+    /// VM, with nothing staged and no walk: the **reference** audit. The
+    /// boundary itself always goes through
+    /// [`stage_fused`](Self::stage_fused) and
+    /// [`audit_after_walk`](Self::audit_after_walk); this is what tests
+    /// compare that staged path against, and the harness module tests
+    /// drive a single module with. The session's address-space cache is
+    /// refreshed once, up front (process churn during the epoch would
+    /// otherwise break user-address translation).
     pub fn audit(
         &mut self,
         memory: &GuestMemory,
@@ -322,7 +327,7 @@ impl Detector {
         staged.and_then(|i| self.modules.get(i)?.fused_visitor())
     }
 
-    /// The verdict half of a fused audit: every module runs as in
+    /// The verdict half of the boundary's audit: every module runs as in
     /// [`audit`](Self::audit), except the staged module — its page-scoped
     /// pass already rode the walk, so it only resolves the walk's finding
     /// `keys` into full findings. The session is *not* re-refreshed (the

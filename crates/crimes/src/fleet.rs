@@ -61,6 +61,44 @@ pub struct FleetStats {
     pub incidents_resolved: u64,
 }
 
+/// The fleet's zero-touch failover rule, applied after every tenant
+/// boundary by the serial round and the scheduler alike: reroute the
+/// tenant's drain to the standby once its consecutive drain-session
+/// failures cross its configured threshold, so the backlog can flush at
+/// its next boundary.
+pub(crate) fn failover_if_due(crimes: &mut Crimes) -> bool {
+    let threshold = crimes.config().failover_threshold;
+    if threshold > 0 && crimes.checkpointer().drain_session_failures() >= threshold {
+        crimes.failover_backup();
+        return true;
+    }
+    false
+}
+
+/// File one tenant's result in the round summary. Per-tenant failures are
+/// recorded, never propagated: quarantine is terminal per-VM, not
+/// fleet-fatal, and any other error leaves the round to go on to the
+/// remaining tenants.
+pub(crate) fn file_outcome(
+    summary: &mut FleetEpochSummary,
+    name: &str,
+    outcome: Result<EpochOutcome, CrimesError>,
+    failover: bool,
+) {
+    let name = name.to_owned();
+    if failover {
+        summary.failovers.push(name.clone());
+    }
+    match outcome {
+        Ok(EpochOutcome::Committed { .. }) => summary.committed.push(name),
+        Ok(EpochOutcome::AttackDetected { .. }) => summary.new_incidents.push(name),
+        Ok(EpochOutcome::Extended { .. }) => summary.extended.push(name),
+        Ok(EpochOutcome::Degraded { .. }) => summary.degraded.push(name),
+        Err(CrimesError::Quarantined { .. }) => summary.quarantined.push(name),
+        Err(e) => summary.errored.push((name, e)),
+    }
+}
+
 /// A fleet of protected VMs, keyed by tenant-visible name.
 #[derive(Debug, Default)]
 pub struct Fleet {
@@ -176,12 +214,6 @@ impl Fleet {
         &mut self.vms
     }
 
-    /// Scheduler access to the lifetime stats, updated after the round's
-    /// tenant borrows are released.
-    pub(crate) fn stats_mut(&mut self) -> &mut FleetStats {
-        &mut self.stats
-    }
-
     /// Fleet-level telemetry: every tenant's counters, histograms, and
     /// worker shard totals merged into one
     /// [`Telemetry`](crimes_telemetry::Telemetry) (deterministic — merging
@@ -225,42 +257,25 @@ impl Fleet {
                 summary.skipped_pending.push(name.clone());
                 continue;
             }
-            match crimes.run_epoch(|vm, ms| work(name, vm, ms)) {
-                Ok(EpochOutcome::Committed { .. }) => {
-                    self.stats.committed_epochs = self.stats.committed_epochs.saturating_add(1);
-                    summary.committed.push(name.clone());
-                }
-                Ok(EpochOutcome::AttackDetected { .. }) => {
-                    self.stats.incidents_detected = self.stats.incidents_detected.saturating_add(1);
-                    summary.new_incidents.push(name.clone());
-                }
-                Ok(EpochOutcome::Extended { .. }) => {
-                    summary.extended.push(name.clone());
-                }
-                Ok(EpochOutcome::Degraded { .. }) => {
-                    summary.degraded.push(name.clone());
-                }
-                // Quarantine is terminal per-VM, not fleet-fatal: one
-                // tenant's degraded monitor never stalls the others.
-                Err(CrimesError::Quarantined { .. }) => {
-                    summary.quarantined.push(name.clone());
-                }
-                // Same isolation rule for every other per-tenant failure:
-                // record it and keep the round going.
-                Err(e) => {
-                    summary.errored.push((name.clone(), e));
-                }
-            }
-            // Zero-touch failover: when a tenant's drain sessions keep
-            // failing, reroute it to the standby backup so the backlog
-            // can flush at its next boundary.
-            let threshold = crimes.config().failover_threshold;
-            if threshold > 0 && crimes.checkpointer().drain_session_failures() >= threshold {
-                crimes.failover_backup();
-                summary.failovers.push(name.clone());
-            }
+            let outcome = crimes.run_epoch(|vm, ms| work(name, vm, ms));
+            let failover = failover_if_due(crimes);
+            file_outcome(&mut summary, name, outcome, failover);
         }
+        self.count_round(&summary);
         Ok(summary)
+    }
+
+    /// Add a finished round's commits and incidents to the lifetime
+    /// stats.
+    pub(crate) fn count_round(&mut self, summary: &FleetEpochSummary) {
+        self.stats.committed_epochs = self
+            .stats
+            .committed_epochs
+            .saturating_add(summary.committed.len() as u64);
+        self.stats.incidents_detected = self
+            .stats
+            .incidents_detected
+            .saturating_add(summary.new_incidents.len() as u64);
     }
 
     /// Run the automated response for one pending incident.

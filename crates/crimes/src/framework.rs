@@ -100,8 +100,9 @@ impl EpochOutcome {
 /// bit-identical to an unsplit one.
 #[derive(Debug)]
 pub enum BoundaryProgress {
-    /// The boundary completed inside the pause half: a serial commit, an
-    /// incident, an extension — anything that left no deferred drain.
+    /// The boundary completed inside the pause half: an in-window
+    /// commit, an incident, an extension — anything that left no deferred
+    /// drain.
     Done(EpochOutcome),
     /// The guest has resumed with a drain ticket pending. The epoch's
     /// outputs are impounded under the ticket's generation and stay
@@ -169,10 +170,10 @@ fn all_transient(errors: &[(String, VmiError)]) -> bool {
             .all(|(_, e)| matches!(e, VmiError::TransientReadFault))
 }
 
-/// The shared tail of both audit paths (serial closure and fused walk):
-/// the output-content scan joins the report, then the verdict falls out of
-/// the evidence — findings or hard introspection errors fail closed,
-/// persistent transient faults or a deadline overrun extend speculation.
+/// The tail of the audit: the output-content scan joins the report, then
+/// the verdict falls out of the evidence — findings or hard introspection
+/// errors fail closed, persistent transient faults or a deadline overrun
+/// extend speculation.
 fn finish_audit(
     audit: &mut AuditReport,
     buffer: &OutputBuffer,
@@ -209,10 +210,11 @@ fn finish_audit(
     }
 }
 
-/// The fused-walk implementation of the end-of-epoch audit: stages the
-/// detector's page-scoped work before the sharded walk, lends the staged
-/// visitor to the walk, and renders the verdict from the walk's finding
-/// keys plus the ordinary global scans.
+/// The end-of-epoch audit, as the engine's boundary drives it: stages the
+/// detector's page-scoped work before the walk, lends the staged visitor
+/// to the walk, and renders the verdict from the walk's finding keys plus
+/// the ordinary global scans. The deadline clock runs from `stage` to
+/// `verdict`, walk included.
 struct BoundaryAudit<'a> {
     detector: &'a mut Detector,
     session: &'a mut VmiSession,
@@ -887,7 +889,7 @@ impl Crimes {
     /// The second step of a leased epoch: the boundary's pause half on
     /// `pool` — a fleet scheduler's leased walker — instead of the
     /// engine's private pool (bit-identical results; see
-    /// [`run_epoch_fused_with`](Checkpointer::run_epoch_fused_with)).
+    /// [`run_epoch_on`](Checkpointer::run_epoch_on)).
     /// Returns [`BoundaryProgress`] instead of an outcome: when the
     /// deferred pipeline leaves a drain ticket, the caller finishes the
     /// boundary with [`finish_boundary`](Self::finish_boundary), which
@@ -919,8 +921,6 @@ impl Crimes {
         }
         let deadline = Duration::from_millis(self.config.effective_audit_deadline_ms());
         let vmi_retries = self.config.vmi_retries;
-        let pause_workers = self.config.checkpoint.pause_workers;
-        let deferred = self.config.checkpoint.staging_buffers > 0;
         let mut retries_used = 0u32;
         let epoch = self.checkpointer.backup().epoch();
         self.recorder
@@ -939,12 +939,12 @@ impl Crimes {
             ..
         } = self;
         let mut audit_slot: Option<AuditReport> = None;
-        let mut pending_ticket = None;
-        let report = if deferred {
-            // Deferred boundary: the sharded walk snapshots dirty pages
-            // into staging instead of copying out; a passing verdict
-            // leaves a drain ticket and the backup untouched.
-            let mut driver = BoundaryAudit {
+        // One engine call, whatever the configuration: the audit is split
+        // around the walk, whose sink (the backup, or a staging slot that
+        // leaves a drain ticket) and worker count are the engine's values.
+        let report = checkpointer.run_epoch_on(
+            vm,
+            &mut BoundaryAudit {
                 detector,
                 session,
                 buffer,
@@ -961,75 +961,12 @@ impl Crimes {
                 staged: None,
                 stage_errors: Vec::new(),
                 audit_slot: &mut audit_slot,
-            };
-            let staged = match pool {
-                Some(pool) => checkpointer.run_epoch_staged_with(vm, &mut driver, pool),
-                None => checkpointer.run_epoch_staged(vm, &mut driver),
-            };
-            staged.map(|staged| {
-                pending_ticket = staged.pending;
-                staged.report
-            })
-        } else if pause_workers > 1 {
-            // Fused boundary: scan, copy, and digest share one sharded walk
-            // over the dirty pages; the audit is split around it.
-            let mut driver = BoundaryAudit {
-                detector,
-                session,
-                buffer,
-                output_scanner: output_scanner.as_ref(),
-                deadline,
-                vmi_retries,
-                retries_used: &mut retries_used,
-                epoch,
-                clock,
-                telemetry,
-                recorder,
-                robustness,
-                started_ns: None,
-                staged: None,
-                stage_errors: Vec::new(),
-                audit_slot: &mut audit_slot,
-            };
-            match pool {
-                Some(pool) => checkpointer.run_epoch_fused_with(vm, &mut driver, pool),
-                None => checkpointer.run_epoch_fused(vm, &mut driver),
-            }
-        } else {
-            checkpointer.run_epoch(vm, &mut |paused_vm, dirty| {
-                let started_ns = clock.now_ns();
-                recorder.record(epoch, started_ns, EventKind::AuditStaged);
-                let mut audit = detector.audit(paused_vm.memory(), session, dirty, epoch);
-                // Bounded retry with backoff: transient VMI read faults are
-                // retry-safe while the guest is paused.
-                while retries_used < vmi_retries && all_transient(&audit.errors) {
-                    retries_used += 1;
-                    recorder.record(
-                        epoch,
-                        clock.now_ns(),
-                        EventKind::VmiRetry {
-                            attempt: retries_used,
-                        },
-                    );
-                    backoff_sleep(&**clock, retries_used);
-                    audit = detector.audit(paused_vm.memory(), session, dirty, epoch);
-                }
-                let elapsed_ns = clock.now_ns().saturating_sub(started_ns);
-                telemetry.record_audit_ns(elapsed_ns);
-                let verdict = finish_audit(
-                    &mut audit,
-                    buffer,
-                    output_scanner.as_ref(),
-                    elapsed_ns,
-                    deadline,
-                );
-                audit_slot = Some(audit);
-                verdict
-            })
-        };
+            },
+            pool,
+        );
         self.robustness.vmi_retries += u64::from(retries_used);
         self.telemetry.add(Counter::VmiRetries, u64::from(retries_used));
-        let report = match report {
+        let mut report = match report {
             Ok(r) => r,
             Err(e) => {
                 self.robustness.commit_failures += 1;
@@ -1051,21 +988,19 @@ impl Crimes {
         }
         self.telemetry
             .record_dirty_pages(u64::try_from(report.dirty_pages).unwrap_or(u64::MAX));
-        if pause_workers > 1 || deferred {
-            for (slot, stats) in self.checkpointer.worker_stats() {
-                self.telemetry.record_worker(
-                    slot,
-                    u64::try_from(stats.pages).unwrap_or(u64::MAX),
-                    u64::try_from(stats.bytes).unwrap_or(u64::MAX),
-                    stats.syscalls,
-                );
-            }
+        for (slot, stats) in self.checkpointer.worker_stats() {
+            self.telemetry.record_worker(
+                slot,
+                u64::try_from(stats.pages).unwrap_or(u64::MAX),
+                u64::try_from(stats.bytes).unwrap_or(u64::MAX),
+                stats.syscalls,
+            );
         }
 
         match report.verdict {
             AuditVerdict::Pass => {
                 self.consecutive_extensions = 0;
-                if let Some(ticket) = pending_ticket {
+                if let Some(ticket) = report.pending.take() {
                     // Deferred pipeline: the audit passed but the staged
                     // pages are not yet durable on the backup. Impound the
                     // epoch's outputs under the ticket's generation; the
@@ -1928,8 +1863,8 @@ mod tests {
         assert!(c.has_pending_incident());
         assert!(c.vm().vcpus().all_paused());
 
-        // The fused walk rolled its copies back, so forensics and rollback
-        // see exactly the serial path's state.
+        // The walk rolled its copies back, so forensics and rollback see
+        // exactly the last commit's state.
         let analysis = c.investigate().expect("analysis");
         assert!(analysis.pinpoint.is_some());
         let discarded = c.rollback_and_resume().expect("rollback");
@@ -1943,7 +1878,7 @@ mod tests {
     #[test]
     fn fused_boundary_matches_serial_commits() {
         // The same guest driven through the same epochs must commit the
-        // same state whether the boundary runs serial or fused+4.
+        // same state whether the boundary walks with one worker or four.
         let drive = |workers: usize| -> (u64, Vec<u8>) {
             let mut c = protected_with(50, |cfg| {
                 cfg.pause_workers(workers);

@@ -493,6 +493,50 @@ mod tests {
         Ok(())
     }
 
+    /// The path every boundary takes — stage, ride the sharded walk,
+    /// resolve the walk's keys — against the reference full scan.
+    #[test]
+    fn staged_canary_walk_agrees_with_the_reference_audit() -> Result<(), VmError> {
+        use crimes_checkpoint::{BackupVm, NoopVisitor, PauseWindowPool};
+        for overrun in [0u64, 8] {
+            let (mut vm, mut s) = setup();
+            let pid = vm.spawn_process("victim", 0, 16)?;
+            let obj = vm.malloc(pid, 64)?;
+            vm.write_user(pid, obj, &[1u8; 64], 0)?;
+            if overrun > 0 {
+                attacks::inject_heap_overflow(&mut vm, pid, 32, overrun)?;
+            }
+            let secret = vm.canary_secret();
+            let reference = audit(&vm, &mut s, Box::new(CanaryScanModule::new(secret)));
+            assert_eq!(reference.is_empty(), overrun == 0);
+
+            let mut d = Detector::new();
+            d.register(Box::new(CanaryScanModule::new(secret)));
+            let dirty = vm.memory().dirty().clone();
+            let (staged, errors) = d.stage_fused(vm.memory(), &mut s, &dirty, 0);
+            assert_eq!((staged, errors.len()), (Some(0), 0));
+            let mapped: Vec<_> = dirty
+                .iter()
+                .map(|p| (p, vm.memory().pfn_to_mfn(p)))
+                .collect();
+            let mut pool = PauseWindowPool::new(3, vm.memory().num_pages(), 2);
+            // The scan rides at source slot 2, as in the engine's walk.
+            let scan = d.fused_visitor(staged).expect("the canary module staged a visitor");
+            pool.run(
+                vm.memory(),
+                &mut BackupVm::new(&vm),
+                &mapped,
+                &[&NoopVisitor, &NoopVisitor, scan],
+            )
+            .expect("no faults armed");
+            let keys: Vec<u64> = pool.findings().iter().map(|f| f.key).collect();
+            let report = d.audit_after_walk(vm.memory(), &s, &dirty, 0, staged, &keys, errors);
+            assert!(report.errors.is_empty(), "{:?}", report.errors);
+            assert_eq!(report.findings, reference, "overrun {overrun}");
+        }
+        Ok(())
+    }
+
     #[test]
     fn blacklist_module_finds_malware() -> Result<(), VmError> {
         let (mut vm, mut s) = setup();

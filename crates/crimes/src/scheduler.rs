@@ -49,7 +49,7 @@ use crimes_vm::{Vm, VmError};
 
 use crate::config::CrimesConfigBuilder;
 use crate::error::CrimesError;
-use crate::fleet::{Fleet, FleetEpochSummary};
+use crate::fleet::{failover_if_due, file_outcome, Fleet, FleetEpochSummary};
 use crate::framework::{BoundaryProgress, Crimes, EpochOutcome};
 
 #[cfg(doc)]
@@ -150,18 +150,6 @@ fn stagger_hash(name: &str) -> u64 {
     h
 }
 
-/// The fleet's zero-touch failover rule, identical to the serial
-/// round's: reroute the tenant's drain to the standby once its
-/// consecutive drain-session failures cross its configured threshold.
-fn failover_if_due(crimes: &mut Crimes) -> bool {
-    let threshold = crimes.config().failover_threshold;
-    if threshold > 0 && crimes.checkpointer().drain_session_failures() >= threshold {
-        crimes.failover_backup();
-        return true;
-    }
-    false
-}
-
 /// One tenant's boundary after its guest has run, the same sequence the
 /// serial round runs: the pause half on the leased walker, the drain if
 /// the boundary left a ticket, then the failover check. Called from a
@@ -196,29 +184,6 @@ fn run_boundary(
 
 /// Why [`run_boundary`] quarantined a tenant, and what it reports.
 const BOUNDARY_PANICKED: &str = "tenant boundary panicked";
-
-/// File one tenant's result in the round summary, as the serial round
-/// does.
-fn record(
-    summary: &mut FleetEpochSummary,
-    name: &str,
-    outcome: Result<EpochOutcome, CrimesError>,
-    failover: bool,
-) {
-    let name = name.to_owned();
-    if failover {
-        summary.failovers.push(name.clone());
-    }
-    match outcome {
-        Ok(EpochOutcome::Committed { .. }) => summary.committed.push(name),
-        Ok(EpochOutcome::AttackDetected { .. }) => summary.new_incidents.push(name),
-        Ok(EpochOutcome::Extended { .. }) => summary.extended.push(name),
-        Ok(EpochOutcome::Degraded { .. }) => summary.degraded.push(name),
-        // Quarantine is terminal per-VM, not fleet-fatal.
-        Err(CrimesError::Quarantined { .. }) => summary.quarantined.push(name),
-        Err(e) => summary.errored.push((name, e)),
-    }
-}
 
 /// A tenant whose guest has run, on its way to a pause lane.
 struct Job<'a> {
@@ -297,7 +262,7 @@ impl<'a> Lanes<'a> {
         } = job;
         let (outcome, failover) = run_boundary(crimes, &mut lease);
         pool.release(lease);
-        record(summary, name, outcome, failover);
+        file_outcome(summary, name, outcome, failover);
     }
 
     /// Wait for one lane to finish and settle its tenant: lease back to
@@ -311,7 +276,7 @@ impl<'a> Lanes<'a> {
             Ok(done) => {
                 self.in_flight.retain(|name| *name != done.name);
                 pool.release(done.lease);
-                record(summary, done.name, done.outcome, done.failover);
+                file_outcome(summary, done.name, done.outcome, done.failover);
             }
             // Every lane is gone (none can unwind past `run_boundary`, so
             // this is not expected), and the tenants inside with them, in
@@ -321,7 +286,7 @@ impl<'a> Lanes<'a> {
                 self.width = 0;
                 for name in self.in_flight.drain(..) {
                     let died = CrimesError::InvalidState(LANE_DIED);
-                    record(summary, name, Err(died), false);
+                    file_outcome(summary, name, Err(died), false);
                     self.lost.push(name.to_owned());
                 }
             }
@@ -506,7 +471,7 @@ impl FleetScheduler {
                             if !lanes.settle_one(pool, &mut summary) {
                                 // No window in flight will return one.
                                 // Fail closed: the guest never ran.
-                                record(&mut summary, name, Err(e.into()), false);
+                                file_outcome(&mut summary, name, Err(e.into()), false);
                                 break None;
                             }
                         }
@@ -517,7 +482,7 @@ impl FleetScheduler {
                 if let Err(e) = crimes.begin_epoch(|vm, ms| work(name, vm, ms)) {
                     pool.release(lease);
                     let failover = failover_if_due(crimes);
-                    record(&mut summary, name, Err(e), failover);
+                    file_outcome(&mut summary, name, Err(e), failover);
                     continue;
                 }
                 let job = Job {
@@ -558,13 +523,7 @@ impl FleetScheduler {
         summary.skipped_quarantined.sort_unstable();
         summary.errored.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let stats = fleet.stats_mut();
-        stats.committed_epochs = stats
-            .committed_epochs
-            .saturating_add(summary.committed.len() as u64);
-        stats.incidents_detected = stats
-            .incidents_detected
-            .saturating_add(summary.new_incidents.len() as u64);
+        fleet.count_round(&summary);
         self.tally_cross_tenant_dups(fleet);
         self.last_snapshot = fleet.aggregate_telemetry().map(|mut t| {
             t.merge(&self.telemetry);

@@ -190,6 +190,9 @@ struct Injector {
     seed: u64,
     rng: ChaCha8Rng,
     counters: FaultCounters,
+    /// Worker plans forked from this scope so far (see
+    /// [`fork_for_worker`]).
+    forks: u64,
 }
 
 thread_local! {
@@ -223,6 +226,7 @@ pub fn install(plan: FaultPlan, seed: u64) -> FaultScope {
             seed,
             rng: ChaCha8Rng::seed_from_u64(seed),
             counters: FaultCounters::default(),
+            forks: 0,
         })
     });
     ARMED.with(|a| a.set(true));
@@ -285,19 +289,27 @@ pub fn draw_below(span: u64) -> u64 {
 /// The injector is thread-local, so scoped workers spawned inside the
 /// pause window cannot see the installer's plan. This forks it: the
 /// worker installs the returned `(plan, seed)` pair on its own thread.
-/// The derived seed is a pure mix of the installed seed and the worker
-/// index — it consumes **no** draws from the installer's RNG, so forking
-/// never perturbs the installer's own injection schedule, and the same
-/// `(seed, index)` always yields the same worker schedule. Returns `None`
-/// when no plan is installed (the production fast path).
+/// The derived seed is a pure mix of the installed seed, the worker
+/// index, and the number of forks this scope has handed out so far — so
+/// every walk, and every retry of a walk, draws a fresh worker schedule
+/// (a seed mixed from the index alone would replay the same draws on
+/// every walk: a worker would fault always or never). It consumes **no**
+/// draws from the installer's RNG, so forking never perturbs the
+/// installer's own injection schedule, and the same seed and the same
+/// sequence of forks always yield the same worker schedules. Returns
+/// `None` when no plan is installed (the production fast path).
 pub fn fork_for_worker(index: u64) -> Option<(FaultPlan, u64)> {
     if !is_active() {
         return None;
     }
     INJECTOR.with(|i| {
-        i.borrow().as_ref().map(|inj| {
-            let mixed = (inj.seed ^ (index + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                .wrapping_mul(0x2545_f491_4f6c_dd1d);
+        i.borrow_mut().as_mut().map(|inj| {
+            let nth = inj.forks;
+            inj.forks += 1;
+            let mixed = (inj.seed
+                ^ (index + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ nth.wrapping_mul(0xd6e8_feb8_6659_fd93))
+            .wrapping_mul(0x2545_f491_4f6c_dd1d);
             (inj.plan, mixed)
         })
     })
@@ -412,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn fork_is_pure_and_deterministic() {
+    fn fork_is_fresh_per_walk_and_deterministic() {
         assert!(fork_for_worker(0).is_none(), "no plan, nothing to fork");
         let plan = FaultPlan::uniform(SCALE / 4);
         let _scope = install(plan, 42);
@@ -422,13 +434,17 @@ mod tests {
         assert_eq!(p0, plan);
         assert_eq!(p1, plan);
         assert_ne!(s0, s1, "workers get distinct schedules");
-        assert_eq!(fork_for_worker(0), Some((p0, s0)), "same index, same seed");
-        // Forking must not consume installer draws: replay the same prefix
-        // under a fresh scope and compare.
+        let (_, again) = fork_for_worker(0).expect("active plan forks");
+        assert_ne!(again, s0, "the next walk's worker 0 draws a fresh schedule");
+        // Forking must not consume installer draws, and the same sequence
+        // of forks must replay: same prefix and same forks under a fresh
+        // scope.
         drop(_scope);
         let _scope = install(plan, 42);
         let replay: Vec<bool> = (0..32).map(|_| should_inject(FaultPoint::VmiRead)).collect();
         assert_eq!(before, replay, "fork consumed installer RNG draws");
+        let forks = [0, 1, 0].map(|i| fork_for_worker(i).expect("active plan forks").1);
+        assert_eq!(forks, [s0, s1, again], "same seed, same forks, same schedules");
     }
 
     #[test]

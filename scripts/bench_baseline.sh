@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Pause-window baseline bench: serial three-walk pipeline vs the fused
-# sharded walk (see DESIGN.md "Parallel pause window"). Runs the
-# fig7-style web workload and writes BENCH_pause_window.json at the repo
-# root — wall-clock per epoch boundary, walk-only breakdown, and the
-# critical-path speedup of the fused 4-worker walk over the serial
-# three-pass baseline.
+# Pause-window baseline bench: the epoch boundary per worker count and
+# sink, and its fused sharded walk against three separate passes (see
+# DESIGN.md "Parallel pause window"). Runs the fig7-style web workload
+# and writes BENCH_pause_window.json at the repo root — wall-clock per
+# epoch boundary, walk-only breakdown, and the critical-path speedup of
+# the fused 4-worker walk over the three-pass baseline.
 #
 # Usage: scripts/bench_baseline.sh
 # Env:   CRIMES_BENCH_EPOCHS  measured epochs per variant (default 30)

@@ -57,10 +57,11 @@ test "${LINT_BROKEN_CODE}" -eq 2
 echo "==> benches compile (in-tree harness, no criterion)"
 cargo bench --no-run --offline
 
-echo "==> pause-window bench smoke (serial vs fused vs deferred vs encoded)"
-# A short run of the baseline bench drives the fused sharded walk, the
-# deferred stage+drain pipeline, and the content-aware (delta + dedup)
-# drain end to end; the JSON goes to a scratch path so the committed
+echo "==> pause-window bench smoke (one boundary: 1/2/4 workers, deferred, encoded)"
+# A short run of the baseline bench drives the one epoch boundary at
+# each worker count (inline and sharded), with the staging sink
+# (deferred stage+drain) and with the content-aware (delta + dedup)
+# drain, end to end; the JSON goes to a scratch path so the committed
 # BENCH_pause_window.json keeps its full-length numbers. The greps pin
 # the deferred and encoded variants into the emitted JSON — a regression
 # that drops either from the sweep fails here — and the encoded drain

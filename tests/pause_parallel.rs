@@ -1,10 +1,15 @@
-//! Determinism property of the parallel fused pause window: for any
+//! Determinism property of the pause window's sharded walk: for any
 //! randomized guest activity — dirty writes, heap churn, injected
 //! overflows — the epoch pipeline must produce **bit-identical** results
-//! for every worker count. `pause_workers = 1` routes through the legacy
-//! serial boundary, so equality against it proves the fused sharded walk
-//! (scan + copy + digest in one pass) is an exact drop-in: same audit
-//! findings, same committed backup frames and disk, same combined digest.
+//! for every worker count: same audit findings, same committed backup
+//! frames and disk, same combined digest. Every worker count runs the one
+//! boundary (`pause_workers = 1` walks a single shard inline), so equality
+//! between counts shows the shard geometry and the merge are exact — and,
+//! because that alone would compare the pipeline with itself, every
+//! committed epoch is also checked against references that are not the
+//! pipeline: the backup must equal the guest's own memory and disk, pass
+//! its own verification, and carry the checksum of that image recomputed
+//! from scratch.
 
 use crimes::detector::ScanFinding;
 use crimes::modules::CanaryScanModule;
@@ -14,7 +19,7 @@ use crimes_rng::prop::{check, Config, Gen};
 use crimes_vm::Vm;
 use crimes_workloads::attacks;
 
-/// Worker counts under test: the serial baseline, an even split, the
+/// Worker counts under test: the inline single shard, an even split, the
 /// bench default, and a count that does not divide typical dirty sets.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
@@ -91,6 +96,19 @@ fn drive(workers: usize, script: &[EpochScript]) -> Fingerprint {
                     "an attacked epoch must never commit (workers={workers})"
                 );
                 fp.outcomes.push('C');
+                // Independent of any other worker count's run: the
+                // commit must be the guest's image, verified and
+                // checksummed as such.
+                let cp = c.checkpointer();
+                let (frames, disk) = (cp.backup().frames(), cp.backup().disk());
+                assert_eq!(frames, c.vm().memory().dump_frames().as_slice(), "workers={workers}");
+                assert_eq!(disk, c.vm().disk().dump().as_slice(), "workers={workers}");
+                assert!(cp.verify_backup().is_ok(), "workers={workers}");
+                assert_eq!(
+                    cp.history().latest().expect("committed").checksum,
+                    image_digest(frames, disk),
+                    "workers={workers}: history checksum is not the image's"
+                );
             }
             EpochOutcome::AttackDetected { audit, .. } => {
                 assert!(

@@ -7,6 +7,7 @@
 //! incrementally with each epoch's dirty pages.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crimes_vm::{GuestMemory, Mfn, VcpuSet, VirtualDisk, Vm, PAGE_SIZE, SECTOR_SIZE};
 
@@ -22,10 +23,30 @@ struct ContentEntry {
     refs: u32,
 }
 
+/// The frame image behind a shared handle, so the engine can lend it
+/// read-only to the pool's resident helper (see `staging::HeadStart`)
+/// without the bytes ever leaving the backup: a helper that dies drops
+/// its handle and the image is still here. Cloning a backup copies the
+/// bytes, as it always has.
+#[derive(Debug)]
+struct Image(Arc<Vec<u8>>);
+
+impl Clone for Image {
+    fn clone(&self) -> Self {
+        // lint: allow(pause-window) -- reached only because `.clone()` calls link by name; no window path clones a backup
+        Image(Arc::new(Vec::clone(&self.0)))
+    }
+}
+
 /// The local backup image of one VM.
 #[derive(Debug, Clone)]
 pub struct BackupVm {
-    frames: Vec<u8>,
+    frames: Image,
+    /// Bumped by every path that can write a frame. A comparison of a
+    /// staged page against "the backup's copy of its frame" made ahead of
+    /// the drain records the stamp it was made under, and is only used
+    /// while the stamp still reads the same.
+    write_stamp: u64,
     disk: Vec<u8>,
     num_pages: usize,
     vcpus: VcpuSet,
@@ -58,7 +79,8 @@ impl BackupVm {
     /// full-memory copy Remus performs before entering the epoch loop).
     pub fn new(vm: &Vm) -> Self {
         BackupVm {
-            frames: vm.memory().dump_frames(),
+            frames: Image(Arc::new(vm.memory().dump_frames())),
+            write_stamp: 0,
             disk: vm.disk().dump(),
             num_pages: vm.memory().num_pages(),
             vcpus: vm.vcpus().clone(),
@@ -68,6 +90,27 @@ impl BackupVm {
             frame_digests: Vec::new(),
             content_stale: true,
         }
+    }
+
+    /// The one way to the image's bytes for writing: bumps the write
+    /// stamp. Nothing holds a second handle outside a head start, which
+    /// the engine reclaims before it touches the backup again; were one
+    /// ever left over, the write would go to a private copy rather than
+    /// fail.
+    fn image_mut(&mut self) -> &mut [u8] {
+        self.write_stamp = self.write_stamp.wrapping_add(1);
+        Arc::make_mut(&mut self.frames.0).as_mut_slice()
+    }
+
+    /// The image's write stamp: equal readings mean no frame was written
+    /// in between.
+    pub(crate) fn write_stamp(&self) -> u64 {
+        self.write_stamp
+    }
+
+    /// A second handle on the frame image, for the head start to read.
+    pub(crate) fn share_frames(&self) -> Arc<Vec<u8>> {
+        Arc::clone(&self.frames.0)
     }
 
     /// Does the content index describe the frames as they are now?
@@ -88,7 +131,7 @@ impl BackupVm {
         self.frame_digests.clear();
         self.content.clear();
         self.frame_digests.reserve(self.num_pages);
-        for (i, page) in self.frames.chunks_exact(PAGE_SIZE).enumerate() {
+        for (i, page) in self.frames.0.chunks_exact(PAGE_SIZE).enumerate() {
             let digest = content_digest(page);
             self.frame_digests.push(digest);
             let entry = self.content.entry(digest).or_insert(ContentEntry {
@@ -114,6 +157,7 @@ impl BackupVm {
         self.content.get(&digest).is_some_and(|entry| {
             let base = entry.exemplar as usize * PAGE_SIZE;
             self.frames
+                .0
                 .get(base..base + PAGE_SIZE)
                 .is_some_and(|exemplar| exemplar == bytes)
         })
@@ -162,7 +206,7 @@ impl BackupVm {
         let base = self.offset(mfn);
         if !self.content_coherent() {
             // No coherent index to maintain; plain apply.
-            apply_page(&mut self.frames[base..base + PAGE_SIZE], enc, full);
+            apply_page(&mut self.image_mut()[base..base + PAGE_SIZE], enc, full);
             return;
         }
         let old_digest = self.frame_digests[idx];
@@ -196,7 +240,7 @@ impl BackupVm {
                 self.content.remove(&old_digest);
             }
         }
-        apply_page(&mut self.frames[base..base + PAGE_SIZE], enc, full);
+        apply_page(&mut self.image_mut()[base..base + PAGE_SIZE], enc, full);
         if old_digest != digest {
             self.frame_digests[idx] = digest;
             let entry = self.content.entry(digest).or_insert(ContentEntry {
@@ -227,7 +271,7 @@ impl BackupVm {
 
     /// Total image size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.frames.len()
+        self.frames.0.len()
     }
 
     /// Checkpoints applied so far.
@@ -242,7 +286,7 @@ impl BackupVm {
     /// Panics if `mfn` is out of range.
     pub fn frame(&self, mfn: Mfn) -> &[u8] {
         let base = self.offset(mfn);
-        &self.frames[base..base + PAGE_SIZE]
+        &self.frames.0[base..base + PAGE_SIZE]
     }
 
     /// Overwrite one frame (the memcpy copy path writes here directly).
@@ -255,7 +299,7 @@ impl BackupVm {
         assert_eq!(data.len(), PAGE_SIZE, "backup frames are page sized");
         let base = self.offset(mfn);
         self.content_stale = true;
-        self.frames[base..base + PAGE_SIZE].copy_from_slice(data);
+        self.image_mut()[base..base + PAGE_SIZE].copy_from_slice(data);
     }
 
     /// Mutable view of one frame, for zero-copy decrypt-into-place on the
@@ -267,7 +311,7 @@ impl BackupVm {
     pub fn frame_mut(&mut self, mfn: Mfn) -> &mut [u8] {
         let base = self.offset(mfn);
         self.content_stale = true;
-        &mut self.frames[base..base + PAGE_SIZE]
+        &mut self.image_mut()[base..base + PAGE_SIZE]
     }
 
     /// Mutable view of the whole frame image, in machine-frame order. The
@@ -276,7 +320,7 @@ impl BackupVm {
     /// aliasing (see `pool`).
     pub(crate) fn frames_mut(&mut self) -> &mut [u8] {
         self.content_stale = true;
-        &mut self.frames
+        self.image_mut()
     }
 
     /// Record the vCPU state captured at suspend time.
@@ -298,7 +342,7 @@ impl BackupVm {
     /// The whole image (machine-frame order), for rollback and forensic
     /// dumps.
     pub fn frames(&self) -> &[u8] {
-        &self.frames
+        &self.frames.0
     }
 
     /// Roll the primary VM's memory back to this image. Host bookkeeping
@@ -309,7 +353,7 @@ impl BackupVm {
     ///
     /// Panics if the backup does not match the VM's memory size.
     pub fn restore_into(&self, mem: &mut GuestMemory) {
-        mem.restore_frames(&self.frames);
+        mem.restore_frames(&self.frames.0);
     }
 
     /// The backup disk image (§3.1's disk-snapshot extension).
@@ -363,17 +407,17 @@ impl BackupVm {
     ///
     /// Panics if `frames` or `disk` do not match the image sizes.
     pub fn overwrite_image(&mut self, frames: &[u8], disk: &[u8]) {
-        assert_eq!(frames.len(), self.frames.len(), "frame image size mismatch");
+        assert_eq!(frames.len(), self.frames.0.len(), "frame image size mismatch");
         assert_eq!(disk.len(), self.disk.len(), "disk image size mismatch");
         self.content_stale = true;
-        self.frames.copy_from_slice(frames);
+        self.image_mut().copy_from_slice(frames);
         self.disk.copy_from_slice(disk);
     }
 
     fn offset(&self, mfn: Mfn) -> usize {
         let base = mfn.0 as usize * PAGE_SIZE;
         assert!(
-            base + PAGE_SIZE <= self.frames.len(),
+            base + PAGE_SIZE <= self.frames.0.len(),
             "{mfn} out of range for backup of {} pages",
             self.num_pages
         );

@@ -7,7 +7,7 @@
 //! ```text
 //! suspend → stage → bitscan → map → walk(visitors, workers, sink) → verdict
 //!    ├─ Pass ────────── sectors → resume → commit            (sink = backup image)
-//!    │                                   → seal → ticket ─┄─ drain → commit   (sink = staging slot)
+//!    │                       lend → resume → reclaim → seal → ticket ─┄─ drain → commit   (sink = staging slot)
 //!    ├─ Inconclusive ── reject sink → re-mark dirty → resume
 //!    └─ Fail ────────── reject sink                    (guest stays suspended)
 //! ```
@@ -20,7 +20,10 @@
 //! * The **sink** is the backup image under the pool's undo log, or —
 //!   with `staging_buffers > 0` — a claimed staging slot whose cipher,
 //!   socket and digest work runs after resume
-//!   ([`Checkpointer::drain_staged`]). Because the copy precedes the
+//!   ([`Checkpointer::drain_staged`]) — except the drain's read-only
+//!   half, which a pool with a resident helper starts on it while this
+//!   thread sits in the modelled resume (`staging`'s head start).
+//!   Because the copy precedes the
 //!   verdict, rejecting an epoch rolls the walk back (image) or frees the
 //!   slot (staging); either way the backup is bit-exactly the last
 //!   commit's.
@@ -308,6 +311,11 @@ pub struct DrainStats {
     pub dedup_hits: usize,
     /// Records that shipped bytes while dedup was on. Telemetry only.
     pub dedup_misses: usize,
+    /// Pages whose compare-and-digest pass the pool's helper had already
+    /// made when the guest resumed (0 without a helper). How far it gets
+    /// is a matter of timing, and the only field here that may differ
+    /// between two runs of the same epoch. Telemetry only.
+    pub head_start_pages: usize,
 }
 
 /// Deterministic exponential backoff with jitter for drain-session
@@ -630,6 +638,11 @@ impl Checkpointer {
         let config = *config;
         let mut timings = PhaseTimings::default();
         let epoch = backup.epoch();
+        if staging.is_some() {
+            // Before the guest stops: a thread's start is no cost to pay
+            // inside a window, and this one is paid once per pool.
+            pool.ensure_helper();
+        }
 
         // Injected silent corruption: rot one bit of the backup image
         // without updating the stored digests, exactly as a DRAM or disk
@@ -771,8 +784,35 @@ impl Checkpointer {
         // nothing committed.
         let (copy, verdict) = outcome?;
         if verdict != AuditVerdict::Fail {
-            for _ in 0..config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
-                sched.call();
+            // A passing staged epoch's slot is complete, and neither it
+            // nor the backup is written again before the drain: the
+            // pool's helper starts the drain's read-only half on them
+            // while this thread spins out the resume.
+            let mut sealing = staging.as_mut().zip(slot).filter(|_| dirty_sectors.is_some());
+            let lent = sealing
+                .as_mut()
+                .map_or(Ok(false), |(area, slot)| area.lend(*slot, backup, pool));
+            let resumed = lent.and_then(|lent| {
+                for _ in 0..config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
+                    sched.call();
+                }
+                match sealing.as_mut() {
+                    Some((area, slot)) if lent => area.reclaim(*slot, pool),
+                    _ => Ok(()),
+                }
+            });
+            if let Err(lost) = resumed {
+                // Fail closed like an exhausted walk: guest suspended,
+                // slot freed, pages and sectors dirty again, nothing
+                // committed.
+                if let Some((area, slot)) = sealing {
+                    area.release(slot);
+                }
+                remark_dirty(vm, &dirty);
+                for sector in dirty_sectors.iter().flat_map(DirtyBitmap::iter) {
+                    vm.disk_mut().mark_dirty(sector.0);
+                }
+                return Err(lost);
             }
             vm.vcpus_mut().resume_all();
         }
@@ -994,6 +1034,7 @@ impl Checkpointer {
             dedup_hits += usize::from(fact.dedup_hit);
             dedup_misses += usize::from(config.dedup && !fact.dedup_hit);
         }
+        let head_start_pages = staging.head_started(ticket.slot());
         staging.release(ticket.slot());
         Ok(DrainStats {
             generation: ticket.generation(),
@@ -1008,6 +1049,7 @@ impl Checkpointer {
             bytes_saved,
             dedup_hits,
             dedup_misses,
+            head_start_pages,
         })
     }
 
@@ -1962,6 +2004,183 @@ mod tests {
         assert!(cp.verify_backup().is_ok());
     }
 
+    /// A two-worker pool for [`vm`]'s guest on a host of `host_cpus` CPUs;
+    /// where that gives it a helper, every head start covers every page.
+    fn lent_pool(host_cpus: usize) -> PauseWindowPool {
+        let steps = CheckpointConfig::default().hypercall_steps;
+        let mut pool = PauseWindowPool::on_host(2, 2048, steps, host_cpus);
+        pool.pin_head_start(usize::MAX);
+        pool
+    }
+
+    fn staged_epoch(
+        cp: &mut Checkpointer,
+        vm: &mut Vm,
+        pool: &mut PauseWindowPool,
+    ) -> Result<DrainTicket, CheckpointError> {
+        cp.run_epoch_on(vm, &mut VerdictOnly(&mut pass_audit()), Some(pool))
+            .map(|report| report.pending.expect("ticket"))
+    }
+
+    /// Run `scenario` with a helper that finishes every head start and on
+    /// a one-CPU host, which has none: the acks may differ in
+    /// `head_start_pages` only, and the backups not at all. The first
+    /// run's coverage comes back, one `(covered, pages)` per ack.
+    fn head_start_changes_nothing(
+        buffers: usize,
+        scenario: impl Fn(&mut Checkpointer, &mut Vm, u32, &mut PauseWindowPool) -> Vec<DrainStats>,
+    ) -> Vec<(usize, usize)> {
+        let [with, without] = [2, 1].map(|host_cpus| {
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(&vm, staged_config(buffers));
+            let acks = scenario(&mut cp, &mut vm, pid, &mut lent_pool(host_cpus));
+            (acks, cp.backup().clone())
+        });
+        assert_eq!(with.1.frames(), without.1.frames());
+        assert_eq!(with.1.disk(), without.1.disk());
+        assert!(without.0.iter().all(|ack| ack.head_start_pages == 0), "no helper, no head start");
+        let rest = |acks: &[DrainStats]| -> Vec<DrainStats> {
+            acks.iter().map(|&ack| DrainStats { head_start_pages: 0, ..ack }).collect()
+        };
+        assert_eq!(rest(&with.0), rest(&without.0));
+        with.0.iter().map(|ack| (ack.head_start_pages, ack.pages)).collect()
+    }
+
+    #[test]
+    fn head_start_kernels_die_with_the_backup_they_describe() {
+        use crimes_faults::{FaultPlan, FaultPoint, SCALE};
+
+        // Undisturbed: the whole drain was made before the guest resumed.
+        let covered = head_start_changes_nothing(1, |cp, vm, pid, pool| {
+            dirty_some(vm, pid, 1);
+            let ticket = staged_epoch(cp, vm, pool).expect("no faults armed");
+            let ack = cp.drain_staged(vm, ticket).expect("no faults armed");
+            assert_committed_image(cp, vm, "head start");
+            vec![ack]
+        });
+        assert_eq!(covered, [(26, 26)]);
+
+        // An older slot in flight: the newer one is not lent (the older
+        // drain will rewrite the frames its kernels would describe), and
+        // the older one's kernels hold, nothing having written since.
+        let covered = head_start_changes_nothing(2, |cp, vm, pid, pool| {
+            dirty_some(vm, pid, 1);
+            let older = staged_epoch(cp, vm, pool).expect("no faults armed");
+            dirty_some(vm, pid, 2);
+            let newer = staged_epoch(cp, vm, pool).expect("no faults armed");
+            let acks = [older, newer].map(|t| cp.drain_staged(vm, t).expect("no faults armed"));
+            assert_committed_image(cp, vm, "two in flight");
+            acks.to_vec()
+        });
+        assert_eq!(covered, [(26, 26), (0, 24)]);
+
+        // The same, with the second boundary rotting a bit of the backup
+        // first: that is a write, and the older slot's kernels go too.
+        let covered = head_start_changes_nothing(2, |cp, vm, pid, pool| {
+            dirty_some(vm, pid, 1);
+            let older = staged_epoch(cp, vm, pool).expect("no faults armed");
+            dirty_some(vm, pid, 2);
+            let newer = {
+                let plan = FaultPlan::disabled().with_rate(FaultPoint::PageCorrupt, SCALE);
+                let _scope = crimes_faults::install(plan, 5);
+                staged_epoch(cp, vm, pool).expect("corruption is silent")
+            };
+            [older, newer]
+                .map(|t| cp.drain_staged(vm, t).expect("no faults armed"))
+                .to_vec()
+        });
+        assert_eq!(covered, [(0, 26), (0, 24)]);
+
+        // A failover: the standby is another image.
+        let covered = head_start_changes_nothing(1, |cp, vm, pid, pool| {
+            dirty_some(vm, pid, 1);
+            let ticket = staged_epoch(cp, vm, pool).expect("no faults armed");
+            cp.failover_backup();
+            let ack = cp.drain_staged(vm, ticket).expect("no faults armed");
+            assert_committed_image(cp, vm, "failover");
+            vec![ack]
+        });
+        assert_eq!(covered, [(0, 26)]);
+
+        // A broken stream: the sessions up to the first that wrote used
+        // their kernels, every later one compared inline against the
+        // frames as they then stood. The fault draws are the one-CPU
+        // run's (same cursor, same ack), the head start drawing none.
+        let covered = head_start_changes_nothing(1, |cp, vm, pid, pool| {
+            dirty_some(vm, pid, 3);
+            let ticket = staged_epoch(cp, vm, pool).expect("no faults armed");
+            {
+                let plan = FaultPlan::disabled().with_rate(FaultPoint::BackupDrain, SCALE);
+                let _scope = crimes_faults::install(plan, 21);
+                cp.drain_staged(vm, ticket).expect_err("every drain attempt faults");
+            }
+            let ack = cp.drain_staged(vm, ticket).expect("no faults armed");
+            assert!(0 < ack.resumed_from && ack.resumed_from < ack.pages);
+            assert!(ack.head_start_pages <= ack.resumed_from);
+            assert_committed_image(cp, vm, "resync");
+            vec![ack]
+        });
+        assert!(covered[0].0 > 0, "the first session had its kernels");
+    }
+
+    #[test]
+    fn a_lost_helper_fails_the_boundary_closed_and_the_next_one_runs_without() {
+        let mut vm = vm();
+        let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+        let mut cp = Checkpointer::new(&vm, staged_config(1));
+        let mut pool = lent_pool(2);
+        pool.doom_helper();
+        dirty_some(&mut vm, pid, 1);
+        vm.write_disk(3, &[9; crimes_vm::SECTOR_SIZE]).expect("disk write");
+        let before = cp.backup().clone();
+        let dirty_pages = vm.memory().dirty().count();
+
+        let err = staged_epoch(&mut cp, &mut vm, &mut pool).expect_err("the helper dies");
+        assert_eq!(err, CheckpointError::HeadStartLost);
+        assert!(vm.vcpus().all_paused(), "fail closed: VM stays suspended");
+        assert_eq!(cp.drains_in_flight(), 0, "slot freed");
+        assert_eq!(cp.backup().epoch(), before.epoch(), "nothing commits");
+        assert_eq!(cp.backup().frames(), before.frames(), "the lent image is intact");
+        assert_eq!(cp.backup().disk(), before.disk());
+        assert_eq!(vm.memory().dirty().count(), dirty_pages, "pages dirty again");
+        assert_eq!(vm.disk().dirty().count(), 1, "sectors dirty again");
+        assert!(!pool.has_helper(), "and it is not replaced");
+
+        vm.vcpus_mut().resume_all();
+        let ticket = staged_epoch(&mut cp, &mut vm, &mut pool).expect("no helper to lose");
+        let ack = cp.drain_staged(&vm, ticket).expect("no faults armed");
+        assert_eq!((ack.pages, ack.head_start_pages), (dirty_pages, 0));
+        assert_committed_image(&cp, &vm, "after the loss");
+    }
+
+    #[test]
+    fn only_a_deferred_boundary_on_a_pool_with_a_spare_worker_and_cpu_starts_a_helper() {
+        let steps = CheckpointConfig::default().hypercall_steps;
+        for (workers, host_cpus, buffers, helper) in
+            [(1, 2, 1, false), (2, 1, 1, false), (2, 2, 0, false), (2, 2, 1, true)]
+        {
+            let what = format!("{workers} workers, {host_cpus} CPUs, {buffers} staging buffers");
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(&vm, staged_config(buffers));
+            let mut pool = PauseWindowPool::on_host(workers, 2048, steps, host_cpus);
+            pool.pin_head_start(usize::MAX);
+            for salt in 0..2 {
+                dirty_some(&mut vm, pid, salt);
+                let report = cp
+                    .run_epoch_on(&mut vm, &mut VerdictOnly(&mut pass_audit()), Some(&mut pool))
+                    .expect("no faults armed");
+                assert_eq!(pool.has_helper(), helper, "{what}");
+                if let Some(ticket) = report.pending {
+                    let ack = cp.drain_staged(&vm, ticket).expect("no faults armed");
+                    assert_eq!(ack.head_start_pages, if helper { ack.pages } else { 0 }, "{what}");
+                }
+                assert_committed_image(&cp, &vm, &what);
+            }
+        }
+    }
+
     #[test]
     fn rejected_epochs_leave_the_backup_registers_at_the_last_commit() {
         for staged in [false, true] {
@@ -2059,7 +2278,23 @@ mod tests {
                             );
                             let socket = remote_backup || opt == OptLevel::NoOpt;
                             let pinned = pinned_copy(socket, delta_threshold, pause_workers, staged);
-                            drive_script(config, &script, &pinned, &what);
+                            let acks = drive_script(config, &script, &pinned, None, &what);
+                            // The same script under a head start stopped
+                            // after no page, one, half of them and all:
+                            // every check above again, and the same acks.
+                            for stop in [0, 1, 12, usize::MAX] {
+                                let what = format!("{what} head start={stop}");
+                                let head_started =
+                                    drive_script(config, &script, &pinned, Some(stop), &what);
+                                assert_eq!(head_started.len(), acks.len(), "{what}");
+                                let lends = staged && pause_workers > 1;
+                                for (got, want) in head_started.iter().zip(&acks) {
+                                    let covered = if lends { stop.min(want.pages) } else { 0 };
+                                    assert_eq!(got.head_start_pages, covered, "{what}");
+                                    let rest = DrainStats { head_start_pages: 0, ..*got };
+                                    assert_eq!(rest, *want, "{what}");
+                                }
+                            }
                         }
                     }
                 }
@@ -2079,24 +2314,35 @@ mod tests {
             .expect("disk write");
     }
 
+    /// Run `script` under `config` and check every boundary; the drains'
+    /// acks come back. `head_start: None` walks on the engine's own pool
+    /// with no helper; `Some(pages)` lends a pool on a two-CPU host whose
+    /// head starts cover exactly `pages` pages (where there is one: a
+    /// staging sink and a worker to spare).
     fn drive_script(
         config: CheckpointConfig,
         script: &[AuditVerdict],
         pinned: &[CopyStats; 2],
+        head_start: Option<usize>,
         what: &str,
-    ) {
+    ) -> Vec<DrainStats> {
         // A small guest: every step re-digests the whole image.
         let mut b = Vm::builder();
         b.pages(512).seed(77);
         let mut vm = b.build();
         let pid = vm.spawn_process("app", 0, 64).expect("spawn");
         let mut cp = Checkpointer::new(&vm, config);
+        let host_cpus = if head_start.is_some() { 2 } else { 1 };
+        let mut pool =
+            PauseWindowPool::on_host(config.pause_workers, 512, config.hypercall_steps, host_cpus);
+        pool.pin_head_start(head_start.unwrap_or(0));
         let mut pinned = pinned.iter();
+        let mut acks = Vec::new();
         for (step, &verdict) in script.iter().enumerate() {
             matrix_activity(&mut vm, pid, step as u8);
             let before = cp.backup().clone();
             let report = cp
-                .run_epoch(&mut vm, &mut |_, _| verdict)
+                .run_epoch_on(&mut vm, &mut VerdictOnly(&mut |_, _| verdict), Some(&mut pool))
                 .expect("no faults armed");
             assert_eq!(report.verdict, verdict, "{what}");
             assert_eq!(report.copy_attempts, 1, "{what}: the walk runs before the verdict");
@@ -2107,6 +2353,7 @@ mod tests {
                     assert_eq!(cp.backup().frames(), before.frames(), "{what}: staged, not copied");
                     let ack = cp.drain_staged(&vm, ticket).expect("no faults armed");
                     assert_eq!(ack.pages, report.copy.pages, "{what}");
+                    acks.push(ack);
                 }
                 assert_eq!(cp.backup().epoch(), before.epoch() + 1, "{what}");
                 assert_committed_image(&cp, &vm, what);
@@ -2125,6 +2372,7 @@ mod tests {
                 );
             }
         }
+        acks
     }
 
     #[test]

@@ -96,6 +96,13 @@ pub enum CheckpointError {
         /// Concurrent leases the pool is configured to grant.
         capacity: usize,
     },
+    /// The pool's resident helper thread was gone when the boundary lent
+    /// it the drain's head start, or died holding it. It only ever held
+    /// shared handles, so the backup image and the staged pages are
+    /// intact; the boundary fails closed all the same — slot freed, dirty
+    /// set re-marked, guest left suspended, nothing committed — and the
+    /// pool runs without a helper from then on.
+    HeadStartLost,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -137,6 +144,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::PoolSaturated { capacity } => {
                 write!(f, "shared pause pool saturated ({capacity} lease(s) outstanding)")
             }
+            CheckpointError::HeadStartLost => {
+                write!(f, "the pause pool's helper thread died during a drain head start")
+            }
         }
     }
 }
@@ -167,6 +177,7 @@ mod tests {
             CheckpointError::StagingBacklog { in_flight: 2 },
             CheckpointError::BackupUnreachable { attempt: 1 },
             CheckpointError::PoolSaturated { capacity: 4 },
+            CheckpointError::HeadStartLost,
         ] {
             assert!(!e.to_string().is_empty());
         }

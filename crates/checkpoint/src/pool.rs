@@ -10,6 +10,18 @@
 //! it in turn — and **shards** the fused pass across a preallocated scoped
 //! worker pool (`std::thread::scope`; no new dependencies, hermetic).
 //!
+//! A pool of two or more workers on a host with a second CPU also keeps
+//! one **resident helper** thread (see [`PauseWindowPool::ensure_helper`]),
+//! which the deferred pipeline lends the drain's read-only half while the
+//! engine sits in the modelled resume. It is resident because a scoped
+//! thread cannot do this job: measured on the benchmark host, a freshly
+//! spawned thread starts a median 880 µs after `spawn` (p10 ≈ 400 µs) —
+//! longer than the whole resume — where a parked one wakes on the other
+//! CPU in about 7 µs. The sharded walk keeps its scope: it borrows the
+//! guest, the visitors and the image, which a resident thread could only
+//! be handed through `unsafe`, and its shards are long enough to carry
+//! the start.
+//!
 //! # Determinism contract
 //!
 //! Results are bit-identical for any worker count:
@@ -40,6 +52,11 @@
 //! image peeled off with `split_at_mut`, so no locking (and no unsafe) is
 //! needed either.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
 use crimes_faults::{FaultCounters, FaultPlan, FaultPoint};
 use crimes_vm::{DirtyBitmap, GuestMemory, Mfn, Pfn, Vm, PAGE_SIZE};
 
@@ -48,10 +65,12 @@ use crate::copy::CopyStats;
 use crate::engine::AuditVerdict;
 use crate::error::CheckpointError;
 use crate::mapping::{HypercallModel, MappedPage};
+use crate::staging::{HeadStart, HeadStartDone};
 
-/// Upper bound on `pause_workers` — scoped threads are cheap but the
-/// per-worker scratch (undo log, syscall model) is not free, and shards
-/// thinner than this stop paying for themselves.
+/// Upper bound on `pause_workers` — a scoped thread costs its start
+/// (hundreds of microseconds on a busy two-CPU host, see the module
+/// header), the per-worker scratch (undo log, syscall model) is not free,
+/// and shards thinner than this stop paying for either.
 pub const MAX_WORKERS: usize = 16;
 
 /// Findings a visitor may keep per shard before its slot has to grow.
@@ -302,6 +321,62 @@ enum Layout {
     Packed,
 }
 
+/// The pool's resident helper: a parked thread that runs one
+/// [`HeadStart`] at a time. Both channels hold one message and are
+/// allocated here, so handing a job over and taking it back never grows
+/// the heap.
+#[derive(Debug)]
+struct Helper {
+    jobs: Option<SyncSender<HeadStart>>,
+    done: Receiver<HeadStartDone>,
+    /// Raised by [`PauseWindowPool::reclaim`]; the job reads it per page.
+    /// `Relaxed` throughout: the flag publishes no data (the job and its
+    /// results cross in the channels, which order everything else), it
+    /// only has to become visible soon.
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Helper {
+    /// Start the thread; `None` when the host refuses one. `job` is
+    /// [`HeadStart::run`] (a parameter so a test can start a helper that
+    /// dies with the job in hand).
+    fn start(job: fn(HeadStart, &AtomicBool) -> HeadStartDone) -> Option<Helper> {
+        let (jobs, inbox) = sync_channel::<HeadStart>(1);
+        let (outbox, done) = sync_channel(1);
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("crimes-head-start".into())
+            .spawn(move || {
+                // Parked in `recv` between jobs; leaves when the pool
+                // drops its sender.
+                while let Ok(head_start) = inbox.recv() {
+                    if outbox.send(job(head_start, &flag)).is_err() {
+                        break;
+                    }
+                }
+            })
+            .ok()?;
+        Some(Helper {
+            jobs: Some(jobs),
+            done,
+            stop,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        self.jobs = None;
+        if let Some(thread) = self.thread.take() {
+            // Joined, so every handle the thread held is dropped by now.
+            let _ = thread.join();
+        }
+    }
+}
+
 /// The preallocated scoped worker pool executing fused pause-window walks.
 #[derive(Debug)]
 pub struct PauseWindowPool {
@@ -312,6 +387,12 @@ pub struct PauseWindowPool {
     /// All shards' findings, merged in shard order and sorted
     /// `(source, key)` — the canonical (serial-equivalent) order.
     merged: Vec<PageFinding>,
+    /// Whether this pool may keep a helper: a worker to spare and a
+    /// second CPU to run it on; cleared for good if the helper is lost.
+    helper_allowed: bool,
+    helper: Option<Helper>,
+    /// Test pin: cover exactly this many pages, however long the resume.
+    pinned: Option<usize>,
 }
 
 impl PauseWindowPool {
@@ -319,6 +400,17 @@ impl PauseWindowPool {
     /// the VM's total page count — the worst-case dirty set — so nothing
     /// inside the window ever has to grow.
     pub fn new(workers: usize, num_pages: usize, hypercall_steps: u32) -> Self {
+        let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::on_host(workers, num_pages, hypercall_steps, host_cpus)
+    }
+
+    /// [`new`](Self::new) with the host's CPU count given.
+    pub(crate) fn on_host(
+        workers: usize,
+        num_pages: usize,
+        hypercall_steps: u32,
+        host_cpus: usize,
+    ) -> Self {
         let workers = workers.clamp(1, MAX_WORKERS);
         let shard_pages = num_pages.div_ceil(workers).max(1);
         PauseWindowPool {
@@ -328,12 +420,99 @@ impl PauseWindowPool {
                 .map(|_| WorkerSlot::new(shard_pages, hypercall_steps))
                 .collect(),
             merged: Vec::with_capacity(workers * FINDINGS_CAP),
+            helper_allowed: workers > 1 && host_cpus > 1,
+            helper: None,
+            pinned: None,
         }
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// Start the resident helper if this pool may have one and has none
+    /// yet. The engine calls this before it suspends a guest whose sink
+    /// is a staging slot, so the thread is created at most once per pool,
+    /// never inside a window, and never for a pool that runs no deferred
+    /// boundary.
+    pub(crate) fn ensure_helper(&mut self) {
+        if self.helper_allowed && self.helper.is_none() {
+            self.helper = Helper::start(HeadStart::run);
+            self.helper_allowed = self.helper.is_some();
+        }
+    }
+
+    /// Is a helper running to [`lend`](Self::lend) to?
+    pub(crate) fn has_helper(&self) -> bool {
+        self.helper.is_some()
+    }
+
+    /// The last walk's page list in the MFN order it was packed in.
+    pub(crate) fn walked(&self) -> &[MappedPage] {
+        &self.sorted
+    }
+
+    /// Hand `job` to the parked helper, which starts it on its own CPU.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::HeadStartLost`] when the helper is gone; it is
+    /// not replaced.
+    // lint: pause-window
+    pub(crate) fn lend(&mut self, mut job: HeadStart) -> Result<(), CheckpointError> {
+        job.limit = self.pinned.unwrap_or(job.limit);
+        let sent = self.helper.as_ref().is_some_and(|helper| {
+            helper.stop.store(false, Ordering::Relaxed);
+            helper.jobs.as_ref().is_some_and(|jobs| jobs.try_send(job).is_ok())
+        });
+        if sent {
+            Ok(())
+        } else {
+            self.retire_helper()
+        }
+    }
+
+    /// Tell the helper to stop after the page it is on and wait for the
+    /// job's buffers. The helper dropped its handles on the images before
+    /// it answered.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::HeadStartLost`] when the helper died with the
+    /// job; the thread is joined first, so its handles are dropped too.
+    // lint: pause-window
+    pub(crate) fn reclaim(&mut self) -> Result<HeadStartDone, CheckpointError> {
+        let done = self.helper.as_ref().and_then(|helper| {
+            // A pinned head start runs to its pin instead.
+            helper.stop.store(self.pinned.is_none(), Ordering::Relaxed);
+            helper.done.recv().ok()
+        });
+        match done {
+            Some(done) => Ok(done),
+            None => self.retire_helper(),
+        }
+    }
+
+    /// Test pin: every head start covers exactly `pages` pages (or all
+    /// there are), and [`reclaim`](Self::reclaim) waits for that instead
+    /// of stopping it.
+    #[cfg(test)]
+    pub(crate) fn pin_head_start(&mut self, pages: usize) {
+        self.pinned = Some(pages);
+    }
+
+    /// Test hook: replace the helper with one whose thread panics on the
+    /// first job it is handed.
+    #[cfg(test)]
+    pub(crate) fn doom_helper(&mut self) {
+        self.helper = Helper::start(|_, _| panic!("test: the helper dies holding its job"));
+    }
+
+    fn retire_helper<T>(&mut self) -> Result<T, CheckpointError> {
+        self.helper = None;
+        self.helper_allowed = false;
+        Err(CheckpointError::HeadStartLost)
     }
 
     /// Execute one fused walk over `mapped`: every page is visited once,
@@ -417,6 +596,7 @@ impl PauseWindowPool {
             sorted,
             slots,
             merged,
+            ..
         } = self;
         merged.clear();
         for slot in slots.iter_mut() {
@@ -1066,6 +1246,53 @@ mod tests {
         assert_ne!(backup.frames(), before.as_slice(), "walk copied pages");
         pool.rollback_walk(&mut backup);
         assert_eq!(backup.frames(), before.as_slice());
+    }
+
+    #[test]
+    fn the_helper_is_lazy_resident_and_only_for_pools_that_can_use_one() {
+        for (workers, host_cpus, may) in [(1, 2, false), (2, 1, false), (2, 2, true), (4, 8, true)] {
+            let mut pool = PauseWindowPool::on_host(workers, 64, 2, host_cpus);
+            assert!(!pool.has_helper(), "no thread before anything asks for one");
+            pool.ensure_helper();
+            assert_eq!(pool.has_helper(), may, "{workers} workers on {host_cpus} CPUs");
+            // Asking again keeps the thread it has.
+            let id = |p: &PauseWindowPool| {
+                p.helper
+                    .as_ref()
+                    .and_then(|h| h.thread.as_ref().map(|t| t.thread().id()))
+            };
+            let first = id(&pool);
+            pool.ensure_helper();
+            assert_eq!(id(&pool), first);
+        }
+    }
+
+    #[test]
+    fn a_helper_that_is_gone_is_reported_and_never_replaced() {
+        // Gone before the job is sent.
+        let (vm, _) = vm_with_dirt(512, 4, 2);
+        let backup = BackupVm::new(&vm);
+        let mut area = crate::staging::StagingArea::new(512, 1, 1);
+        let slot = area.claim().expect("a free slot");
+        let mut pool = PauseWindowPool::on_host(2, 512, 2, 2);
+        pool.ensure_helper();
+        if let Some(helper) = pool.helper.as_mut() {
+            helper.jobs = None;
+        }
+        assert_eq!(area.lend(slot, &backup, &mut pool), Err(CheckpointError::HeadStartLost));
+        assert!(!pool.has_helper());
+        pool.ensure_helper();
+        assert!(!pool.has_helper(), "a lost helper is not replaced");
+        assert_eq!(area.lend(slot, &backup, &mut pool), Ok(false), "nothing to lend to");
+
+        // Dead with the job in hand: the handles it held are dropped.
+        let mut pool = PauseWindowPool::on_host(2, 512, 2, 2);
+        pool.doom_helper();
+        assert_eq!(area.lend(slot, &backup, &mut pool), Ok(true));
+        assert_eq!(area.reclaim(slot, &mut pool), Err(CheckpointError::HeadStartLost));
+        assert!(!pool.has_helper());
+        assert_eq!(std::sync::Arc::strong_count(&backup.share_frames()), 2, "ours and the backup's");
+        assert!(!area.frames_mut(slot).is_empty(), "the slot's pages are ours alone again");
     }
 
     #[test]

@@ -14,16 +14,28 @@
 //!
 //! * In-window ([`StagingArea::claim`] + `pool::run_staging` +
 //!   [`StagingArea::stage_sector`]): dirty pages are `memcpy`d into a
-//!   preallocated staging slot — **no cipher, no socket, no digest, no
-//!   undo log** (the backup is untouched, so a rejected epoch just drops
-//!   the slot). The slot is **densely packed**: page `i` of the
-//!   MFN-sorted dirty list sits at byte `i * PAGE_SIZE`, wherever its
-//!   frame lives in the guest image.
+//!   preallocated staging slot — **no cipher, no socket, no undo log,
+//!   and no digest on the thread the guest waits for** (the backup is
+//!   untouched, so a rejected epoch just drops the slot). The slot is
+//!   **densely packed**: page `i` of the MFN-sorted dirty list sits at
+//!   byte `i * PAGE_SIZE`, wherever its frame lives in the guest image.
+//! * Across the resume ([`StagingArea::lend`] / [`StagingArea::reclaim`],
+//!   the **head start**): once the verdict has passed, the slot is
+//!   complete and nothing writes it or the backup until the drain. While
+//!   the engine sits in the modelled resume, the pool's resident helper
+//!   — another CPU, which nobody is waiting for — runs the drain's
+//!   read-only half (`delta::page_kernel`: facts, changed-word mask, both
+//!   digests) over the slot in drain order, and stops when the resume
+//!   ends. It holds shared handles on the slot's pages and the backup
+//!   image and writes neither; the kernels it finished are stored with
+//!   the backup's write stamp, and the drain uses them only if that
+//!   stamp still reads the same (see [`HeadStart`]).
 //! * Out-of-window ([`StagingArea::drain_slot`], driven by the engine's
 //!   retry loop): the drain reads the slot front to back. Each staged
-//!   page goes through **one** pass (`delta::page_kernel`) that compares
-//!   it with the backup's copy of its frame and digests it twice on the
-//!   same loaded words; then the dedup probe, the record built from the
+//!   page goes through **one** pass (`delta::page_kernel`, unless the
+//!   head start already made it) that compares it with the backup's copy
+//!   of its frame and digests it twice on the same loaded words; then
+//!   the dedup probe, the record built from the
 //!   kernel's changed-word mask, the cipher over exactly the bytes that
 //!   ship, the modelled socket, and the apply into the backup frame.
 //!   Digesting here instead of in the window is sound because the slot
@@ -44,15 +56,19 @@
 //! writes were. Drain-side scratch may allocate freely — it runs after
 //! resume.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use crimes_faults::FaultPoint;
-use crimes_vm::{PAGE_SIZE, SECTOR_SIZE};
+use crimes_vm::{Mfn, PAGE_SIZE, SECTOR_SIZE};
 
 use crate::backup::BackupVm;
 use crate::copy::{decrypt_in_place, encrypt_in_place, CopyStats, WRITEV_BATCH};
-use crate::delta::{page_kernel, wire_len, PageEncoding};
+use crate::delta::{page_kernel, wire_len, PageEncoding, PageKernel};
 use crate::error::CheckpointError;
 use crate::integrity::Lanes;
 use crate::mapping::{HypercallModel, MappedPage};
+use crate::pool::PauseWindowPool;
 
 /// Content-aware drain knobs, plumbed from `CheckpointConfig`. Both
 /// default off, which keeps the drain's wire model byte-identical to
@@ -114,14 +130,107 @@ impl DrainTicket {
     }
 }
 
+/// The drain's one pass over a staged page and the backup's copy of its
+/// frame: facts, changed-word mask, content digest, page digest.
+type DrainKernel = PageKernel<2>;
+
+fn drain_kernel(old: &[u8], staged: &[u8], mfn: Mfn) -> Option<DrainKernel> {
+    page_kernel(old, staged, [Lanes::content(), Lanes::seeded(mfn.0)])
+}
+
+/// The drain's read-only half, packaged for another thread: shared
+/// handles on the backup image and a sealed slot's pages, and — moved,
+/// not borrowed — the slot's page list and its preallocated kernel
+/// buffer. [`run`](Self::run) fills `kernels[i]` for page `i`, front to
+/// back like the drain, until it is told to stop, and hands the two
+/// vectors back with both handles dropped.
+///
+/// A kernel is a statement about the backup frame *as it stood when the
+/// head start ran*. [`StagingArea::lend`] records the backup's write
+/// stamp next to the buffer and lends only while this is the one slot in
+/// flight; a drain session consults the kernels only if the stamp still
+/// reads the same, so anything that wrote a frame in between — an older
+/// slot's drain, an injected corruption, this slot's own earlier session
+/// — makes them unusable rather than wrong.
+#[derive(Debug)]
+pub(crate) struct HeadStart {
+    backup: Arc<Vec<u8>>,
+    staged: Arc<Vec<u8>>,
+    pages: Vec<MappedPage>,
+    kernels: Vec<DrainKernel>,
+    /// Pages to cover at most; the pool's test pin lowers it.
+    pub(crate) limit: usize,
+}
+
+/// What a finished [`HeadStart`] hands back: the slot's two vectors.
+#[derive(Debug)]
+pub(crate) struct HeadStartDone {
+    pages: Vec<MappedPage>,
+    kernels: Vec<DrainKernel>,
+}
+
+/// Pages the helper covers between two offers of its CPU. The kernel may
+/// wake the helper on the CPU the engine is spinning out the resume on
+/// (this guest does whenever its second vCPU is halted) and let it run
+/// there; without the offer the whole head start would then sit inside
+/// the pause (measured: resume 0.86 → 1.6 ms), with it at most this many
+/// pages do. On a CPU of its own a yield returns at once.
+const YIELD_EVERY: usize = 16;
+
+impl HeadStart {
+    /// Run on the helper thread. `stop` is read before every page, so the
+    /// engine waits for at most one kernel after raising it.
+    pub(crate) fn run(self, stop: &AtomicBool) -> HeadStartDone {
+        let HeadStart {
+            backup,
+            staged,
+            pages,
+            mut kernels,
+            limit,
+        } = self;
+        let room = kernels.capacity();
+        for (i, (&(_, mfn), page)) in pages
+            .iter()
+            .zip(staged.chunks_exact(PAGE_SIZE))
+            .take(limit.min(room))
+            .enumerate()
+        {
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
+            if i % YIELD_EVERY == 0 {
+                std::thread::yield_now();
+            }
+            let old = usize::try_from(mfn.0)
+                .ok()
+                .and_then(|m| m.checked_mul(PAGE_SIZE))
+                .and_then(|base| backup.get(base..base.checked_add(PAGE_SIZE)?));
+            let Some(kernel) = old.and_then(|old| drain_kernel(old, page, mfn)) else {
+                // The drain refuses this page itself; leave it to it.
+                break;
+            };
+            kernels.push(kernel);
+        }
+        HeadStartDone { pages, kernels }
+    }
+}
+
 /// One preallocated staging slot: a worst-case-sized frame buffer the
 /// walk packs densely (entry `i`'s page at byte `i * PAGE_SIZE`), this
 /// epoch's page list in that same MFN order, drain-computed digests, and
 /// snapshotted dirty sectors.
 #[derive(Debug)]
 struct StagingSlot {
-    frames: Vec<u8>,
+    /// Behind a shared handle so a head start can read it; nothing holds
+    /// a second handle while the walk writes.
+    frames: Arc<Vec<u8>>,
     entries: Vec<MappedPage>,
+    /// `kernels[i]` is entry `i`'s, from a head start made while the
+    /// backup's write stamp read `kernels_stamp`.
+    kernels: Vec<DrainKernel>,
+    kernels_stamp: u64,
+    /// Completed records whose kernel came from the head start.
+    head_started: usize,
     digests: Vec<(usize, u64)>,
     facts: Vec<RecordFacts>,
     sector_ids: Vec<u64>,
@@ -141,8 +250,11 @@ struct StagingSlot {
 impl StagingSlot {
     fn new(num_pages: usize, num_sectors: usize) -> Self {
         StagingSlot {
-            frames: vec![0u8; num_pages * PAGE_SIZE],
+            frames: Arc::new(vec![0u8; num_pages * PAGE_SIZE]),
             entries: Vec::with_capacity(num_pages),
+            kernels: Vec::with_capacity(num_pages),
+            kernels_stamp: 0,
+            head_started: 0,
             digests: Vec::with_capacity(num_pages),
             facts: Vec::with_capacity(num_pages),
             sector_ids: Vec::with_capacity(num_sectors),
@@ -160,6 +272,8 @@ impl StagingSlot {
 pub struct StagingArea {
     slots: Vec<StagingSlot>,
     generation: u64,
+    /// The drain's cipher scratch: one record's bytes at a time.
+    scratch: Vec<u8>,
 }
 
 impl StagingArea {
@@ -172,6 +286,7 @@ impl StagingArea {
                 .map(|_| StagingSlot::new(num_pages, num_sectors))
                 .collect(),
             generation: 0,
+            scratch: Vec::with_capacity(PAGE_SIZE + 8),
         }
     }
 
@@ -198,6 +313,8 @@ impl StagingArea {
         let slot = self.slots.iter().position(|s| !s.occupied)?;
         if let Some(s) = self.slots.get_mut(slot) {
             s.entries.clear();
+            s.kernels.clear();
+            s.head_started = 0;
             s.digests.clear();
             s.facts.clear();
             s.sector_ids.clear();
@@ -209,12 +326,16 @@ impl StagingArea {
         Some(slot)
     }
 
-    /// The slot's packed staging frames, for `pool::run_staging`.
+    /// The slot's packed staging frames, for `pool::run_staging`: empty
+    /// for an unknown slot, and for one whose pages are still lent out —
+    /// the walk then refuses the geometry instead of writing under a
+    /// reader.
     // lint: pause-window
     pub fn frames_mut(&mut self, slot: usize) -> &mut [u8] {
         self.slots
             .get_mut(slot)
-            .map(|s| s.frames.as_mut_slice())
+            .and_then(|s| Arc::get_mut(&mut s.frames))
+            .map(Vec::as_mut_slice)
             .unwrap_or(&mut [])
     }
 
@@ -230,18 +351,90 @@ impl StagingArea {
         s.sector_bytes.extend_from_slice(bytes);
     }
 
+    /// Start the head start on `pool`'s resident helper: list the slot's
+    /// pages in the order the walk packed them (`pool.walked()`), note the
+    /// backup's write stamp, and send the helper a [`HeadStart`] over the
+    /// slot. Call it after a passing verdict, with the slot complete, and
+    /// [`reclaim`](Self::reclaim) before anything touches the slot or the
+    /// backup again. `Ok(false)` when there is nothing to start: the pool
+    /// has no helper (one worker, or a one-CPU host), or an older slot is
+    /// still in flight and its drain will rewrite the frames the kernels
+    /// would describe.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::HeadStartLost`] when the helper thread is gone.
+    // lint: pause-window
+    pub(crate) fn lend(
+        &mut self,
+        slot: usize,
+        backup: &BackupVm,
+        pool: &mut PauseWindowPool,
+    ) -> Result<bool, CheckpointError> {
+        if !pool.has_helper() || self.in_flight() != 1 {
+            return Ok(false);
+        }
+        let Some(s) = self.slots.get_mut(slot) else {
+            return Ok(false);
+        };
+        let walked = pool.walked();
+        // Buffers that went down with a dead helper are not regrown here.
+        if s.entries.capacity() < walked.len() || s.kernels.capacity() < walked.len() {
+            return Ok(false);
+        }
+        s.entries.clear();
+        s.entries.extend_from_slice(walked);
+        s.kernels.clear();
+        s.kernels_stamp = backup.write_stamp();
+        pool.lend(HeadStart {
+            backup: backup.share_frames(),
+            staged: Arc::clone(&s.frames),
+            pages: std::mem::take(&mut s.entries),
+            kernels: std::mem::take(&mut s.kernels),
+            limit: usize::MAX,
+        })?;
+        Ok(true)
+    }
+
+    /// Stop the head start [`lend`](Self::lend) started and take the
+    /// slot's page list and kernels back. On return the helper holds no
+    /// handle on the slot or the backup.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::HeadStartLost`] when the helper died with the
+    /// job. The images are intact (it only ever held shared handles); the
+    /// slot's page list is gone, so the caller drops the slot.
+    // lint: pause-window
+    pub(crate) fn reclaim(
+        &mut self,
+        slot: usize,
+        pool: &mut PauseWindowPool,
+    ) -> Result<(), CheckpointError> {
+        let HeadStartDone { pages, kernels } = pool.reclaim()?;
+        if let Some(s) = self.slots.get_mut(slot) {
+            s.entries = pages;
+            s.kernels = kernels;
+        }
+        Ok(())
+    }
+
     /// Seal a staged slot after a passing verdict: record the page list
     /// (walk metadata — safe to copy after resume) in the MFN order the
-    /// walk packed the pages in, stamp the epoch's guest time, mint the
-    /// next generation, and return the drain ticket. Per-page digests are
-    /// computed later, by the drain itself.
+    /// walk packed the pages in — unless a head start already listed it —
+    /// stamp the epoch's guest time, mint the next generation, and return
+    /// the drain ticket. Per-page digests are computed later, by the
+    /// drain itself.
     pub fn seal(&mut self, slot: usize, mapped: &[MappedPage], guest_time_ns: u64) -> DrainTicket {
         self.generation += 1;
         if let Some(s) = self.slots.get_mut(slot) {
-            s.entries.extend_from_slice(mapped);
-            // The walk refused duplicate MFNs, so this is the one order
-            // `run_staging` sorted into: entry `i` owns page `i`.
-            s.entries.sort_unstable_by_key(|&(_, mfn)| mfn);
+            if s.entries.is_empty() {
+                s.entries.extend_from_slice(mapped);
+                // The walk refused duplicate MFNs, so this is the one
+                // order `run_staging` sorted into: entry `i` owns page `i`.
+                s.entries.sort_unstable_by_key(|&(_, mfn)| mfn);
+            }
+            debug_assert_eq!(s.entries.len(), mapped.len(), "the head start listed this walk");
             s.guest_time_ns = guest_time_ns;
         }
         DrainTicket {
@@ -274,6 +467,9 @@ impl StagingArea {
             s.drained = 0;
             s.digests.clear();
             s.facts.clear();
+            // Comparisons against the old backup, like the cursor.
+            s.kernels.clear();
+            s.head_started = 0;
         }
     }
 
@@ -311,6 +507,12 @@ impl StagingArea {
         })
     }
 
+    /// Completed records of the slot whose compare-and-digest pass was
+    /// made by the head start, before the guest resumed.
+    pub(crate) fn head_started(&self, slot: usize) -> usize {
+        self.slots.get(slot).map(|s| s.head_started).unwrap_or(0)
+    }
+
     /// Pages staged in the slot.
     pub(crate) fn entry_count(&self, slot: usize) -> usize {
         self.slots.get(slot).map(|s| s.entries.len()).unwrap_or(0)
@@ -322,16 +524,18 @@ impl StagingArea {
     }
 
     /// One drain attempt: run each staged page through the page kernel
-    /// (facts, changed-word mask and both digests in one pass), encrypt
+    /// (facts, changed-word mask and both digests in one pass; taken from
+    /// the head start where it got that far and nothing has written the
+    /// backup since), encrypt
     /// the record it ships as, push it through the modelled socket, and
     /// apply it to the backup frame — the same cipher and `writev`
     /// batching as the in-window socket copier, running *after* resume,
     /// overlapped with guest execution. The digests are taken from the
     /// staged plaintext, so the pause window pays for none of it; see the
     /// module header for why that is sound. This is deliberately **not**
-    /// pause-window code:
-    /// no cipher, socket, or digest call is reachable from the window's
-    /// roots on the deferred path.
+    /// pause-window code: no cipher or socket call is reachable from the
+    /// window's roots on the deferred path, and the only digest call that
+    /// is runs on the helper thread, which the guest does not wait for.
     ///
     /// # Errors
     ///
@@ -368,20 +572,26 @@ impl StagingArea {
         opts: DrainOpts,
         stop_after: Option<usize>,
     ) -> Result<CopyStats, CheckpointError> {
-        let Some(s) = self.slots.get_mut(slot) else {
+        let StagingArea { slots, scratch, .. } = self;
+        let Some(s) = slots.get_mut(slot) else {
             return Err(CheckpointError::DrainFault { pages_drained: 0 });
         };
         // The dup facts below probe the content index, so it must be
         // fresh; with the deferred pipeline's coherent writes this
         // rebuilds at most once per drain session.
         backup.ensure_content_index();
+        // Head-start kernels compare against the backup as it stood when
+        // they were made: good for this session only if no frame has been
+        // written since (this session's own writes land on other frames).
+        if backup.write_stamp() != s.kernels_stamp {
+            s.kernels.clear();
+        }
         let remaining = s.entries.len().saturating_sub(s.drained);
         // The out-of-window stream breaking mid-drain: pick how many
         // further records land first from the fault plan's seeded draws.
         let fail_after = crimes_faults::should_inject(FaultPoint::BackupDrain)
             .then(|| crimes_faults::draw_below(remaining.max(1) as u64) as usize);
         let mut stats = CopyStats::default();
-        let mut scratch = Vec::with_capacity(PAGE_SIZE + 8);
         let mut batched = 0usize;
         // Digests and facts before the cursor cover records already
         // durable; anything past it belongs to a broken attempt and is
@@ -398,7 +608,7 @@ impl StagingArea {
             return Err(CheckpointError::DrainFault { pages_drained: 0 });
         }
         let staged = s.entries.iter().zip(s.frames.chunks_exact(PAGE_SIZE));
-        for (&(pfn, mfn), src) in staged.skip(s.drained) {
+        for (i, (&(pfn, mfn), src)) in staged.enumerate().skip(s.drained) {
             if fail_after == Some(stats.pages) || stop_after == Some(stats.pages) {
                 s.drained = s.drained.saturating_add(stats.pages);
                 return Err(CheckpointError::DrainFault {
@@ -408,8 +618,8 @@ impl StagingArea {
             // Content facts against the backup's current generation —
             // computed unconditionally (they are knob-independent
             // evidence), then the knobs decide only what the wire ships.
-            let old = backup.frame(mfn);
-            let Some(kernel) = page_kernel(old, src, [Lanes::content(), Lanes::seeded(mfn.0)])
+            let head_start = s.kernels.get(i).copied();
+            let Some(kernel) = head_start.or_else(|| drain_kernel(backup.frame(mfn), src, mfn))
             else {
                 s.drained = s.drained.saturating_add(stats.pages);
                 return Err(CheckpointError::DrainFault {
@@ -448,13 +658,14 @@ impl StagingArea {
             scratch.clear();
             scratch.extend_from_slice(&src[..cipher_len.min(PAGE_SIZE)]);
             scratch.resize(cipher_len, 0);
-            encrypt_in_place(&mut scratch, key, pfn.0);
-            decrypt_in_place(&mut scratch, key, pfn.0);
+            encrypt_in_place(scratch, key, pfn.0);
+            decrypt_in_place(scratch, key, pfn.0);
             // Receiver side: apply the record to the backup frame through
             // the content-index-coherent path (delta records rewrite only
             // the changed words; dedup hits and full records copy the
             // staged plaintext).
             backup.store_frame_encoded(mfn, &enc, src, digest);
+            s.head_started += usize::from(head_start.is_some());
             stats.pages += 1;
             stats.bytes = stats.bytes.saturating_add(wire);
             batched += 1;
@@ -507,10 +718,27 @@ mod tests {
     /// Stage `mapped` into a free slot with the pool's staging walk (so
     /// the tests drain the layout production packs) and seal it.
     fn stage(area: &mut StagingArea, vm: &Vm, mapped: &[MappedPage]) -> DrainTicket {
+        stage_with_head_start(area, vm, mapped, None)
+    }
+
+    /// [`stage`], with a head start over exactly `pages` pages against
+    /// `backup` between the walk and the seal, as the engine orders them.
+    fn stage_with_head_start(
+        area: &mut StagingArea,
+        vm: &Vm,
+        mapped: &[MappedPage],
+        head_start: Option<(&BackupVm, usize)>,
+    ) -> DrainTicket {
         let slot = area.claim().expect("a free slot");
-        PauseWindowPool::new(2, vm.memory().num_pages(), 2)
-            .run_staging(vm.memory(), area.frames_mut(slot), mapped, &[&PageCopier::memcpy()])
+        let mut pool = PauseWindowPool::on_host(2, vm.memory().num_pages(), 2, 2);
+        pool.run_staging(vm.memory(), area.frames_mut(slot), mapped, &[&PageCopier::memcpy()])
             .expect("no faults armed");
+        if let Some((backup, pages)) = head_start {
+            pool.ensure_helper();
+            pool.pin_head_start(pages);
+            assert_eq!(area.lend(slot, backup, &mut pool), Ok(true));
+            area.reclaim(slot, &mut pool).expect("the helper answers");
+        }
         area.seal(slot, mapped, 42)
     }
 
@@ -763,10 +991,17 @@ mod tests {
         let clean_digests: Vec<_> = clean_area.digests(clean_ticket.slot()).collect();
         let clean_facts: Vec<_> = clean_area.facts(clean_ticket.slot()).collect();
 
-        for boundary in 0..=mapped.len() {
+        // Every break point, under every head start: none, stopped after
+        // 0, 1 and half the pages, and run to the end.
+        let n = mapped.len();
+        let head_starts = [None, Some(0), Some(1), Some(n / 2), Some(usize::MAX)];
+        for (boundary, head_start) in
+            (0..=n).flat_map(|b| head_starts.iter().map(move |&h| (b, h)))
+        {
             let mut backup = broken_seed.clone();
             let mut area = StagingArea::new(1024, 8, 1);
-            let ticket = stage(&mut area, &vm, &mapped);
+            let ticket =
+                stage_with_head_start(&mut area, &vm, &mapped, head_start.map(|h| (&backup, h)));
             if boundary < mapped.len() {
                 let err = area
                     .drain_slot_inner(
@@ -786,6 +1021,17 @@ mod tests {
             }
             area.drain_slot(ticket.slot(), &mut backup, 7, &mut syscalls, opts)
                 .expect("resume completes");
+            // The first session consumed the kernels the head start had
+            // for the records it completed; its writes then voided the
+            // rest, so the resumed session recomputed. A session that
+            // broke before writing anything voided nothing.
+            let covered = head_start.map_or(0, |h| h.min(n));
+            let first_session = if boundary == 0 { n } else { boundary };
+            assert_eq!(
+                area.head_started(ticket.slot()),
+                covered.min(first_session),
+                "boundary {boundary}, head start {head_start:?}"
+            );
             assert_eq!(
                 backup.frames(),
                 clean_backup.frames(),
@@ -816,6 +1062,42 @@ mod tests {
                 .collect();
             assert_eq!(incremental, fresh, "refcounts after boundary {boundary}");
         }
+    }
+
+    /// Kernels are statements about the backup at the time of the head
+    /// start: a frame write in between — even to a frame the slot does not
+    /// cover, by a path that goes round the drain — voids them all. (What
+    /// the engine can do to a backup between lend and drain is in its
+    /// `head_start_kernels_die_with_the_backup_they_describe`.)
+    #[test]
+    fn a_raw_backup_write_voids_the_head_start() {
+        let (vm, mapped) = vm_with_writes();
+        let opts = DrainOpts {
+            delta_threshold: 64,
+            dedup: true,
+        };
+        let mut seed = BackupVm::new(&vm);
+        for &(_p, mfn) in &mapped {
+            seed.frame_mut(mfn)[0] ^= 0x1;
+        }
+        let drained = |disturb: &dyn Fn(&mut BackupVm)| {
+            let mut backup = seed.clone();
+            let mut area = StagingArea::new(1024, 8, 1);
+            let ticket =
+                stage_with_head_start(&mut area, &vm, &mapped, Some((&backup, usize::MAX)));
+            disturb(&mut backup);
+            area.drain_slot(ticket.slot(), &mut backup, 7, &mut HypercallModel::new(2), opts)
+                .expect("no faults armed");
+            (area.head_started(ticket.slot()), backup.frames().to_vec())
+        };
+        let (covered, want) = drained(&|_| {});
+        assert_eq!(covered, mapped.len(), "undisturbed, every kernel is used");
+        let (covered, got) = drained(&|backup| {
+            let spare = backup.frame(Mfn(0)).to_vec();
+            backup.store_frame(Mfn(0), &spare);
+        });
+        assert_eq!(covered, 0);
+        assert_eq!(got, want);
     }
 
     #[test]

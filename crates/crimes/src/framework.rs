@@ -1175,6 +1175,10 @@ impl Crimes {
                         Counter::DedupMisses,
                         u64::try_from(ack.dedup_misses).unwrap_or(u64::MAX),
                     );
+                    self.telemetry.add(
+                        Counter::DrainHeadStartPages,
+                        u64::try_from(ack.head_start_pages).unwrap_or(u64::MAX),
+                    );
                     self.journal
                         .append(&Record::ReleaseAcked { generation: ack.generation });
                     released.extend(self.buffer.release_acked(ack.generation, self.vm.now_ns()));

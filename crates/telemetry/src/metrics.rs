@@ -83,11 +83,18 @@ pub enum Counter {
     /// Drained pages probed against the content-addressed store that had
     /// to ship their bytes (dedup enabled, no matching digest).
     DedupMisses,
+    /// Drained pages whose compare-and-digest pass the pause pool's
+    /// helper had already made when the guest resumed. Against
+    /// `drain_acks` × dirty pages it says how much of the drain ran
+    /// before anyone was waiting for it; how far the helper gets is a
+    /// matter of timing, so unlike the other counters this one is not
+    /// reproducible run to run.
+    DrainHeadStartPages,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 24] = [
         Counter::EpochsCommitted,
         Counter::AttacksDetected,
         Counter::SpeculationExtensions,
@@ -111,6 +118,7 @@ impl Counter {
         Counter::BytesSavedDelta,
         Counter::DedupHits,
         Counter::DedupMisses,
+        Counter::DrainHeadStartPages,
     ];
 
     /// The counter's stable export name (snake_case; part of the
@@ -140,6 +148,7 @@ impl Counter {
             Counter::BytesSavedDelta => "bytes_saved_delta",
             Counter::DedupHits => "dedup_hits",
             Counter::DedupMisses => "dedup_misses",
+            Counter::DrainHeadStartPages => "drain_head_start_pages",
         }
     }
 

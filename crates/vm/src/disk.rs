@@ -76,6 +76,12 @@ impl VirtualDisk {
         &self.dirty
     }
 
+    /// Put `sector` back in the dirty log without writing it: a taken
+    /// log whose checkpoint did not commit goes back this way.
+    pub fn mark_dirty(&mut self, sector: u64) {
+        self.dirty.mark(crate::addr::Pfn(sector));
+    }
+
     /// Atomically take and reset the dirty-sector log.
     pub fn take_dirty(&mut self) -> DirtyBitmap {
         self.dirty.take()

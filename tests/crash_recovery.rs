@@ -39,9 +39,15 @@ fn guest(seed: u64) -> Vm {
 /// consecutive session failures (each fully-failed drain burns four
 /// attempts, so the third failed epoch crosses the threshold).
 fn deferred_config() -> CrimesConfig {
+    deferred_config_with(2)
+}
+
+/// [`deferred_config`] at another worker count. With one worker the
+/// engine's pool has no helper, so no drain gets a head start.
+fn deferred_config_with(pause_workers: usize) -> CrimesConfig {
     let mut b = CrimesConfig::builder();
     b.epoch_interval_ms(20)
-        .pause_workers(2)
+        .pause_workers(pause_workers)
         .staging_buffers(4)
         .max_staged_backlog(3)
         .failover_threshold(9);
@@ -122,7 +128,15 @@ fn drive_epoch(
 type Snapshot = (Vm, BackupVm, Vec<u8>, Fingerprint);
 
 fn eventful_run() -> (Crimes, Vec<Snapshot>) {
-    let mut c = Crimes::protect(guest(42), deferred_config()).expect("protect");
+    eventful_run_on(2, Arc::new(RealClock::new()))
+}
+
+fn eventful_run_on(
+    pause_workers: usize,
+    clock: Arc<dyn crimes_telemetry::Clock>,
+) -> (Crimes, Vec<Snapshot>) {
+    let config = deferred_config_with(pause_workers);
+    let mut c = Crimes::protect_with_clock(guest(42), config, clock).expect("protect");
     let pid = c.vm_mut().spawn_process("app", 0, 16).expect("spawn");
     let mut snapshots = Vec::new();
     for epoch in 0..10u64 {
@@ -305,6 +319,28 @@ fn recovery_at_every_epoch_kill_point_matches_the_live_run() {
     assert_eq!(resumed.committed_epochs(), last.3.committed_epochs + 2);
     assert!(resumed.checkpointer().verify_backup().is_ok());
     assert_no_unacked_release(&EvidenceJournal::records(resumed.journal().bytes()));
+}
+
+/// The drain's head start (a two-worker pool's resident helper runs the
+/// drain's read-only half while the guest resumes) is not a second way
+/// to drain: the eventful run — outage, backlog of staged slots,
+/// failover, flush — on a one-worker pool, which has no helper, leaves
+/// the same journal, the same backup and the same fingerprint at every
+/// kill point as on the two-worker pool every other test here uses.
+#[test]
+fn the_drain_head_start_leaves_no_trace_in_journal_or_backup() {
+    let run = |pause_workers| eventful_run_on(pause_workers, Arc::new(TestClock::new()));
+    let ((one, one_snapshots), (two, two_snapshots)) = (run(1), run(2));
+    for (epoch, (a, b)) in one_snapshots.iter().zip(&two_snapshots).enumerate() {
+        assert!(a.2 == b.2, "epoch {epoch}: journal bytes");
+        assert!(a.3 == b.3, "epoch {epoch}: fingerprint (backup image, impounds, events)");
+    }
+    assert_eq!(one.journal().bytes(), two.journal().bytes());
+    assert_eq!(
+        one.telemetry().counter(Counter::DrainAcks),
+        two.telemetry().counter(Counter::DrainAcks)
+    );
+    assert_eq!(one.telemetry().counter(Counter::DrainHeadStartPages), 0);
 }
 
 /// The content-aware copy path journals one knob-independent

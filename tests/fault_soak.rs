@@ -27,7 +27,9 @@ use crimes::{Crimes, CrimesConfig, CrimesError, EpochOutcome};
 use crimes_faults::{install, FaultPlan, FaultPoint};
 use crimes_outbuf::{NetPacket, Output};
 use crimes_rng::ChaCha8Rng;
+use crimes_telemetry::{Clock, Counter, RealClock, TestClock};
 use crimes_vm::Vm;
+use std::sync::Arc;
 use crimes_workloads::attacks;
 
 const DEFAULT_SEED: u64 = 0x5eed_fa11;
@@ -85,12 +87,22 @@ fn tenant(seed: u64) -> (Crimes, u32) {
             cfg.staging_buffers(2);
         }
     }
-    let cfg = cfg.build().expect("valid config");
+    tenant_with(seed, cfg.build().expect("valid config"), || {
+        Arc::new(RealClock::new())
+    })
+}
+
+/// [`tenant`] with the configuration and the clock given.
+fn tenant_with(
+    seed: u64,
+    cfg: CrimesConfig,
+    clock: impl Fn() -> Arc<dyn Clock>,
+) -> (Crimes, u32) {
     let mut c = loop {
         let mut b = Vm::builder();
         b.pages(1024).seed(seed);
         let vm = b.build();
-        match Crimes::protect(vm, cfg.clone()) {
+        match Crimes::protect_with_clock(vm, cfg, clock()) {
             Ok(c) => break c,
             Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => continue,
             Err(e) => panic!("protect failed hard: {e}"),
@@ -110,9 +122,14 @@ fn tenant(seed: u64) -> (Crimes, u32) {
 /// process has been made durable by a committed warm-up epoch. The fault
 /// plan stays armed, so warm-up itself may need several tries.
 fn replacement_tenant(generation: &mut u64) -> (Crimes, u32) {
+    warmed_tenant(generation, tenant)
+}
+
+/// [`replacement_tenant`] over any way of making a tenant from a seed.
+fn warmed_tenant(generation: &mut u64, make: impl Fn(u64) -> (Crimes, u32)) -> (Crimes, u32) {
     loop {
         *generation += 1;
-        let (mut c, pid) = tenant(900 + *generation);
+        let (mut c, pid) = make(900 + *generation);
         let mut warmed = false;
         for _ in 0..8 {
             match c.run_epoch(|vm, ms| {
@@ -546,6 +563,118 @@ fn fleet_soak_scheduler_fail_closed_under_injected_faults() {
         "every injected attack must be caught at a boundary or discarded with its speculation"
     );
     assert!(committed > 0, "the fleet must make progress under faults");
+}
+
+/// The drain's head start is production code, so it stays on under an
+/// armed plan — it draws no fault and installs none. A deferred tenant
+/// soaked on a two-worker pool (whose spare worker, on a host with a
+/// second CPU, is the resident helper that starts each drain early) must
+/// therefore be the same run as on a one-worker pool, which has no
+/// helper: same outcome per epoch, same journal bytes, same backup, and
+/// the same number of draws at every fault point.
+///
+/// The plan is the soak's minus the two walk points: those are drawn on
+/// the walk's workers, one schedule per worker, so by design they differ
+/// with the worker count whatever the helper does.
+#[test]
+fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
+    let seed = env_u64("CRIMES_FAULT_SEED", DEFAULT_SEED);
+    let epochs = env_u64("CRIMES_SOAK_EPOCHS", DEFAULT_EPOCHS) / 4;
+    let plan = soak_plan()
+        .with_rate(FaultPoint::PageCopy, 0)
+        .with_rate(FaultPoint::BackupWrite, 0);
+
+    let run = |pause_workers: usize| {
+        let _scope = install(plan, seed);
+        let mut driver = ChaCha8Rng::seed_from_u64(seed ^ 0xd21_4e55);
+        let mut cfg = CrimesConfig::builder();
+        cfg.epoch_interval_ms(10)
+            .history_depth(3)
+            .retain_history_images(true)
+            .pause_workers(pause_workers)
+            .staging_buffers(2)
+            .delta_threshold(64)
+            .dedup(true);
+        let cfg = cfg.build().expect("valid config");
+        let mut generation = 0u64;
+        let mut tenant = || {
+            warmed_tenant(&mut generation, |seed| {
+                tenant_with(seed, cfg, || Arc::new(TestClock::new()))
+            })
+        };
+        let (mut c, mut pid) = tenant();
+
+        let mut outcomes = Vec::new();
+        let mut journals = Vec::new();
+        let mut acks = 0u64;
+        let mut head_started = 0u64;
+        for epoch in 0..epochs {
+            if driver.gen_range(0..4) != 0 {
+                let _ = c.submit_output(Output::Net(NetPacket::new(epoch, vec![epoch as u8; 24])));
+            }
+            let attack = driver.gen_range(0..100) < 5;
+            let result = c.run_epoch(|vm, ms| {
+                let obj = vm.malloc(pid, 48)?;
+                vm.write_user(pid, obj, &[epoch as u8; 48], 0x1000)?;
+                vm.free(pid, obj)?;
+                vm.write_disk(epoch % 16, &[epoch as u8; 32])?;
+                if attack {
+                    attacks::inject_heap_overflow(vm, pid, 32, 8)?;
+                }
+                vm.advance_time(ms * 1_000_000);
+                Ok(())
+            });
+            outcomes.push(match &result {
+                Ok(EpochOutcome::Committed { released, .. }) => format!("committed {}", released.len()),
+                Ok(EpochOutcome::AttackDetected { .. }) => "detected".to_owned(),
+                Ok(EpochOutcome::Extended { consecutive, .. }) => format!("extended {consecutive}"),
+                Ok(EpochOutcome::Degraded { .. }) => "degraded".to_owned(),
+                Err(e) => format!("error: {e}"),
+            });
+            if matches!(result, Ok(EpochOutcome::AttackDetected { .. })) {
+                outcomes.push(match c.rollback_and_resume() {
+                    Ok(discarded) => format!("rolled back, {discarded} discarded"),
+                    Err(e) => format!("rollback error: {e}"),
+                });
+            }
+            if c.is_quarantined() || epoch + 1 == epochs {
+                journals.push(c.journal().bytes().to_vec());
+                journals.push(c.checkpointer().backup().frames().to_vec());
+                acks += c.telemetry().counter(Counter::DrainAcks);
+                head_started += c.telemetry().counter(Counter::DrainHeadStartPages);
+            }
+            if c.is_quarantined() {
+                (c, pid) = tenant();
+            }
+        }
+        let counters = crimes_faults::counters();
+        // The walk points are drawn (at rate zero) once per worker.
+        let draws: Vec<_> = FaultPoint::ALL
+            .into_iter()
+            .filter(|p| ![FaultPoint::PageCopy, FaultPoint::BackupWrite].contains(p))
+            .map(|p| (p.name(), counters.draws(p), counters.hits(p)))
+            .collect();
+        (outcomes, journals, draws, acks, head_started)
+    };
+
+    let (one, two) = (run(1), run(2));
+    assert_eq!(one.0, two.0, "outcomes, epoch by epoch");
+    assert!(one.1 == two.1, "every tenant's journal bytes and backup image");
+    assert_eq!(one.2, two.2, "draws and hits per fault point");
+    assert_eq!(one.3, two.3, "drains acknowledged");
+    assert_eq!(one.4, 0, "one worker has no helper to lend to");
+    for point in [FaultPoint::BackupDrain, FaultPoint::BackupOutage, FaultPoint::PageCorrupt] {
+        let hits = one.2.iter().find(|(name, ..)| *name == point.name()).map(|h| h.2);
+        assert!(hits > Some(0), "{} never fired: the soak proved nothing about it", point.name());
+    }
+    println!(
+        "deferred soak: {} outcomes over {} tenant generations, {} drains acked, \
+         {} pages head-started on the spare worker",
+        one.0.len(),
+        one.1.len() / 2,
+        one.3,
+        two.4
+    );
 }
 
 /// Quarantine invariants: the tenant is terminal and its outputs are

@@ -34,6 +34,8 @@
 //! * `CRIMES_BENCH_SCALES` comma-separated tenant counts (default
 //!   `10,100,500`)
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};

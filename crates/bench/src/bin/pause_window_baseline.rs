@@ -11,8 +11,8 @@
 //!   count (`fused-1` is the one-worker row: the walk runs inline, no
 //!   thread). This includes the modelled Xen suspend/resume hypercall
 //!   phases (~2.3 ms of fixed cost per epoch that no walk layout can
-//!   shrink) and, on a single-CPU host, scoped worker threads timeshare
-//!   one core — so this section shows parity, not speedup. The
+//!   shrink); on a single-CPU host a pool has no resident worker and the
+//!   caller walks every shard — so this section shows parity there. The
 //!   `deferred` variant is the same boundary with a staging sink: it
 //!   times only the pause (stage + audit); its drain (cipher + copy-out +
 //!   commit) runs after resume, outside the timed window, which is the
@@ -22,7 +22,7 @@
 //!   The `encoded` variant is the deferred pipeline with the
 //!   content-aware drain on (`delta_threshold: 64`, `dedup: true`), and
 //!   `encoded-2` is `encoded` on a two-worker pool, whose resident
-//!   helper — on a host with a second CPU — starts the drain's read-only
+//!   worker — on a host with a second CPU — starts the drain's read-only
 //!   half during the resume (`head_start_pages_per_epoch` says how far
 //!   it got); a separate `delta_curve` section sweeps the threshold with
 //!   dedup off.
@@ -42,6 +42,8 @@
 //! * `CRIMES_BENCH_EPOCHS`   measured epochs per variant (default 30)
 //! * `CRIMES_BENCH_OUT`      output path (default `BENCH_pause_window.json`)
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -57,7 +59,7 @@ const WARMUP_EPOCHS: u64 = 3;
 /// Untimed run of the two-thread variant before anything is timed, for
 /// the reason `fleet_baseline` has one: after an idle spell this guest's
 /// halted second vCPU is passed over for wake-ups until the kernel's
-/// balancer has run (1.1 - 1.2 s), and until then a woken helper shares
+/// balancer has run (1.1 - 1.2 s), and until then a woken worker shares
 /// the boundary's CPU — a short run would time that, not the pipeline.
 const WARM_UP: Duration = Duration::from_secs(2);
 const WALK_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -147,7 +149,7 @@ struct Measurement {
     /// raw full pages (deferred only; 0 with the knobs off).
     bytes_saved_per_epoch: f64,
     /// Pages per epoch whose drain-side compare-and-digest pass ran
-    /// before the guest resumed (0 without a resident helper).
+    /// before the guest resumed (0 without a resident worker).
     head_start_pages_per_epoch: f64,
 }
 
@@ -242,7 +244,8 @@ fn run_pipeline_variant(variant: &Variant, epochs: u64) -> Measurement {
 
 struct FusedWalk {
     workers: usize,
-    /// Real scoped threads, timesharing this host's cores.
+    /// The pool's resident workers alongside the caller, on this host's
+    /// cores; a shard no worker has started is walked by the caller.
     measured_ms: f64,
     /// Critical path: stage + max over solo-timed shards.
     modeled_ms: f64,
@@ -273,7 +276,12 @@ fn run_walks(epochs: u64) -> WalkNumbers {
     let steps = CheckpointConfig::default().hypercall_steps;
     let mut pools: Vec<PauseWindowPool> = WALK_WORKER_COUNTS
         .iter()
-        .map(|&w| PauseWindowPool::new(w, num_pages, steps))
+        .map(|&w| {
+            let mut pool = PauseWindowPool::new(w, num_pages, steps);
+            // The engine does this before its first boundary.
+            pool.start_workers();
+            pool
+        })
         .collect();
     // Single-worker pool reused for every solo shard timing.
     let mut solo = PauseWindowPool::new(1, num_pages, steps);
@@ -424,7 +432,7 @@ fn main() {
             dedup: true,
         },
         // `encoded` on a two-worker pool: on a host with a second CPU
-        // the spare worker is the pool's resident helper, which runs the
+        // the spare worker is a resident thread, which runs the
         // drain's compare-and-digest pass while the boundary sits in the
         // modelled resume. Same bits again; the drain has less left to do.
         Variant {
@@ -522,7 +530,7 @@ fn main() {
         "    \"note\": \"full epoch boundary wall-clock on this host; includes the modelled \
          Xen suspend/resume hypercall phases (fixed per-epoch cost the walk cannot shrink), \
          and fused worker threads timeshare the host's cores. encoded-2 is encoded with the \
-         drain's head start; how much of each drain the pool's helper covered before the \
+         drain's head start; how much of each drain the pool's worker covered before the \
          guest resumed (head_start_pages_per_epoch) depends on the host waking it on an idle \
          CPU, which a guest whose second vCPU halts during the 20 ms single-threaded slices \
          between boundaries may not do: read drain_ms next to that count\",\n",
@@ -570,7 +578,7 @@ fn main() {
     json.push_str("  \"walk\": {\n");
     json.push_str(
         "    \"parallel_model\": \"critical path: shards solo-timed on one core, \
-         modeled_ms = stage + max(shard); measured_ms is real scoped threads \
+         modeled_ms = stage + max(shard); measured_ms is the pool's resident workers \
          timesharing this host's cores\",\n",
     );
     let _ = writeln!(

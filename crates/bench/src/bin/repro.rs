@@ -9,6 +9,8 @@
 //! --out DIR   CSV output directory (default target/repro)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;

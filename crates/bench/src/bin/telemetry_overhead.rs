@@ -25,6 +25,8 @@
 //! * `CRIMES_BENCH_EPOCHS`  measured epochs for the boundary section (default 30)
 //! * `CRIMES_BENCH_OUT`     output path (default `BENCH_telemetry_overhead.json`)
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;

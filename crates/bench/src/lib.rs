@@ -18,6 +18,7 @@
 //! | §5.5 / §5.6 case studies | [`experiments::cases`] |
 //! | Robustness soak (degraded-mode counters) | [`experiments::robustness`] |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

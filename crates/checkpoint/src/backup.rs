@@ -7,7 +7,6 @@
 //! incrementally with each epoch's dirty pages.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crimes_vm::{GuestMemory, Mfn, VcpuSet, VirtualDisk, Vm, PAGE_SIZE, SECTOR_SIZE};
 
@@ -23,25 +22,10 @@ struct ContentEntry {
     refs: u32,
 }
 
-/// The frame image behind a shared handle, so the engine can lend it
-/// read-only to the pool's resident helper (see `staging::HeadStart`)
-/// without the bytes ever leaving the backup: a helper that dies drops
-/// its handle and the image is still here. Cloning a backup copies the
-/// bytes, as it always has.
-#[derive(Debug)]
-struct Image(Arc<Vec<u8>>);
-
-impl Clone for Image {
-    fn clone(&self) -> Self {
-        // lint: allow(pause-window) -- reached only because `.clone()` calls link by name; no window path clones a backup
-        Image(Arc::new(Vec::clone(&self.0)))
-    }
-}
-
 /// The local backup image of one VM.
 #[derive(Debug, Clone)]
 pub struct BackupVm {
-    frames: Image,
+    frames: Vec<u8>,
     /// Bumped by every path that can write a frame. A comparison of a
     /// staged page against "the backup's copy of its frame" made ahead of
     /// the drain records the stamp it was made under, and is only used
@@ -79,7 +63,7 @@ impl BackupVm {
     /// full-memory copy Remus performs before entering the epoch loop).
     pub fn new(vm: &Vm) -> Self {
         BackupVm {
-            frames: Image(Arc::new(vm.memory().dump_frames())),
+            frames: vm.memory().dump_frames(),
             write_stamp: 0,
             disk: vm.disk().dump(),
             num_pages: vm.memory().num_pages(),
@@ -93,24 +77,16 @@ impl BackupVm {
     }
 
     /// The one way to the image's bytes for writing: bumps the write
-    /// stamp. Nothing holds a second handle outside a head start, which
-    /// the engine reclaims before it touches the backup again; were one
-    /// ever left over, the write would go to a private copy rather than
-    /// fail.
+    /// stamp.
     fn image_mut(&mut self) -> &mut [u8] {
         self.write_stamp = self.write_stamp.wrapping_add(1);
-        Arc::make_mut(&mut self.frames.0).as_mut_slice()
+        &mut self.frames
     }
 
     /// The image's write stamp: equal readings mean no frame was written
     /// in between.
     pub(crate) fn write_stamp(&self) -> u64 {
         self.write_stamp
-    }
-
-    /// A second handle on the frame image, for the head start to read.
-    pub(crate) fn share_frames(&self) -> Arc<Vec<u8>> {
-        Arc::clone(&self.frames.0)
     }
 
     /// Does the content index describe the frames as they are now?
@@ -131,7 +107,7 @@ impl BackupVm {
         self.frame_digests.clear();
         self.content.clear();
         self.frame_digests.reserve(self.num_pages);
-        for (i, page) in self.frames.0.chunks_exact(PAGE_SIZE).enumerate() {
+        for (i, page) in self.frames.chunks_exact(PAGE_SIZE).enumerate() {
             let digest = content_digest(page);
             self.frame_digests.push(digest);
             let entry = self.content.entry(digest).or_insert(ContentEntry {
@@ -157,7 +133,6 @@ impl BackupVm {
         self.content.get(&digest).is_some_and(|entry| {
             let base = entry.exemplar as usize * PAGE_SIZE;
             self.frames
-                .0
                 .get(base..base + PAGE_SIZE)
                 .is_some_and(|exemplar| exemplar == bytes)
         })
@@ -271,7 +246,7 @@ impl BackupVm {
 
     /// Total image size in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.frames.0.len()
+        self.frames.len()
     }
 
     /// Checkpoints applied so far.
@@ -286,7 +261,7 @@ impl BackupVm {
     /// Panics if `mfn` is out of range.
     pub fn frame(&self, mfn: Mfn) -> &[u8] {
         let base = self.offset(mfn);
-        &self.frames.0[base..base + PAGE_SIZE]
+        &self.frames[base..base + PAGE_SIZE]
     }
 
     /// Overwrite one frame (the memcpy copy path writes here directly).
@@ -342,7 +317,7 @@ impl BackupVm {
     /// The whole image (machine-frame order), for rollback and forensic
     /// dumps.
     pub fn frames(&self) -> &[u8] {
-        &self.frames.0
+        &self.frames
     }
 
     /// Roll the primary VM's memory back to this image. Host bookkeeping
@@ -353,7 +328,7 @@ impl BackupVm {
     ///
     /// Panics if the backup does not match the VM's memory size.
     pub fn restore_into(&self, mem: &mut GuestMemory) {
-        mem.restore_frames(&self.frames.0);
+        mem.restore_frames(&self.frames);
     }
 
     /// The backup disk image (§3.1's disk-snapshot extension).
@@ -407,7 +382,7 @@ impl BackupVm {
     ///
     /// Panics if `frames` or `disk` do not match the image sizes.
     pub fn overwrite_image(&mut self, frames: &[u8], disk: &[u8]) {
-        assert_eq!(frames.len(), self.frames.0.len(), "frame image size mismatch");
+        assert_eq!(frames.len(), self.frames.len(), "frame image size mismatch");
         assert_eq!(disk.len(), self.disk.len(), "disk image size mismatch");
         self.content_stale = true;
         self.image_mut().copy_from_slice(frames);
@@ -417,7 +392,7 @@ impl BackupVm {
     fn offset(&self, mfn: Mfn) -> usize {
         let base = mfn.0 as usize * PAGE_SIZE;
         assert!(
-            base + PAGE_SIZE <= self.frames.0.len(),
+            base + PAGE_SIZE <= self.frames.len(),
             "{mfn} out of range for backup of {} pages",
             self.num_pages
         );

@@ -21,7 +21,7 @@
 //!   with `staging_buffers > 0` — a claimed staging slot whose cipher,
 //!   socket and digest work runs after resume
 //!   ([`Checkpointer::drain_staged`]) — except the drain's read-only
-//!   half, which a pool with a resident helper starts on it while this
+//!   half, which a pool with a resident worker starts on it while this
 //!   thread sits in the modelled resume (`staging`'s head start).
 //!   Because the copy precedes the
 //!   verdict, rejecting an epoch rolls the walk back (image) or frees the
@@ -45,6 +45,7 @@
 //! generations when the live backup is silently corrupt.
 
 use std::sync::Arc;
+use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
 use crimes_faults::FaultPoint;
@@ -267,6 +268,11 @@ pub struct EpochReport {
     /// Walk attempts spent this epoch (1 when the first try succeeded),
     /// whatever the verdict: the copy runs before it.
     pub copy_attempts: u32,
+    /// Shards of the last walk attempt that were lent to a resident
+    /// worker and taken back unstarted (see
+    /// [`PauseWindowPool::shards_taken_back`]). A matter of timing: no
+    /// result depends on it.
+    pub shards_taken_back: usize,
     /// The drain ticket of a passing epoch whose sink was a staging slot
     /// (`staging_buffers > 0`): nothing has committed, and the epoch's
     /// outputs must stay impounded, until
@@ -311,8 +317,8 @@ pub struct DrainStats {
     pub dedup_hits: usize,
     /// Records that shipped bytes while dedup was on. Telemetry only.
     pub dedup_misses: usize,
-    /// Pages whose compare-and-digest pass the pool's helper had already
-    /// made when the guest resumed (0 without a helper). How far it gets
+    /// Pages whose compare-and-digest pass one of the pool's resident
+    /// workers had already made when the guest resumed (0 without one). How far it gets
     /// is a matter of timing, and the only field here that may differ
     /// between two runs of the same epoch. Telemetry only.
     pub head_start_pages: usize,
@@ -638,11 +644,9 @@ impl Checkpointer {
         let config = *config;
         let mut timings = PhaseTimings::default();
         let epoch = backup.epoch();
-        if staging.is_some() {
-            // Before the guest stops: a thread's start is no cost to pay
-            // inside a window, and this one is paid once per pool.
-            pool.ensure_helper();
-        }
+        // Before the guest stops: a thread's start is no cost to pay
+        // inside a window, and this one is paid once per pool.
+        pool.start_workers();
 
         // Injected silent corruption: rot one bit of the backup image
         // without updating the stored digests, exactly as a DRAM or disk
@@ -714,6 +718,8 @@ impl Checkpointer {
             copy_attempts += 1;
             match attempt {
                 Ok(copy) => break Ok(copy),
+                // No second try without the worker that died: fail closed.
+                Err(lost @ CheckpointError::WorkerLost) => break Err(lost),
                 // The guest is paused and a failed attempt left the sink
                 // as it found it, so walking the same set again is safe.
                 Err(_) if copy_attempts <= config.copy_retries => {
@@ -785,22 +791,31 @@ impl Checkpointer {
         let (copy, verdict) = outcome?;
         if verdict != AuditVerdict::Fail {
             // A passing staged epoch's slot is complete, and neither it
-            // nor the backup is written again before the drain: the
-            // pool's helper starts the drain's read-only half on them
-            // while this thread spins out the resume.
+            // nor the backup is written again before the drain: one of
+            // the pool's workers, if it has any, runs the drain's
+            // read-only half over them while this thread spins out the
+            // resume.
             let mut sealing = staging.as_mut().zip(slot).filter(|_| dirty_sectors.is_some());
-            let lent = sealing
-                .as_mut()
-                .map_or(Ok(false), |(area, slot)| area.lend(*slot, backup, pool));
-            let resumed = lent.and_then(|lent| {
-                for _ in 0..config.resume_hypercalls + 2 * vm.vcpus().len() as u32 {
+            let calls = config.resume_hypercalls + 2 * vm.vcpus().len() as u32;
+            let mut resume = || {
+                for _ in 0..calls {
                     sched.call();
                 }
-                match sealing.as_mut() {
-                    Some((area, slot)) if lent => area.reclaim(*slot, pool),
-                    _ => Ok(()),
+            };
+            let stop = AtomicBool::new(false);
+            let head_start = match sealing.as_mut() {
+                Some((area, slot)) if pool.resident_workers() > 0 => {
+                    area.head_start(*slot, backup, pool.walked(), &stop)
                 }
-            });
+                _ => None,
+            };
+            let resumed = match head_start {
+                Some(mut job) => pool.head_start(resume, &mut job),
+                None => {
+                    resume();
+                    Ok(())
+                }
+            };
             if let Err(lost) = resumed {
                 // Fail closed like an exhausted walk: guest suspended,
                 // slot freed, pages and sectors dirty again, nothing
@@ -854,6 +869,7 @@ impl Checkpointer {
                 CopyStats::default()
             },
             copy_attempts,
+            shards_taken_back: pool.shards_taken_back(),
             pending,
         };
         stats.record(&report.timings);
@@ -2005,7 +2021,8 @@ mod tests {
     }
 
     /// A two-worker pool for [`vm`]'s guest on a host of `host_cpus` CPUs;
-    /// where that gives it a helper, every head start covers every page.
+    /// where that gives it a resident worker, every head start covers
+    /// every page.
     fn lent_pool(host_cpus: usize) -> PauseWindowPool {
         let steps = CheckpointConfig::default().hypercall_steps;
         let mut pool = PauseWindowPool::on_host(2, 2048, steps, host_cpus);
@@ -2022,7 +2039,7 @@ mod tests {
             .map(|report| report.pending.expect("ticket"))
     }
 
-    /// Run `scenario` with a helper that finishes every head start and on
+    /// Run `scenario` with a worker that finishes every head start and on
     /// a one-CPU host, which has none: the acks may differ in
     /// `head_start_pages` only, and the backups not at all. The first
     /// run's coverage comes back, one `(covered, pages)` per ack.
@@ -2039,7 +2056,7 @@ mod tests {
         });
         assert_eq!(with.1.frames(), without.1.frames());
         assert_eq!(with.1.disk(), without.1.disk());
-        assert!(without.0.iter().all(|ack| ack.head_start_pages == 0), "no helper, no head start");
+        assert!(without.0.iter().all(|ack| ack.head_start_pages == 0), "no worker, no head start");
         let rest = |acks: &[DrainStats]| -> Vec<DrainStats> {
             acks.iter().map(|&ack| DrainStats { head_start_pages: 0, ..ack }).collect()
         };
@@ -2125,40 +2142,56 @@ mod tests {
     }
 
     #[test]
-    fn a_lost_helper_fails_the_boundary_closed_and_the_next_one_runs_without() {
-        let mut vm = vm();
-        let pid = vm.spawn_process("app", 0, 64).expect("spawn");
-        let mut cp = Checkpointer::new(&vm, staged_config(1));
-        let mut pool = lent_pool(2);
-        pool.doom_helper();
-        dirty_some(&mut vm, pid, 1);
-        vm.write_disk(3, &[9; crimes_vm::SECTOR_SIZE]).expect("disk write");
-        let before = cp.backup().clone();
-        let dirty_pages = vm.memory().dirty().count();
+    fn a_lost_worker_fails_the_boundary_closed_and_the_next_one_runs_without() {
+        use crate::resident::{pin, Placement};
+        // The worker dies holding: the head start (having walked its
+        // shard); a shard of a staging walk; a shard of an in-window walk.
+        for (buffers, after) in [(1, 1), (1, 0), (0, 0)] {
+            let what = format!("{buffers} staging buffers, dies holding job {after}");
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(&vm, staged_config(buffers));
+            let mut pool = lent_pool(2);
+            pool.start_workers();
+            pool.doom_worker(after);
+            dirty_some(&mut vm, pid, 1);
+            vm.write_disk(3, &[9; crimes_vm::SECTOR_SIZE]).expect("disk write");
+            let before = cp.backup().clone();
+            let dirty_pages = vm.memory().dirty().count();
 
-        let err = staged_epoch(&mut cp, &mut vm, &mut pool).expect_err("the helper dies");
-        assert_eq!(err, CheckpointError::HeadStartLost);
-        assert!(vm.vcpus().all_paused(), "fail closed: VM stays suspended");
-        assert_eq!(cp.drains_in_flight(), 0, "slot freed");
-        assert_eq!(cp.backup().epoch(), before.epoch(), "nothing commits");
-        assert_eq!(cp.backup().frames(), before.frames(), "the lent image is intact");
-        assert_eq!(cp.backup().disk(), before.disk());
-        assert_eq!(vm.memory().dirty().count(), dirty_pages, "pages dirty again");
-        assert_eq!(vm.disk().dirty().count(), 1, "sectors dirty again");
-        assert!(!pool.has_helper(), "and it is not replaced");
+            let err = {
+                let _pin = pin(Placement::TakeNone);
+                cp.run_epoch_on(&mut vm, &mut VerdictOnly(&mut pass_audit()), Some(&mut pool))
+                    .expect_err("the worker dies")
+            };
+            assert_eq!(err, CheckpointError::WorkerLost, "{what}: typed, and not retried");
+            assert!(vm.vcpus().all_paused(), "{what}: fail closed, VM stays suspended");
+            assert_eq!(cp.drains_in_flight(), 0, "{what}: slot freed");
+            assert_eq!(cp.backup().epoch(), before.epoch(), "{what}: nothing commits");
+            assert_eq!(cp.backup().frames(), before.frames(), "{what}: the image is as it was");
+            assert_eq!(cp.backup().disk(), before.disk(), "{what}");
+            assert_eq!(vm.memory().dirty().count(), dirty_pages, "{what}: pages dirty again");
+            assert_eq!(vm.disk().dirty().count(), 1, "{what}: sectors dirty again");
+            assert_eq!(pool.resident_workers(), 0, "{what}: and it is not replaced");
 
-        vm.vcpus_mut().resume_all();
-        let ticket = staged_epoch(&mut cp, &mut vm, &mut pool).expect("no helper to lose");
-        let ack = cp.drain_staged(&vm, ticket).expect("no faults armed");
-        assert_eq!((ack.pages, ack.head_start_pages), (dirty_pages, 0));
-        assert_committed_image(&cp, &vm, "after the loss");
+            vm.vcpus_mut().resume_all();
+            let report = cp
+                .run_epoch_on(&mut vm, &mut VerdictOnly(&mut pass_audit()), Some(&mut pool))
+                .expect("no worker to lose");
+            assert_eq!(report.dirty_pages, dirty_pages, "{what}");
+            if let Some(ticket) = report.pending {
+                let ack = cp.drain_staged(&vm, ticket).expect("no faults armed");
+                assert_eq!((ack.pages, ack.head_start_pages), (dirty_pages, 0), "{what}");
+            }
+            assert_committed_image(&cp, &vm, &what);
+        }
     }
 
     #[test]
-    fn only_a_deferred_boundary_on_a_pool_with_a_spare_worker_and_cpu_starts_a_helper() {
+    fn a_pool_has_resident_workers_only_with_a_worker_and_a_cpu_to_spare() {
         let steps = CheckpointConfig::default().hypercall_steps;
-        for (workers, host_cpus, buffers, helper) in
-            [(1, 2, 1, false), (2, 1, 1, false), (2, 2, 0, false), (2, 2, 1, true)]
+        for (workers, host_cpus, buffers, threads) in
+            [(1, 2, 1, 0), (2, 1, 1, 0), (2, 2, 0, 1), (2, 2, 1, 1), (4, 2, 1, 3)]
         {
             let what = format!("{workers} workers, {host_cpus} CPUs, {buffers} staging buffers");
             let mut vm = vm();
@@ -2166,15 +2199,16 @@ mod tests {
             let mut cp = Checkpointer::new(&vm, staged_config(buffers));
             let mut pool = PauseWindowPool::on_host(workers, 2048, steps, host_cpus);
             pool.pin_head_start(usize::MAX);
+            assert_eq!(pool.resident_workers(), 0, "{what}: none before the first boundary");
             for salt in 0..2 {
                 dirty_some(&mut vm, pid, salt);
                 let report = cp
                     .run_epoch_on(&mut vm, &mut VerdictOnly(&mut pass_audit()), Some(&mut pool))
                     .expect("no faults armed");
-                assert_eq!(pool.has_helper(), helper, "{what}");
+                assert_eq!(pool.resident_workers(), threads, "{what}");
                 if let Some(ticket) = report.pending {
                     let ack = cp.drain_staged(&vm, ticket).expect("no faults armed");
-                    assert_eq!(ack.head_start_pages, if helper { ack.pages } else { 0 }, "{what}");
+                    assert_eq!(ack.head_start_pages, if threads > 0 { ack.pages } else { 0 }, "{what}");
                 }
                 assert_committed_image(&cp, &vm, &what);
             }
@@ -2235,11 +2269,7 @@ mod tests {
             [27 * 4096, 25 * 4096]
         };
         // One writev and one restore read per shard of < 64 pages.
-        let syscalls = match (staged || !socket, workers) {
-            (true, _) => 0,
-            (false, 1) => 2,
-            (false, _) => 6,
-        };
+        let syscalls = if staged || !socket { 0 } else { 2 * workers as u64 };
         [(27, bytes[0]), (25, bytes[1])].map(|(pages, bytes)| CopyStats {
             pages,
             bytes,
@@ -2249,6 +2279,7 @@ mod tests {
 
     #[test]
     fn every_configuration_commits_the_guest_image() {
+        use crate::resident::{pin, Placement};
         let script = [
             AuditVerdict::Pass,
             AuditVerdict::Inconclusive,
@@ -2258,7 +2289,7 @@ mod tests {
         for opt in OptLevel::ALL {
             for remote_backup in [false, true] {
                 for delta_threshold in [0usize, 64] {
-                    for pause_workers in [1usize, 3] {
+                    for pause_workers in [1usize, 2, 4, 7] {
                         for staged in [false, true] {
                             let config = CheckpointConfig {
                                 opt,
@@ -2280,10 +2311,16 @@ mod tests {
                             let pinned = pinned_copy(socket, delta_threshold, pause_workers, staged);
                             let acks = drive_script(config, &script, &pinned, None, &what);
                             // The same script under a head start stopped
-                            // after no page, one, half of them and all:
+                            // after no page, one, half of them and all,
+                            // and wherever the walk's lent shards ran:
                             // every check above again, and the same acks.
-                            for stop in [0, 1, 12, usize::MAX] {
-                                let what = format!("{what} head start={stop}");
+                            let placed = [0, 1, 12, usize::MAX]
+                                .map(|stop| (stop, Placement::Free))
+                                .into_iter()
+                                .chain(Placement::ALL.map(|placement| (12, placement)));
+                            for (stop, placement) in placed {
+                                let what = format!("{what} head start={stop} {placement:?}");
+                                let _pin = pin(placement);
                                 let head_started =
                                     drive_script(config, &script, &pinned, Some(stop), &what);
                                 assert_eq!(head_started.len(), acks.len(), "{what}");
@@ -2316,7 +2353,7 @@ mod tests {
 
     /// Run `script` under `config` and check every boundary; the drains'
     /// acks come back. `head_start: None` walks on the engine's own pool
-    /// with no helper; `Some(pages)` lends a pool on a two-CPU host whose
+    /// with no resident worker; `Some(pages)` lends a pool on a two-CPU host whose
     /// head starts cover exactly `pages` pages (where there is one: a
     /// staging sink and a worker to spare).
     fn drive_script(

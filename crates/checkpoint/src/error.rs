@@ -96,13 +96,14 @@ pub enum CheckpointError {
         /// Concurrent leases the pool is configured to grant.
         capacity: usize,
     },
-    /// The pool's resident helper thread was gone when the boundary lent
-    /// it the drain's head start, or died holding it. It only ever held
-    /// shared handles, so the backup image and the staged pages are
-    /// intact; the boundary fails closed all the same — slot freed, dirty
-    /// set re-marked, guest left suspended, nothing committed — and the
-    /// pool runs without a helper from then on.
-    HeadStartLost,
+    /// A resident worker died holding a job it was lent: a shard of the
+    /// walk, or the drain's head start. A shard's writes are undone from
+    /// the undo log (a staging slot is freed); the head start only ever
+    /// held shared handles. Either way the boundary fails closed — dirty
+    /// set re-marked, guest left suspended, nothing committed, not
+    /// retried — and the pool lends nothing from then on: it walks on its
+    /// caller alone.
+    WorkerLost,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -144,8 +145,8 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::PoolSaturated { capacity } => {
                 write!(f, "shared pause pool saturated ({capacity} lease(s) outstanding)")
             }
-            CheckpointError::HeadStartLost => {
-                write!(f, "the pause pool's helper thread died during a drain head start")
+            CheckpointError::WorkerLost => {
+                write!(f, "a resident pause worker died holding a job it was lent")
             }
         }
     }
@@ -177,7 +178,7 @@ mod tests {
             CheckpointError::StagingBacklog { in_flight: 2 },
             CheckpointError::BackupUnreachable { attempt: 1 },
             CheckpointError::PoolSaturated { capacity: 4 },
-            CheckpointError::HeadStartLost,
+            CheckpointError::WorkerLost,
         ] {
             assert!(!e.to_string().is_empty());
         }

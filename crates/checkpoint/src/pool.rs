@@ -7,20 +7,18 @@
 //! re-digested. Serially those are three passes over the same page set.
 //! This module **fuses** them — every dirty page is visited exactly once,
 //! and each registered [`FusedPageVisitor`] (scan, copy, digest) runs over
-//! it in turn — and **shards** the fused pass across a preallocated scoped
-//! worker pool (`std::thread::scope`; no new dependencies, hermetic).
+//! it in turn — and **shards** the fused pass: the calling thread walks
+//! shard 0 itself and lends shards 1.. to the pool's resident workers
+//! ([`crate::resident`]), taking back any shard no worker has started by
+//! the time its own is done.
 //!
-//! A pool of two or more workers on a host with a second CPU also keeps
-//! one **resident helper** thread (see [`PauseWindowPool::ensure_helper`]),
-//! which the deferred pipeline lends the drain's read-only half while the
-//! engine sits in the modelled resume. It is resident because a scoped
-//! thread cannot do this job: measured on the benchmark host, a freshly
-//! spawned thread starts a median 880 µs after `spawn` (p10 ≈ 400 µs) —
-//! longer than the whole resume — where a parked one wakes on the other
-//! CPU in about 7 µs. The sharded walk keeps its scope: it borrows the
-//! guest, the visitors and the image, which a resident thread could only
-//! be handed through `unsafe`, and its shards are long enough to carry
-//! the start.
+//! The workers are resident because a walk cannot carry a thread's start
+//! (DESIGN.md, *Threads*, has the measurements), and a worker that is late
+//! costs nothing, because the caller takes its shard back. The same
+//! workers run the deferred pipeline's head start. They are started before
+//! the first guest is suspended ([`PauseWindowPool::start_workers`]),
+//! never inside a window; a one-worker pool, and any pool on a one-CPU
+//! host, has none and walks every shard on the caller, in shard order.
 //!
 //! # Determinism contract
 //!
@@ -38,8 +36,10 @@
 //!   count ([`crimes_faults::fork_for_worker`]), so worker draws never
 //!   perturb the installer's schedule and every walk draws a fresh one.
 //!
-//! `pause_workers = 1` is the same walk with one shard, run inline on the
-//! calling thread (no scope, no spawn) under the same forked fault plan.
+//! None of this depends on which thread walks a shard: a shard's slot,
+//! region and forked plan go with the shard, and whoever runs it installs
+//! the plan for the length of the run. `pause_workers = 1` is the same
+//! walk with one shard.
 //!
 //! # Why allocation is pre-staged
 //!
@@ -48,14 +48,11 @@
 //! digest and finding slots, cipher scratch, per-worker syscall models —
 //! is allocated at [`PauseWindowPool::new`] time (framework build time)
 //! and only `clear()`ed/refilled inside the window, within its preallocated
-//! capacity. Worker shards write disjoint contiguous regions of the backup
-//! image peeled off with `split_at_mut`, so no locking (and no unsafe) is
-//! needed either.
+//! capacity; so are the workers' job slots. Shards write disjoint
+//! contiguous regions of the backup image peeled off with `split_at_mut`,
+//! so the walk itself needs no locking.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
 
 use crimes_faults::{FaultCounters, FaultPlan, FaultPoint};
 use crimes_vm::{DirtyBitmap, GuestMemory, Mfn, Pfn, Vm, PAGE_SIZE};
@@ -65,12 +62,13 @@ use crate::copy::CopyStats;
 use crate::engine::AuditVerdict;
 use crate::error::CheckpointError;
 use crate::mapping::{HypercallModel, MappedPage};
-use crate::staging::{HeadStart, HeadStartDone};
+use crate::resident::{Resident, Task};
+use crate::staging::HeadStart;
 
-/// Upper bound on `pause_workers` — a scoped thread costs its start
-/// (hundreds of microseconds on a busy two-CPU host, see the module
-/// header), the per-worker scratch (undo log, syscall model) is not free,
-/// and shards thinner than this stop paying for either.
+/// Upper bound on `pause_workers` — each worker past the first is a
+/// resident thread and a set of scratch buffers (undo log, syscall model)
+/// sized for its share of the guest, and the walk's shard array lives on
+/// the caller's stack.
 pub const MAX_WORKERS: usize = 16;
 
 /// Findings a visitor may keep per shard before its slot has to grow.
@@ -321,63 +319,9 @@ enum Layout {
     Packed,
 }
 
-/// The pool's resident helper: a parked thread that runs one
-/// [`HeadStart`] at a time. Both channels hold one message and are
-/// allocated here, so handing a job over and taking it back never grows
-/// the heap.
-#[derive(Debug)]
-struct Helper {
-    jobs: Option<SyncSender<HeadStart>>,
-    done: Receiver<HeadStartDone>,
-    /// Raised by [`PauseWindowPool::reclaim`]; the job reads it per page.
-    /// `Relaxed` throughout: the flag publishes no data (the job and its
-    /// results cross in the channels, which order everything else), it
-    /// only has to become visible soon.
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Helper {
-    /// Start the thread; `None` when the host refuses one. `job` is
-    /// [`HeadStart::run`] (a parameter so a test can start a helper that
-    /// dies with the job in hand).
-    fn start(job: fn(HeadStart, &AtomicBool) -> HeadStartDone) -> Option<Helper> {
-        let (jobs, inbox) = sync_channel::<HeadStart>(1);
-        let (outbox, done) = sync_channel(1);
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("crimes-head-start".into())
-            .spawn(move || {
-                // Parked in `recv` between jobs; leaves when the pool
-                // drops its sender.
-                while let Ok(head_start) = inbox.recv() {
-                    if outbox.send(job(head_start, &flag)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .ok()?;
-        Some(Helper {
-            jobs: Some(jobs),
-            done,
-            stop,
-            thread: Some(thread),
-        })
-    }
-}
-
-impl Drop for Helper {
-    fn drop(&mut self) {
-        self.jobs = None;
-        if let Some(thread) = self.thread.take() {
-            // Joined, so every handle the thread held is dropped by now.
-            let _ = thread.join();
-        }
-    }
-}
-
-/// The preallocated scoped worker pool executing fused pause-window walks.
+/// The preallocated pool executing fused pause-window walks: the buffers
+/// of `workers` shards and the `workers − 1` resident threads that walk
+/// them alongside the caller.
 #[derive(Debug)]
 pub struct PauseWindowPool {
     workers: usize,
@@ -387,10 +331,9 @@ pub struct PauseWindowPool {
     /// All shards' findings, merged in shard order and sorted
     /// `(source, key)` — the canonical (serial-equivalent) order.
     merged: Vec<PageFinding>,
-    /// Whether this pool may keep a helper: a worker to spare and a
-    /// second CPU to run it on; cleared for good if the helper is lost.
-    helper_allowed: bool,
-    helper: Option<Helper>,
+    exec: Resident,
+    /// Shards of the last walk lent to a worker and taken back unstarted.
+    taken_back: usize,
     /// Test pin: cover exactly this many pages, however long the resume.
     pinned: Option<usize>,
 }
@@ -420,8 +363,9 @@ impl PauseWindowPool {
                 .map(|_| WorkerSlot::new(shard_pages, hypercall_steps))
                 .collect(),
             merged: Vec::with_capacity(workers * FINDINGS_CAP),
-            helper_allowed: workers > 1 && host_cpus > 1,
-            helper: None,
+            // On one CPU a second thread only time-shares it.
+            exec: Resident::new(if host_cpus > 1 { workers - 1 } else { 0 }),
+            taken_back: 0,
             pinned: None,
         }
     }
@@ -431,21 +375,24 @@ impl PauseWindowPool {
         self.workers
     }
 
-    /// Start the resident helper if this pool may have one and has none
-    /// yet. The engine calls this before it suspends a guest whose sink
-    /// is a staging slot, so the thread is created at most once per pool,
-    /// never inside a window, and never for a pool that runs no deferred
-    /// boundary.
-    pub(crate) fn ensure_helper(&mut self) {
-        if self.helper_allowed && self.helper.is_none() {
-            self.helper = Helper::start(HeadStart::run);
-            self.helper_allowed = self.helper.is_some();
-        }
+    /// Start the resident workers, the first time it is called. The
+    /// engine calls this before it suspends a guest, so threads are
+    /// created once per pool and never inside a window; a pool that is
+    /// never asked walks on its caller alone.
+    pub fn start_workers(&mut self) {
+        self.exec.start();
     }
 
-    /// Is a helper running to [`lend`](Self::lend) to?
-    pub(crate) fn has_helper(&self) -> bool {
-        self.helper.is_some()
+    /// Resident workers the next walk would lend to: `workers − 1` once
+    /// started on a host with a second CPU, 0 after one was lost.
+    pub fn resident_workers(&self) -> usize {
+        self.exec.threads()
+    }
+
+    /// Shards of the last walk that were lent to a worker and taken back
+    /// because it had not started them when the caller's own was done.
+    pub fn shards_taken_back(&self) -> usize {
+        self.taken_back
     }
 
     /// The last walk's page list in the MFN order it was packed in.
@@ -453,66 +400,42 @@ impl PauseWindowPool {
         &self.sorted
     }
 
-    /// Hand `job` to the parked helper, which starts it on its own CPU.
+    /// Lend `job` to a resident worker for as long as `resume` takes on
+    /// this thread, then stop it after the page it is on. A job no worker
+    /// has started by then is taken back and, finding itself stopped,
+    /// covers nothing. Only for a pool with a worker to lend to.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::HeadStartLost`] when the helper is gone; it is
-    /// not replaced.
+    /// [`CheckpointError::WorkerLost`] when the worker died with the job.
     // lint: pause-window
-    pub(crate) fn lend(&mut self, mut job: HeadStart) -> Result<(), CheckpointError> {
+    pub(crate) fn head_start(
+        &mut self,
+        resume: impl FnOnce(),
+        job: &mut HeadStart<'_>,
+    ) -> Result<(), CheckpointError> {
+        // A pinned head start runs to its pin instead.
         job.limit = self.pinned.unwrap_or(job.limit);
-        let sent = self.helper.as_ref().is_some_and(|helper| {
-            helper.stop.store(false, Ordering::Relaxed);
-            helper.jobs.as_ref().is_some_and(|jobs| jobs.try_send(job).is_ok())
-        });
-        if sent {
-            Ok(())
-        } else {
-            self.retire_helper()
-        }
-    }
-
-    /// Tell the helper to stop after the page it is on and wait for the
-    /// job's buffers. The helper dropped its handles on the images before
-    /// it answered.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::HeadStartLost`] when the helper died with the
-    /// job; the thread is joined first, so its handles are dropped too.
-    // lint: pause-window
-    pub(crate) fn reclaim(&mut self) -> Result<HeadStartDone, CheckpointError> {
-        let done = self.helper.as_ref().and_then(|helper| {
-            // A pinned head start runs to its pin instead.
-            helper.stop.store(self.pinned.is_none(), Ordering::Relaxed);
-            helper.done.recv().ok()
-        });
-        match done {
-            Some(done) => Ok(done),
-            None => self.retire_helper(),
-        }
+        let (stop, stopped) = (job.stop, self.pinned.is_none());
+        let own = || {
+            resume();
+            stop.store(stopped, Ordering::Relaxed);
+        };
+        self.exec.scope(own, [job as &mut dyn Task]).map(drop)
     }
 
     /// Test pin: every head start covers exactly `pages` pages (or all
-    /// there are), and [`reclaim`](Self::reclaim) waits for that instead
-    /// of stopping it.
+    /// there are), however long the resume.
     #[cfg(test)]
     pub(crate) fn pin_head_start(&mut self, pages: usize) {
         self.pinned = Some(pages);
     }
 
-    /// Test hook: replace the helper with one whose thread panics on the
-    /// first job it is handed.
+    /// Test hook: the first worker finishes `after` more jobs, then
+    /// panics holding the next one it claims.
     #[cfg(test)]
-    pub(crate) fn doom_helper(&mut self) {
-        self.helper = Helper::start(|_, _| panic!("test: the helper dies holding its job"));
-    }
-
-    fn retire_helper<T>(&mut self) -> Result<T, CheckpointError> {
-        self.helper = None;
-        self.helper_allowed = false;
-        Err(CheckpointError::HeadStartLost)
+    pub(crate) fn doom_worker(&mut self, after: isize) {
+        self.exec.doom(after);
     }
 
     /// Execute one fused walk over `mapped`: every page is visited once,
@@ -527,10 +450,12 @@ impl PauseWindowPool {
     ///
     /// # Errors
     ///
-    /// The first failing shard's error, in shard order (deterministic).
-    /// The backup is restored from the undo log before returning — a
-    /// failed attempt leaves the image exactly as it was, so the engine's
-    /// retry loop re-runs the walk from a clean slate.
+    /// The first failing shard's error, in shard order (deterministic),
+    /// or [`CheckpointError::WorkerLost`] when a worker died holding a
+    /// shard (the pool walks on its caller alone from then on). The
+    /// backup is restored from the undo log before returning — a failed
+    /// attempt leaves the image exactly as it was, so the engine's retry
+    /// loop re-runs the walk from a clean slate.
     // lint: pause-window
     pub fn run(
         &mut self,
@@ -563,9 +488,9 @@ impl PauseWindowPool {
     /// [`CheckpointError::ShardGeometry`], before `frames` is touched,
     /// for a duplicate MFN, an MFN past the guest image, or a page list
     /// longer than the buffer.
-    /// Otherwise the first failing shard's error, in shard order; the
-    /// staged buffer may then hold a partial snapshot, which the caller
-    /// discards.
+    /// Otherwise the first failing shard's error, in shard order, or
+    /// [`CheckpointError::WorkerLost`]; the staged buffer may then hold a
+    /// partial snapshot, which the caller discards.
     // lint: pause-window
     pub fn run_staging(
         &mut self,
@@ -596,8 +521,11 @@ impl PauseWindowPool {
             sorted,
             slots,
             merged,
+            exec,
+            taken_back,
             ..
         } = self;
+        *taken_back = 0;
         merged.clear();
         for slot in slots.iter_mut() {
             slot.reset();
@@ -615,14 +543,15 @@ impl PauseWindowPool {
         let (base, rem) = (n / used, n % used);
 
         // Fork the fault plan on the installer's thread (the injector is
-        // thread-local); each worker installs its own derived schedule.
+        // thread-local); each shard carries its derived schedule to
+        // whichever thread walks it.
         let mut forks: [Option<(FaultPlan, u64)>; MAX_WORKERS] = [None; MAX_WORKERS];
         for (i, f) in forks.iter_mut().enumerate().take(used) {
             *f = crimes_faults::fork_for_worker(i as u64);
         }
 
-        // Fail-closed shard geometry, checked before any worker spawns.
-        // The peel below relies on strictly increasing MFNs (a duplicate
+        // Fail-closed shard geometry, checked before any shard runs. The
+        // carving below relies on strictly increasing MFNs (a duplicate
         // would make image regions overlap and break the undo log's
         // bit-exact restore, or stage one frame twice) and on every page
         // offset landing inside `frames` without overflowing. A
@@ -649,93 +578,69 @@ impl PauseWindowPool {
                 });
             }
         }
-        let mut ranges: [(usize, usize); MAX_WORKERS] = [(0, 0); MAX_WORKERS];
+        // Carve the shards: each gets its slot, its forked plan, its pages
+        // and its disjoint byte region of `frames` (machine frames in the
+        // image, list positions when packed). The array lives on this
+        // frame, so nothing is allocated to lend it.
+        let frames_len = frames.len();
+        let mut shards: [Option<Shard<'_>>; MAX_WORKERS] = std::array::from_fn(|_| None);
+        let mut rest: &mut [u8] = frames;
+        let (mut consumed, mut next) = (0usize, 0usize);
+        for (i, ((slot, fork), shard)) in
+            slots.iter_mut().zip(forks).zip(&mut shards).take(used).enumerate()
         {
-            let mut next = 0usize;
-            let mut prev_hi = 0usize;
-            for (i, range) in ranges.iter_mut().enumerate().take(used) {
-                let take = base + usize::from(i < rem);
-                let pages = sorted.get(next..next + take).unwrap_or(&[]);
-                let (Some(&(_, first)), Some(&(_, last))) = (pages.first(), pages.last()) else {
-                    continue;
-                };
-                // The shard's first page slot and the slot past its last:
-                // machine frames in the image, list positions when packed.
-                let (lo, hi) = match layout {
-                    Layout::Image => (
-                        usize::try_from(first.0).ok(),
-                        usize::try_from(last.0).ok().and_then(|p| p.checked_add(1)),
-                    ),
-                    Layout::Packed => (Some(next), Some(next + take)),
-                };
-                next += take;
-                let lo = lo.and_then(|p| p.checked_mul(PAGE_SIZE));
-                let hi = hi.and_then(|p| p.checked_mul(PAGE_SIZE));
-                let (Some(lo), Some(hi)) = (lo, hi) else {
-                    return Err(CheckpointError::ShardGeometry {
-                        mfn: last.0,
-                        detail: "frame byte offset overflows the address space",
-                    });
-                };
-                if hi > frames.len() {
-                    return Err(CheckpointError::ShardGeometry {
-                        mfn: last.0,
-                        detail: match layout {
-                            Layout::Image => "MFN beyond the backup image",
-                            Layout::Packed => "page list longer than the staging slot",
-                        },
-                    });
-                }
-                debug_assert!(lo >= prev_hi, "sorted unique pages shard monotonically");
-                prev_hi = hi;
-                *range = (lo, hi);
+            let take = base + usize::from(i < rem);
+            let pages = sorted.get(next..next + take).unwrap_or(&[]);
+            let (Some(&(_, first)), Some(&(_, last))) = (pages.first(), pages.last()) else {
+                continue;
+            };
+            let (lo, hi) = match layout {
+                Layout::Image => (
+                    usize::try_from(first.0).ok(),
+                    usize::try_from(last.0).ok().and_then(|p| p.checked_add(1)),
+                ),
+                Layout::Packed => (Some(next), Some(next + take)),
+            };
+            next += take;
+            let lo = lo.and_then(|p| p.checked_mul(PAGE_SIZE));
+            let hi = hi.and_then(|p| p.checked_mul(PAGE_SIZE));
+            let (Some(lo), Some(hi)) = (lo, hi) else {
+                return Err(CheckpointError::ShardGeometry {
+                    mfn: last.0,
+                    detail: "frame byte offset overflows the address space",
+                });
+            };
+            if hi > frames_len {
+                return Err(CheckpointError::ShardGeometry {
+                    mfn: last.0,
+                    detail: match layout {
+                        Layout::Image => "MFN beyond the backup image",
+                        Layout::Packed => "page list longer than the staging slot",
+                    },
+                });
             }
-        }
-
-        if used == 1 {
-            // One worker means one shard: run it inline and skip the
-            // scope. Spawning + joining an OS thread costs tens of
-            // microseconds per epoch — real money against a ~3 ms pause —
-            // and `run_shard` installs its forked fault plan behind an
-            // RAII scope, so the caller's injection schedule is identical
-            // either way.
-            if let (Some(slot), Some(&(lo, hi))) = (slots.first_mut(), ranges.first()) {
-                if hi > lo {
-                    let region = frames.get_mut(lo..hi).unwrap_or(&mut []);
-                    let fork = forks.first().copied().flatten();
-                    run_shard(slot, region, lo, sorted, mem, visitors, fork, layout);
-                }
-            }
-        } else {
-            // lint: allow(pause-window) -- the one sanctioned scope: preallocated worker slots, joins before resume
-            std::thread::scope(|scope| {
-                let mut rest: &mut [u8] = frames;
-                let mut consumed = 0usize;
-                let mut next = 0usize;
-                for (i, slot) in slots.iter_mut().enumerate().take(used) {
-                    let take = base + usize::from(i < rem);
-                    let pages = sorted.get(next..next + take).unwrap_or(&[]);
-                    next += take;
-                    let Some(&(lo, hi)) = ranges.get(i) else {
-                        continue;
-                    };
-                    if hi <= lo {
-                        // Empty shard (no pages, so no validated range).
-                        continue;
-                    }
-                    // Peel this shard's disjoint byte region off the image.
-                    // The saturating subtractions cannot clamp after the
-                    // geometry checks above; they keep the window panic-free.
-                    let (_, tail) = rest.split_at_mut(lo.saturating_sub(consumed));
-                    let (region, tail) = tail.split_at_mut(hi.saturating_sub(lo));
-                    rest = tail;
-                    consumed = hi;
-                    let fork = forks.get(i).copied().flatten();
-                    scope.spawn(move || {
-                        run_shard(slot, region, lo, pages, mem, visitors, fork, layout)
-                    });
-                }
+            debug_assert!(lo >= consumed, "sorted unique pages shard monotonically");
+            // The saturating subtractions cannot clamp after the checks
+            // above; they keep the window panic-free.
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(lo.saturating_sub(consumed));
+            let (region, tail) = tail.split_at_mut(hi.saturating_sub(lo));
+            (rest, consumed) = (tail, hi);
+            *shard = Some(Shard {
+                slot,
+                region,
+                region_base: lo,
+                pages,
+                mem,
+                visitors,
+                fork,
+                layout,
             });
+        }
+        // Shard 0 here, shards 1.. on the resident workers — or here too,
+        // for any that no worker has started when shard 0 is done.
+        let mut shards = shards.iter_mut().flatten();
+        if let Some(first) = shards.next() {
+            *taken_back = exec.scope(|| first.run(), shards.map(|shard| shard as &mut dyn Task))?;
         }
 
         // Deterministic merge: shard order for counters and findings, then
@@ -924,93 +829,113 @@ fn restore_undo(slots: &mut [WorkerSlot], backup: &mut BackupVm) {
     }
 }
 
-/// One worker's fused pass over its shard. Runs on a scoped thread with a
-/// forked fault plan; all output lands in `slot`.
-// lint: pause-window
-#[allow(clippy::too_many_arguments)]
-fn run_shard(
-    slot: &mut WorkerSlot,
-    region: &mut [u8],
+/// One shard of a walk, with everything it needs to run on any thread:
+/// its slot, its region of the destination, its pages, and the fault plan
+/// forked for it.
+struct Shard<'a> {
+    slot: &'a mut WorkerSlot,
+    region: &'a mut [u8],
+    /// Byte offset of `region` in the destination buffer.
     region_base: usize,
-    pages: &[MappedPage],
-    mem: &GuestMemory,
-    visitors: &[&dyn FusedPageVisitor],
+    pages: &'a [MappedPage],
+    mem: &'a GuestMemory,
+    visitors: &'a [&'a dyn FusedPageVisitor],
     fork: Option<(FaultPlan, u64)>,
     layout: Layout,
-) {
-    let _plan = fork.map(|(plan, seed)| crimes_faults::install(plan, seed));
-    let WorkerSlot {
-        digests,
-        findings,
-        undo,
-        undo_tags,
-        stream,
-        syscalls,
-        stats,
-        counters,
-        outcome,
-    } = slot;
-    let mut sink = ShardSink {
-        region,
-        cur: 0,
-        source: 0,
-        batched: 0,
-        stats,
-        digests,
-        findings,
-        stream,
-        syscalls,
-    };
+}
 
-    // Shard-level fault points: a copy fault up front, or a backup-write
-    // fault part-way through the shard.
-    *outcome = (|| {
-        if crimes_faults::should_inject(FaultPoint::PageCopy) {
-            return Err(CheckpointError::CopyFault { strategy: "fused" });
-        }
-        let fail_after = crimes_faults::should_inject(FaultPoint::BackupWrite)
-            .then(|| crimes_faults::draw_below(pages.len() as u64) as usize);
-        for (done, &(pfn, mfn)) in pages.iter().enumerate() {
-            if fail_after == Some(done) {
-                return Err(CheckpointError::BackupWriteFault {
-                    pages_written: done,
-                });
+impl Task for Shard<'_> {
+    /// The fused pass over the shard, under its forked fault plan; all
+    /// output lands in the shard's slot.
+    // lint: pause-window
+    fn run(&mut self) {
+        let _plan = self.fork.map(|(plan, seed)| crimes_faults::install(plan, seed));
+        let (pages, mem, visitors) = (self.pages, self.mem, self.visitors);
+        let (region_base, layout) = (self.region_base, self.layout);
+        let WorkerSlot {
+            digests,
+            findings,
+            undo,
+            undo_tags,
+            stream,
+            syscalls,
+            stats,
+            counters,
+            outcome,
+        } = &mut *self.slot;
+        let mut sink = ShardSink {
+            region: &mut *self.region,
+            cur: 0,
+            source: 0,
+            batched: 0,
+            stats,
+            digests,
+            findings,
+            stream,
+            syscalls,
+        };
+
+        // Shard-level fault points: a copy fault up front, or a backup-write
+        // fault part-way through the shard.
+        *outcome = (|| {
+            if crimes_faults::should_inject(FaultPoint::PageCopy) {
+                return Err(CheckpointError::CopyFault { strategy: "fused" });
             }
-            // The geometry checks put every offset below in range; the
-            // saturating forms keep the window panic-free regardless.
-            match layout {
-                Layout::Image => {
-                    sink.cur = (mfn.0 as usize)
-                        .saturating_mul(PAGE_SIZE)
-                        .saturating_sub(region_base);
-                    sink.save_undo(mfn, undo, undo_tags);
+            let fail_after = crimes_faults::should_inject(FaultPoint::BackupWrite)
+                .then(|| crimes_faults::draw_below(pages.len() as u64) as usize);
+            for (done, &(pfn, mfn)) in pages.iter().enumerate() {
+                if fail_after == Some(done) {
+                    return Err(CheckpointError::BackupWriteFault {
+                        pages_written: done,
+                    });
                 }
-                Layout::Packed => sink.cur = done.saturating_mul(PAGE_SIZE),
+                // The geometry checks put every offset below in range; the
+                // saturating forms keep the window panic-free regardless.
+                match layout {
+                    Layout::Image => {
+                        sink.cur = (mfn.0 as usize)
+                            .saturating_mul(PAGE_SIZE)
+                            .saturating_sub(region_base);
+                        sink.save_undo(mfn, undo, undo_tags);
+                    }
+                    Layout::Packed => sink.cur = done.saturating_mul(PAGE_SIZE),
+                }
+                let ctx = PageCtx {
+                    pfn,
+                    mfn,
+                    src: mem.frame(mfn),
+                    mem,
+                };
+                for (i, v) in visitors.iter().enumerate() {
+                    sink.source = i as u32;
+                    v.visit_page(&ctx, &mut sink);
+                }
             }
-            let ctx = PageCtx {
-                pfn,
-                mfn,
-                src: mem.frame(mfn),
-                mem,
-            };
             for (i, v) in visitors.iter().enumerate() {
                 sink.source = i as u32;
-                v.visit_page(&ctx, &mut sink);
+                v.finish_shard(&mut sink);
             }
-        }
-        for (i, v) in visitors.iter().enumerate() {
-            sink.source = i as u32;
-            v.finish_shard(&mut sink);
-        }
-        Ok(())
-    })();
-    *counters = crimes_faults::counters();
+            Ok(())
+        })();
+        *counters = crimes_faults::counters();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::integrity::{chunk_digest, FusedDigest};
+    use crate::resident::{pin, Placement};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    /// A pool for a 512-page guest on a two-CPU host, its workers started
+    /// (the engine starts them before it suspends a guest).
+    fn started(workers: usize) -> PauseWindowPool {
+        let mut pool = PauseWindowPool::on_host(workers, 512, 2, 2);
+        pool.start_workers();
+        pool
+    }
 
     fn vm_with_dirt(pages: usize, dirt: usize, seed: u64) -> (Vm, Vec<MappedPage>) {
         let mut b = Vm::builder();
@@ -1046,46 +971,104 @@ mod tests {
         }
     }
 
-    fn run_walk(workers: usize, seed: u64) -> (Vec<u8>, Vec<PageFinding>, u64, CopyStats) {
+    /// Everything a walk leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Walked {
+        result: Result<CopyStats, CheckpointError>,
+        frames: Vec<u8>,
+        findings: Vec<PageFinding>,
+        /// Per slot, in slot order.
+        per_slot: Vec<(usize, CopyStats)>,
+        digests: Vec<(usize, u64)>,
+        /// `(draws, hits)` per fault point, the walk's forks absorbed.
+        faults: Vec<(u64, u64)>,
+    }
+
+    fn run_walk(workers: usize, seed: u64, plan: Option<FaultPlan>) -> Walked {
         let (vm, mapped) = vm_with_dirt(512, 60, seed);
         let mut backup = BackupVm::new(&vm);
         for &(_, mfn) in &mapped {
             backup.frame_mut(mfn).fill(0xee);
         }
-        let mut pool = PauseWindowPool::new(workers, 512, 2);
+        let mut pool = started(workers);
         let visitors: [&dyn FusedPageVisitor; 2] = [&CopyAndFlagOdd, &FusedDigest];
-        let stats = pool
-            .run(vm.memory(), &mut backup, &mapped, &visitors)
-            .expect("no faults armed");
-        let xor = pool
-            .page_digests()
-            .fold(0u64, |acc, (_, d)| acc ^ d);
-        (
-            backup.frames().to_vec(),
-            pool.findings().to_vec(),
-            xor,
-            stats,
-        )
+        let _scope = plan.map(|plan| crimes_faults::install(plan, seed));
+        let result = pool.run(vm.memory(), &mut backup, &mapped, &visitors);
+        let counters = crimes_faults::counters();
+        Walked {
+            result,
+            frames: backup.frames().to_vec(),
+            findings: pool.findings().to_vec(),
+            per_slot: pool.worker_stats().collect(),
+            digests: pool.page_digests().collect(),
+            faults: FaultPoint::ALL.iter().map(|&p| (counters.draws(p), counters.hits(p))).collect(),
+        }
     }
 
     #[test]
     fn any_worker_count_is_bit_identical() {
-        let (frames1, findings1, xor1, stats1) = run_walk(1, 9);
-        for workers in [2, 4, 7] {
-            let (frames, findings, xor, stats) = run_walk(workers, 9);
-            assert_eq!(frames, frames1, "{workers} workers: backup image differs");
-            assert_eq!(findings, findings1, "{workers} workers: findings differ");
-            assert_eq!(xor, xor1, "{workers} workers: digest fold differs");
-            assert_eq!(stats.pages, stats1.pages);
-            assert_eq!(stats.bytes, stats1.bytes);
+        let one = run_walk(1, 9, None);
+        let xor = |walk: &Walked| walk.digests.iter().fold(0u64, |acc, (_, d)| acc ^ d);
+        let walk_faults = FaultPlan::disabled()
+            .with_rate(FaultPoint::PageCopy, crimes_faults::SCALE / 16)
+            .with_rate(FaultPoint::BackupWrite, crimes_faults::SCALE / 8);
+        let (mut failed, mut passed) = (0, 0);
+        for workers in [1, 2, 4, 7] {
+            let free = run_walk(workers, 9, None);
+            assert_eq!(free.frames, one.frames, "{workers} workers: backup image differs");
+            assert_eq!(free.findings, one.findings, "{workers} workers: findings differ");
+            assert_eq!(xor(&free), xor(&one), "{workers} workers: digest fold differs");
+            assert_eq!(free.result, one.result);
+            // Wherever each shard ran, every slot reads the same; and a
+            // shard's fault schedule goes with it.
+            let faulted: Vec<Walked> =
+                (0..6).map(|seed| run_walk(workers, seed, Some(walk_faults))).collect();
+            failed += faulted.iter().filter(|walk| walk.result.is_err()).count();
+            passed += faulted.iter().filter(|walk| walk.result.is_ok()).count();
+            for placement in Placement::ALL {
+                let _pin = pin(placement);
+                assert!(run_walk(workers, 9, None) == free, "{workers} workers, {placement:?}");
+                for (seed, want) in faulted.iter().enumerate() {
+                    assert!(
+                        run_walk(workers, seed as u64, Some(walk_faults)) == *want,
+                        "{workers} workers, {placement:?}, fault seed {seed}"
+                    );
+                }
+            }
         }
+        assert!(failed > 0 && passed > 0, "{failed} faulted walks failed, {passed} passed");
+    }
+
+    #[test]
+    fn the_walk_counts_the_shards_it_takes_back() {
+        let (vm, mapped) = vm_with_dirt(512, 60, 9);
+        let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
+        for (placement, workers, taken_back) in [
+            (Placement::TakeAll, 4, 3),
+            (Placement::TakeAll, 1, 0),
+            (Placement::TakeNone, 4, 0),
+            (Placement::Stalled, 4, 0),
+        ] {
+            let _pin = pin(placement);
+            let mut pool = started(workers);
+            pool.run(vm.memory(), &mut BackupVm::new(&vm), &mapped, &visitors)
+                .expect("no faults armed");
+            assert_eq!(pool.shards_taken_back(), taken_back, "{workers} workers, {placement:?}");
+        }
+        // A pool with nobody to lend to takes nothing back either.
+        let mut alone = PauseWindowPool::on_host(4, 512, 2, 1);
+        alone.start_workers();
+        alone
+            .run(vm.memory(), &mut BackupVm::new(&vm), &mapped, &visitors)
+            .expect("no faults armed");
+        assert_eq!((alone.resident_workers(), alone.shards_taken_back()), (0, 0));
     }
 
     #[test]
     fn digests_match_serial_chunk_digest() {
         let (vm, mapped) = vm_with_dirt(512, 20, 3);
         let mut backup = BackupVm::new(&vm);
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&FusedDigest];
         pool.run(vm.memory(), &mut backup, &mapped, &visitors)
             .expect("no faults armed");
@@ -1119,15 +1102,17 @@ mod tests {
         }
 
         let snapshot: [&dyn FusedPageVisitor; 1] = [&PageCopier::memcpy()];
-        for workers in [1, 2, 4] {
-            let mut pool = PauseWindowPool::new(workers, 512, 2);
+        let cases = Placement::ALL.iter().flat_map(|&p| [1, 2, 4, 7].map(|w| (p, w)));
+        for (placement, workers) in cases {
+            let _pin = pin(placement);
+            let mut pool = started(workers);
             let mut staged = vec![0u8; 512 * PAGE_SIZE];
             let stats = pool
                 .run_staging(vm.memory(), &mut staged, &mapped, &snapshot)
                 .expect("no faults armed");
             // Equality with the reference also says every byte at or past
             // `n * PAGE_SIZE` of the fresh slot is still zero.
-            assert!(staged == reference, "{workers} workers: staged bytes differ");
+            assert!(staged == reference, "{workers} workers, {placement:?}: staged bytes differ");
             assert_eq!(
                 pool.page_digests().count(),
                 0,
@@ -1143,7 +1128,7 @@ mod tests {
         use crate::copy::PageCopier;
         let (vm, mapped) = vm_with_dirt(512, 20, 9);
         let snapshot: [&dyn FusedPageVisitor; 1] = [&PageCopier::memcpy()];
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
 
         let mut duplicated = mapped.clone();
         duplicated.extend(mapped.first().copied());
@@ -1193,7 +1178,7 @@ mod tests {
         let (vm, _) = vm_with_dirt(512, 4, 1);
         let mut backup = BackupVm::new(&vm);
         let before = backup.frames().to_vec();
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         let stats = pool
             .run(vm.memory(), &mut backup, &[], &visitors)
@@ -1211,7 +1196,7 @@ mod tests {
             backup.frame_mut(mfn).fill(0x5a);
         }
         let before = backup.frames().to_vec();
-        let mut pool = PauseWindowPool::new(3, 512, 2);
+        let mut pool = started(3);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         let plan = FaultPlan::disabled().with_rate(FaultPoint::BackupWrite, crimes_faults::SCALE);
         let _scope = crimes_faults::install(plan, 11);
@@ -1239,7 +1224,7 @@ mod tests {
             backup.frame_mut(mfn).fill(0x11);
         }
         let before = backup.frames().to_vec();
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         pool.run(vm.memory(), &mut backup, &mapped, &visitors)
             .expect("no faults armed");
@@ -1249,50 +1234,130 @@ mod tests {
     }
 
     #[test]
-    fn the_helper_is_lazy_resident_and_only_for_pools_that_can_use_one() {
-        for (workers, host_cpus, may) in [(1, 2, false), (2, 1, false), (2, 2, true), (4, 8, true)] {
+    fn workers_are_lazy_resident_and_only_for_pools_that_can_use_them() {
+        for (workers, host_cpus, threads) in [(1, 2, 0), (2, 1, 0), (2, 2, 1), (4, 8, 3)] {
             let mut pool = PauseWindowPool::on_host(workers, 64, 2, host_cpus);
-            assert!(!pool.has_helper(), "no thread before anything asks for one");
-            pool.ensure_helper();
-            assert_eq!(pool.has_helper(), may, "{workers} workers on {host_cpus} CPUs");
-            // Asking again keeps the thread it has.
-            let id = |p: &PauseWindowPool| {
-                p.helper
-                    .as_ref()
-                    .and_then(|h| h.thread.as_ref().map(|t| t.thread().id()))
-            };
-            let first = id(&pool);
-            pool.ensure_helper();
-            assert_eq!(id(&pool), first);
+            assert_eq!(pool.resident_workers(), 0, "no thread before anything asks for one");
+            pool.start_workers();
+            assert_eq!(pool.resident_workers(), threads, "{workers} workers on {host_cpus} CPUs");
+            // Asking again keeps the threads it has.
+            let before = format!("{pool:?}");
+            pool.start_workers();
+            assert_eq!(format!("{pool:?}"), before);
         }
     }
 
     #[test]
-    fn a_helper_that_is_gone_is_reported_and_never_replaced() {
-        // Gone before the job is sent.
-        let (vm, _) = vm_with_dirt(512, 4, 2);
+    fn a_lost_worker_is_reported_and_never_replaced() {
+        // Dead with a shard in hand: the walk says so, the backup is as
+        // it was, and the next walk runs on the caller alone.
+        let (vm, mapped) = vm_with_dirt(512, 30, 5);
+        let mut backup = BackupVm::new(&vm);
+        for &(_, mfn) in &mapped {
+            backup.frame_mut(mfn).fill(0x5a);
+        }
+        let before = backup.frames().to_vec();
+        let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
+        let mut pool = started(3);
+        pool.doom_worker(0);
+        {
+            let _pin = pin(Placement::TakeNone);
+            let err = pool.run(vm.memory(), &mut backup, &mapped, &visitors);
+            assert_eq!(err, Err(CheckpointError::WorkerLost));
+        }
+        assert_eq!(backup.frames(), before.as_slice(), "the undo log restored the image");
+        assert_eq!(pool.resident_workers(), 0);
+        pool.start_workers();
+        assert_eq!(pool.resident_workers(), 0, "a lost worker is not replaced");
+        pool.run(vm.memory(), &mut backup, &mapped, &visitors)
+            .expect("the caller walks every shard");
+        let mut reference = BackupVm::new(&vm);
+        started(3)
+            .run(vm.memory(), &mut reference, &mapped, &visitors)
+            .expect("no faults armed");
+        assert_eq!(backup.frames(), reference.frames());
+
+        // Dead with the head start in hand: nothing is lent again.
         let backup = BackupVm::new(&vm);
         let mut area = crate::staging::StagingArea::new(512, 1, 1);
         let slot = area.claim().expect("a free slot");
-        let mut pool = PauseWindowPool::on_host(2, 512, 2, 2);
-        pool.ensure_helper();
-        if let Some(helper) = pool.helper.as_mut() {
-            helper.jobs = None;
-        }
-        assert_eq!(area.lend(slot, &backup, &mut pool), Err(CheckpointError::HeadStartLost));
-        assert!(!pool.has_helper());
-        pool.ensure_helper();
-        assert!(!pool.has_helper(), "a lost helper is not replaced");
-        assert_eq!(area.lend(slot, &backup, &mut pool), Ok(false), "nothing to lend to");
+        let mut pool = started(2);
+        pool.doom_worker(0);
+        let stop = AtomicBool::new(false);
+        let mut job = area.head_start(slot, &backup, &[], &stop).expect("the one slot in flight");
+        let _pin = pin(Placement::TakeNone);
+        assert_eq!(pool.head_start(|| {}, &mut job), Err(CheckpointError::WorkerLost));
+        assert_eq!(pool.resident_workers(), 0);
+    }
 
-        // Dead with the job in hand: the handles it held are dropped.
-        let mut pool = PauseWindowPool::on_host(2, 512, 2, 2);
-        pool.doom_helper();
-        assert_eq!(area.lend(slot, &backup, &mut pool), Ok(true));
-        assert_eq!(area.reclaim(slot, &mut pool), Err(CheckpointError::HeadStartLost));
-        assert!(!pool.has_helper());
-        assert_eq!(std::sync::Arc::strong_count(&backup.share_frames()), 2, "ours and the backup's");
-        assert!(!area.frames_mut(slot).is_empty(), "the slot's pages are ours alone again");
+    /// Copies like [`CopyAndFlagOdd`]; on the lender's thread it panics
+    /// once a worker is inside its own shard. Whatever the worker does
+    /// after that, it must do while the visitor still exists.
+    struct PanicsOnTheLender {
+        lender: std::thread::ThreadId,
+        both_inside: std::sync::Barrier,
+        met: AtomicBool,
+        dropped: Arc<AtomicBool>,
+        touched_after_drop: Arc<AtomicBool>,
+        worker_finished: Arc<AtomicBool>,
+    }
+
+    impl FusedPageVisitor for PanicsOnTheLender {
+        fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
+            if std::thread::current().id() == self.lender {
+                self.both_inside.wait();
+                panic!("test: a visitor panics on the lender's shard");
+            }
+            if !self.met.swap(true, Ordering::SeqCst) {
+                self.both_inside.wait();
+            }
+            std::thread::yield_now();
+            self.touched_after_drop.fetch_or(self.dropped.load(Ordering::SeqCst), Ordering::SeqCst);
+            sink.dst().copy_from_slice(ctx.src);
+        }
+
+        fn finish_shard(&self, _sink: &mut ShardSink<'_>) {
+            self.touched_after_drop.fetch_or(self.dropped.load(Ordering::SeqCst), Ordering::SeqCst);
+            self.worker_finished.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl Drop for PanicsOnTheLender {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_lenders_shard_surfaces_only_once_the_worker_is_idle() {
+        let (vm, mapped) = vm_with_dirt(512, 60, 9);
+        let mut backup = BackupVm::new(&vm);
+        let mut pool = started(2);
+        let flags = [(); 3].map(|()| Arc::new(AtomicBool::new(false)));
+        let [dropped, touched_after_drop, worker_finished] = &flags;
+        let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // The visitor lives in the lender's frame: it is gone the
+            // moment the walk's panic leaves this closure.
+            let visitor = PanicsOnTheLender {
+                lender: std::thread::current().id(),
+                both_inside: std::sync::Barrier::new(2),
+                met: AtomicBool::new(false),
+                dropped: Arc::clone(dropped),
+                touched_after_drop: Arc::clone(touched_after_drop),
+                worker_finished: Arc::clone(worker_finished),
+            };
+            let visitors: [&dyn FusedPageVisitor; 1] = [&visitor];
+            pool.run(vm.memory(), &mut backup, &mapped, &visitors)
+        }));
+        assert!(walk.is_err(), "the lender's panic is not swallowed");
+        assert!(dropped.load(Ordering::SeqCst));
+        assert!(worker_finished.load(Ordering::SeqCst), "the walk unwound past a running worker");
+        assert!(!touched_after_drop.load(Ordering::SeqCst), "a worker used a dead borrow");
+        assert_eq!(pool.resident_workers(), 0, "the pool refuses further lending");
+        let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
+        pool.run(vm.memory(), &mut backup, &mapped, &visitors)
+            .expect("the caller walks every shard");
+        assert_eq!(backup.frames(), vm.memory().dump_frames().as_slice());
     }
 
     #[test]
@@ -1308,7 +1373,7 @@ mod tests {
         let (vm, mapped) = vm_with_dirt(512, 40, 8);
         let sorted_image = {
             let mut backup = BackupVm::new(&vm);
-            let mut pool = PauseWindowPool::new(4, 512, 2);
+            let mut pool = started(4);
             let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
             pool.run(vm.memory(), &mut backup, &mapped, &visitors)
                 .expect("sorted list");
@@ -1317,7 +1382,7 @@ mod tests {
         let mut reversed = mapped.clone();
         reversed.reverse();
         let mut backup = BackupVm::new(&vm);
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         pool.run(vm.memory(), &mut backup, &reversed, &visitors)
             .expect("reversed list sorts internally");
@@ -1333,7 +1398,7 @@ mod tests {
         }
         let mut backup = BackupVm::new(&vm);
         let before = backup.frames().to_vec();
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         let err = pool
             .run(vm.memory(), &mut backup, &corrupt, &visitors)
@@ -1358,7 +1423,7 @@ mod tests {
         // and panic inside the pause window.
         mapped.push((Pfn(511), Mfn(100_000)));
         let mut backup = BackupVm::new(&vm);
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         let err = pool
             .run(vm.memory(), &mut backup, &mapped, &visitors)
@@ -1374,7 +1439,7 @@ mod tests {
         let (vm, mut mapped) = vm_with_dirt(512, 10, 11);
         mapped.push((Pfn(511), Mfn(u64::MAX)));
         let mut backup = BackupVm::new(&vm);
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         let err = pool
             .run(vm.memory(), &mut backup, &mapped, &visitors)
@@ -1389,7 +1454,7 @@ mod tests {
     fn worker_stats_expose_per_slot_copy_totals() {
         let (vm, mapped) = vm_with_dirt(512, 40, 12);
         let mut backup = BackupVm::new(&vm);
-        let mut pool = PauseWindowPool::new(4, 512, 2);
+        let mut pool = started(4);
         let visitors: [&dyn FusedPageVisitor; 1] = [&CopyAndFlagOdd];
         let stats = pool
             .run(vm.memory(), &mut backup, &mapped, &visitors)
@@ -1461,7 +1526,7 @@ mod tests {
             .iter()
             .map(|(vm, mapped)| {
                 let mut backup = BackupVm::new(vm);
-                let mut pool = PauseWindowPool::new(3, 512, 2);
+                let mut pool = started(3);
                 pool.run(vm.memory(), &mut backup, mapped, &visitors)
                     .expect("no faults armed");
                 (backup.frames().to_vec(), pool.findings().to_vec())
@@ -1483,6 +1548,7 @@ mod tests {
                     let (barrier, visitors) = (&barrier, &visitors);
                     s.spawn(move || {
                         let mut backup = BackupVm::new(vm);
+                        lease.pool().start_workers();
                         barrier.wait();
                         lease
                             .pool()

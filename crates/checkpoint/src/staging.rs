@@ -19,17 +19,17 @@
 //!   untouched, so a rejected epoch just drops the slot). The slot is
 //!   **densely packed**: page `i` of the MFN-sorted dirty list sits at
 //!   byte `i * PAGE_SIZE`, wherever its frame lives in the guest image.
-//! * Across the resume ([`StagingArea::lend`] / [`StagingArea::reclaim`],
-//!   the **head start**): once the verdict has passed, the slot is
-//!   complete and nothing writes it or the backup until the drain. While
-//!   the engine sits in the modelled resume, the pool's resident helper
-//!   — another CPU, which nobody is waiting for — runs the drain's
-//!   read-only half (`delta::page_kernel`: facts, changed-word mask, both
-//!   digests) over the slot in drain order, and stops when the resume
-//!   ends. It holds shared handles on the slot's pages and the backup
-//!   image and writes neither; the kernels it finished are stored with
-//!   the backup's write stamp, and the drain uses them only if that
-//!   stamp still reads the same (see [`HeadStart`]).
+//! * Across the resume ([`StagingArea::head_start`], the **head start**):
+//!   once the verdict has passed, the slot is complete and nothing writes
+//!   it or the backup until the drain. While the engine sits in the
+//!   modelled resume, one of the pool's resident workers — another CPU,
+//!   which nobody is waiting for — runs the drain's read-only half
+//!   (`delta::page_kernel`: facts, changed-word mask, both digests) over
+//!   the slot in drain order, and stops when the resume ends. It borrows
+//!   the slot's pages and the backup image and writes neither; the
+//!   kernels it finished are stored with the backup's write stamp, and
+//!   the drain uses them only if that stamp still reads the same (see
+//!   [`HeadStart`]).
 //! * Out-of-window ([`StagingArea::drain_slot`], driven by the engine's
 //!   retry loop): the drain reads the slot front to back. Each staged
 //!   page goes through **one** pass (`delta::page_kernel`, unless the
@@ -57,7 +57,6 @@
 //! resume.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use crimes_faults::FaultPoint;
 use crimes_vm::{Mfn, PAGE_SIZE, SECTOR_SIZE};
@@ -68,7 +67,7 @@ use crate::delta::{page_kernel, wire_len, PageEncoding, PageKernel};
 use crate::error::CheckpointError;
 use crate::integrity::Lanes;
 use crate::mapping::{HypercallModel, MappedPage};
-use crate::pool::PauseWindowPool;
+use crate::resident::Task;
 
 /// Content-aware drain knobs, plumbed from `CheckpointConfig`. Both
 /// default off, which keeps the drain's wire model byte-identical to
@@ -138,64 +137,50 @@ fn drain_kernel(old: &[u8], staged: &[u8], mfn: Mfn) -> Option<DrainKernel> {
     page_kernel(old, staged, [Lanes::content(), Lanes::seeded(mfn.0)])
 }
 
-/// The drain's read-only half, packaged for another thread: shared
-/// handles on the backup image and a sealed slot's pages, and — moved,
-/// not borrowed — the slot's page list and its preallocated kernel
-/// buffer. [`run`](Self::run) fills `kernels[i]` for page `i`, front to
-/// back like the drain, until it is told to stop, and hands the two
-/// vectors back with both handles dropped.
+/// The drain's read-only half, as a job the engine lends a resident
+/// worker for the length of the resume: it borrows the backup image, a
+/// sealed slot's pages and page list, and the slot's preallocated kernel
+/// buffer, and fills `kernels[i]` for page `i`, front to back like the
+/// drain, until it is told to stop.
 ///
 /// A kernel is a statement about the backup frame *as it stood when the
-/// head start ran*. [`StagingArea::lend`] records the backup's write
-/// stamp next to the buffer and lends only while this is the one slot in
-/// flight; a drain session consults the kernels only if the stamp still
+/// head start ran*. [`StagingArea::head_start`] records the backup's write
+/// stamp next to the buffer and builds one only while this is the one slot
+/// in flight; a drain session consults the kernels only if the stamp still
 /// reads the same, so anything that wrote a frame in between — an older
 /// slot's drain, an injected corruption, this slot's own earlier session
 /// — makes them unusable rather than wrong.
 #[derive(Debug)]
-pub(crate) struct HeadStart {
-    backup: Arc<Vec<u8>>,
-    staged: Arc<Vec<u8>>,
-    pages: Vec<MappedPage>,
-    kernels: Vec<DrainKernel>,
+pub(crate) struct HeadStart<'a> {
+    backup: &'a [u8],
+    staged: &'a [u8],
+    pages: &'a [MappedPage],
+    kernels: &'a mut Vec<DrainKernel>,
     /// Pages to cover at most; the pool's test pin lowers it.
     pub(crate) limit: usize,
+    /// Raised by the lender when the resume is over; read before every
+    /// page, so it waits for at most one kernel. `Relaxed`: the flag
+    /// publishes no data (the kernels cross under the executor's lock),
+    /// it only has to become visible soon.
+    pub(crate) stop: &'a AtomicBool,
 }
 
-/// What a finished [`HeadStart`] hands back: the slot's two vectors.
-#[derive(Debug)]
-pub(crate) struct HeadStartDone {
-    pages: Vec<MappedPage>,
-    kernels: Vec<DrainKernel>,
-}
-
-/// Pages the helper covers between two offers of its CPU. The kernel may
-/// wake the helper on the CPU the engine is spinning out the resume on
+/// Pages the worker covers between two offers of its CPU. The kernel may
+/// wake the worker on the CPU the engine is spinning out the resume on
 /// (this guest does whenever its second vCPU is halted) and let it run
 /// there; without the offer the whole head start would then sit inside
 /// the pause (measured: resume 0.86 → 1.6 ms), with it at most this many
 /// pages do. On a CPU of its own a yield returns at once.
 const YIELD_EVERY: usize = 16;
 
-impl HeadStart {
-    /// Run on the helper thread. `stop` is read before every page, so the
-    /// engine waits for at most one kernel after raising it.
-    pub(crate) fn run(self, stop: &AtomicBool) -> HeadStartDone {
-        let HeadStart {
-            backup,
-            staged,
-            pages,
-            mut kernels,
-            limit,
-        } = self;
-        let room = kernels.capacity();
-        for (i, (&(_, mfn), page)) in pages
-            .iter()
-            .zip(staged.chunks_exact(PAGE_SIZE))
-            .take(limit.min(room))
-            .enumerate()
-        {
-            if stop.load(Ordering::Relaxed) {
+impl Task for HeadStart<'_> {
+    /// On a resident worker — or on the lender, which took the job back
+    /// unstarted once the resume was over and finds `stop` raised.
+    fn run(&mut self) {
+        let room = self.kernels.capacity();
+        let pages = self.pages.iter().zip(self.staged.chunks_exact(PAGE_SIZE));
+        for (i, (&(_, mfn), page)) in pages.take(self.limit.min(room)).enumerate() {
+            if self.stop.load(Ordering::Relaxed) {
                 break;
             }
             if i % YIELD_EVERY == 0 {
@@ -204,14 +189,13 @@ impl HeadStart {
             let old = usize::try_from(mfn.0)
                 .ok()
                 .and_then(|m| m.checked_mul(PAGE_SIZE))
-                .and_then(|base| backup.get(base..base.checked_add(PAGE_SIZE)?));
+                .and_then(|base| self.backup.get(base..base.checked_add(PAGE_SIZE)?));
             let Some(kernel) = old.and_then(|old| drain_kernel(old, page, mfn)) else {
                 // The drain refuses this page itself; leave it to it.
                 break;
             };
-            kernels.push(kernel);
+            self.kernels.push(kernel);
         }
-        HeadStartDone { pages, kernels }
     }
 }
 
@@ -221,9 +205,7 @@ impl HeadStart {
 /// snapshotted dirty sectors.
 #[derive(Debug)]
 struct StagingSlot {
-    /// Behind a shared handle so a head start can read it; nothing holds
-    /// a second handle while the walk writes.
-    frames: Arc<Vec<u8>>,
+    frames: Vec<u8>,
     entries: Vec<MappedPage>,
     /// `kernels[i]` is entry `i`'s, from a head start made while the
     /// backup's write stamp read `kernels_stamp`.
@@ -250,7 +232,7 @@ struct StagingSlot {
 impl StagingSlot {
     fn new(num_pages: usize, num_sectors: usize) -> Self {
         StagingSlot {
-            frames: Arc::new(vec![0u8; num_pages * PAGE_SIZE]),
+            frames: vec![0u8; num_pages * PAGE_SIZE],
             entries: Vec::with_capacity(num_pages),
             kernels: Vec::with_capacity(num_pages),
             kernels_stamp: 0,
@@ -326,16 +308,13 @@ impl StagingArea {
         Some(slot)
     }
 
-    /// The slot's packed staging frames, for `pool::run_staging`: empty
-    /// for an unknown slot, and for one whose pages are still lent out —
-    /// the walk then refuses the geometry instead of writing under a
-    /// reader.
+    /// The slot's packed staging frames, for `pool::run_staging`; empty
+    /// for an unknown slot (the walk then refuses the geometry).
     // lint: pause-window
     pub fn frames_mut(&mut self, slot: usize) -> &mut [u8] {
         self.slots
             .get_mut(slot)
-            .and_then(|s| Arc::get_mut(&mut s.frames))
-            .map(Vec::as_mut_slice)
+            .map(|s| s.frames.as_mut_slice())
             .unwrap_or(&mut [])
     }
 
@@ -351,72 +330,36 @@ impl StagingArea {
         s.sector_bytes.extend_from_slice(bytes);
     }
 
-    /// Start the head start on `pool`'s resident helper: list the slot's
-    /// pages in the order the walk packed them (`pool.walked()`), note the
-    /// backup's write stamp, and send the helper a [`HeadStart`] over the
-    /// slot. Call it after a passing verdict, with the slot complete, and
-    /// [`reclaim`](Self::reclaim) before anything touches the slot or the
-    /// backup again. `Ok(false)` when there is nothing to start: the pool
-    /// has no helper (one worker, or a one-CPU host), or an older slot is
-    /// still in flight and its drain will rewrite the frames the kernels
-    /// would describe.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::HeadStartLost`] when the helper thread is gone.
+    /// The head start over `slot`, for the engine to lend while it spins
+    /// out the resume: lists the slot's pages (`walked`: the walk's page
+    /// list, in the MFN order it packed them in) and notes the backup's
+    /// write stamp. Call it after a passing verdict, with the slot
+    /// complete. `None` when an older slot is still in flight: its drain
+    /// will rewrite the frames the kernels would describe.
     // lint: pause-window
-    pub(crate) fn lend(
-        &mut self,
+    pub(crate) fn head_start<'a>(
+        &'a mut self,
         slot: usize,
-        backup: &BackupVm,
-        pool: &mut PauseWindowPool,
-    ) -> Result<bool, CheckpointError> {
-        if !pool.has_helper() || self.in_flight() != 1 {
-            return Ok(false);
+        backup: &'a BackupVm,
+        walked: &[MappedPage],
+        stop: &'a AtomicBool,
+    ) -> Option<HeadStart<'a>> {
+        if self.in_flight() != 1 {
+            return None;
         }
-        let Some(s) = self.slots.get_mut(slot) else {
-            return Ok(false);
-        };
-        let walked = pool.walked();
-        // Buffers that went down with a dead helper are not regrown here.
-        if s.entries.capacity() < walked.len() || s.kernels.capacity() < walked.len() {
-            return Ok(false);
-        }
+        let s = self.slots.get_mut(slot)?;
         s.entries.clear();
         s.entries.extend_from_slice(walked);
         s.kernels.clear();
         s.kernels_stamp = backup.write_stamp();
-        pool.lend(HeadStart {
-            backup: backup.share_frames(),
-            staged: Arc::clone(&s.frames),
-            pages: std::mem::take(&mut s.entries),
-            kernels: std::mem::take(&mut s.kernels),
+        Some(HeadStart {
+            backup: backup.frames(),
+            staged: &s.frames,
+            pages: &s.entries,
+            kernels: &mut s.kernels,
             limit: usize::MAX,
-        })?;
-        Ok(true)
-    }
-
-    /// Stop the head start [`lend`](Self::lend) started and take the
-    /// slot's page list and kernels back. On return the helper holds no
-    /// handle on the slot or the backup.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::HeadStartLost`] when the helper died with the
-    /// job. The images are intact (it only ever held shared handles); the
-    /// slot's page list is gone, so the caller drops the slot.
-    // lint: pause-window
-    pub(crate) fn reclaim(
-        &mut self,
-        slot: usize,
-        pool: &mut PauseWindowPool,
-    ) -> Result<(), CheckpointError> {
-        let HeadStartDone { pages, kernels } = pool.reclaim()?;
-        if let Some(s) = self.slots.get_mut(slot) {
-            s.entries = pages;
-            s.kernels = kernels;
-        }
-        Ok(())
+            stop,
+        })
     }
 
     /// Seal a staged slot after a passing verdict: record the page list
@@ -535,7 +478,7 @@ impl StagingArea {
     /// module header for why that is sound. This is deliberately **not**
     /// pause-window code: no cipher or socket call is reachable from the
     /// window's roots on the deferred path, and the only digest call that
-    /// is runs on the helper thread, which the guest does not wait for.
+    /// is runs on a resident worker, which the guest does not wait for.
     ///
     /// # Errors
     ///
@@ -695,6 +638,7 @@ mod tests {
     use crate::copy::PageCopier;
     use crate::integrity::{chunk_digest, content_digest};
     use crate::pool::PauseWindowPool;
+    use std::sync::atomic::AtomicBool;
     use crimes_vm::Vm;
 
     fn vm_with_writes() -> (Vm, Vec<MappedPage>) {
@@ -734,10 +678,13 @@ mod tests {
         pool.run_staging(vm.memory(), area.frames_mut(slot), mapped, &[&PageCopier::memcpy()])
             .expect("no faults armed");
         if let Some((backup, pages)) = head_start {
-            pool.ensure_helper();
+            pool.start_workers();
             pool.pin_head_start(pages);
-            assert_eq!(area.lend(slot, backup, &mut pool), Ok(true));
-            area.reclaim(slot, &mut pool).expect("the helper answers");
+            let stop = AtomicBool::new(false);
+            let mut job = area
+                .head_start(slot, backup, pool.walked(), &stop)
+                .expect("the one slot in flight");
+            pool.head_start(|| {}, &mut job).expect("the worker answers");
         }
         area.seal(slot, mapped, 42)
     }
@@ -1067,7 +1014,7 @@ mod tests {
     /// Kernels are statements about the backup at the time of the head
     /// start: a frame write in between — even to a frame the slot does not
     /// cover, by a path that goes round the drain — voids them all. (What
-    /// the engine can do to a backup between lend and drain is in its
+    /// the engine can do to a backup between head start and drain is in its
     /// `head_start_kernels_die_with_the_backup_they_describe`.)
     #[test]
     fn a_raw_backup_write_voids_the_head_start() {

@@ -988,6 +988,10 @@ impl Crimes {
         }
         self.telemetry
             .record_dirty_pages(u64::try_from(report.dirty_pages).unwrap_or(u64::MAX));
+        self.telemetry.add(
+            Counter::WalkShardsTakenBack,
+            u64::try_from(report.shards_taken_back).unwrap_or(u64::MAX),
+        );
         for (slot, stats) in self.checkpointer.worker_stats() {
             self.telemetry.record_worker(
                 slot,

@@ -15,8 +15,10 @@
 //!   and returns it when its boundary is finished; with all of them out
 //!   the next tenant waits. Saturation is refused before a guest is
 //!   suspended (fail closed).
-//! * **Pause lanes.** A round spawns
-//!   `min(max_concurrent_pauses, host CPUs)` lane threads. The calling
+//! * **Pause lanes.** The scheduler keeps
+//!   `min(max_concurrent_pauses, host CPUs)` lanes: resident threads
+//!   ([`Resident`]), started before its first threaded round and parked
+//!   between rounds, each lent the round's `lane` closure. The calling
 //!   thread walks the tenants in stagger order — skip checks, lease, the
 //!   caller's `work` closure — and hands each tenant with its lease to a
 //!   free lane, which runs the tenant's whole boundary: the pause half on
@@ -43,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
-use crimes_checkpoint::{PoolLease, SharedPausePool, MAX_WORKERS};
+use crimes_checkpoint::{PoolLease, Resident, SharedPausePool, Task, MAX_WORKERS};
 use crimes_telemetry::{Counter, Telemetry};
 use crimes_vm::{Vm, VmError};
 
@@ -123,9 +125,11 @@ pub struct SchedulerStats {
 pub struct FleetScheduler {
     pool: SharedPausePool,
     config: FleetSchedulerConfig,
-    /// Pause lanes a threaded round runs: `max_concurrent_pauses` capped
-    /// by the host's CPUs, settled once here.
-    lanes: usize,
+    /// The pause lanes of a threaded round: `max_concurrent_pauses`
+    /// capped by the host's CPUs, settled once here; none where that
+    /// leaves one (it would only move the serial sequence to another
+    /// thread).
+    lanes: Resident,
     /// Scheduler-level counters (rounds, leases, the fleet clamp);
     /// merged over the tenants' own telemetry in each round snapshot.
     telemetry: Telemetry,
@@ -229,7 +233,7 @@ struct Lanes<'a> {
     /// The lanes' shared job queue.
     jobs: Sender<Job<'a>>,
     done: Receiver<Finished<'a>>,
-    /// Lane threads running; 0 when the round runs inline.
+    /// Lanes lent this round's `lane`; 0 when the round runs inline.
     width: usize,
     /// Tenants handed to a lane and not yet settled.
     in_flight: Vec<&'a str>,
@@ -331,10 +335,11 @@ impl FleetScheduler {
         // core): a lane past it would only time-share a core and stretch
         // every guest's pause.
         let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let lanes = capacity.min(host_cpus);
         FleetScheduler {
             pool: SharedPausePool::new(granted, num_pages, hypercall_steps, capacity),
             config,
-            lanes: capacity.min(host_cpus),
+            lanes: Resident::new(if lanes > 1 { lanes } else { 0 }),
             telemetry,
             rounds: 0,
             requested_workers: requested,
@@ -405,13 +410,11 @@ impl FleetScheduler {
         // run every boundary inline.
         let threaded = self.config.overlap_drains && !crimes_faults::is_active();
         let capacity = self.pool.capacity();
-        // One lane would only move the serial sequence to another thread:
-        // such a round runs here instead, with no threads at all.
-        let width = if threaded && self.lanes > 1 {
-            self.lanes
-        } else {
-            0
-        };
+        if threaded {
+            // Outside every window: no tenant of this round has run yet.
+            self.lanes.start();
+        }
+        let width = if threaded { self.lanes.threads() } else { 0 };
         let pool = &mut self.pool;
         let telemetry = &mut self.telemetry;
 
@@ -440,18 +443,19 @@ impl FleetScheduler {
             in_flight: Vec::new(),
             lost: Vec::new(),
         };
-        let lost = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..width)
-                .map(|_| {
-                    let done_tx = done_tx.clone();
-                    let jobs = &jobs;
-                    s.spawn(move || lane(jobs, &done_tx))
-                })
-                .collect();
-            // Only lanes hold senders now: `recv` fails instead of
-            // hanging should they all be gone.
-            drop(done_tx);
-
+        // Only lanes hold senders: `recv` fails instead of hanging
+        // should they all be gone.
+        let mut lent: Vec<_> = (0..width)
+            .map(|_| {
+                let (jobs, done_tx) = (&jobs, done_tx.clone());
+                move || lane(jobs, &done_tx)
+            })
+            .collect();
+        drop(done_tx);
+        let mut lost = Vec::new();
+        // The calling thread's share of the round; the lanes end when it
+        // is done and drops the job queue's sender, started or not.
+        let dispatch = || {
             for (name, crimes) in entries {
                 if crimes.is_quarantined() {
                     crimes.note_fleet_skip();
@@ -493,17 +497,12 @@ impl FleetScheduler {
                 lanes.dispatch(job, pool, &mut summary);
             }
             while lanes.settle_one(pool, &mut summary) {}
-
-            // Closing the job queue ends the lanes. Joined by hand: a
-            // lane cannot unwind past `run_boundary`, and if one did, its
-            // tenant is already accounted for above.
-            let Lanes { jobs, lost, .. } = lanes;
-            drop(jobs);
-            for handle in handles {
-                let _ = handle.join();
-            }
-            lost
-        });
+            lost = lanes.lost;
+        };
+        // A lane cannot unwind past `run_boundary`; if one did, its tenant
+        // is accounted for through `lost`, and later rounds run inline.
+        let _ = self.lanes.scope(dispatch, lent.iter_mut().map(|lane| lane as &mut dyn Task));
+        drop(lent);
         drop(jobs);
         for name in lost {
             if let Some(crimes) = fleet.get_mut(&name) {

@@ -23,6 +23,7 @@
 //! * **Accountable** — per-point draw/hit counters ([`counters`]) prove
 //!   which failure paths a run actually exercised.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -18,6 +18,8 @@
 //! ignores, because releasing an output on the strength of a corrupt
 //! record would break the fail-closed contract.
 
+#![forbid(unsafe_code)]
+
 mod journal;
 
 pub use journal::{

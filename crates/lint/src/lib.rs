@@ -26,6 +26,8 @@
 //! `// lint: allow(<rule>) -- reason`, and the binary counts and prints
 //! every suppression it honoured (and flags the stale ones).
 
+#![forbid(unsafe_code)]
+
 mod callgraph;
 mod cfg;
 mod dataflow;

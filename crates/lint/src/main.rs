@@ -12,6 +12,8 @@
 //! rendering moves to stderr), which `scripts/verify.sh` captures as
 //! `LINT_REPORT.json`.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

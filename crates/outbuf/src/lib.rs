@@ -23,6 +23,7 @@
 //! assert_eq!(buf.discard(), 1); // the packet never escaped
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

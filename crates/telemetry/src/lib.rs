@@ -25,6 +25,8 @@
 //! Everything here is hermetic: no dependencies, no I/O, no wall-clock
 //! reads outside [`RealClock`].
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod export;
 pub mod metrics;

@@ -83,18 +83,24 @@ pub enum Counter {
     /// Drained pages probed against the content-addressed store that had
     /// to ship their bytes (dedup enabled, no matching digest).
     DedupMisses,
-    /// Drained pages whose compare-and-digest pass the pause pool's
-    /// helper had already made when the guest resumed. Against
+    /// Drained pages whose compare-and-digest pass a resident pause
+    /// worker had already made when the guest resumed. Against
     /// `drain_acks` × dirty pages it says how much of the drain ran
-    /// before anyone was waiting for it; how far the helper gets is a
+    /// before anyone was waiting for it; how far the worker gets is a
     /// matter of timing, so unlike the other counters this one is not
     /// reproducible run to run.
     DrainHeadStartPages,
+    /// Walk shards lent to a resident pause worker and taken back by the
+    /// boundary's own thread because the worker had not started them when
+    /// that thread's shard was done. Against epochs × (`pause_workers` −
+    /// 1) it says how often the second CPU is not delivering; like the
+    /// head start, a matter of timing and not reproducible run to run.
+    WalkShardsTakenBack,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 25] = [
         Counter::EpochsCommitted,
         Counter::AttacksDetected,
         Counter::SpeculationExtensions,
@@ -119,6 +125,7 @@ impl Counter {
         Counter::DedupHits,
         Counter::DedupMisses,
         Counter::DrainHeadStartPages,
+        Counter::WalkShardsTakenBack,
     ];
 
     /// The counter's stable export name (snake_case; part of the
@@ -149,6 +156,7 @@ impl Counter {
             Counter::DedupHits => "dedup_hits",
             Counter::DedupMisses => "dedup_misses",
             Counter::DrainHeadStartPages => "drain_head_start_pages",
+            Counter::WalkShardsTakenBack => "walk_shards_taken_back",
         }
     }
 

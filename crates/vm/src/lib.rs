@@ -40,6 +40,7 @@
 //!
 //! [CRIMES]: https://doi.org/10.1145/3274808.3274812
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -13,6 +13,7 @@
 //!   malware (§5.6), rootkit-hide, and syscall-hijack attacks,
 //! * [`blacklist`] — the stand-in for the McAfee malware registry.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

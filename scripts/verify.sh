@@ -54,54 +54,63 @@ LINT_BROKEN_CODE=$?
 set -e
 test "${LINT_BROKEN_CODE}" -eq 2
 
+echo "==> unsafe budget: one block in the workspace (crates/checkpoint/src/resident.rs)"
+# rustc enforces where it may be (`forbid(unsafe_code)` in every crate but
+# crimes-checkpoint, which denies it outside `mod resident`); this counts
+# how many there are. Lint fixtures are parsed, not compiled.
+UNSAFE_SITES="$(grep -rnE '\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' --include='*.rs' \
+    src crates tests examples | grep -v '^crates/lint/' || true)"
+echo "${UNSAFE_SITES}" | sed 's/^/    /'
+test "$(echo "${UNSAFE_SITES}" | grep -c .)" -eq 1
+echo "${UNSAFE_SITES}" | grep -q '^crates/checkpoint/src/resident.rs:'
+
 echo "==> benches compile (in-tree harness, no criterion)"
 cargo bench --no-run --offline
 
 echo "==> pause-window bench smoke (one boundary: 1/2/4 workers, deferred, encoded, encoded-2)"
 # A short run of the baseline bench drives the one epoch boundary at
-# each worker count (inline and sharded), with the staging sink
-# (deferred stage+drain) and with the content-aware (delta + dedup)
-# drain, end to end; the JSON goes to a scratch path so the committed
-# BENCH_pause_window.json keeps its full-length numbers. The greps pin
-# the deferred and encoded variants into the emitted JSON — a regression
-# that drops either from the sweep fails here — and the encoded drain
-# must actually save wire bytes on the fig7 workload.
+# each worker count, with the staging sink (deferred stage+drain) and
+# with the content-aware (delta + dedup) drain, end to end; the JSON goes
+# to a scratch path so the committed BENCH_pause_window.json keeps its
+# full-length numbers. The greps pin the deferred and encoded variants
+# into the emitted JSON — a regression that drops either from the sweep
+# fails here — and the encoded drain must actually save wire bytes on the
+# fig7 workload.
 #
-# On a host with a second CPU, `encoded-2` (the same drain on a two-worker
-# pool, whose resident helper starts it during the resume) must leave the
-# drain less to do than `encoded` without stretching the pause: drain_ms
-# below, mean_pause_ms within 5 %. Three measured epochs are a small
-# sample and whether the helper gets the second CPU is the host's call
-# (a halted vCPU is passed over for wake-ups here; the head start then
-# covers nothing and costs nothing), so the pair gets three tries.
+# On a host with a second CPU the resident workers must deliver, first
+# try: `fused-2` (shard 1 on a parked worker) must not pause longer than
+# `fused-1` — BENCHMARK.json's "a parallel walk must not lose to one
+# worker here" — and `encoded-2` (the same drain as `encoded` on a
+# two-worker pool, whose worker starts it during the resume) must leave
+# the drain less to do without stretching the pause: drain_ms below,
+# mean_pause_ms within 5 %.
 SMOKE_JSON="$(mktemp)"
 pause_window_field() { # <variant> <field>
     grep "\"name\": \"$1\"" "${SMOKE_JSON}" | grep -o "\"$2\": [0-9.]*" | grep -o '[0-9.]*$'
 }
-for attempt in 1 2 3; do
-    CRIMES_BENCH_EPOCHS=3 CRIMES_BENCH_OUT="${SMOKE_JSON}" scripts/bench_baseline.sh > /dev/null
-    grep -q '"name": "deferred"' "${SMOKE_JSON}"
-    grep -q '"name": "encoded"' "${SMOKE_JSON}"
-    grep -q '"name": "encoded-2"' "${SMOKE_JSON}"
-    BYTES_SAVED="$(grep -o '"encoded_bytes_saved_delta": [0-9]*' "${SMOKE_JSON}" \
-        | head -n1 | grep -o '[0-9]*$')"
-    echo "    encoded drain saved ${BYTES_SAVED:-0} wire bytes/epoch"
-    awk -v b="${BYTES_SAVED:-0}" 'BEGIN { exit !(b > 0) }'
-    PAUSE_CPUS="$(grep -o '"host_cpus": [0-9]*' "${SMOKE_JSON}" | head -n1 | grep -o '[0-9]*$')"
-    if [ "${PAUSE_CPUS:-1}" -lt 2 ]; then
-        echo "    one CPU: no helper, encoded-2 not compared"
-        break
-    fi
+CRIMES_BENCH_EPOCHS=3 CRIMES_BENCH_OUT="${SMOKE_JSON}" scripts/bench_baseline.sh > /dev/null
+grep -q '"name": "deferred"' "${SMOKE_JSON}"
+grep -q '"name": "encoded"' "${SMOKE_JSON}"
+grep -q '"name": "encoded-2"' "${SMOKE_JSON}"
+BYTES_SAVED="$(grep -o '"encoded_bytes_saved_delta": [0-9]*' "${SMOKE_JSON}" \
+    | head -n1 | grep -o '[0-9]*$')"
+echo "    encoded drain saved ${BYTES_SAVED:-0} wire bytes/epoch"
+awk -v b="${BYTES_SAVED:-0}" 'BEGIN { exit !(b > 0) }'
+PAUSE_CPUS="$(grep -o '"host_cpus": [0-9]*' "${SMOKE_JSON}" | head -n1 | grep -o '[0-9]*$')"
+if [ "${PAUSE_CPUS:-1}" -lt 2 ]; then
+    echo "    one CPU: no resident worker, fused-2 and encoded-2 not compared"
+else
+    echo "    fused-1:   pause $(pause_window_field fused-1 mean_pause_ms) ms"
+    echo "    fused-2:   pause $(pause_window_field fused-2 mean_pause_ms) ms"
     echo "    encoded:   pause $(pause_window_field encoded mean_pause_ms) ms, drain $(pause_window_field encoded drain_ms) ms"
     echo "    encoded-2: pause $(pause_window_field encoded-2 mean_pause_ms) ms, drain $(pause_window_field encoded-2 drain_ms) ms," \
-        "$(pause_window_field encoded-2 head_start_pages_per_epoch) pages/epoch head-started (try ${attempt})"
-    if awk -v d1="$(pause_window_field encoded drain_ms)" -v d2="$(pause_window_field encoded-2 drain_ms)" \
-           -v p1="$(pause_window_field encoded mean_pause_ms)" -v p2="$(pause_window_field encoded-2 mean_pause_ms)" \
-           'BEGIN { exit !(d2 < d1 && p2 <= 1.05 * p1) }'; then
-        break
-    fi
-    test "${attempt}" -lt 3
-done
+        "$(pause_window_field encoded-2 head_start_pages_per_epoch) pages/epoch head-started"
+    awk -v f1="$(pause_window_field fused-1 mean_pause_ms)" -v f2="$(pause_window_field fused-2 mean_pause_ms)" \
+        'BEGIN { exit !(f2 <= f1) }'
+    awk -v d1="$(pause_window_field encoded drain_ms)" -v d2="$(pause_window_field encoded-2 drain_ms)" \
+        -v p1="$(pause_window_field encoded mean_pause_ms)" -v p2="$(pause_window_field encoded-2 mean_pause_ms)" \
+        'BEGIN { exit !(d2 < d1 && p2 <= 1.05 * p1) }'
+fi
 rm -f "${SMOKE_JSON}"
 
 echo "==> fleet bench smoke (20-tenant staggered round over leased walkers)"

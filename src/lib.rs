@@ -12,6 +12,7 @@
 //! * [`outbuf`] — speculative-execution output buffering,
 //! * [`workloads`] — PARSEC/web workloads, the ASan baseline, attacks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use crimes;

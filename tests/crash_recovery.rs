@@ -43,7 +43,7 @@ fn deferred_config() -> CrimesConfig {
 }
 
 /// [`deferred_config`] at another worker count. With one worker the
-/// engine's pool has no helper, so no drain gets a head start.
+/// engine's pool has no resident worker, so no drain gets a head start.
 fn deferred_config_with(pause_workers: usize) -> CrimesConfig {
     let mut b = CrimesConfig::builder();
     b.epoch_interval_ms(20)
@@ -321,10 +321,10 @@ fn recovery_at_every_epoch_kill_point_matches_the_live_run() {
     assert_no_unacked_release(&EvidenceJournal::records(resumed.journal().bytes()));
 }
 
-/// The drain's head start (a two-worker pool's resident helper runs the
+/// The drain's head start (a two-worker pool's resident worker runs the
 /// drain's read-only half while the guest resumes) is not a second way
 /// to drain: the eventful run — outage, backlog of staged slots,
-/// failover, flush — on a one-worker pool, which has no helper, leaves
+/// failover, flush — on a one-worker pool, which has no such worker, leaves
 /// the same journal, the same backup and the same fingerprint at every
 /// kill point as on the two-worker pool every other test here uses.
 #[test]

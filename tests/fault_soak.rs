@@ -24,6 +24,7 @@
 
 use crimes::modules::{CanaryScanModule, HiddenProcessModule};
 use crimes::{Crimes, CrimesConfig, CrimesError, EpochOutcome};
+use crimes_checkpoint::resident::{pin, Placement};
 use crimes_faults::{install, FaultPlan, FaultPoint};
 use crimes_outbuf::{NetPacket, Output};
 use crimes_rng::ChaCha8Rng;
@@ -565,116 +566,181 @@ fn fleet_soak_scheduler_fail_closed_under_injected_faults() {
     assert!(committed > 0, "the fleet must make progress under faults");
 }
 
-/// The drain's head start is production code, so it stays on under an
-/// armed plan — it draws no fault and installs none. A deferred tenant
-/// soaked on a two-worker pool (whose spare worker, on a host with a
-/// second CPU, is the resident helper that starts each drain early) must
-/// therefore be the same run as on a one-worker pool, which has no
-/// helper: same outcome per epoch, same journal bytes, same backup, and
-/// the same number of draws at every fault point.
-///
-/// The plan is the soak's minus the two walk points: those are drawn on
-/// the walk's workers, one schedule per worker, so by design they differ
-/// with the worker count whatever the helper does.
-#[test]
-fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
+/// What one soaked tenant lineage leaves behind: everything that must not
+/// depend on which thread did what.
+struct SoakRun {
+    /// Outcome per epoch (and per rollback).
+    outcomes: Vec<String>,
+    /// Journal bytes, then backup image, of every tenant generation.
+    images: Vec<Vec<u8>>,
+    /// `(point, draws, hits)` over the whole run, walk forks absorbed.
+    faults: Vec<(&'static str, u64, u64)>,
+    acks: u64,
+}
+
+/// Soak a lineage of tenants (a quarantined one is replaced) under `plan`
+/// with the walk's lent shards pinned to `placement`. Comes back with the
+/// run and the pages its drains found head-started, which is a matter of
+/// timing.
+fn one_soak(
+    pause_workers: usize,
+    staging_buffers: usize,
+    placement: Placement,
+    plan: FaultPlan,
+) -> (SoakRun, u64) {
     let seed = env_u64("CRIMES_FAULT_SEED", DEFAULT_SEED);
     let epochs = env_u64("CRIMES_SOAK_EPOCHS", DEFAULT_EPOCHS) / 4;
-    let plan = soak_plan()
-        .with_rate(FaultPoint::PageCopy, 0)
-        .with_rate(FaultPoint::BackupWrite, 0);
-
-    let run = |pause_workers: usize| {
-        let _scope = install(plan, seed);
-        let mut driver = ChaCha8Rng::seed_from_u64(seed ^ 0xd21_4e55);
-        let mut cfg = CrimesConfig::builder();
-        cfg.epoch_interval_ms(10)
-            .history_depth(3)
-            .retain_history_images(true)
-            .pause_workers(pause_workers)
-            .staging_buffers(2)
-            .delta_threshold(64)
-            .dedup(true);
-        let cfg = cfg.build().expect("valid config");
-        let mut generation = 0u64;
-        let mut tenant = || {
-            warmed_tenant(&mut generation, |seed| {
-                tenant_with(seed, cfg, || Arc::new(TestClock::new()))
-            })
-        };
-        let (mut c, mut pid) = tenant();
-
-        let mut outcomes = Vec::new();
-        let mut journals = Vec::new();
-        let mut acks = 0u64;
-        let mut head_started = 0u64;
-        for epoch in 0..epochs {
-            if driver.gen_range(0..4) != 0 {
-                let _ = c.submit_output(Output::Net(NetPacket::new(epoch, vec![epoch as u8; 24])));
-            }
-            let attack = driver.gen_range(0..100) < 5;
-            let result = c.run_epoch(|vm, ms| {
-                let obj = vm.malloc(pid, 48)?;
-                vm.write_user(pid, obj, &[epoch as u8; 48], 0x1000)?;
-                vm.free(pid, obj)?;
-                vm.write_disk(epoch % 16, &[epoch as u8; 32])?;
-                if attack {
-                    attacks::inject_heap_overflow(vm, pid, 32, 8)?;
-                }
-                vm.advance_time(ms * 1_000_000);
-                Ok(())
-            });
-            outcomes.push(match &result {
-                Ok(EpochOutcome::Committed { released, .. }) => format!("committed {}", released.len()),
-                Ok(EpochOutcome::AttackDetected { .. }) => "detected".to_owned(),
-                Ok(EpochOutcome::Extended { consecutive, .. }) => format!("extended {consecutive}"),
-                Ok(EpochOutcome::Degraded { .. }) => "degraded".to_owned(),
-                Err(e) => format!("error: {e}"),
-            });
-            if matches!(result, Ok(EpochOutcome::AttackDetected { .. })) {
-                outcomes.push(match c.rollback_and_resume() {
-                    Ok(discarded) => format!("rolled back, {discarded} discarded"),
-                    Err(e) => format!("rollback error: {e}"),
-                });
-            }
-            if c.is_quarantined() || epoch + 1 == epochs {
-                journals.push(c.journal().bytes().to_vec());
-                journals.push(c.checkpointer().backup().frames().to_vec());
-                acks += c.telemetry().counter(Counter::DrainAcks);
-                head_started += c.telemetry().counter(Counter::DrainHeadStartPages);
-            }
-            if c.is_quarantined() {
-                (c, pid) = tenant();
-            }
-        }
-        let counters = crimes_faults::counters();
-        // The walk points are drawn (at rate zero) once per worker.
-        let draws: Vec<_> = FaultPoint::ALL
-            .into_iter()
-            .filter(|p| ![FaultPoint::PageCopy, FaultPoint::BackupWrite].contains(p))
-            .map(|p| (p.name(), counters.draws(p), counters.hits(p)))
-            .collect();
-        (outcomes, journals, draws, acks, head_started)
+    let _pin = pin(placement);
+    let _scope = install(plan, seed);
+    let mut driver = ChaCha8Rng::seed_from_u64(seed ^ 0xd21_4e55);
+    let mut cfg = CrimesConfig::builder();
+    cfg.epoch_interval_ms(10)
+        .history_depth(3)
+        .retain_history_images(true)
+        .pause_workers(pause_workers)
+        .staging_buffers(staging_buffers)
+        .delta_threshold(64)
+        .dedup(true);
+    let cfg = cfg.build().expect("valid config");
+    let mut generation = 0u64;
+    let mut tenant = || {
+        warmed_tenant(&mut generation, |seed| {
+            tenant_with(seed, cfg, || Arc::new(TestClock::new()))
+        })
     };
+    let (mut c, mut pid) = tenant();
 
-    let (one, two) = (run(1), run(2));
-    assert_eq!(one.0, two.0, "outcomes, epoch by epoch");
-    assert!(one.1 == two.1, "every tenant's journal bytes and backup image");
-    assert_eq!(one.2, two.2, "draws and hits per fault point");
-    assert_eq!(one.3, two.3, "drains acknowledged");
-    assert_eq!(one.4, 0, "one worker has no helper to lend to");
-    for point in [FaultPoint::BackupDrain, FaultPoint::BackupOutage, FaultPoint::PageCorrupt] {
-        let hits = one.2.iter().find(|(name, ..)| *name == point.name()).map(|h| h.2);
-        assert!(hits > Some(0), "{} never fired: the soak proved nothing about it", point.name());
+    let mut run = SoakRun {
+        outcomes: Vec::new(),
+        images: Vec::new(),
+        faults: Vec::new(),
+        acks: 0,
+    };
+    let mut head_started = 0u64;
+    for epoch in 0..epochs {
+        if driver.gen_range(0..4) != 0 {
+            let _ = c.submit_output(Output::Net(NetPacket::new(epoch, vec![epoch as u8; 24])));
+        }
+        let attack = driver.gen_range(0..100) < 5;
+        let result = c.run_epoch(|vm, ms| {
+            let obj = vm.malloc(pid, 48)?;
+            vm.write_user(pid, obj, &[epoch as u8; 48], 0x1000)?;
+            vm.free(pid, obj)?;
+            vm.write_disk(epoch % 16, &[epoch as u8; 32])?;
+            if attack {
+                attacks::inject_heap_overflow(vm, pid, 32, 8)?;
+            }
+            vm.advance_time(ms * 1_000_000);
+            Ok(())
+        });
+        run.outcomes.push(match &result {
+            Ok(EpochOutcome::Committed { released, .. }) => format!("committed {}", released.len()),
+            Ok(EpochOutcome::AttackDetected { .. }) => "detected".to_owned(),
+            Ok(EpochOutcome::Extended { consecutive, .. }) => format!("extended {consecutive}"),
+            Ok(EpochOutcome::Degraded { .. }) => "degraded".to_owned(),
+            Err(e) => format!("error: {e}"),
+        });
+        if matches!(result, Ok(EpochOutcome::AttackDetected { .. })) {
+            run.outcomes.push(match c.rollback_and_resume() {
+                Ok(discarded) => format!("rolled back, {discarded} discarded"),
+                Err(e) => format!("rollback error: {e}"),
+            });
+        }
+        if c.is_quarantined() || epoch + 1 == epochs {
+            run.images.push(c.journal().bytes().to_vec());
+            run.images.push(c.checkpointer().backup().frames().to_vec());
+            run.acks += c.telemetry().counter(Counter::DrainAcks);
+            head_started += c.telemetry().counter(Counter::DrainHeadStartPages);
+        }
+        if c.is_quarantined() {
+            (c, pid) = tenant();
+        }
     }
+    let counters = crimes_faults::counters();
+    run.faults = FaultPoint::ALL
+        .into_iter()
+        .map(|p| (p.name(), counters.draws(p), counters.hits(p)))
+        .collect();
+    (run, head_started)
+}
+
+/// The walk's two fault points are drawn once per shard, each shard under
+/// its own forked schedule: by design they differ with the worker count.
+const WALK_POINTS: [FaultPoint; 2] = [FaultPoint::PageCopy, FaultPoint::BackupWrite];
+
+/// `a` and `b` are one run, the fault points named in `apart_from` aside.
+fn assert_one_run(a: &SoakRun, b: &SoakRun, apart_from: &[FaultPoint], what: &str) {
+    assert_eq!(a.outcomes, b.outcomes, "{what}: outcomes, epoch by epoch");
+    assert!(a.images == b.images, "{what}: every tenant's journal bytes and backup image");
+    let compared = |run: &SoakRun| -> Vec<_> {
+        let kept = |name: &str| apart_from.iter().all(|p| p.name() != name);
+        run.faults.iter().filter(|(name, ..)| kept(name)).copied().collect()
+    };
+    assert_eq!(compared(a), compared(b), "{what}: draws and hits per fault point");
+    assert_eq!(a.acks, b.acks, "{what}: drains acknowledged");
+}
+
+fn hits(run: &SoakRun, point: FaultPoint) -> u64 {
+    let hit = run.faults.iter().find(|(name, ..)| *name == point.name());
+    hit.map_or(0, |&(_, _, hits)| hits)
+}
+
+/// [`soak_plan`] minus the walk's points (drawn, at rate zero, per shard).
+fn plan_without_walk_points() -> FaultPlan {
+    WALK_POINTS.iter().fold(soak_plan(), |plan, &point| plan.with_rate(point, 0))
+}
+
+/// Threads are production code, so they stay on under an armed plan: a
+/// shard's forked plan goes with the shard to whichever thread walks it,
+/// and the drain's head start draws no fault and installs none. A
+/// deferred tenant soaked on a two-worker pool must therefore be the same
+/// run — same outcome per epoch, same journal bytes, same backup, the
+/// same draws and hits at every fault point, the walk's included —
+/// whether its lent shards ran on the resident worker, were all taken
+/// back by the boundary's own thread, or waited for it. And with the
+/// walk's points out of the plan (they are drawn per shard, so by design
+/// they differ with the worker count) it is the same run as on a
+/// one-worker pool, which has no thread at all and no head start.
+#[test]
+fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
+    let (free, head_started) = one_soak(2, 2, Placement::Free, soak_plan());
+    for placement in [Placement::TakeAll, Placement::TakeNone] {
+        let (pinned, _) = one_soak(2, 2, placement, soak_plan());
+        assert_one_run(&free, &pinned, &[], &format!("{placement:?}"));
+    }
+    let points = [FaultPoint::BackupDrain, FaultPoint::BackupOutage, FaultPoint::PageCorrupt];
+    for point in points.into_iter().chain(WALK_POINTS) {
+        assert!(hits(&free, point) > 0, "{} never fired: the soak proved nothing about it", point.name());
+    }
+
+    let (one, none_started) = one_soak(1, 2, Placement::Free, plan_without_walk_points());
+    let (two, _) = one_soak(2, 2, Placement::Free, plan_without_walk_points());
+    assert_one_run(&one, &two, &WALK_POINTS, "1 vs 2 pause workers");
+    assert_eq!(none_started, 0, "one worker has nobody to lend to");
     println!(
         "deferred soak: {} outcomes over {} tenant generations, {} drains acked, \
-         {} pages head-started on the spare worker",
-        one.0.len(),
-        one.1.len() / 2,
-        one.3,
-        two.4
+         {head_started} pages head-started on the spare worker",
+        free.outcomes.len(),
+        free.images.len() / 2,
+        free.acks,
     );
+}
+
+/// The in-window twin: the walk writes the backup under the undo log, and
+/// a faulted shard's restore must not depend on who walked it either.
+#[test]
+fn in_window_soak_is_one_run_wherever_the_walk_shards_run() {
+    let (free, _) = one_soak(2, 0, Placement::Free, soak_plan());
+    for placement in [Placement::TakeAll, Placement::TakeNone] {
+        let (pinned, _) = one_soak(2, 0, placement, soak_plan());
+        assert_one_run(&free, &pinned, &[], &format!("{placement:?}"));
+    }
+    for point in WALK_POINTS {
+        assert!(hits(&free, point) > 0, "{} never fired: the soak proved nothing about it", point.name());
+    }
+    let (one, _) = one_soak(1, 0, Placement::Free, plan_without_walk_points());
+    let (two, _) = one_soak(2, 0, Placement::Free, plan_without_walk_points());
+    assert_one_run(&one, &two, &WALK_POINTS, "1 vs 2 pause workers");
 }
 
 /// Quarantine invariants: the tenant is terminal and its outputs are

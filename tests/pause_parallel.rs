@@ -4,7 +4,10 @@
 //! for every worker count: same audit findings, same committed backup
 //! frames and disk, same combined digest. Every worker count runs the one
 //! boundary (`pause_workers = 1` walks a single shard inline), so equality
-//! between counts shows the shard geometry and the merge are exact — and,
+//! between counts shows the shard geometry and the merge are exact, and
+//! equality under every placement pin (all lent shards taken back by the
+//! boundary's thread, none, none until its own shard is done) shows that
+//! no result depends on which thread walked a shard — and,
 //! because that alone would compare the pipeline with itself, every
 //! committed epoch is also checked against references that are not the
 //! pipeline: the backup must equal the guest's own memory and disk, pass
@@ -15,6 +18,7 @@ use crimes::detector::ScanFinding;
 use crimes::modules::CanaryScanModule;
 use crimes::{Crimes, CrimesConfig, EpochOutcome};
 use crimes_checkpoint::image_digest;
+use crimes_checkpoint::resident::{pin, Placement};
 use crimes_rng::prop::{check, Config, Gen};
 use crimes_vm::Vm;
 use crimes_workloads::attacks;
@@ -54,7 +58,8 @@ struct Fingerprint {
     digest: u64,
 }
 
-fn drive(workers: usize, script: &[EpochScript]) -> Fingerprint {
+fn drive(workers: usize, placement: Placement, script: &[EpochScript]) -> Fingerprint {
+    let _pin = pin(placement);
     let mut b = Vm::builder();
     b.pages(2048).seed(77);
     let vm = b.build();
@@ -141,13 +146,15 @@ fn any_worker_count_is_bit_identical_to_serial() {
         Config::with_cases(8),
         |g: &mut Gen| {
             let script = g.vec(2..6, gen_epoch);
-            let serial = drive(WORKER_COUNTS[0], &script);
+            let serial = drive(WORKER_COUNTS[0], Placement::Free, &script);
             for &workers in &WORKER_COUNTS[1..] {
-                let fused = drive(workers, &script);
-                assert_eq!(
-                    serial, fused,
-                    "workers={workers} diverged from the serial boundary"
-                );
+                for placement in Placement::ALL {
+                    let fused = drive(workers, placement, &script);
+                    assert_eq!(
+                        serial, fused,
+                        "workers={workers} {placement:?} diverged from the serial boundary"
+                    );
+                }
             }
         },
     );
@@ -171,9 +178,11 @@ fn pinned_uneven_shards_match_serial() {
             overflow: None,
         },
     ];
-    let serial = drive(1, &script);
+    let serial = drive(1, Placement::Free, &script);
     assert_eq!(serial.outcomes, vec!['C', 'A', 'C']);
     for &workers in &WORKER_COUNTS[1..] {
-        assert_eq!(serial, drive(workers, &script), "workers={workers}");
+        for placement in Placement::ALL {
+            assert_eq!(serial, drive(workers, placement, &script), "workers={workers} {placement:?}");
+        }
     }
 }

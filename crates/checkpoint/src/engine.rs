@@ -248,8 +248,12 @@ impl Default for CheckpointConfig {
     }
 }
 
-/// What happened during one epoch's pause window.
+/// What happened during one epoch's pause window. Only the engine builds
+/// one (`#[non_exhaustive]`): with `verdict == Pass` and `pending == None`
+/// it is the framework's receipt that the epoch committed in the window,
+/// which is what releasing the epoch's held outputs requires.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct EpochReport {
     /// Epoch number (number of committed checkpoints before this one).
     pub epoch: u64,
@@ -283,8 +287,10 @@ pub struct EpochReport {
 
 /// The backup's acknowledgement of one drained epoch — the evidence-
 /// durability receipt the framework needs before releasing the epoch's
-/// impounded outputs.
+/// impounded outputs. Only [`Checkpointer::drain_staged`]'s `Ok` builds
+/// one (`#[non_exhaustive]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct DrainStats {
     /// The staging generation this ack covers (monotonic).
     pub generation: u64,

@@ -12,16 +12,15 @@
 //! quarantine (the VM suspends with outputs impounded until an operator
 //! intervenes).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crimes_checkpoint::{
-    AuditVerdict, BackupVm, Checkpointer, DrainTicket, EpochReport, FusedAudit, FusedPageVisitor,
-    PageFinding, PauseWindowPool, Phase,
+    AuditVerdict, BackupVm, Checkpointer, EpochReport, FusedAudit, FusedPageVisitor, PageFinding,
+    PauseWindowPool, Phase,
 };
 use crimes_faults::FaultPoint;
-use crimes_journal::{EvidenceJournal, Record};
+use crimes_journal::EvidenceJournal;
 use crimes_outbuf::{BufferStats, Output, OutputBuffer, OutputScanner};
 use crimes_telemetry::{Clock, Counter, EventKind, FlightRecorder, RealClock, Telemetry};
 use crimes_vm::{DirtyBitmap, MetaSnapshot, TraceMark, Vm, VmError};
@@ -32,6 +31,7 @@ use crate::async_scan::{AsyncScanResult, AsyncScanner};
 use crate::config::CrimesConfig;
 use crate::detector::{AuditReport, Detector, ScanModule};
 use crate::error::CrimesError;
+use crate::evidence::Evidence;
 
 /// What an epoch boundary produced.
 #[derive(Debug)]
@@ -123,7 +123,8 @@ pub struct PendingBoundary {
 }
 
 /// Counters for the framework's degraded modes — how often each
-/// robustness mechanism actually fired.
+/// robustness mechanism actually fired. A view of [`Telemetry`]'s counters
+/// of the same meaning (see [`Crimes::robustness_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RobustnessStats {
     /// Transient-VMI-fault retries performed inside audits.
@@ -227,7 +228,6 @@ struct BoundaryAudit<'a> {
     clock: &'a Arc<dyn Clock>,
     telemetry: &'a mut Telemetry,
     recorder: &'a mut FlightRecorder,
-    robustness: &'a mut RobustnessStats,
     /// Set by [`stage`](FusedAudit::stage); the deadline clock starts there.
     started_ns: Option<u64>,
     /// Index of the module whose visitor rides the walk.
@@ -325,7 +325,6 @@ impl FusedAudit for BoundaryAudit<'_> {
                 // and treat the audit as having consumed the whole budget
                 // (fail closed) rather than none of it. Silently timing it
                 // at zero would let an untimed audit fast-pass its deadline.
-                self.robustness.missing_audit_starts += 1;
                 self.telemetry.add(Counter::MissingAuditStarts, 1);
                 self.recorder
                     .record(self.epoch, now, EventKind::MissingAuditStart);
@@ -359,7 +358,10 @@ pub struct Crimes {
     vm: Vm,
     config: CrimesConfig,
     checkpointer: Checkpointer,
-    buffer: OutputBuffer,
+    /// Journal, output buffer, pending drain tickets and quarantine
+    /// latch: mutated only through [`Evidence`]'s transitions, each of
+    /// which journals before it takes effect.
+    evidence: Evidence,
     session: VmiSession,
     detector: Detector,
     analyzer: Analyzer,
@@ -374,8 +376,6 @@ pub struct Crimes {
     deferred: Vec<AsyncScanResult>,
     /// Findings of an unresolved failed audit.
     pending: Option<AuditReport>,
-    /// Degraded-mode counters.
-    robustness: RobustnessStats,
     /// Injectable monotonic time source (virtual in deterministic tests).
     clock: Arc<dyn Clock>,
     /// Preallocated counters and histograms.
@@ -384,21 +384,6 @@ pub struct Crimes {
     recorder: FlightRecorder,
     /// Inconclusive audits in a row (reset by any conclusive epoch).
     consecutive_extensions: u32,
-    /// Set once the VM is quarantined: `(reason, epoch)`. Terminal.
-    quarantined: Option<(&'static str, u64)>,
-    /// Durable write-ahead evidence journal: every impound, drain
-    /// ticket, incident, and quarantine is appended before it takes
-    /// effect, so [`Crimes::recover`] can rebuild the state after a
-    /// monitor crash.
-    journal: EvidenceJournal,
-    /// Flight-recorder events mirrored into the journal so far (the
-    /// ring overwrites; the journal must not miss events).
-    journal_synced: u64,
-    /// Drain tickets whose sessions have not acked yet, oldest first.
-    /// Non-empty only in degraded mode (backup unreachable within the
-    /// drain budget but backlog still within
-    /// [`CrimesConfig::max_staged_backlog`]).
-    pending_drains: VecDeque<DrainTicket>,
 }
 
 impl Crimes {
@@ -427,56 +412,27 @@ impl Crimes {
     ///
     /// Fails if introspection cannot initialise against the guest.
     pub fn protect_with_clock(
-        mut vm: Vm,
+        vm: Vm,
         config: CrimesConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, CrimesError> {
         let session = VmiSession::init(&vm)?;
         let checkpointer = Checkpointer::new(&vm, config.checkpoint);
-        vm.set_recording(true);
-        let last_good_meta = vm.meta_snapshot();
-        let epoch_start_mark = vm.trace_mark();
-        let mut telemetry = if config.checkpoint.staging_buffers > 0 {
-            // The deferred pipeline times its out-of-window drain as an
-            // extra phase after the paper's six in-window rows.
-            let mut labels: Vec<&'static str> = Phase::ALL.map(Phase::label).to_vec();
-            labels.push(DRAIN_PHASE_LABEL);
-            Telemetry::new(&labels)
-        } else {
-            Telemetry::new(&Phase::ALL.map(Phase::label))
-        };
-        if config.requested_pause_workers > config.checkpoint.pause_workers {
-            telemetry.add(Counter::PauseWorkerClamps, 1);
-        }
-        Ok(Crimes {
+        let evidence = Evidence::new(&config);
+        let mut crimes = Self::assemble(
             vm,
             config,
-            checkpointer,
-            buffer: OutputBuffer::with_limits(
-                config.safety,
-                config.max_held_outputs,
-                config.max_held_bytes,
-            ),
-            session,
-            detector: Detector::with_clock(clock.clone()),
-            analyzer: Analyzer::new(),
-            last_good_meta,
-            epoch_start_mark,
-            committed_epochs: 0,
-            output_scanner: None,
-            async_forensics: None,
-            deferred: Vec::new(),
-            pending: None,
-            robustness: RobustnessStats::default(),
             clock,
-            telemetry,
-            recorder: FlightRecorder::new(config.flight_recorder_epochs),
-            consecutive_extensions: 0,
-            quarantined: None,
-            journal: EvidenceJournal::new(),
-            journal_synced: 0,
-            pending_drains: VecDeque::new(),
-        })
+            session,
+            checkpointer,
+            evidence,
+            &[],
+            0,
+        );
+        if config.requested_pause_workers > config.checkpoint.pause_workers {
+            crimes.telemetry.add(Counter::PauseWorkerClamps, 1);
+        }
+        Ok(crimes)
     }
 
     /// Resume protection after a monitor crash from the surviving pieces:
@@ -498,7 +454,7 @@ impl Crimes {
     ///
     /// Fails if introspection cannot initialise against the guest.
     pub fn recover(
-        mut vm: Vm,
+        vm: Vm,
         backup: BackupVm,
         config: CrimesConfig,
         clock: Arc<dyn Clock>,
@@ -512,69 +468,80 @@ impl Crimes {
             backup,
             state.last_acked_generation,
         );
+        let evidence = Evidence::recovered(journal, &state, &config);
+        // Telemetry is process-local and starts fresh; the journal is the
+        // durable record, counters are observability.
+        let mut crimes = Self::assemble(
+            vm,
+            config,
+            clock,
+            session,
+            checkpointer,
+            evidence,
+            &state.events,
+            state.committed_epochs,
+        );
+        if crimes.is_quarantined() {
+            // The recorded quarantine is latched again already; the guest
+            // has to be suspended again too.
+            crimes.vm.vcpus_mut().pause_all();
+        } else if state.pending_incident.is_some() {
+            let _ = crimes.quarantine("incident was pending across a monitor crash");
+        }
+        Ok(crimes)
+    }
+
+    /// The one constructor body: a protected VM around pieces
+    /// [`protect_with_clock`](Self::protect_with_clock) made fresh or
+    /// [`recover`](Self::recover) rebuilt from the journal, `events` being
+    /// the flight-recorder timeline so far.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
+        mut vm: Vm,
+        config: CrimesConfig,
+        clock: Arc<dyn Clock>,
+        session: VmiSession,
+        checkpointer: Checkpointer,
+        evidence: Evidence,
+        events: &[(u64, u64, EventKind)],
+        committed_epochs: u64,
+    ) -> Self {
         vm.set_recording(true);
         let last_good_meta = vm.meta_snapshot();
         let epoch_start_mark = vm.trace_mark();
-        // Telemetry is process-local and starts fresh; the journal is the
-        // durable record, counters are observability.
-        let telemetry = if config.checkpoint.staging_buffers > 0 {
-            let mut labels: Vec<&'static str> = Phase::ALL.map(Phase::label).to_vec();
+        let mut labels: Vec<&'static str> = Phase::ALL.map(Phase::label).to_vec();
+        if config.checkpoint.staging_buffers > 0 {
+            // The deferred pipeline times its out-of-window drain as an
+            // extra phase after the paper's six in-window rows.
             labels.push(DRAIN_PHASE_LABEL);
-            Telemetry::new(&labels)
-        } else {
-            Telemetry::new(&Phase::ALL.map(Phase::label))
-        };
-        let mut buffer = OutputBuffer::with_limits(
-            config.safety,
-            config.max_held_outputs,
-            config.max_held_bytes,
-        );
-        for (output, enqueued_ns, generation) in &state.ack_pending {
-            buffer.restore_ack_pending(output.clone(), *enqueued_ns, *generation);
         }
-        for (output, enqueued_ns) in &state.held {
-            buffer.restore_held(output.clone(), *enqueued_ns);
-        }
+        // The ring is allocated here, after the snapshots above, as it
+        // always was: allocated before them it moved the benchmark's peak
+        // RSS by -2.5 to +1.9 MiB, by workload (heap placement, not use).
         let mut recorder = FlightRecorder::new(config.flight_recorder_epochs);
-        for &(epoch, at_ns, kind) in &state.events {
+        for &(epoch, at_ns, kind) in events {
             recorder.record(epoch, at_ns, kind);
         }
-        let journal_synced = recorder.recorded();
-        let mut crimes = Crimes {
+        Crimes {
             vm,
             config,
             checkpointer,
-            buffer,
+            evidence,
             session,
             detector: Detector::with_clock(clock.clone()),
             analyzer: Analyzer::new(),
             last_good_meta,
             epoch_start_mark,
-            committed_epochs: state.committed_epochs,
+            committed_epochs,
             output_scanner: None,
             async_forensics: None,
             deferred: Vec::new(),
             pending: None,
-            robustness: RobustnessStats::default(),
             clock,
-            telemetry,
+            telemetry: Telemetry::new(&labels),
             recorder,
             consecutive_extensions: 0,
-            quarantined: None,
-            journal,
-            journal_synced,
-            pending_drains: VecDeque::new(),
-        };
-        if let Some(epoch) = state.quarantined {
-            // Re-enter the recorded quarantine without double-journalling
-            // it: suspend the guest and restore the terminal marker.
-            crimes.vm.vcpus_mut().pause_all();
-            // lint: allow(write-ahead-discipline) -- the latch is read back from the replayed journal, not newly decided; a second Quarantined record would double-count the epoch
-            crimes.quarantined = Some(("quarantined before the crash", epoch));
-        } else if state.pending_incident.is_some() {
-            let _ = crimes.quarantine("incident was pending across a monitor crash");
         }
-        Ok(crimes)
     }
 
     /// Register a scan module.
@@ -652,13 +619,13 @@ impl Crimes {
 
     /// Output-buffer statistics.
     pub fn buffer_stats(&self) -> BufferStats {
-        self.buffer.stats()
+        self.evidence.buffer().stats()
     }
 
     /// The output buffer itself — the impound set is evidence, and crash
     /// harnesses fingerprint it directly.
     pub fn output_buffer(&self) -> &OutputBuffer {
-        &self.buffer
+        self.evidence.buffer()
     }
 
     /// Epochs committed so far.
@@ -673,9 +640,18 @@ impl Crimes {
     }
 
     /// Degraded-mode counters: how often retries, extensions, fallback
-    /// rollbacks, and quarantines actually fired.
+    /// rollbacks, and quarantines actually fired. Read out of
+    /// [`telemetry`](Self::telemetry), which is where they are counted.
     pub fn robustness_stats(&self) -> RobustnessStats {
-        self.robustness
+        let count = |counter| self.telemetry.counter(counter);
+        RobustnessStats {
+            vmi_retries: count(Counter::VmiRetries),
+            speculation_extensions: count(Counter::SpeculationExtensions),
+            commit_failures: count(Counter::CommitFailures),
+            fallback_rollbacks: count(Counter::FallbackRollbacks),
+            quarantines: count(Counter::Quarantines),
+            missing_audit_starts: count(Counter::MissingAuditStarts),
+        }
     }
 
     /// Telemetry accumulated so far: named counters, per-phase pause
@@ -695,19 +671,19 @@ impl Crimes {
     /// `true` once the VM has been quarantined (suspended, outputs
     /// impounded). Terminal until an operator replaces the instance.
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined.is_some()
+        self.evidence.quarantined().is_some()
     }
 
     /// The durable evidence journal (its bytes are what a crash-recovery
     /// harness feeds back into [`Crimes::recover`]).
     pub fn journal(&self) -> &EvidenceJournal {
-        &self.journal
+        self.evidence.journal()
     }
 
     /// Drain tickets awaiting a backup ack — non-zero only while the VM
     /// runs in degraded mode with the backup unreachable.
     pub fn pending_drain_count(&self) -> usize {
-        self.pending_drains.len()
+        self.evidence.pending().len()
     }
 
     /// Fleet bookkeeping: counts a round that skipped this VM because it
@@ -721,34 +697,14 @@ impl Crimes {
     /// cursors restart from zero against the standby and the failure
     /// streak resets; un-acked generations re-drain in full.
     pub fn failover_backup(&mut self) {
-        let failures = u64::from(self.checkpointer.drain_session_failures());
-        self.journal.append(&Record::Failover { failures });
+        self.evidence
+            .failover(u64::from(self.checkpointer.drain_session_failures()));
         self.checkpointer.failover_backup();
         self.telemetry.add(Counter::BackupFailovers, 1);
         let epoch = self.checkpointer.backup().epoch();
         self.recorder
             .record(epoch, self.clock.now_ns(), EventKind::BackupFailover);
-        self.sync_journal_events();
-    }
-
-    /// Mirror any flight-recorder events not yet journalled. Called at
-    /// every boundary exit; the ring holds at least one epoch's worth of
-    /// events, so per-boundary syncing never loses any to overwrite.
-    fn sync_journal_events(&mut self) {
-        let total = self.recorder.recorded();
-        let first_retained = total - self.recorder.len() as u64;
-        let skip = usize::try_from(self.journal_synced.saturating_sub(first_retained))
-            .unwrap_or(usize::MAX);
-        let fresh: Vec<(u64, u64, EventKind)> = self
-            .recorder
-            .events()
-            .skip(skip)
-            .map(|e| (e.epoch, e.at_ns, e.kind))
-            .collect();
-        for (epoch, at_ns, kind) in fresh {
-            self.journal.append_event(epoch, at_ns, kind);
-        }
-        self.journal_synced = total;
+        self.evidence.mirror_events(&self.recorder);
     }
 
     /// Enter quarantine: suspend the guest, impound the held outputs
@@ -756,19 +712,17 @@ impl Crimes {
     /// every subsequent operation fail with the returned error.
     pub(crate) fn quarantine(&mut self, reason: &'static str) -> CrimesError {
         self.vm.vcpus_mut().pause_all();
-        self.robustness.quarantines += 1;
         let epoch = self.checkpointer.backup().epoch();
-        self.journal.append(&Record::Quarantined { epoch });
+        self.evidence.quarantine(reason, epoch);
         self.telemetry.add(Counter::Quarantines, 1);
         self.recorder
             .record(epoch, self.clock.now_ns(), EventKind::Quarantined);
-        self.quarantined = Some((reason, epoch));
-        self.sync_journal_events();
+        self.evidence.mirror_events(&self.recorder);
         CrimesError::Quarantined { reason, epoch }
     }
 
     fn ensure_active(&self) -> Result<(), CrimesError> {
-        match self.quarantined {
+        match self.evidence.quarantined() {
             Some((reason, epoch)) => Err(CrimesError::Quarantined { reason, epoch }),
             None => Ok(()),
         }
@@ -786,21 +740,7 @@ impl Crimes {
     /// emit anything.
     pub fn submit_output(&mut self, output: Output) -> Result<Option<Output>, CrimesError> {
         self.ensure_active()?;
-        let now = self.vm.now_ns();
-        let journalled = output.clone();
-        let passed = self.buffer.submit(output, now)?;
-        if passed.is_none() {
-            // The output entered the impound set; journal it so recovery
-            // rebuilds the set. Journalling after the accept (not before)
-            // avoids phantom impounds from rejected submissions; a crash
-            // between the two loses at most the in-flight output, which
-            // is the conservative direction (never releases early).
-            self.journal.append(&Record::OutputHeld {
-                output: journalled,
-                submitted_ns: now,
-            });
-        }
-        Ok(passed)
+        Ok(self.evidence.hold(output, self.vm.now_ns())?)
     }
 
     /// Run one full epoch: `work` drives the guest for the configured
@@ -930,12 +870,11 @@ impl Crimes {
             checkpointer,
             session,
             detector,
-            buffer,
+            evidence,
             output_scanner,
             clock,
             telemetry,
             recorder,
-            robustness,
             ..
         } = self;
         let mut audit_slot: Option<AuditReport> = None;
@@ -947,7 +886,7 @@ impl Crimes {
             &mut BoundaryAudit {
                 detector,
                 session,
-                buffer,
+                buffer: evidence.buffer(),
                 output_scanner: output_scanner.as_ref(),
                 deadline,
                 vmi_retries,
@@ -956,7 +895,6 @@ impl Crimes {
                 clock,
                 telemetry,
                 recorder,
-                robustness,
                 started_ns: None,
                 staged: None,
                 stage_errors: Vec::new(),
@@ -964,12 +902,10 @@ impl Crimes {
             },
             pool,
         );
-        self.robustness.vmi_retries += u64::from(retries_used);
         self.telemetry.add(Counter::VmiRetries, u64::from(retries_used));
         let mut report = match report {
             Ok(r) => r,
             Err(e) => {
-                self.robustness.commit_failures += 1;
                 self.telemetry.add(Counter::CommitFailures, 1);
                 self.recorder
                     .record(epoch, self.clock.now_ns(), EventKind::CommitFailure);
@@ -1012,14 +948,7 @@ impl Crimes {
                     // the backup's ack — the CRIMES guarantee (no output
                     // precedes its epoch's evidence) survives moving the
                     // copy past resume.
-                    let generation = ticket.generation();
-                    self.journal.append(&Record::TicketStaged {
-                        slot: u64::try_from(ticket.slot()).unwrap_or(u64::MAX),
-                        generation,
-                        epoch,
-                    });
-                    self.journal.append(&Record::MarkAckPending { generation });
-                    let held = self.buffer.mark_ack_pending(generation);
+                    let held = self.evidence.stage_ticket(ticket, epoch);
                     self.recorder.record(
                         epoch,
                         self.clock.now_ns(),
@@ -1027,15 +956,13 @@ impl Crimes {
                             held: u32::try_from(held).unwrap_or(u32::MAX),
                         },
                     );
-                    self.pending_drains.push_back(ticket);
                     return Ok(BoundaryProgress::NeedsDrain(PendingBoundary {
                         report,
                         audit,
                         epoch,
                     }));
                 }
-                self.journal.append(&Record::ReleaseHeld);
-                let released = self.buffer.release(self.vm.now_ns());
+                let released = self.evidence.release_held(&report, self.vm.now_ns())?;
                 self.commit_epoch_tail(epoch, report, audit, released)
                     .map(BoundaryProgress::Done)
             }
@@ -1049,12 +976,9 @@ impl Crimes {
                         findings: u32::try_from(audit.findings.len()).unwrap_or(u32::MAX),
                     },
                 );
-                self.journal.append(&Record::Incident {
-                    epoch,
-                    findings: u64::try_from(audit.findings.len()).unwrap_or(u64::MAX),
-                });
+                self.evidence.incident(epoch, audit.findings.len());
                 self.pending = Some(audit.clone());
-                self.sync_journal_events();
+                self.evidence.mirror_events(&self.recorder);
                 Ok(BoundaryProgress::Done(EpochOutcome::AttackDetected {
                     report,
                     audit,
@@ -1065,7 +989,6 @@ impl Crimes {
                 // nothing released — the next conclusive audit covers this
                 // window too. The engine already re-marked the dirty pages
                 // and resumed the guest.
-                self.robustness.speculation_extensions += 1;
                 self.consecutive_extensions += 1;
                 let consecutive = self.consecutive_extensions;
                 self.telemetry.add(Counter::SpeculationExtensions, 1);
@@ -1086,7 +1009,7 @@ impl Crimes {
                 } else {
                     "audit overran its deadline"
                 };
-                self.sync_journal_events();
+                self.evidence.mirror_events(&self.recorder);
                 Ok(BoundaryProgress::Done(EpochOutcome::Extended {
                     report,
                     cause,
@@ -1128,10 +1051,9 @@ impl Crimes {
         let drain_t0 = self.clock.now_ns();
         let mut released = Vec::new();
         let mut failed: Option<(crimes_checkpoint::CheckpointError, u64)> = None;
-        while let Some(&next) = self.pending_drains.front() {
+        while let Some(&next) = self.evidence.pending().front() {
             match self.checkpointer.drain_staged(&self.vm, next) {
                 Ok(ack) => {
-                    self.pending_drains.pop_front();
                     self.telemetry.add(Counter::DrainAcks, 1);
                     if ack.resumed_from > 0 {
                         // The session reconnected mid-stream and
@@ -1152,21 +1074,6 @@ impl Crimes {
                             pages: u32::try_from(ack.pages).unwrap_or(u32::MAX),
                         },
                     );
-                    self.journal.append(&Record::TicketAcked {
-                        generation: ack.generation,
-                        pages: u64::try_from(ack.pages).unwrap_or(u64::MAX),
-                    });
-                    // Content facts are evidence effects: replay must see
-                    // the same delta/dedup profile whether or not the
-                    // encoding knobs were on, so the profile is journaled
-                    // from knob-independent tallies before release.
-                    self.journal.append(&Record::DrainProfile {
-                        generation: ack.generation,
-                        pages: u64::try_from(ack.pages).unwrap_or(u64::MAX),
-                        zero_pages: u64::try_from(ack.zero_pages).unwrap_or(u64::MAX),
-                        changed_words: ack.changed_words,
-                        dup_pages: u64::try_from(ack.dup_pages).unwrap_or(u64::MAX),
-                    });
                     self.telemetry.add(
                         Counter::BytesSavedDelta,
                         u64::try_from(ack.bytes_saved).unwrap_or(u64::MAX),
@@ -1183,9 +1090,7 @@ impl Crimes {
                         Counter::DrainHeadStartPages,
                         u64::try_from(ack.head_start_pages).unwrap_or(u64::MAX),
                     );
-                    self.journal
-                        .append(&Record::ReleaseAcked { generation: ack.generation });
-                    released.extend(self.buffer.release_acked(ack.generation, self.vm.now_ns()));
+                    released.extend(self.evidence.ack(&ack, self.vm.now_ns()));
                 }
                 Err(e) => {
                     failed = Some((e, next.generation()));
@@ -1204,7 +1109,7 @@ impl Crimes {
                     attempts: self.config.checkpoint.copy_retries + 1,
                 },
             );
-            let backlog = u64::try_from(self.pending_drains.len()).unwrap_or(u64::MAX);
+            let backlog = u64::try_from(self.evidence.pending().len()).unwrap_or(u64::MAX);
             if self.config.max_staged_backlog == 0 {
                 // Degraded mode disabled: the epoch's evidence
                 // never became durable, so its impounded
@@ -1212,7 +1117,6 @@ impl Crimes {
                 // as a failed commit: discard the speculation,
                 // roll back to checksum-verified state, or
                 // quarantine.
-                self.robustness.commit_failures += 1;
                 self.telemetry.add(Counter::CommitFailures, 1);
                 self.recorder
                     .record(epoch, self.clock.now_ns(), EventKind::CommitFailure);
@@ -1229,10 +1133,7 @@ impl Crimes {
             // impounded under their generations. Nothing is
             // committed — the backlog re-drains (and releases)
             // at a later boundary or after a failover.
-            self.journal.append(&Record::Degraded {
-                generation: stuck_generation,
-                backlog,
-            });
+            self.evidence.degraded(stuck_generation, backlog);
             self.telemetry.add(Counter::DegradedEpochs, 1);
             self.recorder.record(
                 epoch,
@@ -1241,7 +1142,7 @@ impl Crimes {
                     backlog: u32::try_from(backlog).unwrap_or(u32::MAX),
                 },
             );
-            self.sync_journal_events();
+            self.evidence.mirror_events(&self.recorder);
             return Ok(EpochOutcome::Degraded {
                 report,
                 audit,
@@ -1292,11 +1193,9 @@ impl Crimes {
         let mark = self.vm.trace_mark();
         self.vm.trace_truncate_before(mark);
         self.epoch_start_mark = self.vm.trace_mark();
-        self.journal.append(&Record::Committed {
-            epoch: self.committed_epochs,
-        });
+        self.evidence.committed(self.committed_epochs);
         self.committed_epochs += 1;
-        self.sync_journal_events();
+        self.evidence.mirror_events(&self.recorder);
         Ok(EpochOutcome::Committed {
             report,
             audit,
@@ -1314,23 +1213,29 @@ impl Crimes {
         &mut self,
         cause: CrimesError,
     ) -> Result<EpochOutcome, CrimesError> {
+        self.discard_and_roll_back("commit failed with no verified checkpoint left")?;
+        Err(cause)
+    }
+
+    /// The rollback tail a failed commit and a resolved incident share:
+    /// discard the speculation — its impounded outputs, and any
+    /// staged-but-unacked tickets, whose pages describe state that is
+    /// being rolled away — restore the newest checksum-verified
+    /// checkpoint, and resume the guest. Returns how many outputs were
+    /// discarded.
+    ///
+    /// # Errors
+    ///
+    /// Quarantines, for the reason `no_checkpoint`, when no verified
+    /// checkpoint remains.
+    fn discard_and_roll_back(&mut self, no_checkpoint: &'static str) -> Result<usize, CrimesError> {
         let epoch = self.checkpointer.backup().epoch();
-        // Any staged-but-unacked tickets die with the speculation: their
-        // pages describe state that is being rolled away. The journal
-        // records the discard *before* anything is released — a crash
-        // mid-loop must replay as "this epoch was abandoned", not leave
-        // tickets freed under a journal that still promises them.
-        self.journal.append(&Record::DiscardAll);
-        while let Some(ticket) = self.pending_drains.pop_front() {
-            self.checkpointer.release_staged(ticket);
-        }
-        let discarded = self.buffer.discard();
+        let discarded = self.evidence.discard_all(&mut self.checkpointer);
         self.telemetry
             .add(Counter::OutputsDiscarded, u64::try_from(discarded).unwrap_or(0));
         match self.checkpointer.rollback(&mut self.vm, &self.last_good_meta) {
             Ok(rb) => {
                 if rb.fell_back {
-                    self.robustness.fallback_rollbacks += 1;
                     self.telemetry.add(Counter::FallbackRollbacks, 1);
                     self.recorder.record(
                         epoch,
@@ -1339,13 +1244,12 @@ impl Crimes {
                     );
                 }
             }
-            Err(_) => {
-                return Err(self.quarantine("commit failed with no verified checkpoint left"));
-            }
+            Err(_) => return Err(self.quarantine(no_checkpoint)),
         }
         // A fallback may have restored a generation older than
         // `last_good_meta`; re-snapshot the state actually restored.
         self.last_good_meta = self.vm.meta_snapshot();
+        // Drop the discarded epoch's trace; recording stays on.
         let mark = self.vm.trace_mark();
         self.vm.trace_truncate_before(mark);
         self.epoch_start_mark = self.vm.trace_mark();
@@ -1358,8 +1262,8 @@ impl Crimes {
                 discarded: u32::try_from(discarded).unwrap_or(u32::MAX),
             },
         );
-        self.sync_journal_events();
-        Err(cause)
+        self.evidence.mirror_events(&self.recorder);
+        Ok(discarded)
     }
 
     /// Run the automated §3.3 response for the pending incident: dumps,
@@ -1398,7 +1302,6 @@ impl Crimes {
                     if attempt < self.config.vmi_retries =>
                 {
                     attempt += 1;
-                    self.robustness.vmi_retries += 1;
                     self.telemetry.add(Counter::VmiRetries, 1);
                     backoff_sleep(&*self.clock, attempt);
                 }
@@ -1433,50 +1336,7 @@ impl Crimes {
         if self.pending.take().is_none() {
             return Err(CrimesError::InvalidState("no incident pending"));
         }
-        let epoch = self.checkpointer.backup().epoch();
-        // Journal the discard before releasing anything (see
-        // `recover_failed_commit` for the crash-replay argument).
-        self.journal.append(&Record::DiscardAll);
-        while let Some(ticket) = self.pending_drains.pop_front() {
-            self.checkpointer.release_staged(ticket);
-        }
-        let discarded = self.buffer.discard();
-        self.telemetry
-            .add(Counter::OutputsDiscarded, u64::try_from(discarded).unwrap_or(0));
-        match self.checkpointer.rollback(&mut self.vm, &self.last_good_meta) {
-            Ok(rb) => {
-                if rb.fell_back {
-                    self.robustness.fallback_rollbacks += 1;
-                    self.telemetry.add(Counter::FallbackRollbacks, 1);
-                    self.recorder.record(
-                        epoch,
-                        self.clock.now_ns(),
-                        EventKind::FallbackRollback,
-                    );
-                }
-            }
-            Err(_) => {
-                return Err(self.quarantine("rollback found no verified checkpoint"));
-            }
-        }
-        // A fallback restores an older generation than `last_good_meta`
-        // described; re-snapshot the state actually restored.
-        self.last_good_meta = self.vm.meta_snapshot();
-        // Drop the failed epoch's trace; recording stays on.
-        let mark = self.vm.trace_mark();
-        self.vm.trace_truncate_before(mark);
-        self.epoch_start_mark = self.vm.trace_mark();
-        self.consecutive_extensions = 0;
-        self.vm.vcpus_mut().resume_all();
-        self.recorder.record(
-            epoch,
-            self.clock.now_ns(),
-            EventKind::RollbackResumed {
-                discarded: u32::try_from(discarded).unwrap_or(u32::MAX),
-            },
-        );
-        self.sync_journal_events();
-        Ok(discarded)
+        self.discard_and_roll_back("rollback found no verified checkpoint")
     }
 }
 
@@ -1769,6 +1629,19 @@ mod tests {
         let stats = c.robustness_stats();
         assert_eq!(stats.speculation_extensions, 2);
         assert_eq!(stats.quarantines, 1);
+        // The stats are the telemetry counters of the same meaning.
+        let counter = |k| c.telemetry().counter(k);
+        assert_eq!(
+            stats,
+            RobustnessStats {
+                vmi_retries: counter(Counter::VmiRetries),
+                speculation_extensions: counter(Counter::SpeculationExtensions),
+                commit_failures: counter(Counter::CommitFailures),
+                fallback_rollbacks: counter(Counter::FallbackRollbacks),
+                quarantines: counter(Counter::Quarantines),
+                missing_audit_starts: counter(Counter::MissingAuditStarts),
+            }
+        );
     }
 
     #[test]
@@ -2513,11 +2386,10 @@ mod tests {
             vm,
             session,
             detector,
-            buffer,
+            evidence,
             clock,
             telemetry,
             recorder,
-            robustness,
             ..
         } = &mut c;
         let mut retries_used = 0u32;
@@ -2525,7 +2397,7 @@ mod tests {
         let mut hook = BoundaryAudit {
             detector,
             session,
-            buffer,
+            buffer: evidence.buffer(),
             output_scanner: None,
             deadline: Duration::from_millis(50),
             vmi_retries: 0,
@@ -2534,7 +2406,6 @@ mod tests {
             clock,
             telemetry,
             recorder,
-            robustness,
             started_ns: None,
             staged: None,
             stage_errors: Vec::new(),

@@ -62,6 +62,7 @@ pub mod async_scan;
 pub mod config;
 pub mod detector;
 pub mod error;
+mod evidence;
 pub mod fleet;
 pub mod framework;
 pub mod modules;

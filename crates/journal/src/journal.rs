@@ -526,7 +526,8 @@ impl EvidenceJournal {
     }
 
     /// Append one record. Write-ahead discipline is the caller's job:
-    /// append *before* performing the action the record describes.
+    /// append *before* performing the action the record describes (the
+    /// monitor's one caller is `crimes::evidence`, which does).
     pub fn append(&mut self, record: &Record) {
         let index = self.bounds.len() as u64;
         let body = record.encode_body();

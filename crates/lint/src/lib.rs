@@ -4,15 +4,15 @@
 //! the audit/checkpoint pause window must stay tiny and side-effect-free,
 //! fail-closed modules must never panic past a buffered output, every
 //! fault point must be wired and soaked, public errors must stay typed,
-//! and the build must stay hermetic. This crate encodes those as six
-//! mechanical rules over a token-level model of the workspace:
+//! the build must stay hermetic, and guest-controlled bytes must not size
+//! an allocation or index a slice unchecked. This crate encodes those as
+//! seven mechanical rules over a token-level model of the workspace:
 //!
 //! * `panic-freedom` — no `unwrap`/`expect`/`panic!`-family/indexing in
 //!   the fail-closed modules ([`LintConfig::fail_closed`]),
 //! * `pause-window` — functions reachable from `// lint: pause-window`
 //!   roots stay free of wall clocks, I/O, sleeps, thread spawns, and
-//!   heap-growing constructors (the fused walk's `thread::scope` worker
-//!   pool carries the one reasoned allow),
+//!   heap-growing constructors,
 //! * `fault-coverage` — every `FaultPoint::ALL` variant has a production
 //!   `should_inject` site and a soak-test mention,
 //! * `error-taxonomy` — no `Box<dyn Error>` erasure in public library
@@ -20,7 +20,16 @@
 //! * `hermeticity` — no registry dependencies; no wall clocks in tests,
 //! * `telemetry-purity` — pause-window-reachable code only uses the
 //!   alloc-free telemetry recording APIs: no telemetry construction
-//!   (preallocation belongs at protect time) and no rendering/export.
+//!   (preallocation belongs at protect time) and no rendering/export,
+//! * `guest-taint-arithmetic` — values read from guest memory, the backup
+//!   handshake or journal replay bytes pass a sanitizer before they reach
+//!   a slice index, an allocation size or unchecked arithmetic
+//!   ([`LintConfig::taint_files`]).
+//!
+//! What is *not* here: that every evidence effect is journalled before it
+//! happens and that outputs release only on an audit pass or a drain ack.
+//! `crates/crimes/src/evidence.rs` owns that state behind private fields,
+//! so those orderings hold by construction and need no rule.
 //!
 //! Exceptions are visible, never silent: a line can carry
 //! `// lint: allow(<rule>) -- reason`, and the binary counts and prints
@@ -29,8 +38,6 @@
 #![forbid(unsafe_code)]
 
 mod callgraph;
-mod cfg;
-mod dataflow;
 mod lexer;
 mod model;
 mod rules;
@@ -85,15 +92,6 @@ pub struct LintConfig {
     pub soak_test: String,
     /// Path prefixes allowed to read wall clocks in test code.
     pub blessed_timing: Vec<String>,
-    /// Files whose journal-recorded effects the write-ahead-discipline
-    /// rule checks (evidence pipeline state machines).
-    pub effect_files: Vec<String>,
-    /// Files whose `buffer.release*` call sites the release-gating rule
-    /// checks.
-    pub release_files: Vec<String>,
-    /// The `OutputBuffer` implementation, for the ack-scan totality
-    /// check.
-    pub outbuf_buffer: String,
     /// Files the guest-taint-arithmetic rule analyzes (everything that
     /// parses guest memory, handshake fields, or journal replay bytes).
     pub taint_files: Vec<String>,
@@ -104,6 +102,7 @@ impl Default for LintConfig {
         LintConfig {
             fail_closed: [
                 "crates/crimes/src/framework.rs",
+                "crates/crimes/src/evidence.rs",
                 "crates/crimes/src/replay.rs",
                 "crates/crimes/src/scheduler.rs",
                 "crates/checkpoint/src/engine.rs",
@@ -118,15 +117,6 @@ impl Default for LintConfig {
             faults_lib: "crates/faults/src/lib.rs".into(),
             soak_test: "tests/fault_soak.rs".into(),
             blessed_timing: vec!["crates/bench/".into()],
-            effect_files: [
-                "crates/crimes/src/framework.rs",
-                "crates/checkpoint/src/engine.rs",
-                "crates/checkpoint/src/staging.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
-            release_files: ["crates/crimes/src/framework.rs"].map(String::from).to_vec(),
-            outbuf_buffer: "crates/outbuf/src/buffer.rs".into(),
             taint_files: [
                 "crates/vmi/src/canary.rs",
                 "crates/vmi/src/linux.rs",
@@ -368,73 +358,12 @@ pub fn run_with(root: &Path, config: &LintConfig) -> io::Result<LintReport> {
         rules::hermeticity(&files, &manifests, config)
     });
     run_rule("telemetry-purity", &mut || rules::telemetry_purity(&files));
-    run_rule("write-ahead-discipline", &mut || {
-        rules::write_ahead(&files, config)
-    });
-    run_rule("release-gating", &mut || rules::release_gating(&files, config));
     run_rule("guest-taint-arithmetic", &mut || {
         taint::guest_taint(&files, config)
     });
     let mut report = apply_allows(diagnostics, &files);
     report.aborted = aborted;
     Ok(report)
-}
-
-/// One CFG construction record, for the determinism/totality self-check:
-/// the analyzer must build a graph for *every* production function in
-/// the flow-checked modules, with identical shape on every run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CfgStat {
-    pub path: String,
-    pub fn_name: String,
-    pub line: u32,
-    pub blocks: usize,
-    pub edges: usize,
-    /// Tokens strictly inside the body braces.
-    pub body_tokens: usize,
-    /// Tokens owned by some block — totality demands these two be equal.
-    pub owned_tokens: usize,
-}
-
-/// Build a CFG for every non-test function with a body in the
-/// fail-closed, effect, and release files, and report each graph's
-/// shape. Functions are never skipped: a body that cannot be parsed
-/// still yields a (degenerate) graph.
-pub fn cfg_census(root: &Path, config: &LintConfig) -> io::Result<Vec<CfgStat>> {
-    let (files, _) = load_tree(root)?;
-    let mut watched: Vec<&str> = config
-        .fail_closed
-        .iter()
-        .chain(config.effect_files.iter())
-        .chain(config.release_files.iter())
-        .map(String::as_str)
-        .collect();
-    watched.sort_unstable();
-    watched.dedup();
-    let mut out = Vec::new();
-    for file in &files {
-        if !watched.contains(&file.rel_path.as_str()) {
-            continue;
-        }
-        for f in &file.fns {
-            if f.is_test {
-                continue;
-            }
-            let Some(body) = f.body else { continue };
-            let graph = cfg::build(&file.tokens, body);
-            let (lo, hi) = (body.0 + 1, body.1.saturating_sub(1).max(body.0 + 1));
-            out.push(CfgStat {
-                path: file.rel_path.clone(),
-                fn_name: f.name.clone(),
-                line: f.line,
-                blocks: graph.blocks.len(),
-                edges: graph.edge_count(),
-                body_tokens: hi - lo,
-                owned_tokens: (lo..hi).filter(|&t| graph.block_of(t).is_some()).count(),
-            });
-        }
-    }
-    Ok(out)
 }
 
 /// Split raw findings into kept and suppressed using the files' allow

@@ -1,13 +1,11 @@
-//! The rules. Each walks the token-level model (the two ordering rules
-//! additionally walk per-function CFGs from [`crate::cfg`]) and returns
-//! plain diagnostics; suppression handling lives in the driver.
+//! The rules. Each walks the token-level model and returns plain
+//! diagnostics; suppression handling lives in the driver.
 
 use std::collections::HashSet;
 
 use crate::callgraph::reachable_from_roots;
-use crate::dataflow::{FnFlow, Gate, Gating};
 use crate::lexer::{Token, TokenKind};
-use crate::model::{matches_seq, FnItem, SourceFile};
+use crate::model::{matches_seq, SourceFile};
 use crate::{Diagnostic, LintConfig, Manifest};
 
 pub(crate) const PANIC_FREEDOM: &str = "panic-freedom";
@@ -16,20 +14,16 @@ pub(crate) const FAULT_COVERAGE: &str = "fault-coverage";
 pub(crate) const ERROR_TAXONOMY: &str = "error-taxonomy";
 pub(crate) const HERMETICITY: &str = "hermeticity";
 pub(crate) const TELEMETRY_PURITY: &str = "telemetry-purity";
-pub(crate) const WRITE_AHEAD: &str = "write-ahead-discipline";
-pub(crate) const RELEASE_GATING: &str = "release-gating";
 pub(crate) const GUEST_TAINT: &str = "guest-taint-arithmetic";
 
 /// Every rule name the suppression syntax accepts.
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 7] = [
     PANIC_FREEDOM,
     PAUSE_WINDOW,
     FAULT_COVERAGE,
     ERROR_TAXONOMY,
     HERMETICITY,
     TELEMETRY_PURITY,
-    WRITE_AHEAD,
-    RELEASE_GATING,
     GUEST_TAINT,
 ];
 
@@ -461,259 +455,5 @@ pub(crate) fn hermeticity(
             }
         }
     }
-    out
-}
-
-/// An effect the write-ahead journal must record *before* it happens: the
-/// method call (matched as `receiver.method(`) and the journal record tag
-/// whose `append` must dominate it.
-struct Effect {
-    receiver: &'static str,
-    method: &'static str,
-    tag: &'static str,
-    what: &'static str,
-}
-
-static EFFECTS: [Effect; 6] = [
-    Effect {
-        receiver: "buffer",
-        method: "mark_ack_pending",
-        tag: "MarkAckPending",
-        what: "impound transition",
-    },
-    Effect {
-        receiver: "buffer",
-        method: "release_acked",
-        tag: "ReleaseAcked",
-        what: "ack-gated release",
-    },
-    Effect {
-        receiver: "buffer",
-        method: "release",
-        tag: "ReleaseHeld",
-        what: "held-output release",
-    },
-    Effect {
-        receiver: "buffer",
-        method: "discard",
-        tag: "DiscardAll",
-        what: "impound discard",
-    },
-    Effect {
-        receiver: "checkpointer",
-        method: "release_staged",
-        tag: "DiscardAll",
-        what: "staged-ticket discard",
-    },
-    Effect {
-        receiver: "pending_drains",
-        method: "push_back",
-        tag: "TicketStaged",
-        what: "drain-ticket enqueue",
-    },
-];
-
-/// The innermost function whose body contains the token at `tok`.
-fn enclosing_fn(file: &SourceFile, tok: usize) -> Option<usize> {
-    file.fns
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.body.is_some_and(|(s, e)| s < tok && tok < e))
-        .min_by_key(|(_, f)| f.body.map(|(s, e)| e - s).unwrap_or(usize::MAX))
-        .map(|(fj, _)| fj)
-}
-
-/// All `journal.append(&Record::<tag> …)` tokens in a function body.
-fn append_gates(file: &SourceFile, f: &FnItem, tag: &str) -> Vec<Gate> {
-    let Some((start, end)) = f.body else {
-        return Vec::new();
-    };
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    for i in start..end.min(toks.len()) {
-        if !toks[i].is("append")
-            || !toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-            || !(i > 0 && toks[i - 1].is_punct("."))
-        {
-            continue;
-        }
-        // The record tag is spelled within the first few argument tokens:
-        // `append(&Record::Tag { … })`.
-        let window = (i + 2)..(i + 10).min(toks.len());
-        for j in window {
-            if matches_seq(toks, j, &["Record", ":", ":"])
-                && toks.get(j + 3).is_some_and(|t| t.is(tag))
-            {
-                out.push(Gate::Tok(i));
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Rule 7: write-ahead discipline. Every state-changing effect in the
-/// evidence pipeline must be preceded — on all paths, callers included —
-/// by the `journal.append` that records it. A crash between an effect
-/// and its record would replay into a state the journal never promised.
-pub(crate) fn write_ahead(files: &[SourceFile], config: &LintConfig) -> Vec<Diagnostic> {
-    let mut gating = Gating::new(files);
-    let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !config.effect_files.iter().any(|m| m == &file.rel_path) {
-            continue;
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if file.test_mask[i] {
-                continue;
-            }
-            // Effect shape A: `receiver.method(` from the effect table.
-            let mut matched: Option<(&Effect, &Token)> = None;
-            for e in &EFFECTS {
-                if toks[i].is(e.method)
-                    && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-                    && i >= 2
-                    && toks[i - 1].is_punct(".")
-                    && toks[i - 2].is(e.receiver)
-                {
-                    matched = Some((e, &toks[i]));
-                    break;
-                }
-            }
-            // Effect shape B: the quarantine latch `…​.quarantined = …`.
-            let quarantine_set = toks[i].is("quarantined")
-                && i >= 1
-                && toks[i - 1].is_punct(".")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct("="))
-                && !toks.get(i + 2).is_some_and(|t| t.is_punct("="));
-            if matched.is_none() && !quarantine_set {
-                continue;
-            }
-            let (tag, what, site_tok): (&str, &str, &Token) = match matched {
-                Some((e, t)) => (e.tag, e.what, t),
-                None => ("Quarantined", "quarantine latch", &toks[i]),
-            };
-            let Some(fj) = enclosing_fn(file, i) else {
-                continue;
-            };
-            let find = |file: &SourceFile, f: &FnItem, _flow: &FnFlow| append_gates(file, f, tag);
-            if !gating.site_gated((fi, fj), i, &find) {
-                // If the matching append *post-dominates* the site, this
-                // is the effect-then-record inversion: the append exists
-                // but runs after the effect. Say "reorder", not "missing".
-                let gates = append_gates(file, &file.fns[fj], tag);
-                let inverted = gating
-                    .flow((fi, fj))
-                    .is_some_and(|flow| flow.gate_follows(&gates, i));
-                let msg = if inverted {
-                    format!(
-                        "{what} in `{}` runs before its `journal.append(&Record::{tag})`; journal first, then apply the effect",
-                        file.fns[fj].name,
-                    )
-                } else {
-                    format!(
-                        "{what} in `{}` is not preceded by `journal.append(&Record::{tag})` on every path; journal first, then apply the effect",
-                        file.fns[fj].name,
-                    )
-                };
-                out.push(diag(WRITE_AHEAD, file, site_tok, msg));
-            }
-        }
-    }
-    out.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
-    out
-}
-
-/// Gate blocks for release-gating: a match/`if let` arm whose pattern
-/// names the audit `Pass` verdict, or an `Ok` arm over a drain
-/// acknowledgement (`drain_staged`).
-fn verdict_gates(file: &SourceFile, _f: &FnItem, flow: &FnFlow) -> Vec<Gate> {
-    let toks = &file.tokens;
-    let mut out = Vec::new();
-    for (bi, block) in flow.cfg.blocks.iter().enumerate() {
-        let Some(arm) = &block.arm else { continue };
-        let pat = |name: &str| (arm.pattern.0..arm.pattern.1.min(toks.len())).any(|k| toks[k].is(name));
-        let scrut =
-            |name: &str| (arm.scrutinee.0..arm.scrutinee.1.min(toks.len())).any(|k| toks[k].is(name));
-        if pat("Pass") || (pat("Ok") && scrut("drain_staged")) {
-            out.push(Gate::Block(bi));
-        }
-    }
-    out
-}
-
-/// Rule 8: release gating. `OutputBuffer::release*` call sites must sit
-/// under an audit `Pass` verdict or a drain ack on every path, and the
-/// ack-driven `release_acked` itself must scan its whole queue — an
-/// early `break`/`return` resurrects the PR 7 bug where outputs with
-/// generations below the ack stayed impounded forever.
-pub(crate) fn release_gating(files: &[SourceFile], config: &LintConfig) -> Vec<Diagnostic> {
-    let mut gating = Gating::new(files);
-    let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        if !config.release_files.iter().any(|m| m == &file.rel_path) {
-            continue;
-        }
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if file.test_mask[i] {
-                continue;
-            }
-            let is_release = toks[i].kind == TokenKind::Ident
-                && toks[i].text.starts_with("release")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-                && i >= 2
-                && toks[i - 1].is_punct(".")
-                && toks[i - 2].is("buffer");
-            if !is_release {
-                continue;
-            }
-            let Some(fj) = enclosing_fn(file, i) else {
-                continue;
-            };
-            if !gating.site_gated((fi, fj), i, &verdict_gates) {
-                out.push(diag(
-                    RELEASE_GATING,
-                    file,
-                    &toks[i],
-                    format!(
-                        "`buffer.{}` in `{}` is not gated by an audit Pass verdict or drain ack on every path",
-                        toks[i].text,
-                        file.fns[fj].name,
-                    ),
-                ));
-            }
-        }
-    }
-    // Totality of the ack scan: inside `OutputBuffer::release_acked`, any
-    // early `break`/`return` stops before generations ≤ the ack are all
-    // considered.
-    if let Some(file) = files.iter().find(|f| f.rel_path == config.outbuf_buffer) {
-        let toks = &file.tokens;
-        for f in &file.fns {
-            if f.name != "release_acked" || f.is_test {
-                continue;
-            }
-            let Some((start, end)) = f.body else { continue };
-            for i in start..end.min(toks.len()) {
-                if file.test_mask[i] {
-                    continue;
-                }
-                if toks[i].is("break") || toks[i].is("return") {
-                    out.push(diag(
-                        RELEASE_GATING,
-                        file,
-                        &toks[i],
-                        format!(
-                            "`{}` inside `OutputBuffer::release_acked` can strand acked generations; the ack covers every generation at or below it, so the scan must visit the whole queue",
-                            toks[i].text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    out.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
     out
 }

@@ -242,20 +242,20 @@ impl OutputBuffer {
     /// recovery the re-staged (re-used) generation numbers sit *behind*
     /// impounds inherited from the crashed run's later generations, so
     /// generations are not monotonic front-to-back. Journal replay has
-    /// the same retain semantics.
+    /// the same retain semantics. One partition pass: there is no loop
+    /// here to leave early.
     pub fn release_acked(&mut self, generation: u64, now_ns: u64) -> Vec<Output> {
-        let mut out = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.ack_pending.len());
-        while let Some((o, enq, gen)) = self.ack_pending.pop_front() {
-            if gen <= generation {
-                self.account_release(&o, enq, now_ns);
-                out.push(o);
-            } else {
-                kept.push_back((o, enq, gen));
-            }
-        }
+        let (acked, kept): (VecDeque<_>, VecDeque<_>) = std::mem::take(&mut self.ack_pending)
+            .into_iter()
+            .partition(|&(_, _, gen)| gen <= generation);
         self.ack_pending = kept;
-        out
+        acked
+            .into_iter()
+            .map(|(o, enq, _)| {
+                self.account_release(&o, enq, now_ns);
+                o
+            })
+            .collect()
     }
 
     /// Roll back the epoch: drop everything held *and* everything still

@@ -33,12 +33,14 @@ echo "==> journal replay determinism (crash harness, release)"
 # to the previous boundary, and no output may release before its ack.
 cargo test --release --offline -q --test crash_recovery
 
-echo "==> crimes-lint: ordering, taint, pause-window, fault-coverage, taxonomy, hermeticity, telemetry-purity"
+echo "==> crimes-lint: panic-freedom, pause-window, fault-coverage, taxonomy, hermeticity, telemetry-purity, taint"
 # One analyzer replaces the old grep gates: crimes-lint walks the whole
 # tree and checks the invariants rustc cannot (see DESIGN.md "Static
-# guarantees, v2"). Its exit code is the gate (0 clean, 1 findings,
-# 2 analyzer-internal error); the machine-readable report is archived
-# by CI as LINT_REPORT.json.
+# guarantees"; journal-first and release-on-receipt are not among them:
+# crates/crimes/src/evidence.rs holds those by field privacy, and the
+# crash harness above checks them). Its exit code is the gate (0 clean,
+# 1 findings, 2 analyzer-internal error); the machine-readable report is
+# archived by CI as LINT_REPORT.json.
 cargo build --release --offline -q -p crimes-lint
 LINT_START_NS="$(date +%s%N)"
 ./target/release/crimes-lint --json > LINT_REPORT.json

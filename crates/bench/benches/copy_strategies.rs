@@ -12,9 +12,9 @@ use crimes_checkpoint::{
 };
 use crimes_vm::{Pfn, Vm, PAGE_SIZE};
 
-/// Worker count for the fused-walk variants: the bench default from
-/// `BENCH_pause_window.json` (threads timeshare on smaller hosts; the
-/// point here is fused-vs-unfused at equal work, not scaling).
+/// Worker count for the fused-walk variants (threads timeshare on
+/// smaller hosts; the point here is fused-vs-unfused at equal work, not
+/// scaling).
 const FUSED_WORKERS: usize = 4;
 
 fn setup(pages: usize) -> (Vm, BackupVm, Vec<MappedPage>) {

@@ -10,9 +10,18 @@
 //! The counters are deterministic in the seed (timestamps are not — they
 //! come from the real monotonic clock), so the counter CSV is a
 //! reproducible fingerprint of the degraded-mode pipeline.
+//!
+//! The run also holds the recording budget: the telemetry call sequence
+//! of one committed boundary, timed over a long loop, may cost at most
+//! [`RECORDING_BUDGET_PCT`] of the tenant's mean boundary as its own
+//! phase histograms report it (recording is never compiled out, so that
+//! is the instrumented number). Recording is fixed-slot arithmetic, which
+//! the `telemetry-purity` lint rule enforces; the ratio reads ≈ 0.003 %.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::path::Path;
+use std::time::Instant;
 
 use crimes::modules::CanaryScanModule;
 use crimes::{Crimes, CrimesConfig, CrimesError, EpochOutcome};
@@ -21,7 +30,7 @@ use crimes_outbuf::{NetPacket, Output};
 use crimes_rng::ChaCha8Rng;
 use crimes_telemetry::export::{counters_csv, events_csv, phases_csv, telemetry_json};
 use crimes_telemetry::schema::validate_telemetry_json;
-use crimes_telemetry::{Counter, FlightRecorder, Telemetry};
+use crimes_telemetry::{Counter, EventKind, FlightRecorder, Telemetry};
 use crimes_vm::Vm;
 use crimes_workloads::attacks;
 
@@ -41,6 +50,45 @@ pub struct TelemetryExport {
     pub recorder: FlightRecorder,
     /// The schema-validated JSON export of both.
     pub json: String,
+    /// Mean cost of one boundary's telemetry calls, in nanoseconds.
+    pub recording_ns: f64,
+    /// Mean boundary of the run, in nanoseconds: the phase histograms'
+    /// sums over the count of the busiest phase.
+    pub boundary_ns: f64,
+}
+
+/// Share of a boundary that recording it may cost, in percent.
+pub const RECORDING_BUDGET_PCT: f64 = 5.0;
+
+/// Time the telemetry calls a committed four-worker boundary makes (three
+/// recorder events, six phase samples, the dirty-page and audit samples,
+/// four worker shards, three counter adds), averaged over a long loop.
+fn recording_ns_per_boundary() -> f64 {
+    const ITERS: u64 = 200_000;
+    let mut t = Telemetry::new(&["suspend", "vmi", "bitscan", "map", "copy", "resume"]);
+    let mut r = FlightRecorder::new(64);
+    let t0 = Instant::now();
+    for i in 0..ITERS {
+        let now = black_box(i * 1_000);
+        r.record(i, now, EventKind::EpochStart);
+        r.record(i, now + 1, EventKind::AuditStaged);
+        for phase in 0..6 {
+            t.record_phase_ns(phase, black_box(now + phase as u64));
+        }
+        t.record_dirty_pages(black_box(900 + (i & 63)));
+        t.record_audit_ns(black_box(250_000 + i));
+        for slot in 0..4 {
+            t.record_worker(slot, black_box(225), black_box(225 * 4096), 2);
+        }
+        t.add(Counter::VmiRetries, black_box(i) & 1);
+        t.add(Counter::EpochsCommitted, 1);
+        t.add(Counter::OutputsReleased, 2);
+        r.record(i, now + 2, EventKind::Committed { released: 2 });
+    }
+    let elapsed = t0.elapsed().as_nanos();
+    // Keep the accumulators live so the loop cannot be optimised away.
+    black_box((t.counter(Counter::EpochsCommitted), r.recorded()));
+    elapsed as f64 / ITERS as f64
 }
 
 /// Moderate fault rates (per 1024): every degraded path fires over a few
@@ -86,7 +134,8 @@ fn tenant(seed: u64) -> (Crimes, u32) {
 /// # Panics
 ///
 /// Panics when a fail-closed invariant breaks (an unexpected error from
-/// the pipeline) or when the JSON export fails schema validation.
+/// the pipeline), when the JSON export fails schema validation, or when
+/// recording costs more than [`RECORDING_BUDGET_PCT`] of the boundary.
 pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
     let _scope = install(plan(), seed);
     let mut driver = ChaCha8Rng::seed_from_u64(seed ^ 0x7e1e);
@@ -136,12 +185,25 @@ pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
     let recorder = c.flight_recorder().clone();
     let json = telemetry_json(&telemetry, &recorder);
     validate_telemetry_json(&json).expect("export matches the documented schema");
+
+    let (sum_ns, boundaries) = telemetry
+        .phases()
+        .fold((0, 0), |(sum, count), (_, h)| (sum + h.sum(), count.max(h.count())));
+    let boundary_ns = sum_ns as f64 / boundaries as f64;
+    let recording_ns = recording_ns_per_boundary();
+    assert!(
+        recording_ns * 100.0 <= RECORDING_BUDGET_PCT * boundary_ns,
+        "recording a boundary costs {recording_ns:.0} ns, \
+         over {RECORDING_BUDGET_PCT} % of its {boundary_ns:.0} ns"
+    );
     TelemetryExport {
         seed,
         epochs: driven,
         telemetry,
         recorder,
         json,
+        recording_ns,
+        boundary_ns,
     }
 }
 
@@ -182,6 +244,14 @@ impl TelemetryExport {
                 h.max()
             );
         }
+        let _ = writeln!(
+            s,
+            "  recording: {:.0} ns per boundary, {:.4} % of the {:.3} ms mean boundary \
+             (budget {RECORDING_BUDGET_PCT} %)",
+            self.recording_ns,
+            self.recording_ns / self.boundary_ns * 100.0,
+            self.boundary_ns / 1e6
+        );
         s.push('\n');
         s.push_str(&t.render());
         s

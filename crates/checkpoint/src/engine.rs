@@ -152,9 +152,6 @@ pub enum AuditVerdict {
 pub struct CheckpointConfig {
     /// Optimisation level.
     pub opt: OptLevel,
-    /// Dependent cache misses per simulated hypercall (see
-    /// `mapping::HypercallModel`).
-    pub hypercall_steps: u32,
     /// Simulated hypercalls issued by the VM-suspend path (vCPU
     /// descheduling, device-model quiesce, dirty-log retrieval). The
     /// default is calibrated to the ~1 ms suspend the paper's Table 1
@@ -230,7 +227,6 @@ impl Default for CheckpointConfig {
     fn default() -> Self {
         CheckpointConfig {
             opt: OptLevel::Full,
-            hypercall_steps: HypercallModel::DEFAULT_STEPS,
             suspend_hypercalls: 1_500,
             resume_hypercalls: 2_200,
             remote_backup: false,
@@ -478,12 +474,13 @@ impl Checkpointer {
         let mapper = Mapper::new(
             vm,
             config.opt.mapping_strategy(),
-            HypercallModel::new(config.hypercall_steps),
+            HypercallModel::default(),
         );
         let integrity = ImageDigest::of(backup.frames(), backup.disk());
         let num_pages = vm.memory().num_pages();
-        let pool = (!config.external_pool)
-            .then(|| PauseWindowPool::new(config.pause_workers, num_pages, config.hypercall_steps));
+        let pool = (!config.external_pool).then(|| {
+            PauseWindowPool::new(config.pause_workers, num_pages, HypercallModel::DEFAULT_STEPS)
+        });
         let staging = (config.staging_buffers > 0).then(|| {
             let mut area = StagingArea::new(
                 num_pages,
@@ -513,7 +510,7 @@ impl Checkpointer {
             integrity,
             stats: BreakdownStats::new(),
             init_time: t0.elapsed(),
-            sched: HypercallModel::new(config.hypercall_steps),
+            sched: HypercallModel::default(),
             drain_session_failures: 0,
             last_walk: Vec::new(),
         }
@@ -618,7 +615,7 @@ impl Checkpointer {
             PauseWindowPool::new(
                 self.config.pause_workers,
                 self.backup.num_pages(),
-                self.config.hypercall_steps,
+                HypercallModel::DEFAULT_STEPS,
             )
         });
         let result = self.boundary(vm, audit, &mut own);
@@ -2030,7 +2027,7 @@ mod tests {
     /// where that gives it a resident worker, every head start covers
     /// every page.
     fn lent_pool(host_cpus: usize) -> PauseWindowPool {
-        let steps = CheckpointConfig::default().hypercall_steps;
+        let steps = HypercallModel::DEFAULT_STEPS;
         let mut pool = PauseWindowPool::on_host(2, 2048, steps, host_cpus);
         pool.pin_head_start(usize::MAX);
         pool
@@ -2195,7 +2192,7 @@ mod tests {
 
     #[test]
     fn a_pool_has_resident_workers_only_with_a_worker_and_a_cpu_to_spare() {
-        let steps = CheckpointConfig::default().hypercall_steps;
+        let steps = HypercallModel::DEFAULT_STEPS;
         for (workers, host_cpus, buffers, threads) in
             [(1, 2, 1, 0), (2, 1, 1, 0), (2, 2, 0, 1), (2, 2, 1, 1), (4, 2, 1, 3)]
         {
@@ -2376,8 +2373,8 @@ mod tests {
         let pid = vm.spawn_process("app", 0, 64).expect("spawn");
         let mut cp = Checkpointer::new(&vm, config);
         let host_cpus = if head_start.is_some() { 2 } else { 1 };
-        let mut pool =
-            PauseWindowPool::on_host(config.pause_workers, 512, config.hypercall_steps, host_cpus);
+        let steps = HypercallModel::DEFAULT_STEPS;
+        let mut pool = PauseWindowPool::on_host(config.pause_workers, 512, steps, host_cpus);
         pool.pin_head_start(head_start.unwrap_or(0));
         let mut pinned = pinned.iter();
         let mut acks = Vec::new();

@@ -45,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
-use crimes_checkpoint::{PoolLease, Resident, SharedPausePool, Task, MAX_WORKERS};
+use crimes_checkpoint::{HypercallModel, PoolLease, Resident, SharedPausePool, Task, MAX_WORKERS};
 use crimes_telemetry::{Counter, Telemetry};
 use crimes_vm::{Vm, VmError};
 
@@ -304,9 +304,8 @@ const LANE_DIED: &str = "pause lane died mid-boundary";
 
 impl FleetScheduler {
     /// Build a scheduler whose shared pool fits every current tenant of
-    /// `fleet`: each walker's capacity hint is the largest tenant image,
-    /// and its hypercall model the steepest tenant model. Tenants added
-    /// later are served too as long as they are no larger.
+    /// `fleet`: each walker's capacity hint is the largest tenant image.
+    /// Tenants added later are served too as long as they are no larger.
     ///
     /// The worker budget is clamped here, once, to the host CPU budget —
     /// recorded in [`SchedulerStats::requested_workers`] vs
@@ -314,11 +313,9 @@ impl FleetScheduler {
     /// [`Counter::FleetWorkerClamps`].
     pub fn for_fleet(fleet: &Fleet, config: FleetSchedulerConfig) -> Self {
         let mut num_pages = 0;
-        let mut hypercall_steps = 0;
         for name in fleet.names() {
             if let Some(crimes) = fleet.get(name) {
                 num_pages = num_pages.max(crimes.vm().memory().num_pages());
-                hypercall_steps = hypercall_steps.max(crimes.config().checkpoint.hypercall_steps);
             }
         }
         let requested = config.pool_workers.max(1);
@@ -337,7 +334,7 @@ impl FleetScheduler {
         let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let lanes = capacity.min(host_cpus);
         FleetScheduler {
-            pool: SharedPausePool::new(granted, num_pages, hypercall_steps, capacity),
+            pool: SharedPausePool::new(granted, num_pages, HypercallModel::DEFAULT_STEPS, capacity),
             config,
             lanes: Resident::new(if lanes > 1 { lanes } else { 0 }),
             telemetry,

@@ -13,7 +13,7 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use crimes_checkpoint::{AuditVerdict, CheckpointConfig, Checkpointer, OptLevel};
+use crimes_checkpoint::{AuditVerdict, CheckpointConfig, Checkpointer, OptLevel, Phase};
 use crimes_vm::Vm;
 use crimes_vmi::{CanaryScanner, VmiSession};
 use crimes_workloads::{profile, ParsecWorkload};
@@ -78,16 +78,19 @@ pub fn run_backup_placement(epochs: u32) -> BackupPlacement {
         let mut workload = ParsecWorkload::launch(&mut vm, p, 13).expect("launch");
         vm.memory_mut().take_dirty();
         let mut cp = Checkpointer::new(&vm, config);
+        let (mut pause_ns, mut copy_ns) = (0u64, 0u64);
         for _ in 0..epochs {
             workload.run_ms(&mut vm, 200).expect("run");
-            cp.run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
+            let report = cp
+                .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
                 .expect("no faults armed in benches");
+            pause_ns += report.phase_ns.iter().sum::<u64>();
+            copy_ns += report.phase_ns[Phase::Copy as usize];
         }
-        let mean = cp.stats().mean().expect("epochs ran");
         rows.push(BackupPlacementRow {
             label,
-            pause: mean.total(),
-            copy: mean.copy,
+            pause: Duration::from_nanos(pause_ns) / epochs,
+            copy: Duration::from_nanos(copy_ns) / epochs,
         });
     }
     BackupPlacement { rows }

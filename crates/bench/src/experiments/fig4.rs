@@ -3,18 +3,17 @@
 
 use std::path::Path;
 
-use crimes_checkpoint::{OptLevel, PhaseTimings};
+use crimes_checkpoint::{OptLevel, Phase};
 use crimes_workloads::profile;
 
-use crate::runtime::run_parsec;
+use crate::runtime::{run_parsec, RunStats};
 use crate::text::{ms, TextTable};
 
 /// The regenerated figure: per-optimisation mean phase breakdown.
 #[derive(Debug, Clone)]
 pub struct Fig4 {
-    /// `(level, mean per-epoch timings, map hypercalls)` in
-    /// `OptLevel::ALL` order.
-    pub by_opt: Vec<(OptLevel, PhaseTimings, u64)>,
+    /// `(level, the run's statistics)` in `OptLevel::ALL` order.
+    pub by_opt: Vec<(OptLevel, RunStats)>,
 }
 
 /// Epoch interval used by the paper for this figure.
@@ -30,53 +29,42 @@ pub fn run(epochs: u32) -> Fig4 {
     let by_opt = OptLevel::ALL
         .iter()
         .map(|&opt| {
-            let stats = run_parsec(p, opt, INTERVAL_MS, epochs, 3).expect("cannot fault");
-            (opt, stats.pause_mean, stats.map_hypercalls)
+            (
+                opt,
+                run_parsec(p, opt, INTERVAL_MS, epochs, 3).expect("cannot fault"),
+            )
         })
         .collect();
     Fig4 { by_opt }
 }
 
 impl Fig4 {
-    /// Breakdown for one level.
-    pub fn breakdown(&self, opt: OptLevel) -> Option<PhaseTimings> {
-        self.by_opt
-            .iter()
-            .find(|(o, _, _)| *o == opt)
-            .map(|(_, t, _)| *t)
+    /// One level's run.
+    pub fn breakdown(&self, opt: OptLevel) -> Option<RunStats> {
+        self.by_opt.iter().find(|(o, _)| *o == opt).map(|(_, s)| *s)
     }
 
     /// Map/unmap hypercalls issued by one level's run.
     pub fn map_hypercalls(&self, opt: OptLevel) -> Option<u64> {
-        self.by_opt
-            .iter()
-            .find(|(o, _, _)| *o == opt)
-            .map(|(_, _, h)| *h)
+        self.breakdown(opt).map(|s| s.map_hypercalls)
     }
 
     /// Render as a table (one column per level, like the stacked bars).
     pub fn to_table(&self) -> TextTable {
         let mut t = TextTable::new(["phase (ms)", "Full", "Pre-map", "Memcpy", "No-opt"]);
-        let col = |opt| self.breakdown(opt).expect("all levels ran");
-        type PhaseGetter = fn(&PhaseTimings) -> std::time::Duration;
-        let phases: [(&str, PhaseGetter); 7] = [
-            ("suspend", |p| p.suspend),
-            ("vmi", |p| p.vmi),
-            ("bitscan", |p| p.bitscan),
-            ("map", |p| p.map),
-            ("copy", |p| p.copy),
-            ("resume", |p| p.resume),
-            ("total", PhaseTimings::total),
-        ];
-        for (name, get) in phases {
-            t.row([
-                name.to_owned(),
-                ms(get(&col(OptLevel::Full))),
-                ms(get(&col(OptLevel::PreMap))),
-                ms(get(&col(OptLevel::Memcpy))),
-                ms(get(&col(OptLevel::NoOpt))),
-            ]);
+        let cols = [
+            OptLevel::Full,
+            OptLevel::PreMap,
+            OptLevel::Memcpy,
+            OptLevel::NoOpt,
+        ]
+        .map(|opt| self.breakdown(opt).expect("all levels ran"));
+        for phase in Phase::ALL {
+            let cells = cols.iter().map(|s| ms(s.phase_mean(phase)));
+            t.row([phase.label().to_owned()].into_iter().chain(cells));
         }
+        let totals = cols.iter().map(|s| ms(s.pause_total_mean()));
+        t.row(["total".to_owned()].into_iter().chain(totals));
         t
     }
 
@@ -86,8 +74,14 @@ impl Fig4 {
         if let Some(dir) = out_dir {
             let _ = t.write_csv(&dir.join("fig4.csv"));
         }
-        let full = self.breakdown(OptLevel::Full).expect("ran").total();
-        let noopt = self.breakdown(OptLevel::NoOpt).expect("ran").total();
+        let full = self
+            .breakdown(OptLevel::Full)
+            .expect("ran")
+            .pause_total_mean();
+        let noopt = self
+            .breakdown(OptLevel::NoOpt)
+            .expect("ran")
+            .pause_total_mean();
         format!(
             "Figure 4: absolute pause breakdown, swaptions ({INTERVAL_MS} ms epochs)\n{}\n\
              pause reduction Full vs No-opt: {:.0}%  (paper: 67%, 29.86 ms -> 10.21 ms)\n",
@@ -111,8 +105,9 @@ mod tests {
             let memcpy = fig.breakdown(OptLevel::Memcpy).unwrap();
             let noopt = fig.breakdown(OptLevel::NoOpt).unwrap();
 
+            let copy = |s: RunStats| s.phase_mean(Phase::Copy);
             // Copy dominates No-opt and collapses with the memcpy opt.
-            assert!(noopt.copy > memcpy.copy * 2);
+            assert!(copy(noopt) > copy(memcpy) * 2);
             // Memcpy maps twice as much as No-opt (primary + backup). This
             // is structural, so assert on the deterministic hypercall
             // counts (wall-clock for a sub-ms phase flakes under parallel
@@ -123,17 +118,18 @@ mod tests {
             assert_eq!(hc(OptLevel::PreMap), 0);
             assert_eq!(hc(OptLevel::Full), 0);
             // Pre-map erases per-epoch map cost.
-            assert!(premap.map < memcpy.map / 4);
+            assert!(premap.phase_mean(Phase::Map) < memcpy.phase_mean(Phase::Map) / 4);
             // Word-wise scan cuts bitscan (Full vs Pre-map).
-            assert!(full.bitscan < premap.bitscan);
+            assert!(full.phase_mean(Phase::Bitscan) < premap.phase_mean(Phase::Bitscan));
             // And the total ordering holds. Full vs Pre-map differ only by
             // the sub-0.1 ms bitscan phase (the paper's bars are also
             // nearly equal), so allow scheduler noise there; the other
             // gaps are structural (double mapping, socket copy) and must
             // be strict.
-            assert!(full.total().as_secs_f64() <= premap.total().as_secs_f64() * 1.15);
-            assert!(premap.total() < memcpy.total());
-            assert!(memcpy.total() < noopt.total());
+            let total = |s: RunStats| s.pause_total_mean();
+            assert!(total(full).as_secs_f64() <= total(premap).as_secs_f64() * 1.15);
+            assert!(total(premap) < total(memcpy));
+            assert!(total(memcpy) < total(noopt));
         });
     }
 

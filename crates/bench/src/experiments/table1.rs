@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use crimes_checkpoint::OptLevel;
+use crimes_checkpoint::{OptLevel, Phase};
 use crimes_workloads::WebIntensity;
 
 use crate::runtime::{run_web, RunStats};
@@ -50,30 +50,24 @@ pub fn run(epochs: u32) -> Table1 {
 impl Table1 {
     /// Render as the paper's table (values in milliseconds).
     pub fn to_table(&self) -> TextTable {
-        let mut t = TextTable::new([
-            "Workload (ms)",
-            "suspend",
-            "vmi",
-            "bitscan",
-            "map",
-            "copy",
-            "resume",
-            "total",
-            "dirty pages",
-        ]);
+        let phases = Phase::ALL.map(Phase::label);
+        let mut t = TextTable::new(
+            ["Workload (ms)"]
+                .into_iter()
+                .chain(phases)
+                .chain(["total", "dirty pages"]),
+        );
         for row in &self.rows {
-            let p = row.stats.pause_mean;
-            t.row([
-                row.intensity.label().to_owned(),
-                ms(p.suspend),
-                ms(p.vmi),
-                ms(p.bitscan),
-                ms(p.map),
-                ms(p.copy),
-                ms(p.resume),
-                ms(p.total()),
-                format!("{:.0}", row.stats.dirty_pages_mean),
-            ]);
+            let s = &row.stats;
+            t.row(
+                [row.intensity.label().to_owned()]
+                    .into_iter()
+                    .chain(s.pause_mean.map(ms))
+                    .chain([
+                        ms(s.pause_total_mean()),
+                        format!("{:.0}", s.dirty_pages_mean),
+                    ]),
+            );
         }
         t
     }
@@ -104,13 +98,12 @@ mod tests {
             // Copy dominates the pause window on the unoptimised path (the
             // paper measures ~70%).
             for row in &t.rows {
-                let p = row.stats.pause_mean;
+                let copy = row.stats.phase_mean(Phase::Copy);
+                let total = row.stats.pause_total_mean();
                 assert!(
-                    p.copy.as_secs_f64() > 0.4 * p.total().as_secs_f64(),
-                    "{}: copy {:?} must dominate total {:?}",
+                    copy.as_secs_f64() > 0.4 * total.as_secs_f64(),
+                    "{}: copy {copy:?} must dominate total {total:?}",
                     row.intensity.label(),
-                    p.copy,
-                    p.total()
                 );
             }
             // Cost rises with workload intensity.

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use crimes_checkpoint::{AuditVerdict, CheckpointConfig, Checkpointer, OptLevel, PhaseTimings};
+use crimes_checkpoint::{AuditVerdict, CheckpointConfig, Checkpointer, OptLevel, Phase};
 use crimes_vm::{Vm, VmError};
 use crimes_workloads::{ParsecProfile, ParsecWorkload, WebIntensity, WebServerWorkload};
 
@@ -31,8 +31,9 @@ pub struct RunStats {
     pub epochs: u32,
     /// Epoch interval in milliseconds.
     pub interval_ms: u64,
-    /// Mean per-epoch pause breakdown (measured).
-    pub pause_mean: PhaseTimings,
+    /// Mean per-epoch pause breakdown (measured), indexed by
+    /// `Phase as usize`.
+    pub pause_mean: [Duration; Phase::ALL.len()],
     /// Mean dirty pages per epoch.
     pub dirty_pages_mean: f64,
     /// Normalised runtime (≥ 1.0).
@@ -44,18 +45,28 @@ pub struct RunStats {
 impl RunStats {
     /// Mean total pause per epoch.
     pub fn pause_total_mean(&self) -> Duration {
-        self.pause_mean.total()
+        self.pause_mean.iter().sum()
+    }
+
+    /// Mean time in one phase per epoch.
+    pub fn phase_mean(&self, phase: Phase) -> Duration {
+        self.pause_mean[phase as usize]
     }
 }
 
-fn finish(cp: &Checkpointer, epochs: u32, interval_ms: u64, dirty_total: u64) -> RunStats {
-    let pause_mean = cp.stats().mean().expect("at least one epoch ran");
-    let pause_sum = cp.stats().sum().total();
+fn finish(
+    cp: &Checkpointer,
+    epochs: u32,
+    interval_ms: u64,
+    dirty_total: u64,
+    phase_ns: [u64; Phase::ALL.len()],
+) -> RunStats {
+    let pause_sum = Duration::from_nanos(phase_ns.iter().sum());
     let native = Duration::from_millis(interval_ms) * epochs;
     RunStats {
         epochs,
         interval_ms,
-        pause_mean,
+        pause_mean: phase_ns.map(|ns| Duration::from_nanos(ns) / epochs),
         dirty_pages_mean: dirty_total as f64 / epochs as f64,
         normalized_runtime: (native + pause_sum).as_secs_f64() / native.as_secs_f64(),
         map_hypercalls: cp.map_hypercalls(),
@@ -92,7 +103,7 @@ pub fn run_parsec(
             ..CheckpointConfig::default()
         },
     );
-    let mut dirty_total = 0u64;
+    let (mut dirty_total, mut phase_ns) = (0u64, [0u64; Phase::ALL.len()]);
     for _ in 0..epochs {
         workload.run_ms(&mut vm, interval_ms)?;
         // The overhead experiments configure a minimal no-op scan (§5.2).
@@ -100,8 +111,11 @@ pub fn run_parsec(
             .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed in benches");
         dirty_total += report.dirty_pages as u64;
+        for (sum, ns) in phase_ns.iter_mut().zip(report.phase_ns) {
+            *sum += ns;
+        }
     }
-    Ok(finish(&cp, epochs, interval_ms, dirty_total))
+    Ok(finish(&cp, epochs, interval_ms, dirty_total, phase_ns))
 }
 
 /// Run the web-server workload at an intensity under the checkpoint
@@ -134,15 +148,18 @@ pub fn run_web(
             ..CheckpointConfig::default()
         },
     );
-    let mut dirty_total = 0u64;
+    let (mut dirty_total, mut phase_ns) = (0u64, [0u64; Phase::ALL.len()]);
     for _ in 0..epochs {
         workload.run_ms(&mut vm, interval_ms)?;
         let report = cp
             .run_epoch(&mut vm, &mut |_, _| AuditVerdict::Pass)
             .expect("no faults armed in benches");
         dirty_total += report.dirty_pages as u64;
+        for (sum, ns) in phase_ns.iter_mut().zip(report.phase_ns) {
+            *sum += ns;
+        }
     }
-    Ok(finish(&cp, epochs, interval_ms, dirty_total))
+    Ok(finish(&cp, epochs, interval_ms, dirty_total, phase_ns))
 }
 
 /// Geometric mean of a slice of positive numbers.

@@ -138,19 +138,6 @@ impl BackupVm {
         })
     }
 
-    /// Every `(digest, live references)` pair in the content index, or
-    /// nothing while a raw-write path has it staled: reading never pays
-    /// for the `O(pages)` rebuild, so only backups whose drain keeps the
-    /// index coherent report. Ascending by digest (BTreeMap order), so
-    /// fleet-level folds are deterministic.
-    pub fn content_index(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.content_coherent()
-            .then(|| self.content.iter())
-            .into_iter()
-            .flatten()
-            .map(|(d, e)| (*d, e.refs))
-    }
-
     /// How many frames currently claim `digest`'s bytes (0 when absent or
     /// the index is stale) — the `refs` half of the drain's
     /// `(digest, refs)` wire record.

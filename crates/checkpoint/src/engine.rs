@@ -44,11 +44,13 @@
 //! checksum-verified state, falling back through retained history
 //! generations when the live backup is silently corrupt.
 
-use std::sync::Arc;
+use std::fmt;
 use std::sync::atomic::AtomicBool;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crimes_faults::FaultPoint;
+use crimes_telemetry::{Clock, RealClock};
 use crimes_vm::{DirtyBitmap, MetaSnapshot, Pfn, Vm};
 
 use crate::backup::BackupVm;
@@ -59,12 +61,18 @@ use crate::history::{CheckpointHistory, CheckpointRecord};
 use crate::integrity::{image_digest, FusedDigest, ImageDigest};
 use crate::mapping::{HypercallModel, Mapper, MappingStrategy};
 use crate::pool::{FusedAudit, FusedPageVisitor, NoopVisitor, PageFinding, PauseWindowPool};
-use crate::probe::{BreakdownStats, PhaseTimings};
 use crate::staging::{DrainOpts, DrainTicket, StagingArea};
 
 /// The shared cipher key for every socket-style pipeline (in-window or
 /// deferred) — both ends hold it like an ssh session key.
 const COPY_KEY: u64 = 0xc1e4_0000_5ec5;
+
+/// Retries after a failed walk attempt (before the boundary gives up with
+/// [`CheckpointError::Exhausted`]) and after a failed drain session
+/// (before [`Checkpointer::drain_staged`] gives up). Copy faults are
+/// transient (socket hiccups, partial backup writes) and the guest stays
+/// paused across walk retries, so a re-copy is always safe.
+pub const COPY_RETRIES: u32 = 3;
 
 /// The four optimisation levels the evaluation compares (Figures 3, 4, 6a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -170,12 +178,8 @@ pub struct CheckpointConfig {
     pub history_depth: usize,
     /// Retain full frame images in history records (memory-expensive).
     pub retain_history_images: bool,
-    /// Retries after a failed page-copy attempt before the epoch gives up
-    /// with [`CheckpointError::Exhausted`]. Copy faults are transient
-    /// (socket hiccups, partial backup writes) and the guest stays paused
-    /// across retries, so a re-copy is always safe.
-    pub copy_retries: u32,
-    /// Linear backoff between copy retries, in microseconds per attempt.
+    /// Linear backoff between walk retries, in microseconds per attempt,
+    /// and the base of the drain's exponential one ([`drain_backoff_us`]).
     pub retry_backoff_us: u64,
     /// Workers for the boundary's page walk (scan + copy + digest in a
     /// single sharded pass; see `pool`). `1` walks the whole dirty set
@@ -232,7 +236,6 @@ impl Default for CheckpointConfig {
             remote_backup: false,
             history_depth: 1,
             retain_history_images: false,
-            copy_retries: 3,
             retry_backoff_us: 50,
             pause_workers: 1,
             staging_buffers: 0,
@@ -241,6 +244,56 @@ impl Default for CheckpointConfig {
             delta_threshold: 0,
             dedup: false,
         }
+    }
+}
+
+/// The six phases of the pause window, in execution order: the rows of
+/// the paper's Table 1 and Figure 4, and the index into
+/// [`EpochReport::phase_ns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Phase {
+    /// Pause vCPUs and fetch the dirty log.
+    Suspend,
+    /// The security audit: its staging before the walk and its verdict
+    /// after it.
+    Vmi,
+    /// Scan the dirty bitmap into a page list.
+    Bitscan,
+    /// Map the frames to copy.
+    Map,
+    /// The page walk (every attempt) plus the dirty-sector propagation.
+    Copy,
+    /// Unmap and unpause vCPUs.
+    Resume,
+}
+
+impl Phase {
+    /// All phases in order.
+    pub const ALL: [Phase; 6] = [
+        Phase::Suspend,
+        Phase::Vmi,
+        Phase::Bitscan,
+        Phase::Map,
+        Phase::Copy,
+        Phase::Resume,
+    ];
+
+    /// The row label the paper uses.
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::Suspend => "suspend",
+            Phase::Vmi => "vmi",
+            Phase::Bitscan => "bitscan",
+            Phase::Map => "map",
+            Phase::Copy => "copy",
+            Phase::Resume => "resume",
+        }
+    }
+}
+
+impl fmt::Display for Phase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -255,10 +308,9 @@ pub struct EpochReport {
     pub epoch: u64,
     /// Audit outcome.
     pub verdict: AuditVerdict,
-    /// Per-phase wall-clock timings. `copy` is the page walk (every
-    /// attempt) plus the dirty-sector propagation; `vmi` is the audit's
-    /// two halves around it.
-    pub timings: PhaseTimings,
+    /// Nanoseconds spent in each phase on the engine's clock, indexed by
+    /// `Phase as usize`. Their sum is the pause.
+    pub phase_ns: [u64; Phase::ALL.len()],
     /// Dirty pages found this epoch.
     pub dirty_pages: usize,
     /// Copy-phase statistics of the walk that was kept: zero when the
@@ -425,8 +477,9 @@ pub struct Checkpointer {
     staging: Option<StagingArea>,
     history: CheckpointHistory,
     integrity: ImageDigest,
-    stats: BreakdownStats,
-    init_time: Duration,
+    /// What the boundary times its phases and sleeps its retries on:
+    /// the framework's own clock, virtual under a `TestClock`.
+    clock: Arc<dyn Clock>,
     /// Hypercall cost model for the suspend/resume machinery (separate
     /// from the mapper's, which per-epoch strategies drive much harder).
     sched: HypercallModel,
@@ -446,8 +499,7 @@ impl Checkpointer {
     /// Create the engine, performing the initial full synchronisation with
     /// `vm` (and, for pre-mapped levels, the one-time global map load).
     pub fn new(vm: &Vm, config: CheckpointConfig) -> Self {
-        let t0 = Instant::now();
-        Self::build(vm, config, BackupVm::new(vm), 0, t0)
+        Self::build(vm, config, BackupVm::new(vm), 0)
     }
 
     /// Re-attach the engine to a VM and a **surviving** backup image after
@@ -459,18 +511,20 @@ impl Checkpointer {
     /// sequence the journal recorded instead of restarting at 1. History
     /// starts empty: retained images died with the monitor process.
     pub fn attach(vm: &Vm, config: CheckpointConfig, backup: BackupVm, resume_generation: u64) -> Self {
-        Self::build(vm, config, backup, resume_generation, Instant::now())
+        Self::build(vm, config, backup, resume_generation)
+    }
+
+    /// Time the boundary's phases and sleep its retries on `clock`
+    /// instead of the [`RealClock`] [`new`](Self::new) and
+    /// [`attach`](Self::attach) start on.
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
+        self
     }
 
     /// The one constructor body: everything a boundary will need is
     /// allocated here, so nothing allocates inside a window.
-    fn build(
-        vm: &Vm,
-        config: CheckpointConfig,
-        backup: BackupVm,
-        resume_generation: u64,
-        t0: Instant,
-    ) -> Self {
+    fn build(vm: &Vm, config: CheckpointConfig, backup: BackupVm, resume_generation: u64) -> Self {
         let mapper = Mapper::new(
             vm,
             config.opt.mapping_strategy(),
@@ -508,8 +562,7 @@ impl Checkpointer {
             staging,
             history: CheckpointHistory::new(config.history_depth, config.retain_history_images),
             integrity,
-            stats: BreakdownStats::new(),
-            init_time: t0.elapsed(),
+            clock: Arc::new(RealClock::new()),
             sched: HypercallModel::default(),
             drain_session_failures: 0,
             last_walk: Vec::new(),
@@ -519,11 +572,6 @@ impl Checkpointer {
     /// The configuration in effect.
     pub fn config(&self) -> &CheckpointConfig {
         &self.config
-    }
-
-    /// One-time initialisation cost (full sync + global map load).
-    pub fn init_time(&self) -> Duration {
-        self.init_time
     }
 
     /// The current clean backup image.
@@ -539,11 +587,6 @@ impl Checkpointer {
     /// Committed-checkpoint history.
     pub fn history(&self) -> &CheckpointHistory {
         &self.history
-    }
-
-    /// Accumulated phase statistics.
-    pub fn stats(&self) -> &BreakdownStats {
-        &self.stats
     }
 
     /// Per-worker copy statistics from the last walk (one entry per
@@ -595,7 +638,7 @@ impl Checkpointer {
     /// [`CheckpointError::StagingBacklog`] when every staging buffer is
     /// still awaiting its drain (refused before anything is copied), or
     /// [`CheckpointError::Exhausted`] when every walk attempt (first try +
-    /// [`CheckpointConfig::copy_retries`]) failed — which, the walk coming
+    /// [`COPY_RETRIES`]) failed — which, the walk coming
     /// before the verdict, can pre-empt a detection. Both fail closed: the
     /// VM stays suspended, the dirty set is re-marked, nothing committed,
     /// and the backup is clean (a failed walk undoes its own writes; a
@@ -639,13 +682,13 @@ impl Checkpointer {
             staging,
             history,
             integrity,
-            stats,
+            clock,
             sched,
             last_walk,
             ..
         } = self;
         let config = *config;
-        let mut timings = PhaseTimings::default();
+        let clock = &**clock;
         let epoch = backup.epoch();
         // Before the guest stops: a thread's start is no cost to pay
         // inside a window, and this one is paid once per pool.
@@ -663,29 +706,37 @@ impl Checkpointer {
             }
         }
 
+        // One clock read per phase edge: each read charges the time since
+        // the previous one to the phase that just ended.
+        let mut phase_ns = [0u64; Phase::ALL.len()];
+        let mut edge_ns = clock.now_ns();
+        let mut end = |phase: Phase| {
+            let now = clock.now_ns();
+            if let Some(ns) = phase_ns.get_mut(phase as usize) {
+                *ns += now.saturating_sub(edge_ns);
+            }
+            edge_ns = now;
+        };
+
         // --- suspend: pause vCPUs, grab the dirty log ---------------------
-        let t = Instant::now();
         for _ in 0..config.suspend_hypercalls + 2 * vm.vcpus().len() as u32 {
             sched.call();
         }
         vm.vcpus_mut().pause_all();
         let dirty = vm.memory_mut().take_dirty();
-        timings.suspend = t.elapsed();
+        end(Phase::Suspend);
 
         // --- vmi, first half: stage the page-scoped scan ------------------
-        let t = Instant::now();
         audit.stage(vm, &dirty);
-        timings.vmi = t.elapsed();
+        end(Phase::Vmi);
 
         // --- bitscan ------------------------------------------------------
-        let t = Instant::now();
         let dirty_pfns: Vec<Pfn> = config.opt.bitmap_scan().scan(&dirty);
-        timings.bitscan = t.elapsed();
+        end(Phase::Bitscan);
 
         // --- map ----------------------------------------------------------
-        let t = Instant::now();
         let mapped = mapper.map_epoch(vm, &dirty_pfns);
-        timings.map = t.elapsed();
+        end(Phase::Map);
 
         // --- walk: copy + digest + scan in one sharded pass ---------------
         // The sink is a claimed staging slot when staging is configured
@@ -694,7 +745,6 @@ impl Checkpointer {
         // rides last, at source slot 2 — the fixed position audit verdicts
         // filter on — so copy and digest output is identical whether or
         // not a scan is staged.
-        let t = Instant::now();
         let (digest, noop) = (FusedDigest, NoopVisitor);
         let visitors: [&dyn FusedPageVisitor; 3] = [
             &*copier,
@@ -725,8 +775,8 @@ impl Checkpointer {
                 Err(lost @ CheckpointError::WorkerLost) => break Err(lost),
                 // The guest is paused and a failed attempt left the sink
                 // as it found it, so walking the same set again is safe.
-                Err(_) if copy_attempts <= config.copy_retries => {
-                    std::thread::sleep(Duration::from_micros(
+                Err(_) if copy_attempts <= COPY_RETRIES => {
+                    clock.sleep(Duration::from_micros(
                         config.retry_backoff_us * u64::from(copy_attempts),
                     ));
                 }
@@ -737,18 +787,16 @@ impl Checkpointer {
                 }
             }
         };
-        timings.copy = t.elapsed();
+        end(Phase::Copy);
 
         // --- vmi, second half: the verdict over the walk's findings -------
-        let t = Instant::now();
         let outcome = walked.map(|copy| {
             last_walk.clear();
             last_walk.extend(pool.worker_stats());
             (copy, audit.verdict(vm, &dirty, pool.findings()))
         });
-        timings.vmi += t.elapsed();
+        end(Phase::Vmi);
 
-        let t = Instant::now();
         let dirty_sectors = match outcome {
             // Pass, guest still paused: the epoch's dirty sectors ride
             // along (the disk-snapshot extension, §3.1) — the guest may
@@ -784,10 +832,9 @@ impl Checkpointer {
                 None
             }
         };
-        timings.copy += t.elapsed();
+        end(Phase::Copy);
 
         // --- resume (includes the per-epoch unmap on Remus-style paths) ---
-        let t = Instant::now();
         mapper.unmap_epoch(&mapped);
         // A walk that never completed fails closed here: guest suspended,
         // nothing committed.
@@ -834,7 +881,7 @@ impl Checkpointer {
             }
             vm.vcpus_mut().resume_all();
         }
-        timings.resume = t.elapsed();
+        end(Phase::Resume);
 
         // --- after resume: commit, or seal for the drain ------------------
         let mut pending = None;
@@ -861,10 +908,10 @@ impl Checkpointer {
             }
         }
 
-        let report = EpochReport {
+        Ok(EpochReport {
             epoch,
             verdict,
-            timings,
+            phase_ns,
             dirty_pages: dirty_pfns.len(),
             copy: if verdict == AuditVerdict::Pass {
                 copy
@@ -874,9 +921,7 @@ impl Checkpointer {
             copy_attempts,
             shards_taken_back: pool.shards_taken_back(),
             pending,
-        };
-        stats.record(&report.timings);
-        Ok(report)
+        })
     }
 
     /// Staged epochs currently awaiting their drain (0 when the deferred
@@ -934,7 +979,7 @@ impl Checkpointer {
     ///
     /// [`CheckpointError::BackupUnreachable`] /
     /// [`CheckpointError::DrainFault`] when every session attempt (first
-    /// try + [`CheckpointConfig::copy_retries`]) failed, or
+    /// try + [`COPY_RETRIES`]) failed, or
     /// [`CheckpointError::DrainTimeout`] when the deterministic backoff
     /// budget ([`CheckpointConfig::drain_timeout_ms`]) ran out first. The
     /// backup may hold a partial copy and nothing was committed. The
@@ -955,6 +1000,7 @@ impl Checkpointer {
             staging,
             history,
             integrity,
+            clock,
             sched,
             drain_session_failures,
             ..
@@ -993,7 +1039,7 @@ impl Checkpointer {
                 Ok(copy) => break copy,
                 Err(err) => {
                     *drain_session_failures = drain_session_failures.saturating_add(1);
-                    if attempts > config.copy_retries {
+                    if attempts > COPY_RETRIES {
                         return Err(err);
                     }
                     let backoff =
@@ -1001,11 +1047,12 @@ impl Checkpointer {
                     waited_us = waited_us.saturating_add(backoff);
                     if waited_us > config.drain_timeout_ms.saturating_mul(1_000) {
                         return Err(CheckpointError::DrainTimeout {
+                            attempts,
                             waited_us,
                             budget_ms: config.drain_timeout_ms,
                         });
                     }
-                    std::thread::sleep(Duration::from_micros(backoff));
+                    clock.sleep(Duration::from_micros(backoff));
                 }
             }
         };
@@ -1425,21 +1472,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_across_epochs() {
-        let mut vm = vm();
-        let mut cp = Checkpointer::new(&vm, CheckpointConfig::default());
-        cp.run_epoch(&mut vm, &mut pass_audit())
-            .expect("no faults armed");
-        cp.run_epoch(&mut vm, &mut pass_audit())
-            .expect("no faults armed");
-        assert_eq!(cp.stats().epochs(), 2);
-        assert!(cp.stats().mean().is_some());
-    }
-
-    #[test]
     fn opt_labels_match_figures() {
         let labels: Vec<&str> = OptLevel::ALL.iter().map(|o| o.label()).collect();
         assert_eq!(labels, vec!["No-opt", "Memcpy", "Pre-map", "Full"]);
+    }
+
+    #[test]
+    fn phase_labels_match_paper_rows() {
+        let labels: Vec<&str> = Phase::ALL.iter().map(|p| p.label()).collect();
+        assert_eq!(
+            labels,
+            vec!["suspend", "vmi", "bitscan", "map", "copy", "resume"]
+        );
+        // `phase_ns` is indexed by `Phase as usize` and the framework labels
+        // its histograms by position in `ALL`: the two orders must agree.
+        assert!(Phase::ALL.iter().enumerate().all(|(i, p)| *p as usize == i));
     }
 
     #[test]
@@ -1461,6 +1508,8 @@ mod tests {
                 .expect("no faults armed");
             // Backup stays consistent over either path.
             assert_eq!(cp.backup().frames(), vm.memory().dump_frames().as_slice());
+            // The pre-map optimisation still applies remotely.
+            assert_eq!(cp.map_hypercalls(), 0);
             report
         };
         let local = run(&mut vm, mk(false));
@@ -1470,15 +1519,6 @@ mod tests {
             "remote copies must travel the socket"
         );
         assert_eq!(local.copy.syscalls, 0, "local Full path is pure memcpy");
-        // The pre-map and word-scan optimisations still apply remotely.
-        assert!(remote.timings.map < Duration::from_millis(1));
-    }
-
-    #[test]
-    fn init_time_is_measured() {
-        let vm = vm();
-        let cp = Checkpointer::new(&vm, CheckpointConfig::default());
-        assert!(cp.init_time() > Duration::ZERO);
     }
 
     fn fused_config(workers: usize) -> CheckpointConfig {
@@ -2548,9 +2588,15 @@ mod tests {
         let err = cp
             .drain_staged(&vm, ticket)
             .expect_err("one tick over the budget fails");
-        let CheckpointError::DrainTimeout { waited_us, budget_ms } = err else {
+        let CheckpointError::DrainTimeout {
+            attempts,
+            waited_us,
+            budget_ms,
+        } = err
+        else {
             panic!("expected a drain timeout, got {err}");
         };
+        assert_eq!(attempts, 1, "the first session's backoff crossed the line");
         assert_eq!(waited_us, 1_001);
         assert_eq!(budget_ms, 1);
         assert_eq!(cp.backup().acked_generation(), 0, "nothing became durable");

@@ -67,6 +67,8 @@ pub enum CheckpointError {
     /// hold a partial copy; only a checksum-verified generation is
     /// trustworthy now, and the epoch's outputs stay impounded.
     DrainTimeout {
+        /// Sessions tried before the deadline passed (starting at 1).
+        attempts: u32,
         /// Modelled time spent backing off across retries, in
         /// microseconds.
         waited_us: u64,
@@ -130,10 +132,15 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::DrainFault { pages_drained } => {
                 write!(f, "staged-epoch drain failed after {pages_drained} page(s)")
             }
-            CheckpointError::DrainTimeout { waited_us, budget_ms } => {
+            CheckpointError::DrainTimeout {
+                attempts,
+                waited_us,
+                budget_ms,
+            } => {
                 write!(
                     f,
-                    "staged-epoch drain timed out ({waited_us} us waited, {budget_ms} ms budget)"
+                    "staged-epoch drain timed out after {attempts} session(s) \
+                     ({waited_us} us waited, {budget_ms} ms budget)"
                 )
             }
             CheckpointError::StagingBacklog { in_flight } => {
@@ -172,6 +179,7 @@ mod tests {
             },
             CheckpointError::DrainFault { pages_drained: 5 },
             CheckpointError::DrainTimeout {
+                attempts: 2,
                 waited_us: 1_500,
                 budget_ms: 1,
             },

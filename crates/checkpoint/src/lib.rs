@@ -9,7 +9,8 @@
 //! * the paper's three optimisations — in-memory `memcpy`, global
 //!   pre-mapping, and word-wise bitmap scanning (§4.1) — selectable via
 //!   [`OptLevel`] so every figure comparing them can be regenerated,
-//! * per-phase timing probes matching Table 1 / Figure 4's rows,
+//! * per-phase pause timings matching Table 1 / Figure 4's rows, on an
+//!   injectable clock ([`Checkpointer::with_clock`]),
 //! * a checkpoint [`history`] ring (the paper's proposed extension).
 //!
 //! # Example
@@ -50,7 +51,6 @@ pub mod history;
 pub mod integrity;
 pub mod mapping;
 pub mod pool;
-pub mod probe;
 #[allow(unsafe_code)]
 pub mod resident;
 pub mod staging;
@@ -62,8 +62,8 @@ pub use delta::{
     apply_page, encode_page, scan_page, wire_len, wire_len_for, DeltaRun, PageEncoding, PageScan,
 };
 pub use engine::{
-    AuditVerdict, CheckpointConfig, Checkpointer, DrainStats, EpochReport, OptLevel,
-    RollbackReport,
+    AuditVerdict, CheckpointConfig, Checkpointer, DrainStats, EpochReport, OptLevel, Phase,
+    RollbackReport, COPY_RETRIES,
 };
 pub use error::CheckpointError;
 pub use history::{CheckpointHistory, CheckpointRecord};
@@ -73,6 +73,5 @@ pub use pool::{
     FusedAudit, FusedPageVisitor, NoopVisitor, PageCtx, PageFinding, PauseWindowPool, PoolLease,
     ShardSink, SharedPausePool, MAX_WORKERS,
 };
-pub use probe::{BreakdownStats, Phase, PhaseTimings};
 pub use resident::{Resident, Task};
 pub use staging::{DrainTicket, StagingArea};

@@ -226,6 +226,7 @@ mod tests {
         .into();
         assert!(matches!(e, CrimesError::BufferOverflow { .. }));
         let e: CrimesError = CheckpointError::DrainTimeout {
+            attempts: 2,
             waited_us: 1_500,
             budget_ms: 1,
         }

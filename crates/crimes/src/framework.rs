@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crimes_checkpoint::{
-    AuditVerdict, BackupVm, Checkpointer, EpochReport, FusedAudit, FusedPageVisitor, PageFinding,
-    PauseWindowPool, Phase,
+    AuditVerdict, BackupVm, CheckpointError, Checkpointer, EpochReport, FusedAudit,
+    FusedPageVisitor, PageFinding, PauseWindowPool, Phase, COPY_RETRIES,
 };
 use crimes_faults::FaultPoint;
 use crimes_journal::EvidenceJournal;
@@ -403,10 +403,11 @@ impl Crimes {
         Self::protect_with_clock(vm, config, Arc::new(RealClock::new()))
     }
 
-    /// Like [`protect`](Self::protect), but timing the audit pipeline
-    /// against an injected [`Clock`]. Tests pass a
-    /// [`crimes_telemetry::TestClock`] to drive the
-    /// deadline/extension/quarantine state machine in virtual time.
+    /// Like [`protect`](Self::protect), but timing the audit pipeline and
+    /// the checkpoint engine's phases and retry sleeps against an
+    /// injected [`Clock`]. Tests pass a [`crimes_telemetry::TestClock`] to
+    /// drive the deadline/extension/quarantine state machine, and whole
+    /// boundaries, in virtual time.
     ///
     /// # Errors
     ///
@@ -417,7 +418,7 @@ impl Crimes {
         clock: Arc<dyn Clock>,
     ) -> Result<Self, CrimesError> {
         let session = VmiSession::init(&vm)?;
-        let checkpointer = Checkpointer::new(&vm, config.checkpoint);
+        let checkpointer = Checkpointer::new(&vm, config.checkpoint).with_clock(clock.clone());
         let evidence = Evidence::new(&config);
         let mut crimes = Self::assemble(
             vm,
@@ -462,12 +463,9 @@ impl Crimes {
     ) -> Result<Self, CrimesError> {
         let (journal, state) = EvidenceJournal::recover_from(journal_bytes);
         let session = VmiSession::init(&vm)?;
-        let checkpointer = Checkpointer::attach(
-            &vm,
-            config.checkpoint,
-            backup,
-            state.last_acked_generation,
-        );
+        let checkpointer =
+            Checkpointer::attach(&vm, config.checkpoint, backup, state.last_acked_generation)
+                .with_clock(clock.clone());
         let evidence = Evidence::recovered(journal, &state, &config);
         // Telemetry is process-local and starts fresh; the journal is the
         // durable record, counters are observability.
@@ -916,11 +914,8 @@ impl Crimes {
 
         // Feed the boundary's measurements into the histograms. This runs
         // after the engine resumed the guest, i.e. off the pause window.
-        for (i, phase) in Phase::ALL.iter().enumerate() {
-            self.telemetry.record_phase_ns(
-                i,
-                u64::try_from(report.timings.get(*phase).as_nanos()).unwrap_or(u64::MAX),
-            );
+        for (i, &ns) in report.phase_ns.iter().enumerate() {
+            self.telemetry.record_phase_ns(i, ns);
         }
         self.telemetry
             .record_dirty_pages(u64::try_from(report.dirty_pages).unwrap_or(u64::MAX));
@@ -1050,7 +1045,7 @@ impl Crimes {
         // epoch's ticket.
         let drain_t0 = self.clock.now_ns();
         let mut released = Vec::new();
-        let mut failed: Option<(crimes_checkpoint::CheckpointError, u64)> = None;
+        let mut failed: Option<(CheckpointError, u64)> = None;
         while let Some(&next) = self.evidence.pending().front() {
             match self.checkpointer.drain_staged(&self.vm, next) {
                 Ok(ack) => {
@@ -1102,13 +1097,15 @@ impl Crimes {
             .record_phase_ns(DRAIN_PHASE, self.clock.now_ns().saturating_sub(drain_t0));
         if let Some((e, stuck_generation)) = failed {
             self.telemetry.add(Counter::DrainFailures, 1);
-            self.recorder.record(
-                epoch,
-                self.clock.now_ns(),
-                EventKind::DrainFailed {
-                    attempts: self.config.checkpoint.copy_retries + 1,
-                },
-            );
+            // The sessions the drain actually tried: a timeout can end it
+            // before the last retry.
+            let attempts = match e {
+                CheckpointError::DrainTimeout { attempts, .. }
+                | CheckpointError::BackupUnreachable { attempt: attempts } => attempts,
+                _ => COPY_RETRIES + 1,
+            };
+            self.recorder
+                .record(epoch, self.clock.now_ns(), EventKind::DrainFailed { attempts });
             let backlog = u64::try_from(self.evidence.pending().len()).unwrap_or(u64::MAX);
             if self.config.max_staged_backlog == 0 {
                 // Degraded mode disabled: the epoch's evidence
@@ -1514,7 +1511,6 @@ mod tests {
             assert!(outcome.is_committed());
         }
         assert_eq!(c.committed_epochs(), 5);
-        assert_eq!(c.checkpointer().stats().epochs(), 5);
         assert_eq!(c.checkpointer().backup().epoch(), 5);
         assert_eq!(c.robustness_stats(), RobustnessStats::default());
     }
@@ -2236,6 +2232,79 @@ mod tests {
             .flight_recorder()
             .events()
             .any(|e| e.kind.label() == "quarantined"));
+    }
+
+    /// A seed under which `plan`'s first outage draw refuses the drain
+    /// session and its second lets it through.
+    fn fail_once_outage_seed(plan: FaultPlan) -> u64 {
+        (0..1024u64)
+            .find(|&s| {
+                let _scope = install(plan, s);
+                crimes_faults::should_inject(FaultPoint::BackupOutage)
+                    && !crimes_faults::should_inject(FaultPoint::BackupOutage)
+            })
+            .expect("a fail-once seed exists in the first 1024")
+    }
+
+    #[test]
+    fn the_boundary_times_its_phases_and_sleeps_its_retries_on_the_injected_clock() {
+        use crimes_checkpoint::engine::drain_backoff_us;
+
+        let clock = TestClock::new();
+        let mut c = protected_with_clock(clock.clone(), |cfg| {
+            cfg.staging_buffers(1);
+        });
+        c.register_module(Box::new(NoopScanModule::new()));
+        let plan = FaultPlan::disabled().with_rate(FaultPoint::BackupOutage, SCALE / 2);
+        let scope = install(plan, fail_once_outage_seed(plan));
+        let outcome = c.run_epoch(|_vm, _| Ok(())).expect("the second session acks");
+        drop(scope);
+        assert!(outcome.is_committed());
+
+        // Nothing inside the window advanced the clock: every in-window
+        // phase took exactly 0 ns.
+        let phases: Vec<(&str, u64, u64)> = c
+            .telemetry()
+            .phases()
+            .map(|(label, h)| (label, h.count(), h.sum()))
+            .collect();
+        let (in_window, drain) = phases.split_at(Phase::ALL.len());
+        for &(label, count, sum) in in_window {
+            assert_eq!((count, sum), (1, 0), "phase {label}");
+        }
+        // The drain slept its one backoff on the clock, in virtual time:
+        // that is all the time that passed, and all of it is the drain's.
+        let backoff_ns = drain_backoff_us(c.config().checkpoint.retry_backoff_us, 1, 1) * 1_000;
+        assert_eq!(drain, [(DRAIN_PHASE_LABEL, 1, backoff_ns)]);
+        assert_eq!(clock.now_ns(), backoff_ns);
+    }
+
+    #[test]
+    fn a_drain_that_times_out_journals_the_sessions_it_tried() {
+        let mut b = Vm::builder();
+        b.pages(4096).seed(66);
+        let mut cfg = CrimesConfig::builder();
+        cfg.epoch_interval_ms(50).staging_buffers(1).drain_timeout_ms(1);
+        let mut cfg = cfg.build().expect("valid config");
+        // The first session's backoff alone overruns the 1 ms budget.
+        cfg.checkpoint.retry_backoff_us = 1_001;
+        let mut c = Crimes::protect(b.build(), cfg).expect("protect");
+        c.register_module(Box::new(NoopScanModule::new()));
+        let scope = install(
+            FaultPlan::disabled().with_rate(FaultPoint::BackupOutage, SCALE),
+            31,
+        );
+        let err = c.run_epoch(|_vm, _| Ok(())).expect_err("the drain times out");
+        drop(scope);
+        assert!(matches!(err, CrimesError::Timeout { .. }), "unexpected error: {err}");
+        let state = EvidenceJournal::replay(c.journal().bytes());
+        let failed: Vec<EventKind> = state
+            .events
+            .iter()
+            .map(|&(_, _, kind)| kind)
+            .filter(|kind| matches!(kind, EventKind::DrainFailed { .. }))
+            .collect();
+        assert_eq!(failed, [EventKind::DrainFailed { attempts: 1 }]);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //! is armed the round runs inline: fault plans are thread-local and would
 //! not follow a tenant onto a lane.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
@@ -110,12 +109,6 @@ pub struct SchedulerStats {
     /// Leases granted lifetime (one per tenant whose guest ran an epoch
     /// under this scheduler).
     pub total_leases: u64,
-    /// Pages a fleet-shared content store would have stored once instead
-    /// of per-tenant, among the tenants that keep a content index (the
-    /// dedup drain's): for every page digest held by `k ≥ 2` of their
-    /// backups, `k − 1` redundant copies, counted the first round the
-    /// digest recurs. Counter-only — no tenant bytes actually move.
-    pub cross_tenant_dup_pages: u64,
 }
 
 /// Drives staggered epoch rounds for a whole [`Fleet`] over one shared
@@ -136,11 +129,6 @@ pub struct FleetScheduler {
     rounds: u64,
     requested_workers: usize,
     last_snapshot: Option<Telemetry>,
-    /// Digests already tallied as cross-tenant duplicates — each digest
-    /// is counted the first round it recurs, so the lifetime counter
-    /// never double-counts a page that stays resident across rounds.
-    content_counted: BTreeSet<u64>,
-    cross_tenant_dup_pages: u64,
 }
 
 /// FNV-1a over the tenant name: a cheap, deterministic, platform-stable
@@ -341,8 +329,6 @@ impl FleetScheduler {
             rounds: 0,
             requested_workers: requested,
             last_snapshot: None,
-            content_counted: BTreeSet::new(),
-            cross_tenant_dup_pages: 0,
         }
     }
 
@@ -355,7 +341,6 @@ impl FleetScheduler {
             capacity: self.pool.capacity(),
             peak_leases: self.pool.peak_active(),
             total_leases: self.pool.total_leases(),
-            cross_tenant_dup_pages: self.cross_tenant_dup_pages,
         }
     }
 
@@ -520,45 +505,11 @@ impl FleetScheduler {
         summary.errored.sort_by(|a, b| a.0.cmp(&b.0));
 
         fleet.count_round(&summary);
-        self.tally_cross_tenant_dups(fleet);
         self.last_snapshot = fleet.aggregate_telemetry().map(|mut t| {
             t.merge(&self.telemetry);
             t
         });
         Ok(summary)
-    }
-
-    /// Fold the tenants' content indexes into the fleet-shared dedup
-    /// accounting. Only an index that is already coherent is read —
-    /// tenants running the dedup drain keep theirs coherent record by
-    /// record — and none is ever rebuilt here: the round's tail must not
-    /// digest frames the epoch did not dirty, so in-window tenants, which
-    /// keep no content store, do not contribute. Counter-only by design:
-    /// a page digest held by `k ≥ 2` tenants counts `k − 1` redundant
-    /// stored copies (what one shared content store would save), tallied
-    /// the first round the digest recurs and surfaced as
-    /// [`Counter::DedupHits`] on the scheduler's telemetry. Tenant
-    /// stores, drain wires, and journals are untouched — cross-tenant
-    /// sharing must never let one tenant observe another's content
-    /// timing, so only the count escapes.
-    fn tally_cross_tenant_dups(&mut self, fleet: &mut Fleet) {
-        let mut tenants_holding: BTreeMap<u64, u64> = BTreeMap::new();
-        for crimes in fleet.vms_mut().values() {
-            for (digest, refs) in crimes.checkpointer().backup().content_index() {
-                if refs > 0 {
-                    let held = tenants_holding.entry(digest).or_insert(0);
-                    *held = held.saturating_add(1);
-                }
-            }
-        }
-        for (digest, holders) in tenants_holding {
-            if holders >= 2 && self.content_counted.insert(digest) {
-                let redundant = holders.saturating_sub(1);
-                self.cross_tenant_dup_pages =
-                    self.cross_tenant_dup_pages.saturating_add(redundant);
-                self.telemetry.add(Counter::DedupHits, redundant);
-            }
-        }
     }
 }
 
@@ -766,114 +717,6 @@ mod tests {
             assert_eq!(victim.output_buffer().held_outputs().count(), 1);
             assert_eq!(sched.stats().total_leases, 5 + 4 + 4, "never admitted again");
         }
-    }
-
-    /// Three tenants on the dedup drain, each with a service process.
-    fn dedup_fleet() -> (Fleet, Vec<(u32, crimes_vm::Gva)>) {
-        let mut fleet = Fleet::new();
-        let mut arenas = Vec::new();
-        for i in 0..3u64 {
-            let mut b = CrimesConfig::builder();
-            b.epoch_interval_ms(20)
-                .external_pool(true)
-                .pause_workers(2)
-                .staging_buffers(2)
-                .dedup(true);
-            let crimes = fleet
-                .add_vm(
-                    &format!("tenant-{i}"),
-                    guest(300 + i),
-                    b.build().expect("valid"),
-                )
-                .expect("add");
-            let vm = crimes.vm_mut();
-            let pid = vm.spawn_process("svc", 0, 4).expect("spawn");
-            let base = vm.processes().get(pid).expect("spawned").mapping.virt_base;
-            arenas.push((pid, base));
-        }
-        (fleet, arenas)
-    }
-
-    /// What the tally should see, straight from the backup frames: for
-    /// every page content held by `k >= 2` tenants, `k - 1` copies.
-    fn redundant_copies(fleet: &Fleet) -> u64 {
-        let mut holders: BTreeMap<u64, u64> = BTreeMap::new();
-        for name in fleet.names() {
-            let backup = fleet.get(name).expect("tenant").checkpointer().backup();
-            let digests: BTreeSet<u64> = backup
-                .frames()
-                .chunks_exact(crimes_vm::PAGE_SIZE)
-                .map(crimes_checkpoint::content_digest)
-                .collect();
-            for d in digests {
-                *holders.entry(d).or_insert(0) += 1;
-            }
-        }
-        holders.values().filter(|&&k| k >= 2).map(|k| k - 1).sum()
-    }
-
-    #[test]
-    fn cross_tenant_dups_count_first_recurrence_among_dedup_tenants() {
-        let (mut fleet, arenas) = dedup_fleet();
-        let mut sched = scheduler_for(&fleet, 2);
-        // `writers` copy `template` over arena page `page` this round.
-        let mut round = |fleet: &mut Fleet, writers: &[usize], page: u64, template: u8| {
-            let summary = sched
-                .run_round(fleet, |name, vm, _| {
-                    let i: usize = name.trim_start_matches("tenant-").parse().expect("index");
-                    if writers.contains(&i) {
-                        let (pid, base) = arenas[i];
-                        let gva = base.add(page * crimes_vm::PAGE_SIZE as u64);
-                        vm.write_user(pid, gva, &[template; crimes_vm::PAGE_SIZE], 0x40_0000)?;
-                    }
-                    Ok(())
-                })
-                .expect("round");
-            assert_eq!(summary.committed.len(), 3);
-            sched.stats().cross_tenant_dup_pages
-        };
-
-        // Everyone holds template A: one digest, three holders, two
-        // redundant copies, on top of whatever the fresh guests share.
-        let after_a = round(&mut fleet, &[0, 1, 2], 0, 0xa1);
-        assert_eq!(after_a, redundant_copies(&fleet));
-        assert!(after_a >= 2);
-        // Nothing new recurs: pages that stay resident are not recounted.
-        assert_eq!(round(&mut fleet, &[], 0, 0), after_a);
-        // Template B lands on two tenants: exactly one more copy.
-        assert_eq!(round(&mut fleet, &[0, 1], 1, 0xb2), after_a + 1);
-        // A digest is counted the round it first recurs, and only then.
-        assert_eq!(round(&mut fleet, &[2], 1, 0xb2), after_a + 1);
-        assert_eq!(
-            sched.telemetry().counter(Counter::DedupHits),
-            after_a + 1,
-            "the counter mirrors the stat"
-        );
-    }
-
-    #[test]
-    fn the_tally_never_rebuilds_an_in_window_tenants_content_index() {
-        // In-window tenants keep no content store: the walk stales their
-        // index every epoch, and the round's tail must not rehash their
-        // memory to rebuild it, however much they share (all-zero pages
-        // at the least).
-        let mut fleet = fleet_of(3);
-        let mut sched = scheduler_for(&fleet, 2);
-        for _ in 0..2 {
-            sched
-                .run_round(&mut fleet, |_, _, _| Ok(()))
-                .expect("round");
-        }
-        assert!(redundant_copies(&fleet) > 0, "there was something to find");
-        for name in fleet.names() {
-            let backup = fleet.get(name).expect("tenant").checkpointer().backup();
-            assert_eq!(
-                backup.content_index().count(),
-                0,
-                "{name}: index left stale"
-            );
-        }
-        assert_eq!(sched.stats().cross_tenant_dup_pages, 0);
     }
 
     #[test]

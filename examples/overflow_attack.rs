@@ -11,7 +11,7 @@
 //! cargo run --example overflow_attack
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crimes::modules::CanaryScanModule;
 use crimes::{Crimes, CrimesConfig, EpochOutcome};
@@ -59,7 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("epoch 1: AUDIT FAILED");
     println!("  attack ran undetected for {wait_ms:.1} ms of guest time (≤ epoch interval)");
     println!("  audit scan time: {:?}", audit.total_scan_time());
-    println!("  pause window:    {:?}", report.timings.total());
+    let pause = Duration::from_nanos(report.phase_ns.iter().sum());
+    println!("  pause window:    {pause:?}");
     println!("  every output of the epoch is still buffered — zero external impact");
 
     let t = Instant::now();

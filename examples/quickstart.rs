@@ -4,6 +4,8 @@
 //! cargo run --example quickstart
 //! ```
 
+use std::time::Duration;
+
 use crimes::modules::{BlacklistScanModule, CanaryScanModule, NoopScanModule};
 use crimes::{Crimes, CrimesConfig, EpochOutcome};
 use crimes_outbuf::{NetPacket, Output};
@@ -47,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "epoch {epoch}: committed ({} dirty pages, pause {:?}, {} output(s) released)",
             report.dirty_pages,
-            report.timings.total(),
+            Duration::from_nanos(report.phase_ns.iter().sum()),
             released.len()
         );
     }

@@ -73,9 +73,19 @@ echo "==> repo benchmark smoke (every workload, untraced and traced, all checks)
 # exits non-zero unless every run's checks hold: the output ledger,
 # backup == guest, verify_backup, journal replay count, a recovered
 # monitor committing one more epoch, every fleet attack detected.
+# bench/Cargo.lock predates crimes-checkpoint's crimes-telemetry
+# dependency, so cargo rewrites one line of it; only a `benchmark` PR may
+# change bench/, so the committed file is put back however this exits.
+BENCH_LOCK="$(mktemp)"
+cp bench/Cargo.lock "${BENCH_LOCK}"
+trap 'cp "${BENCH_LOCK}" bench/Cargo.lock; rm -f "${BENCH_LOCK}"' EXIT
 CARGO_TARGET_DIR="$PWD/target/bench" \
     cargo build --release --offline --quiet --manifest-path bench/Cargo.toml
 target/bench/release/crimes-e2e-bench --smoke > /dev/null
+
+echo "==> repo benchmark self-tests (ledger, stats, trace, main)"
+CARGO_TARGET_DIR="$PWD/target/bench" \
+    cargo test --release --offline --quiet --manifest-path bench/Cargo.toml
 
 echo "==> perf gates (bench/ workloads: the host's CPUs vs one CPU, median of three alternating pairs)"
 # Every wall-clock comparison is made by the repo benchmark itself. Pinned

@@ -373,9 +373,14 @@ pub struct DrainStats {
     pub dedup_misses: usize,
     /// Pages whose compare-and-digest pass one of the pool's resident
     /// workers had already made when the guest resumed (0 without one). How far it gets
-    /// is a matter of timing, and the only field here that may differ
-    /// between two runs of the same epoch. Telemetry only.
+    /// is a matter of timing, and with `cipher_lent_bytes` the only field
+    /// here that may differ between two runs of the same epoch. Telemetry
+    /// only.
     pub head_start_pages: usize,
+    /// Cipher bytes of the drained records that a resident worker of the
+    /// walking pool ran instead of the drain's own thread (0 without one).
+    /// A matter of timing, like `head_start_pages`. Telemetry only.
+    pub cipher_lent_bytes: usize,
 }
 
 /// Deterministic exponential backoff with jitter for drain-session
@@ -693,6 +698,11 @@ impl Checkpointer {
         // Before the guest stops: a thread's start is no cost to pay
         // inside a window, and this one is paid once per pool.
         pool.start_workers();
+        if let Some(area) = staging.as_mut() {
+            // The drains that follow this boundary lend their cipher to
+            // the workers of the pool that walked it.
+            area.lend_cipher_to((pool.resident_workers() > 0).then(|| pool.executor()));
+        }
 
         // Injected silent corruption: rot one bit of the backup image
         // without updating the stored digests, exactly as a DRAM or disk
@@ -1101,6 +1111,7 @@ impl Checkpointer {
             dedup_misses += usize::from(config.dedup && !fact.dedup_hit);
         }
         let head_start_pages = staging.head_started(ticket.slot());
+        let cipher_lent_bytes = staging.cipher_lent(ticket.slot());
         staging.release(ticket.slot());
         Ok(DrainStats {
             generation: ticket.generation(),
@@ -1116,6 +1127,7 @@ impl Checkpointer {
             dedup_hits,
             dedup_misses,
             head_start_pages,
+            cipher_lent_bytes,
         })
     }
 
@@ -2082,10 +2094,11 @@ mod tests {
             .map(|report| report.pending.expect("ticket"))
     }
 
-    /// Run `scenario` with a worker that finishes every head start and on
-    /// a one-CPU host, which has none: the acks may differ in
-    /// `head_start_pages` only, and the backups not at all. The first
-    /// run's coverage comes back, one `(covered, pages)` per ack.
+    /// Run `scenario` with a worker that finishes every head start and
+    /// takes cipher shares, and on a one-CPU host, which has none: the
+    /// acks may differ in `head_start_pages` and `cipher_lent_bytes` only,
+    /// and the backups not at all. The first run's coverage comes back,
+    /// one `(covered, pages)` per ack.
     fn head_start_changes_nothing(
         buffers: usize,
         scenario: impl Fn(&mut Checkpointer, &mut Vm, u32, &mut PauseWindowPool) -> Vec<DrainStats>,
@@ -2099,9 +2112,13 @@ mod tests {
         });
         assert_eq!(with.1.frames(), without.1.frames());
         assert_eq!(with.1.disk(), without.1.disk());
-        assert!(without.0.iter().all(|ack| ack.head_start_pages == 0), "no worker, no head start");
+        assert!(
+            without.0.iter().all(|ack| (ack.head_start_pages, ack.cipher_lent_bytes) == (0, 0)),
+            "no worker, no head start and nothing lent"
+        );
         let rest = |acks: &[DrainStats]| -> Vec<DrainStats> {
-            acks.iter().map(|&ack| DrainStats { head_start_pages: 0, ..ack }).collect()
+            let timing = |ack| DrainStats { head_start_pages: 0, cipher_lent_bytes: 0, ..ack };
+            acks.iter().copied().map(timing).collect()
         };
         assert_eq!(rest(&with.0), rest(&without.0));
         with.0.iter().map(|ack| (ack.head_start_pages, ack.pages)).collect()
@@ -2230,6 +2247,56 @@ mod tests {
         }
     }
 
+    /// A worker that dies holding its cipher share fails that drain
+    /// session like a broken stream: the records the pass completed are
+    /// durable behind the cursor, the retry runs on the lender alone, and
+    /// the ack — the only receipt that releases anything — is an unbroken
+    /// drain's but for the session that failed.
+    #[test]
+    fn a_worker_lost_with_its_cipher_share_costs_a_session_and_no_evidence() {
+        use crate::resident::{pin, Placement};
+        let run = |doomed: bool| {
+            let mut vm = vm();
+            let pid = vm.spawn_process("app", 0, 64).expect("spawn");
+            let mut cp = Checkpointer::new(&vm, staged_config(1));
+            let mut pool = lent_pool(2);
+            pool.start_workers();
+            if doomed {
+                // Its walk shard and the head start, then the cipher share.
+                pool.doom_worker(2);
+            }
+            dirty_some(&mut vm, pid, 1);
+            let _pin = pin(Placement::TakeNone);
+            let ticket = staged_epoch(&mut cp, &mut vm, &mut pool).expect("no faults armed");
+            let ack = cp.drain_staged(&vm, ticket).expect("the retry needs no worker");
+            assert_committed_image(&cp, &vm, &format!("doomed: {doomed}"));
+            let checksum = cp.history().latest().map(|record| record.checksum);
+            (ack, cp.backup().clone(), checksum, pool.resident_workers())
+        };
+        let (clean, clean_backup, clean_checksum, workers) = run(false);
+        assert_eq!((clean.attempts, workers), (1, 1));
+        assert!(clean.cipher_lent_bytes > 0, "the worker took its share");
+        let (ack, backup, checksum, workers) = run(true);
+        assert_eq!(workers, 0, "the executor lends nothing any more");
+        assert_eq!(ack.attempts, 2, "the session the worker died in, then one more");
+        assert_eq!(ack.resumed_from, ack.pages, "the cursor stayed where the pass left it");
+        assert_eq!(ack.cipher_lent_bytes, 0);
+        // The journal's profile (generation, pages, zero, changed, dup),
+        // the wire tallies, the image and its digests: all the clean run's.
+        let evidence = |ack: DrainStats| DrainStats {
+            bytes: 0,
+            syscalls: 0,
+            attempts: 0,
+            resumed_from: 0,
+            cipher_lent_bytes: 0,
+            ..ack
+        };
+        assert_eq!(evidence(ack), evidence(clean));
+        assert_eq!(backup.frames(), clean_backup.frames());
+        assert_eq!(backup.disk(), clean_backup.disk());
+        assert_eq!(checksum, clean_checksum);
+    }
+
     #[test]
     fn a_pool_has_resident_workers_only_with_a_worker_and_a_cpu_to_spare() {
         let steps = HypercallModel::DEFAULT_STEPS;
@@ -2355,8 +2422,9 @@ mod tests {
                             let acks = drive_script(config, &script, &pinned, None, &what);
                             // The same script under a head start stopped
                             // after no page, one, half of them and all,
-                            // and wherever the walk's lent shards ran:
-                            // every check above again, and the same acks.
+                            // and wherever the walk's lent shards and the
+                            // drain's cipher shares ran: every check above
+                            // again, and the same acks.
                             let placed = [0, 1, 12, usize::MAX]
                                 .map(|stop| (stop, Placement::Free))
                                 .into_iter()
@@ -2371,7 +2439,20 @@ mod tests {
                                 for (got, want) in head_started.iter().zip(&acks) {
                                     let covered = if lends { stop.min(want.pages) } else { 0 };
                                     assert_eq!(got.head_start_pages, covered, "{what}");
-                                    let rest = DrainStats { head_start_pages: 0, ..*got };
+                                    let lent = got.cipher_lent_bytes;
+                                    match placement {
+                                        _ if !lends => assert_eq!(lent, 0, "{what}"),
+                                        Placement::TakeAll => assert_eq!(lent, 0, "{what}"),
+                                        Placement::TakeNone | Placement::Stalled => {
+                                            assert!(lent > 0, "{what}")
+                                        }
+                                        Placement::Free => {}
+                                    }
+                                    let rest = DrainStats {
+                                        head_start_pages: 0,
+                                        cipher_lent_bytes: 0,
+                                        ..*got
+                                    };
                                     assert_eq!(rest, *want, "{what}");
                                 }
                             }

@@ -53,6 +53,7 @@
 //! so the walk itself needs no locking.
 
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
 use crimes_faults::{FaultCounters, FaultPlan, FaultPoint};
 use crimes_vm::{DirtyBitmap, GuestMemory, Mfn, Pfn, Vm, PAGE_SIZE};
@@ -62,7 +63,7 @@ use crate::copy::CopyStats;
 use crate::engine::AuditVerdict;
 use crate::error::CheckpointError;
 use crate::mapping::{HypercallModel, MappedPage};
-use crate::resident::{Resident, Task};
+use crate::resident::{self, Resident, Task};
 use crate::staging::HeadStart;
 
 /// Upper bound on `pause_workers` — each worker past the first is a
@@ -331,7 +332,11 @@ pub struct PauseWindowPool {
     /// All shards' findings, merged in shard order and sorted
     /// `(source, key)` — the canonical (serial-equivalent) order.
     merged: Vec<PageFinding>,
-    exec: Resident,
+    /// Shared with the drains of the slots this pool staged
+    /// ([`executor`](Self::executor)). A drain runs on the thread that
+    /// walked, or under the same fleet lease, so the pool never finds it
+    /// taken when it locks it.
+    exec: Arc<Mutex<Resident>>,
     /// Shards of the last walk lent to a worker and taken back unstarted.
     taken_back: usize,
     /// Test pin: cover exactly this many pages, however long the resume.
@@ -364,7 +369,7 @@ impl PauseWindowPool {
                 .collect(),
             merged: Vec::with_capacity(workers * FINDINGS_CAP),
             // On one CPU a second thread only time-shares it.
-            exec: Resident::new(if host_cpus > 1 { workers - 1 } else { 0 }),
+            exec: Arc::new(Mutex::new(Resident::new(if host_cpus > 1 { workers - 1 } else { 0 }))),
             taken_back: 0,
             pinned: None,
         }
@@ -380,13 +385,20 @@ impl PauseWindowPool {
     /// created once per pool and never inside a window; a pool that is
     /// never asked walks on its caller alone.
     pub fn start_workers(&mut self) {
-        self.exec.start();
+        resident::lock(&self.exec).start();
     }
 
     /// Resident workers the next walk would lend to: `workers − 1` once
     /// started on a host with a second CPU, 0 after one was lost.
     pub fn resident_workers(&self) -> usize {
-        self.exec.threads()
+        resident::lock(&self.exec).threads()
+    }
+
+    /// A handle on the resident workers, for the drain of a slot this
+    /// pool staged to lend its cipher shares to. The drain takes them only
+    /// if they are free at once: it never waits for them.
+    pub(crate) fn executor(&self) -> Arc<Mutex<Resident>> {
+        Arc::clone(&self.exec)
     }
 
     /// Shards of the last walk that were lent to a worker and taken back
@@ -421,7 +433,7 @@ impl PauseWindowPool {
             resume();
             stop.store(stopped, Ordering::Relaxed);
         };
-        self.exec.scope(own, [job as &mut dyn Task]).map(drop)
+        resident::lock(&self.exec).scope(own, [job as &mut dyn Task]).map(drop)
     }
 
     /// Test pin: every head start covers exactly `pages` pages (or all
@@ -435,7 +447,7 @@ impl PauseWindowPool {
     /// panics holding the next one it claims.
     #[cfg(test)]
     pub(crate) fn doom_worker(&mut self, after: isize) {
-        self.exec.doom(after);
+        resident::lock(&self.exec).doom(after);
     }
 
     /// Execute one fused walk over `mapped`: every page is visited once,
@@ -640,7 +652,8 @@ impl PauseWindowPool {
         // for any that no worker has started when shard 0 is done.
         let mut shards = shards.iter_mut().flatten();
         if let Some(first) = shards.next() {
-            *taken_back = exec.scope(|| first.run(), shards.map(|shard| shard as &mut dyn Task))?;
+            let lent = shards.map(|shard| shard as &mut dyn Task);
+            *taken_back = resident::lock(exec).scope(|| first.run(), lent)?;
         }
 
         // Deterministic merge: shard order for counters and findings, then

@@ -1,9 +1,10 @@
 //! The resident executor: a few parked threads that run jobs *borrowed*
 //! from the thread that lends them, under the `std::thread::scope`
 //! contract. Every second thread in `checkpoint` and `crimes` is one of
-//! these: the walk's shards, the drain's head start and the fleet's pause
-//! lanes are jobs lent to them. DESIGN.md, *Threads*, has the reasons and
-//! the host measurements; this header has the contract.
+//! these: the walk's shards, the drain's head start, the drain's cipher
+//! shares and the fleet's pause lanes are jobs lent to them. DESIGN.md,
+//! *Threads*, has the reasons and the host measurements; this header has
+//! the contract.
 //!
 //! [`Resident::scope`] posts one lent job to each worker, runs the
 //! lender's own share, runs the jobs there was no worker for, then **takes
@@ -23,7 +24,7 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 use crate::error::CheckpointError;
@@ -33,6 +34,12 @@ use crate::error::CheckpointError;
 pub trait Task: Send {
     /// Run the job, on whichever thread gets to it.
     fn run(&mut self);
+
+    /// Run the job on a resident worker: [`run`](Self::run), for any job
+    /// that does not count where it ran.
+    fn run_on_worker(&mut self) {
+        self.run();
+    }
 }
 
 impl<F: FnMut() + Send> Task for F {
@@ -118,7 +125,7 @@ fn work(slot: &Slot) {
             if slot.doomed.fetch_sub(1, std::sync::atomic::Ordering::Relaxed) == 0 {
                 panic!("test: the worker dies holding its job");
             }
-            job.run();
+            job.run_on_worker();
         }));
         if ran.is_err() {
             slot.set(State::Lost);
@@ -382,6 +389,23 @@ impl Resident {
         if let Some(slot) = self.slots.first() {
             slot.doomed.store(after, std::sync::atomic::Ordering::Relaxed);
         }
+    }
+}
+
+/// An executor shared by its pool and the drain that borrows it, for the
+/// pool. A lock poisoned by a scope that unwound guards a valid executor:
+/// the scope marked it lost before letting go (`Lending::drop`).
+pub(crate) fn lock(shared: &Mutex<Resident>) -> MutexGuard<'_, Resident> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The same, for a borrower that may not wait for it: `None` while
+/// someone else holds it.
+pub(crate) fn try_lock(shared: &Mutex<Resident>) -> Option<MutexGuard<'_, Resident>> {
+    match shared.try_lock() {
+        Ok(exec) => Some(exec),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 

@@ -36,8 +36,10 @@
 //!   head start already made it) that compares it with the backup's copy
 //!   of its frame and digests it twice on the same loaded words; then
 //!   the dedup probe, the record built from the
-//!   kernel's changed-word mask, the cipher over exactly the bytes that
-//!   ship, the modelled socket, and the apply into the backup frame.
+//!   kernel's changed-word mask, the modelled socket, and the apply into
+//!   the backup frame. The cipher over exactly the bytes that ship runs
+//!   once that pass is over, in shares lent to the walking pool's
+//!   resident workers alongside the drain's own thread (`CipherShare`).
 //!   Digesting here instead of in the window is sound because the slot
 //!   is engine-private, single-writer, and immutable from seal to drain,
 //!   and nothing commits (so no output releases) until the drain
@@ -57,6 +59,7 @@
 //! resume.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crimes_faults::FaultPoint;
 use crimes_vm::{Mfn, PAGE_SIZE, SECTOR_SIZE};
@@ -67,7 +70,8 @@ use crate::delta::{page_kernel, wire_len, PageEncoding, PageKernel};
 use crate::error::CheckpointError;
 use crate::integrity::Lanes;
 use crate::mapping::{HypercallModel, MappedPage};
-use crate::resident::Task;
+use crate::pool::MAX_WORKERS;
+use crate::resident::{self, Resident, Task};
 
 /// Content-aware drain knobs, plumbed from `CheckpointConfig`. Both
 /// default off, which keeps the drain's wire model byte-identical to
@@ -213,6 +217,8 @@ struct StagingSlot {
     kernels_stamp: u64,
     /// Completed records whose kernel came from the head start.
     head_started: usize,
+    /// Cipher bytes of this slot's records that a resident worker ran.
+    cipher_lent: usize,
     digests: Vec<(usize, u64)>,
     facts: Vec<RecordFacts>,
     sector_ids: Vec<u64>,
@@ -237,6 +243,7 @@ impl StagingSlot {
             kernels: Vec::with_capacity(num_pages),
             kernels_stamp: 0,
             head_started: 0,
+            cipher_lent: 0,
             digests: Vec::with_capacity(num_pages),
             facts: Vec::with_capacity(num_pages),
             sector_ids: Vec::with_capacity(num_sectors),
@@ -254,8 +261,9 @@ impl StagingSlot {
 pub struct StagingArea {
     slots: Vec<StagingSlot>,
     generation: u64,
-    /// The drain's cipher scratch: one record's bytes at a time.
-    scratch: Vec<u8>,
+    /// The resident workers the drains lend cipher shares to: the pool's
+    /// that walked the latest boundary, if it had any.
+    exec: Option<Arc<Mutex<Resident>>>,
 }
 
 impl StagingArea {
@@ -268,7 +276,7 @@ impl StagingArea {
                 .map(|_| StagingSlot::new(num_pages, num_sectors))
                 .collect(),
             generation: 0,
-            scratch: Vec::with_capacity(PAGE_SIZE + 8),
+            exec: None,
         }
     }
 
@@ -297,6 +305,7 @@ impl StagingArea {
             s.entries.clear();
             s.kernels.clear();
             s.head_started = 0;
+            s.cipher_lent = 0;
             s.digests.clear();
             s.facts.clear();
             s.sector_ids.clear();
@@ -360,6 +369,13 @@ impl StagingArea {
             limit: usize::MAX,
             stop,
         })
+    }
+
+    /// Name the resident workers the drains that follow lend their
+    /// cipher shares to: the walking pool's, or `None` for a pool without
+    /// any. The engine replaces it at every boundary.
+    pub(crate) fn lend_cipher_to(&mut self, exec: Option<Arc<Mutex<Resident>>>) {
+        self.exec = exec;
     }
 
     /// Seal a staged slot after a passing verdict: record the page list
@@ -456,6 +472,12 @@ impl StagingArea {
         self.slots.get(slot).map(|s| s.head_started).unwrap_or(0)
     }
 
+    /// Cipher bytes of the slot's records, over every drain session, that
+    /// a resident worker ran instead of the drain's own thread.
+    pub(crate) fn cipher_lent(&self, slot: usize) -> usize {
+        self.slots.get(slot).map(|s| s.cipher_lent).unwrap_or(0)
+    }
+
     /// Pages staged in the slot.
     pub(crate) fn entry_count(&self, slot: usize) -> usize {
         self.slots.get(slot).map(|s| s.entries.len()).unwrap_or(0)
@@ -469,16 +491,19 @@ impl StagingArea {
     /// One drain attempt: run each staged page through the page kernel
     /// (facts, changed-word mask and both digests in one pass; taken from
     /// the head start where it got that far and nothing has written the
-    /// backup since), encrypt
-    /// the record it ships as, push it through the modelled socket, and
-    /// apply it to the backup frame — the same cipher and `writev`
+    /// backup since), push the record it ships as through the modelled
+    /// socket, and apply it to the backup frame — the same `writev`
     /// batching as the in-window socket copier, running *after* resume,
-    /// overlapped with guest execution. The digests are taken from the
-    /// staged plaintext, so the pause window pays for none of it; see the
-    /// module header for why that is sound. This is deliberately **not**
-    /// pause-window code: no cipher or socket call is reachable from the
-    /// window's roots on the deferred path, and the only digest call that
-    /// is runs on a resident worker, which the guest does not wait for.
+    /// overlapped with guest execution. Once that pass ends, the records
+    /// it completed are ciphered, in contiguous shares balanced by bytes:
+    /// one on this thread and one on each resident worker the last
+    /// boundary named ([`lend_cipher_to`](Self::lend_cipher_to)) that is
+    /// free at once. The digests are taken from the staged plaintext, so
+    /// the pause window pays for none of it; see the module header for
+    /// why that is sound. This is deliberately **not** pause-window code:
+    /// no cipher or socket call is reachable from the window's roots on
+    /// the deferred path, and the only digest call that is runs on a
+    /// resident worker, which the guest does not wait for.
     ///
     /// # Errors
     ///
@@ -490,6 +515,9 @@ impl StagingArea {
     /// digested, so the next session resumes after them instead of
     /// re-shipping the whole slot (the slot is immutable until released,
     /// which keeps the resume byte-identical to a restart).
+    /// [`CheckpointError::WorkerLost`] when a worker died holding its
+    /// cipher share: the session fails like a broken stream, with the
+    /// cursor where the pass left it.
     pub(crate) fn drain_slot(
         &mut self,
         slot: usize,
@@ -515,7 +543,7 @@ impl StagingArea {
         opts: DrainOpts,
         stop_after: Option<usize>,
     ) -> Result<CopyStats, CheckpointError> {
-        let StagingArea { slots, scratch, .. } = self;
+        let StagingArea { slots, exec, .. } = self;
         let Some(s) = slots.get_mut(slot) else {
             return Err(CheckpointError::DrainFault { pages_drained: 0 });
         };
@@ -529,7 +557,8 @@ impl StagingArea {
         if backup.write_stamp() != s.kernels_stamp {
             s.kernels.clear();
         }
-        let remaining = s.entries.len().saturating_sub(s.drained);
+        let first = s.drained;
+        let remaining = s.entries.len().saturating_sub(first);
         // The out-of-window stream breaking mid-drain: pick how many
         // further records land first from the fault plan's seeded draws.
         let fail_after = crimes_faults::should_inject(FaultPoint::BackupDrain)
@@ -542,21 +571,20 @@ impl StagingArea {
         // what makes the cursor record-aligned: every side effect of a
         // record (frame write, refcounts, digest, facts) lands in the
         // same loop iteration, before the cursor may advance past it.
-        s.digests.truncate(s.drained);
-        s.facts.truncate(s.drained);
+        s.digests.truncate(first);
+        s.facts.truncate(first);
         // Entry `i`'s page is the slot's `i`-th: a sequential read. The
         // staging walk refuses a page list longer than the slot, so a
         // short slot here means the seal did not come from that walk.
         if s.frames.len() / PAGE_SIZE < s.entries.len() {
             return Err(CheckpointError::DrainFault { pages_drained: 0 });
         }
+        let mut broken = false;
         let staged = s.entries.iter().zip(s.frames.chunks_exact(PAGE_SIZE));
-        for (i, (&(pfn, mfn), src)) in staged.enumerate().skip(s.drained) {
+        for (i, (&(_, mfn), src)) in staged.enumerate().skip(first) {
             if fail_after == Some(stats.pages) || stop_after == Some(stats.pages) {
-                s.drained = s.drained.saturating_add(stats.pages);
-                return Err(CheckpointError::DrainFault {
-                    pages_drained: stats.pages,
-                });
+                broken = true;
+                break;
             }
             // Content facts against the backup's current generation —
             // computed unconditionally (they are knob-independent
@@ -564,10 +592,8 @@ impl StagingArea {
             let head_start = s.kernels.get(i).copied();
             let Some(kernel) = head_start.or_else(|| drain_kernel(backup.frame(mfn), src, mfn))
             else {
-                s.drained = s.drained.saturating_add(stats.pages);
-                return Err(CheckpointError::DrainFault {
-                    pages_drained: stats.pages,
-                });
+                broken = true;
+                break;
             };
             let scan = kernel.scan;
             let [digest, page_digest] = kernel.digests;
@@ -587,8 +613,7 @@ impl StagingArea {
                 PAGE_SIZE
             };
             // Record the digest of the plaintext the backup is about to
-            // receive, then cipher exactly the bytes that cross the
-            // modelled wire.
+            // receive, and the wire length the cipher will pay for.
             s.digests.push((mfn.0 as usize, page_digest));
             s.facts.push(RecordFacts {
                 zero: scan.zero,
@@ -597,12 +622,6 @@ impl StagingArea {
                 changed_words: scan.changed_words,
                 wire,
             });
-            let cipher_len = wire.min(PAGE_SIZE + 8);
-            scratch.clear();
-            scratch.extend_from_slice(&src[..cipher_len.min(PAGE_SIZE)]);
-            scratch.resize(cipher_len, 0);
-            encrypt_in_place(scratch, key, pfn.0);
-            decrypt_in_place(scratch, key, pfn.0);
             // Receiver side: apply the record to the backup frame through
             // the content-index-coherent path (delta records rewrite only
             // the changed words; dedup hits and full records copy the
@@ -618,17 +637,140 @@ impl StagingArea {
                 stats.syscalls += 1;
             }
         }
-        if batched > 0 {
-            syscalls.call();
-            stats.syscalls += 1;
+        if !broken {
+            if batched > 0 {
+                syscalls.call();
+                stats.syscalls += 1;
+            }
+            // One read syscall per batch on the restore side.
+            for _ in 0..remaining.div_ceil(WRITEV_BATCH) {
+                syscalls.call();
+                stats.syscalls += 1;
+            }
         }
-        // One read syscall per batch on the restore side.
-        for _ in 0..remaining.div_ceil(WRITEV_BATCH) {
-            syscalls.call();
-            stats.syscalls += 1;
+        s.drained = first + stats.pages;
+        // Every record the pass completed pays its cipher, once; the
+        // staged plaintext is what reached the backup, so nothing reads
+        // the ciphertext and the split cannot change a byte of evidence.
+        let records = CipherShare {
+            facts: &s.facts[first..],
+            entries: &s.entries[first..s.drained],
+            staged: &s.frames[first * PAGE_SIZE..s.drained * PAGE_SIZE],
+            key,
+            on_worker: false,
+        };
+        s.cipher_lent += records.lend(exec.as_deref())?;
+        if broken {
+            return Err(CheckpointError::DrainFault {
+                pages_drained: stats.pages,
+            });
         }
-        s.drained = s.entries.len();
         Ok(stats)
+    }
+}
+
+/// Cipher bytes of one record: what crosses the wire, at most a page and
+/// its 8-byte header.
+fn cipher_len(fact: &RecordFacts) -> usize {
+    fact.wire.min(PAGE_SIZE + 8)
+}
+
+/// Consecutive records of one drain session, as a cipher job: record `i`
+/// is [`cipher_len`] bytes of staged page `i`, keyed by entry `i`'s PFN —
+/// a stand-in for a per-record AEAD. Records are independent, so splitting them changes
+/// which CPU pays, never how much. A share reads the slot, writes only a
+/// buffer on the stack of the thread that runs it, and draws no fault.
+#[derive(Debug, Default)]
+struct CipherShare<'a> {
+    facts: &'a [RecordFacts],
+    entries: &'a [MappedPage],
+    staged: &'a [u8],
+    key: u64,
+    /// A resident worker ran it.
+    on_worker: bool,
+}
+
+impl<'a> CipherShare<'a> {
+    fn bytes(&self) -> usize {
+        self.facts.iter().map(cipher_len).sum()
+    }
+
+    /// The records at the front whose cipher bytes come nearest to
+    /// `bytes`, split off as a share of their own.
+    fn split_front(&mut self, bytes: usize) -> Self {
+        let mut sum = 0;
+        let at = self
+            .facts
+            .iter()
+            .position(|fact| {
+                let len = cipher_len(fact);
+                sum += len;
+                // Past `bytes` by more than it was short of it before.
+                2 * sum > 2 * bytes + len
+            })
+            .unwrap_or(self.facts.len());
+        // One fact, entry and staged page per record.
+        let (facts, entries, staged);
+        (facts, self.facts) = self.facts.split_at(at);
+        (entries, self.entries) = self.entries.split_at(at);
+        (staged, self.staged) = self.staged.split_at(at * PAGE_SIZE);
+        CipherShare {
+            facts,
+            entries,
+            staged,
+            key: self.key,
+            on_worker: false,
+        }
+    }
+
+    /// Cipher every record: one share on each resident worker of
+    /// `exec`, if nobody holds it, and the rest on this thread, balanced
+    /// by bytes. The cipher bytes the workers ran.
+    fn lend(mut self, exec: Option<&Mutex<Resident>>) -> Result<usize, CheckpointError> {
+        let mut exec = exec.and_then(resident::try_lock);
+        let workers = exec.as_ref().map_or(0, |exec| exec.threads()).min(MAX_WORKERS);
+        let Some(exec) = exec.as_mut().filter(|_| workers > 0) else {
+            self.run();
+            return Ok(0);
+        };
+        // Share `k` ends at the record boundary nearest `k + 1` shares'
+        // worth: one record larger than a share leaves a neighbour empty
+        // instead of pushing every later cut along.
+        let total = self.bytes();
+        let mut lent: [CipherShare<'_>; MAX_WORKERS] = Default::default();
+        let mut cut = 0;
+        for (k, job) in lent.iter_mut().take(workers).enumerate() {
+            *job = self.split_front((total * (k + 1) / (workers + 1)).saturating_sub(cut));
+            cut += job.bytes();
+        }
+        let jobs = lent.iter_mut().filter(|job| !job.facts.is_empty());
+        exec.scope(|| self.run(), jobs.map(|job| job as &mut dyn Task))?;
+        Ok(lent.iter().filter(|job| job.on_worker).map(CipherShare::bytes).sum())
+    }
+}
+
+impl Task for CipherShare<'_> {
+    fn run(&mut self) {
+        // One record at a time through one buffer, as over the wire: the
+        // plaintext (padded past the page), encrypted, then decrypted.
+        let mut buf = [0u8; PAGE_SIZE + 8];
+        let pages = self.entries.iter().zip(self.staged.chunks_exact(PAGE_SIZE));
+        for (fact, (&(pfn, _), page)) in self.facts.iter().zip(pages) {
+            let (record, _) = buf.split_at_mut(cipher_len(fact));
+            let (body, pad) = record.split_at_mut(record.len().min(PAGE_SIZE));
+            body.copy_from_slice(&page[..body.len()]);
+            pad.fill(0);
+            encrypt_in_place(record, self.key, pfn.0);
+            decrypt_in_place(record, self.key, pfn.0);
+            // Nothing reads the result: keep the optimiser from deleting
+            // the modelled cost.
+            std::hint::black_box(&*record);
+        }
+    }
+
+    fn run_on_worker(&mut self) {
+        self.run();
+        self.on_worker = true;
     }
 }
 
@@ -914,9 +1056,11 @@ mod tests {
     /// boundary and resume. The cursor must stay record-aligned — no
     /// resume may split a delta record, double-apply a refcount, or drop
     /// a digest/fact — so the backup, digest list, and facts end up
-    /// identical to an unbroken drain no matter where the stream died.
+    /// identical to an unbroken drain no matter where the stream died,
+    /// whichever thread ran which cipher share.
     #[test]
     fn resume_at_every_record_boundary_is_exact() {
+        use crate::resident::{pin, Placement};
         let (vm, mapped) = vm_with_writes();
         let opts = DrainOpts {
             delta_threshold: 64,
@@ -938,17 +1082,24 @@ mod tests {
         let clean_digests: Vec<_> = clean_area.digests(clean_ticket.slot()).collect();
         let clean_facts: Vec<_> = clean_area.facts(clean_ticket.slot()).collect();
 
-        // Every break point, under every head start: none, stopped after
-        // 0, 1 and half the pages, and run to the end.
+        // Every break point, under every head start (none, stopped after
+        // 0, 1 and half the pages, and run to the end), with the cipher
+        // on the drain's thread alone and lent under every pin.
         let n = mapped.len();
         let head_starts = [None, Some(0), Some(1), Some(n / 2), Some(usize::MAX)];
-        for (boundary, head_start) in
-            (0..=n).flat_map(|b| head_starts.iter().map(move |&h| (b, h)))
-        {
+        let [free, take_all, take_none, stalled] = Placement::ALL.map(Some);
+        let lenders = [None, free, take_all, take_none, stalled];
+        let mut workers = PauseWindowPool::on_host(2, 1024, 2, 2);
+        workers.start_workers();
+        let cases =
+            (0..=n).flat_map(|b| head_starts.iter().flat_map(move |&h| lenders.map(|l| (b, h, l))));
+        for (boundary, head_start, lender) in cases {
+            let _pin = pin(lender.unwrap_or(Placement::Free));
             let mut backup = broken_seed.clone();
             let mut area = StagingArea::new(1024, 8, 1);
             let ticket =
                 stage_with_head_start(&mut area, &vm, &mapped, head_start.map(|h| (&backup, h)));
+            area.lend_cipher_to(lender.map(|_| workers.executor()));
             if boundary < mapped.len() {
                 let err = area
                     .drain_slot_inner(
@@ -968,6 +1119,12 @@ mod tests {
             }
             area.drain_slot(ticket.slot(), &mut backup, 7, &mut syscalls, opts)
                 .expect("resume completes");
+            let lent = area.cipher_lent(ticket.slot());
+            match lender {
+                None | Some(Placement::TakeAll) => assert_eq!(lent, 0, "{lender:?}"),
+                Some(Placement::TakeNone | Placement::Stalled) => assert!(lent > 0, "{lender:?}"),
+                Some(Placement::Free) => {}
+            }
             // The first session consumed the kernels the head start had
             // for the records it completed; its writes then voided the
             // rest, so the resumed session recomputed. A session that

@@ -1085,6 +1085,10 @@ impl Crimes {
                         Counter::DrainHeadStartPages,
                         u64::try_from(ack.head_start_pages).unwrap_or(u64::MAX),
                     );
+                    self.telemetry.add(
+                        Counter::DrainCipherLentBytes,
+                        u64::try_from(ack.cipher_lent_bytes).unwrap_or(u64::MAX),
+                    );
                     released.extend(self.evidence.ack(&ack, self.vm.now_ns()));
                 }
                 Err(e) => {

@@ -90,6 +90,12 @@ pub enum Counter {
     /// matter of timing, so unlike the other counters this one is not
     /// reproducible run to run.
     DrainHeadStartPages,
+    /// Cipher bytes of acked drains that a resident pause worker ran
+    /// instead of the drain's own thread. Against the drained wire bytes
+    /// it says how much of the drain's cipher the second CPU carried,
+    /// and it stays 0 on a one-CPU host and for a one-worker pool. Like
+    /// the head start, a matter of timing and not reproducible run to run.
+    DrainCipherLentBytes,
     /// Walk shards lent to a resident pause worker and taken back by the
     /// boundary's own thread because the worker had not started them when
     /// that thread's shard was done. Against epochs × (`pause_workers` −
@@ -100,7 +106,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 26] = [
         Counter::EpochsCommitted,
         Counter::AttacksDetected,
         Counter::SpeculationExtensions,
@@ -125,6 +131,7 @@ impl Counter {
         Counter::DedupHits,
         Counter::DedupMisses,
         Counter::DrainHeadStartPages,
+        Counter::DrainCipherLentBytes,
         Counter::WalkShardsTakenBack,
     ];
 
@@ -156,6 +163,7 @@ impl Counter {
             Counter::DedupHits => "dedup_hits",
             Counter::DedupMisses => "dedup_misses",
             Counter::DrainHeadStartPages => "drain_head_start_pages",
+            Counter::DrainCipherLentBytes => "drain_cipher_lent_bytes",
             Counter::WalkShardsTakenBack => "walk_shards_taken_back",
         }
     }

@@ -409,12 +409,18 @@ mod tests {
         r.record(1, 5, EventKind::EpochStart);
         r.record(1, 9, EventKind::Extended { consecutive: 1 });
         t.add(Counter::DrainHeadStartPages, 7);
+        t.add(Counter::DrainCipherLentBytes, 5);
         t.add(Counter::WalkShardsTakenBack, 3);
         let json = telemetry_json(&t, &r);
         validate_telemetry_json(&json).expect("export matches its own schema");
         // Every counter is part of the schema, the newest included: an
         // export from before it existed does not validate.
-        for (name, value) in [("drain_head_start_pages", 7), ("walk_shards_taken_back", 3)] {
+        let newest = [
+            ("drain_head_start_pages", 7),
+            ("drain_cipher_lent_bytes", 5),
+            ("walk_shards_taken_back", 3),
+        ];
+        for (name, value) in newest {
             let field = format!("\"{name}\":{value}");
             assert!(json.contains(&field), "{json}");
             let older = json.replace(&field, &format!("\"{name}_v0\":{value}"));

@@ -322,9 +322,10 @@ fn recovery_at_every_epoch_kill_point_matches_the_live_run() {
 }
 
 /// The drain's head start (a two-worker pool's resident worker runs the
-/// drain's read-only half while the guest resumes) is not a second way
-/// to drain: the eventful run — outage, backlog of staged slots,
-/// failover, flush — on a one-worker pool, which has no such worker, leaves
+/// drain's read-only half while the guest resumes) and its lent cipher
+/// shares are not a second way to drain: the eventful run — outage,
+/// backlog of staged slots, failover, flush — on a one-worker pool, which
+/// has no such worker, leaves
 /// the same journal, the same backup and the same fingerprint at every
 /// kill point as on the two-worker pool every other test here uses.
 #[test]
@@ -341,6 +342,7 @@ fn the_drain_head_start_leaves_no_trace_in_journal_or_backup() {
         two.telemetry().counter(Counter::DrainAcks)
     );
     assert_eq!(one.telemetry().counter(Counter::DrainHeadStartPages), 0);
+    assert_eq!(one.telemetry().counter(Counter::DrainCipherLentBytes), 0);
 }
 
 /// The content-aware copy path journals one knob-independent

@@ -580,14 +580,14 @@ struct SoakRun {
 
 /// Soak a lineage of tenants (a quarantined one is replaced) under `plan`
 /// with the walk's lent shards pinned to `placement`. Comes back with the
-/// run and the pages its drains found head-started, which is a matter of
-/// timing.
+/// run, the pages its drains found head-started and the cipher bytes they
+/// lent a worker, which are a matter of timing.
 fn one_soak(
     pause_workers: usize,
     staging_buffers: usize,
     placement: Placement,
     plan: FaultPlan,
-) -> (SoakRun, u64) {
+) -> (SoakRun, u64, u64) {
     let seed = env_u64("CRIMES_FAULT_SEED", DEFAULT_SEED);
     let epochs = env_u64("CRIMES_SOAK_EPOCHS", DEFAULT_EPOCHS) / 4;
     let _pin = pin(placement);
@@ -616,7 +616,7 @@ fn one_soak(
         faults: Vec::new(),
         acks: 0,
     };
-    let mut head_started = 0u64;
+    let (mut head_started, mut cipher_lent) = (0u64, 0u64);
     for epoch in 0..epochs {
         if driver.gen_range(0..4) != 0 {
             let _ = c.submit_output(Output::Net(NetPacket::new(epoch, vec![epoch as u8; 24])));
@@ -651,6 +651,7 @@ fn one_soak(
             run.images.push(c.checkpointer().backup().frames().to_vec());
             run.acks += c.telemetry().counter(Counter::DrainAcks);
             head_started += c.telemetry().counter(Counter::DrainHeadStartPages);
+            cipher_lent += c.telemetry().counter(Counter::DrainCipherLentBytes);
         }
         if c.is_quarantined() {
             (c, pid) = tenant();
@@ -661,7 +662,7 @@ fn one_soak(
         .into_iter()
         .map(|p| (p.name(), counters.draws(p), counters.hits(p)))
         .collect();
-    (run, head_started)
+    (run, head_started, cipher_lent)
 }
 
 /// The walk's two fault points are drawn once per shard, each shard under
@@ -692,34 +693,42 @@ fn plan_without_walk_points() -> FaultPlan {
 
 /// Threads are production code, so they stay on under an armed plan: a
 /// shard's forked plan goes with the shard to whichever thread walks it,
-/// and the drain's head start draws no fault and installs none. A
-/// deferred tenant soaked on a two-worker pool must therefore be the same
-/// run — same outcome per epoch, same journal bytes, same backup, the
-/// same draws and hits at every fault point, the walk's included —
-/// whether its lent shards ran on the resident worker, were all taken
-/// back by the boundary's own thread, or waited for it. And with the
-/// walk's points out of the plan (they are drawn per shard, so by design
-/// they differ with the worker count) it is the same run as on a
-/// one-worker pool, which has no thread at all and no head start.
+/// and the drain's head start and cipher shares draw no fault and install
+/// none. A deferred tenant soaked on a two-worker pool must therefore be
+/// the same run — same outcome per epoch, same journal bytes, same
+/// backup, the same draws and hits at every fault point, the walk's
+/// included — whether its lent jobs ran on the resident worker, were all
+/// taken back by the boundary's or the drain's own thread, or waited for
+/// it. And with the walk's points out of the plan (they are drawn per
+/// shard, so by design they differ with the worker count) it is the same
+/// run as on a one-worker pool, which has no thread at all, no head start
+/// and nobody to lend the cipher to.
 #[test]
 fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
-    let (free, head_started) = one_soak(2, 2, Placement::Free, soak_plan());
+    let spare_cpu = std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() > 1);
+    let (free, head_started, lent) = one_soak(2, 2, Placement::Free, soak_plan());
     for placement in [Placement::TakeAll, Placement::TakeNone] {
-        let (pinned, _) = one_soak(2, 2, placement, soak_plan());
+        let (pinned, _, pinned_lent) = one_soak(2, 2, placement, soak_plan());
         assert_one_run(&free, &pinned, &[], &format!("{placement:?}"));
+        match placement {
+            Placement::TakeNone if spare_cpu => {
+                assert!(pinned_lent > 0, "the worker ran no cipher share it was lent")
+            }
+            _ => assert_eq!(pinned_lent, 0, "{placement:?}: nothing ran on a worker"),
+        }
     }
     let points = [FaultPoint::BackupDrain, FaultPoint::BackupOutage, FaultPoint::PageCorrupt];
     for point in points.into_iter().chain(WALK_POINTS) {
         assert!(hits(&free, point) > 0, "{} never fired: the soak proved nothing about it", point.name());
     }
 
-    let (one, none_started) = one_soak(1, 2, Placement::Free, plan_without_walk_points());
-    let (two, _) = one_soak(2, 2, Placement::Free, plan_without_walk_points());
+    let (one, none_started, none_lent) = one_soak(1, 2, Placement::Free, plan_without_walk_points());
+    let (two, ..) = one_soak(2, 2, Placement::Free, plan_without_walk_points());
     assert_one_run(&one, &two, &WALK_POINTS, "1 vs 2 pause workers");
-    assert_eq!(none_started, 0, "one worker has nobody to lend to");
+    assert_eq!((none_started, none_lent), (0, 0), "one worker has nobody to lend to");
     println!(
         "deferred soak: {} outcomes over {} tenant generations, {} drains acked, \
-         {head_started} pages head-started on the spare worker",
+         {head_started} pages head-started and {lent} cipher bytes run on the spare worker",
         free.outcomes.len(),
         free.images.len() / 2,
         free.acks,
@@ -730,16 +739,16 @@ fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
 /// a faulted shard's restore must not depend on who walked it either.
 #[test]
 fn in_window_soak_is_one_run_wherever_the_walk_shards_run() {
-    let (free, _) = one_soak(2, 0, Placement::Free, soak_plan());
+    let (free, ..) = one_soak(2, 0, Placement::Free, soak_plan());
     for placement in [Placement::TakeAll, Placement::TakeNone] {
-        let (pinned, _) = one_soak(2, 0, placement, soak_plan());
+        let (pinned, ..) = one_soak(2, 0, placement, soak_plan());
         assert_one_run(&free, &pinned, &[], &format!("{placement:?}"));
     }
     for point in WALK_POINTS {
         assert!(hits(&free, point) > 0, "{} never fired: the soak proved nothing about it", point.name());
     }
-    let (one, _) = one_soak(1, 0, Placement::Free, plan_without_walk_points());
-    let (two, _) = one_soak(2, 0, Placement::Free, plan_without_walk_points());
+    let (one, ..) = one_soak(1, 0, Placement::Free, plan_without_walk_points());
+    let (two, ..) = one_soak(2, 0, Placement::Free, plan_without_walk_points());
     assert_one_run(&one, &two, &WALK_POINTS, "1 vs 2 pause workers");
 }
 

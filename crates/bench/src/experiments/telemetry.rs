@@ -280,11 +280,16 @@ mod tests {
     fn same_seed_reproduces_the_same_counters_and_event_kinds() {
         let a = run(120, 42);
         let b = run(120, 42);
-        // All but the one that counts a race (which thread got to a
-        // lent walk shard first; no staging here, so no head start).
+        // All but the ones that count a race (which thread got to a lent
+        // walk shard, or to a start-up digest chunk, first; no staging
+        // here, so no head start).
         let seeded = |r: &TelemetryExport| -> Vec<String> {
-            let timing = Counter::WalkShardsTakenBack.name();
-            counters_csv(&r.telemetry).lines().filter(|l| !l.contains(timing)).map(str::to_owned).collect()
+            let timing = [Counter::WalkShardsTakenBack, Counter::StartupDigestLentPages].map(Counter::name);
+            counters_csv(&r.telemetry)
+                .lines()
+                .filter(|l| !timing.iter().any(|name| l.contains(name)))
+                .map(str::to_owned)
+                .collect()
         };
         assert_eq!(seeded(&a), seeded(&b));
         let kinds = |r: &TelemetryExport| -> Vec<String> {

@@ -502,40 +502,41 @@ pub struct Checkpointer {
 
 impl Checkpointer {
     /// Create the engine, performing the initial full synchronisation with
-    /// `vm` (and, for pre-mapped levels, the one-time global map load).
+    /// `vm` (and, for pre-mapped levels, the one-time global map load), all
+    /// on the calling thread: [`attach`](Self::attach) to a fresh backup
+    /// and its digest. A monitor starts up through
+    /// [`startup::start_up`](crate::startup::start_up) instead, which copies and
+    /// digests on two CPUs.
     pub fn new(vm: &Vm, config: CheckpointConfig) -> Self {
-        Self::build(vm, config, BackupVm::new(vm), 0)
+        let backup = BackupVm::new(vm);
+        let integrity = ImageDigest::of(backup.frames(), backup.disk());
+        Self::attach(vm, config, backup, integrity, 0)
     }
 
-    /// Re-attach the engine to a VM and a **surviving** backup image after
-    /// a monitor crash — the recovery counterpart of [`Checkpointer::new`].
-    /// The backup is adopted as-is (its epoch counter and acked-generation
-    /// watermark survive with it), the integrity digest is recomputed over
-    /// the surviving image, and staging-generation minting resumes at
-    /// `resume_generation` so re-staged epochs continue the monotonic
-    /// sequence the journal recorded instead of restarting at 1. History
-    /// starts empty: retained images died with the monitor process.
-    pub fn attach(vm: &Vm, config: CheckpointConfig, backup: BackupVm, resume_generation: u64) -> Self {
-        Self::build(vm, config, backup, resume_generation)
-    }
-
-    /// Time the boundary's phases and sleep its retries on `clock`
-    /// instead of the [`RealClock`] [`new`](Self::new) and
-    /// [`attach`](Self::attach) start on.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// The one constructor body: everything a boundary will need is
-    /// allocated here, so nothing allocates inside a window.
-    fn build(vm: &Vm, config: CheckpointConfig, backup: BackupVm, resume_generation: u64) -> Self {
+    /// Attach the engine to a VM and a backup image with its finished
+    /// digest: a fresh one at start-up, or one that **survived** a monitor
+    /// crash. The backup is adopted as-is (its epoch counter and
+    /// acked-generation watermark survive with it), `integrity` must be
+    /// [`ImageDigest::of`] its image (start-up makes it on two CPUs,
+    /// [`startup::start_up`](crate::startup::start_up)), and staging-generation
+    /// minting resumes at `resume_generation` so re-staged epochs continue
+    /// the monotonic sequence the journal recorded instead of restarting
+    /// at 1. History starts empty: retained images died with the monitor
+    /// process.
+    pub fn attach(
+        vm: &Vm,
+        config: CheckpointConfig,
+        backup: BackupVm,
+        integrity: ImageDigest,
+        resume_generation: u64,
+    ) -> Self {
+        // Everything a boundary will need is allocated here, so nothing
+        // allocates inside a window.
         let mapper = Mapper::new(
             vm,
             config.opt.mapping_strategy(),
             HypercallModel::default(),
         );
-        let integrity = ImageDigest::of(backup.frames(), backup.disk());
         let num_pages = vm.memory().num_pages();
         let pool = (!config.external_pool).then(|| {
             PauseWindowPool::new(config.pause_workers, num_pages, HypercallModel::DEFAULT_STEPS)
@@ -574,6 +575,14 @@ impl Checkpointer {
         }
     }
 
+    /// Time the boundary's phases and sleep its retries on `clock`
+    /// instead of the [`RealClock`] [`new`](Self::new) and
+    /// [`attach`](Self::attach) start on.
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
+        self
+    }
+
     /// The configuration in effect.
     pub fn config(&self) -> &CheckpointConfig {
         &self.config
@@ -582,6 +591,11 @@ impl Checkpointer {
     /// The current clean backup image.
     pub fn backup(&self) -> &BackupVm {
         &self.backup
+    }
+
+    /// The backup image's digest, as maintained since start-up.
+    pub fn integrity(&self) -> &ImageDigest {
+        &self.integrity
     }
 
     #[cfg(test)]
@@ -2555,7 +2569,8 @@ mod tests {
         drop(cp);
 
         // The monitor process died; re-attach to the surviving image.
-        let mut cp = Checkpointer::attach(&vm, staged_config(1), backup, acked);
+        let integrity = ImageDigest::of(backup.frames(), backup.disk());
+        let mut cp = Checkpointer::attach(&vm, staged_config(1), backup, integrity, acked);
         assert!(cp.verify_backup().is_ok(), "recomputed digest matches");
         assert_eq!(cp.backup().epoch(), 2);
         dirty_some(&mut vm, pid, 9);

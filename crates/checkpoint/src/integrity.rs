@@ -156,8 +156,41 @@ pub fn image_digest(frames: &[u8], disk: &[u8]) -> u64 {
     ImageDigest::of(frames, disk).combined()
 }
 
+/// Image bytes per [`DigestChunk`]: 64 pages, or 512 sectors.
+const CHUNK_BYTES: usize = 64 * PAGE_SIZE;
+
+/// A fixed run of an image's pages or sectors and the digest slots they
+/// fill: the unit of work two threads share when a whole image is
+/// digested at start-up (`startup`). Every slot's value is a function of
+/// its own bytes and index alone, so who runs which chunk, in which
+/// order, cannot change a digest.
+#[derive(Debug)]
+pub(crate) struct DigestChunk<'a> {
+    /// `0` for pages, [`SECTOR_DOMAIN`] for sectors.
+    domain: u64,
+    /// Index of the chunk's first page or sector in the image.
+    first: usize,
+    bytes: &'a [u8],
+    slots: &'a mut [u64],
+}
+
+impl DigestChunk<'_> {
+    /// Image pages the chunk covers (none for sectors).
+    pub(crate) fn pages(&self) -> usize {
+        if self.domain == 0 { self.slots.len() } else { 0 }
+    }
+
+    /// Digest each page or sector into its slot.
+    pub(crate) fn run(self) {
+        let unit = if self.domain == 0 { PAGE_SIZE } else { SECTOR_SIZE };
+        for (k, (slot, bytes)) in self.slots.iter_mut().zip(self.bytes.chunks(unit)).enumerate() {
+            *slot = chunk_digest(self.domain | (self.first + k) as u64, bytes);
+        }
+    }
+}
+
 /// Incrementally-maintained digest state for one backup image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageDigest {
     pages: Vec<u64>,
     sectors: Vec<u64>,
@@ -167,22 +200,48 @@ pub struct ImageDigest {
 impl ImageDigest {
     /// Compute the full digest state of an image.
     pub fn of(frames: &[u8], disk: &[u8]) -> Self {
-        let pages: Vec<u64> = frames
-            .chunks(PAGE_SIZE)
-            .enumerate()
-            .map(|(i, p)| chunk_digest(i as u64, p))
-            .collect();
-        let sectors: Vec<u64> = disk
-            .chunks(SECTOR_SIZE)
-            .enumerate()
-            .map(|(i, s)| chunk_digest(SECTOR_DOMAIN | i as u64, s))
-            .collect();
-        let combined = pages.iter().chain(sectors.iter()).fold(0, |a, d| a ^ d);
+        let mut digest = ImageDigest::unfilled(frames, disk);
+        digest.chunks(frames, disk).for_each(DigestChunk::run);
+        digest.sealed()
+    }
+
+    /// A digest of `frames` and `disk`'s geometry whose slots are still to
+    /// be filled by [`chunks`](Self::chunks) and folded by
+    /// [`sealed`](Self::sealed).
+    pub(crate) fn unfilled(frames: &[u8], disk: &[u8]) -> Self {
         ImageDigest {
-            pages,
-            sectors,
-            combined,
+            pages: vec![0; frames.len().div_ceil(PAGE_SIZE)],
+            sectors: vec![0; disk.len().div_ceil(SECTOR_SIZE)],
+            combined: 0,
         }
+    }
+
+    /// Every slot, as the [`DigestChunk`]s of `frames` then `disk`, in
+    /// image order.
+    pub(crate) fn chunks<'a>(
+        &'a mut self,
+        frames: &'a [u8],
+        disk: &'a [u8],
+    ) -> impl Iterator<Item = DigestChunk<'a>> {
+        let split = |domain: u64, unit: usize, image: &'a [u8], slots: &'a mut [u64]| {
+            let per_chunk = CHUNK_BYTES / unit;
+            image.chunks(CHUNK_BYTES).zip(slots.chunks_mut(per_chunk)).enumerate().map(
+                move |(i, (bytes, slots))| DigestChunk {
+                    domain,
+                    first: i * per_chunk,
+                    bytes,
+                    slots,
+                },
+            )
+        };
+        split(0, PAGE_SIZE, frames, &mut self.pages)
+            .chain(split(SECTOR_DOMAIN, SECTOR_SIZE, disk, &mut self.sectors))
+    }
+
+    /// Fold the filled slots into the image checksum.
+    pub(crate) fn sealed(mut self) -> Self {
+        self.combined = self.pages.iter().chain(&self.sectors).fold(0, |a, d| a ^ d);
+        self
     }
 
     /// The image checksum (XOR of all chunk digests).
@@ -319,6 +378,26 @@ mod tests {
         }
         // One pinned value, so the reference cannot drift along with it.
         assert_eq!(chunk_digest(1, &[0xa5u8; 24]), PINNED_DIGEST);
+    }
+
+    #[test]
+    fn chunked_digest_fills_every_slot_with_its_own_digest() {
+        let mut rng = crimes_rng::ChaCha8Rng::seed_from_u64(0xc4a7);
+        // A short last chunk of each kind, and a ragged last page.
+        let mut frames = vec![0u8; PAGE_SIZE * 130 + 100];
+        let mut disk = vec![0u8; SECTOR_SIZE * 1030];
+        rng.fill_bytes(&mut frames);
+        rng.fill_bytes(&mut disk);
+        let digest = ImageDigest::of(&frames, &disk);
+        let pages: Vec<u64> =
+            frames.chunks(PAGE_SIZE).enumerate().map(|(i, p)| chunk_digest(i as u64, p)).collect();
+        let sectors: Vec<u64> = disk
+            .chunks(SECTOR_SIZE)
+            .enumerate()
+            .map(|(i, s)| chunk_digest(SECTOR_DOMAIN | i as u64, s))
+            .collect();
+        let combined = pages.iter().chain(&sectors).fold(0, |a, d| a ^ d);
+        assert_eq!(digest, ImageDigest { pages, sectors, combined });
     }
 
     #[test]

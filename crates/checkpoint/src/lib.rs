@@ -54,6 +54,7 @@ pub mod pool;
 #[allow(unsafe_code)]
 pub mod resident;
 pub mod staging;
+pub mod startup;
 
 pub use backup::BackupVm;
 pub use bitmap::{scan_bit_by_bit, scan_wordwise, BitmapScan};

@@ -15,12 +15,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crimes_checkpoint::startup::{self, StartUp};
 use crimes_checkpoint::{
     AuditVerdict, BackupVm, CheckpointError, Checkpointer, EpochReport, FusedAudit,
-    FusedPageVisitor, PageFinding, PauseWindowPool, Phase, COPY_RETRIES,
+    FusedPageVisitor, PageFinding, PauseWindowPool, Phase, Resident, COPY_RETRIES,
 };
 use crimes_faults::FaultPoint;
-use crimes_journal::EvidenceJournal;
+use crimes_journal::{EvidenceJournal, RecoveredState};
 use crimes_outbuf::{BufferStats, Output, OutputBuffer, OutputScanner};
 use crimes_telemetry::{Clock, Counter, EventKind, FlightRecorder, RealClock, Telemetry};
 use crimes_vm::{DirtyBitmap, MetaSnapshot, TraceMark, Vm, VmError};
@@ -144,6 +145,14 @@ pub struct RobustnessStats {
     /// as overrun instead of silently timed at zero.
     pub missing_audit_starts: u64,
 }
+
+/// What [`Crimes::protect`]'s start-up makes: the session and the fresh
+/// backup on the calling thread, the digest on both.
+type ProtectionStart = StartUp<(Result<VmiSession, VmiError>, BackupVm), ()>;
+
+/// What [`Crimes::recover`]'s start-up makes: the session on the calling
+/// thread, the replayed journal on a worker, the digest on both.
+type RecoveryStart = StartUp<Result<VmiSession, VmiError>, (EvidenceJournal, RecoveredState)>;
 
 /// Histogram slot for the deferred pipeline's out-of-window drain. The
 /// in-window phases occupy `0..Phase::ALL.len()`; the drain rides after
@@ -417,8 +426,31 @@ impl Crimes {
         config: CrimesConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, CrimesError> {
-        let session = VmiSession::init(&vm)?;
-        let checkpointer = Checkpointer::new(&vm, config.checkpoint).with_clock(clock.clone());
+        let started = Self::start_protection(startup::executor().as_mut(), &vm);
+        Self::protected(vm, config, clock, started)
+    }
+
+    /// Start-up's pieces for [`protect`](Self::protect): this thread
+    /// initialises introspection and copies the guest into a fresh backup
+    /// while `exec`'s worker, if any, digests the guest's image, which is
+    /// the copy's.
+    fn start_protection(exec: Option<&mut Resident>, vm: &Vm) -> ProtectionStart {
+        let (frames, disk) = (vm.memory().frames(), vm.disk().image());
+        startup::start_up(exec, frames, disk, || (VmiSession::init(vm), BackupVm::new(vm)), &|| ())
+    }
+
+    /// A protected VM from [`start_protection`](Self::start_protection)'s
+    /// pieces.
+    fn protected(
+        vm: Vm,
+        config: CrimesConfig,
+        clock: Arc<dyn Clock>,
+        started: ProtectionStart,
+    ) -> Result<Self, CrimesError> {
+        let StartUp { own: (session, backup), digest, lent_pages, .. } = started;
+        let session = session?;
+        let checkpointer =
+            Checkpointer::attach(&vm, config.checkpoint, backup, digest, 0).with_clock(clock.clone());
         let evidence = Evidence::new(&config);
         let mut crimes = Self::assemble(
             vm,
@@ -429,6 +461,7 @@ impl Crimes {
             evidence,
             &[],
             0,
+            lent_pages,
         );
         if config.requested_pause_workers > config.checkpoint.pause_workers {
             crimes.telemetry.add(Counter::PauseWorkerClamps, 1);
@@ -461,11 +494,48 @@ impl Crimes {
         clock: Arc<dyn Clock>,
         journal_bytes: &[u8],
     ) -> Result<Self, CrimesError> {
-        let (journal, state) = EvidenceJournal::recover_from(journal_bytes);
-        let session = VmiSession::init(&vm)?;
-        let checkpointer =
-            Checkpointer::attach(&vm, config.checkpoint, backup, state.last_acked_generation)
-                .with_clock(clock.clone());
+        let started =
+            Self::start_recovery(startup::executor().as_mut(), &vm, &backup, journal_bytes);
+        Self::recovered(vm, backup, config, clock, started)
+    }
+
+    /// Start-up's pieces for [`recover`](Self::recover): this thread
+    /// initialises introspection while `exec`'s worker, if any, replays
+    /// the journal, and then both digest the surviving backup.
+    fn start_recovery(
+        exec: Option<&mut Resident>,
+        vm: &Vm,
+        backup: &BackupVm,
+        journal_bytes: &[u8],
+    ) -> RecoveryStart {
+        startup::start_up(
+            exec,
+            backup.frames(),
+            backup.disk(),
+            || VmiSession::init(vm),
+            &|| EvidenceJournal::recover_from(journal_bytes),
+        )
+    }
+
+    /// A recovered VM from [`start_recovery`](Self::start_recovery)'s
+    /// pieces.
+    fn recovered(
+        vm: Vm,
+        backup: BackupVm,
+        config: CrimesConfig,
+        clock: Arc<dyn Clock>,
+        started: RecoveryStart,
+    ) -> Result<Self, CrimesError> {
+        let StartUp { own: session, lent: (journal, state), digest, lent_pages } = started;
+        let session = session?;
+        let checkpointer = Checkpointer::attach(
+            &vm,
+            config.checkpoint,
+            backup,
+            digest,
+            state.last_acked_generation,
+        )
+        .with_clock(clock.clone());
         let evidence = Evidence::recovered(journal, &state, &config);
         // Telemetry is process-local and starts fresh; the journal is the
         // durable record, counters are observability.
@@ -478,6 +548,7 @@ impl Crimes {
             evidence,
             &state.events,
             state.committed_epochs,
+            lent_pages,
         );
         if crimes.is_quarantined() {
             // The recorded quarantine is latched again already; the guest
@@ -492,7 +563,8 @@ impl Crimes {
     /// The one constructor body: a protected VM around pieces
     /// [`protect_with_clock`](Self::protect_with_clock) made fresh or
     /// [`recover`](Self::recover) rebuilt from the journal, `events` being
-    /// the flight-recorder timeline so far.
+    /// the flight-recorder timeline so far and `startup_lent_pages` the
+    /// image pages a resident worker digested at start-up.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         mut vm: Vm,
@@ -503,6 +575,7 @@ impl Crimes {
         evidence: Evidence,
         events: &[(u64, u64, EventKind)],
         committed_epochs: u64,
+        startup_lent_pages: usize,
     ) -> Self {
         vm.set_recording(true);
         let last_good_meta = vm.meta_snapshot();
@@ -520,6 +593,11 @@ impl Crimes {
         for &(epoch, at_ns, kind) in events {
             recorder.record(epoch, at_ns, kind);
         }
+        let mut telemetry = Telemetry::new(&labels);
+        telemetry.add(
+            Counter::StartupDigestLentPages,
+            u64::try_from(startup_lent_pages).unwrap_or(u64::MAX),
+        );
         Crimes {
             vm,
             config,
@@ -536,7 +614,7 @@ impl Crimes {
             deferred: Vec::new(),
             pending: None,
             clock,
-            telemetry: Telemetry::new(&labels),
+            telemetry,
             recorder,
             consecutive_extensions: 0,
         }
@@ -1345,9 +1423,12 @@ impl Crimes {
 mod tests {
     use super::*;
     use crate::modules::{BlacklistScanModule, CanaryScanModule, NoopScanModule};
+    use crimes_checkpoint::resident::{pin, Placement};
     use crimes_faults::{install, FaultPlan, SCALE};
     use crimes_outbuf::NetPacket;
     use crimes_outbuf::SafetyMode;
+    use crimes_vm::symbols::names;
+    use crimes_vm::Gpa;
     use crimes_workloads::attacks;
 
     fn protected(interval_ms: u64) -> Crimes {
@@ -2492,5 +2573,193 @@ mod tests {
             .flight_recorder()
             .events()
             .any(|e| e.kind.label() == "missing_audit_start"));
+    }
+
+    /// A started one-worker executor. It lends on any host, so the pins
+    /// below place real work even where `startup::executor` finds one CPU.
+    fn one_worker() -> Resident {
+        let mut exec = Resident::new(1);
+        exec.start();
+        exec
+    }
+
+    /// What the session resolved: every hot symbol, and the banner.
+    fn introspection(session: &Result<VmiSession, VmiError>) -> (Vec<Gpa>, String) {
+        let session = session.as_ref().expect("introspection initialises");
+        let hot = [
+            names::SYS_CALL_TABLE,
+            names::INIT_TASK,
+            names::MODULES,
+            names::PID_HASH,
+            names::TASK_SLAB,
+            names::MODULE_SLAB,
+            names::SOCKET_TABLE,
+            names::FILE_TABLE,
+            names::CANARY_TABLE,
+        ];
+        let gpas = hot.map(|name| session.hot_symbol(name).expect("a hot symbol"));
+        (gpas.to_vec(), session.kernel_banner().to_owned())
+    }
+
+    /// The pages `placement` must have lent: none taken back, some when
+    /// the lender takes nothing back or waits.
+    fn assert_lent(placement: Placement, lent_pages: usize) {
+        match placement {
+            Placement::TakeAll => assert_eq!(lent_pages, 0, "everything was taken back"),
+            Placement::TakeNone | Placement::Stalled => assert!(lent_pages > 0, "{placement:?}"),
+            Placement::Free => {}
+        }
+    }
+
+    /// A deferred tenant with a journal of several MiB, crashed either
+    /// with a drain ticket pending or, with `incident`, after an audit
+    /// failed and nobody investigated: its guest, backup and journal.
+    fn crash_image(incident: bool) -> (Vm, BackupVm, Vec<u8>, CrimesConfig) {
+        let mut c = protected_with(50, |cfg| {
+            cfg.pause_workers(2).staging_buffers(2);
+        });
+        let secret = c.vm().canary_secret();
+        c.register_module(Box::new(CanaryScanModule::new(secret)));
+        let pid = c.vm_mut().spawn_process("app", 0, 16).expect("spawn");
+        for epoch in 0..3u64 {
+            for id in 0..8u8 {
+                let output = NetPacket::new(epoch * 8 + u64::from(id), vec![id; 128 << 10]);
+                c.submit_output(Output::Net(output)).expect("within limits");
+            }
+            let outcome = c
+                .run_epoch(|vm, _| vm.dirty_arena_page(pid, epoch as usize, 0, 1))
+                .expect("clean epoch");
+            assert!(outcome.is_committed());
+        }
+        c.submit_output(Output::Net(NetPacket::new(99, b"held".to_vec())))
+            .expect("within limits");
+        if incident {
+            let outcome = c
+                .run_epoch(|vm, _| attacks::inject_heap_overflow(vm, pid, 64, 16).map(drop))
+                .expect("attack epoch completes the boundary");
+            assert!(matches!(outcome, EpochOutcome::AttackDetected { .. }));
+        } else {
+            c.begin_epoch(|vm, _| vm.dirty_arena_page(pid, 5, 0, 2)).expect("work");
+            let progress = c.boundary_pause_half(None).expect("pause half");
+            // The drain never runs: its ticket is pending at the crash.
+            assert!(matches!(progress, BoundaryProgress::NeedsDrain(_)));
+        }
+        let backup = c.checkpointer().backup().clone();
+        (c.vm().clone(), backup, c.journal().bytes().to_vec(), *c.config())
+    }
+
+    #[test]
+    fn recovery_start_up_is_bit_identical_under_every_placement() {
+        for incident in [false, true] {
+            let (vm, backup, journal, config) = crash_image(incident);
+            assert!(journal.len() > 3 << 20, "{} journal bytes", journal.len());
+            let serial = Crimes::start_recovery(None, &vm, &backup, &journal);
+            let (serial_journal, state) = &serial.lent;
+            assert_eq!(state.pending_incident.is_some(), incident);
+            assert_eq!(state.open_tickets.is_empty(), incident);
+            assert_eq!(serial.lent_pages, 0);
+            for placement in Placement::ALL {
+                let _pin = pin(placement);
+                let started = Crimes::start_recovery(Some(&mut one_worker()), &vm, &backup, &journal);
+                assert_eq!(started.lent.0.bytes(), serial_journal.bytes(), "{placement:?}");
+                assert_eq!(started.lent.0.record_bounds(), serial_journal.record_bounds());
+                assert_eq!(&started.lent.1, state, "{placement:?}");
+                assert_eq!(started.digest, serial.digest, "{placement:?}");
+                assert_eq!(introspection(&started.own), introspection(&serial.own));
+                let lent_pages = started.lent_pages;
+                assert_lent(placement, lent_pages);
+                let clock = Arc::new(RealClock::new());
+                let mut c = Crimes::recovered(vm.clone(), backup.clone(), config, clock, started)
+                    .expect("recover");
+                assert_eq!(c.checkpointer().integrity(), &serial.digest);
+                assert!(c.checkpointer().verify_backup().is_ok());
+                let counted = c.telemetry().counter(Counter::StartupDigestLentPages);
+                assert_eq!(counted, lent_pages as u64);
+                if incident {
+                    assert!(c.is_quarantined(), "a pending incident quarantines");
+                } else {
+                    let before = c.committed_epochs();
+                    assert!(c.run_epoch(|_, _| Ok(())).expect("epoch").is_committed());
+                    assert_eq!(c.committed_epochs(), before + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn protection_start_up_is_bit_identical_under_every_placement() {
+        let mut b = Vm::builder();
+        b.pages(4096).seed(66);
+        let vm = b.build();
+        let mut cfg = CrimesConfig::builder();
+        cfg.epoch_interval_ms(50).pause_workers(2).staging_buffers(2);
+        let config = cfg.build().expect("valid config");
+        let serial = Crimes::start_protection(None, &vm);
+        let (serial_session, serial_backup) = &serial.own;
+        assert_eq!(serial_backup.frames(), vm.memory().frames());
+        assert_eq!(serial.lent_pages, 0);
+        for placement in Placement::ALL {
+            let _pin = pin(placement);
+            let started = Crimes::start_protection(Some(&mut one_worker()), &vm);
+            let (session, backup) = &started.own;
+            assert_eq!(backup.frames(), serial_backup.frames(), "{placement:?}");
+            assert_eq!(backup.disk(), serial_backup.disk(), "{placement:?}");
+            assert_eq!(started.digest, serial.digest, "{placement:?}");
+            assert_eq!(introspection(session), introspection(serial_session));
+            let lent_pages = started.lent_pages;
+            assert_lent(placement, lent_pages);
+            let clock = Arc::new(RealClock::new());
+            let mut c = Crimes::protected(vm.clone(), config, clock, started).expect("protect");
+            assert_eq!(c.checkpointer().integrity(), &serial.digest);
+            assert!(c.checkpointer().verify_backup().is_ok());
+            let counted = c.telemetry().counter(Counter::StartupDigestLentPages);
+            assert_eq!(counted, lent_pages as u64);
+            assert!(c.run_epoch(|_, _| Ok(())).expect("epoch").is_committed());
+        }
+    }
+
+    #[test]
+    fn start_up_draws_the_serial_fault_schedule_under_every_placement() {
+        let (vm, backup, journal, config) = crash_image(false);
+        let clock = || -> Arc<dyn Clock> { Arc::new(RealClock::new()) };
+        // What a start-up under the plan left: its outcome and every draw.
+        let seen = |outcome: Result<Crimes, CrimesError>| {
+            let outcome = outcome.map(|c| c.committed_epochs()).map_err(|e| e.to_string());
+            (outcome, crimes_faults::counters())
+        };
+        // Every draw a hit, then about half of them.
+        for rate in [SCALE, SCALE / 2] {
+            let plan = FaultPlan::disabled().with_rate(FaultPoint::VmiRead, rate);
+            let faults = |exec: Option<&mut Resident>, recover: bool| {
+                let _faults = install(plan, 11);
+                seen(if recover {
+                    let started = Crimes::start_recovery(exec, &vm, &backup, &journal);
+                    Crimes::recovered(vm.clone(), backup.clone(), config, clock(), started)
+                } else {
+                    let started = Crimes::start_protection(exec, &vm);
+                    Crimes::protected(vm.clone(), config, clock(), started)
+                })
+            };
+            for recover in [false, true] {
+                let what = format!("rate {rate}, recover {recover}");
+                let serial = faults(None, recover);
+                assert!(serial.1.draws(FaultPoint::VmiRead) > 0, "{what}");
+                if rate == SCALE {
+                    assert!(serial.0.is_err(), "{what}: every read faults");
+                }
+                for placement in Placement::ALL {
+                    let _pin = pin(placement);
+                    let started = faults(Some(&mut one_worker()), recover);
+                    assert_eq!(started, serial, "{what}, {placement:?}");
+                }
+                let _faults = install(plan, 11);
+                let public = seen(if recover {
+                    Crimes::recover(vm.clone(), backup.clone(), config, clock(), &journal)
+                } else {
+                    Crimes::protect_with_clock(vm.clone(), config, clock())
+                });
+                assert_eq!(public, serial, "{what}, on this host's executor");
+            }
+        }
     }
 }

@@ -102,11 +102,18 @@ pub enum Counter {
     /// 1) it says how often the second CPU is not delivering; like the
     /// head start, a matter of timing and not reproducible run to run.
     WalkShardsTakenBack,
+    /// Image pages a resident worker digested while `protect` or `recover`
+    /// started the tenant up (the backup's digest, shared with the thread
+    /// that parsed System.map). Against the guest's pages it says how much
+    /// of start-up's digest the second CPU carried; it stays 0 on a
+    /// one-CPU host, and like the head start is a matter of timing and not
+    /// reproducible run to run.
+    StartupDigestLentPages,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 27] = [
         Counter::EpochsCommitted,
         Counter::AttacksDetected,
         Counter::SpeculationExtensions,
@@ -133,6 +140,7 @@ impl Counter {
         Counter::DrainHeadStartPages,
         Counter::DrainCipherLentBytes,
         Counter::WalkShardsTakenBack,
+        Counter::StartupDigestLentPages,
     ];
 
     /// The counter's stable export name (snake_case; part of the
@@ -165,6 +173,7 @@ impl Counter {
             Counter::DrainHeadStartPages => "drain_head_start_pages",
             Counter::DrainCipherLentBytes => "drain_cipher_lent_bytes",
             Counter::WalkShardsTakenBack => "walk_shards_taken_back",
+            Counter::StartupDigestLentPages => "startup_digest_lent_pages",
         }
     }
 

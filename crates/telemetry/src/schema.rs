@@ -411,6 +411,7 @@ mod tests {
         t.add(Counter::DrainHeadStartPages, 7);
         t.add(Counter::DrainCipherLentBytes, 5);
         t.add(Counter::WalkShardsTakenBack, 3);
+        t.add(Counter::StartupDigestLentPages, 11);
         let json = telemetry_json(&t, &r);
         validate_telemetry_json(&json).expect("export matches its own schema");
         // Every counter is part of the schema, the newest included: an
@@ -419,6 +420,7 @@ mod tests {
             ("drain_head_start_pages", 7),
             ("drain_cipher_lent_bytes", 5),
             ("walk_shards_taken_back", 3),
+            ("startup_digest_lent_pages", 11),
         ];
         for (name, value) in newest {
             let field = format!("\"{name}\":{value}");

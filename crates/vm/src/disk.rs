@@ -87,6 +87,11 @@ impl VirtualDisk {
         self.dirty.take()
     }
 
+    /// The full image: what [`dump`](Self::dump) copies.
+    pub fn image(&self) -> &[u8] {
+        &self.data
+    }
+
     /// Copy the full image.
     pub fn dump(&self) -> Vec<u8> {
         self.data.clone()

@@ -244,6 +244,13 @@ impl GuestMemory {
         self.exec_rip
     }
 
+    /// The entire memory image, laid out in *machine* frame order like
+    /// [`GuestMemory::frame`]: what [`dump_frames`](Self::dump_frames)
+    /// copies.
+    pub fn frames(&self) -> &[u8] {
+        &self.frames
+    }
+
     /// Copy the entire memory image into a fresh byte vector (dump /
     /// snapshot support). Returned data is laid out in *machine* frame
     /// order, matching [`GuestMemory::frame`].

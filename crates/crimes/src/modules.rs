@@ -131,8 +131,10 @@ impl ScanModule for CanaryScanModule {
             let Some(check) = staged.0.resolve(key as usize) else {
                 continue;
             };
-            let mut found = [0u8; CANARY_LEN];
-            ctx.memory.read(check.canary_gpa, &mut found);
+            let found = ctx
+                .memory
+                .peek_array::<CANARY_LEN>(check.canary_gpa)?
+                .unguarded();
             violations.push(CanaryViolation {
                 record_idx: check.record_idx,
                 pid: check.pid,
@@ -326,8 +328,7 @@ impl ScanModule for HiddenProcessModule {
         let mut findings = Vec::new();
         for entry in linux::pid_hash_entries(ctx.session, ctx.memory)? {
             if !listed.contains(&entry.pid) {
-                let gpa = ctx.session.translate_kernel(entry.task_gva)?;
-                let task = linux::read_task(ctx.memory, gpa);
+                let task = linux::read_task_at(ctx.session, ctx.memory, entry.task_gva)?;
                 findings.push(ScanFinding {
                     module: self.name().to_owned(),
                     detection: Detection::HiddenProcess {

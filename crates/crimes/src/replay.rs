@@ -12,7 +12,7 @@
 //! is exact by construction.
 
 use crimes_vm::layout::CANARY_LEN;
-use crimes_vm::{GuestOp, Gva, MetaSnapshot, Vm};
+use crimes_vm::{Guest, GuestOp, Gva, MetaSnapshot, Vm};
 use crimes_vmi::{MemEventMonitor, VmiError, VmiSession};
 
 use crate::error::CrimesError;
@@ -99,7 +99,8 @@ impl ReplayEngine {
                 // Events cannot predate arming; nothing to poll yet.
                 continue;
             }
-            let canary_gpa = session.translate_user(pid, canary_gva)?;
+            let canary_gpa =
+                session.translate_user(pid, Guest::new(canary_gva), CANARY_LEN as u64)?;
             for ev in monitor.poll(vm) {
                 let overlaps = ev.gpa.0 < canary_gpa.0 + CANARY_LEN as u64
                     && canary_gpa.0 < ev.gpa.0 + ev.len as u64;
@@ -110,8 +111,10 @@ impl ReplayEngine {
                 // the canary) are legitimate: a write is only the attack
                 // if the canary no longer holds the secret afterwards —
                 // the same validity check the paper's replay performs.
-                let mut now = [0u8; CANARY_LEN];
-                vm.memory().read(canary_gpa, &mut now);
+                let now = vm
+                    .memory()
+                    .peek_array::<CANARY_LEN>(canary_gpa)
+                    .map_err(VmiError::from)?;
                 if now == secret {
                     continue;
                 }
@@ -146,16 +149,8 @@ impl ReplayEngine {
         monitor: &MemEventMonitor,
     ) -> Result<bool, CrimesError> {
         session.refresh_address_spaces(vm.memory())?;
-        match monitor.arm_user_page(session, vm, pid, canary_gva) {
-            Ok(first) => {
-                // The 8-byte canary can straddle a page boundary.
-                let gpa = session.translate_user(pid, canary_gva)?;
-                let last = gpa.add(CANARY_LEN as u64 - 1).pfn();
-                if last != first {
-                    monitor.arm_page(vm, last);
-                }
-                Ok(true)
-            }
+        match monitor.arm_user_span(session, vm, pid, canary_gva, CANARY_LEN as u64) {
+            Ok(()) => Ok(true),
             Err(VmiError::NoSuchTask(_)) | Err(VmiError::TranslationFault(_)) => Ok(false),
             Err(e) => Err(e.into()),
         }

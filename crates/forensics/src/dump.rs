@@ -155,9 +155,7 @@ mod tests {
             .mapping
             .translate(obj)
             .unwrap();
-        let mut buf = [0u8; 7];
-        dump.memory().read(gpa, &mut buf);
-        assert_eq!(&buf, b"at-dump");
+        assert!(dump.memory().peek_array::<7>(gpa).unwrap() == *b"at-dump");
     }
 
     #[test]
@@ -181,8 +179,8 @@ mod tests {
         assert_eq!(dump.guest_time_ns(), 123);
         // The checkpoint dump shows the pre-write value.
         let phys = vm.processes().get(pid).unwrap().mapping.phys_base;
-        assert_eq!(dump.memory().read_u8(phys), 0);
-        assert_eq!(vm.memory().read_u8(phys), 0xff);
+        assert!(dump.memory().peek_array::<1>(phys).unwrap() == [0]);
+        assert!(vm.memory().peek_array::<1>(phys).unwrap() == [0xff]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crimes_vm::layout::{
     TASK_FREED_MAGIC, TASK_MAGIC, TASK_STRUCT_SIZE,
 };
 use crimes_vm::symbols::names;
-use crimes_vm::{Gpa, Gva, Pfn, PAGE_SIZE};
+use crimes_vm::{Gpa, Guest, Gva};
 use crimes_vmi::{linux, TaskInfo, VmiError, VmiSession};
 
 use crate::dump::MemoryDump;
@@ -138,29 +138,32 @@ pub fn pslist(session: &VmiSession, dump: &MemoryDump) -> Result<Vec<TaskInfo>, 
 pub fn psscan(dump: &MemoryDump) -> Vec<ScannedTask> {
     let mem = dump.memory();
     let mut found = Vec::new();
-    let slots_per_page = PAGE_SIZE / TASK_STRUCT_SIZE as usize;
-    for pfn in 0..mem.num_pages() as u64 {
-        let page = mem.page(Pfn(pfn));
-        for slot in 0..slots_per_page {
-            let off = slot * TASK_STRUCT_SIZE as usize;
-            let magic = u32::from_le_bytes(page[off..off + 4].try_into().expect("4 bytes"));
-            if magic != TASK_MAGIC && magic != TASK_FREED_MAGIC {
-                continue;
-            }
-            let gpa = Gpa(pfn * PAGE_SIZE as u64 + off as u64);
-            // Plausibility filter, like Volatility's sanity checks: the
-            // list pointers must look like kernel addresses.
-            let next = mem.read_u64(gpa.add(task_offsets::NEXT));
-            let prev = mem.read_u64(gpa.add(task_offsets::PREV));
-            if !Gva(next).is_kernel() || !Gva(prev).is_kernel() {
-                continue;
-            }
-            found.push(ScannedTask {
-                task: linux::read_task(mem, gpa),
-                freed: magic == TASK_FREED_MAGIC,
-                found_at: gpa,
-            });
+    let slots = mem.size_bytes() as u64 / TASK_STRUCT_SIZE;
+    for slot in 0..slots {
+        let gpa = Gpa(slot * TASK_STRUCT_SIZE);
+        let Ok(magic) = mem.peek_u32(gpa.add(task_offsets::MAGIC)) else {
+            continue;
+        };
+        if magic != TASK_MAGIC && magic != TASK_FREED_MAGIC {
+            continue;
         }
+        // Plausibility filter, like Volatility's sanity checks: the
+        // list pointers must look like kernel addresses.
+        let is_kernel = |off| {
+            mem.peek_u64(gpa.add(off))
+                .is_ok_and(|p| Guest::<Gva>::from(p).kernel_to_gpa().is_some())
+        };
+        if !is_kernel(task_offsets::NEXT) || !is_kernel(task_offsets::PREV) {
+            continue;
+        }
+        let Ok(task) = linux::read_task(mem, gpa) else {
+            continue;
+        };
+        found.push(ScannedTask {
+            task,
+            freed: magic == TASK_FREED_MAGIC,
+            found_at: gpa,
+        });
     }
     found
 }
@@ -201,8 +204,7 @@ pub fn psxview(session: &VmiSession, dump: &MemoryDump) -> Result<Vec<PsxviewRow
     }
     for e in &hash {
         // Resolve the comm via the task struct the hash points at.
-        let gpa = session.translate_kernel(e.task_gva)?;
-        let t = linux::read_task(dump.memory(), gpa);
+        let t = linux::read_task_at(session, dump.memory(), e.task_gva)?;
         let i = row_for(e.pid, &t.comm, &mut rows);
         rows[i].in_pid_hash = true;
     }
@@ -215,22 +217,16 @@ pub fn psxview(session: &VmiSession, dump: &MemoryDump) -> Result<Vec<PsxviewRow
 ///
 /// # Errors
 ///
-/// Fails if the pid is not visible or its mapping does not translate.
+/// Fails if the pid is not visible, or with [`VmiError::OutOfImage`] if
+/// its task struct claims a mapping larger than, or outside, the dump.
 pub fn procdump(session: &VmiSession, dump: &MemoryDump, pid: u32) -> Result<Vec<u8>, VmiError> {
     let space = session
         .address_space(pid)
         .ok_or(VmiError::NoSuchTask(pid))?;
-    let mut out = vec![0u8; space.len as usize];
-    let mut off = 0u64;
-    while off < space.len {
-        let chunk = (space.len - off).min(PAGE_SIZE as u64) as usize;
-        let gpa = space
-            .translate(space.virt_base.add(off))
-            .ok_or(VmiError::TranslationFault(space.virt_base.add(off)))?;
-        dump.memory()
-            .read(gpa, &mut out[off as usize..off as usize + chunk]);
-        off += chunk as u64;
-    }
+    let len = space.len.extent(dump.size_bytes())?;
+    let gpa = session.translate_user(pid, space.virt_base, len as u64)?;
+    let mut out = vec![0u8; len];
+    dump.memory().peek(gpa, &mut out)?;
     Ok(out)
 }
 
@@ -246,22 +242,22 @@ pub fn netscan(session: &VmiSession, dump: &MemoryDump) -> Result<Vec<SocketInfo
     let mut sockets = Vec::new();
     for i in 0..capacity {
         let s = base.add(i as u64 * SOCKET_STRUCT_SIZE);
-        if mem.read_u32(s.add(socket_offsets::IN_USE)) != 1 {
+        if mem.peek_u32(s.add(socket_offsets::IN_USE))? != 1 {
             continue;
         }
-        let u16_at = |off: u64| {
-            let mut b = [0u8; 2];
-            mem.read(s.add(off), &mut b);
-            u16::from_le_bytes(b)
+        let u16_at = |off| {
+            mem.peek_array::<2>(s.add(off))
+                .map(|b| u16::from_le_bytes(b.unguarded()))
         };
+        let u32_at = |off| mem.peek_u32(s.add(off)).map(Guest::unguarded);
         sockets.push(SocketInfo {
-            pid: mem.read_u32(s.add(socket_offsets::OWNER_PID)),
-            proto: u16_at(socket_offsets::PROTO),
-            state: TcpState::from_raw(u16_at(socket_offsets::STATE)),
-            lport: u16_at(socket_offsets::LPORT),
-            fport: u16_at(socket_offsets::FPORT),
-            laddr: mem.read_u32(s.add(socket_offsets::LADDR)),
-            faddr: mem.read_u32(s.add(socket_offsets::FADDR)),
+            pid: u32_at(socket_offsets::OWNER_PID)?,
+            proto: u16_at(socket_offsets::PROTO)?,
+            state: TcpState::from_raw(u16_at(socket_offsets::STATE)?),
+            lport: u16_at(socket_offsets::LPORT)?,
+            fport: u16_at(socket_offsets::FPORT)?,
+            laddr: u32_at(socket_offsets::LADDR)?,
+            faddr: u32_at(socket_offsets::FADDR)?,
         });
     }
     Ok(sockets)
@@ -284,16 +280,20 @@ pub fn handles(
     let mut files = Vec::new();
     for i in 0..capacity {
         let fh = base.add(i as u64 * FILE_STRUCT_SIZE);
-        if mem.read_u32(fh.add(file_offsets::IN_USE)) != 1 {
+        if mem.peek_u32(fh.add(file_offsets::IN_USE))? != 1 {
             continue;
         }
-        let owner = mem.read_u32(fh.add(file_offsets::OWNER_PID));
-        if pid.is_some_and(|p| p != owner) {
+        let owner = mem.peek_u32(fh.add(file_offsets::OWNER_PID))?;
+        if pid.is_some_and(|p| owner != p) {
             continue;
         }
         files.push(FileHandleInfo {
-            pid: owner,
-            path: linux::read_fixed_string(mem, fh.add(file_offsets::PATH), file_offsets::PATH_LEN),
+            pid: owner.unguarded(),
+            path: linux::read_fixed_string(
+                mem,
+                fh.add(file_offsets::PATH),
+                file_offsets::PATH_LEN,
+            )?,
         });
     }
     Ok(files)
@@ -312,10 +312,11 @@ pub fn proc_maps(
     let space = session
         .address_space(pid)
         .ok_or(VmiError::NoSuchTask(pid))?;
+    let (start, len) = (space.virt_base.unguarded(), space.len.unguarded());
     Ok(vec![ProcMapRegion {
-        start: space.virt_base,
-        end: space.virt_base.add(space.len),
-        len: space.len,
+        start,
+        end: Gva(start.0.saturating_add(len)),
+        len,
     }])
 }
 
@@ -346,7 +347,7 @@ fn format_endpoint(addr: u32, port: u16) -> String {
 mod tests {
     use super::*;
     use crate::dump::DumpKind;
-    use crimes_vm::Vm;
+    use crimes_vm::{Vm, PAGE_SIZE};
 
     fn vm() -> Vm {
         let mut b = Vm::builder();
@@ -436,6 +437,41 @@ mod tests {
             image.windows(needle.len()).any(|w| w == needle),
             "dump must contain the written bytes"
         );
+    }
+
+    #[test]
+    fn procdump_refuses_a_forged_mapping_size() {
+        // A compromised guest claims a mapping larger than the whole dump:
+        // sizing the buffer from it would allocate whatever the guest
+        // asked for. The length is checked against the image first.
+        let mut vm = vm();
+        let pid = vm.spawn_process("app", 0, 4).unwrap();
+        let slot = vm.kernel().task_slot_of(pid).unwrap();
+        let task = vm.layout().task_slot(slot);
+        let image = vm.memory().size_bytes() as u64;
+        for forged in [image + 1, u64::MAX] {
+            vm.memory_mut()
+                .write_u64(task.add(task_offsets::MM_SIZE), forged);
+            let (dump, session) = dump_and_session(&vm);
+            let err = procdump(&session, &dump, pid).unwrap_err();
+            assert_eq!(
+                err,
+                VmiError::OutOfImage(crimes_vm::OutOfRange {
+                    value: forged,
+                    len: 0,
+                    limit: image,
+                })
+            );
+        }
+        // A length that fits the image but not the mapping's physical
+        // placement is refused at translation.
+        vm.memory_mut()
+            .write_u64(task.add(task_offsets::MM_SIZE), image);
+        let (dump, session) = dump_and_session(&vm);
+        assert!(matches!(
+            procdump(&session, &dump, pid),
+            Err(VmiError::OutOfImage(_))
+        ));
     }
 
     #[test]

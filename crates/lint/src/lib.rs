@@ -4,9 +4,8 @@
 //! the audit/checkpoint pause window must stay tiny and side-effect-free,
 //! fail-closed modules must never panic past a buffered output, every
 //! fault point must be wired and soaked, public errors must stay typed,
-//! the build must stay hermetic, and guest-controlled bytes must not size
-//! an allocation or index a slice unchecked. This crate encodes those as
-//! seven mechanical rules over a token-level model of the workspace:
+//! and the build must stay hermetic. This crate encodes those as six
+//! mechanical rules over a token-level model of the workspace:
 //!
 //! * `panic-freedom` — no `unwrap`/`expect`/`panic!`-family/indexing in
 //!   the fail-closed modules ([`LintConfig::fail_closed`]),
@@ -20,16 +19,15 @@
 //! * `hermeticity` — no registry dependencies; no wall clocks in tests,
 //! * `telemetry-purity` — pause-window-reachable code only uses the
 //!   alloc-free telemetry recording APIs: no telemetry construction
-//!   (preallocation belongs at protect time) and no rendering/export,
-//! * `guest-taint-arithmetic` — values read from guest memory, the backup
-//!   handshake or journal replay bytes pass a sanitizer before they reach
-//!   a slice index, an allocation size or unchecked arithmetic
-//!   ([`LintConfig::taint_files`]).
+//!   (preallocation belongs at protect time) and no rendering/export.
 //!
 //! What is *not* here: that every evidence effect is journalled before it
 //! happens and that outputs release only on an audit pass or a drain ack.
 //! `crates/crimes/src/evidence.rs` owns that state behind private fields,
-//! so those orderings hold by construction and need no rule.
+//! so those orderings hold by construction and need no rule. Nor that
+//! guest-controlled bytes never size an allocation or index a slice
+//! unchecked: every host read of guest memory returns a
+//! `crimes_vm::Guest<T>`, which has no unchecked way to do either.
 //!
 //! Exceptions are visible, never silent: a line can carry
 //! `// lint: allow(<rule>) -- reason`, and the binary counts and prints
@@ -41,7 +39,6 @@ mod callgraph;
 mod lexer;
 mod model;
 mod rules;
-mod taint;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -92,9 +89,6 @@ pub struct LintConfig {
     pub soak_test: String,
     /// Path prefixes allowed to read wall clocks in test code.
     pub blessed_timing: Vec<String>,
-    /// Files the guest-taint-arithmetic rule analyzes (everything that
-    /// parses guest memory, handshake fields, or journal replay bytes).
-    pub taint_files: Vec<String>,
 }
 
 impl Default for LintConfig {
@@ -117,19 +111,6 @@ impl Default for LintConfig {
             faults_lib: "crates/faults/src/lib.rs".into(),
             soak_test: "tests/fault_soak.rs".into(),
             blessed_timing: vec!["crates/bench/".into()],
-            taint_files: [
-                "crates/vmi/src/canary.rs",
-                "crates/vmi/src/linux.rs",
-                "crates/vmi/src/session.rs",
-                "crates/journal/src/journal.rs",
-                "crates/checkpoint/src/engine.rs",
-                "crates/checkpoint/src/staging.rs",
-                "crates/checkpoint/src/backup.rs",
-                "crates/checkpoint/src/delta.rs",
-                "crates/outbuf/src/scan.rs",
-            ]
-            .map(String::from)
-            .to_vec(),
         }
     }
 }
@@ -358,9 +339,6 @@ pub fn run_with(root: &Path, config: &LintConfig) -> io::Result<LintReport> {
         rules::hermeticity(&files, &manifests, config)
     });
     run_rule("telemetry-purity", &mut || rules::telemetry_purity(&files));
-    run_rule("guest-taint-arithmetic", &mut || {
-        taint::guest_taint(&files, config)
-    });
     let mut report = apply_allows(diagnostics, &files);
     report.aborted = aborted;
     Ok(report)

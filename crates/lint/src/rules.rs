@@ -14,17 +14,15 @@ pub(crate) const FAULT_COVERAGE: &str = "fault-coverage";
 pub(crate) const ERROR_TAXONOMY: &str = "error-taxonomy";
 pub(crate) const HERMETICITY: &str = "hermeticity";
 pub(crate) const TELEMETRY_PURITY: &str = "telemetry-purity";
-pub(crate) const GUEST_TAINT: &str = "guest-taint-arithmetic";
 
 /// Every rule name the suppression syntax accepts.
-pub const ALL_RULES: [&str; 7] = [
+pub const ALL_RULES: [&str; 6] = [
     PANIC_FREEDOM,
     PAUSE_WINDOW,
     FAULT_COVERAGE,
     ERROR_TAXONOMY,
     HERMETICITY,
     TELEMETRY_PURITY,
-    GUEST_TAINT,
 ];
 
 pub(crate) fn diag(rule: &'static str, file: &SourceFile, tok: &Token, message: String) -> Diagnostic {

@@ -315,24 +315,6 @@ fn the_binary_exits_zero_on_a_clean_tree() {
 }
 
 #[test]
-fn guest_taint_flags_allocation_arithmetic_and_indexing_sinks() {
-    let report = lint("taint-bad");
-    assert_eq!(report.diagnostics.len(), 3, "{}", report.render());
-    assert!(report
-        .diagnostics
-        .iter()
-        .all(|d| d.rule == "guest-taint-arithmetic"));
-    let lines: Vec<u32> = report.diagnostics.iter().map(|d| d.line).collect();
-    assert_eq!(lines, [3, 4, 6], "with_capacity, `*`, and the slice index");
-}
-
-#[test]
-fn guest_taint_accepts_sanitized_values() {
-    let report = lint("taint-good");
-    assert!(report.ok(), "{}", report.render());
-}
-
-#[test]
 fn the_binary_distinguishes_findings_from_analyzer_errors() {
     // Findings exit 1; an unreadable tree is an analyzer error, exit 2 —
     // CI must never confuse "dirty tree" with "broken lint".
@@ -353,17 +335,17 @@ fn the_binary_distinguishes_findings_from_analyzer_errors() {
 fn json_output_reports_every_rule_with_counts_and_the_allow_ledger() {
     let out = Command::new(env!("CARGO_BIN_EXE_crimes-lint"))
         .arg("--json")
-        .arg(fixture("taint-bad"))
+        .arg(fixture("panic-bad"))
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(json.contains("\"ok\": false"), "{json}");
-    assert!(json.contains("\"guest-taint-arithmetic\": 3"), "{json}");
+    assert!(json.contains("\"panic-freedom\": 2"), "{json}");
     // Rules with nothing to say still appear, pinned to zero.
     assert!(json.contains("\"pause-window\": 0"), "{json}");
     assert!(json.contains("\"stale_allows\""), "{json}");
     assert!(json.contains("\"aborted\""), "{json}");
     // The human rendering moves to stderr so stdout stays parseable.
-    assert!(String::from_utf8_lossy(&out.stderr).contains("error[guest-taint-arithmetic]"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error[panic-freedom]"));
 }

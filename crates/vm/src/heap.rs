@@ -369,7 +369,7 @@ mod tests {
         let rec = layout.canary_record(0);
         assert_eq!(mem.read_u32(rec.add(canary_offsets::LIVE)), 0);
         let gpa = procs.get(1).unwrap().mapping.translate(gva).unwrap();
-        assert_eq!(mem.read_u8(gpa), FREE_POISON);
+        assert!(mem.peek_array::<1>(gpa).unwrap() == [FREE_POISON]);
         assert_eq!(heap.live_count(), 0);
     }
 

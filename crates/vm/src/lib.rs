@@ -12,7 +12,8 @@
 //! table). Hypervisor-side crates (`crimes-vmi`, `crimes-checkpoint`,
 //! `crimes-forensics`) interact with a [`Vm`] only through:
 //!
-//! * raw memory reads/writes ([`GuestMemory`]),
+//! * raw memory reads/writes ([`GuestMemory`]); every host-side read goes
+//!   through [`GuestMemory::peek`] and returns a [`Guest<T>`],
 //! * the PFN→MFN table and dirty bitmap (what Xen exposes to Remus),
 //! * the [`SystemMap`] symbol file a provider holds for a known kernel,
 //! * page watchpoints ([`watch`]) standing in for Xen memory events.
@@ -47,6 +48,7 @@
 pub mod addr;
 pub mod dirty;
 pub mod disk;
+pub mod guest;
 pub mod heap;
 pub mod kernel;
 pub mod layout;
@@ -63,6 +65,7 @@ pub mod watch;
 pub use addr::{Gpa, Gva, Mfn, Pfn, KERNEL_VIRT_BASE, PAGE_SIZE};
 pub use dirty::DirtyBitmap;
 pub use disk::{VirtualDisk, SECTOR_SIZE};
+pub use guest::{Guest, OutOfRange};
 pub use heap::{Allocation, CanaryHeap, HeapError};
 pub use kernel::{FileId, Kernel, KernelError, SocketId, TaskState, TcpState};
 pub use layout::{KernelLayout, CANARY_LEN};

@@ -15,6 +15,7 @@ use crimes_rng::ChaCha8Rng;
 
 use crate::addr::{Gpa, Mfn, Pfn, PAGE_SIZE};
 use crate::dirty::DirtyBitmap;
+use crate::guest::{Guest, OutOfRange};
 use crate::watch::{MemoryEvent, WatchSet};
 
 /// Guest physical memory of a simulated VM.
@@ -107,34 +108,70 @@ impl GuestMemory {
         &self.pfn_to_mfn
     }
 
-    /// Read `buf.len()` bytes starting at `gpa`. Reads may cross page
-    /// boundaries; the underlying frames are resolved page by page.
+    /// Copy the `buf.len()` bytes at `gpa` into `buf` and return them as
+    /// guest bytes — the host's reader of guest memory. Total for every
+    /// `gpa`: the span's end is computed with `checked_add`, and a span
+    /// that leaves the image is refused before any byte is copied. (`buf`
+    /// itself holds the same bytes afterwards; a caller that keeps
+    /// reading it is treating guest bytes as report data.)
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfRange`] when any byte of the span lies outside the image.
+    #[inline]
+    pub fn peek<'b>(&self, gpa: Gpa, buf: &'b mut [u8]) -> Result<Guest<&'b [u8]>, OutOfRange> {
+        Guest::new(gpa).checked_span(buf.len() as u64, self.frames.len())?;
+        self.read(gpa, buf);
+        Ok(Guest::new(buf))
+    }
+
+    /// Read `N` guest bytes at `gpa` (errors as [`peek`](Self::peek)).
+    #[inline]
+    pub fn peek_array<const N: usize>(&self, gpa: Gpa) -> Result<Guest<[u8; N]>, OutOfRange> {
+        let mut b = [0u8; N];
+        self.peek(gpa, &mut b)?;
+        Ok(Guest::new(b))
+    }
+
+    /// Read a guest little-endian `u32` at `gpa` (errors as [`peek`](Self::peek)).
+    #[inline]
+    pub fn peek_u32(&self, gpa: Gpa) -> Result<Guest<u32>, OutOfRange> {
+        let mut b = [0u8; 4];
+        self.peek(gpa, &mut b)?;
+        Ok(Guest::new(u32::from_le_bytes(b)))
+    }
+
+    /// Read a guest little-endian `u64` at `gpa` (errors as [`peek`](Self::peek)).
+    #[inline]
+    pub fn peek_u64(&self, gpa: Gpa) -> Result<Guest<u64>, OutOfRange> {
+        let mut b = [0u8; 8];
+        self.peek(gpa, &mut b)?;
+        Ok(Guest::new(u64::from_le_bytes(b)))
+    }
+
+    /// Read `buf.len()` bytes starting at `gpa` — the simulated guest
+    /// kernel's own accessor. Reads may cross page boundaries; the
+    /// underlying frames are resolved page by page. The host side reads
+    /// through [`peek`](Self::peek) instead.
     ///
     /// # Panics
     ///
     /// Panics if the range extends past the end of guest memory.
-    pub fn read(&self, gpa: Gpa, buf: &mut [u8]) {
+    pub(crate) fn read(&self, gpa: Gpa, buf: &mut [u8]) {
         self.for_each_span(gpa, buf.len(), |off, frame_range, mem| {
             buf[off..off + frame_range.len()].copy_from_slice(&mem[frame_range]);
         });
     }
 
-    /// Read a single byte.
-    pub fn read_u8(&self, gpa: Gpa) -> u8 {
-        let mut b = [0u8; 1];
-        self.read(gpa, &mut b);
-        b[0]
-    }
-
     /// Read a little-endian `u32`.
-    pub fn read_u32(&self, gpa: Gpa) -> u32 {
+    pub(crate) fn read_u32(&self, gpa: Gpa) -> u32 {
         let mut b = [0u8; 4];
         self.read(gpa, &mut b);
         u32::from_le_bytes(b)
     }
 
     /// Read a little-endian `u64`.
-    pub fn read_u64(&self, gpa: Gpa) -> u64 {
+    pub(crate) fn read_u64(&self, gpa: Gpa) -> u64 {
         let mut b = [0u8; 8];
         self.read(gpa, &mut b);
         u64::from_le_bytes(b)

@@ -16,38 +16,130 @@
 
 use crimes_vm::layout::{canary_offsets, CANARY_LEN, CANARY_RECORD_SIZE};
 use crimes_vm::symbols::names;
-use crimes_vm::{DirtyBitmap, GuestMemory, Gpa, Gva, Pfn};
+use crimes_vm::{DirtyBitmap, Gpa, Guest, GuestMemory, Gva, Pfn};
 
 use crate::error::VmiError;
-use crate::session::VmiSession;
+use crate::session::{AddressSpace, VmiSession};
 
-/// Validate the guest-written record count at the head of the canary
-/// table and return `(count, table_bytes)` for the staging buffer.
-///
-/// The header word lives in guest memory, so a compromised guest can
-/// write any value there. Sizing an allocation directly from it would
-/// let the guest force a multi-gigabyte (or, after `count *
-/// CANARY_RECORD_SIZE` wraps, absurdly small) hypervisor-side buffer.
-/// The count is plausible only if that many records fit between the
-/// header and the end of guest memory; anything larger is evidence of
-/// tampering and fails closed.
-fn checked_table_extent(mem: &GuestMemory, table: Gpa) -> Result<(usize, usize), VmiError> {
-    let claimed = mem.read_u64(table);
-    let extent = (mem.size_bytes() as u64).saturating_sub(table.0.saturating_add(8));
-    let max = extent / CANARY_RECORD_SIZE;
-    let implausible = VmiError::ImplausibleTableHeader {
-        what: "canary",
-        claimed,
-        max,
-    };
-    if claimed > max {
-        return Err(implausible);
+/// The guest's canary table, bulk-read once per scan — the one decoder
+/// the serial scans and the fused walk's staging share.
+struct CanaryTable {
+    records: Vec<u8>,
+}
+
+/// One live record, its canary translated to a GPA inside the image.
+struct LiveCanary<'a> {
+    record_idx: usize,
+    pid: u32,
+    canary_gpa: Gpa,
+    rec: Guest<&'a [u8]>,
+}
+
+impl CanaryTable {
+    /// Validate the guest-written record count at the head of the table
+    /// and bulk-read the records it claims — the batching that makes the
+    /// paper's ~90k canaries/ms validation rate possible.
+    ///
+    /// The header word lives in guest memory, so a compromised guest can
+    /// write any value there. The count is plausible only if that many
+    /// records fit between the header and the end of guest memory;
+    /// anything larger is evidence of tampering and fails closed instead
+    /// of sizing a buffer from a forged value.
+    fn read(session: &VmiSession, mem: &GuestMemory) -> Result<Self, VmiError> {
+        let table = session.hot_symbol(names::CANARY_TABLE)?;
+        let claimed = mem.peek_u64(table)?;
+        let extent = (mem.size_bytes() as u64).saturating_sub(table.0.saturating_add(8));
+        let max = extent / CANARY_RECORD_SIZE;
+        let count = claimed
+            .extent(usize::try_from(max).unwrap_or(usize::MAX))
+            .map_err(|e| VmiError::ImplausibleTableHeader {
+                what: "canary",
+                claimed: e.value,
+                max,
+            })?;
+        // `count` records fit inside guest memory, so this cannot overflow.
+        let mut records = vec![0u8; count * CANARY_RECORD_SIZE as usize]; // lint: allow(pause-window) -- one bulk-read staging buffer, O(records)
+        mem.peek(table.add(8), &mut records)?;
+        Ok(CanaryTable { records })
     }
-    let count = usize::try_from(claimed).map_err(|_| implausible.clone())?;
-    let table_bytes = count
-        .checked_mul(CANARY_RECORD_SIZE as usize)
-        .ok_or(implausible)?;
-    Ok((count, table_bytes))
+
+    /// Records the header claimed.
+    fn len(&self) -> usize {
+        self.records.len() / CANARY_RECORD_SIZE as usize
+    }
+
+    /// Hand every live record whose owner translates to `each`, and
+    /// return how many live records did not translate (a hidden owner,
+    /// or a canary outside its owner's mapping). A mapping that leaves
+    /// the image is a hard error, not a skip.
+    fn for_each_live(
+        &self,
+        session: &VmiSession,
+        mut each: impl FnMut(LiveCanary<'_>) -> Result<(), VmiError>,
+    ) -> Result<usize, VmiError> {
+        let mut untranslatable = 0;
+        // Records come in runs of one owner: look its space up once a run.
+        let mut owner: Option<(u32, AddressSpace)> = None;
+        let records = Guest::new(self.records.as_slice()).records(CANARY_RECORD_SIZE as usize);
+        for (record_idx, rec) in records.enumerate() {
+            if rec.le_u32(canary_offsets::LIVE as usize) != Some(Guest::new(1)) {
+                continue;
+            }
+            let pid = rec
+                .le_u32(canary_offsets::PID as usize)
+                .map_or(0, Guest::unguarded);
+            let canary_gva: Guest<Gva> = rec
+                .le_u64(canary_offsets::CANARY_GVA as usize)
+                .unwrap_or(Guest::new(0))
+                .into();
+            let space = match owner {
+                Some((p, space)) if p == pid => Some(space),
+                _ => session.address_space(pid),
+            };
+            let Some(space) = space else {
+                untranslatable += 1;
+                continue;
+            };
+            owner = Some((pid, space));
+            let canary_gpa = match session.translate_in(&space, canary_gva, CANARY_LEN as u64) {
+                Ok(gpa) => gpa,
+                Err(VmiError::TranslationFault(_)) => {
+                    untranslatable += 1;
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            each(LiveCanary {
+                record_idx,
+                pid,
+                canary_gpa,
+                rec,
+            })?;
+        }
+        Ok(untranslatable)
+    }
+}
+
+impl LiveCanary<'_> {
+    /// The dirty page the canary is attributed to: the first of the (up
+    /// to two) pages it touches that is dirty, `None` if both are clean.
+    /// The GPA lies inside the image, so both pages are in the bitmap.
+    fn owner_page(&self, dirty: &DirtyBitmap) -> Option<Pfn> {
+        let first = self.canary_gpa.pfn();
+        let last = self.canary_gpa.add(CANARY_LEN as u64 - 1).pfn();
+        [first, last].into_iter().find(|&pfn| dirty.is_dirty(pfn))
+    }
+
+    /// The record's report fields, decoded only for a record that makes
+    /// it into a report: (object GVA, object size, canary GVA).
+    fn report_fields(&self) -> (Gva, u64, Gva) {
+        let field = |off: u64| self.rec.le_u64(off as usize).map_or(0, Guest::unguarded);
+        (
+            Gva(field(canary_offsets::OBJECT_GVA)),
+            field(canary_offsets::SIZE),
+            Gva(field(canary_offsets::CANARY_GVA)),
+        )
+    }
 }
 
 /// One trampled canary.
@@ -141,72 +233,28 @@ impl CanaryScanner {
         mem: &GuestMemory,
         dirty: Option<&DirtyBitmap>,
     ) -> Result<CanaryScanReport, VmiError> {
-        let table = session.hot_symbol(names::CANARY_TABLE)?;
-        let (count, table_bytes) = checked_table_extent(mem, table)?;
         let mut report = CanaryScanReport::default();
-        // Bulk-read the record table once instead of issuing four guest
-        // reads per record — the batching that makes the paper's ~90k
-        // canaries/ms validation rate possible.
-        let mut records = vec![0u8; table_bytes]; // lint: allow(pause-window) -- one bulk-read staging buffer, O(records)
-        if count > 0 {
-            mem.read(table.add(8), &mut records);
-        }
-        // Record offsets are compile-time constants inside a
-        // `chunks_exact`-sized record, so the reads cannot actually be out
-        // of range; `0` keeps the lookups total anyway (a zero LIVE field
-        // just skips the record).
-        let field_u64 = |rec: &[u8], off: u64| {
-            rec.get(off as usize..off as usize + 8)
-                .and_then(|b| b.try_into().ok())
-                .map(u64::from_le_bytes)
-                .unwrap_or(0)
-        };
-        let field_u32 = |rec: &[u8], off: u64| {
-            rec.get(off as usize..off as usize + 4)
-                .and_then(|b| b.try_into().ok())
-                .map(u32::from_le_bytes)
-                .unwrap_or(0)
-        };
-        let mut buf = [0u8; CANARY_LEN];
-        for (idx, rec) in records
-            .chunks_exact(CANARY_RECORD_SIZE as usize)
-            .enumerate()
-        {
-            if field_u32(rec, canary_offsets::LIVE) != 1 {
-                continue;
+        let untranslatable = CanaryTable::read(session, mem)?.for_each_live(session, |live| {
+            if dirty.is_some_and(|dirty| live.owner_page(dirty).is_none()) {
+                report.skipped_clean += 1;
+                return Ok(());
             }
-            let pid = field_u32(rec, canary_offsets::PID);
-            let canary_gva = Gva(field_u64(rec, canary_offsets::CANARY_GVA));
-            let canary_gpa = match session.translate_user(pid, canary_gva) {
-                Ok(gpa) => gpa,
-                Err(VmiError::NoSuchTask(_)) | Err(VmiError::TranslationFault(_)) => {
-                    report.skipped_untranslatable += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if let Some(dirty) = dirty {
-                // A canary can span two pages; check both.
-                let first = canary_gpa.pfn();
-                let last = canary_gpa.add(CANARY_LEN as u64 - 1).pfn();
-                if !dirty.is_dirty(first) && !dirty.is_dirty(last) {
-                    report.skipped_clean += 1;
-                    continue;
-                }
-            }
-            mem.read(canary_gpa, &mut buf);
+            let found = mem.peek_array::<CANARY_LEN>(live.canary_gpa)?;
             report.checked += 1;
-            if buf != self.secret {
+            if found != self.secret {
+                let (object_gva, size, canary_gva) = live.report_fields();
                 report.violations.push(CanaryViolation {
-                    record_idx: idx,
-                    pid,
-                    object_gva: Gva(field_u64(rec, canary_offsets::OBJECT_GVA)),
-                    size: field_u64(rec, canary_offsets::SIZE),
+                    record_idx: live.record_idx,
+                    pid: live.pid,
+                    object_gva,
+                    size,
                     canary_gva,
-                    found: buf,
+                    found: found.unguarded(),
                 });
             }
-        }
+            Ok(())
+        })?;
+        report.skipped_untranslatable = untranslatable;
         Ok(report)
     }
 }
@@ -263,7 +311,6 @@ impl PreparedCanaries {
     // lint: pause-window
     pub fn check_page(&self, pfn: Pfn, mem: &GuestMemory, hit: &mut dyn FnMut(usize)) {
         let start = self.checks.partition_point(|c| c.owner_pfn < pfn);
-        let mut buf = [0u8; CANARY_LEN];
         for check in self
             .checks
             .get(start..)
@@ -271,8 +318,12 @@ impl PreparedCanaries {
             .iter()
             .take_while(|c| c.owner_pfn == pfn)
         {
-            mem.read(check.canary_gpa, &mut buf);
-            if buf != self.secret {
+            // Staged GPAs lie inside the image, so the read succeeds; were
+            // it to fail, the canary counts as trampled (fail closed).
+            let intact = mem
+                .peek_array::<CANARY_LEN>(check.canary_gpa)
+                .is_ok_and(|found| found == self.secret);
+            if !intact {
                 hit(check.record_idx);
             }
         }
@@ -302,69 +353,34 @@ impl CanaryScanner {
         mem: &GuestMemory,
         dirty: &DirtyBitmap,
     ) -> Result<PreparedCanaries, VmiError> {
-        let table = session.hot_symbol(names::CANARY_TABLE)?;
-        let (count, table_bytes) = checked_table_extent(mem, table)?;
-        let mut prepared = PreparedCanaries {
-            secret: self.secret,
-            checks: Vec::with_capacity(count), // lint: allow(pause-window) -- staging buffer built before the sharded walk, O(records)
-            skipped_clean: 0,
-            skipped_untranslatable: 0,
-        };
-        let mut records = vec![0u8; table_bytes]; // lint: allow(pause-window) -- one bulk-read staging buffer, O(records)
-        if count > 0 {
-            mem.read(table.add(8), &mut records);
-        }
-        let field_u64 = |rec: &[u8], off: u64| {
-            rec.get(off as usize..off as usize + 8)
-                .and_then(|b| b.try_into().ok())
-                .map(u64::from_le_bytes)
-                .unwrap_or(0)
-        };
-        let field_u32 = |rec: &[u8], off: u64| {
-            rec.get(off as usize..off as usize + 4)
-                .and_then(|b| b.try_into().ok())
-                .map(u32::from_le_bytes)
-                .unwrap_or(0)
-        };
-        for (idx, rec) in records
-            .chunks_exact(CANARY_RECORD_SIZE as usize)
-            .enumerate()
-        {
-            if field_u32(rec, canary_offsets::LIVE) != 1 {
-                continue;
-            }
-            let pid = field_u32(rec, canary_offsets::PID);
-            let canary_gva = Gva(field_u64(rec, canary_offsets::CANARY_GVA));
-            let canary_gpa = match session.translate_user(pid, canary_gva) {
-                Ok(gpa) => gpa,
-                Err(VmiError::NoSuchTask(_)) | Err(VmiError::TranslationFault(_)) => {
-                    prepared.skipped_untranslatable += 1;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
+        let table = CanaryTable::read(session, mem)?;
+        let mut checks = Vec::with_capacity(table.len()); // lint: allow(pause-window) -- staging buffer built before the sharded walk, O(records)
+        let mut skipped_clean = 0;
+        let skipped_untranslatable = table.for_each_live(session, |live| {
             // A canary can span two pages; it is owned by the first dirty
             // one, which the fused walk is guaranteed to visit.
-            let first = canary_gpa.pfn();
-            let last = canary_gpa.add(CANARY_LEN as u64 - 1).pfn();
-            let owner_pfn = if dirty.is_dirty(first) {
-                first
-            } else if dirty.is_dirty(last) {
-                last
-            } else {
-                prepared.skipped_clean += 1;
-                continue;
+            let Some(owner_pfn) = live.owner_page(dirty) else {
+                skipped_clean += 1;
+                return Ok(());
             };
-            prepared.checks.push(PreparedCheck {
-                record_idx: idx,
-                pid,
-                object_gva: Gva(field_u64(rec, canary_offsets::OBJECT_GVA)),
-                size: field_u64(rec, canary_offsets::SIZE),
+            let (object_gva, size, canary_gva) = live.report_fields();
+            checks.push(PreparedCheck {
+                record_idx: live.record_idx,
+                pid: live.pid,
+                object_gva,
+                size,
                 canary_gva,
-                canary_gpa,
+                canary_gpa: live.canary_gpa,
                 owner_pfn,
             });
-        }
+            Ok(())
+        })?;
+        let mut prepared = PreparedCanaries {
+            secret: self.secret,
+            checks,
+            skipped_clean,
+            skipped_untranslatable,
+        };
         prepared
             .checks
             .sort_unstable_by_key(|c| (c.owner_pfn, c.record_idx));
@@ -375,6 +391,7 @@ impl CanaryScanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crimes_vm::layout::task_offsets;
     use crimes_vm::Vm;
 
     fn setup() -> (Vm, VmiSession, CanaryScanner) {
@@ -594,6 +611,26 @@ mod tests {
         assert!(matches!(
             scanner.prepare_dirty(&s, vm.memory(), &dirty).unwrap_err(),
             VmiError::ImplausibleTableHeader { .. }
+        ));
+    }
+
+    #[test]
+    fn a_mapping_past_the_image_fails_every_scan_closed() {
+        let (mut vm, mut s, scanner) = setup();
+        let pid = vm.spawn_process("app", 0, 16).unwrap();
+        vm.malloc(pid, 64).unwrap();
+        let slot = vm.kernel().task_slot_of(pid).unwrap();
+        let mm_phys = vm.layout().task_slot(slot).add(task_offsets::MM_PHYS);
+        vm.memory_mut().write_u64(mm_phys, 1 << 40);
+        refresh(&mut s, &vm);
+        let dirty = vm.memory().dirty().clone();
+        let past_image = |e: VmiError| matches!(e, VmiError::OutOfImage(e) if e.value == 1 << 40);
+        assert!(past_image(scanner.scan_all(&s, vm.memory()).unwrap_err()));
+        assert!(past_image(
+            scanner.scan_dirty(&s, vm.memory(), &dirty).unwrap_err()
+        ));
+        assert!(past_image(
+            scanner.prepare_dirty(&s, vm.memory(), &dirty).unwrap_err()
         ));
     }
 

@@ -1,14 +1,20 @@
 //! Errors surfaced by introspection.
 
-use crimes_vm::Gva;
+use crimes_vm::{Guest, Gva, OutOfRange};
 
 /// Errors from VMI operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmiError {
     /// A required symbol is missing from `System.map`.
     UnknownSymbol(String),
-    /// A guest virtual address could not be translated.
-    TranslationFault(Gva),
+    /// A guest virtual address could not be translated: a user address
+    /// where a kernel one was due, or an address outside its task's
+    /// mapping.
+    TranslationFault(Guest<Gva>),
+    /// A guest-supplied pointer, mapping or length reaches outside the
+    /// guest image. Nothing a consistent kernel writes does this, so it
+    /// is evidence of a forged structure, never a reason to skip one.
+    OutOfImage(OutOfRange),
     /// `System.map` text could not be parsed.
     BadSystemMap(String),
     /// The guest banner does not describe a kernel this profile supports.
@@ -52,6 +58,7 @@ impl std::fmt::Display for VmiError {
                 write!(f, "{what} list did not terminate after {steps} steps")
             }
             VmiError::NoSuchTask(pid) => write!(f, "no task with pid {pid}"),
+            VmiError::OutOfImage(e) => e.fmt(f),
             VmiError::TransientReadFault => write!(f, "transient VMI read fault (retryable)"),
             VmiError::ImplausibleTableHeader { what, claimed, max } => write!(
                 f,
@@ -63,6 +70,12 @@ impl std::fmt::Display for VmiError {
 
 impl std::error::Error for VmiError {}
 
+impl From<OutOfRange> for VmiError {
+    fn from(e: OutOfRange) -> Self {
+        VmiError::OutOfImage(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +84,12 @@ mod tests {
     fn errors_display_nonempty() {
         for e in [
             VmiError::UnknownSymbol("x".into()),
-            VmiError::TranslationFault(Gva(1)),
+            VmiError::TranslationFault(Guest::new(Gva(1))),
+            VmiError::OutOfImage(OutOfRange {
+                value: 1 << 40,
+                len: 8,
+                limit: 4096,
+            }),
             VmiError::BadSystemMap("line 1".into()),
             VmiError::UnsupportedKernel("DOS".into()),
             VmiError::MalformedList {

@@ -7,7 +7,7 @@
 //! corrupted canary's page, re-execute the epoch, and poll for the write
 //! that touches the canary.
 
-use crimes_vm::{Gva, MemoryEvent, Pfn, Vm};
+use crimes_vm::{Guest, Gva, MemoryEvent, Vm};
 
 use crate::error::VmiError;
 use crate::session::VmiSession;
@@ -22,28 +22,26 @@ impl MemEventMonitor {
         MemEventMonitor
     }
 
-    /// Arm write-monitoring on the page backing `pid`'s user address
-    /// `gva`. Returns the watched PFN.
+    /// Arm write-monitoring on every page backing the `len` bytes at
+    /// `pid`'s user address `gva` (a span can straddle a page boundary).
     ///
     /// # Errors
     ///
-    /// Fails if the address does not translate.
-    pub fn arm_user_page(
+    /// Fails if the span does not translate.
+    pub fn arm_user_span(
         &self,
         session: &VmiSession,
         vm: &mut Vm,
         pid: u32,
         gva: Gva,
-    ) -> Result<Pfn, VmiError> {
-        let gpa = session.translate_user(pid, gva)?;
-        let pfn = gpa.pfn();
-        vm.memory_mut().watches_mut().watch(pfn);
-        Ok(pfn)
-    }
-
-    /// Arm write-monitoring on a physical page directly.
-    pub fn arm_page(&self, vm: &mut Vm, pfn: Pfn) {
-        vm.memory_mut().watches_mut().watch(pfn);
+        len: u64,
+    ) -> Result<(), VmiError> {
+        let gpa = session.translate_user(pid, Guest::new(gva), len)?;
+        let last = gpa.add(len.saturating_sub(1)).pfn();
+        let watches = vm.memory_mut().watches_mut();
+        watches.watch(gpa.pfn());
+        watches.watch(last);
+        Ok(())
     }
 
     /// Drain pending events (the Xen event ring poll).
@@ -83,7 +81,7 @@ mod tests {
         let pid = 1;
         let obj = vm.malloc(pid, 32).unwrap();
         let mon = MemEventMonitor::new();
-        mon.arm_user_page(&s, &mut vm, pid, obj).unwrap();
+        mon.arm_user_span(&s, &mut vm, pid, obj, 3).unwrap();
         vm.write_user(pid, obj, &[1, 2, 3], 0x4141).unwrap();
         let events = mon.poll(&mut vm);
         assert_eq!(events.len(), 1);
@@ -96,7 +94,7 @@ mod tests {
         let (mut vm, s) = setup();
         let obj = vm.malloc(1, 32).unwrap();
         let mon = MemEventMonitor::new();
-        mon.arm_user_page(&s, &mut vm, 1, obj).unwrap();
+        mon.arm_user_span(&s, &mut vm, 1, obj, 1).unwrap();
         vm.write_user(1, obj, &[1], 0).unwrap();
         assert_eq!(mon.poll(&mut vm).len(), 1);
         assert!(mon.poll(&mut vm).is_empty());
@@ -107,7 +105,7 @@ mod tests {
         let (mut vm, s) = setup();
         let obj = vm.malloc(1, 32).unwrap();
         let mon = MemEventMonitor::new();
-        mon.arm_user_page(&s, &mut vm, 1, obj).unwrap();
+        mon.arm_user_span(&s, &mut vm, 1, obj, 1).unwrap();
         assert_eq!(mon.armed_pages(&vm), 1);
         mon.disarm_all(&mut vm);
         assert_eq!(mon.armed_pages(&vm), 0);
@@ -119,6 +117,6 @@ mod tests {
     fn arming_unmapped_address_fails() {
         let (mut vm, s) = setup();
         let mon = MemEventMonitor::new();
-        assert!(mon.arm_user_page(&s, &mut vm, 1, Gva(0)).is_err());
+        assert!(mon.arm_user_span(&s, &mut vm, 1, Gva(0), 1).is_err());
     }
 }

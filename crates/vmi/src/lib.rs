@@ -42,6 +42,8 @@ pub mod canary;
 pub mod error;
 pub mod events;
 pub mod linux;
+#[cfg(test)]
+mod proptests;
 pub mod session;
 
 pub use canary::{

@@ -4,14 +4,16 @@
 //! Everything here reads raw guest memory through a [`VmiSession`]'s symbol
 //! and translation machinery: no host-side bookkeeping is consulted, so a
 //! rootkit that unlinks a task really does disappear from
-//! [`process_list`], exactly as it would from LibVMI's.
+//! [`process_list`], exactly as it would from LibVMI's. Every read goes
+//! through [`GuestMemory::peek`], so a forged structure is a typed
+//! [`VmiError`], never a panic.
 
 use crimes_vm::kernel::TaskState;
 use crimes_vm::layout::{
-    module_offsets, task_offsets, MODULE_MAGIC, MODULE_STRUCT_SIZE, SYSCALL_COUNT,
+    module_offsets, task_offsets, MODULE_MAGIC, MODULE_STRUCT_SIZE, SYSCALL_COUNT, TASK_STRUCT_SIZE,
 };
 use crimes_vm::symbols::names;
-use crimes_vm::{Gpa, GuestMemory, Gva};
+use crimes_vm::{Gpa, Guest, GuestMemory, Gva};
 
 use crate::error::VmiError;
 use crate::session::VmiSession;
@@ -65,31 +67,34 @@ pub struct ScannedModule {
 pub struct PidHashEntry {
     /// Process id.
     pub pid: u32,
-    /// Kernel GVA of the owning task struct.
-    pub task_gva: Gva,
+    /// Kernel GVA of the owning task struct, as the guest wrote it
+    /// (translate it with [`read_task_at`]).
+    pub task_gva: Guest<Gva>,
 }
 
 /// Upper bound on list walks, against corrupted pointers.
-const MAX_LIST_STEPS: usize = 65_536;
+pub(crate) const MAX_LIST_STEPS: usize = 65_536;
 
-/// Walk the kernel task list from `init_task` (the classic `pslist` view —
-/// blind to DKOM-hidden processes).
-///
-/// # Errors
-///
-/// Fails on translation faults or a non-terminating list.
-pub fn process_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<TaskInfo>, VmiError> {
+/// Walk the kernel task list from `init_task`, handing each task struct's
+/// guest-physical address to `visit` — the one walk [`process_list`] and
+/// [`VmiSession::refresh_address_spaces`] share, so the forged-pointer
+/// check lives here: every `next` is translated with its whole struct
+/// inside the image, and the walk gives up after [`MAX_LIST_STEPS`].
+pub(crate) fn walk_tasks(
+    session: &VmiSession,
+    mem: &GuestMemory,
+    mut visit: impl FnMut(Gpa) -> Result<(), VmiError>,
+) -> Result<(), VmiError> {
     let init_task = session.hot_symbol(names::INIT_TASK)?;
     let init_gva = init_task.to_kernel_gva();
-    let mut tasks = Vec::new();
     let mut cur = init_task;
     for _ in 0..MAX_LIST_STEPS {
-        tasks.push(read_task(mem, cur));
-        let next = Gva(mem.read_u64(cur.add(task_offsets::NEXT)));
+        visit(cur)?;
+        let next: Guest<Gva> = mem.peek_u64(cur.add(task_offsets::NEXT))?.into();
         if next == init_gva {
-            return Ok(tasks);
+            return Ok(());
         }
-        cur = session.translate_kernel(next)?;
+        cur = session.translate_kernel(next, TASK_STRUCT_SIZE)?;
     }
     Err(VmiError::MalformedList {
         what: "task",
@@ -97,23 +102,39 @@ pub fn process_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<TaskI
     })
 }
 
+/// Walk the kernel task list from `init_task` (the classic `pslist` view —
+/// blind to DKOM-hidden processes).
+///
+/// # Errors
+///
+/// Fails on translation faults, a pointer out of the image, or a
+/// non-terminating list.
+pub fn process_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<TaskInfo>, VmiError> {
+    let mut tasks = Vec::new();
+    walk_tasks(session, mem, |task| {
+        tasks.push(read_task(mem, task)?);
+        Ok(())
+    })?;
+    Ok(tasks)
+}
+
 /// Walk the kernel module list (the `module-list` scan of Table 3).
 ///
 /// # Errors
 ///
-/// Fails on translation faults or a non-terminating list.
+/// Fails on translation faults, a pointer out of the image, or a
+/// non-terminating list.
 pub fn module_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<ModuleInfo>, VmiError> {
     let head = session.hot_symbol(names::MODULES)?;
     let head_gva = head.to_kernel_gva();
     let mut modules = Vec::new();
-    let mut cur = Gva(mem.read_u64(head));
+    let mut cur: Guest<Gva> = mem.peek_u64(head)?.into();
     for _ in 0..MAX_LIST_STEPS {
         if cur == head_gva {
             return Ok(modules);
         }
-        let gpa = session.translate_kernel(cur)?;
-        let magic = mem.read_u32(gpa.add(module_offsets::MAGIC));
-        if magic != MODULE_MAGIC {
+        let gpa = session.translate_kernel(cur, MODULE_STRUCT_SIZE)?;
+        if mem.peek_u32(gpa.add(module_offsets::MAGIC))? != MODULE_MAGIC {
             // A stale or corrupted entry: report the walk as malformed
             // rather than fabricating a module.
             return Err(VmiError::MalformedList {
@@ -121,12 +142,8 @@ pub fn module_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<Module
                 steps: modules.len(),
             });
         }
-        modules.push(ModuleInfo {
-            name: read_fixed_string(mem, gpa.add(module_offsets::NAME), 32),
-            size: mem.read_u64(gpa.add(module_offsets::SIZE)),
-            module_gva: cur,
-        });
-        cur = Gva(mem.read_u64(gpa.add(module_offsets::NEXT)));
+        modules.push(read_module(mem, gpa)?);
+        cur = mem.peek_u64(gpa.add(module_offsets::NEXT))?.into();
     }
     Err(VmiError::MalformedList {
         what: "module",
@@ -138,12 +155,12 @@ pub fn module_list(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<Module
 ///
 /// # Errors
 ///
-/// Fails if the table symbol is unknown.
+/// Fails if the table symbol is unknown or the table leaves the image.
 pub fn syscall_table(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<u64>, VmiError> {
     let base = session.hot_symbol(names::SYS_CALL_TABLE)?;
     let mut table = Vec::with_capacity(SYSCALL_COUNT);
     for i in 0..SYSCALL_COUNT {
-        table.push(mem.read_u64(base.add(i as u64 * 8)));
+        table.push(mem.peek_u64(base.add(i as u64 * 8))?.unguarded());
     }
     Ok(table)
 }
@@ -154,7 +171,8 @@ pub fn syscall_table(session: &VmiSession, mem: &GuestMemory) -> Result<Vec<u64>
 ///
 /// # Errors
 ///
-/// Fails if the module-slab symbol is unknown.
+/// Fails if the module-slab symbol is unknown or the slab leaves the
+/// image.
 pub fn module_scan(
     session: &VmiSession,
     mem: &GuestMemory,
@@ -165,15 +183,11 @@ pub fn module_scan(
     let mut found = Vec::new();
     for slot in 0..capacity {
         let gpa = base.add(slot as u64 * MODULE_STRUCT_SIZE);
-        if mem.read_u32(gpa.add(module_offsets::MAGIC)) != MODULE_MAGIC {
+        if mem.peek_u32(gpa.add(module_offsets::MAGIC))? != MODULE_MAGIC {
             continue;
         }
         found.push(ScannedModule {
-            module: ModuleInfo {
-                name: read_fixed_string(mem, gpa.add(module_offsets::NAME), 32),
-                size: mem.read_u64(gpa.add(module_offsets::SIZE)),
-                module_gva: gpa.to_kernel_gva(),
-            },
+            module: read_module(mem, gpa)?,
             found_at: gpa,
         });
     }
@@ -185,7 +199,7 @@ pub fn module_scan(
 ///
 /// # Errors
 ///
-/// Fails if the hash symbol is unknown.
+/// Fails if the hash symbol is unknown or the hash leaves the image.
 pub fn pid_hash_entries(
     session: &VmiSession,
     mem: &GuestMemory,
@@ -197,10 +211,10 @@ pub fn pid_hash_entries(
     let mut entries = Vec::new();
     for i in 0..capacity {
         let slot = base.add(i as u64 * 16);
-        if mem.read_u32(slot.add(4)) == 1 {
+        if mem.peek_u32(slot.add(4))? == 1 {
             entries.push(PidHashEntry {
-                pid: mem.read_u32(slot),
-                task_gva: Gva(mem.read_u64(slot.add(8))),
+                pid: mem.peek_u32(slot)?.unguarded(),
+                task_gva: mem.peek_u64(slot.add(8))?.into(),
             });
         }
     }
@@ -224,27 +238,60 @@ pub fn task_by_pid(
         .ok_or(VmiError::NoSuchTask(pid))
 }
 
+/// Decode the task struct a guest pointer names (a pid-hash entry's,
+/// say), refusing a pointer whose struct would leave the image.
+///
+/// # Errors
+///
+/// As [`VmiSession::translate_kernel`].
+pub fn read_task_at(
+    session: &VmiSession,
+    mem: &GuestMemory,
+    task_gva: Guest<Gva>,
+) -> Result<TaskInfo, VmiError> {
+    read_task(mem, session.translate_kernel(task_gva, TASK_STRUCT_SIZE)?)
+}
+
 /// Decode one task struct at `gpa`.
-pub fn read_task(mem: &GuestMemory, gpa: Gpa) -> TaskInfo {
-    TaskInfo {
-        pid: mem.read_u32(gpa.add(task_offsets::PID)),
-        uid: mem.read_u32(gpa.add(task_offsets::UID)),
-        state: TaskState::from_raw(mem.read_u32(gpa.add(task_offsets::STATE))),
-        comm: read_fixed_string(mem, gpa.add(task_offsets::COMM), 16),
-        start_time_ns: mem.read_u64(gpa.add(task_offsets::START_TIME)),
+///
+/// # Errors
+///
+/// [`VmiError::OutOfImage`] if the struct leaves the image.
+pub fn read_task(mem: &GuestMemory, gpa: Gpa) -> Result<TaskInfo, VmiError> {
+    let u32_at = |off| mem.peek_u32(gpa.add(off)).map(Guest::unguarded);
+    let u64_at = |off| mem.peek_u64(gpa.add(off)).map(Guest::unguarded);
+    Ok(TaskInfo {
+        pid: u32_at(task_offsets::PID)?,
+        uid: u32_at(task_offsets::UID)?,
+        state: TaskState::from_raw(u32_at(task_offsets::STATE)?),
+        comm: read_fixed_string(mem, gpa.add(task_offsets::COMM), 16)?,
+        start_time_ns: u64_at(task_offsets::START_TIME)?,
         task_gva: gpa.to_kernel_gva(),
-        mm_start: Gva(mem.read_u64(gpa.add(task_offsets::MM_START))),
-        mm_size: mem.read_u64(gpa.add(task_offsets::MM_SIZE)),
-        cred: mem.read_u64(gpa.add(task_offsets::CRED)),
-    }
+        mm_start: Gva(u64_at(task_offsets::MM_START)?),
+        mm_size: u64_at(task_offsets::MM_SIZE)?,
+        cred: u64_at(task_offsets::CRED)?,
+    })
+}
+
+/// Decode one module struct at `gpa`.
+fn read_module(mem: &GuestMemory, gpa: Gpa) -> Result<ModuleInfo, VmiError> {
+    Ok(ModuleInfo {
+        name: read_fixed_string(mem, gpa.add(module_offsets::NAME), 32)?,
+        size: mem.peek_u64(gpa.add(module_offsets::SIZE))?.unguarded(),
+        module_gva: gpa.to_kernel_gva(),
+    })
 }
 
 /// Read a NUL-padded fixed-width string field.
-pub fn read_fixed_string(mem: &GuestMemory, gpa: Gpa, width: usize) -> String {
+///
+/// # Errors
+///
+/// [`VmiError::OutOfImage`] if the field leaves the image.
+pub fn read_fixed_string(mem: &GuestMemory, gpa: Gpa, width: usize) -> Result<String, VmiError> {
     let mut buf = vec![0u8; width];
-    mem.read(gpa, &mut buf);
-    let end = buf.iter().position(|&b| b == 0).unwrap_or(width);
-    String::from_utf8_lossy(&buf[..end]).into_owned()
+    let bytes = mem.peek(gpa, &mut buf)?.unguarded();
+    let end = bytes.iter().position(|&b| b == 0).unwrap_or(width);
+    Ok(String::from_utf8_lossy(bytes.get(..end).unwrap_or(bytes)).into_owned())
 }
 
 #[cfg(test)]
@@ -272,6 +319,20 @@ mod tests {
         let names: Vec<&str> = tasks.iter().map(|t| t.comm.as_str()).collect();
         assert_eq!(names, vec!["swapper", "nginx", "sshd"]);
         assert_eq!(tasks[1].uid, 33);
+    }
+
+    #[test]
+    fn a_task_pointer_past_the_image_is_refused_by_both_walks() {
+        let mut vm = vm();
+        vm.spawn_process("app", 0, 4).unwrap();
+        let mut s = session(&vm);
+        let init = s.hot_symbol(names::INIT_TASK).unwrap();
+        let forged = Gpa(1 << 40).to_kernel_gva();
+        vm.memory_mut()
+            .write_u64(init.add(task_offsets::NEXT), forged.0);
+        let past_image = |r: &Result<_, VmiError>| matches!(r, Err(VmiError::OutOfImage(e)) if e.value == 1 << 40);
+        assert!(past_image(&process_list(&s, vm.memory()).map(|_| ())));
+        assert!(past_image(&s.refresh_address_spaces(vm.memory())));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use crimes_vm::layout::task_offsets;
 use crimes_vm::symbols::names;
-use crimes_vm::{Gpa, GuestMemory, Gva, SystemMap, Vm};
+use crimes_vm::{Gpa, Guest, GuestMemory, Gva, SystemMap, Vm};
 
 use crate::error::VmiError;
 
@@ -33,22 +33,32 @@ pub struct InitTimings {
     pub preprocessing: Duration,
 }
 
-/// Cached user address-space info for one task, read from its task struct.
+/// Cached user address-space info for one task, read from its task
+/// struct — guest values all, checked only when a translation uses them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressSpace {
     /// User virtual base.
-    pub virt_base: Gva,
+    pub virt_base: Guest<Gva>,
     /// Backing physical base.
-    pub phys_base: Gpa,
+    pub phys_base: Guest<Gpa>,
     /// Mapping length in bytes.
-    pub len: u64,
+    pub len: Guest<u64>,
 }
 
 impl AddressSpace {
-    /// Translate a user GVA in this space.
-    pub fn translate(&self, gva: Gva) -> Option<Gpa> {
-        let off = gva.0.checked_sub(self.virt_base.0)?;
-        (off < self.len).then(|| self.phys_base.add(off))
+    /// Translate `span` bytes at `gva` in this space to a GPA inside an
+    /// image of `image_bytes`: the whole mapping must lie inside the
+    /// image, the span inside the mapping.
+    fn translate(&self, gva: Guest<Gva>, span: u64, image_bytes: usize) -> Result<Gpa, VmiError> {
+        let len = self.len.extent(image_bytes)?;
+        let phys = self.phys_base.checked_span(len as u64, image_bytes)?;
+        // The span's end offset, checked against the mapping's length.
+        let end = gva
+            .checked_sub(self.virt_base)
+            .and_then(|off| off.checked_add(span))
+            .and_then(|end| end.extent(len).ok())
+            .ok_or(VmiError::TranslationFault(gva))?;
+        Ok(phys.add(end as u64 - span))
     }
 }
 
@@ -61,6 +71,9 @@ pub struct VmiSession {
     resolved: HashMap<&'static str, Gpa>,
     /// pid → user address space, discovered from task structs.
     address_spaces: HashMap<u32, AddressSpace>,
+    /// Size of the guest image the session was opened on: every
+    /// translation lands inside it.
+    image_bytes: usize,
     timings: InitTimings,
 }
 
@@ -104,7 +117,7 @@ impl VmiSession {
         let text = map.to_text();
         let symbols = SystemMap::parse(&text).map_err(VmiError::BadSystemMap)?;
         let banner_gpa = kernel_sym_gpa(&symbols, names::LINUX_BANNER)?;
-        let banner = read_c_string(mem, banner_gpa, 128);
+        let banner = crate::linux::read_fixed_string(mem, banner_gpa, 128)?;
         if !banner.starts_with("Linux version 4.") {
             return Err(VmiError::UnsupportedKernel(banner));
         }
@@ -121,6 +134,7 @@ impl VmiSession {
             banner,
             resolved,
             address_spaces: HashMap::new(),
+            image_bytes: mem.size_bytes(),
             timings: InitTimings::default(),
         };
         session.refresh_address_spaces(mem)?;
@@ -164,32 +178,48 @@ impl VmiSession {
         kernel_sym_gpa(&self.symbols, name)
     }
 
-    /// Translate a kernel GVA (direct map).
+    /// Translate a kernel GVA (direct map) to the GPA of a `span`-byte
+    /// structure that lies wholly inside the guest image.
     ///
     /// # Errors
     ///
-    /// Fails for user addresses.
+    /// [`VmiError::TranslationFault`] for a user address,
+    /// [`VmiError::OutOfImage`] when the structure would leave the image.
     // lint: pause-window
-    pub fn translate_kernel(&self, gva: Gva) -> Result<Gpa, VmiError> {
-        if !gva.is_kernel() {
-            return Err(VmiError::TranslationFault(gva));
-        }
-        gva.kernel_to_gpa().ok_or(VmiError::TranslationFault(gva))
+    pub fn translate_kernel(&self, gva: Guest<Gva>, span: u64) -> Result<Gpa, VmiError> {
+        let gpa = gva.kernel_to_gpa().ok_or(VmiError::TranslationFault(gva))?;
+        Ok(gpa.checked_span(span, self.image_bytes)?)
     }
 
-    /// Translate a user GVA through `pid`'s cached address space.
+    /// Translate `span` bytes at a user GVA through `pid`'s cached address
+    /// space. The whole mapping must lie inside the guest image; the span
+    /// must lie inside the mapping.
     ///
     /// # Errors
     ///
-    /// Fails if the pid is unknown to the cache or the address is outside
-    /// its mapping.
+    /// [`VmiError::NoSuchTask`] if the pid is unknown to the cache,
+    /// [`VmiError::TranslationFault`] if the span is outside its mapping,
+    /// [`VmiError::OutOfImage`] if the mapping itself leaves the image (a
+    /// forged `mm_phys`/`mm_size`: a hard error, not a skip).
     // lint: pause-window
-    pub fn translate_user(&self, pid: u32, gva: Gva) -> Result<Gpa, VmiError> {
+    pub fn translate_user(&self, pid: u32, gva: Guest<Gva>, span: u64) -> Result<Gpa, VmiError> {
         let space = self
             .address_spaces
             .get(&pid)
             .ok_or(VmiError::NoSuchTask(pid))?;
-        space.translate(gva).ok_or(VmiError::TranslationFault(gva))
+        space.translate(gva, span, self.image_bytes)
+    }
+
+    /// [`translate_user`](Self::translate_user) for a caller that already
+    /// holds `pid`'s address space — the canary decoder, which meets the
+    /// same owner record after record.
+    pub(crate) fn translate_in(
+        &self,
+        space: &AddressSpace,
+        gva: Guest<Gva>,
+        span: u64,
+    ) -> Result<Gpa, VmiError> {
+        space.translate(gva, span, self.image_bytes)
     }
 
     /// The cached address space of `pid`, if known.
@@ -203,7 +233,7 @@ impl VmiSession {
     ///
     /// # Errors
     ///
-    /// Fails if the task list is malformed, or with
+    /// Fails if the task list is malformed or leaves the image, or with
     /// [`VmiError::TransientReadFault`] when an injected read fault fires
     /// (retry-safe — the guest is paused during audits).
     // lint: pause-window
@@ -211,37 +241,22 @@ impl VmiSession {
         if crimes_faults::should_inject(crimes_faults::FaultPoint::VmiRead) {
             return Err(VmiError::TransientReadFault);
         }
-        let init_task = self.hot_symbol(names::INIT_TASK)?;
         let mut spaces = HashMap::new();
-        let init_gva = init_task.to_kernel_gva();
-        let mut cur_gpa = init_task;
-        // Bounded walk: no real task slab exceeds this.
-        for _ in 0..65_536 {
-            let pid = mem.read_u32(cur_gpa.add(task_offsets::PID));
-            let virt_base = Gva(mem.read_u64(cur_gpa.add(task_offsets::MM_START)));
-            let phys_base = Gpa(mem.read_u64(cur_gpa.add(task_offsets::MM_PHYS)));
-            let len = mem.read_u64(cur_gpa.add(task_offsets::MM_SIZE));
-            if len > 0 {
-                spaces.insert(
-                    pid,
-                    AddressSpace {
-                        virt_base,
-                        phys_base,
-                        len,
-                    },
-                );
+        crate::linux::walk_tasks(self, mem, |task| {
+            let len = mem.peek_u64(task.add(task_offsets::MM_SIZE))?;
+            if len != 0 {
+                let pid = mem.peek_u32(task.add(task_offsets::PID))?;
+                let space = AddressSpace {
+                    virt_base: mem.peek_u64(task.add(task_offsets::MM_START))?.into(),
+                    phys_base: mem.peek_u64(task.add(task_offsets::MM_PHYS))?.into(),
+                    len,
+                };
+                spaces.insert(pid.unguarded(), space);
             }
-            let next = Gva(mem.read_u64(cur_gpa.add(task_offsets::NEXT)));
-            if next == init_gva {
-                self.address_spaces = spaces;
-                return Ok(());
-            }
-            cur_gpa = self.translate_kernel(next)?;
-        }
-        Err(VmiError::MalformedList {
-            what: "task",
-            steps: 65_536,
-        })
+            Ok(())
+        })?;
+        self.address_spaces = spaces;
+        Ok(())
     }
 }
 
@@ -250,15 +265,8 @@ fn kernel_sym_gpa(symbols: &SystemMap, name: &str) -> Result<Gpa, VmiError> {
     let gva = symbols
         .lookup(name)
         .ok_or_else(|| VmiError::UnknownSymbol(name.to_owned()))?;
-    gva.kernel_to_gpa().ok_or(VmiError::TranslationFault(gva))
-}
-
-/// Read a NUL-terminated string of at most `max` bytes.
-fn read_c_string(mem: &GuestMemory, gpa: Gpa, max: usize) -> String {
-    let mut buf = vec![0u8; max];
-    mem.read(gpa, &mut buf);
-    let end = buf.iter().position(|&b| b == 0).unwrap_or(max);
-    String::from_utf8_lossy(&buf[..end]).into_owned()
+    gva.kernel_to_gpa()
+        .ok_or(VmiError::TranslationFault(Guest::new(gva)))
 }
 
 #[cfg(test)]
@@ -319,7 +327,7 @@ mod tests {
     fn translate_kernel_rejects_user_addresses() {
         let vm = vm();
         let s = VmiSession::init(&vm).expect("init");
-        assert!(s.translate_kernel(Gva(0x1000)).is_err());
+        assert!(s.translate_kernel(Guest::new(Gva(0x1000)), 8).is_err());
     }
 
     #[test]
@@ -331,10 +339,10 @@ mod tests {
 
         let mut s = VmiSession::init(&vm).expect("init");
         s.refresh_address_spaces(vm.memory()).unwrap();
-        let gpa = s.translate_user(pid, obj).expect("translate");
-        let mut buf = [0u8; 7];
-        vm.memory().read(gpa, &mut buf);
-        assert_eq!(&buf, b"find me");
+        let gpa = s
+            .translate_user(pid, Guest::new(obj), 7)
+            .expect("translate");
+        assert!(vm.memory().peek_array::<7>(gpa).unwrap() == *b"find me");
     }
 
     #[test]
@@ -352,7 +360,10 @@ mod tests {
     fn translate_user_unknown_pid_fails() {
         let vm = vm();
         let s = VmiSession::init(&vm).expect("init");
-        assert_eq!(s.translate_user(42, Gva(0)), Err(VmiError::NoSuchTask(42)));
+        assert_eq!(
+            s.translate_user(42, Guest::new(Gva(0)), 1),
+            Err(VmiError::NoSuchTask(42))
+        );
     }
 
     #[test]
@@ -363,7 +374,7 @@ mod tests {
         s.refresh_address_spaces(vm.memory()).unwrap();
         let end = vm.processes().get(pid).unwrap().mapping.virt_end();
         assert!(matches!(
-            s.translate_user(pid, end),
+            s.translate_user(pid, Guest::new(end), 1),
             Err(VmiError::TranslationFault(_))
         ));
     }

@@ -9,8 +9,9 @@ use crimes::modules::{
 };
 use crimes::{Crimes, CrimesConfig, CrimesError, EpochOutcome};
 use crimes_outbuf::{DiskWrite, NetPacket, Output, OutputScanner, SafetyMode};
-use crimes_vm::Vm;
-use crimes_vmi::{linux, VmiSession};
+use crimes_vm::layout::task_offsets;
+use crimes_vm::{Gpa, Vm};
+use crimes_vmi::{linux, VmiError, VmiSession};
 use crimes_workloads::attacks::{self, attack_rips};
 use crimes_workloads::{profile, ParsecWorkload};
 
@@ -449,6 +450,52 @@ fn privilege_escalation_detected_and_reported() {
     assert!(analysis.report.to_text().contains("Privilege Escalation"));
     assert!(analysis.report.to_text().contains("pwned-worker"));
     c.rollback_and_resume().unwrap();
+    assert!(c.run_epoch(|_, _| Ok(())).unwrap().is_committed());
+}
+
+#[test]
+fn forged_init_task_pointer_fails_the_epoch_closed_and_releases_nothing() {
+    // A compromised guest points init_task's `next` a terabyte past the end
+    // of its own memory. Every host read of that pointer is checked, so the
+    // walk refuses it as a typed error instead of crashing the monitor,
+    // and the audit fails closed: nothing commits, nothing is released.
+    let mut c = protected(15, 50);
+    let secret = c.vm().canary_secret();
+    c.register_module(Box::new(BlacklistScanModule::bundled()));
+    c.register_module(Box::new(CanaryScanModule::new(secret)));
+    let pid = c.vm_mut().spawn_process("app", 0, 4).unwrap();
+    c.vm_mut().malloc(pid, 64).unwrap();
+    assert!(c.run_epoch(|_, _| Ok(())).unwrap().is_committed());
+
+    assert!(c
+        .submit_output(Output::Net(NetPacket::new(7, b"reply".to_vec())))
+        .expect("within limits")
+        .is_none());
+    let next = c.vm().layout().task_slot(0).add(task_offsets::NEXT);
+    let forged = Gpa(1 << 40).to_kernel_gva();
+    let outcome = c
+        .run_epoch(|vm, _| {
+            vm.memory_mut().write_u64(next, forged.0);
+            Ok(())
+        })
+        .unwrap();
+    assert!(!outcome.is_committed());
+    let EpochOutcome::AttackDetected { audit, .. } = outcome else {
+        panic!("a forged task pointer must fail the audit: {outcome:?}");
+    };
+    assert!(
+        audit
+            .errors
+            .iter()
+            .any(|(_, e)| matches!(e, VmiError::OutOfImage(_))),
+        "refused as out of the image: {:?}",
+        audit.errors
+    );
+    assert_eq!(c.buffer_stats().released, 0);
+
+    c.rollback_and_resume().unwrap();
+    let stats = c.buffer_stats();
+    assert_eq!((stats.released, stats.discarded), (0, 1), "reply discarded");
     assert!(c.run_epoch(|_, _| Ok(())).unwrap().is_committed());
 }
 

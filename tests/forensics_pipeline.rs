@@ -8,7 +8,7 @@ use crimes_forensics::{
     first_appearance, plugins, run_plugin, DumpDiff, DumpKind, MemoryDump, ProcessNamed,
     PLUGIN_NAMES,
 };
-use crimes_vm::{TcpState, Vm};
+use crimes_vm::{Guest, TcpState, Vm};
 use crimes_workloads::attacks;
 
 fn guest(seed: u64) -> Vm {
@@ -98,10 +98,10 @@ fn attack_instant_dump_shows_corrupted_canary() {
     // In the last-good dump the canary is intact…
     let good = &analysis.dumps.last_good;
     let session = good.open_session().unwrap();
-    let gpa = session.translate_user(v.pid, v.canary_gva).unwrap();
-    let mut bytes = [0u8; 8];
-    good.memory().read(gpa, &mut bytes);
-    assert_eq!(bytes, secret, "canary intact at the clean checkpoint");
+    let canary_gva = Guest::new(v.canary_gva);
+    let gpa = session.translate_user(v.pid, canary_gva, 8).unwrap();
+    let bytes = good.memory().peek_array::<8>(gpa).unwrap();
+    assert!(bytes == secret, "canary intact at the clean checkpoint");
 
     // …and trampled in both the failure and attack-instant dumps.
     for dump in [
@@ -109,9 +109,9 @@ fn attack_instant_dump_shows_corrupted_canary() {
         analysis.dumps.attack_instant.as_ref().unwrap(),
     ] {
         let session = dump.open_session().unwrap();
-        let gpa = session.translate_user(v.pid, v.canary_gva).unwrap();
-        dump.memory().read(gpa, &mut bytes);
-        assert_eq!(bytes, [0x41u8; 8], "trampled in {:?}", dump.kind());
+        let gpa = session.translate_user(v.pid, canary_gva, 8).unwrap();
+        let bytes = dump.memory().peek_array::<8>(gpa).unwrap();
+        assert!(bytes == [0x41u8; 8], "trampled in {:?}", dump.kind());
     }
     c.rollback_and_resume().unwrap();
 }

@@ -48,7 +48,9 @@ fn bench(c: &mut Criterion) {
     group.sample_size(20);
     for noise in [10usize, 100, 1000] {
         let (mut vm, frames, disk, meta, ops, pid, canary) = scenario(noise);
-        let engine = ReplayEngine::new();
+        // The monitor's parse, made once at protect time, not per replay.
+        let symbols = crimes_vmi::Symbols::parse(vm.system_map()).unwrap();
+        let engine = ReplayEngine::new(&symbols);
         group.bench_with_input(BenchmarkId::from_parameter(noise), &noise, |b, _| {
             b.iter(|| {
                 engine

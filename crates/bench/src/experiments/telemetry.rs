@@ -11,6 +11,10 @@
 //! come from the real monotonic clock), so the counter CSV is a
 //! reproducible fingerprint of the degraded-mode pipeline.
 //!
+//! Every detected attack is investigated before it is rolled back, and
+//! the run checks that `symbol_parses` still reads 1 at the end: the
+//! tenant's start-up parsed System.map and no incident parsed it again.
+//!
 //! The run also holds the recording budget: the telemetry call sequence
 //! of one committed boundary, timed over a long loop, may cost at most
 //! [`RECORDING_BUDGET_PCT`] of the tenant's mean boundary as its own
@@ -55,6 +59,8 @@ pub struct TelemetryExport {
     /// Mean boundary of the run, in nanoseconds: the phase histograms'
     /// sums over the count of the busiest phase.
     pub boundary_ns: f64,
+    /// Incidents whose analysis completed before their rollback.
+    pub investigated: u64,
 }
 
 /// Share of a boundary that recording it may cost, in percent.
@@ -134,14 +140,16 @@ fn tenant(seed: u64) -> (Crimes, u32) {
 /// # Panics
 ///
 /// Panics when a fail-closed invariant breaks (an unexpected error from
-/// the pipeline), when the JSON export fails schema validation, or when
-/// recording costs more than [`RECORDING_BUDGET_PCT`] of the boundary.
+/// the pipeline), when an incident parses System.map again, when the
+/// JSON export fails schema validation, or when recording costs more than
+/// [`RECORDING_BUDGET_PCT`] of the boundary.
 pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
     let _scope = install(plan(), seed);
     let mut driver = ChaCha8Rng::seed_from_u64(seed ^ 0x7e1e);
     let (mut c, pid) = tenant(seed);
     let mut attack_pending = false;
     let mut driven = 0u64;
+    let mut investigated = 0u64;
 
     for epoch in 0..epochs {
         driven = epoch + 1;
@@ -169,12 +177,17 @@ pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
             Ok(EpochOutcome::Committed { .. })
             | Ok(EpochOutcome::Extended { .. })
             | Ok(EpochOutcome::Degraded { .. }) => {}
-            Ok(EpochOutcome::AttackDetected { .. }) => match c.rollback_and_resume() {
-                Ok(_) => attack_pending = false,
-                // Terminal: the quarantined recorder is itself the artifact.
-                Err(CrimesError::Quarantined { .. }) => break,
-                Err(e) => panic!("epoch {epoch}: rollback failed: {e}"),
-            },
+            Ok(EpochOutcome::AttackDetected { .. }) => {
+                // Forensics is best-effort under injected faults;
+                // containment below is not.
+                investigated += u64::from(c.investigate().is_ok());
+                match c.rollback_and_resume() {
+                    Ok(_) => attack_pending = false,
+                    // Terminal: the quarantined recorder is itself the artifact.
+                    Err(CrimesError::Quarantined { .. }) => break,
+                    Err(e) => panic!("epoch {epoch}: rollback failed: {e}"),
+                }
+            }
             Err(CrimesError::Exhausted { .. }) => attack_pending = false,
             Err(CrimesError::Quarantined { .. }) => break,
             Err(e) => panic!("epoch {epoch}: unexpected epoch error: {e}"),
@@ -182,6 +195,11 @@ pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
     }
 
     let telemetry = *c.telemetry();
+    assert_eq!(
+        telemetry.counter(Counter::SymbolParses),
+        1,
+        "start-up parses System.map once, and {investigated} incidents never again"
+    );
     let recorder = c.flight_recorder().clone();
     let json = telemetry_json(&telemetry, &recorder);
     validate_telemetry_json(&json).expect("export matches the documented schema");
@@ -204,6 +222,7 @@ pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
         json,
         recording_ns,
         boundary_ns,
+        investigated,
     }
 }
 
@@ -234,6 +253,12 @@ impl TelemetryExport {
             self.recorder.len(),
             self.recorder.recorded(),
             self.recorder.capacity()
+        );
+        let _ = writeln!(
+            s,
+            "  incidents investigated: {}, System.map parses: {} (start-up's only)",
+            self.investigated,
+            self.telemetry.counter(Counter::SymbolParses)
         );
         for (label, h) in self.telemetry.phases() {
             let _ = writeln!(

@@ -11,6 +11,7 @@ use std::fmt::Write as _;
 
 use crimes_forensics::{plugins, DumpDiff, DumpKind, MemoryDump, ReportBuilder, SecurityReport};
 use crimes_vm::{GuestOp, MetaSnapshot, Vm};
+use crimes_vmi::Symbols;
 
 use crate::detector::{Detection, ScanFinding};
 use crate::error::CrimesError;
@@ -47,15 +48,19 @@ pub struct Analysis {
 }
 
 /// The Analyzer.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Analyzer {
     replay: ReplayEngine,
 }
 
 impl Analyzer {
-    /// Create the analyzer.
-    pub fn new() -> Self {
-        Analyzer::default()
+    /// An analyzer for guests of the kernel build `symbols` was parsed
+    /// for: its dumps, replay and report sessions all open on them, so an
+    /// incident makes no symbol parse of its own.
+    pub fn new(symbols: &Symbols) -> Self {
+        Analyzer {
+            replay: ReplayEngine::new(symbols),
+        }
     }
 
     /// Run the full §3.3 response for a failed epoch.
@@ -79,10 +84,12 @@ impl Analyzer {
         findings: Vec<ScanFinding>,
     ) -> Result<Analysis, CrimesError> {
         // (1) Dumps around the attack.
-        let audit_failure = MemoryDump::from_vm(vm, DumpKind::AuditFailure);
+        let symbols = self.replay.symbols();
+        let audit_failure = MemoryDump::from_vm(vm, symbols, DumpKind::AuditFailure);
         let last_good = MemoryDump::from_frames(
             backup_frames,
             vm,
+            symbols,
             DumpKind::LastGoodCheckpoint,
             meta.captured_at_ns(),
         );
@@ -108,7 +115,7 @@ impl Analyzer {
                     Ok(pin) => {
                         let dump = pin
                             .is_some()
-                            .then(|| MemoryDump::from_vm(vm, DumpKind::AttackInstant));
+                            .then(|| MemoryDump::from_vm(vm, symbols, DumpKind::AttackInstant));
                         (pin, dump, None)
                     }
                     Err(CrimesError::ReplayDiverged { op_index }) => (
@@ -278,6 +285,10 @@ mod tests {
         b.build()
     }
 
+    fn analyzer(vm: &Vm) -> Analyzer {
+        Analyzer::new(&Symbols::parse(vm.system_map()).expect("parse"))
+    }
+
     fn canary_finding(vm: &Vm, pid: u32) -> Vec<ScanFinding> {
         use crimes_vmi::{CanaryScanner, VmiSession};
         let mut s = VmiSession::init(vm).unwrap();
@@ -306,7 +317,7 @@ mod tests {
         let findings = canary_finding(&vm, pid);
         let ops = vm.trace_since(mark);
 
-        let analysis = Analyzer::new()
+        let analysis = analyzer(&vm)
             .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
             .unwrap();
 
@@ -342,7 +353,7 @@ mod tests {
                 .with_rate(crimes_faults::FaultPoint::ReplayDiverge, crimes_faults::SCALE),
             9,
         );
-        let analysis = Analyzer::new()
+        let analysis = analyzer(&vm)
             .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
             .expect("analysis degrades instead of failing");
         assert!(analysis.pinpoint.is_none());
@@ -376,7 +387,7 @@ mod tests {
         }];
         let ops = vm.trace_since(mark);
 
-        let analysis = Analyzer::new()
+        let analysis = analyzer(&vm)
             .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
             .unwrap();
 
@@ -410,7 +421,7 @@ mod tests {
             },
         }];
         let ops = vm.trace_since(mark);
-        let analysis = Analyzer::new()
+        let analysis = analyzer(&vm)
             .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
             .unwrap();
         let text = analysis.report.to_text();
@@ -432,7 +443,7 @@ mod tests {
             detection: Detection::SyscallTableTampered(vec![(99, 1, 2)]),
         }];
         let ops = vm.trace_since(mark);
-        let analysis = Analyzer::new()
+        let analysis = analyzer(&vm)
             .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
             .unwrap();
         assert!(analysis.report.to_text().contains("syscall 99"));

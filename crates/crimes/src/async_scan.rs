@@ -239,12 +239,17 @@ mod tests {
         b.build()
     }
 
+    fn dump(vm: &Vm) -> MemoryDump {
+        let symbols = crimes_vmi::Symbols::parse(vm.system_map()).expect("parse");
+        MemoryDump::from_vm(vm, &symbols, DumpKind::Adhoc)
+    }
+
     #[test]
     fn clean_checkpoint_sweeps_clean() {
         let mut vm = vm();
         vm.spawn_process("nginx", 33, 2).unwrap();
         let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
-        assert!(scanner.dispatch(1, MemoryDump::from_vm(&vm, DumpKind::Adhoc)));
+        assert!(scanner.dispatch(1, dump(&vm)));
         let results = scanner.drain();
         assert_eq!(results.len(), 1);
         assert!(results[0].is_clean());
@@ -257,7 +262,7 @@ mod tests {
         let mut vm = vm();
         attacks::inject_rootkit_hide(&mut vm, "rk_proc").unwrap();
         let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
-        scanner.dispatch(7, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
+        scanner.dispatch(7, dump(&vm));
         let results = scanner.drain();
         assert_eq!(results.len(), 1);
         assert!(results[0]
@@ -277,7 +282,7 @@ mod tests {
         };
         vm.hide_process(pid).unwrap();
         let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
-        scanner.dispatch(3, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
+        scanner.dispatch(3, dump(&vm));
         let results = scanner.drain();
         assert!(results[0]
             .findings
@@ -291,7 +296,7 @@ mod tests {
         vm.load_module("rk_lkm", 0x666).unwrap();
         vm.hide_module("rk_lkm").unwrap();
         let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
-        scanner.dispatch(2, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
+        scanner.dispatch(2, dump(&vm));
         let results = scanner.drain();
         assert!(results[0]
             .findings
@@ -305,9 +310,10 @@ mod tests {
         let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
         // Flood with dispatches; with a single worker and capacity-1
         // channel, at least one must be skipped.
+        let dump = dump(&vm);
         let mut sent = 0;
         for epoch in 0..16 {
-            if scanner.dispatch(epoch, MemoryDump::from_vm(&vm, DumpKind::Adhoc)) {
+            if scanner.dispatch(epoch, dump.clone()) {
                 sent += 1;
             }
         }
@@ -322,7 +328,7 @@ mod tests {
     fn drop_joins_the_worker() {
         let vm = vm();
         let mut scanner = AsyncScanner::spawn(Blacklist::bundled());
-        scanner.dispatch(1, MemoryDump::from_vm(&vm, DumpKind::Adhoc));
+        scanner.dispatch(1, dump(&vm));
         drop(scanner); // must not hang or panic
     }
 }

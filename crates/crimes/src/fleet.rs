@@ -8,8 +8,11 @@
 //! statistics — one tenant's compromise never blocks another's epochs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use crimes_telemetry::{Clock, RealClock};
 use crimes_vm::{Vm, VmError};
+use crimes_vmi::Symbols;
 
 use crate::analyzer::Analysis;
 use crate::config::CrimesConfig;
@@ -100,10 +103,19 @@ pub(crate) fn file_outcome(
 }
 
 /// A fleet of protected VMs, keyed by tenant-visible name.
+///
+/// Tenants on one kernel build share one parsed System.map: the fleet
+/// keeps a [`Symbols`] per distinct map its tenants run, and a tenant
+/// whose map equals one of them opens its introspection on that parse
+/// instead of making its own. The table lives and dies with the fleet and
+/// its tenants; nothing outlives them, so a monitor that restarts parses
+/// again.
 #[derive(Debug, Default)]
 pub struct Fleet {
     vms: BTreeMap<String, Crimes>,
     stats: FleetStats,
+    /// One parse per distinct System.map among the tenants.
+    kernels: Vec<Symbols>,
 }
 
 impl Fleet {
@@ -123,11 +135,7 @@ impl Fleet {
         vm: Vm,
         config: CrimesConfig,
     ) -> Result<&mut Crimes, CrimesError> {
-        if self.vms.contains_key(name) {
-            return Err(CrimesError::InvalidState("vm name already in use"));
-        }
-        let crimes = Crimes::protect(vm, config)?;
-        Ok(self.vms.entry(name.to_owned()).or_insert(crimes))
+        self.add_vm_with_clock(name, vm, config, Arc::new(RealClock::new()))
     }
 
     /// Like [`add_vm`](Self::add_vm), but timing the tenant's audit
@@ -138,24 +146,37 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Fails if the name is taken or protection cannot initialise.
+    /// Fails if the name is taken or protection cannot initialise. A
+    /// tenant that fails leaves the fleet as it was.
     pub fn add_vm_with_clock(
         &mut self,
         name: &str,
         vm: Vm,
         config: CrimesConfig,
-        clock: std::sync::Arc<dyn crimes_telemetry::Clock>,
+        clock: Arc<dyn Clock>,
     ) -> Result<&mut Crimes, CrimesError> {
         if self.vms.contains_key(name) {
             return Err(CrimesError::InvalidState("vm name already in use"));
         }
-        let crimes = Crimes::protect_with_clock(vm, config, clock)?;
+        let shared = self
+            .kernels
+            .iter()
+            .find(|kernel| kernel.map() == vm.system_map())
+            .cloned();
+        let crimes = Crimes::protect_on(vm, config, clock, shared.as_ref())?;
+        if shared.is_none() {
+            self.kernels.push(crimes.symbols().clone());
+        }
         Ok(self.vms.entry(name.to_owned()).or_insert(crimes))
     }
 
     /// Stop protecting a VM, returning its framework (and guest).
     pub fn remove_vm(&mut self, name: &str) -> Option<Crimes> {
-        self.vms.remove(name)
+        let removed = self.vms.remove(name)?;
+        let vms = &self.vms;
+        self.kernels
+            .retain(|kernel| vms.values().any(|c| Symbols::ptr_eq(c.symbols(), kernel)));
+        Some(removed)
     }
 
     /// Access a protected VM.
@@ -561,6 +582,199 @@ mod tests {
             .map(|n| fleet.get(n).unwrap().telemetry().counter(Counter::EpochsCommitted))
             .sum();
         assert_eq!(total.counter(Counter::EpochsCommitted), by_hand);
+    }
+
+    fn parses(crimes: &Crimes) -> u64 {
+        crimes.telemetry().counter(crimes_telemetry::Counter::SymbolParses)
+    }
+
+    /// A small guest on the stock kernel build.
+    fn small_guest(seed: u64) -> Vm {
+        let mut b = Vm::builder();
+        b.pages(320).seed(seed);
+        b.build()
+    }
+
+    #[test]
+    fn same_kernel_tenants_share_one_parse() {
+        let mut fleet = Fleet::new();
+        for i in 0..32 {
+            fleet
+                .add_vm(&format!("tenant-{i:02}"), small_guest(i), config())
+                .expect("add");
+        }
+        let total = fleet.aggregate_telemetry().expect("non-empty fleet");
+        assert_eq!(total.counter(crimes_telemetry::Counter::SymbolParses), 1);
+        assert_eq!(fleet.kernels.len(), 1);
+        let first = fleet.get("tenant-00").expect("present").symbols().clone();
+        assert_eq!(parses(fleet.get("tenant-00").expect("present")), 1);
+        for name in fleet.names() {
+            let crimes = fleet.get(name).expect("present");
+            assert!(Symbols::ptr_eq(crimes.symbols(), &first), "{name}");
+        }
+        // The shared table goes with the last tenant that runs it.
+        let names: Vec<String> = fleet.names().into_iter().map(str::to_owned).collect();
+        for name in names {
+            assert_eq!(fleet.kernels.len(), 1);
+            fleet.remove_vm(&name).expect("present");
+        }
+        assert!(fleet.kernels.is_empty());
+    }
+
+    #[test]
+    fn a_tenant_on_another_kernel_build_parses_its_own() {
+        let mut fleet = Fleet::new();
+        fleet.add_vm("stock", small_guest(1), config()).expect("add");
+        let mut other = small_guest(2);
+        other
+            .system_map_mut()
+            .insert("crimes_extra_symbol", crimes_vm::Gva(0xffff_8800_7000_0000));
+        fleet.add_vm("patched", other, config()).expect("add");
+        fleet.add_vm("stock-2", small_guest(3), config()).expect("add");
+        assert_eq!(fleet.kernels.len(), 2);
+        let [stock, patched, stock_2] =
+            ["stock", "patched", "stock-2"].map(|n| fleet.get(n).expect("present"));
+        assert_eq!((parses(stock), parses(patched), parses(stock_2)), (1, 1, 0));
+        assert!(!Symbols::ptr_eq(stock.symbols(), patched.symbols()));
+        assert!(Symbols::ptr_eq(stock.symbols(), stock_2.symbols()));
+        assert!(patched.symbols().map().lookup("crimes_extra_symbol").is_some());
+        // Removing the only tenant on a build drops its table.
+        fleet.remove_vm("patched").expect("present");
+        assert_eq!(fleet.kernels.len(), 1);
+    }
+
+    #[test]
+    fn shared_symbols_never_skip_the_guest_banner_check() {
+        let mut fleet = Fleet::new();
+        fleet.add_vm("honest", small_guest(1), config()).expect("add");
+        let mut forged = small_guest(2);
+        assert_eq!(forged.system_map(), fleet.get("honest").expect("present").vm().system_map());
+        let banner = forged.layout().banner;
+        forged
+            .memory_mut()
+            .write(banner, b"Linux version 2.6.32-forged\0");
+        let err = fleet.add_vm("forged", forged, config()).err();
+        assert!(
+            matches!(err, Some(CrimesError::Vmi(crimes_vmi::VmiError::UnsupportedKernel(_)))),
+            "{err:?}"
+        );
+        assert_eq!(fleet.names(), vec!["honest"]);
+        assert_eq!(fleet.kernels.len(), 1);
+        let total = fleet.aggregate_telemetry().expect("non-empty fleet");
+        assert_eq!(total.counter(crimes_telemetry::Counter::SymbolParses), 1);
+    }
+
+    #[test]
+    fn two_fleets_share_nothing() {
+        let (mut a, mut b) = (Fleet::new(), Fleet::new());
+        a.add_vm("t", small_guest(1), config()).expect("add");
+        b.add_vm("t", small_guest(1), config()).expect("add");
+        let (a, b) = (a.get("t").expect("present"), b.get("t").expect("present"));
+        assert_eq!((parses(a), parses(b)), (1, 1));
+        assert!(!Symbols::ptr_eq(a.symbols(), b.symbols()));
+    }
+
+    #[test]
+    fn recovering_a_fleet_tenant_parses_cold() {
+        let mut fleet = Fleet::new();
+        for name in ["a", "b"] {
+            fleet.add_vm(name, small_guest(1), config()).expect("add");
+        }
+        let tenant = fleet.get("b").expect("present");
+        assert_eq!(parses(tenant), 0);
+        let recovered = Crimes::recover(
+            tenant.vm().clone(),
+            tenant.checkpointer().backup().clone(),
+            *tenant.config(),
+            Arc::new(RealClock::new()),
+            tenant.journal().bytes(),
+        )
+        .expect("recover");
+        assert_eq!(parses(&recovered), 1, "a fresh monitor parses its own");
+        assert!(!Symbols::ptr_eq(recovered.symbols(), tenant.symbols()));
+    }
+
+    /// Attacks a tenant of a shared fleet, investigates the incident and
+    /// checks that nothing in it parsed System.map: the counter stands
+    /// still, and every dump ships the fleet's one parse.
+    fn investigate_without_parsing(
+        attack: impl FnOnce(&mut Vm) -> Result<(), VmError>,
+        module: impl FnOnce(&Crimes) -> Box<dyn crate::detector::ScanModule>,
+        replayed: bool,
+    ) -> String {
+        let mut fleet = Fleet::new();
+        fleet.add_vm("first", small_guest(1), config()).expect("add");
+        let crimes = fleet.add_vm("victim", small_guest(2), config()).expect("add");
+        let module = module(crimes);
+        crimes.register_module(module);
+        let pid = crimes.vm_mut().spawn_process("app", 1000, 16).expect("spawn");
+        let obj = crimes.vm_mut().malloc(pid, 64).expect("malloc");
+        assert!(crimes.run_epoch(|_, _| Ok(())).expect("clean").is_committed());
+        let mut attack = Some(attack);
+        let outcome = crimes
+            .run_epoch(|vm, _| {
+                vm.write_user(pid, obj, &[1; 64], 0)?;
+                attack.take().map_or(Ok(()), |a| a(vm))
+            })
+            .expect("boundary");
+        assert!(matches!(outcome, EpochOutcome::AttackDetected { .. }));
+        let before = fleet.aggregate_telemetry().expect("fleet");
+        let analysis = fleet.investigate("victim").expect("analysis");
+        let after = fleet.aggregate_telemetry().expect("fleet");
+        let counted = |t: &crimes_telemetry::Telemetry| {
+            t.counter(crimes_telemetry::Counter::SymbolParses)
+        };
+        assert_eq!((counted(&before), counted(&after)), (1, 1));
+        let shared = fleet.get("first").expect("present").symbols();
+        let dumps = &analysis.dumps;
+        assert_eq!(dumps.attack_instant.is_some(), replayed);
+        for dump in [&dumps.last_good, &dumps.audit_failure]
+            .into_iter()
+            .chain(dumps.attack_instant.as_ref())
+        {
+            assert!(Symbols::ptr_eq(dump.symbols(), shared), "{:?}", dump.kind());
+        }
+        fleet.rollback_and_resume("victim").expect("rollback");
+        analysis.report.to_text()
+    }
+
+    #[test]
+    fn a_blacklist_incident_parses_nothing() {
+        let text = investigate_without_parsing(
+            |vm| attacks::inject_malware_launch(vm, "mirai").map(drop),
+            |_| Box::new(BlacklistScanModule::bundled()),
+            false,
+        );
+        assert!(text.contains("mirai"));
+    }
+
+    #[test]
+    fn a_replayed_canary_incident_parses_nothing() {
+        let text = investigate_without_parsing(
+            |vm| {
+                let pid = vm.spawn_process("victim", 1000, 16)?;
+                vm.malloc(pid, 64)?;
+                attacks::inject_heap_overflow(vm, pid, 32, 8).map(drop)
+            },
+            |c| Box::new(crate::modules::CanaryScanModule::new(c.vm().canary_secret())),
+            true,
+        );
+        assert!(text.contains("pinpointed"));
+    }
+
+    #[test]
+    fn a_syscall_hook_incident_parses_nothing() {
+        let text = investigate_without_parsing(
+            |vm| attacks::inject_syscall_hijack(vm, 42).map(drop),
+            |c| {
+                let session = crimes_vmi::VmiSession::open(c.symbols(), c.vm().memory())
+                    .expect("open on the tenant's symbols");
+                let module = crate::modules::SyscallTableModule::capture(&session, c.vm().memory());
+                Box::new(module.expect("capture"))
+            },
+            false,
+        );
+        assert!(text.contains("syscall 42"));
     }
 
     #[test]

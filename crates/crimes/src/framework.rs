@@ -25,7 +25,7 @@ use crimes_journal::{EvidenceJournal, RecoveredState};
 use crimes_outbuf::{BufferStats, Output, OutputBuffer, OutputScanner};
 use crimes_telemetry::{Clock, Counter, EventKind, FlightRecorder, RealClock, Telemetry};
 use crimes_vm::{DirtyBitmap, MetaSnapshot, TraceMark, Vm, VmError};
-use crimes_vmi::{VmiError, VmiSession};
+use crimes_vmi::{Symbols, VmiError, VmiSession};
 
 use crate::analyzer::{Analysis, Analyzer};
 use crate::async_scan::{AsyncScanResult, AsyncScanner};
@@ -426,17 +426,38 @@ impl Crimes {
         config: CrimesConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self, CrimesError> {
-        let started = Self::start_protection(startup::executor().as_mut(), &vm);
+        Self::protect_on(vm, config, clock, None)
+    }
+
+    /// [`protect_with_clock`](Self::protect_with_clock) with introspection
+    /// opened on `symbols` when given, which the caller parsed for a
+    /// System.map equal to `vm`'s: a fleet's tenants on one kernel build
+    /// share one parse. The guest's banner is checked all the same.
+    pub(crate) fn protect_on(
+        vm: Vm,
+        config: CrimesConfig,
+        clock: Arc<dyn Clock>,
+        symbols: Option<&Symbols>,
+    ) -> Result<Self, CrimesError> {
+        let started = Self::start_protection(startup::executor().as_mut(), &vm, symbols);
         Self::protected(vm, config, clock, started)
     }
 
     /// Start-up's pieces for [`protect`](Self::protect): this thread
-    /// initialises introspection and copies the guest into a fresh backup
-    /// while `exec`'s worker, if any, digests the guest's image, which is
-    /// the copy's.
-    fn start_protection(exec: Option<&mut Resident>, vm: &Vm) -> ProtectionStart {
+    /// initialises introspection (parsing System.map unless `symbols` are
+    /// given) and copies the guest into a fresh backup while `exec`'s
+    /// worker, if any, digests the guest's image, which is the copy's.
+    fn start_protection(
+        exec: Option<&mut Resident>,
+        vm: &Vm,
+        symbols: Option<&Symbols>,
+    ) -> ProtectionStart {
         let (frames, disk) = (vm.memory().frames(), vm.disk().image());
-        startup::start_up(exec, frames, disk, || (VmiSession::init(vm), BackupVm::new(vm)), &|| ())
+        let session = || match symbols {
+            Some(symbols) => VmiSession::open(symbols, vm.memory()),
+            None => VmiSession::init(vm),
+        };
+        startup::start_up(exec, frames, disk, || (session(), BackupVm::new(vm)), &|| ())
     }
 
     /// A protected VM from [`start_protection`](Self::start_protection)'s
@@ -598,14 +619,15 @@ impl Crimes {
             Counter::StartupDigestLentPages,
             u64::try_from(startup_lent_pages).unwrap_or(u64::MAX),
         );
+        telemetry.add(Counter::SymbolParses, u64::from(session.parsed_symbols()));
         Crimes {
             vm,
             config,
             checkpointer,
             evidence,
+            analyzer: Analyzer::new(session.symbols()),
             session,
             detector: Detector::with_clock(clock.clone()),
-            analyzer: Analyzer::new(),
             last_good_meta,
             epoch_start_mark,
             committed_epochs,
@@ -681,6 +703,13 @@ impl Crimes {
     /// Mutable access to the guest.
     pub fn vm_mut(&mut self) -> &mut Vm {
         &mut self.vm
+    }
+
+    /// The parsed System.map introspection resolves through: the
+    /// session's, which the incident path's dumps, replay and report
+    /// share.
+    pub fn symbols(&self) -> &Symbols {
+        self.session.symbols()
     }
 
     /// The active configuration.
@@ -1250,6 +1279,7 @@ impl Crimes {
                 let dump = crimes_forensics::MemoryDump::from_frames(
                     self.checkpointer.backup().frames(),
                     &self.vm,
+                    self.session.symbols(),
                     crimes_forensics::DumpKind::Adhoc,
                     self.vm.now_ns(),
                 );
@@ -2694,27 +2724,39 @@ mod tests {
         let mut cfg = CrimesConfig::builder();
         cfg.epoch_interval_ms(50).pause_workers(2).staging_buffers(2);
         let config = cfg.build().expect("valid config");
-        let serial = Crimes::start_protection(None, &vm);
+        let serial = Crimes::start_protection(None, &vm, None);
         let (serial_session, serial_backup) = &serial.own;
         assert_eq!(serial_backup.frames(), vm.memory().frames());
         assert_eq!(serial.lent_pages, 0);
+        // A fleet's later tenants start up on an earlier tenant's parse.
+        let shared = Symbols::parse(vm.system_map()).expect("parse");
         for placement in Placement::ALL {
             let _pin = pin(placement);
-            let started = Crimes::start_protection(Some(&mut one_worker()), &vm);
-            let (session, backup) = &started.own;
-            assert_eq!(backup.frames(), serial_backup.frames(), "{placement:?}");
-            assert_eq!(backup.disk(), serial_backup.disk(), "{placement:?}");
-            assert_eq!(started.digest, serial.digest, "{placement:?}");
-            assert_eq!(introspection(session), introspection(serial_session));
-            let lent_pages = started.lent_pages;
-            assert_lent(placement, lent_pages);
-            let clock = Arc::new(RealClock::new());
-            let mut c = Crimes::protected(vm.clone(), config, clock, started).expect("protect");
-            assert_eq!(c.checkpointer().integrity(), &serial.digest);
-            assert!(c.checkpointer().verify_backup().is_ok());
-            let counted = c.telemetry().counter(Counter::StartupDigestLentPages);
-            assert_eq!(counted, lent_pages as u64);
-            assert!(c.run_epoch(|_, _| Ok(())).expect("epoch").is_committed());
+            for symbols in [None, Some(&shared)] {
+                let what = format!("{placement:?}, shared {}", symbols.is_some());
+                let started = Crimes::start_protection(Some(&mut one_worker()), &vm, symbols);
+                let (session, backup) = &started.own;
+                assert_eq!(backup.frames(), serial_backup.frames(), "{what}");
+                assert_eq!(backup.disk(), serial_backup.disk(), "{what}");
+                assert_eq!(started.digest, serial.digest, "{what}");
+                assert_eq!(introspection(session), introspection(serial_session), "{what}");
+                let lent_pages = started.lent_pages;
+                assert_lent(placement, lent_pages);
+                let clock = Arc::new(RealClock::new());
+                let mut c = Crimes::protected(vm.clone(), config, clock, started).expect("protect");
+                assert_eq!(c.checkpointer().integrity(), &serial.digest);
+                assert!(c.checkpointer().verify_backup().is_ok());
+                let counted = c.telemetry().counter(Counter::StartupDigestLentPages);
+                assert_eq!(counted, lent_pages as u64);
+                let parses = c.telemetry().counter(Counter::SymbolParses);
+                assert_eq!(parses, u64::from(symbols.is_none()), "{what}");
+                assert_eq!(
+                    Symbols::ptr_eq(c.symbols(), &shared),
+                    symbols.is_some(),
+                    "{what}"
+                );
+                assert!(c.run_epoch(|_, _| Ok(())).expect("epoch").is_committed());
+            }
         }
     }
 
@@ -2736,7 +2778,7 @@ mod tests {
                     let started = Crimes::start_recovery(exec, &vm, &backup, &journal);
                     Crimes::recovered(vm.clone(), backup.clone(), config, clock(), started)
                 } else {
-                    let started = Crimes::start_protection(exec, &vm);
+                    let started = Crimes::start_protection(exec, &vm, None);
                     Crimes::protected(vm.clone(), config, clock(), started)
                 })
             };

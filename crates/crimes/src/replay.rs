@@ -13,7 +13,7 @@
 
 use crimes_vm::layout::CANARY_LEN;
 use crimes_vm::{Guest, GuestOp, Gva, MetaSnapshot, Vm};
-use crimes_vmi::{MemEventMonitor, VmiError, VmiSession};
+use crimes_vmi::{MemEventMonitor, Symbols, VmiError, VmiSession};
 
 use crate::error::CrimesError;
 
@@ -36,14 +36,24 @@ pub struct AttackPinpoint {
     pub ops_replayed: usize,
 }
 
-/// The replay engine.
-#[derive(Debug, Default)]
-pub struct ReplayEngine;
+/// The replay engine, introspecting the replayed guest through its
+/// monitor's symbols.
+#[derive(Debug)]
+pub struct ReplayEngine {
+    symbols: Symbols,
+}
 
 impl ReplayEngine {
-    /// Create the engine.
-    pub fn new() -> Self {
-        ReplayEngine
+    /// An engine for guests of the kernel build `symbols` was parsed for.
+    pub fn new(symbols: &Symbols) -> Self {
+        ReplayEngine {
+            symbols: symbols.clone(),
+        }
+    }
+
+    /// The symbols every session it opens resolves through.
+    pub fn symbols(&self) -> &Symbols {
+        &self.symbols
     }
 
     /// Roll `vm` back to the clean checkpoint (`backup_frames` + `meta`)
@@ -81,7 +91,7 @@ impl ReplayEngine {
         // page lazily: try now; if translation fails, re-try after every
         // op until it succeeds.
         let monitor = MemEventMonitor::new();
-        let mut session = VmiSession::init(vm)?;
+        let mut session = VmiSession::open(&self.symbols, vm.memory())?;
         let mut armed = self.try_arm(&mut session, vm, pid, canary_gva, &monitor)?;
 
         for (idx, op) in ops.iter().enumerate() {
@@ -178,6 +188,10 @@ mod tests {
         b.build()
     }
 
+    fn engine(vm: &Vm) -> ReplayEngine {
+        ReplayEngine::new(&Symbols::parse(vm.system_map()).expect("parse"))
+    }
+
     /// Run a full detect→replay cycle and return the pinpoint.
     fn attack_and_replay(noise_before: usize, noise_after: usize) -> (AttackPinpoint, usize) {
         let mut vm = vm();
@@ -203,7 +217,7 @@ mod tests {
         let ops = vm.trace_since(mark);
         let total_ops = ops.len();
 
-        let pin = ReplayEngine::new()
+        let pin = engine(&vm)
             .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, canary_gva)
             .expect("replay")
             .expect("attack must be pinpointed");
@@ -242,7 +256,7 @@ mod tests {
         let mark = vm.trace_mark();
         vm.write_user(pid, obj, &[0x42u8; 48], 0x1337).expect("write");
         let ops = vm.trace_since(mark);
-        let pin = ReplayEngine::new()
+        let pin = engine(&vm)
             .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, obj.add(32))
             .expect("replay")
             .expect("pinpoint");
@@ -263,7 +277,7 @@ mod tests {
         let mark = vm.trace_mark();
         vm.write_user(pid, obj, &[1u8; 32], 0).expect("write"); // in bounds
         let ops = vm.trace_since(mark);
-        let pin = ReplayEngine::new()
+        let pin = engine(&vm)
             .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, obj.add(32))
             .expect("replay");
         assert!(pin.is_none());
@@ -284,7 +298,7 @@ mod tests {
             panic!()
         };
         let ops = vm.trace_since(mark);
-        ReplayEngine::new()
+        engine(&vm)
             .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, object.add(size))
             .expect("replay")
             .expect("pinpoint");
@@ -310,7 +324,7 @@ mod tests {
                 .with_rate(crimes_faults::FaultPoint::ReplayDiverge, crimes_faults::SCALE),
             5,
         );
-        let err = ReplayEngine::new()
+        let err = engine(&vm)
             .pinpoint_canary_attack(&mut vm, &frames, &disk, &meta, &ops, pid, obj.add(32))
             .expect_err("full-rate divergence");
         assert_eq!(err, CrimesError::ReplayDiverged { op_index: 0 });

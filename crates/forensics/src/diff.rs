@@ -117,6 +117,7 @@ mod tests {
     use super::*;
     use crate::dump::DumpKind;
     use crimes_vm::{TcpState, Vm};
+    use crimes_vmi::Symbols;
 
     fn vm() -> Vm {
         let mut b = Vm::builder();
@@ -124,12 +125,17 @@ mod tests {
         b.build()
     }
 
+    fn symbols(vm: &Vm) -> Symbols {
+        Symbols::parse(vm.system_map()).expect("parse")
+    }
+
     #[test]
     fn identical_dumps_diff_empty() {
         let mut vm = vm();
         vm.spawn_process("app", 0, 2).unwrap();
-        let a = MemoryDump::from_vm(&vm, DumpKind::LastGoodCheckpoint);
-        let b = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+        let symbols = symbols(&vm);
+        let a = MemoryDump::from_vm(&vm, &symbols, DumpKind::LastGoodCheckpoint);
+        let b = MemoryDump::from_vm(&vm, &symbols, DumpKind::AuditFailure);
         let diff = DumpDiff::between(&a, &b).unwrap();
         assert!(diff.is_empty());
         assert!(diff.summary().starts_with("0 changed pages"));
@@ -139,7 +145,8 @@ mod tests {
     fn diff_surfaces_malware_artifacts() {
         let mut vm = vm();
         vm.spawn_process("desktop", 1000, 2).unwrap();
-        let before = MemoryDump::from_vm(&vm, DumpKind::LastGoodCheckpoint);
+        let symbols = symbols(&vm);
+        let before = MemoryDump::from_vm(&vm, &symbols, DumpKind::LastGoodCheckpoint);
 
         // The §5.6 malware: new process, socket, and loot file.
         let evil = vm.spawn_process("reg_read.exe", 1000, 2).unwrap();
@@ -155,7 +162,7 @@ mod tests {
         .unwrap();
         vm.open_file(evil, "/Users/root/Desktop/write_file.txt")
             .unwrap();
-        let after = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+        let after = MemoryDump::from_vm(&vm, &symbols, DumpKind::AuditFailure);
 
         let diff = DumpDiff::between(&before, &after).unwrap();
         assert_eq!(diff.new_tasks.len(), 1);
@@ -171,9 +178,10 @@ mod tests {
     fn diff_sees_exited_process() {
         let mut vm = vm();
         let p = vm.spawn_process("victim", 0, 2).unwrap();
-        let before = MemoryDump::from_vm(&vm, DumpKind::LastGoodCheckpoint);
+        let symbols = symbols(&vm);
+        let before = MemoryDump::from_vm(&vm, &symbols, DumpKind::LastGoodCheckpoint);
         vm.exit_process(p).unwrap();
-        let after = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+        let after = MemoryDump::from_vm(&vm, &symbols, DumpKind::AuditFailure);
         let diff = DumpDiff::between(&before, &after).unwrap();
         assert_eq!(diff.gone_tasks.len(), 1);
         assert_eq!(diff.gone_tasks[0].pid, p);
@@ -183,9 +191,10 @@ mod tests {
     fn changed_pages_track_single_write() {
         let mut vm = vm();
         let pid = vm.spawn_process("app", 0, 4).unwrap();
-        let before = MemoryDump::from_vm(&vm, DumpKind::LastGoodCheckpoint);
+        let symbols = symbols(&vm);
+        let before = MemoryDump::from_vm(&vm, &symbols, DumpKind::LastGoodCheckpoint);
         vm.dirty_arena_page(pid, 1, 5, 0x7e).unwrap();
-        let after = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+        let after = MemoryDump::from_vm(&vm, &symbols, DumpKind::AuditFailure);
         let diff = DumpDiff::between(&before, &after).unwrap();
         assert_eq!(diff.changed_pages.len(), 1);
     }
@@ -197,8 +206,9 @@ mod tests {
         b1.pages(2048).seed(1);
         let mut b2 = Vm::builder();
         b2.pages(4096).seed(1);
-        let a = MemoryDump::from_vm(&b1.build(), DumpKind::Adhoc);
-        let b = MemoryDump::from_vm(&b2.build(), DumpKind::Adhoc);
+        let (vm1, vm2) = (b1.build(), b2.build());
+        let a = MemoryDump::from_vm(&vm1, &symbols(&vm1), DumpKind::Adhoc);
+        let b = MemoryDump::from_vm(&vm2, &symbols(&vm2), DumpKind::Adhoc);
         let _ = DumpDiff::between(&a, &b);
     }
 }

@@ -4,10 +4,13 @@
 //! checkpoint and the other at the point where the audit failed" (§3.3),
 //! plus a third at the pinpointed attack instruction during replay. A
 //! [`MemoryDump`] is such an artifact: a self-contained frame image with
-//! the PFN→MFN table and `System.map` needed to re-address it offline.
+//! the PFN→MFN table and the parsed `System.map` needed to re-address it
+//! offline. The parse is the capturer's: an incident's dumps share the
+//! monitor's, and a standalone capture parses once with
+//! [`Symbols::parse`].
 
-use crimes_vm::{GuestMemory, Mfn, SystemMap, Vm, PAGE_SIZE};
-use crimes_vmi::{VmiError, VmiSession};
+use crimes_vm::{GuestMemory, Mfn, Vm, PAGE_SIZE};
+use crimes_vmi::{Symbols, VmiError, VmiSession};
 
 /// Which moment a dump captures, relative to a detected attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,20 +41,21 @@ impl DumpKind {
 #[derive(Debug, Clone)]
 pub struct MemoryDump {
     mem: GuestMemory,
-    symbols: SystemMap,
+    symbols: Symbols,
     kind: DumpKind,
     guest_time_ns: u64,
 }
 
 impl MemoryDump {
-    /// Capture the VM's current memory.
-    pub fn from_vm(vm: &Vm, kind: DumpKind) -> Self {
+    /// Capture the VM's current memory, addressed through `symbols`
+    /// (parsed from `vm`'s kernel build).
+    pub fn from_vm(vm: &Vm, symbols: &Symbols, kind: DumpKind) -> Self {
         MemoryDump {
             mem: GuestMemory::from_raw_parts(
                 vm.memory().dump_frames(),
                 vm.memory().pfn_to_mfn_table().to_vec(),
             ),
-            symbols: vm.system_map().clone(),
+            symbols: symbols.clone(),
             kind,
             guest_time_ns: vm.now_ns(),
         }
@@ -63,13 +67,19 @@ impl MemoryDump {
     /// # Panics
     ///
     /// Panics if `frames` does not match the VM's memory size.
-    pub fn from_frames(frames: &[u8], vm: &Vm, kind: DumpKind, guest_time_ns: u64) -> Self {
+    pub fn from_frames(
+        frames: &[u8],
+        vm: &Vm,
+        symbols: &Symbols,
+        kind: DumpKind,
+        guest_time_ns: u64,
+    ) -> Self {
         MemoryDump {
             mem: GuestMemory::from_raw_parts(
                 frames.to_vec(),
                 vm.memory().pfn_to_mfn_table().to_vec(),
             ),
-            symbols: vm.system_map().clone(),
+            symbols: symbols.clone(),
             kind,
             guest_time_ns,
         }
@@ -90,8 +100,8 @@ impl MemoryDump {
         &self.mem
     }
 
-    /// The symbol table shipped with the dump.
-    pub fn system_map(&self) -> &SystemMap {
+    /// The parsed symbol table shipped with the dump.
+    pub fn symbols(&self) -> &Symbols {
         &self.symbols
     }
 
@@ -105,15 +115,16 @@ impl MemoryDump {
         self.num_pages() * PAGE_SIZE
     }
 
-    /// Open an introspection session over this dump (full Volatility-style
-    /// init cost: symbol parse, kernel detection, translation caches).
+    /// Open an introspection session over this dump on its shipped
+    /// symbols: kernel detection and translation caches, never a symbol
+    /// parse.
     ///
     /// # Errors
     ///
     /// Fails if the dump's kernel structures are too damaged to initialise
     /// against.
     pub fn open_session(&self) -> Result<VmiSession, VmiError> {
-        VmiSession::init_with(&self.symbols, &self.mem)
+        VmiSession::open(&self.symbols, &self.mem)
     }
 
     /// Raw page content by guest frame number (for diffing).
@@ -138,13 +149,17 @@ mod tests {
         b.build()
     }
 
+    fn symbols(vm: &Vm) -> Symbols {
+        Symbols::parse(vm.system_map()).expect("parse")
+    }
+
     #[test]
     fn dump_is_independent_of_the_live_vm() {
         let mut vm = vm();
         let pid = vm.spawn_process("app", 0, 4).unwrap();
         let obj = vm.malloc(pid, 16).unwrap();
         vm.write_user(pid, obj, b"at-dump", 0).unwrap();
-        let dump = MemoryDump::from_vm(&vm, DumpKind::Adhoc);
+        let dump = MemoryDump::from_vm(&vm, &symbols(&vm), DumpKind::Adhoc);
         vm.write_user(pid, obj, b"later!!", 0).unwrap();
 
         // The dump still reads the old bytes.
@@ -162,8 +177,10 @@ mod tests {
     fn dump_session_walks_kernel_structures() {
         let mut vm = vm();
         vm.spawn_process("nginx", 33, 4).unwrap();
-        let dump = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+        let symbols = symbols(&vm);
+        let dump = MemoryDump::from_vm(&vm, &symbols, DumpKind::AuditFailure);
         let session = dump.open_session().expect("session over dump");
+        assert!(Symbols::ptr_eq(session.symbols(), &symbols), "opened, not parsed");
         let tasks = crimes_vmi::linux::process_list(&session, dump.memory()).unwrap();
         assert!(tasks.iter().any(|t| t.comm == "nginx"));
     }
@@ -174,7 +191,8 @@ mod tests {
         let pid = vm.spawn_process("app", 0, 4).unwrap();
         let clean = vm.memory().dump_frames();
         vm.dirty_arena_page(pid, 0, 0, 0xff).unwrap();
-        let dump = MemoryDump::from_frames(&clean, &vm, DumpKind::LastGoodCheckpoint, 123);
+        let dump =
+            MemoryDump::from_frames(&clean, &vm, &symbols(&vm), DumpKind::LastGoodCheckpoint, 123);
         assert_eq!(dump.kind(), DumpKind::LastGoodCheckpoint);
         assert_eq!(dump.guest_time_ns(), 123);
         // The checkpoint dump shows the pre-write value.
@@ -186,11 +204,11 @@ mod tests {
     #[test]
     fn metadata_accessors() {
         let vm = vm();
-        let dump = MemoryDump::from_vm(&vm, DumpKind::AttackInstant);
+        let dump = MemoryDump::from_vm(&vm, &symbols(&vm), DumpKind::AttackInstant);
         assert_eq!(dump.num_pages(), 2048);
         assert_eq!(dump.size_bytes(), 2048 * PAGE_SIZE);
         assert_eq!(dump.kind().label(), "attack-instant");
-        assert!(dump.system_map().lookup("sys_call_table").is_some());
+        assert!(dump.symbols().map().lookup("sys_call_table").is_some());
         let _ = dump.page(Pfn(0));
     }
 

@@ -16,6 +16,7 @@
 //! ```
 //! use crimes_forensics::{DumpKind, MemoryDump};
 //! use crimes_vm::Vm;
+//! use crimes_vmi::Symbols;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut builder = Vm::builder();
@@ -24,7 +25,8 @@
 //! let evil = vm.spawn_process("rootkit", 0, 2)?;
 //! vm.hide_process(evil)?;
 //!
-//! let dump = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+//! let symbols = Symbols::parse(vm.system_map())?;
+//! let dump = MemoryDump::from_vm(&vm, &symbols, DumpKind::AuditFailure);
 //! let session = dump.open_session()?;
 //! let rows = crimes_forensics::plugins::psxview(&session, &dump)?;
 //! assert!(rows.iter().any(|r| r.pid == evil && r.is_suspicious()));

@@ -356,7 +356,8 @@ mod tests {
     }
 
     fn dump_and_session(vm: &Vm) -> (MemoryDump, VmiSession) {
-        let dump = MemoryDump::from_vm(vm, DumpKind::Adhoc);
+        let symbols = crimes_vmi::Symbols::parse(vm.system_map()).expect("parse");
+        let dump = MemoryDump::from_vm(vm, &symbols, DumpKind::Adhoc);
         let session = dump.open_session().expect("session");
         (dump, session)
     }

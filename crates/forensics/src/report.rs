@@ -193,6 +193,11 @@ mod tests {
     use super::*;
     use crate::dump::DumpKind;
     use crimes_vm::{TcpState, Vm};
+    use crimes_vmi::Symbols;
+
+    fn symbols(vm: &Vm) -> Symbols {
+        Symbols::parse(vm.system_map()).expect("parse")
+    }
 
     fn malware_vm() -> (Vm, u32) {
         let mut b = Vm::builder();
@@ -217,7 +222,7 @@ mod tests {
     #[test]
     fn malware_report_has_paper_sections() {
         let (vm, evil) = malware_vm();
-        let dump = MemoryDump::from_vm(&vm, DumpKind::AuditFailure);
+        let dump = MemoryDump::from_vm(&vm, &symbols(&vm), DumpKind::AuditFailure);
         let session = dump.open_session().unwrap();
         let task = crimes_vmi::linux::task_by_pid(&session, dump.memory(), evil).unwrap();
 
@@ -245,7 +250,7 @@ mod tests {
         let other = vm.spawn_process("nginx", 33, 1).unwrap();
         vm.open_socket(other, 6, 0, 80, 0, 0, TcpState::Listen)
             .unwrap();
-        let dump = MemoryDump::from_vm(&vm, DumpKind::Adhoc);
+        let dump = MemoryDump::from_vm(&vm, &symbols(&vm), DumpKind::Adhoc);
         let mut b = ReportBuilder::new("r");
         b.open_sockets(&dump, Some(evil)).unwrap();
         let text = b.build().to_text();

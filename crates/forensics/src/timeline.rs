@@ -155,6 +155,7 @@ mod tests {
         let mut b = Vm::builder();
         b.pages(2048).seed(61);
         let mut vm = b.build();
+        let symbols = crimes_vmi::Symbols::parse(vm.system_map()).expect("parse");
         let mut dumps = Vec::new();
         for e in 0..total {
             if e == epoch {
@@ -164,9 +165,7 @@ mod tests {
                 vm.load_module("implant_lkm", 0x100).unwrap();
             }
             vm.advance_time(50_000_000);
-            let mut d = MemoryDump::from_vm(&vm, DumpKind::Adhoc);
-            let _ = &mut d;
-            dumps.push(d);
+            dumps.push(MemoryDump::from_vm(&vm, &symbols, DumpKind::Adhoc));
         }
         dumps
     }

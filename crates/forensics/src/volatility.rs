@@ -192,7 +192,8 @@ mod tests {
         let mut vm = b.build();
         let pid = vm.spawn_process("suspect", 0, 2).unwrap();
         vm.open_file(pid, "/tmp/x").unwrap();
-        MemoryDump::from_vm(&vm, DumpKind::Adhoc)
+        let symbols = crimes_vmi::Symbols::parse(vm.system_map()).expect("parse");
+        MemoryDump::from_vm(&vm, &symbols, DumpKind::Adhoc)
     }
 
     #[test]

@@ -109,11 +109,17 @@ pub enum Counter {
     /// one-CPU host, and like the head start is a matter of timing and not
     /// reproducible run to run.
     StartupDigestLentPages,
+    /// System.map parses this tenant's start-up made: 1 after `protect`
+    /// or `recover`, 0 for a fleet tenant that opened its introspection
+    /// on the parse of an earlier tenant on the same kernel build. Merged
+    /// over a fleet, it counts the distinct parses; nothing after
+    /// start-up parses, incidents included.
+    SymbolParses,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 28] = [
         Counter::EpochsCommitted,
         Counter::AttacksDetected,
         Counter::SpeculationExtensions,
@@ -141,6 +147,7 @@ impl Counter {
         Counter::DrainCipherLentBytes,
         Counter::WalkShardsTakenBack,
         Counter::StartupDigestLentPages,
+        Counter::SymbolParses,
     ];
 
     /// The counter's stable export name (snake_case; part of the
@@ -174,6 +181,7 @@ impl Counter {
             Counter::DrainCipherLentBytes => "drain_cipher_lent_bytes",
             Counter::WalkShardsTakenBack => "walk_shards_taken_back",
             Counter::StartupDigestLentPages => "startup_digest_lent_pages",
+            Counter::SymbolParses => "symbol_parses",
         }
     }
 

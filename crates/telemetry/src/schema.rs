@@ -412,6 +412,7 @@ mod tests {
         t.add(Counter::DrainCipherLentBytes, 5);
         t.add(Counter::WalkShardsTakenBack, 3);
         t.add(Counter::StartupDigestLentPages, 11);
+        t.add(Counter::SymbolParses, 1);
         let json = telemetry_json(&t, &r);
         validate_telemetry_json(&json).expect("export matches its own schema");
         // Every counter is part of the schema, the newest included: an
@@ -421,6 +422,7 @@ mod tests {
             ("drain_cipher_lent_bytes", 5),
             ("walk_shards_taken_back", 3),
             ("startup_digest_lent_pages", 11),
+            ("symbol_parses", 1),
         ];
         for (name, value) in newest {
             let field = format!("\"{name}\":{value}");

@@ -59,8 +59,9 @@ struct Entry {
 ///
 /// Stored compactly — every name lives in one `String` arena and the
 /// entries are a name-sorted `Vec` that lookups binary-search — because a
-/// fleet holds two of these per tenant (the guest's and the introspection
-/// session's parsed copy) at ~20 000 symbols each. Bulk construction
+/// fleet holds one of these per tenant (the guest's) plus one per kernel
+/// build (the parsed copy its tenants' introspection sessions share), at
+/// ~20 000 symbols each. Bulk construction
 /// ([`for_layout`](Self::for_layout), [`parse`](Self::parse)) appends
 /// unsorted and sorts once; [`insert`](Self::insert) keeps the order one
 /// symbol at a time.

@@ -288,6 +288,14 @@ impl Vm {
         &self.system_map
     }
 
+    /// Mutable `System.map`, for a provider whose file for this guest
+    /// differs from the stock build's (extra or moved symbols): every guest
+    /// this substrate builds runs the same kernel, so this is how a second
+    /// kernel build is named.
+    pub fn system_map_mut(&mut self) -> &mut SystemMap {
+        &mut self.system_map
+    }
+
     /// The kernel layout (tests and dump tooling; VMI uses `System.map`).
     pub fn layout(&self) -> &KernelLayout {
         &self.layout

@@ -7,7 +7,8 @@
 //!
 //! * [`VmiSession`] — one-time expensive init (symbol parse, kernel
 //!   detection, translation caches), then cheap per-checkpoint scans; the
-//!   phase split Table 3 measures,
+//!   phase split Table 3 measures. The parse is [`Symbols`], which
+//!   sessions on the same kernel build share,
 //! * [`linux`] — `process-list`, `module-list`, syscall-table, and pid-hash
 //!   readers (the unaided scan modules of §4.2),
 //! * [`CanaryScanner`] — the hypervisor half of the guest-aided
@@ -52,4 +53,4 @@ pub use canary::{
 pub use error::VmiError;
 pub use events::MemEventMonitor;
 pub use linux::{ModuleInfo, PidHashEntry, ScannedModule, TaskInfo};
-pub use session::{AddressSpace, InitTimings, VmiSession};
+pub use session::{AddressSpace, InitTimings, Symbols, VmiSession};

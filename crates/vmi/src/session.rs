@@ -7,15 +7,24 @@
 //! reproduces the same phase split:
 //!
 //! * **initialization** — render and *re-parse* the textual `System.map`
-//!   (tens of thousands of lines), read the `linux_banner` string out of
-//!   guest memory, and check the kernel version against the profile;
+//!   (tens of thousands of lines) into [`Symbols`], read the
+//!   `linux_banner` string out of guest memory, and check the kernel
+//!   version against the profile;
 //! * **preprocessing** — pre-resolve the hot symbols to physical addresses
 //!   and build the user-address-translation cache by walking the task list
 //!   once;
 //! * **memory analysis** — the per-scan walks in [`crate::linux`], which are
 //!   all that runs inside the checkpoint pause window.
+//!
+//! The parse depends on the kernel build alone, the rest on the guest.
+//! [`Symbols::parse`] is the parse and [`VmiSession::open`] everything
+//! after it, so one parsed table serves every session on that build: the
+//! tenants of a fleet that run it, and the sessions an incident opens
+//! over its dumps. [`VmiSession::init`] is both, the cold path a fresh
+//! monitor pays.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crimes_vm::layout::task_offsets;
@@ -24,10 +33,42 @@ use crimes_vm::{Gpa, Guest, GuestMemory, Gva, SystemMap, Vm};
 
 use crate::error::VmiError;
 
+/// A parsed `System.map`: immutable, and shared by every session opened
+/// on it (cloning is a reference count).
+#[derive(Debug, Clone)]
+pub struct Symbols(Arc<SystemMap>);
+
+impl Symbols {
+    /// Render `map` as `System.map` text and parse it back, as LibVMI
+    /// parses the real file: the only symbol parse there is, Table 3's
+    /// *initialization* row.
+    ///
+    /// # Errors
+    ///
+    /// [`VmiError::BadSystemMap`] naming the first malformed line.
+    pub fn parse(map: &SystemMap) -> Result<Self, VmiError> {
+        let text = map.to_text();
+        let parsed = SystemMap::parse(&text).map_err(VmiError::BadSystemMap)?;
+        Ok(Symbols(Arc::new(parsed)))
+    }
+
+    /// The parsed map. Parsing is idempotent on its own output, so a map
+    /// equal to this one parses to this one: a caller holding a
+    /// `Symbols` may open sessions on it for any guest whose map is equal.
+    pub fn map(&self) -> &SystemMap {
+        &self.0
+    }
+
+    /// `true` when `a` and `b` are one parse, not two equal ones.
+    pub fn ptr_eq(a: &Symbols, b: &Symbols) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
 /// Init-phase timings, matching Table 3's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InitTimings {
-    /// Symbol parse + kernel detection.
+    /// Symbol parse (when the session made one) + kernel detection.
     pub initialization: Duration,
     /// Translation-cache construction.
     pub preprocessing: Duration,
@@ -65,7 +106,7 @@ impl AddressSpace {
 /// An initialised introspection session for one VM.
 #[derive(Debug, Clone)]
 pub struct VmiSession {
-    symbols: SystemMap,
+    symbols: Symbols,
     banner: String,
     /// Hot symbols resolved to guest-physical addresses.
     resolved: HashMap<&'static str, Gpa>,
@@ -75,6 +116,8 @@ pub struct VmiSession {
     /// translation lands inside it.
     image_bytes: usize,
     timings: InitTimings,
+    /// Whether making the session parsed `symbols`.
+    parsed: bool,
 }
 
 /// The symbols resolved eagerly during preprocessing.
@@ -92,7 +135,8 @@ const HOT_SYMBOLS: [&str; 9] = [
 
 impl VmiSession {
     /// Initialise introspection against `vm`, paying the full
-    /// initialization + preprocessing cost.
+    /// initialization + preprocessing cost: a symbol parse, then
+    /// [`open`](Self::open).
     ///
     /// # Errors
     ///
@@ -110,13 +154,30 @@ impl VmiSession {
     ///
     /// Same conditions as [`VmiSession::init`].
     pub fn init_with(map: &SystemMap, mem: &GuestMemory) -> Result<Self, VmiError> {
-        // ---- initialization --------------------------------------------
         let t0 = Instant::now();
-        // The provider stores System.map as text; parse it like LibVMI
-        // parses the real file.
-        let text = map.to_text();
-        let symbols = SystemMap::parse(&text).map_err(VmiError::BadSystemMap)?;
-        let banner_gpa = kernel_sym_gpa(&symbols, names::LINUX_BANNER)?;
+        let symbols = Symbols::parse(map)?;
+        let mut session = Self::open_since(symbols, mem, t0)?;
+        session.parsed = true;
+        Ok(session)
+    }
+
+    /// Open a session on `mem` over symbols already parsed for its kernel
+    /// build: everything [`init_with`](Self::init_with) does but the
+    /// parse. The banner is still read and checked against this guest,
+    /// and the task walk still runs.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a required symbol is missing or the guest banner names an
+    /// unsupported kernel.
+    pub fn open(symbols: &Symbols, mem: &GuestMemory) -> Result<Self, VmiError> {
+        Self::open_since(symbols.clone(), mem, Instant::now())
+    }
+
+    /// The per-guest part of start-up, its initialization timed from `t0`.
+    fn open_since(symbols: Symbols, mem: &GuestMemory, t0: Instant) -> Result<Self, VmiError> {
+        // ---- initialization --------------------------------------------
+        let banner_gpa = kernel_sym_gpa(symbols.map(), names::LINUX_BANNER)?;
         let banner = crate::linux::read_fixed_string(mem, banner_gpa, 128)?;
         if !banner.starts_with("Linux version 4.") {
             return Err(VmiError::UnsupportedKernel(banner));
@@ -127,7 +188,7 @@ impl VmiSession {
         let t1 = Instant::now();
         let mut resolved = HashMap::new();
         for name in HOT_SYMBOLS {
-            resolved.insert(name, kernel_sym_gpa(&symbols, name)?);
+            resolved.insert(name, kernel_sym_gpa(symbols.map(), name)?);
         }
         let mut session = VmiSession {
             symbols,
@@ -136,6 +197,7 @@ impl VmiSession {
             address_spaces: HashMap::new(),
             image_bytes: mem.size_bytes(),
             timings: InitTimings::default(),
+            parsed: false,
         };
         session.refresh_address_spaces(mem)?;
         session.timings = InitTimings {
@@ -143,6 +205,17 @@ impl VmiSession {
             preprocessing: t1.elapsed(),
         };
         Ok(session)
+    }
+
+    /// The parsed symbol table this session resolves through.
+    pub fn symbols(&self) -> &Symbols {
+        &self.symbols
+    }
+
+    /// `true` when making this session parsed its symbols
+    /// ([`init`](Self::init)), `false` when it was opened on shared ones.
+    pub fn parsed_symbols(&self) -> bool {
+        self.parsed
     }
 
     /// Init-phase timings (Table 3's first two rows).
@@ -175,7 +248,7 @@ impl VmiSession {
     ///
     /// Fails if the symbol is missing or not a kernel address.
     pub fn lookup(&self, name: &str) -> Result<Gpa, VmiError> {
-        kernel_sym_gpa(&self.symbols, name)
+        kernel_sym_gpa(self.symbols.map(), name)
     }
 
     /// Translate a kernel GVA (direct map) to the GPA of a `span`-byte
@@ -293,6 +366,46 @@ mod tests {
         let s = VmiSession::init(&vm).expect("init");
         assert!(s.timings().initialization > Duration::ZERO);
         assert!(s.timings().preprocessing > Duration::ZERO);
+    }
+
+    #[test]
+    fn open_on_shared_symbols_matches_init() {
+        let mut vm = vm();
+        vm.spawn_process("app", 0, 4).unwrap();
+        let cold = VmiSession::init(&vm).expect("init");
+        let symbols = Symbols::parse(vm.system_map()).expect("parse");
+        let a = VmiSession::open(&symbols, vm.memory()).expect("open");
+        let b = VmiSession::open(&symbols, vm.memory()).expect("open");
+        assert!(Symbols::ptr_eq(a.symbols(), b.symbols()), "one parse, two sessions");
+        assert!(cold.parsed_symbols() && !a.parsed_symbols());
+        assert!(!Symbols::ptr_eq(a.symbols(), cold.symbols()));
+        assert_eq!(a.symbols().map(), cold.symbols().map());
+        assert_eq!(a.kernel_banner(), cold.kernel_banner());
+        for name in HOT_SYMBOLS {
+            assert_eq!(a.hot_symbol(name), cold.hot_symbol(name), "{name}");
+        }
+        assert_eq!(a.address_spaces, cold.address_spaces);
+    }
+
+    #[test]
+    fn shared_symbols_never_skip_the_banner_check() {
+        let mut vm = vm();
+        let symbols = Symbols::parse(vm.system_map()).expect("parse");
+        let banner = vm.layout().banner;
+        vm.memory_mut().write(banner, b"Linux version 2.6.32-forged\0");
+        assert!(matches!(
+            VmiSession::open(&symbols, vm.memory()),
+            Err(VmiError::UnsupportedKernel(b)) if b.starts_with("Linux version 2.6")
+        ));
+    }
+
+    #[test]
+    fn parsed_symbols_equal_their_source_map() {
+        let vm = vm();
+        let symbols = Symbols::parse(vm.system_map()).expect("parse");
+        assert_eq!(symbols.map(), vm.system_map());
+        let again = Symbols::parse(symbols.map()).expect("a parse output parses");
+        assert_eq!(again.map(), symbols.map(), "parsing is idempotent on its output");
     }
 
     #[test]

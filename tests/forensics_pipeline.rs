@@ -9,6 +9,7 @@ use crimes_forensics::{
     PLUGIN_NAMES,
 };
 use crimes_vm::{Guest, TcpState, Vm};
+use crimes_vmi::Symbols;
 use crimes_workloads::attacks;
 
 fn guest(seed: u64) -> Vm {
@@ -150,7 +151,8 @@ fn standalone_dumps_work_without_the_framework() {
     let pid = vm.spawn_process("standalone", 0, 4).unwrap();
     vm.open_socket(pid, 6, 0x7f00_0001, 8443, 0, 0, TcpState::Listen)
         .unwrap();
-    let dump = MemoryDump::from_vm(&vm, DumpKind::Adhoc);
+    let symbols = Symbols::parse(vm.system_map()).unwrap();
+    let dump = MemoryDump::from_vm(&vm, &symbols, DumpKind::Adhoc);
     let session = dump.open_session().unwrap();
 
     let socks = plugins::netscan(&session, &dump).unwrap();
@@ -161,7 +163,7 @@ fn standalone_dumps_work_without_the_framework() {
     assert_eq!(image.len(), 4 * 4096);
 
     // Two ad-hoc dumps diff cleanly.
-    let dump2 = MemoryDump::from_vm(&vm, DumpKind::Adhoc);
+    let dump2 = MemoryDump::from_vm(&vm, &symbols, DumpKind::Adhoc);
     assert!(DumpDiff::between(&dump, &dump2).unwrap().is_empty());
 }
 
@@ -224,6 +226,7 @@ fn checkpoint_history_supports_timeline_bisection() {
             MemoryDump::from_frames(
                 rec.frames.as_ref().expect("images retained"),
                 c.vm(),
+                c.symbols(),
                 DumpKind::Adhoc,
                 rec.guest_time_ns,
             )

@@ -174,10 +174,11 @@ pub struct CheckpointConfig {
     /// socket+cipher pipeline, whatever the optimisation level — the
     /// mapping and bitmap-scan optimisations still apply.
     pub remote_backup: bool,
-    /// Checkpoint-history depth (≥ 1).
+    /// Verified generations kept for a fallback rollback when the live
+    /// backup fails its checksum (see [`Checkpointer::rollback`]). Each
+    /// commit then copies the whole image and disk into the history, so
+    /// the default keeps none.
     pub history_depth: usize,
-    /// Retain full frame images in history records (memory-expensive).
-    pub retain_history_images: bool,
     /// Linear backoff between walk retries, in microseconds per attempt,
     /// and the base of the drain's exponential one ([`drain_backoff_us`]).
     pub retry_backoff_us: u64,
@@ -234,8 +235,7 @@ impl Default for CheckpointConfig {
             suspend_hypercalls: 1_500,
             resume_hypercalls: 2_200,
             remote_backup: false,
-            history_depth: 1,
-            retain_history_images: false,
+            history_depth: 0,
             retry_backoff_us: 50,
             pause_workers: 1,
             staging_buffers: 0,
@@ -448,19 +448,14 @@ fn commit(
     integrity: &ImageDigest,
     history: &mut CheckpointHistory,
     vm: &Vm,
-    guest_time_ns: u64,
-    dirty_pages: usize,
 ) {
     backup.commit_epoch();
-    let retain = history.retains_images();
-    history.push(CheckpointRecord {
+    history.push(|| CheckpointRecord {
         epoch: backup.epoch(),
-        guest_time_ns,
-        dirty_pages,
         checksum: integrity.combined(),
-        frames: retain.then(|| Arc::new(backup.frames().to_vec())),
-        disk: retain.then(|| Arc::new(backup.disk().to_vec())),
-        meta: retain.then(|| vm.meta_snapshot()),
+        frames: Arc::new(backup.frames().to_vec()),
+        disk: Arc::new(backup.disk().to_vec()),
+        meta: vm.meta_snapshot(),
     });
 }
 
@@ -566,7 +561,7 @@ impl Checkpointer {
             copier,
             pool,
             staging,
-            history: CheckpointHistory::new(config.history_depth, config.retain_history_images),
+            history: CheckpointHistory::new(config.history_depth),
             integrity,
             clock: Arc::new(RealClock::new()),
             sched: HypercallModel::default(),
@@ -914,7 +909,7 @@ impl Checkpointer {
                 // The page list is walk metadata, not guest state, so
                 // copying it after resume is safe and keeps the window to
                 // scan + memcpy. Digests are the drain's job.
-                Some((area, slot)) => pending = Some(area.seal(slot, &mapped, vm.now_ns())),
+                Some((area, slot)) => pending = Some(area.seal(slot, &mapped)),
                 // The copied pages and sectors are authoritative: fold
                 // them into the incremental image digest (O(dirty), XOR —
                 // so the shard layout cannot change the checksum). The
@@ -927,7 +922,7 @@ impl Checkpointer {
                     for sector in sectors.iter() {
                         integrity.update_sector(sector.0 as usize, backup.sector(sector.0));
                     }
-                    commit(backup, integrity, history, vm, vm.now_ns(), dirty_pfns.len());
+                    commit(backup, integrity, history, vm);
                 }
             }
         }
@@ -1089,14 +1084,7 @@ impl Checkpointer {
         for (index, page_digest) in staging.digests(ticket.slot()) {
             integrity.apply_page_digest(index, page_digest);
         }
-        commit(
-            backup,
-            integrity,
-            history,
-            vm,
-            staging.guest_time_ns(ticket.slot()),
-            staging.entry_count(ticket.slot()),
-        );
+        commit(backup, integrity, history, vm);
         // The second half of the handshake: the backup records the
         // generation as acked, so a post-crash session (or a standby
         // promotion) knows where the durable stream ends.
@@ -1169,14 +1157,10 @@ impl Checkpointer {
     /// Newest retained history generation whose image still matches its
     /// commit-time checksum.
     fn verified_fallback(&self) -> Option<&CheckpointRecord> {
-        let mut newest_first: Vec<&CheckpointRecord> = self.history.iter().collect();
-        newest_first.reverse();
-        newest_first.into_iter().find(|rec| {
-            match (&rec.frames, &rec.disk, &rec.meta) {
-                (Some(f), Some(d), Some(_)) => image_digest(f, d) == rec.checksum,
-                _ => false,
-            }
-        })
+        self.history
+            .iter()
+            .rev()
+            .find(|rec| image_digest(&rec.frames, &rec.disk) == rec.checksum)
     }
 
     /// Roll the VM back to the newest **checksum-verified** checkpoint.
@@ -1209,18 +1193,16 @@ impl Checkpointer {
                 })
             }
             Err(CheckpointError::Corrupt { bad_chunks, .. }) => {
-                // A record only verifies when all three retained components
-                // are present, so destructure them in one place: a record
-                // missing any of them simply cannot be the fallback.
-                let fallback = self.verified_fallback().and_then(|rec| {
-                    match (&rec.frames, &rec.disk, &rec.meta) {
-                        (Some(f), Some(d), Some(m)) => {
-                            Some((rec.epoch, Arc::clone(f), Arc::clone(d), m.clone()))
-                        }
-                        _ => None,
-                    }
-                });
-                let Some((epoch, frames, disk, rec_meta)) = fallback else {
+                // Cloned (two `Arc`s and the bookkeeping) so the restore
+                // can overwrite the backup the record was found beside.
+                let Some(CheckpointRecord {
+                    epoch,
+                    frames,
+                    disk,
+                    meta: rec_meta,
+                    ..
+                }) = self.verified_fallback().cloned()
+                else {
                     return Err(CheckpointError::NoVerifiedCheckpoint {
                         newest_epoch: self.backup.epoch(),
                     });
@@ -1381,7 +1363,6 @@ mod tests {
             &vm,
             CheckpointConfig {
                 history_depth: 3,
-                retain_history_images: true,
                 ..CheckpointConfig::default()
             },
         );
@@ -1414,7 +1395,7 @@ mod tests {
         assert_eq!(&buf, b"gen-2!");
         assert!(cp.verify_backup().is_ok(), "backup repaired from history");
 
-        // With history images disabled there is nothing to fall back to.
+        // The default keeps no generation: there is nothing to fall back to.
         let mut cp = Checkpointer::new(&vm, CheckpointConfig::default());
         cp.run_epoch(&mut vm, &mut pass_audit())
             .expect("no faults armed");
@@ -1469,32 +1450,29 @@ mod tests {
     }
 
     #[test]
-    fn history_images_retained_when_enabled() {
+    fn history_keeps_verifiable_generations_only_when_asked() {
         let mut vm = vm();
         let mut cp = Checkpointer::new(
             &vm,
             CheckpointConfig {
-                retain_history_images: true,
+                history_depth: 1,
                 ..CheckpointConfig::default()
             },
         );
         cp.run_epoch(&mut vm, &mut pass_audit())
             .expect("no faults armed");
         let rec = cp.history().latest().expect("latest");
-        assert!(rec.frames.is_some());
-        assert_eq!(
-            rec.frames.as_ref().expect("frames").as_slice(),
-            vm.memory().dump_frames().as_slice()
-        );
-        assert!(rec.disk.is_some());
-        assert!(rec.meta.is_some());
-        assert_eq!(
-            rec.checksum,
-            crate::integrity::image_digest(
-                rec.frames.as_ref().expect("frames"),
-                rec.disk.as_ref().expect("disk")
-            )
-        );
+        assert_eq!(rec.frames.as_slice(), vm.memory().dump_frames().as_slice());
+        assert_eq!(rec.disk.as_slice(), vm.disk().dump().as_slice());
+        assert_eq!(rec.checksum, image_digest(&rec.frames, &rec.disk));
+
+        let mut cp = Checkpointer::new(&vm, CheckpointConfig::default());
+        for _ in 0..3 {
+            cp.run_epoch(&mut vm, &mut pass_audit())
+                .expect("no faults armed");
+        }
+        assert_eq!(cp.backup().epoch(), 3);
+        assert!(cp.history().is_empty(), "the default retains no generation");
     }
 
     #[test]
@@ -1578,9 +1556,9 @@ mod tests {
         );
         assert!(cp.verify_backup().is_ok(), "{what}: backup fails verification");
         assert_eq!(
-            cp.history().latest().expect("an epoch committed").checksum,
+            cp.integrity().combined(),
             image_digest(cp.backup().frames(), cp.backup().disk()),
-            "{what}: history checksum is not the image's"
+            "{what}: commit checksum is not the image's"
         );
     }
 
@@ -1821,10 +1799,7 @@ mod tests {
         }
         assert_eq!(staged.backup().epoch(), 3);
         assert!(staged.verify_backup().is_ok());
-        assert_eq!(
-            staged.history().latest().expect("latest").epoch,
-            serial.history().latest().expect("latest").epoch
-        );
+        assert_eq!(staged.backup().epoch(), serial.backup().epoch());
     }
 
     #[test]
@@ -1882,7 +1857,6 @@ mod tests {
             &vm,
             CheckpointConfig {
                 history_depth: 2,
-                retain_history_images: true,
                 ..staged_config(1)
             },
         );
@@ -2284,7 +2258,7 @@ mod tests {
             let ticket = staged_epoch(&mut cp, &mut vm, &mut pool).expect("no faults armed");
             let ack = cp.drain_staged(&vm, ticket).expect("the retry needs no worker");
             assert_committed_image(&cp, &vm, &format!("doomed: {doomed}"));
-            let checksum = cp.history().latest().map(|record| record.checksum);
+            let checksum = cp.integrity().combined();
             (ack, cp.backup().clone(), checksum, pool.resident_workers())
         };
         let (clean, clean_backup, clean_checksum, workers) = run(false);

@@ -1,80 +1,63 @@
 //! Checkpoint history (paper extension).
 //!
 //! The CRIMES prototype "only maintains the most recent checkpoint,
-//! however, CRIMES could be extended to include a history of checkpoints
-//! that would facilitate forensic analysis" (§3.1). This module is that
-//! extension: a bounded ring of committed checkpoints, optionally retaining
-//! full frame images for deep time-travel forensics.
+//! however, CRIMES could be extended to include a history of checkpoints"
+//! (§3.1). This module is that extension, cut to what reads it: a bounded
+//! ring of verified generations — image, disk and bookkeeping — that
+//! [`Checkpointer::rollback`](crate::Checkpointer::rollback) falls back to
+//! when the live backup fails its checksum. Depth 0 keeps none.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crimes_vm::MetaSnapshot;
 
-/// One committed checkpoint's record.
+/// One committed generation, complete enough to restore a VM from.
 #[derive(Debug, Clone)]
 pub struct CheckpointRecord {
     /// Epoch number at commit.
     pub epoch: u64,
-    /// Simulated guest time at commit.
-    pub guest_time_ns: u64,
-    /// Dirty pages committed by this checkpoint.
-    pub dirty_pages: usize,
     /// Combined image checksum (frames + disk) at commit time. Rollback
-    /// re-derives a candidate image's digest and restores only on a match.
+    /// re-derives the retained image's digest and restores only on a match.
     pub checksum: u64,
-    /// Full frame image, when image retention is enabled. Shared so that
-    /// handing records to forensic tooling never copies 32 MiB by accident.
-    pub frames: Option<Arc<Vec<u8>>>,
+    /// Full frame image. Shared so that handing a record out never copies
+    /// a whole guest image by accident.
+    pub frames: Arc<Vec<u8>>,
     /// Full disk image, retained alongside `frames` so a fallback rollback
     /// restores a complete, internally-consistent generation.
-    pub disk: Option<Arc<Vec<u8>>>,
-    /// Host-side bookkeeping snapshot matching the image, when images are
-    /// retained — required to actually restore a VM from this record.
-    pub meta: Option<MetaSnapshot>,
+    pub disk: Arc<Vec<u8>>,
+    /// Host-side bookkeeping snapshot matching the image.
+    pub meta: MetaSnapshot,
 }
 
-/// A bounded ring of committed checkpoints, newest last.
+/// A bounded ring of committed generations, newest last. Each costs a
+/// full image and disk copy per commit — the same trade-off §3.3
+/// describes for the backup VM — so none are kept unless asked for.
 #[derive(Debug, Clone)]
 pub struct CheckpointHistory {
     records: VecDeque<CheckpointRecord>,
     depth: usize,
-    retain_images: bool,
 }
 
 impl CheckpointHistory {
-    /// Keep at most `depth` records. When `retain_images` is set, each
-    /// record carries a full frame image (doubling per-checkpoint memory
-    /// cost — the same trade-off §3.3 describes for the backup VM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn new(depth: usize, retain_images: bool) -> Self {
-        assert!(depth > 0, "history depth must be at least 1");
+    /// Keep at most `depth` generations; 0 keeps none.
+    pub fn new(depth: usize) -> Self {
         CheckpointHistory {
             records: VecDeque::with_capacity(depth),
             depth,
-            retain_images,
         }
     }
 
-    /// Whether images are retained.
-    pub fn retains_images(&self) -> bool {
-        self.retain_images
-    }
-
-    /// Maximum records kept.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Append a record, evicting the oldest when full.
-    pub fn push(&mut self, record: CheckpointRecord) {
+    /// Append the record `make` builds, evicting the oldest when full. At
+    /// depth 0 `make` never runs, so a commit copies no image.
+    pub fn push(&mut self, make: impl FnOnce() -> CheckpointRecord) {
+        if self.depth == 0 {
+            return;
+        }
         if self.records.len() == self.depth {
             self.records.pop_front();
         }
-        self.records.push_back(record);
+        self.records.push_back(make());
     }
 
     /// The most recent record.
@@ -83,7 +66,7 @@ impl CheckpointHistory {
     }
 
     /// Records from oldest to newest.
-    pub fn iter(&self) -> impl Iterator<Item = &CheckpointRecord> {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &CheckpointRecord> {
         self.records.iter()
     }
 
@@ -92,18 +75,9 @@ impl CheckpointHistory {
         self.records.len()
     }
 
-    /// `true` before the first commit.
+    /// `true` before the first retained commit, and always at depth 0.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Find the newest record at or before `guest_time_ns` — "roll back to
-    /// just before the attack started".
-    pub fn newest_at_or_before(&self, guest_time_ns: u64) -> Option<&CheckpointRecord> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.guest_time_ns <= guest_time_ns)
     }
 }
 
@@ -111,60 +85,35 @@ impl CheckpointHistory {
 mod tests {
     use super::*;
 
-    fn rec(epoch: u64, t: u64) -> CheckpointRecord {
+    fn rec(epoch: u64) -> CheckpointRecord {
+        let mut b = crimes_vm::Vm::builder();
+        b.pages(2048);
         CheckpointRecord {
             epoch,
-            guest_time_ns: t,
-            dirty_pages: 0,
             checksum: 0,
-            frames: None,
-            disk: None,
-            meta: None,
+            frames: Arc::new(Vec::new()),
+            disk: Arc::new(Vec::new()),
+            meta: b.build().meta_snapshot(),
         }
     }
 
     #[test]
     fn push_evicts_oldest_at_depth() {
-        let mut h = CheckpointHistory::new(2, false);
-        h.push(rec(1, 10));
-        h.push(rec(2, 20));
-        h.push(rec(3, 30));
+        let mut h = CheckpointHistory::new(2);
+        for epoch in 1..=3 {
+            h.push(|| rec(epoch));
+        }
         assert_eq!(h.len(), 2);
         let epochs: Vec<u64> = h.iter().map(|r| r.epoch).collect();
         assert_eq!(epochs, vec![2, 3]);
+        assert_eq!(h.latest().unwrap().epoch, 3);
     }
 
     #[test]
-    fn latest_is_newest() {
-        let mut h = CheckpointHistory::new(3, false);
-        assert!(h.latest().is_none());
+    fn zero_depth_keeps_nothing() {
+        let mut h = CheckpointHistory::new(0);
+        h.push(|| unreachable!("depth 0 builds no record"));
         assert!(h.is_empty());
-        h.push(rec(1, 10));
-        h.push(rec(2, 20));
-        assert_eq!(h.latest().unwrap().epoch, 2);
-    }
-
-    #[test]
-    fn newest_at_or_before_finds_covering_checkpoint() {
-        let mut h = CheckpointHistory::new(4, false);
-        h.push(rec(1, 10));
-        h.push(rec(2, 20));
-        h.push(rec(3, 30));
-        assert_eq!(h.newest_at_or_before(25).unwrap().epoch, 2);
-        assert_eq!(h.newest_at_or_before(30).unwrap().epoch, 3);
-        assert!(h.newest_at_or_before(5).is_none());
-    }
-
-    #[test]
-    fn retain_flag_is_exposed() {
-        assert!(CheckpointHistory::new(1, true).retains_images());
-        assert!(!CheckpointHistory::new(1, false).retains_images());
-        assert_eq!(CheckpointHistory::new(7, false).depth(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_depth_panics() {
-        CheckpointHistory::new(0, false);
+        assert!(h.latest().is_none());
     }
 }

@@ -223,7 +223,6 @@ struct StagingSlot {
     facts: Vec<RecordFacts>,
     sector_ids: Vec<u64>,
     sector_bytes: Vec<u8>,
-    guest_time_ns: u64,
     occupied: bool,
     /// Progress cursor, in **completed records**: staged pages whose
     /// full record — frame write, digest, facts, refcounts — is durable
@@ -248,7 +247,6 @@ impl StagingSlot {
             facts: Vec::with_capacity(num_pages),
             sector_ids: Vec::with_capacity(num_sectors),
             sector_bytes: Vec::with_capacity(num_sectors * SECTOR_SIZE),
-            guest_time_ns: 0,
             occupied: false,
             drained: 0,
         }
@@ -310,7 +308,6 @@ impl StagingArea {
             s.facts.clear();
             s.sector_ids.clear();
             s.sector_bytes.clear();
-            s.guest_time_ns = 0;
             s.occupied = true;
             s.drained = 0;
         }
@@ -381,10 +378,9 @@ impl StagingArea {
     /// Seal a staged slot after a passing verdict: record the page list
     /// (walk metadata — safe to copy after resume) in the MFN order the
     /// walk packed the pages in — unless a head start already listed it —
-    /// stamp the epoch's guest time, mint the next generation, and return
-    /// the drain ticket. Per-page digests are computed later, by the
-    /// drain itself.
-    pub fn seal(&mut self, slot: usize, mapped: &[MappedPage], guest_time_ns: u64) -> DrainTicket {
+    /// mint the next generation, and return the drain ticket. Per-page
+    /// digests are computed later, by the drain itself.
+    pub fn seal(&mut self, slot: usize, mapped: &[MappedPage]) -> DrainTicket {
         self.generation += 1;
         if let Some(s) = self.slots.get_mut(slot) {
             if s.entries.is_empty() {
@@ -394,7 +390,6 @@ impl StagingArea {
                 s.entries.sort_unstable_by_key(|&(_, mfn)| mfn);
             }
             debug_assert_eq!(s.entries.len(), mapped.len(), "the head start listed this walk");
-            s.guest_time_ns = guest_time_ns;
         }
         DrainTicket {
             slot,
@@ -481,11 +476,6 @@ impl StagingArea {
     /// Pages staged in the slot.
     pub(crate) fn entry_count(&self, slot: usize) -> usize {
         self.slots.get(slot).map(|s| s.entries.len()).unwrap_or(0)
-    }
-
-    /// The guest time stamped at seal (resume) time.
-    pub(crate) fn guest_time_ns(&self, slot: usize) -> u64 {
-        self.slots.get(slot).map(|s| s.guest_time_ns).unwrap_or(0)
     }
 
     /// One drain attempt: run each staged page through the page kernel
@@ -828,7 +818,7 @@ mod tests {
                 .expect("the one slot in flight");
             pool.head_start(|| {}, &mut job).expect("the worker answers");
         }
-        area.seal(slot, mapped, 42)
+        area.seal(slot, mapped)
     }
 
     #[test]
@@ -891,7 +881,7 @@ mod tests {
         let slot = area.claim().expect("a free slot");
         // No walk would stage this list (it refuses the geometry), so
         // the seal is the only place the mismatch can enter.
-        let ticket = area.seal(slot, &mapped, 42);
+        let ticket = area.seal(slot, &mapped);
         let mut syscalls = HypercallModel::new(2);
         assert!(matches!(
             area.drain_slot(ticket.slot(), &mut backup, 1, &mut syscalls, DrainOpts::default()),
@@ -985,13 +975,12 @@ mod tests {
         let slot = area.claim().expect("free slot");
         let sector = vec![0x5au8; SECTOR_SIZE];
         area.stage_sector(slot, 3, &sector);
-        let ticket = area.seal(slot, &[], 7);
+        let ticket = area.seal(slot, &[]);
         let got: Vec<(u64, Vec<u8>)> = area
             .sectors(ticket.slot())
             .map(|(id, b)| (id, b.to_vec()))
             .collect();
         assert_eq!(got, vec![(3, sector)]);
-        assert_eq!(area.guest_time_ns(ticket.slot()), 7);
         assert_eq!(area.entry_count(ticket.slot()), 0);
     }
 

@@ -70,9 +70,16 @@ impl Analyzer {
     /// return the VM is left wherever the deepest analysis step put it
     /// (the attack instant if replay ran) — callers roll back afterwards.
     ///
+    /// The dumps are captured once, on entry. When a later step fails,
+    /// `retry` sees the error and decides whether steps (2)–(4) run again
+    /// (replay re-restores from the backup, so they are restartable); a
+    /// retried attempt still diffs and reports the failure state captured
+    /// before the first replay moved `vm`.
+    ///
     /// # Errors
     ///
-    /// Fails if introspection over a dump fails or replay faults.
+    /// Fails if introspection over a dump fails or replay faults, and
+    /// `retry` declines another attempt.
     #[allow(clippy::too_many_arguments)]
     pub fn analyze(
         &self,
@@ -82,6 +89,7 @@ impl Analyzer {
         meta: &MetaSnapshot,
         epoch_ops: &[GuestOp],
         findings: Vec<ScanFinding>,
+        mut retry: impl FnMut(&CrimesError) -> bool,
     ) -> Result<Analysis, CrimesError> {
         // (1) Dumps around the attack.
         let symbols = self.replay.symbols();
@@ -94,57 +102,68 @@ impl Analyzer {
             meta.captured_at_ns(),
         );
 
-        // (2) Replay to pinpoint memory-evidence attacks. Replay is a
-        // refinement, not the evidence itself: when it diverges or hits
-        // transient introspection faults, the analysis degrades to a
-        // no-pinpoint report instead of failing the whole response.
-        let canary_target = findings
-            .iter()
-            .find_map(|f| f.detection.first_canary_target());
-        let (pinpoint, attack_instant, replay_degraded) = match canary_target {
-            Some((pid, canary_gva)) => {
-                match self.replay.pinpoint_canary_attack(
-                    vm,
-                    backup_frames,
-                    backup_disk,
-                    meta,
-                    epoch_ops,
-                    pid,
-                    canary_gva,
-                ) {
-                    Ok(pin) => {
-                        let dump = pin
-                            .is_some()
-                            .then(|| MemoryDump::from_vm(vm, symbols, DumpKind::AttackInstant));
-                        (pin, dump, None)
+        let mut attempt = || -> Result<_, CrimesError> {
+            // (2) Replay to pinpoint memory-evidence attacks. Replay is a
+            // refinement, not the evidence itself: when it diverges or
+            // hits transient introspection faults, the analysis degrades
+            // to a no-pinpoint report instead of failing the whole
+            // response.
+            let canary_target = findings
+                .iter()
+                .find_map(|f| f.detection.first_canary_target());
+            let (pinpoint, attack_instant, replay_degraded) = match canary_target {
+                Some((pid, canary_gva)) => {
+                    match self.replay.pinpoint_canary_attack(
+                        vm,
+                        backup_frames,
+                        backup_disk,
+                        meta,
+                        epoch_ops,
+                        pid,
+                        canary_gva,
+                    ) {
+                        Ok(pin) => {
+                            let dump = pin
+                                .is_some()
+                                .then(|| MemoryDump::from_vm(vm, symbols, DumpKind::AttackInstant));
+                            (pin, dump, None)
+                        }
+                        Err(CrimesError::ReplayDiverged { op_index }) => (
+                            None,
+                            None,
+                            Some(format!("replay diverged at trace op {op_index}")),
+                        ),
+                        Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => (
+                            None,
+                            None,
+                            Some("transient VMI read fault during replay".to_owned()),
+                        ),
+                        Err(e) => return Err(e),
                     }
-                    Err(CrimesError::ReplayDiverged { op_index }) => (
-                        None,
-                        None,
-                        Some(format!("replay diverged at trace op {op_index}")),
-                    ),
-                    Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => (
-                        None,
-                        None,
-                        Some("transient VMI read fault during replay".to_owned()),
-                    ),
-                    Err(e) => return Err(e),
                 }
-            }
-            None => (None, None, None),
+                None => (None, None, None),
+            };
+
+            // (3) Diff + plugin sweep.
+            let diff = DumpDiff::between(&last_good, &audit_failure)?;
+
+            // (4) The report.
+            let report = self.render_report(
+                &findings,
+                pinpoint.as_ref(),
+                replay_degraded.as_deref(),
+                &audit_failure,
+                &diff,
+            )?;
+            Ok((pinpoint, attack_instant, replay_degraded, diff, report))
         };
-
-        // (3) Diff + plugin sweep.
-        let diff = DumpDiff::between(&last_good, &audit_failure)?;
-
-        // (4) The report.
-        let report = self.render_report(
-            &findings,
-            pinpoint.as_ref(),
-            replay_degraded.as_deref(),
-            &audit_failure,
-            &diff,
-        )?;
+        let (pinpoint, attack_instant, replay_degraded, diff, report) = loop {
+            match attempt() {
+                Ok(done) => break done,
+                Err(e) if retry(&e) => {}
+                Err(e) => return Err(e),
+            }
+        };
 
         Ok(Analysis {
             findings,
@@ -318,7 +337,7 @@ mod tests {
         let ops = vm.trace_since(mark);
 
         let analysis = analyzer(&vm)
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, |_| false)
             .unwrap();
 
         let pin = analysis.pinpoint.expect("pinpoint");
@@ -354,7 +373,7 @@ mod tests {
             9,
         );
         let analysis = analyzer(&vm)
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, |_| false)
             .expect("analysis degrades instead of failing");
         assert!(analysis.pinpoint.is_none());
         assert!(analysis.dumps.attack_instant.is_none());
@@ -388,7 +407,7 @@ mod tests {
         let ops = vm.trace_since(mark);
 
         let analysis = analyzer(&vm)
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, |_| false)
             .unwrap();
 
         assert!(analysis.pinpoint.is_none(), "no replay for malware (§5.6)");
@@ -422,7 +441,7 @@ mod tests {
         }];
         let ops = vm.trace_since(mark);
         let analysis = analyzer(&vm)
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, |_| false)
             .unwrap();
         let text = analysis.report.to_text();
         assert!(text.contains("Hidden Process Anomalies"));
@@ -444,7 +463,7 @@ mod tests {
         }];
         let ops = vm.trace_since(mark);
         let analysis = analyzer(&vm)
-            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings)
+            .analyze(&mut vm, &frames, &disk, &meta, &ops, findings, |_| false)
             .unwrap();
         assert!(analysis.report.to_text().contains("syscall 99"));
     }

@@ -173,15 +173,11 @@ impl CrimesConfigBuilder {
         self
     }
 
-    /// Checkpoint-history depth (validated at [`build`](Self::build)).
+    /// Verified checkpoint generations kept for a fallback rollback when
+    /// the live backup fails its checksum. Each costs a full image and
+    /// disk copy per commit; the default, 0, keeps none.
     pub fn history_depth(&mut self, depth: usize) -> &mut Self {
         self.config.checkpoint.history_depth = depth;
-        self
-    }
-
-    /// Retain full images in the checkpoint history (memory-expensive).
-    pub fn retain_history_images(&mut self, retain: bool) -> &mut Self {
-        self.config.checkpoint.retain_history_images = retain;
         self
     }
 
@@ -289,7 +285,7 @@ impl CrimesConfigBuilder {
     /// # Errors
     ///
     /// [`CrimesError::InvalidConfig`] when the configuration is impossible:
-    /// a zero-length epoch, a zero history depth, a zero audit deadline,
+    /// a zero-length epoch, a zero audit deadline,
     /// an audit deadline longer than the epoch interval, a zero drain
     /// timeout with staging enabled, or a staged backlog that the staging
     /// buffers cannot hold.
@@ -298,11 +294,6 @@ impl CrimesConfigBuilder {
         if c.epoch_interval_ms == 0 {
             return Err(CrimesError::InvalidConfig(
                 "epoch interval must be positive".into(),
-            ));
-        }
-        if c.checkpoint.history_depth == 0 {
-            return Err(CrimesError::InvalidConfig(
-                "history depth must be at least 1".into(),
             ));
         }
         if c.checkpoint.pause_workers == 0 {
@@ -392,7 +383,6 @@ mod tests {
             .safety(SafetyMode::BestEffort)
             .opt_level(OptLevel::NoOpt)
             .history_depth(3)
-            .retain_history_images(true)
             .flight_recorder_epochs(4)
             .pause_workers(4)
             .staging_buffers(4)
@@ -409,7 +399,6 @@ mod tests {
         assert_eq!(c.safety, SafetyMode::BestEffort);
         assert_eq!(c.checkpoint.opt, OptLevel::NoOpt);
         assert_eq!(c.checkpoint.history_depth, 3);
-        assert!(c.checkpoint.retain_history_images);
         assert_eq!(c.flight_recorder_epochs, 4);
         assert_eq!(c.checkpoint.staging_buffers, 4);
         assert_eq!(c.checkpoint.drain_timeout_ms, 25);
@@ -472,10 +461,6 @@ mod tests {
             b.epoch_interval_ms(0);
         })
         .contains("epoch interval"));
-        assert!(reject(&|b| {
-            b.history_depth(0);
-        })
-        .contains("history depth"));
         assert!(reject(&|b| {
             b.audit_deadline_ms(0);
         })

@@ -1386,8 +1386,9 @@ impl Crimes {
     /// Fails when no incident is pending, or on introspection errors.
     /// Transient VMI read faults are retried up to
     /// [`CrimesConfig::vmi_retries`] times — an analysis pass is
-    /// restartable (replay re-restores from the backup) — before the
-    /// residual error surfaces. Even then the incident stays pending and
+    /// restartable (replay re-restores from the backup, and the dumps are
+    /// captured once, before the first replay) — before the residual
+    /// error surfaces. Even then the incident stays pending and
     /// [`Crimes::rollback_and_resume`] still contains it: forensics is
     /// best-effort, containment is not.
     pub fn investigate(&mut self) -> Result<Analysis, CrimesError> {
@@ -1397,36 +1398,32 @@ impl Crimes {
             .ok_or(CrimesError::InvalidState("no incident pending"))?;
         let ops = self.vm.trace_since(self.epoch_start_mark);
         let mut attempt = 0u32;
-        loop {
-            let result = self.analyzer.analyze(
-                &mut self.vm,
-                self.checkpointer.backup().frames(),
-                self.checkpointer.backup().disk(),
-                &self.last_good_meta,
-                &ops,
-                audit.findings.clone(),
-            );
-            match result {
-                Err(CrimesError::Vmi(VmiError::TransientReadFault))
-                    if attempt < self.config.vmi_retries =>
-                {
+        let mut analysis = self.analyzer.analyze(
+            &mut self.vm,
+            self.checkpointer.backup().frames(),
+            self.checkpointer.backup().disk(),
+            &self.last_good_meta,
+            &ops,
+            audit.findings,
+            |e| {
+                let again = matches!(e, CrimesError::Vmi(VmiError::TransientReadFault))
+                    && attempt < self.config.vmi_retries;
+                if again {
                     attempt += 1;
                     self.telemetry.add(Counter::VmiRetries, 1);
                     backoff_sleep(&*self.clock, attempt);
                 }
-                Ok(mut analysis) => {
-                    // The flight recorder's timeline is evidence too: what
-                    // the framework itself did in the epochs leading up to
-                    // the incident rides along in the report.
-                    analysis.report.push_section(
-                        "Framework flight recorder",
-                        &self.recorder.render_timeline(),
-                    );
-                    return Ok(analysis);
-                }
-                other => return other,
-            }
-        }
+                again
+            },
+        )?;
+        // The flight recorder's timeline is evidence too: what the
+        // framework itself did in the epochs leading up to the incident
+        // rides along in the report.
+        analysis.report.push_section(
+            "Framework flight recorder",
+            &self.recorder.render_timeline(),
+        );
+        Ok(analysis)
     }
 
     /// Resolve the pending incident: discard the attack epoch's buffered
@@ -1560,6 +1557,51 @@ mod tests {
         // The system keeps running clean epochs afterwards.
         let outcome = c.run_epoch(|_vm, _| Ok(())).expect("clean epoch");
         assert!(outcome.is_committed());
+    }
+
+    #[test]
+    fn a_retried_investigation_reports_the_failed_boundary_not_the_replay() {
+        // A pinpointing replay leaves the VM at the attack instant; the
+        // writes after the overflow make that differ from the boundary.
+        // Under transient read faults some seed retries the analysis after
+        // a replay: its failure dump must still be the boundary's state.
+        for seed in 0..64u64 {
+            let mut c = protected(50);
+            let secret = c.vm().canary_secret();
+            c.register_module(Box::new(CanaryScanModule::new(secret)));
+            let pid = c.vm_mut().spawn_process("victim", 0, 16).expect("spawn");
+            assert!(c.run_epoch(|_vm, _| Ok(())).expect("clean").is_committed());
+            let outcome = c
+                .run_epoch(|vm, _| {
+                    attacks::inject_heap_overflow(vm, pid, 64, 16)?;
+                    for page in 8..12 {
+                        vm.dirty_arena_page(pid, page, 0, 0xEE)?;
+                    }
+                    Ok(())
+                })
+                .expect("attack epoch completes the boundary");
+            assert!(matches!(outcome, EpochOutcome::AttackDetected { .. }));
+            let boundary = c.vm().memory().dump_frames();
+
+            let analysis = {
+                let _scope = install(
+                    FaultPlan::disabled().with_rate(FaultPoint::VmiRead, 200),
+                    seed,
+                );
+                c.investigate()
+            };
+            let retried = c.robustness_stats().vmi_retries > 0;
+            let Ok(analysis) = analysis else { continue };
+            if !retried || analysis.pinpoint.is_none() {
+                continue;
+            }
+            assert!(
+                analysis.dumps.audit_failure.memory().dump_frames() == boundary,
+                "seed {seed}: the retried failure dump is not the boundary's frames"
+            );
+            return;
+        }
+        panic!("no seed retried a pinpointed investigation");
     }
 
     #[test]
@@ -2032,10 +2074,7 @@ mod tests {
     #[test]
     fn deferred_drain_failure_never_releases_outputs() {
         let mut c = protected_with(50, |cfg| {
-            cfg.pause_workers(2)
-                .staging_buffers(1)
-                .history_depth(2)
-                .retain_history_images(true);
+            cfg.pause_workers(2).staging_buffers(1).history_depth(2);
         });
         c.register_module(Box::new(NoopScanModule::new()));
         let pid = c.vm_mut().spawn_process("app", 0, 8).expect("spawn");

@@ -6,8 +6,8 @@
 //! analysis never needs the live VM:
 //!
 //! * [`plugins`] — `pslist`, `psscan`, `psxview`, `procdump`, `netscan`,
-//!   `handles`, `linux_proc_map` reimplementations,
-//! * [`volatility`] — a run-plugin-by-name front end,
+//!   `handles`, `modscan` reimplementations, called directly by the
+//!   Analyzer and the async scans,
 //! * [`DumpDiff`] — clean-vs-attacked dump differencing (§3.3),
 //! * [`ReportBuilder`] — the §5.6-style security report.
 //!
@@ -42,12 +42,8 @@ pub mod diff;
 pub mod dump;
 pub mod plugins;
 pub mod report;
-pub mod timeline;
-pub mod volatility;
 
 pub use diff::DumpDiff;
 pub use dump::{DumpKind, MemoryDump};
-pub use plugins::{FileHandleInfo, ProcMapRegion, PsxviewRow, ScannedTask, SocketInfo};
+pub use plugins::{FileHandleInfo, PsxviewRow, ScannedTask, SocketInfo};
 pub use report::{ReportBuilder, SecurityReport};
-pub use timeline::{first_appearance, DumpPredicate, FirstAppearance, ModuleNamed, ProcessNamed, SocketTo};
-pub use volatility::{run_plugin, PluginError, PLUGIN_NAMES};

@@ -1,9 +1,10 @@
 //! Volatility-equivalent analysis plugins.
 //!
 //! §4.2 and §5.5–5.6 of the paper run `pslist`, `psscan`, `psxview`,
-//! `procdump`, `netscan`, `handles`, `linux_proc_map` and `linux_dump_map`
-//! over CRIMES' memory dumps. Each is reimplemented here over
-//! [`MemoryDump`]:
+//! `procdump`, `netscan`, `handles` and `linux_dump_map` over CRIMES'
+//! memory dumps. Those this system reads are reimplemented here over
+//! [`MemoryDump`] and called directly: the Analyzer, its report and the
+//! async scans want rows, not a run-by-name front end.
 //!
 //! * [`pslist`] — walk the task list (fast, fooled by DKOM),
 //! * [`psscan`] — heuristic sweep of *all* physical memory for task-struct
@@ -14,7 +15,7 @@
 //! * [`procdump`] — extract one process's user memory for sandbox analysis,
 //! * [`netscan`] — sweep the socket table,
 //! * [`handles`] — sweep the open-file table,
-//! * [`proc_maps`] — list a process's user mappings.
+//! * [`modscan`] — sweep the module slab.
 
 use crimes_vm::kernel::{TaskState, TcpState};
 use crimes_vm::layout::{
@@ -109,17 +110,6 @@ pub struct FileHandleInfo {
     pub pid: u32,
     /// Path.
     pub path: String,
-}
-
-/// One user mapping reported by [`proc_maps`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProcMapRegion {
-    /// Region start (user GVA).
-    pub start: Gva,
-    /// Region end, exclusive.
-    pub end: Gva,
-    /// Region length in bytes.
-    pub len: u64,
 }
 
 /// Walk the task list of a dump (Volatility `pslist` / `linux_pslist`).
@@ -297,27 +287,6 @@ pub fn handles(
         });
     }
     Ok(files)
-}
-
-/// List a process's user mappings (Volatility `linux_proc_map`).
-///
-/// # Errors
-///
-/// Fails if the pid is not visible.
-pub fn proc_maps(
-    session: &VmiSession,
-    _dump: &MemoryDump,
-    pid: u32,
-) -> Result<Vec<ProcMapRegion>, VmiError> {
-    let space = session
-        .address_space(pid)
-        .ok_or(VmiError::NoSuchTask(pid))?;
-    let (start, len) = (space.virt_base.unguarded(), space.len.unguarded());
-    Ok(vec![ProcMapRegion {
-        start,
-        end: Gva(start.0.saturating_add(len)),
-        len,
-    }])
 }
 
 /// Sweep the module slab for module structs (Volatility `modscan`): sees
@@ -524,17 +493,6 @@ mod tests {
         let only_b = handles(&session, &dump, Some(b)).unwrap();
         assert_eq!(only_b.len(), 1);
         assert_eq!(only_b[0].path, "/tmp/loot.txt");
-    }
-
-    #[test]
-    fn proc_maps_reports_the_arena() {
-        let mut vm = vm();
-        let pid = vm.spawn_process("app", 0, 8).unwrap();
-        let (dump, session) = dump_and_session(&vm);
-        let maps = proc_maps(&session, &dump, pid).unwrap();
-        assert_eq!(maps.len(), 1);
-        assert_eq!(maps[0].len, 8 * PAGE_SIZE as u64);
-        assert_eq!(maps[0].end.0 - maps[0].start.0, maps[0].len);
     }
 
     #[test]

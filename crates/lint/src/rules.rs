@@ -10,16 +10,14 @@ use crate::{Diagnostic, LintConfig, Manifest};
 
 pub(crate) const PANIC_FREEDOM: &str = "panic-freedom";
 pub(crate) const PAUSE_WINDOW: &str = "pause-window";
-pub(crate) const FAULT_COVERAGE: &str = "fault-coverage";
 pub(crate) const ERROR_TAXONOMY: &str = "error-taxonomy";
 pub(crate) const HERMETICITY: &str = "hermeticity";
 pub(crate) const TELEMETRY_PURITY: &str = "telemetry-purity";
 
 /// Every rule name the suppression syntax accepts.
-pub const ALL_RULES: [&str; 6] = [
+pub const ALL_RULES: [&str; 5] = [
     PANIC_FREEDOM,
     PAUSE_WINDOW,
-    FAULT_COVERAGE,
     ERROR_TAXONOMY,
     HERMETICITY,
     TELEMETRY_PURITY,
@@ -186,7 +184,7 @@ pub(crate) fn pause_window(files: &[SourceFile]) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 6: telemetry purity. The observability layer must observe the
+/// Rule 5: telemetry purity. The observability layer must observe the
 /// pause window, not perturb it: code reachable from a
 /// `// lint: pause-window` root may call the preallocated alloc-free
 /// recording APIs (`record*`, `add`), but must not construct telemetry
@@ -245,89 +243,7 @@ pub(crate) fn telemetry_purity(files: &[SourceFile]) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 3: every named fault point is wired (a `should_inject` call site
-/// outside `crates/faults`) and soaked (mentioned in the soak test) —
-/// otherwise the soak's "all points fired" assertion is vacuous for it.
-pub(crate) fn fault_coverage(files: &[SourceFile], config: &LintConfig) -> Vec<Diagnostic> {
-    let Some(faults) = files.iter().find(|f| f.rel_path == config.faults_lib) else {
-        return Vec::new(); // no fault crate in this tree: nothing to check
-    };
-    let soak = files.iter().find(|f| f.rel_path == config.soak_test);
-    let mut out = Vec::new();
-    for variant in fault_variants(faults) {
-        let injected = files.iter().any(|f| {
-            f.rel_path.starts_with("crates/")
-                && !f.rel_path.starts_with("crates/faults/")
-                && has_injection_site(f, &variant.text)
-        });
-        if !injected {
-            out.push(diag(
-                FAULT_COVERAGE,
-                faults,
-                variant,
-                format!(
-                    "fault point `{}` has no `should_inject` call site outside crates/faults",
-                    variant.text
-                ),
-            ));
-        }
-        let soaked = soak.is_some_and(|s| s.tokens.iter().any(|t| t.is(&variant.text)));
-        if !soaked {
-            out.push(diag(
-                FAULT_COVERAGE,
-                faults,
-                variant,
-                format!(
-                    "fault point `{}` is never exercised in {}",
-                    variant.text, config.soak_test
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// The variant tokens inside `pub const ALL: [FaultPoint; N] = [ … ];`.
-fn fault_variants(file: &SourceFile) -> Vec<&Token> {
-    let toks = &file.tokens;
-    let Some(all_at) = toks
-        .iter()
-        .position(|t| t.is("ALL"))
-        .filter(|&i| i > 0 && toks[i - 1].is("const"))
-    else {
-        return Vec::new();
-    };
-    let Some(open) = (all_at..toks.len()).find(|&i| toks[i].is_punct("=")) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for i in open..toks.len() {
-        if toks[i].is_punct(";") {
-            break;
-        }
-        if matches_seq(toks, i, &["FaultPoint", ":", ":"]) {
-            if let Some(v) = toks.get(i + 3).filter(|t| t.kind == TokenKind::Ident) {
-                out.push(v);
-            }
-        }
-    }
-    out
-}
-
-/// A production `should_inject(… FaultPoint::Variant …)` site in `file`.
-fn has_injection_site(file: &SourceFile, variant: &str) -> bool {
-    let toks = &file.tokens;
-    (0..toks.len()).any(|i| {
-        toks[i].is("should_inject")
-            && !file.test_mask[i]
-            && (i..(i + 8).min(toks.len())).any(|j| {
-                matches_seq(toks, j, &["FaultPoint", ":", ":"])
-                    && toks.get(j + 3).is_some_and(|t| t.is(variant))
-            })
-    })
-}
-
-/// Rule 4: typed errors only in public library signatures. `Box<dyn
+/// Rule 3: typed errors only in public library signatures. `Box<dyn
 /// Error>` (and `.into()` conversions to it) erase which failure happened
 /// — exactly what the fail-closed dispatch in the framework switches on.
 pub(crate) fn error_taxonomy(files: &[SourceFile]) -> Vec<Diagnostic> {
@@ -386,7 +302,7 @@ pub(crate) fn error_taxonomy(files: &[SourceFile]) -> Vec<Diagnostic> {
     out
 }
 
-/// Rule 5: hermeticity. No registry dependencies in any manifest, and no
+/// Rule 4: hermeticity. No registry dependencies in any manifest, and no
 /// wall-clock reads in test code outside the blessed timing harness.
 pub(crate) fn hermeticity(
     files: &[SourceFile],

@@ -31,7 +31,7 @@ echo "==> journal replay determinism (crash harness, release)"
 # to the previous boundary, and no output may release before its ack.
 cargo test --release --offline -q --test crash_recovery
 
-echo "==> crimes-lint: panic-freedom, pause-window, fault-coverage, taxonomy, hermeticity, telemetry-purity"
+echo "==> crimes-lint: panic-freedom, pause-window, taxonomy, hermeticity, telemetry-purity"
 # One analyzer replaces the old grep gates: crimes-lint walks the whole
 # tree and checks the invariants rustc cannot (see DESIGN.md "Static
 # guarantees"; journal-first and release-on-receipt are not among them:
@@ -64,7 +64,7 @@ echo "${UNSAFE_SITES}" | sed 's/^/    /'
 test "$(echo "${UNSAFE_SITES}" | grep -c .)" -eq 1
 echo "${UNSAFE_SITES}" | grep -q '^crates/checkpoint/src/resident.rs:'
 
-echo "==> guest-bytes escape budget: at most 16 Guest::unguarded sites"
+echo "==> guest-bytes escape budget: at most 14 Guest::unguarded sites"
 # Every host read of guest memory returns a crimes_vm::Guest<T>, and rustc
 # keeps a guest value from sizing, indexing or doing arithmetic unchecked
 # (DESIGN.md "Guest bytes as a type"). `unguarded()` is the one escape,
@@ -74,7 +74,7 @@ echo "==> guest-bytes escape budget: at most 16 Guest::unguarded sites"
 UNGUARDED_SITES="$(grep -rnoE '\bunguarded\(\)|Guest::unguarded' --include='*.rs' \
     src crates tests examples | grep -v '^crates/vm/src/guest.rs:' || true)"
 echo "${UNGUARDED_SITES}" | sed 's/^/    /'
-test "$(echo "${UNGUARDED_SITES}" | grep -c .)" -le 16
+test "$(echo "${UNGUARDED_SITES}" | grep -c .)" -le 14
 
 echo "==> benches compile (in-tree harness, no criterion)"
 cargo bench --no-run --offline

@@ -75,7 +75,6 @@ fn tenant(seed: u64) -> (Crimes, u32) {
     let mut cfg = CrimesConfig::builder();
     cfg.epoch_interval_ms(10);
     cfg.history_depth(3);
-    cfg.retain_history_images(true);
     match seed % 3 {
         0 => {
             cfg.pause_workers(4);
@@ -596,7 +595,6 @@ fn one_soak(
     let mut cfg = CrimesConfig::builder();
     cfg.epoch_interval_ms(10)
         .history_depth(3)
-        .retain_history_images(true)
         .pause_workers(pause_workers)
         .staging_buffers(staging_buffers)
         .delta_threshold(64)

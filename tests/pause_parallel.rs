@@ -110,9 +110,9 @@ fn drive(workers: usize, placement: Placement, script: &[EpochScript]) -> Finger
                 assert_eq!(disk, c.vm().disk().dump().as_slice(), "workers={workers}");
                 assert!(cp.verify_backup().is_ok(), "workers={workers}");
                 assert_eq!(
-                    cp.history().latest().expect("committed").checksum,
+                    cp.integrity().combined(),
                     image_digest(frames, disk),
-                    "workers={workers}: history checksum is not the image's"
+                    "workers={workers}: commit checksum is not the image's"
                 );
             }
             EpochOutcome::AttackDetected { audit, .. } => {

@@ -45,7 +45,6 @@ fn tenant(seed: u64) -> (Crimes, u32) {
     let mut cfg = CrimesConfig::builder();
     cfg.epoch_interval_ms(10);
     cfg.history_depth(3);
-    cfg.retain_history_images(true);
     cfg.pause_workers(if seed % 2 == 0 { 4 } else { 1 });
     let cfg = cfg.build().expect("valid config");
     let mut c = loop {

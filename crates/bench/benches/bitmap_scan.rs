@@ -23,11 +23,13 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for gib in [1usize, 4] {
         let bm = bitmap_of(gib, 0.01);
+        // The checkpointer's page list: room for every page, reused.
+        let mut dirty = Vec::with_capacity(bm.num_pages());
         group.bench_with_input(BenchmarkId::new("bit_by_bit", gib), &bm, |b, bm| {
-            b.iter(|| scan_bit_by_bit(std::hint::black_box(bm)))
+            b.iter(|| scan_bit_by_bit(std::hint::black_box(bm), &mut dirty))
         });
         group.bench_with_input(BenchmarkId::new("wordwise", gib), &bm, |b, bm| {
-            b.iter(|| scan_wordwise(std::hint::black_box(bm)))
+            b.iter(|| scan_wordwise(std::hint::black_box(bm), &mut dirty))
         });
     }
     group.finish();

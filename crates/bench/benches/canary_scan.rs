@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
         });
 
         // Dirty-scoped: only one page dirtied — the common per-epoch case.
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         let pid = 1;
         let obj = vm.malloc(pid, 64).unwrap();
         vm.write_user(pid, obj, &[1u8; 64], 0).unwrap();

@@ -76,7 +76,7 @@ pub fn run_backup_placement(epochs: u32) -> BackupPlacement {
         builder.pages(crate::runtime::PARSEC_GUEST_PAGES).seed(13);
         let mut vm = builder.build();
         let mut workload = ParsecWorkload::launch(&mut vm, p, 13).expect("launch");
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         let mut cp = Checkpointer::new(&vm, config);
         let (mut pause_ns, mut copy_ns) = (0u64, 0u64);
         for _ in 0..epochs {
@@ -142,7 +142,7 @@ pub fn run_canary_scoping(canaries: usize, iters: u32) -> CanaryScoping {
     let scanner = CanaryScanner::new(vm.canary_secret());
 
     // One "epoch" of activity touching a few pages.
-    vm.memory_mut().take_dirty();
+    vm.memory_mut().clear_dirty();
     let obj = vm.malloc(pid, 64).expect("malloc");
     vm.write_user(pid, obj, &[1u8; 64], 0).expect("write");
     session

@@ -71,7 +71,7 @@ fn tenant(seed: u64) -> (Crimes, u32) {
         let mut b = Vm::builder();
         b.pages(1024).seed(seed);
         let vm = b.build();
-        match Crimes::protect(vm, cfg.clone()) {
+        match Crimes::protect(vm, cfg) {
             Ok(c) => break c,
             Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => continue,
             Err(e) => panic!("protect failed hard: {e}"),

@@ -19,8 +19,8 @@
 //! of one committed boundary, timed over a long loop, may cost at most
 //! [`RECORDING_BUDGET_PCT`] of the tenant's mean boundary as its own
 //! phase histograms report it (recording is never compiled out, so that
-//! is the instrumented number). Recording is fixed-slot arithmetic, which
-//! the `telemetry-purity` lint rule enforces; the ratio reads ≈ 0.003 %.
+//! is the instrumented number). Recording is fixed-slot arithmetic, held
+//! to no allocation by `tests/pause_alloc.rs`; the ratio reads ≈ 0.003 %.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -119,7 +119,7 @@ fn tenant(seed: u64) -> (Crimes, u32) {
         let mut b = Vm::builder();
         b.pages(1024).seed(seed);
         let vm = b.build();
-        match Crimes::protect(vm, cfg.clone()) {
+        match Crimes::protect(vm, cfg) {
             Ok(c) => break c,
             Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => continue,
             Err(e) => panic!("protect failed hard: {e}"),
@@ -291,7 +291,7 @@ mod tests {
         let r = run(300, 0x7e1e_5eed);
         let committed = r.telemetry.counter(Counter::EpochsCommitted);
         assert!(committed > 30, "epochs commit before any quarantine: {committed}");
-        assert!(r.recorder.len() > 0, "the recorder saw the run");
+        assert!(!r.recorder.is_empty(), "the recorder saw the run");
         for key in ["\"schema_version\":1", "\"counters\"", "\"events\""] {
             assert!(r.json.contains(key), "missing {key}");
         }

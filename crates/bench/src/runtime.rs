@@ -95,7 +95,7 @@ pub fn run_parsec(
     let mut vm = builder.build();
     let mut workload = ParsecWorkload::launch(&mut vm, profile, seed)?;
     // Boot + spawn writes are not part of the measured epochs.
-    vm.memory_mut().take_dirty();
+    vm.memory_mut().clear_dirty();
     let mut cp = Checkpointer::new(
         &vm,
         CheckpointConfig {
@@ -140,7 +140,7 @@ pub fn run_web(
     builder.pages(8_192).seed(seed);
     let mut vm = builder.build();
     let mut workload = WebServerWorkload::launch(&mut vm, intensity, seed)?;
-    vm.memory_mut().take_dirty();
+    vm.memory_mut().clear_dirty();
     let mut cp = Checkpointer::new(
         &vm,
         CheckpointConfig {

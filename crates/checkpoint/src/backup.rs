@@ -256,7 +256,6 @@ impl BackupVm {
     /// # Panics
     ///
     /// Panics if `mfn` is out of range or `data` is not one page.
-    // lint: pause-window
     pub fn store_frame(&mut self, mfn: Mfn, data: &[u8]) {
         assert_eq!(data.len(), PAGE_SIZE, "backup frames are page sized");
         let base = self.offset(mfn);
@@ -286,9 +285,8 @@ impl BackupVm {
     }
 
     /// Record the vCPU state captured at suspend time.
-    // lint: pause-window
     pub fn save_vcpus(&mut self, vcpus: &VcpuSet) {
-        self.vcpus = vcpus.clone();
+        self.vcpus.clone_from(vcpus);
     }
 
     /// The saved vCPU state.

@@ -21,19 +21,28 @@ pub enum BitmapScan {
 }
 
 impl BitmapScan {
-    /// Collect the dirty PFNs using this strategy.
-    // lint: pause-window
+    /// Collect the dirty PFNs using this strategy, in a new list.
     pub fn scan(self, bitmap: &DirtyBitmap) -> Vec<Pfn> {
+        let mut dirty = Vec::new();
+        self.scan_into(bitmap, &mut dirty);
+        dirty
+    }
+
+    /// Replace `dirty`'s contents with the dirty PFNs, ascending. With
+    /// room for every page of the bitmap, as the checkpointer's list has,
+    /// nothing allocates.
+    pub fn scan_into(self, bitmap: &DirtyBitmap, dirty: &mut Vec<Pfn>) {
         match self {
-            BitmapScan::BitByBit => scan_bit_by_bit(bitmap),
-            BitmapScan::WordWise => scan_wordwise(bitmap),
+            BitmapScan::BitByBit => scan_bit_by_bit(bitmap, dirty),
+            BitmapScan::WordWise => scan_wordwise(bitmap, dirty),
         }
     }
 }
 
-/// Test every bit position individually, exactly like unmodified Remus.
-pub fn scan_bit_by_bit(bitmap: &DirtyBitmap) -> Vec<Pfn> {
-    let mut dirty = Vec::new();
+/// Test every bit position individually, exactly like unmodified Remus;
+/// fills `dirty` as [`BitmapScan::scan_into`] does.
+pub fn scan_bit_by_bit(bitmap: &DirtyBitmap, dirty: &mut Vec<Pfn>) {
+    dirty.clear();
     let words = bitmap.words();
     let num_pages = bitmap.num_pages();
     for page in 0..num_pages {
@@ -44,12 +53,12 @@ pub fn scan_bit_by_bit(bitmap: &DirtyBitmap) -> Vec<Pfn> {
             dirty.push(Pfn(page as u64));
         }
     }
-    dirty
 }
 
-/// Skip clean machine words; only expand bits inside non-zero words.
-pub fn scan_wordwise(bitmap: &DirtyBitmap) -> Vec<Pfn> {
-    let mut dirty = Vec::new();
+/// Skip clean machine words; only expand bits inside non-zero words;
+/// fills `dirty` as [`BitmapScan::scan_into`] does.
+pub fn scan_wordwise(bitmap: &DirtyBitmap, dirty: &mut Vec<Pfn>) {
+    dirty.clear();
     let num_pages = bitmap.num_pages();
     for (wi, &word) in bitmap.words().iter().enumerate() {
         if word == 0 {
@@ -65,7 +74,6 @@ pub fn scan_wordwise(bitmap: &DirtyBitmap) -> Vec<Pfn> {
             w &= w - 1;
         }
     }
-    dirty
 }
 
 #[cfg(test)]
@@ -84,15 +92,15 @@ mod tests {
     #[test]
     fn both_strategies_find_nothing_on_clean_bitmap() {
         let bm = DirtyBitmap::new(10_000);
-        assert!(scan_bit_by_bit(&bm).is_empty());
-        assert!(scan_wordwise(&bm).is_empty());
+        assert!(BitmapScan::BitByBit.scan(&bm).is_empty());
+        assert!(BitmapScan::WordWise.scan(&bm).is_empty());
     }
 
     #[test]
     fn both_strategies_agree_on_scattered_pages() {
         let bm = bitmap_with(1000, &[0, 1, 63, 64, 65, 512, 999]);
-        let a = scan_bit_by_bit(&bm);
-        let b = scan_wordwise(&bm);
+        let a = BitmapScan::BitByBit.scan(&bm);
+        let b = BitmapScan::WordWise.scan(&bm);
         assert_eq!(a, b);
         assert_eq!(a.len(), 7);
     }
@@ -100,7 +108,7 @@ mod tests {
     #[test]
     fn results_are_sorted_ascending() {
         let bm = bitmap_with(1000, &[999, 0, 512]);
-        let got = scan_wordwise(&bm);
+        let got = BitmapScan::WordWise.scan(&bm);
         let mut sorted = got.clone();
         sorted.sort();
         assert_eq!(got, sorted);
@@ -111,15 +119,21 @@ mod tests {
         let pages = 257; // deliberately not word aligned
         let all: Vec<u64> = (0..pages as u64).collect();
         let bm = bitmap_with(pages, &all);
-        assert_eq!(scan_bit_by_bit(&bm).len(), pages);
-        assert_eq!(scan_wordwise(&bm).len(), pages);
+        assert_eq!(BitmapScan::BitByBit.scan(&bm).len(), pages);
+        assert_eq!(BitmapScan::WordWise.scan(&bm).len(), pages);
     }
 
     #[test]
-    fn enum_dispatch_matches_free_functions() {
+    fn scan_into_replaces_the_list_within_its_capacity() {
         let bm = bitmap_with(500, &[3, 100, 499]);
-        assert_eq!(BitmapScan::BitByBit.scan(&bm), scan_bit_by_bit(&bm));
-        assert_eq!(BitmapScan::WordWise.scan(&bm), scan_wordwise(&bm));
+        for strategy in [BitmapScan::BitByBit, BitmapScan::WordWise] {
+            let mut dirty = Vec::with_capacity(500);
+            dirty.push(Pfn(7));
+            let room = dirty.as_ptr();
+            strategy.scan_into(&bm, &mut dirty);
+            assert_eq!(dirty, [Pfn(3), Pfn(100), Pfn(499)], "{strategy:?}");
+            assert_eq!(dirty.as_ptr(), room, "{strategy:?} reused the list");
+        }
     }
 
     #[test]
@@ -139,7 +153,7 @@ mod tests {
                     bm.mark(Pfn(p));
                 }
             }
-            assert_eq!(scan_bit_by_bit(&bm), scan_wordwise(&bm));
+            assert_eq!(BitmapScan::BitByBit.scan(&bm), BitmapScan::WordWise.scan(&bm));
         });
     }
 
@@ -152,7 +166,7 @@ mod tests {
             for p in &dirty {
                 bm.mark(Pfn(*p));
             }
-            let scanned = scan_wordwise(&bm);
+            let scanned = BitmapScan::WordWise.scan(&bm);
             let from_iter: Vec<Pfn> = bm.iter().collect();
             assert_eq!(&scanned, &from_iter);
             assert_eq!(scanned.len(), bm.count());

@@ -27,6 +27,10 @@
 //! the source: encoding changes what the wire ships, never what the backup
 //! holds. Fault points live at the shard level, in the pool.
 
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use crimes_vm::PAGE_SIZE;
 
 use crate::delta::{page_kernel, scan_page, wire_len_for};
@@ -173,7 +177,6 @@ fn apply_runs(dst: &mut [u8], record: &[u8]) {
 }
 
 impl FusedPageVisitor for PageCopier {
-    // lint: pause-window
     fn visit_page(&self, ctx: &PageCtx<'_>, sink: &mut ShardSink<'_>) {
         match (self.wire, self.threshold_words) {
             // The per-page cost of a local backup: no scan, no cipher.
@@ -249,7 +252,7 @@ mod tests {
         let mut vm = b.build();
         let pid = vm.spawn_process("app", 0, 32).unwrap();
         let old_gen = BackupVm::new(&vm);
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         for i in 0..16 {
             vm.dirty_arena_page(pid, i, i * 7, i as u8).unwrap();
         }
@@ -351,7 +354,8 @@ mod tests {
             vm.dirty_arena_page(pid, i, 0, 0xa5).unwrap();
         }
         let old_gen = BackupVm::new(&vm);
-        let pages: Vec<Pfn> = vm.memory_mut().take_dirty().iter().collect();
+        let pages: Vec<Pfn> = vm.memory().dirty().iter().collect();
+        vm.memory_mut().clear_dirty();
         let [zeroed, same, crossing, scattered, churned] = pages[..5] else {
             panic!("five arena pages were dirtied");
         };

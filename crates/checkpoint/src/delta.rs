@@ -36,6 +36,10 @@
 //! `Lanes` over the full plaintext the backup ends up holding, so image
 //! digests are bit-identical whether pages travelled encoded or raw.
 
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use crimes_vm::PAGE_SIZE;
 
 use crate::integrity::Lanes;

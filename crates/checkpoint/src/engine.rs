@@ -44,6 +44,10 @@
 //! checksum-verified state, falling back through retained history
 //! generations when the live backup is silently corrupt.
 
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -59,7 +63,7 @@ use crate::copy::{CopyStats, CopyStrategy, PageCopier};
 use crate::error::CheckpointError;
 use crate::history::{CheckpointHistory, CheckpointRecord};
 use crate::integrity::{image_digest, FusedDigest, ImageDigest};
-use crate::mapping::{HypercallModel, Mapper, MappingStrategy};
+use crate::mapping::{HypercallModel, MappedPage, Mapper, MappingStrategy};
 use crate::pool::{FusedAudit, FusedPageVisitor, NoopVisitor, PageFinding, PauseWindowPool};
 use crate::staging::{DrainOpts, DrainTicket, StagingArea};
 
@@ -493,6 +497,13 @@ pub struct Checkpointer {
     /// report through [`worker_stats`](Self::worker_stats) exactly like
     /// walks on the private one.
     last_walk: Vec<(usize, CopyStats)>,
+    /// The window's working set, sized for the whole guest at attach so no
+    /// boundary allocates: the epoch's dirty pages and sectors (swapped
+    /// out of the guest's logs), its page list and their mapping.
+    dirty: DirtyBitmap,
+    dirty_sectors: DirtyBitmap,
+    dirty_pfns: Vec<Pfn>,
+    mapped: Vec<MappedPage>,
 }
 
 impl Checkpointer {
@@ -567,6 +578,10 @@ impl Checkpointer {
             sched: HypercallModel::default(),
             drain_session_failures: 0,
             last_walk: Vec::new(),
+            dirty: DirtyBitmap::new(num_pages),
+            dirty_sectors: DirtyBitmap::new(vm.disk().sectors()),
+            dirty_pfns: Vec::with_capacity(num_pages),
+            mapped: Vec::with_capacity(num_pages),
         }
     }
 
@@ -699,6 +714,10 @@ impl Checkpointer {
             clock,
             sched,
             last_walk,
+            dirty,
+            dirty_sectors,
+            dirty_pfns,
+            mapped,
             ..
         } = self;
         let config = *config;
@@ -742,19 +761,19 @@ impl Checkpointer {
             sched.call();
         }
         vm.vcpus_mut().pause_all();
-        let dirty = vm.memory_mut().take_dirty();
+        vm.memory_mut().take_dirty(dirty);
         end(Phase::Suspend);
 
         // --- vmi, first half: stage the page-scoped scan ------------------
-        audit.stage(vm, &dirty);
+        audit.stage(vm, dirty);
         end(Phase::Vmi);
 
         // --- bitscan ------------------------------------------------------
-        let dirty_pfns: Vec<Pfn> = config.opt.bitmap_scan().scan(&dirty);
+        config.opt.bitmap_scan().scan_into(dirty, dirty_pfns);
         end(Phase::Bitscan);
 
         // --- map ----------------------------------------------------------
-        let mapped = mapper.map_epoch(vm, &dirty_pfns);
+        mapper.map_epoch(vm, dirty_pfns, mapped);
         end(Phase::Map);
 
         // --- walk: copy + digest + scan in one sharded pass ---------------
@@ -783,9 +802,9 @@ impl Checkpointer {
                             in_flight: area.in_flight(),
                         });
                     };
-                    pool.run_staging(vm.memory(), area.frames_mut(slot), &mapped, &visitors)
+                    pool.run_staging(vm.memory(), area.frames_mut(slot), mapped, &visitors)
                 }
-                None => pool.run(vm.memory(), backup, &mapped, &visitors),
+                None => pool.run(vm.memory(), backup, mapped, &visitors),
             };
             copy_attempts += 1;
             match attempt {
@@ -812,19 +831,19 @@ impl Checkpointer {
         let outcome = walked.map(|copy| {
             last_walk.clear();
             last_walk.extend(pool.worker_stats());
-            (copy, audit.verdict(vm, &dirty, pool.findings()))
+            (copy, audit.verdict(vm, dirty, pool.findings()))
         });
         end(Phase::Vmi);
 
-        let dirty_sectors = match outcome {
+        let passed = match outcome {
             // Pass, guest still paused: the epoch's dirty sectors ride
             // along (the disk-snapshot extension, §3.1) — the guest may
             // overwrite them the instant it resumes — and the registers
             // are saved now that they are known to belong to a clean
             // epoch.
             Ok((_, AuditVerdict::Pass)) => {
-                let sectors = vm.disk_mut().take_dirty();
-                for sector in sectors.iter() {
+                vm.disk_mut().take_dirty(dirty_sectors);
+                for sector in dirty_sectors.iter() {
                     let bytes = vm.disk().read_sector(sector.0);
                     match staging.as_mut().zip(slot) {
                         Some((area, slot)) => area.stage_sector(slot, sector.0, bytes),
@@ -832,7 +851,7 @@ impl Checkpointer {
                     }
                 }
                 backup.save_vcpus(vm.vcpus());
-                Some(sectors)
+                true
             }
             // Anything else rejects the epoch: free the slot, or roll the
             // walk back from the undo log, so the backup is bit-exactly
@@ -846,15 +865,15 @@ impl Checkpointer {
                     (None, _) => pool.rollback_walk(backup),
                 }
                 if !matches!(outcome, Ok((_, AuditVerdict::Fail))) {
-                    remark_dirty(vm, &dirty);
+                    remark_dirty(vm, dirty);
                 }
-                None
+                false
             }
         };
         end(Phase::Copy);
 
         // --- resume (includes the per-epoch unmap on Remus-style paths) ---
-        mapper.unmap_epoch(&mapped);
+        mapper.unmap_epoch(mapped);
         // A walk that never completed fails closed here: guest suspended,
         // nothing committed.
         let (copy, verdict) = outcome?;
@@ -864,7 +883,7 @@ impl Checkpointer {
             // the pool's workers, if it has any, runs the drain's
             // read-only half over them while this thread spins out the
             // resume.
-            let mut sealing = staging.as_mut().zip(slot).filter(|_| dirty_sectors.is_some());
+            let mut sealing = staging.as_mut().zip(slot).filter(|_| passed);
             let calls = config.resume_hypercalls + 2 * vm.vcpus().len() as u32;
             let mut resume = || {
                 for _ in 0..calls {
@@ -892,8 +911,8 @@ impl Checkpointer {
                 if let Some((area, slot)) = sealing {
                     area.release(slot);
                 }
-                remark_dirty(vm, &dirty);
-                for sector in dirty_sectors.iter().flat_map(DirtyBitmap::iter) {
+                remark_dirty(vm, dirty);
+                for sector in dirty_sectors.iter().filter(|_| passed) {
                     vm.disk_mut().mark_dirty(sector.0);
                 }
                 return Err(lost);
@@ -904,12 +923,12 @@ impl Checkpointer {
 
         // --- after resume: commit, or seal for the drain ------------------
         let mut pending = None;
-        if let Some(sectors) = dirty_sectors {
+        if passed {
             match staging.as_mut().zip(slot) {
                 // The page list is walk metadata, not guest state, so
                 // copying it after resume is safe and keeps the window to
                 // scan + memcpy. Digests are the drain's job.
-                Some((area, slot)) => pending = Some(area.seal(slot, &mapped)),
+                Some((area, slot)) => pending = Some(area.seal(slot, mapped)),
                 // The copied pages and sectors are authoritative: fold
                 // them into the incremental image digest (O(dirty), XOR —
                 // so the shard layout cannot change the checksum). The
@@ -919,7 +938,7 @@ impl Checkpointer {
                     for (index, page_digest) in pool.page_digests() {
                         integrity.apply_page_digest(index, page_digest);
                     }
-                    for sector in sectors.iter() {
+                    for sector in dirty_sectors.iter() {
                         integrity.update_sector(sector.0 as usize, backup.sector(sector.0));
                     }
                     commit(backup, integrity, history, vm);

@@ -26,6 +26,10 @@
 //! page, a serial multiply chain is latency-bound, and a byte-at-a-time
 //! FNV costs more than the page copy it accompanies.
 
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use crimes_vm::{PAGE_SIZE, SECTOR_SIZE};
 
 use crate::pool::{FusedPageVisitor, PageCtx, ShardSink};
@@ -254,10 +258,11 @@ impl ImageDigest {
     /// # Panics
     ///
     /// Panics if `index` is out of range or `bytes` is not one page.
+    #[expect(clippy::indexing_slicing, reason = "an index in range is the documented `# Panics` contract")]
     pub fn update_page(&mut self, index: usize, bytes: &[u8]) {
         assert_eq!(bytes.len(), PAGE_SIZE, "whole pages only");
         let new = chunk_digest(index as u64, bytes);
-        self.combined ^= self.pages[index] ^ new; // lint: allow(panic-freedom) -- in-range is the documented `# Panics` contract
+        self.combined ^= self.pages[index] ^ new;
         self.pages[index] = new;
     }
 
@@ -269,8 +274,9 @@ impl ImageDigest {
     /// # Panics
     ///
     /// Panics if `index` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "an index in range is the documented `# Panics` contract")]
     pub fn apply_page_digest(&mut self, index: usize, digest: u64) {
-        self.combined ^= self.pages[index] ^ digest; // lint: allow(panic-freedom) -- in-range is the documented `# Panics` contract
+        self.combined ^= self.pages[index] ^ digest;
         self.pages[index] = digest;
     }
 
@@ -279,10 +285,11 @@ impl ImageDigest {
     /// # Panics
     ///
     /// Panics if `index` is out of range or `bytes` is not one sector.
+    #[expect(clippy::indexing_slicing, reason = "an index in range is the documented `# Panics` contract")]
     pub fn update_sector(&mut self, index: usize, bytes: &[u8]) {
         assert_eq!(bytes.len(), SECTOR_SIZE, "whole sectors only");
         let new = chunk_digest(SECTOR_DOMAIN | index as u64, bytes);
-        self.combined ^= self.sectors[index] ^ new; // lint: allow(panic-freedom) -- in-range is the documented `# Panics` contract
+        self.combined ^= self.sectors[index] ^ new;
         self.sectors[index] = new;
     }
 

@@ -37,9 +37,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// The workspace's one `unsafe` block is in `resident` (see its header);
-// every other crate forbids the keyword outright.
+// The workspace's one production `unsafe` block is in `resident` (see
+// its header); every other library crate forbids the keyword outright.
 #![deny(unsafe_code)]
+// The pause window runs in this crate: no console I/O (the allocation
+// test, tests/pause_alloc.rs, holds it to no heap growth either).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod backup;
 pub mod bitmap;

@@ -141,12 +141,13 @@ impl Mapper {
         self.hypercalls.calls()
     }
 
-    /// Map this epoch's dirty pages, returning `(pfn, mfn)` pairs ready for
-    /// the copy phase. Per-epoch strategies pay one (or two) simulated
-    /// hypercalls per page; the global strategy pays an indexed load.
-    // lint: pause-window
-    pub fn map_epoch(&mut self, vm: &Vm, dirty: &[Pfn]) -> Vec<MappedPage> {
-        let mut mapped = Vec::with_capacity(dirty.len()); // lint: allow(pause-window) -- one exact-size reservation, O(dirty)
+    /// Map this epoch's dirty pages into `mapped` (replacing its contents)
+    /// as `(pfn, mfn)` pairs ready for the copy phase. Per-epoch
+    /// strategies pay one (or two) simulated hypercalls per page; the
+    /// global strategy pays an indexed load. The checkpointer's list has
+    /// room for every page, so nothing allocates.
+    pub fn map_epoch(&mut self, vm: &Vm, dirty: &[Pfn], mapped: &mut Vec<MappedPage>) {
+        mapped.clear();
         match self.strategy {
             MappingStrategy::PerEpochPrimary => {
                 for &pfn in dirty {
@@ -171,12 +172,10 @@ impl Mapper {
                 }
             }
         }
-        mapped
     }
 
     /// Unmap this epoch's pages. Per-epoch strategies pay one hypercall per
     /// page again (the unmap); the global strategy is free.
-    // lint: pause-window
     pub fn unmap_epoch(&mut self, mapped: &[MappedPage]) {
         match self.strategy {
             MappingStrategy::PerEpochPrimary => {
@@ -199,6 +198,12 @@ impl Mapper {
 mod tests {
     use super::*;
     use crimes_vm::Vm;
+
+    fn map(m: &mut Mapper, vm: &Vm, dirty: &[Pfn]) -> Vec<MappedPage> {
+        let mut mapped = Vec::new();
+        m.map_epoch(vm, dirty, &mut mapped);
+        mapped
+    }
 
     fn vm() -> Vm {
         let mut b = Vm::builder();
@@ -234,7 +239,7 @@ mod tests {
             MappingStrategy::Global,
         ] {
             let mut m = Mapper::new(&vm, strategy, HypercallModel::new(2));
-            let mapped = m.map_epoch(&vm, &dirty);
+            let mapped = map(&mut m, &vm, &dirty);
             assert_eq!(mapped.len(), 50);
             for (pfn, mfn) in mapped {
                 assert_eq!(vm.memory().pfn_to_mfn(pfn), mfn, "wrong mfn for {pfn}");
@@ -251,7 +256,7 @@ mod tests {
             MappingStrategy::PerEpochPrimary,
             HypercallModel::new(2),
         );
-        let mapped = m.map_epoch(&vm, &dirty);
+        let mapped = map(&mut m, &vm, &dirty);
         assert_eq!(m.hypercalls_issued(), 10);
         m.unmap_epoch(&mapped);
         assert_eq!(m.hypercalls_issued(), 20);
@@ -266,7 +271,7 @@ mod tests {
             MappingStrategy::PerEpochPrimaryAndBackup,
             HypercallModel::new(2),
         );
-        m.map_epoch(&vm, &dirty);
+        map(&mut m, &vm, &dirty);
         assert_eq!(m.hypercalls_issued(), 20);
     }
 
@@ -275,7 +280,7 @@ mod tests {
         let vm = vm();
         let dirty: Vec<Pfn> = (0..100).map(Pfn).collect();
         let mut m = Mapper::new(&vm, MappingStrategy::Global, HypercallModel::new(2));
-        let mapped = m.map_epoch(&vm, &dirty);
+        let mapped = map(&mut m, &vm, &dirty);
         m.unmap_epoch(&mapped);
         assert_eq!(m.hypercalls_issued(), 0);
     }
@@ -288,7 +293,7 @@ mod tests {
             MappingStrategy::PerEpochPrimary,
             HypercallModel::new(2),
         );
-        assert!(m.map_epoch(&vm, &[]).is_empty());
+        assert!(map(&mut m, &vm, &[]).is_empty());
         assert_eq!(m.hypercalls_issued(), 0);
     }
 }

@@ -43,7 +43,8 @@
 //!
 //! # Why allocation is pre-staged
 //!
-//! The pause-window purity lint forbids heap growth inside the window.
+//! Nothing may grow the heap inside the window (`tests/pause_alloc.rs`
+//! counts every allocation, the workers' included).
 //! Everything the walk needs — the sort buffer, per-worker undo logs,
 //! digest and finding slots, cipher scratch, per-worker syscall models —
 //! is allocated at [`PauseWindowPool::new`] time (framework build time)
@@ -51,6 +52,10 @@
 //! capacity; so are the workers' job slots. Shards write disjoint
 //! contiguous regions of the backup image peeled off with `split_at_mut`,
 //! so the walk itself needs no locking.
+
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -420,7 +425,6 @@ impl PauseWindowPool {
     /// # Errors
     ///
     /// [`CheckpointError::WorkerLost`] when the worker died with the job.
-    // lint: pause-window
     pub(crate) fn head_start(
         &mut self,
         resume: impl FnOnce(),
@@ -468,7 +472,6 @@ impl PauseWindowPool {
     /// backup is restored from the undo log before returning — a failed
     /// attempt leaves the image exactly as it was, so the engine's retry
     /// loop re-runs the walk from a clean slate.
-    // lint: pause-window
     pub fn run(
         &mut self,
         mem: &GuestMemory,
@@ -503,7 +506,6 @@ impl PauseWindowPool {
     /// Otherwise the first failing shard's error, in shard order, or
     /// [`CheckpointError::WorkerLost`]; the staged buffer may then hold a
     /// partial snapshot, which the caller discards.
-    // lint: pause-window
     pub fn run_staging(
         &mut self,
         mem: &GuestMemory,
@@ -519,7 +521,6 @@ impl PauseWindowPool {
     /// whether its pre-copy bytes are stashed for a restore. On error the
     /// undo log is *not* replayed here — [`run`](Self::run) restores the
     /// backup, staging callers discard.
-    // lint: pause-window
     fn run_frames(
         &mut self,
         mem: &GuestMemory,
@@ -860,7 +861,6 @@ struct Shard<'a> {
 impl Task for Shard<'_> {
     /// The fused pass over the shard, under its forked fault plan; all
     /// output lands in the shard's slot.
-    // lint: pause-window
     fn run(&mut self) {
         let _plan = self.fork.map(|(plan, seed)| crimes_faults::install(plan, seed));
         let (pages, mem, visitors) = (self.pages, self.mem, self.visitors);
@@ -955,7 +955,7 @@ mod tests {
         b.pages(pages).seed(seed);
         let mut vm = b.build();
         let pid = vm.spawn_process("app", 0, dirt + 8).expect("spawn");
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         for i in 0..dirt {
             vm.dirty_arena_page(pid, i, i % 100, (i % 251) as u8)
                 .expect("dirty");

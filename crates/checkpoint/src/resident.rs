@@ -20,7 +20,9 @@
 //! on the lender alone, in order); likewise after a lender's panic.
 //!
 //! Lending a borrow to a thread that already exists needs the workspace's
-//! one `unsafe` block, in [`Resident::scope`]; the proof is at the block.
+//! one production `unsafe` block, in [`Resident::scope`]; the proof is at
+//! the block. Every thread the workspace starts is started by
+//! [`start_thread`].
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -213,7 +215,6 @@ impl Lending<'_> {
     /// Take back every posted job no worker has started — running it here
     /// if `run`, dropping it unrun if the scope is unwinding — and wait
     /// until no worker holds one. The number taken back.
-    // lint: pause-window
     fn settle(&mut self, run: bool) -> Result<usize, CheckpointError> {
         let wait_for_workers =
             run && matches!(self.placement, Placement::TakeNone | Placement::Stalled);
@@ -291,9 +292,11 @@ impl Resident {
         }
         for index in 0..self.slots.len() {
             let slots = Arc::clone(&self.slots);
-            let spawned = std::thread::Builder::new()
-                .name(format!("crimes-resident-{index}"))
-                .spawn(move || slots.get(index).map_or((), work));
+            let spawned = start_thread(format!("crimes-resident-{index}"), move || {
+                if let Some(slot) = slots.get(index) {
+                    work(slot);
+                }
+            });
             match spawned {
                 Ok(thread) => self.threads.push(thread),
                 Err(_) => break,
@@ -323,7 +326,6 @@ impl Resident {
     ///
     /// With `own`, or with a job run here — after every job a worker had
     /// started is finished, jobs not yet started being dropped unrun.
-    // lint: pause-window
     pub fn scope<'a>(
         &mut self,
         own: impl FnOnce(),
@@ -390,6 +392,22 @@ impl Resident {
             slot.doomed.store(after, std::sync::atomic::Ordering::Relaxed);
         }
     }
+}
+
+/// Start a thread named `name` running `body`: the one place the
+/// workspace starts a thread (clippy's `disallowed-methods` holds every
+/// other site to it) — the executors' workers and the asynchronous
+/// forensics worker.
+///
+/// # Errors
+///
+/// When the host refuses the thread.
+#[expect(clippy::disallowed_methods, reason = "the one thread start")]
+pub fn start_thread(
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name).spawn(body)
 }
 
 /// An executor shared by its pool and the drain that borrows it, for the

@@ -296,7 +296,6 @@ impl StagingArea {
     /// Claim a free slot for this epoch's staged snapshot, or `None` when
     /// every buffer is still in flight (the caller fails closed). Clears
     /// only bookkeeping vectors, within their preallocated capacity.
-    // lint: pause-window
     pub fn claim(&mut self) -> Option<usize> {
         let slot = self.slots.iter().position(|s| !s.occupied)?;
         if let Some(s) = self.slots.get_mut(slot) {
@@ -316,7 +315,6 @@ impl StagingArea {
 
     /// The slot's packed staging frames, for `pool::run_staging`; empty
     /// for an unknown slot (the walk then refuses the geometry).
-    // lint: pause-window
     pub fn frames_mut(&mut self, slot: usize) -> &mut [u8] {
         self.slots
             .get_mut(slot)
@@ -327,7 +325,6 @@ impl StagingArea {
     /// Snapshot one dirty sector's bytes into the slot. Sector contents
     /// must be captured while the guest is paused — after resume the
     /// guest may overwrite them before the drain runs.
-    // lint: pause-window
     pub fn stage_sector(&mut self, slot: usize, sector: u64, bytes: &[u8]) {
         let Some(s) = self.slots.get_mut(slot) else {
             return;
@@ -342,7 +339,6 @@ impl StagingArea {
     /// write stamp. Call it after a passing verdict, with the slot
     /// complete. `None` when an older slot is still in flight: its drain
     /// will rewrite the frames the kernels would describe.
-    // lint: pause-window
     pub(crate) fn head_start<'a>(
         &'a mut self,
         slot: usize,
@@ -778,7 +774,7 @@ mod tests {
         b.pages(1024).seed(31);
         let mut vm = b.build();
         let pid = vm.spawn_process("app", 0, 32).expect("spawn");
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         for i in 0..20 {
             vm.dirty_arena_page(pid, i, i * 3, i as u8).expect("dirty");
         }

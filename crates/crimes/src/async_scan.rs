@@ -18,9 +18,11 @@
 use std::collections::BTreeSet;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crimes_checkpoint::resident::start_thread;
 use crimes_forensics::{plugins, MemoryDump};
+use crimes_telemetry::{Clock, RealClock};
 use crimes_workloads::Blacklist;
 
 use crate::detector::{Detection, ScanFinding};
@@ -78,23 +80,22 @@ impl AsyncScanner {
         // dispatch skip rather than queue stale work.
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(1);
         let (result_tx, result_rx) = mpsc::channel::<AsyncScanResult>();
-        let worker = std::thread::Builder::new()
-            .name("crimes-async-forensics".to_owned())
-            .spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    let t0 = Instant::now();
-                    let findings = deep_sweep(&job.dump, &blacklist);
-                    let result = AsyncScanResult {
-                        epoch: job.epoch,
-                        findings,
-                        elapsed: t0.elapsed(),
-                    };
-                    if result_tx.send(result).is_err() {
-                        return; // receiver gone: shut down
-                    }
+        let worker = start_thread("crimes-async-forensics".to_owned(), move || {
+            let clock = RealClock::new();
+            while let Ok(job) = job_rx.recv() {
+                let t0 = clock.now_ns();
+                let findings = deep_sweep(&job.dump, &blacklist);
+                let result = AsyncScanResult {
+                    epoch: job.epoch,
+                    findings,
+                    elapsed: Duration::from_nanos(clock.now_ns().saturating_sub(t0)),
+                };
+                if result_tx.send(result).is_err() {
+                    return; // receiver gone: shut down
                 }
-            })
-            .expect("spawning the forensics worker cannot fail");
+            }
+        })
+        .expect("spawning the forensics worker cannot fail");
         AsyncScanner {
             job_tx: Some(job_tx),
             result_rx,

@@ -35,8 +35,12 @@
 //!   is read back, not newly decided, and a second record would
 //!   double-count the epoch.
 //!
-//! The module is on the lint's fail-closed list: it runs between
+//! The module is fail-closed: it runs between
 //! "outputs buffered" and "audit decided", so it must never panic.
+
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
 
 use std::collections::VecDeque;
 

@@ -12,6 +12,10 @@
 //! quarantine (the VM suspends with outputs impounded until an operator
 //! intervenes).
 
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -242,7 +246,11 @@ struct BoundaryAudit<'a> {
     /// Index of the module whose visitor rides the walk.
     staged: Option<usize>,
     stage_errors: Vec<(String, VmiError)>,
-    audit_slot: &'a mut Option<AuditReport>,
+    /// The report the verdict fills: made before the window
+    /// ([`Detector::blank_report`]), so a passing audit allocates nothing.
+    audit: &'a mut AuditReport,
+    /// Set once the verdict has run.
+    audited: &'a mut bool,
 }
 
 impl FusedAudit for BoundaryAudit<'_> {
@@ -286,23 +294,26 @@ impl FusedAudit for BoundaryAudit<'_> {
     ) -> AuditVerdict {
         // Source 2 is the scan visitor's fixed slot in the fused walk's
         // visitor stack; its keys are whatever the staged module pushed.
+        // Only a trampled canary leaves a key, so only a failing audit
+        // allocates this list.
         let keys: Vec<u64> = findings
             .iter()
             .filter(|f| f.source == 2)
             .map(|f| f.key)
             .collect();
-        let mut audit = self.detector.audit_after_walk(
+        self.detector.audit_after_walk(
             vm.memory(),
             self.session,
             dirty,
             self.epoch,
             self.staged,
             &keys,
-            self.stage_errors.clone(),
+            &self.stage_errors,
+            self.audit,
         );
         // Staging errors are carried into every attempt, so once staging
         // has burned the retry budget this loop will not spin further.
-        while *self.retries_used < self.vmi_retries && all_transient(&audit.errors) {
+        while *self.retries_used < self.vmi_retries && all_transient(&self.audit.errors) {
             *self.retries_used += 1;
             self.recorder.record(
                 self.epoch,
@@ -312,14 +323,15 @@ impl FusedAudit for BoundaryAudit<'_> {
                 },
             );
             backoff_sleep(&**self.clock, *self.retries_used);
-            audit = self.detector.audit_after_walk(
+            self.detector.audit_after_walk(
                 vm.memory(),
                 self.session,
                 dirty,
                 self.epoch,
                 self.staged,
                 &keys,
-                self.stage_errors.clone(),
+                &self.stage_errors,
+                self.audit,
             );
         }
         let now = self.clock.now_ns();
@@ -341,13 +353,13 @@ impl FusedAudit for BoundaryAudit<'_> {
             }
         };
         let verdict = finish_audit(
-            &mut audit,
+            self.audit,
             self.buffer,
             self.output_scanner,
             elapsed_ns,
             self.deadline,
         );
-        *self.audit_slot = Some(audit);
+        *self.audited = true;
         verdict
     }
 }
@@ -982,7 +994,8 @@ impl Crimes {
             recorder,
             ..
         } = self;
-        let mut audit_slot: Option<AuditReport> = None;
+        let mut audit = detector.blank_report();
+        let mut audited = false;
         // One engine call, whatever the configuration: the audit is split
         // around the walk, whose sink (the backup, or a staging slot that
         // leaves a drain ticket) and worker count are the engine's values.
@@ -1003,7 +1016,8 @@ impl Crimes {
                 started_ns: None,
                 staged: None,
                 stage_errors: Vec::new(),
-                audit_slot: &mut audit_slot,
+                audit: &mut audit,
+                audited: &mut audited,
             },
             pool,
         );
@@ -1017,7 +1031,9 @@ impl Crimes {
                 return self.recover_failed_commit(e.into()).map(BoundaryProgress::Done);
             }
         };
-        let audit = audit_slot.ok_or(CrimesError::InvalidState("audit hook did not run"))?;
+        if !audited {
+            return Err(CrimesError::InvalidState("audit hook did not run"));
+        }
 
         // Feed the boundary's measurements into the histograms. This runs
         // after the engine resumed the guest, i.e. off the pause window.
@@ -2616,7 +2632,7 @@ mod tests {
             ..
         } = &mut c;
         let mut retries_used = 0u32;
-        let mut audit_slot = None;
+        let (mut audit, mut audited) = (AuditReport::default(), false);
         let mut hook = BoundaryAudit {
             detector,
             session,
@@ -2632,7 +2648,8 @@ mod tests {
             started_ns: None,
             staged: None,
             stage_errors: Vec::new(),
-            audit_slot: &mut audit_slot,
+            audit: &mut audit,
+            audited: &mut audited,
         };
         let verdict = hook.verdict(vm, &dirty, &[]);
         assert_eq!(verdict, AuditVerdict::Inconclusive);

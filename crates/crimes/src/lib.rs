@@ -56,6 +56,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The pause window runs in this crate: no console I/O (the allocation
+// test, tests/pause_alloc.rs, holds it to no heap growth either).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod analyzer;
 pub mod async_scan;

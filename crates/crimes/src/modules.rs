@@ -27,9 +27,11 @@ pub struct CanaryScanModule {
     full_scan: bool,
     /// Canaries validated across all audits (throughput accounting).
     validated: u64,
-    /// Checks staged for the current epoch's fused walk (kept until the
-    /// next staging so a retried verdict pass can re-resolve).
-    staged: Option<FusedCanaryChecks>,
+    /// Checks for the fused walk, refilled each epoch in place (kept until
+    /// the next staging so a retried verdict pass can re-resolve).
+    prepared: FusedCanaryChecks,
+    /// Whether `prepared` holds this epoch's checks.
+    staged: bool,
 }
 
 impl CanaryScanModule {
@@ -39,7 +41,8 @@ impl CanaryScanModule {
             scanner: CanaryScanner::new(secret),
             full_scan: false,
             validated: 0,
-            staged: None,
+            prepared: FusedCanaryChecks::default(),
+            staged: false,
         }
     }
 
@@ -49,7 +52,8 @@ impl CanaryScanModule {
             scanner: CanaryScanner::new(secret),
             full_scan: true,
             validated: 0,
-            staged: None,
+            prepared: FusedCanaryChecks::default(),
+            staged: false,
         }
     }
 
@@ -63,7 +67,7 @@ impl CanaryScanModule {
 /// bytes when the walk visits their owner pages, surfacing trampled record
 /// indices as finding keys. Plain data over paused guest memory, so it is
 /// `Sync` and shards freely.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FusedCanaryChecks(PreparedCanaries);
 
 impl FusedPageVisitor for FusedCanaryChecks {
@@ -89,7 +93,6 @@ impl ScanModule for CanaryScanModule {
         if report.violations.is_empty() {
             Ok(vec![])
         } else {
-            // lint: allow(pause-window) -- allocates only to report a detection
             Ok(vec![ScanFinding {
                 module: self.name().to_owned(),
                 detection: Detection::CanaryViolations(report.violations),
@@ -104,18 +107,17 @@ impl ScanModule for CanaryScanModule {
             // pass.
             return Ok(false);
         }
-        let prepared = self
-            .scanner
-            .prepare_dirty(ctx.session, ctx.memory, ctx.dirty)?;
-        self.validated += prepared.checked() as u64;
-        self.staged = Some(FusedCanaryChecks(prepared));
+        self.staged = false;
+        self.scanner
+            .prepare_dirty(ctx.session, ctx.memory, ctx.dirty, &mut self.prepared.0)?;
+        self.staged = true;
+        self.validated += self.prepared.0.checked() as u64;
         Ok(true)
     }
 
     fn fused_visitor(&self) -> Option<&dyn FusedPageVisitor> {
         self.staged
-            .as_ref()
-            .map(|s| s as &dyn FusedPageVisitor)
+            .then_some(&self.prepared as &dyn FusedPageVisitor)
     }
 
     fn resolve_fused(
@@ -123,12 +125,12 @@ impl ScanModule for CanaryScanModule {
         keys: &[u64],
         ctx: &ScanContext<'_>,
     ) -> Result<Vec<ScanFinding>, VmiError> {
-        let Some(staged) = self.staged.as_ref() else {
+        if !self.staged {
             return Ok(Vec::new());
-        };
+        }
         let mut violations = Vec::new();
         for &key in keys {
-            let Some(check) = staged.0.resolve(key as usize) else {
+            let Some(check) = self.prepared.0.resolve(key as usize) else {
                 continue;
             };
             let found = ctx
@@ -147,7 +149,6 @@ impl ScanModule for CanaryScanModule {
         if violations.is_empty() {
             Ok(Vec::new())
         } else {
-            // lint: allow(pause-window) -- allocates only to report a detection
             Ok(vec![ScanFinding {
                 module: self.name().to_owned(),
                 detection: Detection::CanaryViolations(violations),
@@ -180,16 +181,22 @@ impl ScanModule for BlacklistScanModule {
         "malware-blacklist"
     }
 
+    /// Compares each task's `comm` bytes with the list as it walks, so a
+    /// clean task list costs no allocation; only a match is decoded.
     fn scan(&mut self, ctx: &ScanContext<'_>) -> Result<Vec<ScanFinding>, VmiError> {
-        let tasks = linux::process_list(ctx.session, ctx.memory)?;
-        Ok(tasks
-            .into_iter()
-            .filter(|t| self.blacklist.contains(&t.comm))
-            .map(|t| ScanFinding {
-                module: "malware-blacklist".to_owned(),
-                detection: Detection::BlacklistedProcess(t),
-            })
-            .collect())
+        let mut findings = Vec::new();
+        let mut comm = [0u8; linux::COMM_LEN];
+        linux::walk_tasks(ctx.session, ctx.memory, |task| {
+            let comm = linux::read_comm(ctx.memory, task, &mut comm)?;
+            if self.blacklist.iter().any(|name| comm == name.as_bytes()) {
+                findings.push(ScanFinding {
+                    module: "malware-blacklist".to_owned(),
+                    detection: Detection::BlacklistedProcess(linux::read_task(ctx.memory, task)?),
+                });
+            }
+            Ok(())
+        })?;
+        Ok(findings)
     }
 }
 
@@ -244,7 +251,6 @@ impl ScanModule for SyscallTableModule {
         if tampered.is_empty() {
             Ok(vec![])
         } else {
-            // lint: allow(pause-window) -- allocates only to report a detection
             Ok(vec![ScanFinding {
                 module: self.name().to_owned(),
                 detection: Detection::SyscallTableTampered(tampered),
@@ -531,7 +537,8 @@ mod tests {
             )
             .expect("no faults armed");
             let keys: Vec<u64> = pool.findings().iter().map(|f| f.key).collect();
-            let report = d.audit_after_walk(vm.memory(), &s, &dirty, 0, staged, &keys, errors);
+            let mut report = d.blank_report();
+            d.audit_after_walk(vm.memory(), &s, &dirty, 0, staged, &keys, &errors, &mut report);
             assert!(report.errors.is_empty(), "{:?}", report.errors);
             assert_eq!(report.findings, reference, "overrun {overrun}");
         }

@@ -11,6 +11,10 @@
 //! §6); this substrate's op traces are deterministic, so the pinpoint here
 //! is exact by construction.
 
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
+
 use crimes_vm::layout::CANARY_LEN;
 use crimes_vm::{Guest, GuestOp, Gva, MetaSnapshot, Vm};
 use crimes_vmi::{MemEventMonitor, Symbols, VmiError, VmiSession};

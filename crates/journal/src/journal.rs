@@ -18,9 +18,13 @@
 //! a crash mid-append damages only the final record, and recovery
 //! resumes from the last fully-written decision.
 //!
-//! This module is on the lint's fail-closed list: replay runs while
+//! This module is fail-closed: replay runs while
 //! impounded outputs hang in the balance, so it must never panic — every
 //! read is bounds-checked and every conversion explicit.
+
+// Fail-closed: typed errors, never a panic (DESIGN.md "Static guarantees").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![deny(clippy::panic, clippy::todo, clippy::unimplemented)]
 
 use crimes_checkpoint::chunk_digest;
 use crimes_outbuf::{DiskWrite, NetPacket, Output};

@@ -92,8 +92,18 @@ impl OutputScanner {
 
     /// Scan a slice of outputs, reporting every match.
     pub fn scan_outputs(&self, outputs: &[&Output]) -> Vec<OutputMatch> {
+        self.scan_each(outputs.iter().copied())
+    }
+
+    /// Scan everything currently held in `buffer`. Allocates only to
+    /// report a match.
+    pub fn scan_buffer(&self, buffer: &OutputBuffer) -> Vec<OutputMatch> {
+        self.scan_each(buffer.held_outputs())
+    }
+
+    fn scan_each<'o>(&self, outputs: impl Iterator<Item = &'o Output>) -> Vec<OutputMatch> {
         let mut matches = Vec::new();
-        for (idx, output) in outputs.iter().enumerate() {
+        for (idx, output) in outputs.enumerate() {
             let (payload, is_network) = match output {
                 Output::Net(p) => (p.payload.as_slice(), true),
                 Output::Disk(w) => (w.data.as_slice(), false),
@@ -110,13 +120,6 @@ impl OutputScanner {
             }
         }
         matches
-    }
-
-    /// Scan everything currently held in `buffer`.
-    // lint: pause-window
-    pub fn scan_buffer(&self, buffer: &OutputBuffer) -> Vec<OutputMatch> {
-        let held: Vec<&Output> = buffer.held_outputs().collect();
-        self.scan_outputs(&held)
     }
 }
 

@@ -19,6 +19,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The pause window runs in this crate: no console I/O (the allocation
+// test, tests/pause_alloc.rs, holds it to no heap growth either).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod prop;
 
@@ -41,7 +44,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 /// The ChaCha block function: permute `input` for `rounds` rounds and add
 /// the original state back in, producing 64 bytes of keystream.
 fn chacha_block(input: &[u32; 16], rounds: u32, out: &mut [u8; 64]) {
-    debug_assert!(rounds >= 2 && rounds % 2 == 0, "rounds come in pairs");
+    debug_assert!(rounds >= 2 && rounds.is_multiple_of(2), "rounds come in pairs");
     let mut x = *input;
     for _ in 0..rounds / 2 {
         // Column round.

@@ -29,6 +29,7 @@ pub struct RealClock {
 
 impl RealClock {
     /// A clock anchored at "now".
+    #[expect(clippy::disallowed_methods, reason = "the one wall-clock read")]
     pub fn new() -> Self {
         RealClock {
             origin: Instant::now(),
@@ -53,6 +54,7 @@ impl Clock for RealClock {
         u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
+    #[expect(clippy::disallowed_methods, reason = "the one real sleep")]
     fn sleep(&self, d: Duration) {
         std::thread::sleep(d);
     }

@@ -26,6 +26,9 @@
 //! reads outside [`RealClock`].
 
 #![forbid(unsafe_code)]
+// The pause window runs in this crate: no console I/O (the allocation
+// test, tests/pause_alloc.rs, holds it to no heap growth either).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod clock;
 pub mod export;

@@ -1,11 +1,11 @@
 //! Preallocated counters and log₂-bucketed histograms.
 //!
 //! Everything is fixed-size and `record` never allocates, so the fused
-//! pause window may feed these directly (the `telemetry-purity` lint
-//! rule enforces that only non-allocating telemetry calls are reachable
-//! from pause-window roots). Aggregation is deterministic: merging is
-//! element-wise and commutative, so any merge order produces the same
-//! aggregate — the fleet-level roll-up relies on this.
+//! pause window may feed these directly (`tests/pause_alloc.rs` counts
+//! every allocation in the windows that do). Aggregation is
+//! deterministic: merging is element-wise and commutative, so any merge
+//! order produces the same aggregate — the fleet-level roll-up relies on
+//! this.
 
 /// Upper bound on distinct pipeline phases a [`Telemetry`] tracks.
 pub const MAX_PHASES: usize = 8;
@@ -98,9 +98,9 @@ pub enum Counter {
     DrainCipherLentBytes,
     /// Walk shards lent to a resident pause worker and taken back by the
     /// boundary's own thread because the worker had not started them when
-    /// that thread's shard was done. Against epochs × (`pause_workers` −
-    /// 1) it says how often the second CPU is not delivering; like the
-    /// head start, a matter of timing and not reproducible run to run.
+    /// that thread's shard was done. Against epochs × (`pause_workers` − 1)
+    /// it says how often the second CPU is not delivering; like the head
+    /// start, a matter of timing and not reproducible run to run.
     WalkShardsTakenBack,
     /// Image pages a resident worker digested while `protect` or `recover`
     /// started the tenant up (the backup's digest, shared with the thread
@@ -250,11 +250,7 @@ impl Histogram {
 
     /// Arithmetic mean of the samples (0 when empty).
     pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// The raw bucket array. Bucket `i` holds samples of bit length `i`

@@ -75,12 +75,15 @@ impl DirtyBitmap {
         &self.words
     }
 
-    /// Take the current contents, leaving this bitmap clean. Used by the
-    /// checkpointer to atomically grab the epoch's dirty set.
-    pub fn take(&mut self) -> DirtyBitmap {
-        let taken = self.clone();
+    /// Move the current contents into `into` (whatever it held is
+    /// dropped), leaving this bitmap clean. Used by the checkpointer to
+    /// grab the epoch's dirty set: the two bitmaps swap their words, so
+    /// once `into` has this bitmap's size nothing is allocated.
+    pub fn take(&mut self, into: &mut DirtyBitmap) {
+        into.words.resize(self.words.len(), 0);
+        into.num_pages = self.num_pages;
+        std::mem::swap(&mut self.words, &mut into.words);
         self.clear();
-        taken
     }
 
     /// Merge another bitmap into this one (`self |= other`).
@@ -194,8 +197,14 @@ mod tests {
     fn take_leaves_clean_and_returns_old() {
         let mut bm = DirtyBitmap::new(100);
         bm.mark(Pfn(42));
-        let taken = bm.take();
+        let mut taken = DirtyBitmap::new(0);
+        bm.take(&mut taken);
         assert!(taken.is_dirty(Pfn(42)));
+        assert_eq!(taken.num_pages(), 100);
+        assert!(bm.is_empty());
+        bm.mark(Pfn(7));
+        bm.take(&mut taken);
+        assert_eq!(taken.iter().collect::<Vec<_>>(), [Pfn(7)], "the old contents are gone");
         assert!(bm.is_empty());
     }
 

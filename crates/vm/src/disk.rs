@@ -82,9 +82,10 @@ impl VirtualDisk {
         self.dirty.mark(crate::addr::Pfn(sector));
     }
 
-    /// Atomically take and reset the dirty-sector log.
-    pub fn take_dirty(&mut self) -> DirtyBitmap {
-        self.dirty.take()
+    /// Move the dirty-sector log into `into` and reset it; see
+    /// [`DirtyBitmap::take`].
+    pub fn take_dirty(&mut self, into: &mut DirtyBitmap) {
+        self.dirty.take(into);
     }
 
     /// The full image: what [`dump`](Self::dump) copies.
@@ -166,7 +167,8 @@ mod tests {
     fn take_dirty_resets_log() {
         let mut d = VirtualDisk::new(8);
         d.write_sector(1, &[1]);
-        let taken = d.take_dirty();
+        let mut taken = DirtyBitmap::new(0);
+        d.take_dirty(&mut taken);
         assert_eq!(taken.count(), 1);
         assert!(d.dirty().is_empty());
     }

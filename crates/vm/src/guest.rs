@@ -199,6 +199,14 @@ impl<'a> Guest<&'a [u8]> {
         Some(Guest(u64::from_le_bytes(bytes.try_into().ok()?)))
     }
 
+    /// The bytes before the first NUL, all of them if there is none: a
+    /// fixed-width C string field.
+    #[inline]
+    pub fn until_nul(self) -> Guest<&'a [u8]> {
+        let end = self.0.iter().position(|&b| b == 0).unwrap_or(self.0.len());
+        Guest(self.0.get(..end).unwrap_or(self.0))
+    }
+
     /// Consecutive `size`-byte records, a trailing partial one dropped.
     ///
     /// # Panics
@@ -238,6 +246,8 @@ mod tests {
         assert!(view.le_u32(0).is_some_and(|v| v == 1));
         assert!(view.le_u64(4).is_some_and(|v| v == 2));
         assert!(view.le_u64(5).is_none() && view.le_u32(usize::MAX).is_none());
+        assert!(Guest::new(&b"init\0\0x"[..]).until_nul() == &b"init"[..]);
+        assert!(Guest::new(&b"sixteen-byte-nam"[..]).until_nul() == &b"sixteen-byte-nam"[..]);
         assert_eq!(view.records(8).count(), 1);
         assert!(Guest::new(*b"secret!!") != *b"SECRET!!");
     }

@@ -250,9 +250,16 @@ impl GuestMemory {
         &self.dirty
     }
 
-    /// Atomically grab and reset the dirty bitmap (checkpoint boundary).
-    pub fn take_dirty(&mut self) -> DirtyBitmap {
-        self.dirty.take()
+    /// Move the dirty bitmap into `into` and reset it (checkpoint
+    /// boundary); see [`DirtyBitmap::take`].
+    pub fn take_dirty(&mut self, into: &mut DirtyBitmap) {
+        self.dirty.take(into);
+    }
+
+    /// Forget every page dirtied so far (set-up writes that belong to no
+    /// epoch).
+    pub fn clear_dirty(&mut self) {
+        self.dirty.clear();
     }
 
     /// Mark a page dirty without writing — used to model read-mostly
@@ -487,7 +494,8 @@ mod tests {
     fn take_dirty_resets_tracking() {
         let mut m = mem();
         m.write(Gpa(0), &[1]);
-        let taken = m.take_dirty();
+        let mut taken = DirtyBitmap::new(0);
+        m.take_dirty(&mut taken);
         assert_eq!(taken.count(), 1);
         assert!(m.dirty().is_empty());
     }

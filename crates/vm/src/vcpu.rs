@@ -40,9 +40,21 @@ impl Vcpu {
 }
 
 /// The VM's set of vCPUs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct VcpuSet {
     cpus: Vec<Vcpu>,
+}
+
+impl Clone for VcpuSet {
+    fn clone(&self) -> Self {
+        VcpuSet { cpus: self.cpus.clone() }
+    }
+
+    /// Copies into the registers held: between sets of one size, no
+    /// allocation (a checkpoint saves the guest's set every epoch).
+    fn clone_from(&mut self, source: &Self) {
+        self.cpus.clone_from(&source.cpus);
+    }
 }
 
 impl VcpuSet {

@@ -166,7 +166,7 @@ impl VmBuilder {
         rng.fill(&mut secret);
         let heap = CanaryHeap::new(&layout, secret);
         // Boot writes are not part of any epoch.
-        mem.take_dirty();
+        mem.clear_dirty();
         Vm {
             mem,
             vcpus: VcpuSet::new(self.vcpus),
@@ -696,7 +696,7 @@ impl Vm {
     /// Panics if `frames` does not match this VM's memory size.
     pub fn restore_with_frames(&mut self, frames: &[u8], meta: &MetaSnapshot) {
         self.mem.restore_frames(frames);
-        self.mem.take_dirty();
+        self.mem.clear_dirty();
         self.mem.watches_mut().clear();
         self.kernel = meta.kernel.clone();
         self.procs = meta.procs.clone();
@@ -971,7 +971,7 @@ mod tests {
     fn dirty_arena_page_dirties_one_page() {
         let mut vm = vm();
         let pid = vm.spawn_process("app", 0, 8).unwrap();
-        vm.memory_mut().take_dirty(); // discard the spawn's kernel writes
+        vm.memory_mut().clear_dirty(); // discard the spawn's kernel writes
         vm.dirty_arena_page(pid, 3, 100, 7).unwrap();
         let phys = vm.processes().get(pid).unwrap().mapping.phys_base;
         let pfn = Pfn(phys.0 / PAGE_SIZE as u64 + 3);

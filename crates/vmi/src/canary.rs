@@ -21,10 +21,11 @@ use crimes_vm::{DirtyBitmap, Gpa, Guest, GuestMemory, Gva, Pfn};
 use crate::error::VmiError;
 use crate::session::{AddressSpace, VmiSession};
 
-/// The guest's canary table, bulk-read once per scan — the one decoder
-/// the serial scans and the fused walk's staging share.
-struct CanaryTable {
-    records: Vec<u8>,
+/// The guest's canary table, bulk-read once per scan into a buffer the
+/// caller keeps — the one decoder the serial scans and the fused walk's
+/// staging share.
+struct CanaryTable<'r> {
+    records: &'r [u8],
 }
 
 /// One live record, its canary translated to a GPA inside the image.
@@ -35,17 +36,18 @@ struct LiveCanary<'a> {
     rec: Guest<&'a [u8]>,
 }
 
-impl CanaryTable {
+impl<'r> CanaryTable<'r> {
     /// Validate the guest-written record count at the head of the table
-    /// and bulk-read the records it claims — the batching that makes the
-    /// paper's ~90k canaries/ms validation rate possible.
+    /// and bulk-read the records it claims into `buf` — the batching that
+    /// makes the paper's ~90k canaries/ms validation rate possible. `buf`
+    /// grows only past the largest table it has held.
     ///
     /// The header word lives in guest memory, so a compromised guest can
     /// write any value there. The count is plausible only if that many
     /// records fit between the header and the end of guest memory;
     /// anything larger is evidence of tampering and fails closed instead
     /// of sizing a buffer from a forged value.
-    fn read(session: &VmiSession, mem: &GuestMemory) -> Result<Self, VmiError> {
+    fn read(session: &VmiSession, mem: &GuestMemory, buf: &'r mut Vec<u8>) -> Result<Self, VmiError> {
         let table = session.hot_symbol(names::CANARY_TABLE)?;
         let claimed = mem.peek_u64(table)?;
         let extent = (mem.size_bytes() as u64).saturating_sub(table.0.saturating_add(8));
@@ -58,9 +60,10 @@ impl CanaryTable {
                 max,
             })?;
         // `count` records fit inside guest memory, so this cannot overflow.
-        let mut records = vec![0u8; count * CANARY_RECORD_SIZE as usize]; // lint: allow(pause-window) -- one bulk-read staging buffer, O(records)
-        mem.peek(table.add(8), &mut records)?;
-        Ok(CanaryTable { records })
+        buf.clear();
+        buf.resize(count * CANARY_RECORD_SIZE as usize, 0);
+        mem.peek(table.add(8), buf)?;
+        Ok(CanaryTable { records: buf })
     }
 
     /// Records the header claimed.
@@ -80,7 +83,7 @@ impl CanaryTable {
         let mut untranslatable = 0;
         // Records come in runs of one owner: look its space up once a run.
         let mut owner: Option<(u32, AddressSpace)> = None;
-        let records = Guest::new(self.records.as_slice()).records(CANARY_RECORD_SIZE as usize);
+        let records = Guest::new(self.records).records(CANARY_RECORD_SIZE as usize);
         for (record_idx, rec) in records.enumerate() {
             if rec.le_u32(canary_offsets::LIVE as usize) != Some(Guest::new(1)) {
                 continue;
@@ -202,7 +205,6 @@ impl CanaryScanner {
     ///
     /// Fails if the table symbol is unknown or a record's owner cannot be
     /// translated.
-    // lint: pause-window
     pub fn scan_all(
         &self,
         session: &VmiSession,
@@ -217,7 +219,6 @@ impl CanaryScanner {
     ///
     /// Fails if the table symbol is unknown or a record's owner cannot be
     /// translated.
-    // lint: pause-window
     pub fn scan_dirty(
         &self,
         session: &VmiSession,
@@ -234,7 +235,9 @@ impl CanaryScanner {
         dirty: Option<&DirtyBitmap>,
     ) -> Result<CanaryScanReport, VmiError> {
         let mut report = CanaryScanReport::default();
-        let untranslatable = CanaryTable::read(session, mem)?.for_each_live(session, |live| {
+        let mut records = Vec::new();
+        let table = CanaryTable::read(session, mem, &mut records)?;
+        let untranslatable = table.for_each_live(session, |live| {
             if dirty.is_some_and(|dirty| live.owner_page(dirty).is_none()) {
                 report.skipped_clean += 1;
                 return Ok(());
@@ -283,13 +286,17 @@ pub struct PreparedCheck {
 }
 
 /// Dirty-scoped canary checks staged for one epoch's fused walk, sorted by
-/// owner page for cheap per-page lookup. Produced by
+/// owner page for cheap per-page lookup. Filled by
 /// [`CanaryScanner::prepare_dirty`] on the main thread; worker threads
 /// then call [`check_page`](Self::check_page) — pure byte compares, no
-/// translation, no allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// translation, no allocation. Refilled every epoch, it keeps its
+/// buffers: staging allocates only when the guest's canary table, or the
+/// checks on one epoch's dirty pages, outgrow every earlier epoch's.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PreparedCanaries {
     secret: [u8; CANARY_LEN],
+    /// The bulk-read table the checks were decoded from.
+    records: Vec<u8>,
     checks: Vec<PreparedCheck>,
     /// Live records skipped because their pages were clean.
     pub skipped_clean: usize,
@@ -308,7 +315,6 @@ impl PreparedCanaries {
     /// Run every check owned by `pfn`, invoking `hit` with the record
     /// index of each trampled canary. Thread-safe by construction: reads
     /// paused guest memory and per-call state only.
-    // lint: pause-window
     pub fn check_page(&self, pfn: Pfn, mem: &GuestMemory, hit: &mut dyn FnMut(usize)) {
         let start = self.checks.partition_point(|c| c.owner_pfn < pfn);
         for check in self
@@ -345,22 +351,28 @@ impl CanaryScanner {
     /// # Errors
     ///
     /// Fails if the table symbol is unknown or a record's owner cannot be
-    /// translated (the same errors `scan_dirty` surfaces).
-    // lint: pause-window
+    /// translated (the same errors `scan_dirty` surfaces); `prepared` is
+    /// then only partly filled and stages nothing.
     pub fn prepare_dirty(
         &self,
         session: &VmiSession,
         mem: &GuestMemory,
         dirty: &DirtyBitmap,
-    ) -> Result<PreparedCanaries, VmiError> {
-        let table = CanaryTable::read(session, mem)?;
-        let mut checks = Vec::with_capacity(table.len()); // lint: allow(pause-window) -- staging buffer built before the sharded walk, O(records)
-        let mut skipped_clean = 0;
-        let skipped_untranslatable = table.for_each_live(session, |live| {
+        prepared: &mut PreparedCanaries,
+    ) -> Result<(), VmiError> {
+        let PreparedCanaries { secret, records, checks, skipped_clean, skipped_untranslatable } =
+            prepared;
+        *secret = self.secret;
+        checks.clear();
+        *skipped_clean = 0;
+        *skipped_untranslatable = 0;
+        let table = CanaryTable::read(session, mem, records)?;
+        checks.reserve(table.len());
+        *skipped_untranslatable = table.for_each_live(session, |live| {
             // A canary can span two pages; it is owned by the first dirty
             // one, which the fused walk is guaranteed to visit.
             let Some(owner_pfn) = live.owner_page(dirty) else {
-                skipped_clean += 1;
+                *skipped_clean += 1;
                 return Ok(());
             };
             let (object_gva, size, canary_gva) = live.report_fields();
@@ -375,16 +387,8 @@ impl CanaryScanner {
             });
             Ok(())
         })?;
-        let mut prepared = PreparedCanaries {
-            secret: self.secret,
-            checks,
-            skipped_clean,
-            skipped_untranslatable,
-        };
-        prepared
-            .checks
-            .sort_unstable_by_key(|c| (c.owner_pfn, c.record_idx));
-        Ok(prepared)
+        checks.sort_unstable_by_key(|c| (c.owner_pfn, c.record_idx));
+        Ok(())
     }
 }
 
@@ -401,6 +405,17 @@ mod tests {
         let session = VmiSession::init(&vm).expect("init");
         let scanner = CanaryScanner::new(vm.canary_secret());
         (vm, session, scanner)
+    }
+
+    fn prepare(
+        scanner: &CanaryScanner,
+        s: &VmiSession,
+        vm: &Vm,
+        dirty: &DirtyBitmap,
+    ) -> Result<PreparedCanaries, VmiError> {
+        let mut prepared = PreparedCanaries::default();
+        scanner.prepare_dirty(s, vm.memory(), dirty, &mut prepared)?;
+        Ok(prepared)
     }
 
     fn refresh(session: &mut VmiSession, vm: &Vm) {
@@ -462,7 +477,7 @@ mod tests {
         }
         refresh(&mut s, &vm);
         // New epoch: nothing dirty.
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         let obj = vm.malloc(pid, 16).unwrap();
         vm.write_user(pid, obj, &[1u8; 30], 0xbad).unwrap();
         let dirty = vm.memory().dirty().clone();
@@ -531,7 +546,7 @@ mod tests {
             vm.malloc(pid, 1000).unwrap();
         }
         refresh(&mut s, &vm);
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         let a = vm.malloc(pid, 16).unwrap();
         vm.malloc(pid, 16).unwrap();
         vm.write_user(pid, a, &[1u8; 30], 0xbad).unwrap();
@@ -539,7 +554,7 @@ mod tests {
         refresh(&mut s, &vm);
 
         let report = scanner.scan_dirty(&s, vm.memory(), &dirty).unwrap();
-        let prepared = scanner.prepare_dirty(&s, vm.memory(), &dirty).unwrap();
+        let prepared = prepare(&scanner, &s, &vm, &dirty).unwrap();
 
         assert_eq!(prepared.checked(), report.checked);
         assert_eq!(prepared.skipped_clean, report.skipped_clean);
@@ -568,7 +583,7 @@ mod tests {
         }
         let dirty = vm.memory().dirty().clone();
         refresh(&mut s, &vm);
-        let prepared = scanner.prepare_dirty(&s, vm.memory(), &dirty).unwrap();
+        let prepared = prepare(&scanner, &s, &vm, &dirty).unwrap();
         assert_eq!(prepared.checked(), 10);
         assert!(run_prepared(&prepared, &vm, &dirty).is_empty());
     }
@@ -609,7 +624,7 @@ mod tests {
             VmiError::ImplausibleTableHeader { .. }
         ));
         assert!(matches!(
-            scanner.prepare_dirty(&s, vm.memory(), &dirty).unwrap_err(),
+            prepare(&scanner, &s, &vm, &dirty).unwrap_err(),
             VmiError::ImplausibleTableHeader { .. }
         ));
     }
@@ -630,7 +645,7 @@ mod tests {
             scanner.scan_dirty(&s, vm.memory(), &dirty).unwrap_err()
         ));
         assert!(past_image(
-            scanner.prepare_dirty(&s, vm.memory(), &dirty).unwrap_err()
+            prepare(&scanner, &s, &vm, &dirty).unwrap_err()
         ));
     }
 

@@ -76,11 +76,17 @@ pub struct PidHashEntry {
 pub(crate) const MAX_LIST_STEPS: usize = 65_536;
 
 /// Walk the kernel task list from `init_task`, handing each task struct's
-/// guest-physical address to `visit` — the one walk [`process_list`] and
-/// [`VmiSession::refresh_address_spaces`] share, so the forged-pointer
-/// check lives here: every `next` is translated with its whole struct
-/// inside the image, and the walk gives up after [`MAX_LIST_STEPS`].
-pub(crate) fn walk_tasks(
+/// guest-physical address to `visit` — the one walk [`process_list`],
+/// [`VmiSession::refresh_address_spaces`] and the scans that read single
+/// fields ([`read_comm`]) share, so the forged-pointer check lives here:
+/// every `next` is translated with its whole struct inside the image, and
+/// the walk gives up after [`MAX_LIST_STEPS`]. It allocates nothing.
+///
+/// # Errors
+///
+/// The first error `visit` returns; translation faults, a pointer out of
+/// the image, or a non-terminating list.
+pub fn walk_tasks(
     session: &VmiSession,
     mem: &GuestMemory,
     mut visit: impl FnMut(Gpa) -> Result<(), VmiError>,
@@ -264,13 +270,31 @@ pub fn read_task(mem: &GuestMemory, gpa: Gpa) -> Result<TaskInfo, VmiError> {
         pid: u32_at(task_offsets::PID)?,
         uid: u32_at(task_offsets::UID)?,
         state: TaskState::from_raw(u32_at(task_offsets::STATE)?),
-        comm: read_fixed_string(mem, gpa.add(task_offsets::COMM), 16)?,
+        comm: read_fixed_string(mem, gpa.add(task_offsets::COMM), COMM_LEN)?,
         start_time_ns: u64_at(task_offsets::START_TIME)?,
         task_gva: gpa.to_kernel_gva(),
         mm_start: Gva(u64_at(task_offsets::MM_START)?),
         mm_size: u64_at(task_offsets::MM_SIZE)?,
         cred: u64_at(task_offsets::CRED)?,
     })
+}
+
+/// Width of a task's `comm` field.
+pub const COMM_LEN: usize = 16;
+
+/// The command name of the task struct at `gpa`, as the guest wrote it
+/// (up to its first NUL), read into `buf` — the field a scan compares
+/// without decoding the task.
+///
+/// # Errors
+///
+/// [`VmiError::OutOfImage`] if the field leaves the image.
+pub fn read_comm<'b>(
+    mem: &GuestMemory,
+    gpa: Gpa,
+    buf: &'b mut [u8; COMM_LEN],
+) -> Result<Guest<&'b [u8]>, VmiError> {
+    Ok(mem.peek(gpa.add(task_offsets::COMM), buf)?.until_nul())
 }
 
 /// Decode one module struct at `gpa`.
@@ -289,9 +313,8 @@ fn read_module(mem: &GuestMemory, gpa: Gpa) -> Result<ModuleInfo, VmiError> {
 /// [`VmiError::OutOfImage`] if the field leaves the image.
 pub fn read_fixed_string(mem: &GuestMemory, gpa: Gpa, width: usize) -> Result<String, VmiError> {
     let mut buf = vec![0u8; width];
-    let bytes = mem.peek(gpa, &mut buf)?.unguarded();
-    let end = bytes.iter().position(|&b| b == 0).unwrap_or(width);
-    Ok(String::from_utf8_lossy(bytes.get(..end).unwrap_or(bytes)).into_owned())
+    let bytes = mem.peek(gpa, &mut buf)?.until_nul().unguarded();
+    Ok(String::from_utf8_lossy(bytes).into_owned())
 }
 
 #[cfg(test)]

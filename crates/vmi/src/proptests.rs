@@ -19,7 +19,7 @@ use crimes_vm::layout::{
 use crimes_vm::symbols::names;
 use crimes_vm::{Gpa, Guest, GuestMemory, Gva, OutOfRange, Vm, KERNEL_VIRT_BASE};
 
-use crate::canary::CanaryScanner;
+use crate::canary::{CanaryScanner, PreparedCanaries};
 use crate::error::VmiError;
 use crate::linux;
 use crate::session::VmiSession;
@@ -160,7 +160,11 @@ fn every_reader(
         let _ = linux::read_task_at(session, mem, e.task_gva);
     }
     let dirty = mem.dirty();
-    let prepared = fx.scanner.prepare_dirty(session, mem, dirty);
+    let mut prepared = PreparedCanaries::default();
+    let prepared = fx
+        .scanner
+        .prepare_dirty(session, mem, dirty, &mut prepared)
+        .map(|()| prepared);
     if let Ok(prepared) = &prepared {
         for pfn in dirty.iter() {
             prepared.check_page(pfn, mem, &mut |_| {});

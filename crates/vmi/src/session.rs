@@ -25,8 +25,9 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crimes_telemetry::{Clock, RealClock};
 use crimes_vm::layout::task_offsets;
 use crimes_vm::symbols::names;
 use crimes_vm::{Gpa, Guest, GuestMemory, Gva, SystemMap, Vm};
@@ -112,6 +113,9 @@ pub struct VmiSession {
     resolved: HashMap<&'static str, Gpa>,
     /// pid → user address space, discovered from task structs.
     address_spaces: HashMap<u32, AddressSpace>,
+    /// The map the next refresh fills, swapped in only when the walk
+    /// succeeds.
+    spare_spaces: HashMap<u32, AddressSpace>,
     /// Size of the guest image the session was opened on: every
     /// translation lands inside it.
     image_bytes: usize,
@@ -154,9 +158,9 @@ impl VmiSession {
     ///
     /// Same conditions as [`VmiSession::init`].
     pub fn init_with(map: &SystemMap, mem: &GuestMemory) -> Result<Self, VmiError> {
-        let t0 = Instant::now();
+        let clock = RealClock::new();
         let symbols = Symbols::parse(map)?;
-        let mut session = Self::open_since(symbols, mem, t0)?;
+        let mut session = Self::open_since(symbols, mem, &clock)?;
         session.parsed = true;
         Ok(session)
     }
@@ -171,21 +175,22 @@ impl VmiSession {
     /// Fails if a required symbol is missing or the guest banner names an
     /// unsupported kernel.
     pub fn open(symbols: &Symbols, mem: &GuestMemory) -> Result<Self, VmiError> {
-        Self::open_since(symbols.clone(), mem, Instant::now())
+        Self::open_since(symbols.clone(), mem, &RealClock::new())
     }
 
-    /// The per-guest part of start-up, its initialization timed from `t0`.
-    fn open_since(symbols: Symbols, mem: &GuestMemory, t0: Instant) -> Result<Self, VmiError> {
+    /// The per-guest part of start-up, its initialization timed from
+    /// `clock`'s origin.
+    fn open_since(symbols: Symbols, mem: &GuestMemory, clock: &RealClock) -> Result<Self, VmiError> {
         // ---- initialization --------------------------------------------
         let banner_gpa = kernel_sym_gpa(symbols.map(), names::LINUX_BANNER)?;
         let banner = crate::linux::read_fixed_string(mem, banner_gpa, 128)?;
         if !banner.starts_with("Linux version 4.") {
             return Err(VmiError::UnsupportedKernel(banner));
         }
-        let initialization = t0.elapsed();
+        let initialization = Duration::from_nanos(clock.now_ns());
 
         // ---- preprocessing ----------------------------------------------
-        let t1 = Instant::now();
+        let t1 = clock.now_ns();
         let mut resolved = HashMap::new();
         for name in HOT_SYMBOLS {
             resolved.insert(name, kernel_sym_gpa(symbols.map(), name)?);
@@ -195,6 +200,7 @@ impl VmiSession {
             banner,
             resolved,
             address_spaces: HashMap::new(),
+            spare_spaces: HashMap::new(),
             image_bytes: mem.size_bytes(),
             timings: InitTimings::default(),
             parsed: false,
@@ -202,7 +208,7 @@ impl VmiSession {
         session.refresh_address_spaces(mem)?;
         session.timings = InitTimings {
             initialization,
-            preprocessing: t1.elapsed(),
+            preprocessing: Duration::from_nanos(clock.now_ns().saturating_sub(t1)),
         };
         Ok(session)
     }
@@ -258,7 +264,6 @@ impl VmiSession {
     ///
     /// [`VmiError::TranslationFault`] for a user address,
     /// [`VmiError::OutOfImage`] when the structure would leave the image.
-    // lint: pause-window
     pub fn translate_kernel(&self, gva: Guest<Gva>, span: u64) -> Result<Gpa, VmiError> {
         let gpa = gva.kernel_to_gpa().ok_or(VmiError::TranslationFault(gva))?;
         Ok(gpa.checked_span(span, self.image_bytes)?)
@@ -274,7 +279,6 @@ impl VmiSession {
     /// [`VmiError::TranslationFault`] if the span is outside its mapping,
     /// [`VmiError::OutOfImage`] if the mapping itself leaves the image (a
     /// forged `mm_phys`/`mm_size`: a hard error, not a skip).
-    // lint: pause-window
     pub fn translate_user(&self, pid: u32, gva: Guest<Gva>, span: u64) -> Result<Gpa, VmiError> {
         let space = self
             .address_spaces
@@ -308,14 +312,15 @@ impl VmiSession {
     ///
     /// Fails if the task list is malformed or leaves the image, or with
     /// [`VmiError::TransientReadFault`] when an injected read fault fires
-    /// (retry-safe — the guest is paused during audits).
-    // lint: pause-window
+    /// (retry-safe — the guest is paused during audits). A failed refresh
+    /// leaves the cache as it was.
     pub fn refresh_address_spaces(&mut self, mem: &GuestMemory) -> Result<(), VmiError> {
         if crimes_faults::should_inject(crimes_faults::FaultPoint::VmiRead) {
             return Err(VmiError::TransientReadFault);
         }
-        let mut spaces = HashMap::new();
-        crate::linux::walk_tasks(self, mem, |task| {
+        let mut spaces = std::mem::take(&mut self.spare_spaces);
+        spaces.clear();
+        let walked = crate::linux::walk_tasks(self, mem, |task| {
             let len = mem.peek_u64(task.add(task_offsets::MM_SIZE))?;
             if len != 0 {
                 let pid = mem.peek_u32(task.add(task_offsets::PID))?;
@@ -327,9 +332,16 @@ impl VmiSession {
                 spaces.insert(pid.unguarded(), space);
             }
             Ok(())
-        })?;
-        self.address_spaces = spaces;
-        Ok(())
+        });
+        if walked.is_ok() {
+            std::mem::swap(&mut self.address_spaces, &mut spaces);
+            // The spare grows with the cache, so the next refresh
+            // allocates only past the most tasks ever seen.
+            spaces.clear();
+            spaces.reserve(self.address_spaces.len());
+        }
+        self.spare_spaces = spaces;
+        walked
     }
 }
 

@@ -10,7 +10,7 @@
 //! made-up constant.
 
 use crimes_rng::ChaCha8Rng;
-use std::time::Instant;
+use crimes_telemetry::{Clock, RealClock};
 
 /// Shadow encoding: one shadow byte per application byte (simpler than
 /// ASan's 1:8 compression; the check cost per access is equivalent).
@@ -225,7 +225,7 @@ fn run_sequence(ops: usize, seed: u64, checks: bool) -> u64 {
         })
         .collect();
     let mut sink = 0u64;
-    let t0 = Instant::now();
+    let clock = RealClock::new();
     for &(at, is_load) in &trace {
         if is_load {
             sink = sink.wrapping_add(arena.load(at as usize).expect("valid access") as u64);
@@ -235,7 +235,7 @@ fn run_sequence(ops: usize, seed: u64, checks: bool) -> u64 {
                 .expect("valid access");
         }
     }
-    let elapsed = t0.elapsed().as_nanos() as u64;
+    let elapsed = clock.now_ns();
     // Defeat dead-code elimination.
     std::hint::black_box(sink);
     std::hint::black_box(&arena);

@@ -158,7 +158,7 @@ mod tests {
         let mut vm = vm();
         let p = profile("swaptions").unwrap();
         let mut w = ParsecWorkload::launch(&mut vm, p, 7).unwrap();
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         w.run_ms(&mut vm, 100).unwrap();
         // 8 pages/ms * 100ms = 800 writes; unique pages ≤ writes.
         assert_eq!(w.total_dirtied(), 800);
@@ -173,7 +173,7 @@ mod tests {
         let unique_at = |ms: u64| {
             let mut vm = vm();
             let mut w = ParsecWorkload::launch(&mut vm, p, 7).unwrap();
-            vm.memory_mut().take_dirty();
+            vm.memory_mut().clear_dirty();
             w.run_ms(&mut vm, ms).unwrap();
             vm.memory().dirty().count()
         };
@@ -198,7 +198,7 @@ mod tests {
             mem_op_fraction: 0.5,
         };
         let mut w = ParsecWorkload::launch(&mut vm, &p, 1).unwrap();
-        vm.memory_mut().take_dirty();
+        vm.memory_mut().clear_dirty();
         for _ in 0..10 {
             w.run_ms(&mut vm, 1).unwrap();
         }

@@ -522,7 +522,7 @@ mod tests {
             b.pages(8192).seed(77);
             let mut vm = b.build();
             let mut w = WebServerWorkload::launch(&mut vm, intensity, 5).unwrap();
-            vm.memory_mut().take_dirty();
+            vm.memory_mut().clear_dirty();
             w.run_ms(&mut vm, 20).unwrap();
             vm.memory().dirty().count()
         };

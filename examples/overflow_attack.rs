@@ -11,10 +11,11 @@
 //! cargo run --example overflow_attack
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crimes::modules::CanaryScanModule;
 use crimes::{Crimes, CrimesConfig, EpochOutcome};
+use crimes_telemetry::{Clock, RealClock};
 use crimes_vm::Vm;
 use crimes_workloads::attacks::{self, attack_rips};
 use crimes_workloads::{profile, ParsecWorkload};
@@ -63,9 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  pause window:    {pause:?}");
     println!("  every output of the epoch is still buffered — zero external impact");
 
-    let t = Instant::now();
+    let clock = RealClock::new();
     let analysis = crimes.investigate()?;
-    let elapsed = t.elapsed();
+    let elapsed = Duration::from_nanos(clock.now_ns());
     let pin = analysis.pinpoint.as_ref().expect("pinpoint");
     println!("\nautomated forensics completed in {elapsed:?}:");
     println!("  dumps: last-good checkpoint, audit failure, attack instant");

@@ -252,7 +252,7 @@ fn replay_is_deterministic_at_every_record_boundary() {
     }
     // The full image replays the complete run.
     let full = EvidenceJournal::replay(&bytes);
-    assert_eq!(full.records_replayed as usize, bounds.len());
+    assert_eq!(full.records_replayed, bounds.len());
     assert_eq!(full.committed_epochs, 7);
     assert_eq!(full.degraded_epochs, 3);
     assert_eq!(full.failovers, 1);
@@ -554,7 +554,7 @@ fn outage_soak_resyncs_fails_over_and_never_releases_unacked_outputs() {
         let c = fleet.get(name).expect("present");
         resyncs += c.telemetry().counter(Counter::DrainResyncs);
         failovers += c.telemetry().counter(Counter::BackupFailovers);
-        released += c.buffer_stats().released as u64;
+        released += c.buffer_stats().released;
         assert!(!c.is_quarantined(), "{name}: soak must not quarantine");
         assert_eq!(c.pending_drain_count(), 0, "{name}: backlog flushed");
         assert!(c.checkpointer().verify_backup().is_ok(), "{name}: backup intact");

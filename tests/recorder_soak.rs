@@ -45,13 +45,13 @@ fn tenant(seed: u64) -> (Crimes, u32) {
     let mut cfg = CrimesConfig::builder();
     cfg.epoch_interval_ms(10);
     cfg.history_depth(3);
-    cfg.pause_workers(if seed % 2 == 0 { 4 } else { 1 });
+    cfg.pause_workers(if seed.is_multiple_of(2) { 4 } else { 1 });
     let cfg = cfg.build().expect("valid config");
     let mut c = loop {
         let mut b = Vm::builder();
         b.pages(1024).seed(seed);
         let vm = b.build();
-        match Crimes::protect(vm, cfg.clone()) {
+        match Crimes::protect(vm, cfg) {
             Ok(c) => break c,
             Err(CrimesError::Vmi(crimes_vmi::VmiError::TransientReadFault)) => continue,
             Err(e) => panic!("protect failed hard: {e}"),

@@ -17,6 +17,9 @@ pub struct Table3Row {
     pub scan: &'static str,
     /// Mean one-time initialization cost.
     pub initialization: Duration,
+    /// Of that, the mean System.map render + parse; the rest is the
+    /// banner check.
+    pub symbols: Duration,
     /// Mean one-time preprocessing cost.
     pub preprocessing: Duration,
     /// Mean per-checkpoint analysis cost.
@@ -60,13 +63,16 @@ pub fn run(init_iters: u32, scan_iters: u32) -> Table3 {
 
     // One-time costs, averaged over repeated cold inits.
     let mut init_sum = Duration::ZERO;
+    let mut symbols_sum = Duration::ZERO;
     let mut preproc_sum = Duration::ZERO;
     for _ in 0..init_iters {
-        let session = VmiSession::init(&vm).expect("init");
-        init_sum += session.timings().initialization;
-        preproc_sum += session.timings().preprocessing;
+        let timings = VmiSession::init(&vm).expect("init").timings();
+        init_sum += timings.initialization;
+        symbols_sum += timings.symbols;
+        preproc_sum += timings.preprocessing;
     }
     let initialization = init_sum / init_iters;
+    let symbols = symbols_sum / init_iters;
     let preprocessing = preproc_sum / init_iters;
 
     // Per-checkpoint costs on a warm session.
@@ -88,12 +94,14 @@ pub fn run(init_iters: u32, scan_iters: u32) -> Table3 {
             Table3Row {
                 scan: "process-list",
                 initialization,
+                symbols,
                 preprocessing,
                 memory_analysis: proc_scan,
             },
             Table3Row {
                 scan: "module-list",
                 initialization,
+                symbols,
                 preprocessing,
                 memory_analysis: mod_scan,
             },
@@ -114,6 +122,16 @@ impl Table3 {
             "Initialization".to_owned(),
             us(p.initialization),
             us(m.initialization),
+        ]);
+        t.row([
+            "  System.map render + parse".to_owned(),
+            us(p.symbols),
+            us(m.symbols),
+        ]);
+        t.row([
+            "  banner check".to_owned(),
+            us(p.initialization.saturating_sub(p.symbols)),
+            us(m.initialization.saturating_sub(m.symbols)),
         ]);
         t.row([
             "Preprocessing".to_owned(),
@@ -174,8 +192,12 @@ mod tests {
         assert_eq!(t.rows[0].scan, "process-list");
         assert_eq!(t.rows[1].scan, "module-list");
         assert!(t.rows[0].memory_analysis > Duration::ZERO);
+        assert!(t.rows[0].symbols > Duration::ZERO);
+        assert!(t.rows[0].symbols <= t.rows[0].initialization);
         let text = t.render(None);
         assert!(text.contains("Initialization"));
+        assert!(text.contains("System.map render + parse"));
+        assert!(text.contains("banner check"));
         assert!(text.contains("Memory Analysis"));
     }
 }

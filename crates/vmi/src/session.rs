@@ -9,7 +9,8 @@
 //! * **initialization** — render and *re-parse* the textual `System.map`
 //!   (tens of thousands of lines) into [`Symbols`], read the
 //!   `linux_banner` string out of guest memory, and check the kernel
-//!   version against the profile;
+//!   version against the profile. The render and parse dominate it and
+//!   are timed on their own ([`InitTimings::symbols`]);
 //! * **preprocessing** — pre-resolve the hot symbols to physical addresses
 //!   and build the user-address-translation cache by walking the task list
 //!   once;
@@ -41,8 +42,9 @@ pub struct Symbols(Arc<SystemMap>);
 
 impl Symbols {
     /// Render `map` as `System.map` text and parse it back, as LibVMI
-    /// parses the real file: the only symbol parse there is, Table 3's
-    /// *initialization* row.
+    /// parses the real file: the only symbol parse there is, and most of
+    /// Table 3's *initialization* row ([`InitTimings::symbols`]). Each
+    /// call pays both passes cold; nothing is kept between calls.
     ///
     /// # Errors
     ///
@@ -71,6 +73,10 @@ impl Symbols {
 pub struct InitTimings {
     /// Symbol parse (when the session made one) + kernel detection.
     pub initialization: Duration,
+    /// The part of `initialization` that rendered System.map as text and
+    /// parsed it back ([`Symbols::parse`]); `Duration::ZERO` for a session
+    /// opened on shared [`Symbols`].
+    pub symbols: Duration,
     /// Translation-cache construction.
     pub preprocessing: Duration,
 }
@@ -160,8 +166,10 @@ impl VmiSession {
     pub fn init_with(map: &SystemMap, mem: &GuestMemory) -> Result<Self, VmiError> {
         let clock = RealClock::new();
         let symbols = Symbols::parse(map)?;
+        let parse = Duration::from_nanos(clock.now_ns());
         let mut session = Self::open_since(symbols, mem, &clock)?;
         session.parsed = true;
+        session.timings.symbols = parse;
         Ok(session)
     }
 
@@ -208,6 +216,7 @@ impl VmiSession {
         session.refresh_address_spaces(mem)?;
         session.timings = InitTimings {
             initialization,
+            symbols: Duration::ZERO,
             preprocessing: Duration::from_nanos(clock.now_ns().saturating_sub(t1)),
         };
         Ok(session)
@@ -378,6 +387,19 @@ mod tests {
         let s = VmiSession::init(&vm).expect("init");
         assert!(s.timings().initialization > Duration::ZERO);
         assert!(s.timings().preprocessing > Duration::ZERO);
+    }
+
+    #[test]
+    fn init_times_its_parse_and_open_on_shared_symbols_makes_none() {
+        let vm = vm();
+        let cold = VmiSession::init(&vm).expect("init");
+        let t = cold.timings();
+        assert!(t.symbols > Duration::ZERO);
+        assert!(t.symbols <= t.initialization, "{t:?}");
+        let symbols = Symbols::parse(vm.system_map()).expect("parse");
+        let warm = VmiSession::open(&symbols, vm.memory()).expect("open");
+        assert_eq!(warm.timings().symbols, Duration::ZERO);
+        assert!(warm.timings().initialization > Duration::ZERO);
     }
 
     #[test]

@@ -34,7 +34,13 @@ cargo test --release --offline -q --test crash_recovery
 echo "==> clippy: fail-closed modules, clocks and threads, console output"
 # DESIGN.md "Static guarantees" says which check holds which invariant;
 # that the pause window allocates nothing is tests/pause_alloc.rs's, in
-# the test suite above.
+# the test suite above. Cargo re-checks a crate when a clippy.toml that
+# clippy read for it changes, but not when a new one appears nearer the
+# crate (a crate-level clippy.toml): the crate stays quiet until one of
+# its sources changes. Touching every crate root makes each one (and
+# every target built on it) face the clippy.toml files on disk, as a
+# clean checkout does.
+touch src/lib.rs crates/*/src/lib.rs
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> hermeticity: no package from a registry"

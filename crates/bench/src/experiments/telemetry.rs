@@ -1,7 +1,8 @@
 //! Telemetry export report — drives the seeded fault soak's tenant for a
 //! bounded number of epochs and publishes the framework's own evidence
-//! about the run: the counter/histogram bundle and the flight-recorder
-//! timeline, through the documented JSON and CSV schema
+//! about the run: the counter/histogram bundle and the flight recorder's
+//! events, read back from the evidence journal, through the documented
+//! JSON and CSV schema
 //! (`crimes_telemetry::export`). Every export is round-tripped through
 //! [`crimes_telemetry::schema::validate_telemetry_json`] before it is
 //! written, so a drifting emitter fails the experiment rather than
@@ -19,8 +20,10 @@
 //! of one committed boundary, timed over a long loop, may cost at most
 //! [`RECORDING_BUDGET_PCT`] of the tenant's mean boundary as its own
 //! phase histograms report it (recording is never compiled out, so that
-//! is the instrumented number). Recording is fixed-slot arithmetic, held
-//! to no allocation by `tests/pause_alloc.rs`; the ratio reads ≈ 0.003 %.
+//! is the instrumented number). Recording is fixed-slot arithmetic plus
+//! the boundary's events pushed into a reserved buffer, held to no
+//! allocation in the pause window by `tests/pause_alloc.rs`, and the
+//! buffer's flush into the journal after it.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -34,7 +37,8 @@ use crimes_outbuf::{NetPacket, Output};
 use crimes_rng::ChaCha8Rng;
 use crimes_telemetry::export::{counters_csv, events_csv, phases_csv, telemetry_json};
 use crimes_telemetry::schema::validate_telemetry_json;
-use crimes_telemetry::{Counter, EventKind, FlightRecorder, Telemetry};
+use crimes_journal::EvidenceJournal;
+use crimes_telemetry::{Counter, Event, EventKind, Telemetry};
 use crimes_vm::Vm;
 use crimes_workloads::attacks;
 
@@ -50,8 +54,10 @@ pub struct TelemetryExport {
     pub epochs: u64,
     /// The tenant's counters and histograms at the end of the run.
     pub telemetry: Telemetry,
-    /// The tenant's flight recorder at the end of the run.
-    pub recorder: FlightRecorder,
+    /// The flight recorder's events at the end of the run, oldest first.
+    pub events: Vec<Event>,
+    /// Events the tenant's journal holds: every one it recorded.
+    pub journaled_events: usize,
     /// The schema-validated JSON export of both.
     pub json: String,
     /// Mean cost of one boundary's telemetry calls, in nanoseconds.
@@ -67,17 +73,19 @@ pub struct TelemetryExport {
 pub const RECORDING_BUDGET_PCT: f64 = 5.0;
 
 /// Time the telemetry calls a committed four-worker boundary makes (three
-/// recorder events, six phase samples, the dirty-page and audit samples,
-/// four worker shards, three counter adds), averaged over a long loop.
+/// events pushed into a reserved buffer and flushed into the journal, six
+/// phase samples, the dirty-page and audit samples, four worker shards,
+/// three counter adds), averaged over a long loop.
 fn recording_ns_per_boundary() -> f64 {
-    const ITERS: u64 = 200_000;
+    const ITERS: u64 = 50_000;
     let mut t = Telemetry::new(&["suspend", "vmi", "bitscan", "map", "copy", "resume"]);
-    let mut r = FlightRecorder::new(64);
+    let mut events: Vec<Event> = Vec::with_capacity(16);
+    let mut journal = EvidenceJournal::new();
     let t0 = Instant::now();
     for i in 0..ITERS {
         let now = black_box(i * 1_000);
-        r.record(i, now, EventKind::EpochStart);
-        r.record(i, now + 1, EventKind::AuditStaged);
+        events.push(Event { epoch: i, at_ns: now, kind: EventKind::EpochStart });
+        events.push(Event { epoch: i, at_ns: now + 1, kind: EventKind::AuditStaged });
         for phase in 0..6 {
             t.record_phase_ns(phase, black_box(now + phase as u64));
         }
@@ -89,11 +97,14 @@ fn recording_ns_per_boundary() -> f64 {
         t.add(Counter::VmiRetries, black_box(i) & 1);
         t.add(Counter::EpochsCommitted, 1);
         t.add(Counter::OutputsReleased, 2);
-        r.record(i, now + 2, EventKind::Committed { released: 2 });
+        events.push(Event { epoch: i, at_ns: now + 2, kind: EventKind::Committed { released: 2 } });
+        for event in events.drain(..) {
+            journal.append_event(event);
+        }
     }
     let elapsed = t0.elapsed().as_nanos();
     // Keep the accumulators live so the loop cannot be optimised away.
-    black_box((t.counter(Counter::EpochsCommitted), r.recorded()));
+    black_box((t.counter(Counter::EpochsCommitted), journal.record_count()));
     elapsed as f64 / ITERS as f64
 }
 
@@ -199,8 +210,9 @@ pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
         1,
         "start-up parses System.map once, and {investigated} incidents never again"
     );
-    let recorder = c.flight_recorder().clone();
-    let json = telemetry_json(&telemetry, &recorder);
+    let events: Vec<Event> = c.flight_recorder().events().collect();
+    let journaled_events = c.journal().recent_events(usize::MAX).count();
+    let json = telemetry_json(&telemetry, events.iter().copied());
     validate_telemetry_json(&json).expect("export matches the documented schema");
 
     let (sum_ns, boundaries) = telemetry
@@ -217,7 +229,8 @@ pub fn run(epochs: u64, seed: u64) -> TelemetryExport {
         seed,
         epochs: driven,
         telemetry,
-        recorder,
+        events,
+        journaled_events,
         json,
         recording_ns,
         boundary_ns,
@@ -238,7 +251,7 @@ impl TelemetryExport {
             let _ = std::fs::write(dir.join("telemetry.json"), &self.json);
             let _ = std::fs::write(dir.join("telemetry_counters.csv"), counters_csv(&self.telemetry));
             let _ = std::fs::write(dir.join("telemetry_phases.csv"), phases_csv(&self.telemetry));
-            let _ = std::fs::write(dir.join("telemetry_events.csv"), events_csv(&self.recorder));
+            let _ = std::fs::write(dir.join("telemetry_events.csv"), events_csv(self.events.iter().copied()));
         }
         let mut s = String::new();
         let _ = writeln!(
@@ -248,10 +261,9 @@ impl TelemetryExport {
         );
         let _ = writeln!(
             s,
-            "  flight recorder: {} events retained ({} recorded, capacity {})",
-            self.recorder.len(),
-            self.recorder.recorded(),
-            self.recorder.capacity()
+            "  events: {} journaled, the newest {} exported",
+            self.journaled_events,
+            self.events.len()
         );
         let _ = writeln!(
             s,
@@ -291,7 +303,8 @@ mod tests {
         let r = run(300, 0x7e1e_5eed);
         let committed = r.telemetry.counter(Counter::EpochsCommitted);
         assert!(committed > 30, "epochs commit before any quarantine: {committed}");
-        assert!(!r.recorder.is_empty(), "the recorder saw the run");
+        assert!(!r.events.is_empty(), "the recorder saw the run");
+        assert!(r.journaled_events >= r.events.len(), "the journal holds what is exported");
         for key in ["\"schema_version\":1", "\"counters\"", "\"events\""] {
             assert!(r.json.contains(key), "missing {key}");
         }
@@ -317,7 +330,7 @@ mod tests {
         };
         assert_eq!(seeded(&a), seeded(&b));
         let kinds = |r: &TelemetryExport| -> Vec<String> {
-            r.recorder.events().map(|e| e.kind.to_string()).collect()
+            r.events.iter().map(|e| e.kind.to_string()).collect()
         };
         assert_eq!(kinds(&a), kinds(&b), "event kinds are seed-deterministic");
     }

@@ -385,12 +385,15 @@ impl PauseWindowPool {
         self.workers
     }
 
-    /// Start the resident workers, the first time it is called. The
-    /// engine calls this before it suspends a guest, so threads are
-    /// created once per pool and never inside a window; a pool that is
-    /// never asked walks on its caller alone.
+    /// Start the resident workers, the first time it is called, and
+    /// return once they run. The engine calls this before it suspends a
+    /// guest, so threads are created once per pool and none of a thread's
+    /// start-up lands inside a window; a pool that is never asked walks
+    /// on its caller alone.
     pub fn start_workers(&mut self) {
-        resident::lock(&self.exec).start();
+        let mut exec = resident::lock(&self.exec);
+        exec.start();
+        exec.wait_running();
     }
 
     /// Resident workers the next walk would lend to: `workers − 1` once

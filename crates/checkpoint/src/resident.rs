@@ -53,10 +53,14 @@ impl<F: FnMut() + Send> Task for F {
 /// A lent job, its lifetime erased (see [`Resident::scope`]).
 type Lent = &'static mut dyn Task;
 
-/// One worker's job slot. The lender moves it `Idle → Posted` and, taking
-/// the job back, `Posted → Idle`; the worker `Posted → Running → Done` (or
+/// One worker's job slot. The worker moves it `Starting → Idle` once its
+/// thread runs, unless a job was posted first; the lender moves it
+/// `Idle` (or `Starting`) `→ Posted` and, taking the job back,
+/// `Posted → Idle`; the worker `Posted → Running → Done` (or
 /// `Lost`); the lender collects `Done → Idle`.
 enum State {
+    /// No thread has reached the slot yet.
+    Starting,
     Idle,
     /// A job nobody has started. While `held`, the worker leaves it alone
     /// (test pins only).
@@ -103,6 +107,13 @@ impl Slot {
 /// A worker thread: parked on its slot between jobs, gone when the
 /// executor drops or a job panics.
 fn work(slot: &Slot) {
+    {
+        let mut state = slot.lock();
+        if matches!(*state, State::Starting) {
+            *state = State::Idle;
+        }
+    }
+    slot.changed.notify_all();
     loop {
         let job = {
             let mut state = slot.lock();
@@ -270,7 +281,7 @@ impl Resident {
     /// An executor of `threads` workers. None is started yet.
     pub fn new(threads: usize) -> Self {
         let slot = |_| Slot {
-            state: Mutex::new(State::Idle),
+            state: Mutex::new(State::Starting),
             changed: Condvar::new(),
             #[cfg(test)]
             doomed: std::sync::atomic::AtomicIsize::new(-1),
@@ -300,6 +311,17 @@ impl Resident {
             match spawned {
                 Ok(thread) => self.threads.push(thread),
                 Err(_) => break,
+            }
+        }
+    }
+
+    /// Wait until every started worker runs: a thread's own start-up (the
+    /// runtime allocates a copy of its name there) is then over.
+    pub fn wait_running(&self) {
+        for slot in self.slots.get(..self.threads.len()).unwrap_or(&[]) {
+            let mut state = slot.lock();
+            while matches!(*state, State::Starting) {
+                state = slot.wait(state);
             }
         }
     }
@@ -494,5 +516,17 @@ mod tests {
         assert_eq!(cells, [1, 0, 1, 1, 1, 1], "only the job the worker died with did not run");
         assert_eq!(exec.threads(), 0);
         assert_eq!(count_up(&mut exec), (Ok(0), [1; 6]), "everything on the lender from now on");
+    }
+
+    #[test]
+    fn wait_running_returns_once_every_worker_has_reached_its_slot() {
+        let mut exec = Resident::new(3);
+        exec.wait_running();
+        exec.start();
+        exec.wait_running();
+        assert_eq!(exec.threads(), 3);
+        assert!(exec.slots.iter().all(|slot| matches!(*slot.lock(), State::Idle)));
+        let _pin = pin(Placement::TakeNone);
+        assert_eq!(count_up(&mut exec), (Ok(0), [1; 6]), "the workers run what they are lent");
     }
 }

@@ -15,6 +15,13 @@ use crimes_outbuf::SafetyMode;
 
 use crate::error::CrimesError;
 
+/// The largest [`CrimesConfig::vmi_retries`] that
+/// [`CrimesConfigBuilder::build`] accepts. The retries' own backoff
+/// (20 µs × attempt) already sums to ≈ 10 s at this count, longer than
+/// any audit deadline worth setting, and each retry takes an event slot
+/// reserved up front for the pause window.
+pub const MAX_VMI_RETRIES: u32 = 1_024;
+
 /// Configuration of one CRIMES-protected VM.
 #[derive(Debug, Clone, Copy)]
 pub struct CrimesConfig {
@@ -28,7 +35,10 @@ pub struct CrimesConfig {
     /// outputs stay buffered, and speculation extends into the next epoch.
     pub audit_deadline_ms: Option<u64>,
     /// Retries for transient VMI read faults during an audit before the
-    /// epoch is declared inconclusive.
+    /// epoch is declared inconclusive (validated at
+    /// [`CrimesConfigBuilder::build`]: at most [`MAX_VMI_RETRIES`]). Each
+    /// retry records an event inside the pause window, into a buffer
+    /// reserved for this many.
     pub vmi_retries: u32,
     /// Consecutive inconclusive epochs tolerated before the VM is
     /// quarantined (suspended, outputs impounded).
@@ -39,10 +49,6 @@ pub struct CrimesConfig {
     pub max_held_bytes: usize,
     /// Output-buffering policy.
     pub safety: SafetyMode,
-    /// Epochs of history kept by the flight recorder (validated at
-    /// [`CrimesConfigBuilder::build`]: must be at least 1). The recorder's
-    /// ring is preallocated, so this bounds its memory footprint.
-    pub flight_recorder_epochs: usize,
     /// Staged epochs allowed to await their backup ack before the fleet
     /// stops speculating (deferred pipeline only). `0` (the default)
     /// disables degraded mode: the first failed drain rolls the epoch
@@ -76,7 +82,6 @@ impl Default for CrimesConfig {
             max_held_outputs: usize::MAX,
             max_held_bytes: usize::MAX,
             safety: SafetyMode::Synchronous,
-            flight_recorder_epochs: 8,
             max_staged_backlog: 0,
             failover_threshold: 0,
             requested_pause_workers: 1,
@@ -134,7 +139,8 @@ impl CrimesConfigBuilder {
         self
     }
 
-    /// Retries for transient VMI read faults per audit.
+    /// Retries for transient VMI read faults per audit (validated at
+    /// [`build`](Self::build): at most [`MAX_VMI_RETRIES`]).
     pub fn vmi_retries(&mut self, retries: u32) -> &mut Self {
         self.config.vmi_retries = retries;
         self
@@ -157,13 +163,6 @@ impl CrimesConfigBuilder {
     /// Output-buffering policy.
     pub fn safety(&mut self, mode: SafetyMode) -> &mut Self {
         self.config.safety = mode;
-        self
-    }
-
-    /// Epochs of history kept by the flight recorder (validated at
-    /// [`build`](Self::build): must be at least 1).
-    pub fn flight_recorder_epochs(&mut self, epochs: usize) -> &mut Self {
-        self.config.flight_recorder_epochs = epochs;
         self
     }
 
@@ -286,7 +285,8 @@ impl CrimesConfigBuilder {
     ///
     /// [`CrimesError::InvalidConfig`] when the configuration is impossible:
     /// a zero-length epoch, a zero audit deadline,
-    /// an audit deadline longer than the epoch interval, a zero drain
+    /// an audit deadline longer than the epoch interval, more than
+    /// [`MAX_VMI_RETRIES`] VMI retries, a zero drain
     /// timeout with staging enabled, or a staged backlog that the staging
     /// buffers cannot hold.
     pub fn build(&self) -> Result<CrimesConfig, CrimesError> {
@@ -308,10 +308,11 @@ impl CrimesConfigBuilder {
                 crimes_checkpoint::MAX_WORKERS
             )));
         }
-        if c.flight_recorder_epochs == 0 {
-            return Err(CrimesError::InvalidConfig(
-                "flight_recorder_epochs must be at least 1".into(),
-            ));
+        if c.vmi_retries > MAX_VMI_RETRIES {
+            return Err(CrimesError::InvalidConfig(format!(
+                "vmi_retries ({}) exceeds {MAX_VMI_RETRIES}",
+                c.vmi_retries
+            )));
         }
         if c.checkpoint.staging_buffers > 0 && c.checkpoint.drain_timeout_ms == 0 {
             return Err(CrimesError::InvalidConfig(
@@ -383,7 +384,6 @@ mod tests {
             .safety(SafetyMode::BestEffort)
             .opt_level(OptLevel::NoOpt)
             .history_depth(3)
-            .flight_recorder_epochs(4)
             .pause_workers(4)
             .staging_buffers(4)
             .drain_timeout_ms(25)
@@ -399,7 +399,6 @@ mod tests {
         assert_eq!(c.safety, SafetyMode::BestEffort);
         assert_eq!(c.checkpoint.opt, OptLevel::NoOpt);
         assert_eq!(c.checkpoint.history_depth, 3);
-        assert_eq!(c.flight_recorder_epochs, 4);
         assert_eq!(c.checkpoint.staging_buffers, 4);
         assert_eq!(c.checkpoint.drain_timeout_ms, 25);
         assert_eq!(c.max_staged_backlog, 2);
@@ -470,9 +469,9 @@ mod tests {
         })
         .contains("pause_workers"));
         assert!(reject(&|b| {
-            b.flight_recorder_epochs(0);
+            b.vmi_retries(MAX_VMI_RETRIES + 1);
         })
-        .contains("flight_recorder_epochs"));
+        .contains("vmi_retries"));
         assert!(reject(&|b| {
             b.pause_workers(crimes_checkpoint::MAX_WORKERS + 1);
         })

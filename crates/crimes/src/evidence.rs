@@ -1,6 +1,6 @@
 //! The evidence state of one protected VM, owned in one place: the
 //! durable journal, the output buffer, the drain tickets awaiting a backup
-//! ack, and the quarantine latch.
+//! ack, the quarantine latch, and the boundary events not yet journalled.
 //!
 //! The paper's one safety property — no output leaves the host unless its
 //! epoch's audit passed *and* its evidence is durable — rests on two
@@ -23,6 +23,10 @@
 //!   so this crate cannot mint one. A receipt is `Clone`: a stale one is
 //!   not caught by type. That is the residual assumption, and the driver
 //!   in `framework.rs` never keeps one past the call it was made for.
+//!
+//! Boundary events go through [`Evidence::record`] into a buffer reserved
+//! for one boundary and reach the journal, their only store, at
+//! [`Evidence::flush_events`]; [`RecentEvents`] reads them back.
 //!
 //! Two transitions look like exceptions and are not:
 //!
@@ -47,10 +51,19 @@ use std::collections::VecDeque;
 use crimes_checkpoint::{AuditVerdict, Checkpointer, DrainStats, DrainTicket, EpochReport};
 use crimes_journal::{EvidenceJournal, Record, RecoveredState};
 use crimes_outbuf::{BufferError, Output, OutputBuffer};
-use crimes_telemetry::FlightRecorder;
+use crimes_telemetry::{Event, EventKind};
 
 use crate::config::CrimesConfig;
 use crate::error::CrimesError;
+
+/// Events the flight recorder shows: the newest this many, about eight
+/// epochs of boundaries.
+pub const FLIGHT_RECORDER_EVENTS: usize = 128;
+
+/// Events a boundary records besides its VMI retries, with room to spare.
+/// The pause window records only the stage, the retries and a missing
+/// start; a boundary with more (a drain backlog) grows the buffer later.
+const BOUNDARY_EVENTS: usize = 16;
 
 /// Lossless-or-saturating widening for journal payloads.
 fn wide(n: usize) -> u64 {
@@ -71,9 +84,8 @@ pub(crate) struct Evidence {
     pending: VecDeque<DrainTicket>,
     /// Set once the VM is quarantined: `(reason, epoch)`. Terminal.
     quarantined: Option<(&'static str, u64)>,
-    /// Flight-recorder events mirrored into the journal so far (the ring
-    /// overwrites; the journal must not miss events).
-    journal_synced: u64,
+    /// The boundary's events not yet journalled, in record order.
+    events: Vec<Event>,
 }
 
 impl Evidence {
@@ -88,8 +100,16 @@ impl Evidence {
             ),
             pending: VecDeque::new(),
             quarantined: None,
-            journal_synced: 0,
+            events: Vec::new(),
         }
+    }
+
+    /// Reserve the event buffer for one boundary with `vmi_retries`
+    /// retries (see `Crimes::assemble` for where).
+    pub(crate) fn reserve_events(&mut self, vmi_retries: u32) {
+        let retries = vmi_retries.min(crate::config::MAX_VMI_RETRIES);
+        self.events
+            .reserve_exact(BOUNDARY_EVENTS + usize::try_from(retries).unwrap_or(usize::MAX));
     }
 
     /// The evidence a crashed monitor's journal proves: `journal` is the
@@ -106,7 +126,6 @@ impl Evidence {
     ) -> Self {
         let mut evidence = Evidence::new(config);
         evidence.journal = journal;
-        evidence.journal_synced = wide(state.events.len());
         for (output, enqueued_ns, generation) in &state.ack_pending {
             evidence
                 .buffer
@@ -269,18 +288,52 @@ impl Evidence {
         self.journal.append(&Record::Committed { epoch });
     }
 
-    /// Mirror the flight-recorder events not yet journalled. Called at
-    /// every boundary exit; the ring holds at least one epoch's worth of
-    /// events, so per-boundary mirroring never loses any to overwrite.
-    pub(crate) fn mirror_events(&mut self, recorder: &FlightRecorder) {
-        let total = recorder.recorded();
-        let first_retained = total.saturating_sub(wide(recorder.len()));
-        let skip = usize::try_from(self.journal_synced.saturating_sub(first_retained))
-            .unwrap_or(usize::MAX);
-        for e in recorder.events().skip(skip) {
-            self.journal.append_event(e.epoch, e.at_ns, e.kind);
+    /// Record a boundary event, alloc-free within the reserved buffer,
+    /// for the next [`flush_events`](Self::flush_events).
+    pub(crate) fn record(&mut self, epoch: u64, at_ns: u64, kind: EventKind) {
+        self.events.push(Event { epoch, at_ns, kind });
+    }
+
+    /// Journal the recorded events, in record order. Called at every
+    /// boundary exit, after the transitions the boundary made.
+    pub(crate) fn flush_events(&mut self) {
+        for event in self.events.drain(..) {
+            self.journal.append_event(event);
         }
-        self.journal_synced = total;
+    }
+
+    /// The flight recorder: the newest boundary events, journalled or not.
+    pub(crate) fn recent_events(&self) -> RecentEvents<'_> {
+        RecentEvents {
+            journal: &self.journal,
+            unflushed: &self.events,
+        }
+    }
+}
+
+/// The flight recorder: the newest [`FLIGHT_RECORDER_EVENTS`] boundary
+/// events, read back from the journal's tail, then those of a boundary
+/// still in progress, not journalled until it finishes.
+#[derive(Debug, Clone, Copy)]
+pub struct RecentEvents<'a> {
+    journal: &'a EvidenceJournal,
+    unflushed: &'a [Event],
+}
+
+impl<'a> RecentEvents<'a> {
+    /// The events, oldest first.
+    pub fn events(&self) -> impl Iterator<Item = Event> + 'a {
+        let skip = self.unflushed.len().saturating_sub(FLIGHT_RECORDER_EVENTS);
+        let unflushed = self.unflushed.get(skip..).unwrap_or_default();
+        let journalled = FLIGHT_RECORDER_EVENTS.saturating_sub(unflushed.len());
+        self.journal
+            .recent_events(journalled)
+            .chain(unflushed.iter().copied())
+    }
+
+    /// The events of one epoch, oldest first.
+    pub fn events_for_epoch(&self, epoch: u64) -> impl Iterator<Item = Event> + 'a {
+        self.events().filter(move |e| e.epoch == epoch)
     }
 }
 

@@ -27,7 +27,7 @@ use crimes_checkpoint::{
 use crimes_faults::FaultPoint;
 use crimes_journal::{EvidenceJournal, RecoveredState};
 use crimes_outbuf::{BufferStats, Output, OutputBuffer, OutputScanner};
-use crimes_telemetry::{Clock, Counter, EventKind, FlightRecorder, RealClock, Telemetry};
+use crimes_telemetry::{render_timeline, Clock, Counter, EventKind, RealClock, Telemetry};
 use crimes_vm::{DirtyBitmap, MetaSnapshot, TraceMark, Vm, VmError};
 use crimes_vmi::{Symbols, VmiError, VmiSession};
 
@@ -36,7 +36,7 @@ use crate::async_scan::{AsyncScanResult, AsyncScanner};
 use crate::config::CrimesConfig;
 use crate::detector::{AuditReport, Detector, ScanModule};
 use crate::error::CrimesError;
-use crate::evidence::Evidence;
+use crate::evidence::{Evidence, RecentEvents};
 
 /// What an epoch boundary produced.
 #[derive(Debug)]
@@ -232,7 +232,9 @@ fn finish_audit(
 struct BoundaryAudit<'a> {
     detector: &'a mut Detector,
     session: &'a mut VmiSession,
-    buffer: &'a OutputBuffer,
+    /// Read for the held outputs the verdict scans; written only by
+    /// [`Evidence::record`], into its reserved buffer.
+    evidence: &'a mut Evidence,
     output_scanner: Option<&'a OutputScanner>,
     deadline: Duration,
     vmi_retries: u32,
@@ -240,7 +242,6 @@ struct BoundaryAudit<'a> {
     epoch: u64,
     clock: &'a Arc<dyn Clock>,
     telemetry: &'a mut Telemetry,
-    recorder: &'a mut FlightRecorder,
     /// Set by [`stage`](FusedAudit::stage); the deadline clock starts there.
     started_ns: Option<u64>,
     /// Index of the module whose visitor rides the walk.
@@ -257,7 +258,7 @@ impl FusedAudit for BoundaryAudit<'_> {
     fn stage(&mut self, vm: &Vm, dirty: &DirtyBitmap) {
         let now = self.clock.now_ns();
         self.started_ns = Some(now);
-        self.recorder.record(self.epoch, now, EventKind::AuditStaged);
+        self.evidence.record(self.epoch, now, EventKind::AuditStaged);
         let (mut staged, mut errors) =
             self.detector
                 .stage_fused(vm.memory(), self.session, dirty, self.epoch);
@@ -266,7 +267,7 @@ impl FusedAudit for BoundaryAudit<'_> {
         // for the walk to carry the scan.
         while *self.retries_used < self.vmi_retries && all_transient(&errors) {
             *self.retries_used += 1;
-            self.recorder.record(
+            self.evidence.record(
                 self.epoch,
                 self.clock.now_ns(),
                 EventKind::VmiRetry {
@@ -315,7 +316,7 @@ impl FusedAudit for BoundaryAudit<'_> {
         // has burned the retry budget this loop will not spin further.
         while *self.retries_used < self.vmi_retries && all_transient(&self.audit.errors) {
             *self.retries_used += 1;
-            self.recorder.record(
+            self.evidence.record(
                 self.epoch,
                 self.clock.now_ns(),
                 EventKind::VmiRetry {
@@ -347,14 +348,14 @@ impl FusedAudit for BoundaryAudit<'_> {
                 // (fail closed) rather than none of it. Silently timing it
                 // at zero would let an untimed audit fast-pass its deadline.
                 self.telemetry.add(Counter::MissingAuditStarts, 1);
-                self.recorder
+                self.evidence
                     .record(self.epoch, now, EventKind::MissingAuditStart);
                 u64::MAX
             }
         };
         let verdict = finish_audit(
             self.audit,
-            self.buffer,
+            self.evidence.buffer(),
             self.output_scanner,
             elapsed_ns,
             self.deadline,
@@ -401,8 +402,6 @@ pub struct Crimes {
     clock: Arc<dyn Clock>,
     /// Preallocated counters and histograms.
     telemetry: Telemetry,
-    /// Bounded ring of structured boundary events (the flight recorder).
-    recorder: FlightRecorder,
     /// Inconclusive audits in a row (reset by any conclusive epoch).
     consecutive_extensions: u32,
 }
@@ -492,7 +491,6 @@ impl Crimes {
             session,
             checkpointer,
             evidence,
-            &[],
             0,
             lent_pages,
         );
@@ -579,7 +577,6 @@ impl Crimes {
             session,
             checkpointer,
             evidence,
-            &state.events,
             state.committed_epochs,
             lent_pages,
         );
@@ -595,9 +592,9 @@ impl Crimes {
 
     /// The one constructor body: a protected VM around pieces
     /// [`protect_with_clock`](Self::protect_with_clock) made fresh or
-    /// [`recover`](Self::recover) rebuilt from the journal, `events` being
-    /// the flight-recorder timeline so far and `startup_lent_pages` the
-    /// image pages a resident worker digested at start-up.
+    /// [`recover`](Self::recover) rebuilt from the journal,
+    /// `startup_lent_pages` being the image pages a resident worker
+    /// digested at start-up.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         mut vm: Vm,
@@ -605,8 +602,7 @@ impl Crimes {
         clock: Arc<dyn Clock>,
         session: VmiSession,
         checkpointer: Checkpointer,
-        evidence: Evidence,
-        events: &[(u64, u64, EventKind)],
+        mut evidence: Evidence,
         committed_epochs: u64,
         startup_lent_pages: usize,
     ) -> Self {
@@ -619,13 +615,10 @@ impl Crimes {
             // extra phase after the paper's six in-window rows.
             labels.push(DRAIN_PHASE_LABEL);
         }
-        // The ring is allocated here, after the snapshots above, as it
-        // always was: allocated before them it moved the benchmark's peak
-        // RSS by -2.5 to +1.9 MiB, by workload (heap placement, not use).
-        let mut recorder = FlightRecorder::new(config.flight_recorder_epochs);
-        for &(epoch, at_ns, kind) in events {
-            recorder.record(epoch, at_ns, kind);
-        }
+        // The event buffer is reserved here, after the snapshots above:
+        // an allocation made before them moved the benchmark's peak RSS
+        // by -2.5 to +1.9 MiB, by workload (heap placement, not use).
+        evidence.reserve_events(config.vmi_retries);
         let mut telemetry = Telemetry::new(&labels);
         telemetry.add(
             Counter::StartupDigestLentPages,
@@ -649,7 +642,6 @@ impl Crimes {
             pending: None,
             clock,
             telemetry,
-            recorder,
             consecutive_extensions: 0,
         }
     }
@@ -779,10 +771,10 @@ impl Crimes {
         &self.telemetry
     }
 
-    /// The epoch flight recorder: structured boundary events for roughly
-    /// the last [`CrimesConfig::flight_recorder_epochs`] epochs.
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.recorder
+    /// The epoch flight recorder: the newest structured boundary events,
+    /// read back from the evidence journal (see [`RecentEvents`]).
+    pub fn flight_recorder(&self) -> RecentEvents<'_> {
+        self.evidence.recent_events()
     }
 
     /// `true` once the VM has been quarantined (suspended, outputs
@@ -819,9 +811,9 @@ impl Crimes {
         self.checkpointer.failover_backup();
         self.telemetry.add(Counter::BackupFailovers, 1);
         let epoch = self.checkpointer.backup().epoch();
-        self.recorder
+        self.evidence
             .record(epoch, self.clock.now_ns(), EventKind::BackupFailover);
-        self.evidence.mirror_events(&self.recorder);
+        self.evidence.flush_events();
     }
 
     /// Enter quarantine: suspend the guest, impound the held outputs
@@ -832,9 +824,9 @@ impl Crimes {
         let epoch = self.checkpointer.backup().epoch();
         self.evidence.quarantine(reason, epoch);
         self.telemetry.add(Counter::Quarantines, 1);
-        self.recorder
+        self.evidence
             .record(epoch, self.clock.now_ns(), EventKind::Quarantined);
-        self.evidence.mirror_events(&self.recorder);
+        self.evidence.flush_events();
         CrimesError::Quarantined { reason, epoch }
     }
 
@@ -980,7 +972,7 @@ impl Crimes {
         let vmi_retries = self.config.vmi_retries;
         let mut retries_used = 0u32;
         let epoch = self.checkpointer.backup().epoch();
-        self.recorder
+        self.evidence
             .record(epoch, self.clock.now_ns(), EventKind::EpochStart);
         let Crimes {
             vm,
@@ -991,7 +983,6 @@ impl Crimes {
             output_scanner,
             clock,
             telemetry,
-            recorder,
             ..
         } = self;
         let mut audit = detector.blank_report();
@@ -1004,7 +995,7 @@ impl Crimes {
             &mut BoundaryAudit {
                 detector,
                 session,
-                buffer: evidence.buffer(),
+                evidence,
                 output_scanner: output_scanner.as_ref(),
                 deadline,
                 vmi_retries,
@@ -1012,7 +1003,6 @@ impl Crimes {
                 epoch,
                 clock,
                 telemetry,
-                recorder,
                 started_ns: None,
                 staged: None,
                 stage_errors: Vec::new(),
@@ -1026,7 +1016,7 @@ impl Crimes {
             Ok(r) => r,
             Err(e) => {
                 self.telemetry.add(Counter::CommitFailures, 1);
-                self.recorder
+                self.evidence
                     .record(epoch, self.clock.now_ns(), EventKind::CommitFailure);
                 return self.recover_failed_commit(e.into()).map(BoundaryProgress::Done);
             }
@@ -1067,7 +1057,7 @@ impl Crimes {
                     // precedes its epoch's evidence) survives moving the
                     // copy past resume.
                     let held = self.evidence.stage_ticket(ticket, epoch);
-                    self.recorder.record(
+                    self.evidence.record(
                         epoch,
                         self.clock.now_ns(),
                         EventKind::AckPending {
@@ -1087,7 +1077,7 @@ impl Crimes {
             AuditVerdict::Fail => {
                 self.consecutive_extensions = 0;
                 self.telemetry.add(Counter::AttacksDetected, 1);
-                self.recorder.record(
+                self.evidence.record(
                     epoch,
                     self.clock.now_ns(),
                     EventKind::AttackDetected {
@@ -1096,7 +1086,7 @@ impl Crimes {
                 );
                 self.evidence.incident(epoch, audit.findings.len());
                 self.pending = Some(audit.clone());
-                self.evidence.mirror_events(&self.recorder);
+                self.evidence.flush_events();
                 Ok(BoundaryProgress::Done(EpochOutcome::AttackDetected {
                     report,
                     audit,
@@ -1110,7 +1100,7 @@ impl Crimes {
                 self.consecutive_extensions += 1;
                 let consecutive = self.consecutive_extensions;
                 self.telemetry.add(Counter::SpeculationExtensions, 1);
-                self.recorder.record(
+                self.evidence.record(
                     epoch,
                     self.clock.now_ns(),
                     EventKind::Extended { consecutive },
@@ -1127,7 +1117,7 @@ impl Crimes {
                 } else {
                     "audit overran its deadline"
                 };
-                self.evidence.mirror_events(&self.recorder);
+                self.evidence.flush_events();
                 Ok(BoundaryProgress::Done(EpochOutcome::Extended {
                     report,
                     cause,
@@ -1177,7 +1167,7 @@ impl Crimes {
                         // The session reconnected mid-stream and
                         // resynced from the slot's cursor.
                         self.telemetry.add(Counter::DrainResyncs, 1);
-                        self.recorder.record(
+                        self.evidence.record(
                             epoch,
                             self.clock.now_ns(),
                             EventKind::DrainResync {
@@ -1185,7 +1175,7 @@ impl Crimes {
                             },
                         );
                     }
-                    self.recorder.record(
+                    self.evidence.record(
                         epoch,
                         self.clock.now_ns(),
                         EventKind::DrainAcked {
@@ -1231,7 +1221,7 @@ impl Crimes {
                 | CheckpointError::BackupUnreachable { attempt: attempts } => attempts,
                 _ => COPY_RETRIES + 1,
             };
-            self.recorder
+            self.evidence
                 .record(epoch, self.clock.now_ns(), EventKind::DrainFailed { attempts });
             let backlog = u64::try_from(self.evidence.pending().len()).unwrap_or(u64::MAX);
             if self.config.max_staged_backlog == 0 {
@@ -1242,7 +1232,7 @@ impl Crimes {
                 // roll back to checksum-verified state, or
                 // quarantine.
                 self.telemetry.add(Counter::CommitFailures, 1);
-                self.recorder
+                self.evidence
                     .record(epoch, self.clock.now_ns(), EventKind::CommitFailure);
                 return self.recover_failed_commit(e.into());
             }
@@ -1259,14 +1249,14 @@ impl Crimes {
             // at a later boundary or after a failover.
             self.evidence.degraded(stuck_generation, backlog);
             self.telemetry.add(Counter::DegradedEpochs, 1);
-            self.recorder.record(
+            self.evidence.record(
                 epoch,
                 self.clock.now_ns(),
                 EventKind::Degraded {
                     backlog: u32::try_from(backlog).unwrap_or(u32::MAX),
                 },
             );
-            self.evidence.mirror_events(&self.recorder);
+            self.evidence.flush_events();
             return Ok(EpochOutcome::Degraded {
                 report,
                 audit,
@@ -1306,7 +1296,7 @@ impl Crimes {
         self.telemetry.add(Counter::EpochsCommitted, 1);
         self.telemetry
             .add(Counter::OutputsReleased, u64::try_from(released.len()).unwrap_or(0));
-        self.recorder.record(
+        self.evidence.record(
             epoch,
             self.clock.now_ns(),
             EventKind::Committed {
@@ -1320,7 +1310,7 @@ impl Crimes {
         self.epoch_start_mark = self.vm.trace_mark();
         self.evidence.committed(self.committed_epochs);
         self.committed_epochs += 1;
-        self.evidence.mirror_events(&self.recorder);
+        self.evidence.flush_events();
         Ok(EpochOutcome::Committed {
             report,
             audit,
@@ -1362,7 +1352,7 @@ impl Crimes {
             Ok(rb) => {
                 if rb.fell_back {
                     self.telemetry.add(Counter::FallbackRollbacks, 1);
-                    self.recorder.record(
+                    self.evidence.record(
                         epoch,
                         self.clock.now_ns(),
                         EventKind::FallbackRollback,
@@ -1380,14 +1370,14 @@ impl Crimes {
         self.epoch_start_mark = self.vm.trace_mark();
         self.consecutive_extensions = 0;
         self.vm.vcpus_mut().resume_all();
-        self.recorder.record(
+        self.evidence.record(
             epoch,
             self.clock.now_ns(),
             EventKind::RollbackResumed {
                 discarded: u32::try_from(discarded).unwrap_or(u32::MAX),
             },
         );
-        self.evidence.mirror_events(&self.recorder);
+        self.evidence.flush_events();
         Ok(discarded)
     }
 
@@ -1437,7 +1427,7 @@ impl Crimes {
         // rides along in the report.
         analysis.report.push_section(
             "Framework flight recorder",
-            &self.recorder.render_timeline(),
+            &render_timeline(self.flight_recorder().events()),
         );
         Ok(analysis)
     }
@@ -1470,6 +1460,7 @@ mod tests {
     use crimes_faults::{install, FaultPlan, SCALE};
     use crimes_outbuf::NetPacket;
     use crimes_outbuf::SafetyMode;
+    use crimes_telemetry::Event;
     use crimes_vm::symbols::names;
     use crimes_vm::Gpa;
     use crimes_workloads::attacks;
@@ -2467,11 +2458,10 @@ mod tests {
         let err = c.run_epoch(|_vm, _| Ok(())).expect_err("the drain times out");
         drop(scope);
         assert!(matches!(err, CrimesError::Timeout { .. }), "unexpected error: {err}");
-        let state = EvidenceJournal::replay(c.journal().bytes());
-        let failed: Vec<EventKind> = state
-            .events
-            .iter()
-            .map(|&(_, _, kind)| kind)
+        let failed: Vec<EventKind> = c
+            .journal()
+            .recent_events(usize::MAX)
+            .map(|e| e.kind)
             .filter(|kind| matches!(kind, EventKind::DrainFailed { .. }))
             .collect();
         assert_eq!(failed, [EventKind::DrainFailed { attempts: 1 }]);
@@ -2599,19 +2589,21 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_ring_is_bounded_and_keeps_the_newest_epochs() {
-        let mut c = protected_with(50, |cfg| {
-            cfg.flight_recorder_epochs(2);
-        });
+    fn flight_recorder_window_is_bounded_and_keeps_the_newest_epochs() {
+        let mut c = protected(50);
         c.register_module(Box::new(NoopScanModule::new()));
-        for _ in 0..12 {
+        // 3 events per epoch: 50 epochs overrun the window.
+        for _ in 0..50 {
             assert!(c.run_epoch(|_vm, _| Ok(())).expect("clean").is_committed());
         }
         let r = c.flight_recorder();
-        assert!(r.len() <= r.capacity(), "ring never exceeds its capacity");
-        assert_eq!(r.recorded(), 36, "3 events per epoch, 12 epochs");
-        assert!(r.events_for_epoch(11).count() > 0, "newest epoch retained");
-        assert_eq!(r.events_for_epoch(0).count(), 0, "oldest epoch evicted");
+        assert_eq!(r.events().count(), crate::FLIGHT_RECORDER_EVENTS, "the window is full, no more");
+        assert_eq!(c.journal().recent_events(usize::MAX).count(), 150, "the journal keeps all 150");
+        assert!(r.events_for_epoch(49).count() > 0, "newest epoch shown");
+        assert_eq!(r.events_for_epoch(0).count(), 0, "oldest epoch out of the window");
+        // The window is the journal's newest events, in order.
+        let newest: Vec<Event> = c.journal().recent_events(usize::MAX).skip(150 - crate::FLIGHT_RECORDER_EVENTS).collect();
+        assert!(r.events().eq(newest));
     }
 
     #[test]
@@ -2628,7 +2620,6 @@ mod tests {
             evidence,
             clock,
             telemetry,
-            recorder,
             ..
         } = &mut c;
         let mut retries_used = 0u32;
@@ -2636,7 +2627,7 @@ mod tests {
         let mut hook = BoundaryAudit {
             detector,
             session,
-            buffer: evidence.buffer(),
+            evidence,
             output_scanner: None,
             deadline: Duration::from_millis(50),
             vmi_retries: 0,
@@ -2644,7 +2635,6 @@ mod tests {
             epoch: 0,
             clock,
             telemetry,
-            recorder,
             started_ns: None,
             staged: None,
             stage_errors: Vec::new(),

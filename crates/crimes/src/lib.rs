@@ -79,6 +79,7 @@ pub use detector::{
     AuditReport, Detection, Detector, ModuleTiming, ScanContext, ScanFinding, ScanModule,
 };
 pub use error::CrimesError;
+pub use evidence::{RecentEvents, FLIGHT_RECORDER_EVENTS};
 pub use fleet::{Fleet, FleetEpochSummary, FleetStats};
 pub use framework::{BoundaryProgress, Crimes, EpochOutcome, PendingBoundary, RobustnessStats};
 pub use replay::{AttackPinpoint, ReplayEngine};

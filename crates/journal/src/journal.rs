@@ -28,7 +28,7 @@
 
 use crimes_checkpoint::chunk_digest;
 use crimes_outbuf::{DiskWrite, NetPacket, Output};
-use crimes_telemetry::EventKind;
+use crimes_telemetry::{Event, EventKind};
 
 /// Version stamped into every record. Bump when the payload layout of
 /// any tag changes; replay refuses records from a different version
@@ -59,8 +59,9 @@ const OUTPUT_DISK: u8 = 1;
 /// which replay resolves conservatively (outputs stay impounded).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// A flight-recorder event, mirrored durably. The ring overwrites;
-    /// the journal does not.
+    /// A boundary event. The journal is the one event stream: the
+    /// framework's flight recorder reads its tail back
+    /// ([`EvidenceJournal::recent_events`]).
     Event {
         /// Epoch the event belongs to.
         epoch: u64,
@@ -172,8 +173,6 @@ pub struct OpenTicket {
 /// journal bytes — same bytes, same state, every time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveredState {
-    /// Flight-recorder events, in journal order: `(epoch, at_ns, kind)`.
-    pub events: Vec<(u64, u64, EventKind)>,
     /// Outputs that were held (impounded, audit not yet passed).
     pub held: Vec<(Output, u64)>,
     /// Outputs awaiting a backup ack: `(output, submitted_ns, generation)`.
@@ -549,9 +548,42 @@ impl EvidenceJournal {
         self.bounds.push(self.bytes.len());
     }
 
-    /// Shorthand for the most common record: a flight-recorder event.
-    pub fn append_event(&mut self, epoch: u64, at_ns: u64, kind: EventKind) {
+    /// Shorthand for the most common record: a boundary event.
+    pub fn append_event(&mut self, event: Event) {
+        let Event { epoch, at_ns, kind } = event;
         self.append(&Record::Event { epoch, at_ns, kind });
+    }
+
+    /// The newest `n` event records, oldest first. Walks the record
+    /// bounds back from the end until it has passed `n` events, then
+    /// reads forward from there, so the cost is the tail's length, never
+    /// the journal's.
+    pub fn recent_events(&self, n: usize) -> impl Iterator<Item = Event> + '_ {
+        let mut first = self.bounds.len();
+        let mut found = 0;
+        while found < n && first > 0 {
+            first -= 1;
+            found += usize::from(self.event_at(first).is_some());
+        }
+        (first..self.bounds.len()).filter_map(|index| self.event_at(index))
+    }
+
+    /// Record `index`, when it is an event. Other records are passed over
+    /// on their tag byte alone.
+    fn event_at(&self, index: usize) -> Option<Event> {
+        let start = match index.checked_sub(1) {
+            Some(previous) => *self.bounds.get(previous)?,
+            None => 0,
+        };
+        let end = self.bounds.get(index)?.checked_sub(8)?;
+        let body = self.bytes.get(start.checked_add(4)?..end)?;
+        if read_u8(body, 2)? != TAG_EVENT {
+            return None;
+        }
+        match decode_body(body)? {
+            Record::Event { epoch, at_ns, kind } => Some(Event { epoch, at_ns, kind }),
+            _ => None,
+        }
     }
 
     /// The raw journal bytes (what would be on disk).
@@ -673,9 +705,7 @@ impl EvidenceJournal {
     /// Fold one verified record into the recovered state.
     fn apply(state: &mut RecoveredState, record: Record) {
         match record {
-            Record::Event { epoch, at_ns, kind } => {
-                state.events.push((epoch, at_ns, kind));
-            }
+            Record::Event { .. } => {}
             Record::OutputHeld {
                 output,
                 submitted_ns,
@@ -819,10 +849,11 @@ mod tests {
         assert_eq!(state.failovers, 1);
         assert_eq!(state.pending_incident, Some((2, 1)));
         assert_eq!(state.quarantined, None);
-        assert_eq!(state.events.len(), 2);
+        let events: Vec<Event> = j.recent_events(usize::MAX).collect();
+        assert_eq!(events.len(), 2);
         assert_eq!(
-            state.events[1],
-            (1, 30, EventKind::Degraded { backlog: 2 })
+            events[1],
+            Event { epoch: 1, at_ns: 30, kind: EventKind::Degraded { backlog: 2 } }
         );
     }
 
@@ -849,17 +880,43 @@ mod tests {
         ];
         let mut j = EvidenceJournal::new();
         for (i, k) in kinds.iter().enumerate() {
-            j.append_event(i as u64, i as u64 * 100, *k);
+            j.append_event(Event { epoch: i as u64, at_ns: i as u64 * 100, kind: *k });
         }
         let state = EvidenceJournal::replay(j.bytes());
         assert_eq!(state.truncated_at, None);
-        let replayed: Vec<EventKind> = state.events.iter().map(|&(_, _, k)| k).collect();
+        let replayed: Vec<EventKind> = j.recent_events(usize::MAX).map(|e| e.kind).collect();
         assert_eq!(replayed, kinds);
         // The codes themselves are pinned: renumbering them would break
         // every existing journal.
         for (i, k) in kinds.iter().enumerate() {
             assert_eq!(event_code(*k).0, i as u16, "{k:?} must keep code {i}");
         }
+        // `EventKind::ALL` lists the kinds in code order, and every code
+        // past it is unknown: a kind missing from it has no code either.
+        for (i, k) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(event_code(*k).0, i as u16, "{k:?} is listed at {i}");
+        }
+        assert_eq!(event_from_code(EventKind::ALL.len() as u16, 0), None);
+    }
+
+    #[test]
+    fn recent_events_are_the_newest_n_in_record_order() {
+        let mut j = EvidenceJournal::new();
+        for epoch in 0..20 {
+            j.append_event(Event { epoch, at_ns: epoch, kind: EventKind::VmiRetry { attempt: 1 } });
+            j.append(&Record::OutputHeld {
+                output: Output::Net(NetPacket::new(epoch, vec![0x5a; 64])),
+                submitted_ns: epoch,
+            });
+            j.append_event(Event { epoch, at_ns: epoch, kind: EventKind::Committed { released: 1 } });
+        }
+        let newest: Vec<(u64, &str)> = j.recent_events(3).map(|e| (e.epoch, e.kind.label())).collect();
+        assert_eq!(newest, [(18, "committed"), (19, "vmi_retry"), (19, "committed")]);
+        let epochs: Vec<u64> = j.recent_events(32).map(|e| e.epoch).step_by(2).collect();
+        assert_eq!(epochs, (4..20).collect::<Vec<u64>>());
+        assert_eq!(j.recent_events(usize::MAX).count(), 40, "the journal keeps every event");
+        assert_eq!(j.recent_events(0).count(), 0);
+        assert_eq!(EvidenceJournal::new().recent_events(3).count(), 0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! what may leave the system — outputs impounded, drain tickets minted
 //! and acked, incidents, quarantines, degraded epochs, failovers — is
 //! appended to a write-ahead [`EvidenceJournal`] *before* the action
-//! takes effect. Recovery replays the journal, truncating at the first
+//! takes effect. So is every boundary event: the journal is the one
+//! event stream, and the framework's flight recorder reads its tail back
+//! ([`EvidenceJournal::recent_events`]). Recovery replays the journal, truncating at the first
 //! record whose checksum fails (a torn tail from the crash), and rebuilds
 //! the impound state so `Crimes::recover` can resume from the last acked
 //! drain generation instead of releasing — or losing — evidence.

@@ -1,5 +1,6 @@
-//! Hand-rolled JSON and CSV exporters for the metrics bundle and the
-//! flight recorder. No serde — the workspace is hermetic — so the
+//! Hand-rolled JSON and CSV exporters for the metrics bundle and a run
+//! of boundary [`Event`]s (the framework's flight recorder reads them
+//! back from the evidence journal). No serde — the workspace is hermetic — so the
 //! emitters write the documented schema directly and
 //! [`crate::schema::validate_telemetry_json`] checks round-trips.
 //!
@@ -25,7 +26,7 @@
 use std::fmt::Write as _;
 
 use crate::metrics::{Counter, Histogram, Telemetry};
-use crate::recorder::FlightRecorder;
+use crate::recorder::Event;
 
 /// Version stamped into every export; bump when the shape changes.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -48,9 +49,9 @@ fn histogram_json(out: &mut String, h: &Histogram) {
     out.push_str("]}");
 }
 
-/// Serialise a telemetry bundle plus the flight recorder's retained
-/// events as one JSON document (see the module-level schema).
-pub fn telemetry_json(t: &Telemetry, rec: &FlightRecorder) -> String {
+/// Serialise a telemetry bundle plus `events` (oldest first) as one JSON
+/// document (see the module-level schema).
+pub fn telemetry_json(t: &Telemetry, events: impl IntoIterator<Item = Event>) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"schema_version\":{SCHEMA_VERSION},\"counters\":{{");
     for (i, c) in Counter::ALL.iter().enumerate() {
@@ -101,7 +102,7 @@ pub fn telemetry_json(t: &Telemetry, rec: &FlightRecorder) -> String {
         );
     }
     out.push_str("],\"events\":[");
-    for (i, e) in rec.events().enumerate() {
+    for (i, e) in events.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -147,11 +148,11 @@ pub fn phases_csv(t: &Telemetry) -> String {
     out
 }
 
-/// Flight-recorder events as CSV (`epoch,at_ns,kind,arg`), oldest
-/// first; `arg` is empty for payload-free kinds.
-pub fn events_csv(rec: &FlightRecorder) -> String {
+/// `events` as CSV (`epoch,at_ns,kind,arg`), in the order given; `arg`
+/// is empty for payload-free kinds.
+pub fn events_csv(events: impl IntoIterator<Item = Event>) -> String {
     let mut out = String::from("epoch,at_ns,kind,arg\n");
-    for e in rec.events() {
+    for e in events {
         let arg = e.kind.arg().map(|a| a.to_string()).unwrap_or_default();
         let _ = writeln!(out, "{},{},{},{arg}", e.epoch, e.at_ns, e.kind.label());
     }
@@ -163,7 +164,7 @@ mod tests {
     use super::*;
     use crate::recorder::EventKind;
 
-    fn sample() -> (Telemetry, FlightRecorder) {
+    fn sample() -> (Telemetry, [Event; 2]) {
         let mut t = Telemetry::new(&["suspend", "copy"]);
         t.add(Counter::EpochsCommitted, 2);
         t.record_phase_ns(0, 1_000);
@@ -171,16 +172,17 @@ mod tests {
         t.record_dirty_pages(17);
         t.record_audit_ns(5_500);
         t.record_worker(0, 17, 17 * 4096, 1);
-        let mut r = FlightRecorder::new(2);
-        r.record(0, 10, EventKind::EpochStart);
-        r.record(0, 20, EventKind::Committed { released: 3 });
-        (t, r)
+        let events = [
+            Event { epoch: 0, at_ns: 10, kind: EventKind::EpochStart },
+            Event { epoch: 0, at_ns: 20, kind: EventKind::Committed { released: 3 } },
+        ];
+        (t, events)
     }
 
     #[test]
     fn json_export_contains_every_documented_section() {
         let (t, r) = sample();
-        let json = telemetry_json(&t, &r);
+        let json = telemetry_json(&t, r);
         for key in [
             "\"schema_version\":1",
             "\"counters\"",
@@ -207,7 +209,7 @@ mod tests {
         assert_eq!(counters.lines().count(), 1 + Counter::ALL.len());
         let phases = phases_csv(&t);
         assert!(phases.contains("suspend,1,1000,1000,1000"));
-        let events = events_csv(&r);
+        let events = events_csv(r);
         assert!(events.contains("0,20,committed,3"));
         assert!(events.contains("0,10,epoch_start,\n"));
     }

@@ -13,11 +13,11 @@
 //! * [`Telemetry`] — preallocated counters and log₂-bucketed
 //!   [`Histogram`]s with deterministic, order-independent aggregation
 //!   ([`Telemetry::merge`]); recording never allocates.
-//! * [`FlightRecorder`] — a bounded ring of structured [`Event`]s
-//!   covering the last N epochs. Recording is alloc-free (fixed-payload
-//!   [`EventKind`], preallocated ring); rendering the timeline for a
-//!   forensics report is the only allocating path and runs off the
-//!   pause window.
+//! * [`Event`] — one structured boundary event with a fixed-payload
+//!   [`EventKind`], `Copy`, so recording one into a preallocated buffer
+//!   is alloc-free. The events are kept in the evidence journal
+//!   (`crimes-journal`), the one event stream; [`render_timeline`]
+//!   renders a run of them for a forensics report, off the pause window.
 //! * [`export`]/[`schema`] — hand-rolled JSON/CSV emitters plus a small
 //!   JSON parser used to validate exports against the documented schema
 //!   (the `scripts/verify.sh` telemetry smoke goes through it).
@@ -40,4 +40,4 @@ pub use clock::{Clock, RealClock, TestClock};
 pub use metrics::{
     Counter, Histogram, Telemetry, WorkerStats, HISTOGRAM_BUCKETS, MAX_PHASES, MAX_WORKER_SLOTS,
 };
-pub use recorder::{Event, EventKind, FlightRecorder, EVENTS_PER_EPOCH};
+pub use recorder::{render_timeline, Event, EventKind};

@@ -1,21 +1,15 @@
-//! The epoch flight recorder: a bounded ring of structured events.
+//! The flight recorder's vocabulary: structured boundary events.
 //!
 //! Every boundary decision the framework makes (stage, retry, commit,
 //! extension, rollback, quarantine…) is recorded as a fixed-payload
-//! [`Event`]. The ring is preallocated at construction and `record`
-//! never allocates, so events may be recorded adjacent to the pause
-//! window; old epochs are overwritten once capacity is reached, keeping
-//! the recorder bounded to roughly the last N epochs. On rollback or
-//! quarantine the recorder's timeline is rendered (allocating — off the
-//! pause window) into the forensics report, so the attack evidence
-//! includes what the framework itself did in the epochs leading up to
-//! the incident.
+//! [`Event`], small and `Copy`, so recording one into a preallocated
+//! buffer never allocates and may happen inside the pause window. The
+//! events themselves live in the evidence journal (`crimes-journal`);
+//! the framework's flight recorder is a bounded reader over its tail,
+//! and [`render_timeline`] turns what it reads into the forensics
+//! report's timeline block.
 
 use std::fmt;
-
-/// Events recorded per epoch in the worst case (stage + per-retry +
-/// verdict + recovery); sizes the ring as `epochs × this`.
-pub const EVENTS_PER_EPOCH: usize = 16;
 
 /// What happened. Fixed payloads only — recording must not allocate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +91,27 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind, in the order of their journal codes, payloads zero.
+    pub const ALL: [EventKind; 17] = [
+        EventKind::EpochStart,
+        EventKind::AuditStaged,
+        EventKind::VmiRetry { attempt: 0 },
+        EventKind::MissingAuditStart,
+        EventKind::Committed { released: 0 },
+        EventKind::AttackDetected { findings: 0 },
+        EventKind::Extended { consecutive: 0 },
+        EventKind::CommitFailure,
+        EventKind::FallbackRollback,
+        EventKind::RollbackResumed { discarded: 0 },
+        EventKind::AckPending { held: 0 },
+        EventKind::DrainAcked { pages: 0 },
+        EventKind::DrainFailed { attempts: 0 },
+        EventKind::Quarantined,
+        EventKind::Degraded { backlog: 0 },
+        EventKind::DrainResync { pages: 0 },
+        EventKind::BackupFailover,
+    ];
+
     /// Stable export label (part of the documented schema).
     pub fn label(self) -> &'static str {
         match self {
@@ -158,148 +173,49 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Bounded ring buffer of [`Event`]s covering roughly the last N
-/// epochs. Preallocated; recording is O(1) and alloc-free.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    ring: Vec<Event>,
-    capacity: usize,
-    /// Index of the next write (wraps).
-    head: usize,
-    /// Events currently stored (≤ capacity).
-    len: usize,
-    /// Total events ever recorded, including overwritten ones.
-    recorded: u64,
-}
-
-impl FlightRecorder {
-    /// A recorder retaining about the last `epochs` epochs of events
-    /// (`epochs × EVENTS_PER_EPOCH` slots, minimum one epoch).
-    pub fn new(epochs: usize) -> Self {
-        let capacity = epochs.max(1) * EVENTS_PER_EPOCH;
-        FlightRecorder {
-            ring: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            len: 0,
-            recorded: 0,
+/// Render `events` (oldest first) as indented text, one event per line,
+/// grouped by epoch — the block the forensics report embeds. Allocates;
+/// never call this adjacent to the pause window.
+pub fn render_timeline(events: impl IntoIterator<Item = Event>) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let mut cur: Option<u64> = None;
+    for e in events {
+        if cur != Some(e.epoch) {
+            cur = Some(e.epoch);
+            let _ = writeln!(out, "epoch {}:", e.epoch);
         }
+        let _ = writeln!(out, "  [{:>12} ns] {}", e.at_ns, e.kind);
     }
-
-    /// Slots in the ring.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    if out.is_empty() {
+        out.push_str("(no recorded epochs)\n");
     }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total events recorded over the recorder's lifetime (including
-    /// those the ring has since overwritten).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Record one event. Alloc-free once the ring has filled once; the
-    /// fill itself writes into capacity reserved at construction.
-    pub fn record(&mut self, epoch: u64, at_ns: u64, kind: EventKind) {
-        let ev = Event { epoch, at_ns, kind };
-        if self.ring.len() < self.capacity {
-            self.ring.push(ev);
-        } else if let Some(slot) = self.ring.get_mut(self.head) {
-            *slot = ev;
-        }
-        self.head = (self.head + 1) % self.capacity;
-        self.len = (self.len + 1).min(self.capacity);
-        self.recorded += 1;
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> + '_ {
-        let start = if self.ring.len() < self.capacity {
-            0
-        } else {
-            self.head
-        };
-        (0..self.len).filter_map(move |i| self.ring.get((start + i) % self.capacity))
-    }
-
-    /// The retained events for one epoch, oldest first.
-    pub fn events_for_epoch(&self, epoch: u64) -> impl Iterator<Item = &Event> + '_ {
-        self.events().filter(move |e| e.epoch == epoch)
-    }
-
-    /// Render the retained timeline as indented text, one event per
-    /// line, grouped by epoch — the block the forensics report embeds.
-    /// Allocates; never call this adjacent to the pause window.
-    pub fn render_timeline(&self) -> String {
-        use std::fmt::Write as _;
-        if self.is_empty() {
-            return String::from("(no recorded epochs)\n");
-        }
-        let mut out = String::new();
-        let mut cur: Option<u64> = None;
-        for e in self.events() {
-            if cur != Some(e.epoch) {
-                cur = Some(e.epoch);
-                let _ = writeln!(out, "epoch {}:", e.epoch);
-            }
-            let _ = writeln!(out, "  [{:>12} ns] {}", e.at_ns, e.kind);
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn ring_retains_only_the_last_capacity_events() {
-        let mut r = FlightRecorder::new(1); // 16 slots
-        for epoch in 0..20 {
-            r.record(epoch, epoch * 10, EventKind::EpochStart);
-        }
-        assert_eq!(r.capacity(), EVENTS_PER_EPOCH);
-        assert_eq!(r.len(), EVENTS_PER_EPOCH);
-        assert_eq!(r.recorded(), 20);
-        let epochs: Vec<u64> = r.events().map(|e| e.epoch).collect();
-        assert_eq!(epochs, (4..20).collect::<Vec<u64>>());
+    fn event(epoch: u64, at_ns: u64, kind: EventKind) -> Event {
+        Event { epoch, at_ns, kind }
     }
 
     #[test]
-    fn events_come_back_in_record_order_before_wrap() {
-        let mut r = FlightRecorder::new(2);
-        r.record(7, 1, EventKind::AuditStaged);
-        r.record(7, 2, EventKind::VmiRetry { attempt: 1 });
-        r.record(7, 3, EventKind::Committed { released: 4 });
-        let kinds: Vec<EventKind> = r.events().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            [
-                EventKind::AuditStaged,
-                EventKind::VmiRetry { attempt: 1 },
-                EventKind::Committed { released: 4 },
-            ]
-        );
-        assert_eq!(r.events_for_epoch(7).count(), 3);
-        assert_eq!(r.events_for_epoch(8).count(), 0);
+    fn every_kind_has_its_own_label() {
+        let mut labels: Vec<&str> = EventKind::ALL.iter().map(|k| k.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), EventKind::ALL.len());
     }
 
     #[test]
     fn timeline_groups_by_epoch_and_shows_payloads() {
-        let mut r = FlightRecorder::new(4);
-        r.record(3, 100, EventKind::EpochStart);
-        r.record(3, 200, EventKind::AttackDetected { findings: 2 });
-        r.record(4, 300, EventKind::Quarantined);
-        let text = r.render_timeline();
+        let text = render_timeline([
+            event(3, 100, EventKind::EpochStart),
+            event(3, 200, EventKind::AttackDetected { findings: 2 }),
+            event(4, 300, EventKind::Quarantined),
+        ]);
         assert!(text.contains("epoch 3:"), "{text}");
         assert!(text.contains("attack_detected(2)"), "{text}");
         assert!(text.contains("epoch 4:"), "{text}");
@@ -307,9 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_recorder_renders_a_placeholder() {
-        let r = FlightRecorder::new(2);
-        assert!(r.is_empty());
-        assert_eq!(r.render_timeline(), "(no recorded epochs)\n");
+    fn empty_timeline_renders_a_placeholder() {
+        assert_eq!(render_timeline([]), "(no recorded epochs)\n");
     }
 }

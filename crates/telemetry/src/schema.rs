@@ -11,12 +11,13 @@ use std::collections::BTreeMap;
 
 use crate::export::SCHEMA_VERSION;
 use crate::metrics::{Counter, HISTOGRAM_BUCKETS};
+use crate::recorder::EventKind;
 
 /// A parsed JSON value (numbers are kept as `f64`; the telemetry
 /// schema only uses unsigned integers, which `f64` holds exactly up to
 /// 2⁵³ — far beyond any counter here).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+enum Value {
     /// `null`
     Null,
     /// `true` / `false`
@@ -44,7 +45,7 @@ impl Value {
     }
 
     /// The object's field `key`, when this is an object that has it.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(m) => m.get(key),
             _ => None,
@@ -52,7 +53,7 @@ impl Value {
     }
 
     /// The numeric value, when this is a number.
-    pub fn as_num(&self) -> Option<f64> {
+    fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
@@ -60,7 +61,7 @@ impl Value {
     }
 
     /// The string value, when this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -68,7 +69,7 @@ impl Value {
     }
 
     /// The elements, when this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(v) => Some(v),
             _ => None,
@@ -243,7 +244,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
-pub fn parse_json(text: &str) -> Result<Value, String> {
+fn parse_json(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -294,22 +295,6 @@ fn require_histogram(v: &Value, path: &str) -> Result<(), String> {
 /// shapes, worker rows, event rows with known kinds). Returns the
 /// first violation found.
 pub fn validate_telemetry_json(text: &str) -> Result<(), String> {
-    const KNOWN_KINDS: [&str; 14] = [
-        "epoch_start",
-        "audit_staged",
-        "vmi_retry",
-        "missing_audit_start",
-        "committed",
-        "attack_detected",
-        "extended",
-        "commit_failure",
-        "fallback_rollback",
-        "rollback_resumed",
-        "ack_pending",
-        "drain_acked",
-        "drain_failed",
-        "quarantined",
-    ];
     let doc = parse_json(text)?;
     let version = doc
         .get("schema_version")
@@ -380,7 +365,7 @@ pub fn validate_telemetry_json(text: &str) -> Result<(), String> {
             .get("kind")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("{path}: missing `kind` string"))?;
-        if !KNOWN_KINDS.contains(&kind) {
+        if !EventKind::ALL.iter().any(|k| k.label() == kind) {
             return Err(format!("{path}: unknown event kind `{kind}`"));
         }
         if let Some(arg) = e.get("arg") {
@@ -395,7 +380,7 @@ mod tests {
     use super::*;
     use crate::export::telemetry_json;
     use crate::metrics::Telemetry;
-    use crate::recorder::{EventKind, FlightRecorder};
+    use crate::recorder::Event;
 
     #[test]
     fn real_exports_validate() {
@@ -405,15 +390,16 @@ mod tests {
         t.record_dirty_pages(9);
         t.record_audit_ns(77);
         t.record_worker(3, 9, 9 * 4096, 2);
-        let mut r = FlightRecorder::new(2);
-        r.record(1, 5, EventKind::EpochStart);
-        r.record(1, 9, EventKind::Extended { consecutive: 1 });
+        let r = [
+            Event { epoch: 1, at_ns: 5, kind: EventKind::EpochStart },
+            Event { epoch: 1, at_ns: 9, kind: EventKind::Extended { consecutive: 1 } },
+        ];
         t.add(Counter::DrainHeadStartPages, 7);
         t.add(Counter::DrainCipherLentBytes, 5);
         t.add(Counter::WalkShardsTakenBack, 3);
         t.add(Counter::StartupDigestLentPages, 11);
         t.add(Counter::SymbolParses, 1);
-        let json = telemetry_json(&t, &r);
+        let json = telemetry_json(&t, r);
         validate_telemetry_json(&json).expect("export matches its own schema");
         // Every counter is part of the schema, the newest included: an
         // export from before it existed does not validate.
@@ -435,7 +421,7 @@ mod tests {
 
     #[test]
     fn empty_bundle_still_validates() {
-        let json = telemetry_json(&Telemetry::default(), &FlightRecorder::new(1));
+        let json = telemetry_json(&Telemetry::default(), []);
         validate_telemetry_json(&json).expect("empty export validates");
     }
 

@@ -33,6 +33,9 @@ use crimes_vm::Vm;
 use std::sync::Arc;
 use crimes_workloads::attacks;
 
+mod watchdog;
+use watchdog::Watchdog;
+
 const DEFAULT_SEED: u64 = 0x5eed_fa11;
 const DEFAULT_EPOCHS: u64 = 2_000;
 
@@ -169,6 +172,7 @@ fn assert_recovered(c: &Crimes, epoch: u64) {
 
 #[test]
 fn soak_fail_closed_under_injected_faults() {
+    let dog = Watchdog::start("soak_fail_closed_under_injected_faults");
     let seed = env_u64("CRIMES_FAULT_SEED", DEFAULT_SEED);
     let epochs = env_u64("CRIMES_SOAK_EPOCHS", DEFAULT_EPOCHS);
     let _scope = install(soak_plan(), seed);
@@ -192,6 +196,7 @@ fn soak_fail_closed_under_injected_faults() {
     let mut discarded_total = 0u64;
 
     for epoch in 0..epochs {
+        dog.at(c.config().checkpoint.pause_workers, Placement::Free, epoch);
         // Offer an output most epochs; backpressure (real or injected) is
         // a clean rejection, never a silent drop into the world.
         if driver.gen_range(0..4) != 0 {
@@ -401,6 +406,7 @@ fn fleet_soak_scheduler_fail_closed_under_injected_faults() {
     use crimes::{Fleet, FleetScheduler, FleetSchedulerConfig};
     use std::collections::BTreeMap;
 
+    let dog = Watchdog::start("fleet_soak_scheduler_fail_closed_under_injected_faults");
     let seed = env_u64("CRIMES_FAULT_SEED", DEFAULT_SEED);
     let rounds = env_u64("CRIMES_FLEET_SOAK_ROUNDS", 150);
     let _scope = install(soak_plan(), seed ^ 0xf1ee);
@@ -456,6 +462,7 @@ fn fleet_soak_scheduler_fail_closed_under_injected_faults() {
     let mut attacks_discarded = 0u64;
 
     for round in 0..rounds {
+        dog.at(4, Placement::Free, round);
         // Schedule fresh attacks on tenants without one outstanding.
         let mut attack_now: Vec<String> = Vec::new();
         for name in &names {
@@ -582,6 +589,7 @@ struct SoakRun {
 /// run, the pages its drains found head-started and the cipher bytes they
 /// lent a worker, which are a matter of timing.
 fn one_soak(
+    dog: &Watchdog,
     pause_workers: usize,
     staging_buffers: usize,
     placement: Placement,
@@ -616,6 +624,7 @@ fn one_soak(
     };
     let (mut head_started, mut cipher_lent) = (0u64, 0u64);
     for epoch in 0..epochs {
+        dog.at(pause_workers, placement, epoch);
         if driver.gen_range(0..4) != 0 {
             let _ = c.submit_output(Output::Net(NetPacket::new(epoch, vec![epoch as u8; 24])));
         }
@@ -703,10 +712,11 @@ fn plan_without_walk_points() -> FaultPlan {
 /// and nobody to lend the cipher to.
 #[test]
 fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
+    let dog = Watchdog::start("deferred_soak_is_one_run_with_or_without_a_spare_pause_worker");
     let spare_cpu = std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() > 1);
-    let (free, head_started, lent) = one_soak(2, 2, Placement::Free, soak_plan());
+    let (free, head_started, lent) = one_soak(&dog, 2, 2, Placement::Free, soak_plan());
     for placement in [Placement::TakeAll, Placement::TakeNone] {
-        let (pinned, _, pinned_lent) = one_soak(2, 2, placement, soak_plan());
+        let (pinned, _, pinned_lent) = one_soak(&dog, 2, 2, placement, soak_plan());
         assert_one_run(&free, &pinned, &[], &format!("{placement:?}"));
         match placement {
             Placement::TakeNone if spare_cpu => {
@@ -720,8 +730,8 @@ fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
         assert!(hits(&free, point) > 0, "{} never fired: the soak proved nothing about it", point.name());
     }
 
-    let (one, none_started, none_lent) = one_soak(1, 2, Placement::Free, plan_without_walk_points());
-    let (two, ..) = one_soak(2, 2, Placement::Free, plan_without_walk_points());
+    let (one, none_started, none_lent) = one_soak(&dog, 1, 2, Placement::Free, plan_without_walk_points());
+    let (two, ..) = one_soak(&dog, 2, 2, Placement::Free, plan_without_walk_points());
     assert_one_run(&one, &two, &WALK_POINTS, "1 vs 2 pause workers");
     assert_eq!((none_started, none_lent), (0, 0), "one worker has nobody to lend to");
     println!(
@@ -737,16 +747,17 @@ fn deferred_soak_is_one_run_with_or_without_a_spare_pause_worker() {
 /// a faulted shard's restore must not depend on who walked it either.
 #[test]
 fn in_window_soak_is_one_run_wherever_the_walk_shards_run() {
-    let (free, ..) = one_soak(2, 0, Placement::Free, soak_plan());
+    let dog = Watchdog::start("in_window_soak_is_one_run_wherever_the_walk_shards_run");
+    let (free, ..) = one_soak(&dog, 2, 0, Placement::Free, soak_plan());
     for placement in [Placement::TakeAll, Placement::TakeNone] {
-        let (pinned, ..) = one_soak(2, 0, placement, soak_plan());
+        let (pinned, ..) = one_soak(&dog, 2, 0, placement, soak_plan());
         assert_one_run(&free, &pinned, &[], &format!("{placement:?}"));
     }
     for point in WALK_POINTS {
         assert!(hits(&free, point) > 0, "{} never fired: the soak proved nothing about it", point.name());
     }
-    let (one, ..) = one_soak(1, 0, Placement::Free, plan_without_walk_points());
-    let (two, ..) = one_soak(2, 0, Placement::Free, plan_without_walk_points());
+    let (one, ..) = one_soak(&dog, 1, 0, Placement::Free, plan_without_walk_points());
+    let (two, ..) = one_soak(&dog, 2, 0, Placement::Free, plan_without_walk_points());
     assert_one_run(&one, &two, &WALK_POINTS, "1 vs 2 pause workers");
 }
 

@@ -13,8 +13,9 @@
 //!
 //! Each tenant runs on a [`WindowClock`], a virtual clock that advances
 //! one tick per call and logs what the calling thread and the resident
-//! workers have allocated so far. The flight recorder's `EpochStart`
-//! names the call before the window's first stamp, and the phase
+//! workers have allocated so far. The journal's newest `EpochStart`,
+//! read back through the flight recorder, names the call before the
+//! window's first stamp, and the phase
 //! histograms, which sum to the window's length, name its `resume` stamp:
 //! the window's allocations are the difference of the two log entries,
 //! made on one thread. With two lanes one tenant's window overlaps

@@ -23,6 +23,9 @@ use crimes_rng::prop::{check, Config, Gen};
 use crimes_vm::Vm;
 use crimes_workloads::attacks;
 
+mod watchdog;
+use watchdog::Watchdog;
+
 /// Worker counts under test: the inline single shard, an even split, the
 /// bench default, and a count that does not divide typical dirty sets.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 7];
@@ -58,7 +61,7 @@ struct Fingerprint {
     digest: u64,
 }
 
-fn drive(workers: usize, placement: Placement, script: &[EpochScript]) -> Fingerprint {
+fn drive(dog: &Watchdog, workers: usize, placement: Placement, script: &[EpochScript]) -> Fingerprint {
     let _pin = pin(placement);
     let mut b = Vm::builder();
     b.pages(2048).seed(77);
@@ -80,7 +83,8 @@ fn drive(workers: usize, placement: Placement, script: &[EpochScript]) -> Finger
         disk: Vec::new(),
         digest: 0,
     };
-    for epoch in script {
+    for (i, epoch) in script.iter().enumerate() {
+        dog.at(workers, placement, i as u64);
         let outcome = c
             .run_epoch(|vm, ms| {
                 for &(page, offset, val) in &epoch.dirties {
@@ -141,15 +145,16 @@ fn drive(workers: usize, placement: Placement, script: &[EpochScript]) -> Finger
 
 #[test]
 fn any_worker_count_is_bit_identical_to_serial() {
+    let dog = Watchdog::start("any_worker_count_is_bit_identical_to_serial");
     check(
         "any_worker_count_is_bit_identical_to_serial",
         Config::with_cases(8),
         |g: &mut Gen| {
             let script = g.vec(2..6, gen_epoch);
-            let serial = drive(WORKER_COUNTS[0], Placement::Free, &script);
+            let serial = drive(&dog, WORKER_COUNTS[0], Placement::Free, &script);
             for &workers in &WORKER_COUNTS[1..] {
                 for placement in Placement::ALL {
-                    let fused = drive(workers, placement, &script);
+                    let fused = drive(&dog, workers, placement, &script);
                     assert_eq!(
                         serial, fused,
                         "workers={workers} {placement:?} diverged from the serial boundary"
@@ -164,6 +169,7 @@ fn any_worker_count_is_bit_identical_to_serial() {
 /// with a dirty set (13 pages) that 7 workers shard unevenly.
 #[test]
 fn pinned_uneven_shards_match_serial() {
+    let dog = Watchdog::start("pinned_uneven_shards_match_serial");
     let script = vec![
         EpochScript {
             dirties: (0u8..13).map(|i| (i, u16::from(i) * 331, i.wrapping_mul(17))).collect(),
@@ -178,11 +184,11 @@ fn pinned_uneven_shards_match_serial() {
             overflow: None,
         },
     ];
-    let serial = drive(1, Placement::Free, &script);
+    let serial = drive(&dog, 1, Placement::Free, &script);
     assert_eq!(serial.outcomes, vec!['C', 'A', 'C']);
     for &workers in &WORKER_COUNTS[1..] {
         for placement in Placement::ALL {
-            assert_eq!(serial, drive(workers, placement, &script), "workers={workers} {placement:?}");
+            assert_eq!(serial, drive(&dog, workers, placement, &script), "workers={workers} {placement:?}");
         }
     }
 }

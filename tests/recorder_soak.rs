@@ -1,10 +1,11 @@
 //! Flight-recorder soundness under fault injection: for any fault-soak
-//! seed, the recorder's event stream must agree with the outcome each
-//! epoch actually returned. The recorder is forensic evidence — a
-//! timeline that contradicts the framework's behaviour would mislead the
-//! exact investigation it exists to support — so every boundary result
+//! seed, the event stream the flight recorder reads back from the
+//! evidence journal must agree with the outcome each epoch actually
+//! returned. The events are forensic evidence — a timeline that
+//! contradicts the framework's behaviour would mislead the exact
+//! investigation it exists to support — so every boundary result
 //! (commit, detection, extension, failed commit, quarantine) is checked
-//! against the last event it should have left behind.
+//! against the last event it should have left in the journal.
 //!
 //! The run is deterministic per seed: `CRIMES_FAULT_SEED` reseeds the
 //! schedule, and a companion test replays one seed twice and demands
@@ -67,14 +68,15 @@ fn tenant(seed: u64) -> (Crimes, u32) {
 }
 
 fn last_event(c: &Crimes) -> Event {
-    *c.flight_recorder()
-        .events()
-        .last()
-        .expect("a boundary always records events")
+    let last = c.flight_recorder().events().last().expect("a boundary always records events");
+    // A returned boundary has flushed everything: the reader's newest
+    // event is the journal's.
+    assert_eq!(c.journal().recent_events(1).last(), Some(last), "the event is journaled");
+    last
 }
 
 /// Drive `epochs` epochs under the armed plan, asserting after every
-/// boundary that the recorder's newest event matches the returned
+/// boundary that the journal's newest event matches the returned
 /// outcome. Returns the per-epoch event log (kind + payload, no
 /// timestamps) for determinism comparison.
 fn drive(seed: u64, epochs: u64) -> Vec<String> {
